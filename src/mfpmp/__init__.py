@@ -18,7 +18,7 @@ from .descent import (
     switching_function,
     target_control,
 )
-from .errors import ConfigError, DivergenceError, LineSearchFailure, ValidationFailure
+from .errors import ConfigError, DivergenceError, ValidationFailure
 from .forward import (
     cost_of_control,
     density_min,
@@ -30,15 +30,11 @@ from .models import (
     AdmissibleSet,
     CostSpec,
     ModelSpec,
-    admissible_project,
     ball,
     box,
     kuramoto_model,
-    kuramoto_vf_coeffs,
-    pointwise_model,
     sync_cost_dmu,
     sync_cost_eval,
-    sync_cost_flat,
 )
 from .particles import (
     ParticleEnsemble,
@@ -56,7 +52,6 @@ from .spectral import (
     field_from_harmonics,
     hermitian_defect,
     pairing,
-    pointwise_product,
     to_physical,
     to_spectral,
 )

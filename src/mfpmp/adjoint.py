@@ -7,8 +7,8 @@ driven backward from t = T by
 
 where v is the assembled vector field along the stored forward trajectory,
 the middle term stretches the co-density by the velocity gradient, and the
-nonlocal source q(x) = integral D_mu V(y, mu, u, x) dnu(y) is built from the
-model's interaction kernels.  Both source pieces enter with a minus sign;
+nonlocal source q(x) = integral D_mu V(y, mu, u, x) dnu(y) is, for the
+Kuramoto coupling, u_2 * integral cos(y - x + alpha) dnu(y).  Both source pieces enter with a minus sign;
 that is what the weak duality identity dictates, and it is what makes the
 total co-mass constant in time for translation-equivariant fields (a rigid
 phase shift commutes with such flows, so the sensitivity of the terminal
@@ -30,61 +30,49 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import _check_bounded, _mode_numbers, _rk4_forward_step
+from .forward import _check_bounded, _coupling_value, _mode_numbers, _rk4_forward_step
 from .models import ModelSpec
-from .spectral import FourierField, apply_product, rep_derivative, require_hermitian
+from .spectral import FourierField, require_hermitian
 from .timegrid import ControlSignal, Trajectory
 
 
-def _source_field_rep(model: ModelSpec, u: np.ndarray, b: np.ndarray):
-    """Representation of q(x) = integral D_mu V(y, mu, u, x) dnu(y).
-
-    Component j contributes u_j * (flip(k_j) * nu)(x), whose coefficients are
-    2*pi * k_j[-n] * b_n; the drift component enters with unit weight.
-    """
-    weights = (1.0,) + tuple(u)
-    dense = None
-    modes: dict[int, complex] = {}
-    for w, kernel in zip(weights, model.dmu_kernels):
-        if kernel is None or w == 0.0:
-            continue
-        if isinstance(kernel, dict):
-            center = (b.shape[0] - 1) // 2
-            for mk, vk in kernel.items():
-                n = -mk
-                modes[n] = modes.get(n, 0.0) + w * 2.0 * np.pi * vk * b[center + n]
-        else:
-            if dense is None:
-                dense = np.zeros_like(b)
-            dense += w * 2.0 * np.pi * np.asarray(kernel)[::-1] * b
-    if dense is not None:
-        if modes:
-            center = (b.shape[0] - 1) // 2
-            for n, v in modes.items():
-                dense[center + n] += v
-        return dense
-    return modes if modes else None
-
-
-def _adjoint_rhs(t: float, b: np.ndarray, a: np.ndarray, u: np.ndarray,
-                 model: ModelSpec, mode_arr: np.ndarray) -> np.ndarray:
-    v_rep = model.total_rep(t, a, u)
-    out = -1j * mode_arr * apply_product(v_rep, b)
-    out -= apply_product(rep_derivative(v_rep), b)
-    q_rep = _source_field_rep(model, u, b)
-    if q_rep is not None:
-        out -= apply_product(q_rep, a)
+def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
+                 mode_arr: np.ndarray) -> np.ndarray:
+    v = _coupling_value(a, u, model)
+    # Transport: -i*n*(V b)_n with V(x) = u_1 + v e^{ix} + conj(v) e^{-ix}.
+    vb = np.zeros_like(b)
+    vb += complex(u[0]) * b
+    vb[1:] += v * b[:-1]
+    vb[:-1] += v.conjugate() * b[1:]
+    out = -1j * mode_arr * vb
+    # Stretch: ((dV/dx) b)_n with dV/dx = i*v e^{ix} - i*conj(v) e^{-ix}.
+    stretch = np.zeros_like(b)
+    stretch[1:] += (1j * v) * b[:-1]
+    stretch[:-1] += (-1j * v.conjugate()) * b[1:]
+    out -= stretch
+    # Source: (q a)_n with q(x) = u_2 * integral cos(y - x + alpha) zeta(y) dy,
+    # whose harmonics are q_{-1} = 2*pi*u_2*(e^{i*alpha}/2)*b_{-1} and its
+    # conjugate partner q_1.
+    w = u[1] * 2.0 * np.pi
+    phase = model.phase
+    center = (b.shape[0] - 1) // 2
+    q_lo = w * (0.5 * phase) * b[center - 1]
+    q_hi = w * (0.5 * phase.conjugate()) * b[center + 1]
+    source = np.zeros_like(a)
+    source[:-1] += q_lo * a[1:]
+    source[1:] += q_hi * a[:-1]
+    out -= source
     return out
 
 
-def _rk4_backward_step(b: np.ndarray, t_hi: float, h: float, u: np.ndarray,
+def _rk4_backward_step(b: np.ndarray, h: float, u: np.ndarray,
                        a_hi: np.ndarray, a_mid: np.ndarray, a_lo: np.ndarray,
                        model: ModelSpec, mode_arr: np.ndarray) -> np.ndarray:
     hb = -h
-    k1 = _adjoint_rhs(t_hi, b, a_hi, u, model, mode_arr)
-    k2 = _adjoint_rhs(t_hi + 0.5 * hb, b + (0.5 * hb) * k1, a_mid, u, model, mode_arr)
-    k3 = _adjoint_rhs(t_hi + 0.5 * hb, b + (0.5 * hb) * k2, a_mid, u, model, mode_arr)
-    k4 = _adjoint_rhs(t_hi + hb, b + hb * k3, a_lo, u, model, mode_arr)
+    k1 = _adjoint_rhs(b, a_hi, u, model, mode_arr)
+    k2 = _adjoint_rhs(b + (0.5 * hb) * k1, a_mid, u, model, mode_arr)
+    k3 = _adjoint_rhs(b + (0.5 * hb) * k2, a_mid, u, model, mode_arr)
+    k4 = _adjoint_rhs(b + hb * k3, a_lo, u, model, mode_arr)
     return b + (hb / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -96,17 +84,27 @@ def terminal_adjoint(muT: FourierField, model: ModelSpec) -> FourierField:
     """
     require_hermitian(muT, 1e-10)
     neg_dmu = -model.cost.dmu(muT).coeffs
-    return FourierField(muT.n_modes, apply_product(neg_dmu, muT.coeffs))
+    center = muT.center
+    if np.count_nonzero(neg_dmu) != np.count_nonzero(neg_dmu[[center - 1, center + 1]]):
+        raise ValueError("the cost derivative must carry only the harmonics +-1")
+    a = muT.coeffs
+    b = np.zeros_like(a)
+    b[:-1] += neg_dmu[center - 1] * a[1:]
+    b[1:] += neg_dmu[center + 1] * a[:-1]
+    return FourierField(muT.n_modes, b)
 
 
 def rhs_adjoint(t: float, b: FourierField, a: FourierField, u,
                 model: ModelSpec) -> FourierField:
-    """Coefficient time derivative of the co-density at forward state a."""
+    """Coefficient time derivative of the co-density at forward state a.
+
+    The model is autonomous; `t` is accepted for the usual ODE signature.
+    """
     u = model.require_feasible(u)
     if b.n_modes != a.n_modes:
         raise ValueError("state and co-state mode counts differ")
     mode_arr = _mode_numbers(b.coeffs.shape[0])
-    return FourierField(b.n_modes, _adjoint_rhs(t, b.coeffs, a.coeffs, u, model, mode_arr))
+    return FourierField(b.n_modes, _adjoint_rhs(b.coeffs, a.coeffs, u, model, mode_arr))
 
 
 def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
@@ -114,7 +112,7 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     """Solve the adjoint system backward along a stored forward trajectory.
 
     Args:
-        traj: full-rate (stride 1) forward trajectory.
+        traj: forward trajectory.
         u: the control that produced `traj`.
         model: vector-field specification.
         terminal: optional override of the terminal co-density; defaults to
@@ -124,8 +122,6 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     Returns:
         Co-trajectory on the same half-step lattice.
     """
-    if traj.stride != 1:
-        raise ValueError("the adjoint solver needs a full-rate forward trajectory")
     if u.grid != traj.grid:
         raise ValueError("control signal grid does not match the trajectory")
     grid = traj.grid
@@ -146,8 +142,8 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         uk = u.values[(s - 1) >> 1]
         a_hi = traj.coeffs[s]
         a_lo = traj.coeffs[s - 1]
-        a_mid = _rk4_forward_step(a_lo, (s - 1) * h, 0.5 * h, uk, model, mode_arr)
-        b = _rk4_backward_step(b, s * h, h, uk, a_hi, a_mid, a_lo, model, mode_arr)
+        a_mid = _rk4_forward_step(a_lo, 0.5 * h, uk, model, mode_arr)
+        b = _rk4_backward_step(b, h, uk, a_hi, a_mid, a_lo, model, mode_arr)
         _check_bounded(b, (s - 1) * h)
         out[s - 1] = b
-    return Trajectory(grid, out, stride=1)
+    return Trajectory(grid, out)

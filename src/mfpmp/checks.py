@@ -32,15 +32,13 @@ def meanfield_vs_particles(rho0: FourierField, u: ControlSignal, model: ModelSpe
     of the first two trigonometric moments at t in {0, T/2, T} (T/2 rounded
     down to a full node) and the terminal cost gap.
     """
-    alpha = float(model.params.get("alpha", 0.0))
-    x0 = float(model.params.get("x0", 0.0))
     traj = integrate_forward(rho0, u, model, grid)
     tau = grid.tau
     check_nodes = sorted({0, grid.n_steps // 2, grid.n_steps})
     times = [k * tau for k in check_nodes]
 
     ensemble0 = stratified_ensemble(rho0, n_particles)
-    terminal, snaps = simulate_particles(ensemble0, u, alpha, grid, record_times=times)
+    terminal, snaps = simulate_particles(ensemble0, u, model.alpha, grid, record_times=times)
 
     per_time = {}
     worst = 0.0
@@ -58,7 +56,7 @@ def meanfield_vs_particles(rho0: FourierField, u: ControlSignal, model: ModelSpe
         per_time[f"t={t:g}"] = entry
 
     mf_cost = model.cost.eval(traj.terminal_field())
-    pc_cost = particle_cost(terminal, x0)
+    pc_cost = particle_cost(terminal, model.x0)
     return {
         "n_particles": n_particles,
         "moment_discrepancy": worst,
@@ -148,19 +146,24 @@ def local_adjoint_check(u1_values, rho0: FourierField, x0: float, grid: TimeGrid
     return {"max_error": err, "n_modes": rho0.n_modes, "tau": grid.tau}
 
 
+_PAIR_RECIPES = (
+    (lambda t: np.column_stack([0.4 * np.sin(t), 0.3 * np.cos(2.0 * t)]),
+     lambda t: np.column_stack([0.7 * np.cos(t), -0.5 * np.sin(t)])),
+    (lambda t: np.column_stack([0.2 + 0.0 * t, -0.3 + 0.0 * t]),
+     lambda t: np.column_stack([-0.6 * np.cos(3.0 * t), 0.5 + 0.0 * t])),
+    (lambda t: np.column_stack([0.5 * np.sin(2.0 * t), 0.1 + 0.0 * t]),
+     lambda t: np.column_stack([0.2 + 0.0 * t, 0.6 * np.sin(t)])),
+)
+MAX_EXTRA_PAIRS = len(_PAIR_RECIPES)
+
+
 def synthetic_control_pairs(grid: TimeGrid, control_set, count: int = 2):
     """Deterministic feasible (reference, target) pairs for slope probes."""
+    if not 0 <= count <= MAX_EXTRA_PAIRS:
+        raise ValueError(f"count must lie in 0..{MAX_EXTRA_PAIRS}, got {count}")
     t = grid.full_times()
     pairs = []
-    recipes = [
-        (lambda t: np.column_stack([0.4 * np.sin(t), 0.3 * np.cos(2.0 * t)]),
-         lambda t: np.column_stack([0.7 * np.cos(t), -0.5 * np.sin(t)])),
-        (lambda t: np.column_stack([0.2 + 0.0 * t, -0.3 + 0.0 * t]),
-         lambda t: np.column_stack([-0.6 * np.cos(3.0 * t), 0.5 + 0.0 * t])),
-        (lambda t: np.column_stack([0.5 * np.sin(2.0 * t), 0.1 + 0.0 * t]),
-         lambda t: np.column_stack([0.2 + 0.0 * t, 0.6 * np.sin(t)])),
-    ]
-    for ref_fn, tgt_fn in recipes[:count]:
+    for ref_fn, tgt_fn in _PAIR_RECIPES[:count]:
         ref = np.stack([control_set.project(row) for row in ref_fn(t)])
         tgt = np.stack([control_set.project(row) for row in tgt_fn(t)])
         pairs.append((ControlSignal(grid, ref), ControlSignal(grid, tgt)))

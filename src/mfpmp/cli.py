@@ -33,7 +33,7 @@ from .checks import (
 )
 from .config import COMMANDS, RunConfig, apply_overrides, parse_config_dict
 from .descent import STATUS_LINE_SEARCH, run_descent
-from .errors import ConfigError, DivergenceError, LineSearchFailure, ValidationFailure
+from .errors import ConfigError, DivergenceError, ValidationFailure
 from .forward import density_min, integrate_forward, mass_drift
 from .spectral import grid_points, reconstruct_rows
 from .timegrid import ControlSignal, Trajectory
@@ -92,7 +92,7 @@ def _write_snapshots(path: Path, traj: Trajectory, times) -> None:
     for t in times:
         idx = traj.node_index(float(t))
         values = reconstruct_rows(traj.coeffs[idx])[0]
-        t_node = idx * 0.5 * traj.tau_effective
+        t_node = idx * 0.5 * traj.grid.tau
         rows.extend((t_node, xj, vj) for xj, vj in zip(x, values))
     _write_csv(path, ("t", "x", "value"), rows)
 
@@ -145,7 +145,13 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
         "timings": {"total_seconds": time.perf_counter() - t_start},
     }
     _write_json(out / "summary.json", summary)
-    return 4 if result.status == STATUS_LINE_SEARCH else 0
+    if result.status == STATUS_LINE_SEARCH:
+        _fail("line-search",
+              f"iteration {last.k}: no step theta^j with j <= {config.descent.j_max} "
+              "passed the sufficient-decrease test; the artifacts hold the last "
+              "accepted control")
+        return 4
+    return 0
 
 
 def _run_solve_forward(config: RunConfig, t_start: float) -> int:
@@ -184,15 +190,13 @@ def _run_solve_adjoint(config: RunConfig, t_start: float) -> int:
 
 
 def _local_u1_profile(spec: dict, grid) -> np.ndarray:
-    kind = spec.get("kind")
+    """Drift profile of the closed-form check; `spec` was validated by the config."""
     t = grid.full_times()
-    if kind == "constant":
+    if spec["kind"] == "constant":
         return np.full(t.shape, float(spec.get("value", 1.0)))
-    if kind == "sinusoidal":
-        amp = float(spec.get("amplitude", 1.0))
-        freq = float(spec.get("frequency", 1.0))
-        return amp * np.sin(freq * t)
-    raise ConfigError(f"validate.local_u1.kind: unknown kind {kind!r}")
+    amp = float(spec.get("amplitude", 1.0))
+    freq = float(spec.get("frequency", 1.0))
+    return amp * np.sin(freq * t)
 
 
 def _run_validate(config: RunConfig, t_start: float) -> int:
@@ -248,8 +252,7 @@ def _run_validate(config: RunConfig, t_start: float) -> int:
 
     # Closed-form co-density in the rotation-only case.
     u1 = _local_u1_profile(params["local_u1"], config.grid)
-    local = local_adjoint_check(u1, config.rho0,
-                                float(config.model.params["x0"]), config.grid)
+    local = local_adjoint_check(u1, config.rho0, config.model.x0, config.grid)
     local["tol"] = params["local_tol"]
     local["passed"] = local["max_error"] <= params["local_tol"]
     report["local_adjoint"] = local
@@ -316,9 +319,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         _fail("divergence", str(exc))
         return 3
-    except LineSearchFailure as exc:
-        _fail("line-search", str(exc))
-        return 4
     except ValidationFailure as exc:
         _fail("validation", str(exc))
         return 5

@@ -9,11 +9,13 @@ reproduced without the original file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .checks import MAX_EXTRA_PAIRS
 from .descent import DescentConfig
 from .errors import ConfigError
 from .models import AdmissibleSet, ModelSpec, ball, box, kuramoto_model
@@ -63,10 +65,24 @@ def _require_keys(doc: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number: not a bool, NaN, +-Infinity or an overflowing int."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _number(doc, key, where, positive=False):
     v = doc.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+    if not _is_number(v):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {v!r}")
     if positive and not v > 0:
         raise ConfigError(f"{where}.{key}: must be positive, got {v}")
     return float(v)
@@ -102,8 +118,11 @@ def _parse_density(doc, n_modes: int) -> tuple[FourierField, dict]:
             try:
                 n = int(key)
                 re, im = float(pair[0]), float(pair[1])
-            except (ValueError, TypeError, IndexError) as exc:
-                raise ConfigError(f"{where}.harmonics[{key!r}]: expected [re, im]") from exc
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise ValueError("non-finite coefficient")
+            except (ValueError, TypeError, IndexError, OverflowError) as exc:
+                raise ConfigError(
+                    f"{where}.harmonics[{key!r}]: expected finite [re, im]") from exc
             harmonics[n] = complex(re, im)
         try:
             rho0 = field_from_harmonics(n_modes, harmonics)
@@ -130,7 +149,10 @@ def _parse_control(doc, grid: TimeGrid, control_set: AdmissibleSet
         u0 = preset(grid)
     elif isinstance(doc, dict) and "constant" in doc:
         _require_keys(doc, {"constant"}, {"constant"}, where)
-        u0 = constant_control(grid, doc["constant"])
+        try:
+            u0 = constant_control(grid, doc["constant"])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     elif isinstance(doc, dict) and "values" in doc:
         _require_keys(doc, {"values"}, {"values"}, where)
         try:
@@ -157,7 +179,7 @@ def _parse_descent(doc: dict | None) -> DescentConfig:
     for key in allowed & set(doc):
         v = doc[key]
         if key in ("j_max", "k_max", "lambda_patience"):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
             kwargs[key] = v
         else:
@@ -168,12 +190,45 @@ def _parse_descent(doc: dict | None) -> DescentConfig:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+_LOCAL_U1_KEYS = {"constant": {"kind", "value"},
+                  "sinusoidal": {"kind", "amplitude", "frequency"}}
+
+
 def _parse_validate(doc: dict | None) -> dict:
+    where = "validate"
     params = dict(_VALIDATE_DEFAULTS)
     if doc is None:
         return params
-    _require_keys(doc, set(_VALIDATE_DEFAULTS), set(), "validate")
+    _require_keys(doc, set(_VALIDATE_DEFAULTS), set(), where)
     params.update(doc)
+
+    counts = params["n_particles"]
+    if not (isinstance(counts, list) and counts
+            and all(_is_int(n) and n >= 1 for n in counts)):
+        raise ConfigError(f"{where}.n_particles: expected a nonempty list of integers "
+                          f">= 1, got {counts!r}")
+    for key in ("cost_tol", "ratio_tol", "order_min", "local_tol"):
+        _number(params, key, where)
+    lambdas = params["lambdas"]
+    if not (isinstance(lambdas, list) and len(lambdas) >= 2
+            and all(_is_number(lam) and 0 < lam <= 1 for lam in lambdas)):
+        raise ConfigError(f"{where}.lambdas: expected at least two steps in (0, 1] "
+                          f"(the residual order is a fitted slope), got {lambdas!r}")
+    if not isinstance(params["require_moment_monotone"], bool):
+        raise ConfigError(f"{where}.require_moment_monotone: expected a boolean")
+    pairs = params["extra_pairs"]
+    if not (_is_int(pairs) and 0 <= pairs <= MAX_EXTRA_PAIRS):
+        raise ConfigError(f"{where}.extra_pairs: expected an integer in "
+                          f"0..{MAX_EXTRA_PAIRS}, got {pairs!r}")
+
+    local = params["local_u1"]
+    kind = local.get("kind") if isinstance(local, dict) else None
+    if kind not in _LOCAL_U1_KEYS:
+        raise ConfigError(f"{where}.local_u1.kind: must be one of "
+                          f"{sorted(_LOCAL_U1_KEYS)}, got {kind!r}")
+    _require_keys(local, _LOCAL_U1_KEYS[kind], {"kind"}, f"{where}.local_u1")
+    for key in sorted(set(local) - {"kind"}):
+        _number(local, key, f"{where}.local_u1")
     return params
 
 
@@ -217,7 +272,7 @@ def parse_config_dict(doc: dict) -> RunConfig:
     if not isinstance(snapshot_times, list):
         raise ConfigError("config.snapshot_times: expected a list of times")
     for t in snapshot_times:
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0 or t > T:
+        if not _is_number(t) or t < 0 or t > T:
             raise ConfigError(f"config.snapshot_times: time {t!r} outside [0, T]")
 
     adjoint_snapshots = doc.get("adjoint_snapshots", False)

@@ -27,7 +27,7 @@ import numpy as np
 from .adjoint import integrate_backward
 from .forward import cost_of_control, integrate_forward
 from .models import ModelSpec
-from .spectral import FourierField, rep_pairing
+from .spectral import FourierField
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 # Ball directions shorter than this are treated as ties (current control kept).
@@ -116,23 +116,26 @@ def switching_function(traj: Trajectory, cotraj: Trajectory,
                        model: ModelSpec) -> SwitchingFunction:
     """Pair each control channel's field with the co-density at full nodes.
 
-    d_j(t_k) = integral V^j(x, mu_{t_k}) zeta_{t_k}(x) dx.
+    d_j(t_k) = integral V^j(x, mu_{t_k}) zeta_{t_k}(x) dx, that is
+    d_1 = 2*pi * Re b_0 and d_2 = 2*pi * Re(v b_{-1} + conj(v) b_{+1}) with
+    v = i*pi*a_1*e^{i*alpha}, for all nodes at once.
     """
-    if traj.grid != cotraj.grid or traj.stride != 1 or cotraj.stride != 1:
-        raise ValueError("trajectories must share a full-rate grid")
+    if traj.grid != cotraj.grid:
+        raise ValueError("trajectories must share a grid")
     if traj.n_modes != cotraj.n_modes:
         raise ValueError("trajectory resolutions differ")
-    grid = traj.grid
-    n_nodes = grid.n_steps + 1
-    vals = np.empty((n_nodes, model.m))
-    for k in range(n_nodes):
-        s = 2 * k
-        a = traj.coeffs[s]
-        b = cotraj.coeffs[s]
-        reps = model.component_reps(k * grid.tau, a)
-        for j in range(model.m):
-            vals[k, j] = rep_pairing(reps[j + 1], b)
-    return SwitchingFunction(grid, vals)
+    a = traj.coeffs[::2]
+    b = cotraj.coeffs[::2]
+    center = traj.n_modes // 2
+    vr, vi = model.coupling(a[:, center + 1])
+    bm = b[:, center - 1]
+    bp = b[:, center + 1]
+    # Real parts of v*b_{-1} and conj(v)*b_{+1}, in real arithmetic like v
+    # itself; the leading 0.0 + turns an exact -0.0 sum into 0.0.
+    coupling = 0.0 + (vr * bm.real - vi * bm.imag) + (vr * bp.real + vi * bp.imag)
+    drift = 0.0 + b[:, center].real
+    vals = (2.0 * np.pi) * np.column_stack([drift, coupling])
+    return SwitchingFunction(traj.grid, vals)
 
 
 def target_control(d: SwitchingFunction, admissible, u: ControlSignal) -> ControlSignal:

@@ -9,9 +9,5 @@ class DivergenceError(RuntimeError):
     """A time integration blew up, usually a too-large step (exit code 3)."""
 
 
-class LineSearchFailure(RuntimeError):
-    """No backtracking step satisfied the sufficient-decrease test (exit code 4)."""
-
-
 class ValidationFailure(RuntimeError):
     """An oracle report violated its tolerance (exit code 5)."""

@@ -2,14 +2,15 @@
 
 The transport PDE becomes the coefficient system
 
-    d a_n / dt = -i * n * (V a)_n,
+    d a_n / dt = -i * n * (u_1 a_n + v a_{n-1} + conj(v) a_{n+1}),
 
-where (V a)_n is the truncated coefficient convolution of the assembled
-vector field with the density.  Time stepping is classical RK4 at half the
-control step, so the trajectory lands on every half-step node; controls
-are piecewise constant per full step, hence every RK4 stage sees a single
-control value.  The n = 0 equation has an explicit factor n, so the mass
-coefficient is conserved bit-for-bit.
+where v = u_2 * i*pi*a_1*e^{i*alpha} is the coupling channel's harmonic +1
+and out-of-range harmonics count as zero (series truncation).  Time
+stepping is classical RK4 at half the control step, so the trajectory
+lands on every half-step node; controls are piecewise constant per full
+step, hence every RK4 stage sees a single control value.  The n = 0
+equation has an explicit factor n, so the mass coefficient is conserved
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .models import ModelSpec
-from .spectral import FourierField, apply_product, reconstruct_rows, require_hermitian
+from .spectral import FourierField, reconstruct_rows, require_hermitian
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 # Generous blow-up guard; healthy probability densities keep |a_n| below
@@ -33,17 +34,29 @@ def _mode_numbers(size: int) -> np.ndarray:
     return np.arange(-center, center + 1)
 
 
-def _continuity_rhs(t: float, a: np.ndarray, u: np.ndarray, model: ModelSpec,
+def _coupling_value(a: np.ndarray, u: np.ndarray, model: ModelSpec) -> complex:
+    """v = u_2 * i*pi*a_1*e^{i*alpha} for one coefficient row, in Python floats."""
+    vr, vi = model.coupling(complex(a[(a.shape[0] + 1) // 2]))
+    u2 = float(u[1])
+    return complex(u2 * vr, u2 * vi)
+
+
+def _continuity_rhs(a: np.ndarray, u: np.ndarray, model: ModelSpec,
                     modes: np.ndarray) -> np.ndarray:
-    return -1j * modes * apply_product(model.total_rep(t, a, u), a)
+    v = _coupling_value(a, u, model)
+    va = np.zeros_like(a)  # summing into zeros turns an exact -0.0 into 0.0
+    va += complex(u[0]) * a
+    va[1:] += v * a[:-1]
+    va[:-1] += v.conjugate() * a[1:]
+    return -1j * modes * va
 
 
-def _rk4_forward_step(a: np.ndarray, t: float, h: float, u: np.ndarray,
+def _rk4_forward_step(a: np.ndarray, h: float, u: np.ndarray,
                       model: ModelSpec, modes: np.ndarray) -> np.ndarray:
-    k1 = _continuity_rhs(t, a, u, model, modes)
-    k2 = _continuity_rhs(t + 0.5 * h, a + (0.5 * h) * k1, u, model, modes)
-    k3 = _continuity_rhs(t + 0.5 * h, a + (0.5 * h) * k2, u, model, modes)
-    k4 = _continuity_rhs(t + h, a + h * k3, u, model, modes)
+    k1 = _continuity_rhs(a, u, model, modes)
+    k2 = _continuity_rhs(a + (0.5 * h) * k1, u, model, modes)
+    k3 = _continuity_rhs(a + (0.5 * h) * k2, u, model, modes)
+    k4 = _continuity_rhs(a + h * k3, u, model, modes)
     return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -57,15 +70,18 @@ def _check_bounded(a: np.ndarray, t: float) -> None:
 
 
 def rhs_continuity(t: float, a: FourierField, u, model: ModelSpec) -> FourierField:
-    """Coefficient time derivative of the density under control u."""
+    """Coefficient time derivative of the density under control u.
+
+    The model is autonomous; `t` is accepted for the usual ODE signature.
+    """
     u = model.require_feasible(u)
     require_hermitian(a, 1e-10)
     modes = _mode_numbers(a.coeffs.shape[0])
-    return FourierField(a.n_modes, _continuity_rhs(t, a.coeffs, u, model, modes))
+    return FourierField(a.n_modes, _continuity_rhs(a.coeffs, u, model, modes))
 
 
 def _march(a0: np.ndarray, u_values: np.ndarray, model: ModelSpec, grid: TimeGrid,
-           out: np.ndarray | None, stride: int) -> np.ndarray:
+           out: np.ndarray | None) -> np.ndarray:
     h = 0.5 * grid.tau
     modes = _mode_numbers(a0.shape[0])
     a = np.array(a0, dtype=complex)
@@ -73,10 +89,10 @@ def _march(a0: np.ndarray, u_values: np.ndarray, model: ModelSpec, grid: TimeGri
         out[0] = a
     for s in range(2 * grid.n_steps):
         u = u_values[s >> 1]
-        a = _rk4_forward_step(a, s * h, h, u, model, modes)
+        a = _rk4_forward_step(a, h, u, model, modes)
         _check_bounded(a, (s + 1) * h)
-        if out is not None and (s + 1) % stride == 0:
-            out[(s + 1) // stride] = a
+        if out is not None:
+            out[s + 1] = a
     return a
 
 
@@ -95,7 +111,7 @@ def _validated_initial(rho0: FourierField, u: ControlSignal, model: ModelSpec) -
 
 
 def integrate_forward(rho0: FourierField, u: ControlSignal, model: ModelSpec,
-                      grid: TimeGrid, store_stride: int = 1) -> Trajectory:
+                      grid: TimeGrid) -> Trajectory:
     """Solve the continuity equation and record every half-step node.
 
     Args:
@@ -103,9 +119,6 @@ def integrate_forward(rho0: FourierField, u: ControlSignal, model: ModelSpec,
         u: feasible control signal on the same grid.
         model: vector-field specification.
         grid: time lattice.
-        store_stride: record every stride-th half node.  Stride 1 (the
-            default) is required for a subsequent adjoint solve; larger
-            strides only bound memory for forward diagnostics.
 
     Raises:
         DivergenceError: if any coefficient magnitude passes the guard.
@@ -113,12 +126,9 @@ def integrate_forward(rho0: FourierField, u: ControlSignal, model: ModelSpec,
     if u.grid != grid:
         raise ValueError("control signal grid does not match the solver grid")
     a0 = _validated_initial(rho0, u, model)
-    total = 2 * grid.n_steps
-    if store_stride < 1 or total % store_stride != 0:
-        raise ValueError(f"store_stride {store_stride} must divide {total}")
-    out = np.empty((total // store_stride + 1, a0.shape[0]), dtype=complex)
-    _march(a0, u.values, model, grid, out, store_stride)
-    return Trajectory(grid, out, stride=store_stride)
+    out = np.empty((2 * grid.n_steps + 1, a0.shape[0]), dtype=complex)
+    _march(a0, u.values, model, grid, out)
+    return Trajectory(grid, out)
 
 
 def terminal_state(rho0: FourierField, u: ControlSignal, model: ModelSpec,
@@ -131,7 +141,7 @@ def terminal_state(rho0: FourierField, u: ControlSignal, model: ModelSpec,
     if u.grid != grid:
         raise ValueError("control signal grid does not match the solver grid")
     a0 = _validated_initial(rho0, u, model)
-    a = _march(a0, u.values, model, grid, None, 1)
+    a = _march(a0, u.values, model, grid, None)
     return FourierField(rho0.n_modes, a)
 
 

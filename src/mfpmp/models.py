@@ -1,24 +1,23 @@
-"""Controlled nonlocal vector fields and terminal costs.
+"""The controlled mean-field Kuramoto model and its terminal cost.
 
-A model bundles the control-affine vector field
+The control-affine vector field on the circle is
 
-    V(x, mu, u) = V^0(x, mu) + sum_j V^j(x, mu) u_j
+    V(x, mu, u) = u_1 + u_2 * integral sin(y - x - alpha) dmu(y).
 
-with the data the solvers need: per-component Fourier coefficients, the
-interaction kernels behind the measure derivative of each component, and
-the terminal cost with its derivatives.  The concrete instance shipped
-here is the mean-field Kuramoto model with the phase-synchronization cost;
-`pointwise_model` adapts grid-sampled fields for other interaction laws.
+Its rotation channel is the constant 1 and its coupling channel has only
+the harmonics n = +-1, with coefficient i*pi*mu_1*e^{i*alpha} at n = 1
+(`ModelSpec.coupling`).  The terminal cost is the phase mismatch
+integral 1 - cos(x - x0) dmu_T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .spectral import FourierField, RealGridField, rep_to_array, to_spectral
+from .spectral import FourierField
 
 ControlVector = np.ndarray
 
@@ -81,28 +80,20 @@ def box(lower, upper) -> AdmissibleSet:
     return AdmissibleSet("box", lo.shape[0], lower=lower, upper=upper)
 
 
-def admissible_project(u: ControlVector, admissible: AdmissibleSet) -> ControlVector:
-    """Project a control vector onto the admissible set (idempotent)."""
-    if not np.all(np.isfinite(np.asarray(u, dtype=float))):
-        raise ValueError("control values must be finite")
-    return admissible.project(u)
-
-
 # ---------------------------------------------------------------------------
 # Terminal cost
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Terminal cost with its flat (first-variation) and intrinsic derivatives.
+    """Terminal cost and its intrinsic derivative.
 
-    `flat` is normalized so its integral against mu vanishes; `dmu` must
-    equal the spatial derivative of `flat`.
+    `dmu` must return a field carrying only the harmonics n = +-1 (the
+    terminal adjoint condition is written for that case).
     """
 
     eval: Callable[[FourierField], float]
     dmu: Callable[[FourierField], FourierField]
-    flat: Callable[[FourierField], FourierField]
 
 
 def sync_cost_eval(mu: FourierField, x0: float) -> float:
@@ -123,21 +114,10 @@ def sync_cost_dmu(mu: FourierField, x0: float) -> FourierField:
     return FourierField(mu.n_modes, c)
 
 
-def sync_cost_flat(mu: FourierField, x0: float) -> FourierField:
-    """Flat derivative of the mismatch cost, normalized to zero mu-mean."""
-    c = np.zeros(mu.n_modes + 1, dtype=complex)
-    center = mu.center
-    c[center] = 1.0 - sync_cost_eval(mu, x0)
-    c[center + 1] = -0.5 * np.exp(-1j * x0)
-    c[center - 1] = np.conj(c[center + 1])
-    return FourierField(mu.n_modes, c)
-
-
 def sync_cost_spec(x0: float) -> CostSpec:
     return CostSpec(
         eval=lambda mu: sync_cost_eval(mu, x0),
         dmu=lambda mu: sync_cost_dmu(mu, x0),
-        flat=lambda mu: sync_cost_flat(mu, x0),
     )
 
 
@@ -147,32 +127,30 @@ def sync_cost_spec(x0: float) -> CostSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Control-affine nonlocal vector field plus terminal cost.
+    """Mean-field Kuramoto model: phase shift, target phase, controls, cost.
 
     Attributes:
-        m: control dimension.
-        control_set: admissible set U.
-        component_reps: (t, coeff array) -> tuple of m + 1 field
-            representations (drift first, then one per control channel).
-            A representation is either a {mode: coeff} dict or a dense
-            coefficient array.
-        total_rep: (t, coeff array, u) -> representation of the assembled
-            field V^0 + sum_j u_j V^j.
-        dmu_kernels: per-component convolution kernels k_j describing the
-            measure derivative of V^j through D_mu V^j(y, mu, x) =
-            k_j(y - x); None for components with no measure coupling.
+        alpha: coupling phase shift.
+        x0: synchronization target phase of the cost.
+        control_set: admissible set U of the two channels (u_1, u_2).
         cost: terminal cost block.
-        params: model constants, echoed into run artifacts.
     """
 
-    m: int
+    alpha: float
+    x0: float
     control_set: AdmissibleSet
-    component_reps: Callable
-    total_rep: Callable
-    dmu_kernels: tuple
     cost: CostSpec
-    params: Mapping = field(default_factory=dict)
-    name: str = "model"
+    phase: complex = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.control_set.m != 2:
+            raise ValueError("the Kuramoto model has two control channels")
+        object.__setattr__(self, "phase", complex(np.exp(1j * self.alpha)))
+
+    @property
+    def params(self) -> dict:
+        """The model constants as a plain dict."""
+        return {"alpha": float(self.alpha), "x0": float(self.x0)}
 
     def require_feasible(self, u: ControlVector) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -180,116 +158,27 @@ class ModelSpec:
             raise ValueError(f"control {u} outside the admissible set")
         return u
 
-    def vector_field(self, t: float, mu: FourierField, u: ControlVector) -> FourierField:
-        """Fourier coefficients of V(., mu, u) at time t."""
-        u = self.require_feasible(u)
-        rep = self.total_rep(t, mu.coeffs, u)
-        return FourierField(mu.n_modes, rep_to_array(rep, mu.n_modes))
+    def coupling(self, a1):
+        """(re, im) of i*pi*a_1*e^{i*alpha}, the coupling channel's harmonic +1.
 
-    def component_fields(self, t: float, mu: FourierField) -> tuple[FourierField, ...]:
-        reps = self.component_reps(t, mu.coeffs)
-        return tuple(FourierField(mu.n_modes, rep_to_array(r, mu.n_modes)) for r in reps)
-
-
-# ---------------------------------------------------------------------------
-# Kuramoto instance
-# ---------------------------------------------------------------------------
-
-def _kuramoto_interaction_coeff(a: np.ndarray, phase: complex) -> complex:
-    # First harmonic of the order-parameter torque, i*pi*a_1*e^{i*alpha}.
-    center = (a.shape[0] - 1) // 2
-    return 1j * np.pi * a[center + 1] * phase
+        `a1` is the density's first harmonic: a Python complex or an array of
+        them.  The two complex products (i*pi * a_1, then * e^{i*alpha}) are
+        spelled out in real arithmetic because NumPy's array complex multiply
+        may round differently from scalar arithmetic; this way one node and a
+        stack of nodes give the same bits.
+        """
+        tr = -np.pi * a1.imag
+        ti = np.pi * a1.real
+        pr, pi = self.phase.real, self.phase.imag
+        return tr * pr - ti * pi, tr * pi + ti * pr
 
 
 def kuramoto_model(alpha: float, x0: float, control_set: AdmissibleSet | None = None) -> ModelSpec:
     """Mean-field Kuramoto model with the phase-synchronization cost.
 
-    The drift channel is the constant rotation V^1 = 1 and the coupling
-    channel V^2(x, mu) = integral sin(y - x - alpha) dmu(y), whose only
-    harmonics are n = +-1.  The default control set is the disk of radius
-    sqrt(2).
+    The default control set is the disk of radius sqrt(2).
     """
     if control_set is None:
         control_set = ball(np.sqrt(2.0), m=2)
-    if control_set.m != 2:
-        raise ValueError("the Kuramoto model has two control channels")
-    phase = complex(np.exp(1j * alpha))
-
-    def component_reps(t, a):
-        v1 = _kuramoto_interaction_coeff(a, phase)
-        return ({}, {0: 1.0 + 0.0j}, {1: v1, -1: v1.conjugate()})
-
-    def total_rep(t, a, u):
-        v1 = u[1] * _kuramoto_interaction_coeff(a, phase)
-        return {0: complex(u[0]), 1: v1, -1: v1.conjugate()}
-
-    # D_mu V^2(y, mu, x) = cos(y - x + alpha) = k(y - x) with k(z) = cos(z + alpha).
-    kernel = {1: 0.5 * phase, -1: 0.5 * phase.conjugate()}
-    return ModelSpec(
-        m=2,
-        control_set=control_set,
-        component_reps=component_reps,
-        total_rep=total_rep,
-        dmu_kernels=(None, None, kernel),
-        cost=sync_cost_spec(x0),
-        params={"alpha": float(alpha), "x0": float(x0)},
-        name="kuramoto",
-    )
-
-
-def kuramoto_vf_coeffs(
-    t: float, mu: FourierField, u: ControlVector, *, alpha: float,
-    control_set: AdmissibleSet | None = None,
-) -> FourierField:
-    """Assembled Kuramoto field: V_0 = u_1, V_1 = i*pi*u_2*mu_1*e^{i*alpha}."""
-    model = kuramoto_model(alpha, x0=0.0, control_set=control_set)
-    return model.vector_field(t, mu, u)
-
-
-# ---------------------------------------------------------------------------
-# Generic adapter
-# ---------------------------------------------------------------------------
-
-def pointwise_model(
-    m: int,
-    control_set: AdmissibleSet,
-    component_values: Callable[[float, np.ndarray, FourierField], np.ndarray],
-    cost: CostSpec,
-    dmu_kernels: tuple | None = None,
-    name: str = "pointwise",
-) -> ModelSpec:
-    """Wrap grid-sampled field components into a ModelSpec.
-
-    `component_values(t, x, mu)` returns an (m + 1, len(x)) array of samples
-    of V^0..V^m on the grid; they are transformed to coefficients on demand.
-    Only models whose measure coupling is a convolution (given through
-    `dmu_kernels`) support the adjoint solver.
-    """
-    if dmu_kernels is None:
-        dmu_kernels = (None,) * (m + 1)
-
-    def component_reps(t, a):
-        n_modes = a.shape[0] - 1
-        mu = FourierField(n_modes, a)
-        x = 2.0 * np.pi * np.arange(n_modes) / n_modes
-        samples = np.asarray(component_values(t, x, mu), dtype=float)
-        if samples.shape != (m + 1, n_modes):
-            raise ValueError(f"expected {(m + 1, n_modes)} samples, got {samples.shape}")
-        return tuple(to_spectral(RealGridField(n_modes, row)).coeffs for row in samples)
-
-    def total_rep(t, a, u):
-        reps = component_reps(t, a)
-        total = np.array(reps[0])
-        for j in range(m):
-            total += u[j] * reps[j + 1]
-        return total
-
-    return ModelSpec(
-        m=m,
-        control_set=control_set,
-        component_reps=component_reps,
-        total_rep=total_rep,
-        dmu_kernels=tuple(dmu_kernels),
-        cost=cost,
-        name=name,
-    )
+    return ModelSpec(alpha=float(alpha), x0=float(x0), control_set=control_set,
+                     cost=sync_cost_spec(x0))

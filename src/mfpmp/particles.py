@@ -47,9 +47,6 @@ class ParticleEnsemble:
     def n(self) -> int:
         return self.phases.size
 
-    def wrapped(self) -> np.ndarray:
-        return np.mod(self.phases, 2.0 * np.pi)
-
 
 def _phase_rhs(x: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
     z = np.mean(np.exp(1j * x))

@@ -9,11 +9,6 @@ so a probability density carries c_0 = 1/(2*pi).  Real fields satisfy the
 Hermitian symmetry c_{-n} = conj(c_n), and every operation in this module
 preserves that symmetry to rounding error.
 
-Products of two truncated series are re-truncated to the stored range:
-harmonics generated outside |n| <= N/2 are dropped.  There is no dealiasing
-filter; the solvers built on top of this module couple only low harmonics,
-so boundary truncation is the whole aliasing story.
-
 A note on the boundary mode: on an N-point grid the harmonics +N/2 and -N/2
 alias to the same samples, so only their real part is observable.  The
 transform splits the boundary bin evenly between the two indices, which
@@ -25,13 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Above this many nonzero coefficients a product falls back to a dense
-# convolution; below it, shift-and-accumulate wins.  Coefficient arrays and
-# {mode: coefficient} dicts are interchangeable field representations
-# throughout this module; dicts carry the few-harmonic cases.
-_SPARSE_NNZ_LIMIT = 8
-
 
 @dataclass(frozen=True)
 class FourierField:
@@ -87,17 +75,10 @@ class RealGridField:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def grid_points(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
-
 
 def grid_points(n_points: int) -> np.ndarray:
     """Equispaced circle grid x_j = 2*pi*j/N."""
     return 2.0 * np.pi * np.arange(n_points) / n_points
-
-
-def zero_field(n_modes: int) -> FourierField:
-    return FourierField(n_modes, np.zeros(n_modes + 1, dtype=complex))
 
 
 def constant_field(n_modes: int, value: float) -> FourierField:
@@ -217,77 +198,6 @@ def convolve(kernel: FourierField, density: FourierField) -> FourierField:
 def derivative(field: FourierField) -> FourierField:
     """Spatial derivative: harmonic n is multiplied by i*n."""
     return FourierField(field.n_modes, 1j * field.mode_numbers() * field.coeffs)
-
-
-def pointwise_product(f: FourierField, g: FourierField) -> FourierField:
-    """Coefficients of the pointwise product f*g, re-truncated to |n| <= N/2."""
-    _check_same_modes(f, g)
-    return FourierField(f.n_modes, apply_product(f.coeffs, g.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Array-level kernels.  The integrators work on raw coefficient arrays and
-# on sparse {mode: coefficient} dicts to keep the hot loops allocation-light;
-# the FourierField wrappers above are the module's public contract.
-# ---------------------------------------------------------------------------
-
-def sparse_shift_accumulate(pairs, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Accumulate sum_k v_k * g_{n - m_k} over (m_k, v_k) pairs.
-
-    Out-of-range samples of g count as zero (series truncation).
-    """
-    size = g.shape[0]
-    if out is None:
-        out = np.zeros(size, dtype=complex)
-    for m, v in pairs:
-        if v == 0:
-            continue
-        if m >= 0:
-            out[m:] += v * g[: size - m]
-        else:
-            out[:m] += v * g[-m:]
-    return out
-
-
-def apply_product(f, g: np.ndarray) -> np.ndarray:
-    """Truncated coefficient convolution of f (array or mode dict) with g."""
-    if isinstance(f, dict):
-        return sparse_shift_accumulate(f.items(), g)
-    nz = np.flatnonzero(f)
-    if nz.size <= _SPARSE_NNZ_LIMIT:
-        center = (f.shape[0] - 1) // 2
-        return sparse_shift_accumulate(((int(i) - center, f[i]) for i in nz), g)
-    full = np.convolve(f, g)
-    half = (f.shape[0] - 1) // 2
-    return full[half: half + f.shape[0]]
-
-
-def rep_pairing(f, g: np.ndarray) -> float:
-    """Pairing 2*pi * sum_n f_n g_{-n} with f an array or a mode dict."""
-    if isinstance(f, dict):
-        center = (g.shape[0] - 1) // 2
-        s = sum(v * g[center - m] for m, v in f.items())
-    else:
-        s = np.dot(f, g[::-1])
-    return float((2.0 * np.pi * s).real)
-
-
-def rep_derivative(f):
-    """Coefficient representation of the spatial derivative of f."""
-    if isinstance(f, dict):
-        return {m: 1j * m * v for m, v in f.items() if m != 0}
-    center = (f.shape[0] - 1) // 2
-    return 1j * np.arange(-center, center + 1) * f
-
-
-def rep_to_array(f, n_modes: int) -> np.ndarray:
-    if isinstance(f, dict):
-        c = np.zeros(n_modes + 1, dtype=complex)
-        center = n_modes // 2
-        for m, v in f.items():
-            c[center + m] = v
-        return c
-    return np.asarray(f, dtype=complex)
 
 
 def reconstruct_rows(coeff_rows: np.ndarray) -> np.ndarray:

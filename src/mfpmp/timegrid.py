@@ -37,31 +37,19 @@ class TimeGrid:
     def full_times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.tau
 
-    def half_times(self) -> np.ndarray:
-        return np.arange(2 * self.n_steps + 1) * (0.5 * self.tau)
-
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Coefficient snapshots on the half-step lattice.
-
-    `coeffs[s]` holds the field at t = s * stride * tau/2.  Full-rate
-    storage (stride 1) is required by the backward solver; larger strides
-    are a memory escape hatch for forward-only diagnostics.
-    """
+    """Coefficient snapshots on the half-step lattice: `coeffs[s]` at t = s*tau/2."""
 
     grid: TimeGrid
     coeffs: np.ndarray
-    stride: int = 1
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
         if c.ndim != 2 or c.shape[1] % 2 != 1:
             raise ValueError("coeffs must be a (snapshots, n_modes + 1) array")
-        total = 2 * self.grid.n_steps
-        if self.stride < 1 or total % self.stride != 0:
-            raise ValueError(f"stride {self.stride} must divide {total}")
-        expected = total // self.stride + 1
+        expected = 2 * self.grid.n_steps + 1
         if c.shape[0] != expected:
             raise ValueError(f"expected {expected} snapshots, got {c.shape[0]}")
         object.__setattr__(self, "coeffs", c)
@@ -74,13 +62,6 @@ class Trajectory:
     def n_snapshots(self) -> int:
         return self.coeffs.shape[0]
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_snapshots) * (0.5 * self.tau_effective)
-
-    @property
-    def tau_effective(self) -> float:
-        return self.grid.tau * self.stride
-
     def field(self, index: int) -> FourierField:
         return FourierField(self.n_modes, self.coeffs[index])
 
@@ -89,7 +70,7 @@ class Trajectory:
 
     def node_index(self, t: float) -> int:
         """Snapshot index closest to time t."""
-        h = 0.5 * self.grid.tau * self.stride
+        h = 0.5 * self.grid.tau
         idx = int(round(t / h))
         if idx < 0 or idx >= self.n_snapshots or abs(idx * h - t) > 0.5 * h + 1e-12:
             raise ValueError(f"time {t} outside the stored lattice")

@@ -1,7 +1,6 @@
 """Backward balance-law solver: terminal data, sources, closed forms, duality."""
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from mfpmp import (
@@ -180,15 +179,6 @@ class TestIntegrateBackward:
         worst = max(hermitian_defect(cotraj.field(s))
                     for s in range(0, cotraj.n_snapshots, 25))
         assert worst < 1e-12
-
-    def test_rejects_decimated_trajectories(self):
-        grid = TimeGrid(0.2, 1e-2)
-        model = kuramoto_model(0.0, np.pi)
-        rho = fig1_density(16)
-        u = constant_control(grid, [0.1, 0.1])
-        thin = integrate_forward(rho, u, model, grid, store_stride=2)
-        with pytest.raises(ValueError, match="full-rate"):
-            integrate_backward(thin, u, model)
 
 
 class TestDualityWithTheCost:

@@ -66,7 +66,9 @@ class TestIncrementSlopeCheck:
     def test_cost_scaling_scales_both_sides(self):
         # Scaling the terminal cost scales predicted and actual decrements
         # alike, leaving the ratios unchanged.
-        from mfpmp.models import CostSpec, ModelSpec, sync_cost_spec
+        from dataclasses import replace
+
+        from mfpmp.models import CostSpec, sync_cost_spec
         from mfpmp.spectral import FourierField
         grid = TimeGrid(0.4, 2e-3)
         rho = fig1_density(48)
@@ -80,13 +82,8 @@ class TestIncrementSlopeCheck:
         scaled_cost = CostSpec(
             eval=lambda mu: kappa * plain.eval(mu),
             dmu=lambda mu: FourierField(mu.n_modes, kappa * plain.dmu(mu).coeffs),
-            flat=lambda mu: FourierField(mu.n_modes, kappa * plain.flat(mu).coeffs),
         )
-        scaled = ModelSpec(
-            m=base.m, control_set=base.control_set,
-            component_reps=base.component_reps, total_rep=base.total_rep,
-            dmu_kernels=base.dmu_kernels, cost=scaled_cost, params=base.params,
-        )
+        scaled = replace(base, cost=scaled_cost)
         rep_base = increment_slope_check(rho, u, ubar, base, grid, [2e-3, 4e-3])
         rep_scaled = increment_slope_check(rho, u, ubar, scaled, grid, [2e-3, 4e-3])
         assert_allclose(rep_scaled["predicted_slope"],

@@ -155,6 +155,41 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["category"] == "divergence"
 
+    def test_line_search_failure_is_4(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = tiny_doc(out, descent={"k_max": 8, "j_max": 0, "c": 0.99})
+        assert main(["optimize", "--config", str(write_config(tmp_path, doc))]) == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "line-search-failed"
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["category"] == "line-search"
+
+    @pytest.mark.parametrize("override", [
+        "model.alpha=NaN",
+        "grid.T=Infinity",
+        "descent.c=-Infinity",
+        "snapshot_times=[NaN]",
+        "initial_control.constant=[NaN, 0.0]",
+        'initial_density.harmonics={"0": [NaN, 0.0]}',
+    ])
+    def test_non_finite_numbers_are_2(self, tmp_path, capsys, override):
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command="solve-forward")
+        code = main(["solve-forward", "--config", str(write_config(tmp_path, doc)),
+                     "--override", override])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["category"] == "config"
+        assert not out.exists()
+
+    def test_bad_validate_value_is_2_before_any_artifact(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command="validate", validate={"local_u1": {"kind": "square"}})
+        assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "validate.local_u1.kind" in err["error"]["message"]
+        assert not out.exists()
+
     def test_override_reaches_the_solver(self, tmp_path):
         doc = tiny_doc(tmp_path / "out", command="solve-forward")
         code = main(["solve-forward", "--config", str(write_config(tmp_path, doc)),

@@ -112,6 +112,36 @@ class TestParsing:
         with pytest.raises(ConfigError, match="bad.json:2"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_particles", "abc"),
+        ("n_particles", []),
+        ("n_particles", [1000, 0]),
+        ("n_particles", [1.5]),
+        ("cost_tol", "x"),
+        ("ratio_tol", float("nan")),
+        ("order_min", float("inf")),
+        ("local_tol", None),
+        ("lambdas", [0, 2]),
+        ("lambdas", [0.01]),
+        ("lambdas", "0.01"),
+        ("require_moment_monotone", "yes"),
+        ("extra_pairs", 4),
+        ("extra_pairs", -1),
+        ("extra_pairs", True),
+        ("local_u1", {"kind": "square"}),
+        ("local_u1", "constant"),
+        ("local_u1", {"kind": "constant", "value": "x"}),
+        ("local_u1", {"kind": "constant", "amplitude": 1.0}),
+    ])
+    def test_validate_values_are_checked(self, key, value):
+        with pytest.raises(ConfigError, match=f"validate.{key}"):
+            parse_config_dict(minimal_doc(validate={key: value}))
+
+    def test_validate_defaults_pass_the_checks(self):
+        cfg = parse_config_dict(minimal_doc(validate={"extra_pairs": 3}))
+        assert cfg.validate_params["extra_pairs"] == 3
+        assert cfg.validate_params["lambdas"] == [1e-3, 2e-3, 4e-3, 8e-3]
+
 
 class TestOverrides:
     def test_dotted_paths_and_json_values(self):

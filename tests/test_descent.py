@@ -65,6 +65,31 @@ class TestSwitchingFunction:
             quad = 2.0 * np.pi / zeta.size * zeta.sum()
             assert_allclose(d.values[k, 0], quad, atol=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.31, 1.7])
+    def test_coupling_channel_matches_the_pairing_formula(self, alpha):
+        # d_2(t_k) = 2*pi * Re(v b_{-1} + conj(v) b_{+1}), v = i*pi*a_1*e^{i*alpha}.
+        grid, model, rho = small_setup(alpha=alpha)
+        t = grid.full_times()
+        u = ControlSignal(grid, np.column_stack([0.5 * np.sin(3 * t), 0.9 * np.cos(t)]))
+        traj = integrate_forward(rho, u, model, grid)
+        cotraj = integrate_backward(traj, u, model)
+        got = switching_function(traj, cotraj, model).values[:, 1]
+        c = traj.n_modes // 2
+        a, b = traj.coeffs[::2], cotraj.coeffs[::2]
+        v = 1j * np.pi * a[:, c + 1] * np.exp(1j * alpha)
+        literal = 2.0 * np.pi * (v * b[:, c - 1] + np.conj(v) * b[:, c + 1]).real
+        assert np.max(np.abs(literal)) > 1e-3
+        assert_allclose(got, literal, rtol=1e-12, atol=1e-15)
+        # Bit for bit the per-node scalar arithmetic: NumPy's array complex
+        # multiply can round one ulp away from it, and that moves the descent.
+        phase = complex(np.exp(1j * alpha))
+        scalar = np.empty_like(got)
+        for k in range(got.size):
+            vk = 1j * np.pi * a[k, c + 1] * phase
+            pair = 0 + vk * b[k, c - 1] + vk.conjugate() * b[k, c + 1]
+            scalar[k] = float((2.0 * np.pi * pair).real)
+        assert got.tobytes() == scalar.tobytes()
+
 
 class TestTargetControl:
     def test_ball_maximizer_is_the_scaled_direction(self):

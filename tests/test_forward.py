@@ -119,8 +119,8 @@ class TestIntegrateForward:
         for _ in range(5):
             a = np.array(random_hermitian(32, rng).coeffs)
             u = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
-            for step in range(20):
-                a = _rk4_forward_step(a, step * 1e-3, 1e-3, u, model, modes)
+            for _ in range(20):
+                a = _rk4_forward_step(a, 1e-3, u, model, modes)
             defect = np.max(np.abs(a - np.conj(a[::-1])))
             assert defect < 1e-12
 
@@ -181,17 +181,6 @@ class TestIntegrateForward:
         stored = integrate_forward(rho, u, model, grid).terminal_field().coeffs
         lean = terminal_state(rho, u, model, grid).coeffs
         assert np.array_equal(stored, lean)
-
-    def test_decimated_storage(self):
-        rho = fig1_density(16)
-        grid = TimeGrid(0.2, 1e-2)
-        model = kuramoto_model(0.0, np.pi)
-        u = constant_control(grid, [0.5, 0.3])
-        full = integrate_forward(rho, u, model, grid)
-        thin = integrate_forward(rho, u, model, grid, store_stride=4)
-        assert thin.n_snapshots == (2 * grid.n_steps) // 4 + 1
-        assert np.array_equal(thin.coeffs[1], full.coeffs[4])
-        assert np.array_equal(thin.coeffs[-1], full.coeffs[-1])
 
 
 class TestDensityMin:

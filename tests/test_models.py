@@ -7,76 +7,95 @@ from numpy.testing import assert_allclose
 from mfpmp import (
     ball,
     box,
-    admissible_project,
     derivative,
     field_from_harmonics,
     kuramoto_model,
-    kuramoto_vf_coeffs,
     pairing,
-    pointwise_model,
+    rhs_adjoint,
+    rhs_continuity,
     sync_cost_dmu,
     sync_cost_eval,
-    sync_cost_flat,
 )
-from mfpmp.models import sync_cost_spec
-from mfpmp.spectral import FourierField, constant_field, grid_points, rep_to_array
+from mfpmp.forward import _mode_numbers
+from mfpmp.spectral import FourierField, constant_field, grid_points
 
-from conftest import random_hermitian
+from conftest import eval_series, random_hermitian
 
 
 def uniform(n=32):
     return constant_field(n, 1.0 / (2.0 * np.pi))
 
 
+def coupling(model, mu):
+    return complex(*model.coupling(mu[1]))
+
+
+def flat_derivative(mu, x0):
+    """First variation of the mismatch cost, 1 - cos(x - x0) - cost(mu)."""
+    return field_from_harmonics(mu.n_modes, {
+        0: 1.0 - sync_cost_eval(mu, x0),
+        1: -0.5 * np.exp(-1j * x0),
+    })
+
+
 class TestKuramotoField:
-    def test_pure_rotation_channel(self):
-        v = kuramoto_vf_coeffs(0.0, uniform(), np.array([1.0, 0.0]), alpha=0.0)
-        assert_allclose(v[0], 1.0, atol=1e-15)
-        assert np.max(np.abs(v.coeffs[np.arange(33) != 16])) == 0.0
+    def test_pure_rotation_channel(self, rng):
+        # With u_2 = 0 the field is the rigid rotation u_1, whatever the state.
+        model = kuramoto_model(0.0, np.pi)
+        mu = random_hermitian(32, rng)
+        out = rhs_continuity(0.0, mu, np.array([1.0, 0.0]), model).coeffs
+        assert np.array_equal(out, -1j * _mode_numbers(33) * mu.coeffs)
 
     def test_interaction_coefficient(self):
         # With a first harmonic of -i/(4*pi), unit coupling and zero phase
         # shift gives i*pi * (-i/(4*pi)) = 1/4 at harmonic 1.
         mu1 = -0.25j / np.pi
         mu = field_from_harmonics(32, {0: 1.0 / (2.0 * np.pi), 1: mu1})
-        v = kuramoto_vf_coeffs(0.0, mu, np.array([0.0, 1.0]), alpha=0.0)
-        assert_allclose(v[1], 0.25, atol=1e-15)
-        assert_allclose(v[-1], 0.25, atol=1e-15)
+        v = coupling(kuramoto_model(0.0, np.pi), mu)
+        assert_allclose(v, 0.25, atol=1e-15)
         # grid-quadrature oracle on the interaction integral
         x = grid_points(512)
         fine = np.linspace(0.0, 2.0 * np.pi, 40001)
         dens = 1.0 / (2.0 * np.pi) + 2.0 * (mu1 * np.exp(1j * fine)).real
         for xj in x[::64]:
             target = np.trapezoid(np.sin(fine - xj) * dens, fine)
-            got = (v.coeffs * np.exp(1j * xj * v.mode_numbers())).sum().real
+            got = 2.0 * (v * np.exp(1j * xj)).real
             assert_allclose(got, target, atol=1e-7)
 
     def test_uniform_state_feels_no_coupling(self):
-        v = kuramoto_vf_coeffs(0.0, uniform(), np.array([0.0, 1.0]), alpha=0.3)
-        assert np.max(np.abs(v.coeffs)) == 0.0
+        assert coupling(kuramoto_model(0.3, np.pi), uniform()) == 0.0
 
     def test_infeasible_control_rejected(self):
+        model = kuramoto_model(0.0, np.pi)
         with pytest.raises(ValueError, match="admissible"):
-            kuramoto_vf_coeffs(0.0, uniform(), np.array([2.0, 2.0]), alpha=0.0)
+            model.require_feasible(np.array([2.0, 2.0]))
+        with pytest.raises(ValueError, match="admissible"):
+            rhs_continuity(0.0, uniform(), np.array([2.0, 2.0]), model)
 
     def test_control_affinity(self, rng):
         model = kuramoto_model(0.7, np.pi, control_set=ball(10.0))
         mu = random_hermitian(32, rng)
         u = np.array([0.3, -0.8])
         w = np.array([-1.1, 0.4])
-        lhs = (model.vector_field(0.0, mu, u).coeffs
-               + model.vector_field(0.0, mu, w).coeffs
-               - model.vector_field(0.0, mu, np.zeros(2)).coeffs)
-        rhs = model.vector_field(0.0, mu, u + w).coeffs
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+        def rhs(c):
+            return rhs_continuity(0.0, mu, c, model).coeffs
+
+        lhs = rhs(u) + rhs(w) - rhs(np.zeros(2))
+        assert np.max(np.abs(lhs - rhs(u + w))) < 1e-12
 
     def test_components_assemble_the_total_field(self, rng):
-        model = kuramoto_model(0.4, 1.0, control_set=ball(5.0))
+        # V = u_1 V^1 + u_2 V^2: the RHS is the same combination of the
+        # per-channel RHS, and the coupling channel is i*pi*a_1*e^{i*alpha}.
+        alpha = 0.4
+        model = kuramoto_model(alpha, 1.0, control_set=ball(5.0))
         mu = random_hermitian(32, rng)
         u = np.array([0.6, 1.2])
-        comps = model.component_fields(0.0, mu)
-        assembled = comps[0].coeffs + u[0] * comps[1].coeffs + u[1] * comps[2].coeffs
-        assert_allclose(model.vector_field(0.0, mu, u).coeffs, assembled, atol=1e-14)
+        per_channel = [rhs_continuity(0.0, mu, e, model).coeffs for e in np.eye(2)]
+        assembled = u[0] * per_channel[0] + u[1] * per_channel[1]
+        assert_allclose(rhs_continuity(0.0, mu, u, model).coeffs, assembled, atol=1e-14)
+        assert_allclose(coupling(model, mu), 1j * np.pi * mu[1] * np.exp(1j * alpha),
+                        atol=1e-15)
 
 
 class TestSyncCost:
@@ -138,34 +157,35 @@ class TestSyncCost:
         mu = random_hermitian(32, rng)
         for x0 in (0.0, 0.9, np.pi):
             lhs = sync_cost_dmu(mu, x0).coeffs
-            rhs = derivative(sync_cost_flat(mu, x0)).coeffs
+            rhs = derivative(flat_derivative(mu, x0)).coeffs
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_flat_derivative_has_zero_mean_against_mu(self, rng):
+        # Pairing the first variation with mu reproduces the cost itself.
         mu = random_hermitian(32, rng)
-        flat = sync_cost_flat(mu, 0.7)
+        flat = flat_derivative(mu, 0.7)
         assert abs(pairing(flat, mu)) < 1e-12
 
 
 class TestAdmissibleSets:
     def test_ball_projection(self):
         s = ball(np.sqrt(2.0))
-        assert_allclose(admissible_project(np.array([2.0, 0.0]), s),
+        assert_allclose(s.project(np.array([2.0, 0.0])),
                         [np.sqrt(2.0), 0.0])
         inside = np.array([1.0, 0.0])
-        assert admissible_project(inside, s) is inside
+        assert s.project(inside) is inside
 
     def test_box_clamp(self):
         s = box([-1.0, -1.0], [1.0, 1.0])
-        assert_allclose(admissible_project(np.array([3.0, -0.5]), s), [1.0, -0.5])
+        assert_allclose(s.project(np.array([3.0, -0.5])), [1.0, -0.5])
 
     def test_projection_is_idempotent(self, rng):
         for s in (ball(1.3), box([-0.5, -2.0], [0.2, 1.0])):
             for _ in range(20):
                 u = rng.standard_normal(2) * 3.0
-                p = admissible_project(u, s)
+                p = s.project(u)
                 assert s.contains(p)
-                assert_allclose(admissible_project(p, s), p, atol=0.0)
+                assert_allclose(s.project(p), p, atol=0.0)
 
     def test_invalid_sets_rejected(self):
         with pytest.raises(ValueError):
@@ -175,42 +195,27 @@ class TestAdmissibleSets:
 
 
 class TestMeasureDerivativeKernel:
-    def test_kernel_matches_cosine_of_phase_difference(self):
-        # The coupling channel's measure derivative evaluated at (y, x)
-        # must equal cos(y - x + alpha).
-        alpha = 0.55
+    def test_kernel_matches_cosine_of_phase_difference(self, rng):
+        # D_mu V^2(y, mu, x) = cos(y - x + alpha).  On a uniform state the
+        # coupling field vanishes, so with u = (0, u_2) the adjoint RHS is the
+        # bare source -(q a)_n = -q_n / (2*pi) with
+        # q(x) = u_2 * integral cos(y - x + alpha) zeta(y) dy.
+        alpha, u2 = 0.55, 0.8
         model = kuramoto_model(alpha, 0.0)
-        kernel = rep_to_array(model.dmu_kernels[2], 32)
-        field = FourierField(32, kernel)
-        ys = np.linspace(0.0, 2 * np.pi, 7)
-        xs = np.linspace(0.0, 2 * np.pi, 5)
-        for y in ys:
-            for x in xs:
-                val = (field.coeffs * np.exp(1j * (y - x) * field.mode_numbers())).sum()
-                assert_allclose(val.real, np.cos(y - x + alpha), atol=1e-12)
-                assert abs(val.imag) < 1e-12
+        zeta = random_hermitian(32, rng, max_mode=6, mass=0.3)
+        out = rhs_adjoint(0.0, zeta, uniform(), np.array([0.0, u2]), model)
+        q = FourierField(32, -2.0 * np.pi * out.coeffs)
+        y = grid_points(256)
+        zeta_y = eval_series(zeta, y)
+        for x in np.linspace(0.0, 2 * np.pi, 7):
+            quad = u2 * 2.0 * np.pi * np.mean(np.cos(y - x + alpha) * zeta_y)
+            assert_allclose(eval_series(q, x)[0], quad, atol=1e-12)
 
-    def test_rotation_channels_carry_no_kernel(self):
-        model = kuramoto_model(0.0, 0.0)
-        assert model.dmu_kernels[0] is None
-        assert model.dmu_kernels[1] is None
-
-
-class TestPointwiseAdapter:
-    def test_adapter_reproduces_the_native_interaction(self, rng):
-        # Grid-sampled Kuramoto components must transform to the same
-        # coefficients the native spectral model produces.
-        alpha = 0.3
-        native = kuramoto_model(alpha, 0.0, control_set=ball(5.0))
-
-        def components(t, x, mu):
-            z = 2.0 * np.pi * np.conj(mu[1])  # integral of e^{iy} against mu
-            coupling = (np.exp(-1j * (x + alpha)) * z).imag
-            return np.stack([np.zeros_like(x), np.ones_like(x), coupling])
-
-        adapted = pointwise_model(2, ball(5.0), components, sync_cost_spec(0.0))
-        mu = random_hermitian(64, rng, max_mode=8)
-        u = np.array([0.4, 1.1])
-        got = adapted.vector_field(0.0, mu, u).coeffs
-        want = native.vector_field(0.0, mu, u).coeffs
-        assert np.max(np.abs(got - want)) < 1e-13
+    def test_rotation_channels_carry_no_kernel(self, rng):
+        # The rotation channel has no measure derivative: with u_2 = 0 the
+        # adjoint RHS is pure transport, with no source, for any state.
+        model = kuramoto_model(0.3, 0.0, control_set=ball(3.0))
+        a = random_hermitian(16, rng)
+        b = random_hermitian(16, rng, mass=0.2)
+        out = rhs_adjoint(0.0, b, a, np.array([1.4, 0.0]), model).coeffs
+        assert_allclose(out, -1j * _mode_numbers(17) * 1.4 * b.coeffs, atol=1e-15)

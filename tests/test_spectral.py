@@ -1,4 +1,4 @@
-"""Transforms, pairings, and products of truncated circle fields."""
+"""Transforms, pairings, convolutions, and derivatives of truncated circle fields."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,11 @@ from mfpmp import (
     convolve,
     derivative,
     field_from_harmonics,
-    hermitian_defect,
     pairing,
-    pointwise_product,
     to_physical,
     to_spectral,
 )
-from mfpmp.spectral import apply_product, constant_field, grid_points
+from mfpmp.spectral import constant_field, grid_points
 
 from conftest import eval_series, random_hermitian
 
@@ -198,38 +196,3 @@ class TestDerivative:
         rhs = convolve(derivative(k), g).coeffs
         assert_allclose(lhs, rhs, atol=1e-13)
 
-
-class TestPointwiseProduct:
-    def test_matches_grid_multiplication_when_resolvable(self, rng):
-        n = 64
-        f = random_hermitian(n, rng, max_mode=10, mass=0.3)
-        g = random_hermitian(n, rng, max_mode=10)
-        prod = pointwise_product(f, g)
-        expected = to_physical(f).values * to_physical(g).values
-        assert_allclose(to_physical(prod).values, expected, atol=1e-12)
-
-    def test_sparse_and_dense_paths_agree(self, rng):
-        n = 32
-        sparse = np.zeros(n + 1, dtype=complex)
-        sparse[n // 2 - 1] = 0.25j
-        sparse[n // 2 + 1] = -0.25j
-        dense = random_hermitian(n, rng).coeffs
-        via_sparse = apply_product(sparse, dense)
-        via_convolve = np.convolve(sparse, dense)[n // 2: n // 2 + n + 1]
-        assert_allclose(via_sparse, via_convolve, atol=1e-15)
-
-    def test_truncation_drops_out_of_range_harmonics(self):
-        n = 8
-        top = field_from_harmonics(n, {4: 0.5})
-        prod = pointwise_product(top, top)
-        # the product of two +-4 harmonics lives at 0 and +-8: only the
-        # constant part survives truncation
-        assert_allclose(prod[0], 2 * (0.5 * 0.5), atol=1e-15)
-        assert np.max(np.abs(prod.coeffs[np.arange(9) != 4])) == 0.0
-
-    def test_hermitian_symmetry_preserved_to_rounding(self, rng):
-        g = random_hermitian(32, rng)
-        sparse = pointwise_product(random_hermitian(32, rng, max_mode=2, mass=0.7), g)
-        assert hermitian_defect(sparse) < 1e-15
-        dense = pointwise_product(random_hermitian(32, rng), g)
-        assert hermitian_defect(dense) < 1e-15
