@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import _check_bounded, _coupling_value, _mode_numbers, _rk4_forward_step
+from .forward import (_check_bounded, _coupling_value, _mode_numbers, _rk4_forward_step,
+                      batch_rows)
 from .models import ModelSpec
 from .spectral import FourierField, require_hermitian
 from .timegrid import ControlSignal, Trajectory
@@ -38,7 +39,7 @@ from .timegrid import ControlSignal, Trajectory
 
 def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
                  mode_arr: np.ndarray) -> np.ndarray:
-    v = _coupling_value(a, u, model)
+    v = _coupling_value(complex(a[a.shape[0] // 2 + 1]), float(u[1]), model)
     # Transport: -i*n*(V b)_n with V(x) = u_1 + v e^{ix} + conj(v) e^{-ix}.
     vb = np.zeros_like(b)
     vb += complex(u[0]) * b
@@ -125,8 +126,7 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     if u.grid != traj.grid:
         raise ValueError("control signal grid does not match the trajectory")
     grid = traj.grid
-    for row in u.values:
-        model.require_feasible(row)
+    model.require_feasible(u.values)
     if terminal is None:
         terminal = terminal_adjoint(traj.terminal_field(), model)
     if terminal.n_modes != traj.n_modes:
@@ -134,16 +134,23 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
 
     h = 0.5 * grid.tau
     mode_arr = _mode_numbers(traj.n_modes + 1)
+    # Complex control of the step that starts at each half node.
+    controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
+    block = batch_rows(traj.n_modes + 1)
     out = np.empty_like(traj.coeffs)
     b = np.array(terminal.coeffs, dtype=complex)
     last = 2 * grid.n_steps
     out[last] = b
-    for s in range(last, 0, -1):
-        uk = u.values[(s - 1) >> 1]
-        a_hi = traj.coeffs[s]
-        a_lo = traj.coeffs[s - 1]
-        a_mid = _rk4_forward_step(a_lo, 0.5 * h, uk, model, mode_arr)
-        b = _rk4_backward_step(b, h, uk, a_hi, a_mid, a_lo, model, mode_arr)
-        _check_bounded(b, (s - 1) * h)
-        out[s - 1] = b
+    for top in range(last, 0, -block):
+        # The quarter-step states of the block's backward steps read only
+        # the stored trajectory, so they are marched as the rows of one state.
+        lo = max(top - block, 0)
+        a_mids = _rk4_forward_step(traj.coeffs[lo:top], 0.5 * h, controls[lo:top],
+                                   model, mode_arr)
+        for s in range(top, lo, -1):
+            uk = u.values[(s - 1) >> 1]
+            b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mids[s - 1 - lo],
+                                   traj.coeffs[s - 1], model, mode_arr)
+            _check_bounded(b, (s - 1) * h)
+            out[s - 1] = b
     return Trajectory(grid, out)

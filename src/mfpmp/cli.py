@@ -8,7 +8,9 @@ byte-identical across repeated runs of the same configuration, timing
 fields aside; the pipeline contains no randomness.
 
 Exit codes: 0 success, 2 config error, 3 divergence, 4 line-search failure,
-5 validation failure, 1 io error.
+5 validation failure, 1 io or internal error.  Every failure prints one
+JSON error record to stderr; an unexpected exception gets the category
+"internal", with its traceback inside the record.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -281,8 +284,8 @@ def run(config: RunConfig) -> int:
     return _RUNNERS[config.command](config, t_start)
 
 
-def _fail(category: str, message: str) -> None:
-    print(json.dumps({"error": {"category": category, "message": message}}),
+def _fail(category: str, message: str, **details) -> None:
+    print(json.dumps({"error": {"category": category, "message": message, **details}}),
           file=sys.stderr)
 
 
@@ -324,6 +327,9 @@ def main(argv=None) -> int:
         return 5
     except OSError as exc:
         _fail("io", str(exc))
+        return 1
+    except Exception as exc:  # a defect, not bad input: still one record, no bare traceback
+        _fail("internal", f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
         return 1
 
 

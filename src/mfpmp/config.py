@@ -18,6 +18,7 @@ import numpy as np
 from .checks import MAX_EXTRA_PAIRS
 from .descent import DescentConfig
 from .errors import ConfigError
+from .forward import require_normalized
 from .models import AdmissibleSet, ModelSpec, ball, box, kuramoto_model
 from .presets import CONTROL_PRESETS, DENSITY_PRESETS
 from .spectral import FourierField, field_from_harmonics
@@ -130,6 +131,10 @@ def _parse_density(doc, n_modes: int) -> tuple[FourierField, dict]:
             raise ConfigError(f"{where}: {exc}") from exc
     else:
         raise ConfigError(f"{where}: expected a preset name or harmonics object")
+    try:
+        require_normalized(rho0)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     center = rho0.center
     echoed = {}
     for n in range(center + 1):
@@ -163,9 +168,11 @@ def _parse_control(doc, grid: TimeGrid, control_set: AdmissibleSet
         raise ConfigError(f"{where}: expected a preset name, 'constant', or 'values'")
     if u0.m != control_set.m:
         raise ConfigError(f"{where}: control dimension {u0.m} != constraint dimension")
-    for i, row in enumerate(u0.values):
-        if not control_set.contains(row):
-            raise ConfigError(f"{where}: node {i} value {row.tolist()} outside the admissible set")
+    outside = np.flatnonzero(~control_set.admits(u0.values))
+    if outside.size:
+        i = outside[0]
+        raise ConfigError(f"{where}: node {i} value {u0.values[i].tolist()} "
+                          "outside the admissible set")
     return u0, {"values": [list(map(float, row)) for row in u0.values]}
 
 

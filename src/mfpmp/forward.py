@@ -11,6 +11,10 @@ lands on every half-step node; controls are piecewise constant per full
 step, hence every RK4 stage sees a single control value.  The n = 0
 equation has an explicit factor n, so the mass coefficient is conserved
 bit-for-bit.
+
+The kernels march a stack of state rows, each under its own control: the
+trial steps of a line search, or the adjoint's quarter-step states.  Rows
+never mix, so every row gets the bits of a one-row march.
 """
 
 from __future__ import annotations
@@ -28,26 +32,64 @@ DIVERGENCE_LIMIT = 1e6
 
 _MASS_TOL = 1e-13
 
+# Rows marched as one state share the per-call overhead, which dominates
+# narrow rows: 8 rows of 257 coefficients cost 0.35-0.40x as much per row
+# as one-row marches.  Wide rows gain nothing, since their arithmetic
+# dominates, and temporaries past glibc's default 128 KiB mmap and trim
+# thresholds have their pages faulted in again on every step (8 rows of
+# 2049 cost 1.6-2.2x per row).  A budget of 4096 coefficients (64 KiB) per
+# temporary gives 15 rows at 256 harmonics and 1 at 2048.
+BATCH_COEFFS = 4096
+
+
+def batch_rows(width: int) -> int:
+    """How many state rows of `width` coefficients to march as one state."""
+    return max(1, BATCH_COEFFS // width)
+
 
 def _mode_numbers(size: int) -> np.ndarray:
     center = (size - 1) // 2
     return np.arange(-center, center + 1)
 
 
-def _coupling_value(a: np.ndarray, u: np.ndarray, model: ModelSpec) -> complex:
+def _coupling_value(a1: complex, u2: float, model: ModelSpec) -> complex:
     """v = u_2 * i*pi*a_1*e^{i*alpha} for one coefficient row, in Python floats."""
-    vr, vi = model.coupling(complex(a[(a.shape[0] + 1) // 2]))
-    u2 = float(u[1])
+    vr, vi = model.coupling(a1)
     return complex(u2 * vr, u2 * vi)
+
+
+def _coupling(a: np.ndarray, u: np.ndarray, model: ModelSpec):
+    """(v, conj(v)) for every row of a (rows, modes) state under complex controls u (rows, 2).
+
+    Returns (rows, 1) columns, or Python complexes for a single row: the
+    arithmetic is the same, and the array route costs about 13 us more per
+    call, which the one-row stored solves would pay on every stage.
+    """
+    first = a.shape[1] // 2 + 1
+    if a.shape[0] == 1:
+        v = _coupling_value(complex(a[0, first]), float(u[0, 1].real), model)
+        return v, v.conjugate()
+    vr, vi = model.coupling(a[:, first])
+    u2 = u[:, 1].real
+    v = np.empty((a.shape[0], 1), dtype=complex)
+    v.real[:, 0] = u2 * vr
+    v.imag[:, 0] = u2 * vi
+    return v, np.conj(v)
 
 
 def _continuity_rhs(a: np.ndarray, u: np.ndarray, model: ModelSpec,
                     modes: np.ndarray) -> np.ndarray:
-    v = _coupling_value(a, u, model)
+    """Coefficient derivative of each row of a (rows, modes) under its control row.
+
+    `u` is complex (rows, 2): a real control broadcast against the complex
+    state would make NumPy cast on every call, which costs more than the
+    arithmetic.
+    """
+    v, vc = _coupling(a, u, model)
     va = np.zeros_like(a)  # summing into zeros turns an exact -0.0 into 0.0
-    va += complex(u[0]) * a
-    va[1:] += v * a[:-1]
-    va[:-1] += v.conjugate() * a[1:]
+    va += u[:, :1] * a
+    va[:, 1:] += v * a[:, :-1]
+    va[:, :-1] += vc * a[:, 1:]
     return -1j * modes * va
 
 
@@ -77,37 +119,47 @@ def rhs_continuity(t: float, a: FourierField, u, model: ModelSpec) -> FourierFie
     u = model.require_feasible(u)
     require_hermitian(a, 1e-10)
     modes = _mode_numbers(a.coeffs.shape[0])
-    return FourierField(a.n_modes, _continuity_rhs(a.coeffs, u, model, modes))
+    rhs = _continuity_rhs(a.coeffs[None], u.astype(complex)[None], model, modes)
+    return FourierField(a.n_modes, rhs[0])
 
 
 def _march(a0: np.ndarray, u_values: np.ndarray, model: ModelSpec, grid: TimeGrid,
            out: np.ndarray | None) -> np.ndarray:
+    """March the rows of a0 (rows, modes), row r under the controls u_values[:, r].
+
+    `out`, if given, receives the state at every half-step node.
+    """
     h = 0.5 * grid.tau
-    modes = _mode_numbers(a0.shape[0])
-    a = np.array(a0, dtype=complex)
+    modes = _mode_numbers(a0.shape[1])
+    controls = u_values.astype(complex)
+    a = np.array(a0, dtype=complex, order="C")  # rows contiguous, even from a broadcast
     if out is not None:
         out[0] = a
     for s in range(2 * grid.n_steps):
-        u = u_values[s >> 1]
-        a = _rk4_forward_step(a, h, u, model, modes)
+        a = _rk4_forward_step(a, h, controls[s >> 1], model, modes)
         _check_bounded(a, (s + 1) * h)
         if out is not None:
             out[s + 1] = a
     return a
 
 
-def _validated_initial(rho0: FourierField, u: ControlSignal, model: ModelSpec) -> np.ndarray:
-    require_hermitian(rho0, 1e-10)
-    center = rho0.center
-    mass = rho0.coeffs[center]
+def require_normalized(rho0: FourierField) -> None:
+    """Raise ValueError unless the mode-0 coefficient is 1/(2*pi) to within 1e-13."""
+    mass = rho0.coeffs[rho0.center]
     if abs(mass - 1.0 / (2.0 * np.pi)) > _MASS_TOL:
         raise ValueError(
             f"initial density is not normalized: mode-0 coefficient {mass} "
             f"differs from 1/(2*pi) by more than {_MASS_TOL:.0e}"
         )
-    for row in u.values:
-        model.require_feasible(row)
-    return np.array(rho0.coeffs, dtype=complex)
+
+
+def _check_inputs(rho0: FourierField, controls, model: ModelSpec, grid: TimeGrid) -> None:
+    require_hermitian(rho0, 1e-10)
+    require_normalized(rho0)
+    for u in controls:
+        if u.grid != grid:
+            raise ValueError("control signal grid does not match the solver grid")
+        model.require_feasible(u.values)
 
 
 def integrate_forward(rho0: FourierField, u: ControlSignal, model: ModelSpec,
@@ -123,12 +175,19 @@ def integrate_forward(rho0: FourierField, u: ControlSignal, model: ModelSpec,
     Raises:
         DivergenceError: if any coefficient magnitude passes the guard.
     """
-    if u.grid != grid:
-        raise ValueError("control signal grid does not match the solver grid")
-    a0 = _validated_initial(rho0, u, model)
-    out = np.empty((2 * grid.n_steps + 1, a0.shape[0]), dtype=complex)
-    _march(a0, u.values, model, grid, out)
+    _check_inputs(rho0, [u], model, grid)
+    out = np.empty((2 * grid.n_steps + 1, rho0.coeffs.shape[0]), dtype=complex)
+    _march(rho0.coeffs[None], u.values[:, None], model, grid, out[:, None])
     return Trajectory(grid, out)
+
+
+def _terminal_rows(rho0: FourierField, controls, model: ModelSpec,
+                   grid: TimeGrid) -> np.ndarray:
+    """Terminal coefficients of lean solves, one row per control, marched together."""
+    _check_inputs(rho0, controls, model, grid)
+    rows = np.broadcast_to(rho0.coeffs, (len(controls), rho0.coeffs.shape[0]))
+    u_values = np.stack([u.values for u in controls], axis=1)
+    return _march(rows, u_values, model, grid, None)
 
 
 def terminal_state(rho0: FourierField, u: ControlSignal, model: ModelSpec,
@@ -138,17 +197,25 @@ def terminal_state(rho0: FourierField, u: ControlSignal, model: ModelSpec,
     Performs exactly the same arithmetic as `integrate_forward`, so terminal
     costs agree bit-for-bit between the two entry points.
     """
-    if u.grid != grid:
-        raise ValueError("control signal grid does not match the solver grid")
-    a0 = _validated_initial(rho0, u, model)
-    a = _march(a0, u.values, model, grid, None)
-    return FourierField(rho0.n_modes, a)
+    return FourierField(rho0.n_modes, _terminal_rows(rho0, [u], model, grid)[0])
 
 
-def cost_of_control(rho0: FourierField, u: ControlSignal, model: ModelSpec,
-                    grid: TimeGrid) -> float:
-    """Terminal cost of one lean forward solve (the line-search evaluator)."""
-    return model.cost.eval(terminal_state(rho0, u, model, grid))
+def cost_of_control(rho0: FourierField, controls, model: ModelSpec,
+                    grid: TimeGrid) -> list[float]:
+    """Terminal costs of lean forward solves, one per control (the line-search evaluator).
+
+    The controls are marched `batch_rows` at a time as the rows of one
+    state; each cost has the bits of its own one-row solve.
+
+    Raises:
+        DivergenceError: if the solve of any control diverges.
+    """
+    rows = batch_rows(rho0.n_modes + 1)
+    costs = []
+    for start in range(0, len(controls), rows):
+        terminal = _terminal_rows(rho0, controls[start:start + rows], model, grid)
+        costs += [model.cost.eval(FourierField(rho0.n_modes, row)) for row in terminal]
+    return costs
 
 
 def density_min(traj: Trajectory) -> float:

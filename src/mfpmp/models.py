@@ -52,13 +52,18 @@ class AdmissibleSet:
         else:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
 
+    def admits(self, u, tol: float = 1e-9) -> np.ndarray:
+        """Membership, up to tol, of each control vector in u of shape (..., m)."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 0 or u.shape[-1] != self.m:
+            raise ValueError(f"control vectors must have {self.m} entries, got shape {u.shape}")
+        if self.kind == "ball":
+            return (u * u).sum(axis=-1) <= self.radius**2 * (1.0 + tol) + tol
+        return ((u >= self.lower - tol) & (u <= self.upper + tol)).all(axis=-1)
+
     def contains(self, u: ControlVector, tol: float = 1e-9) -> bool:
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.m,):
-            return False
-        if self.kind == "ball":
-            return float(np.dot(u, u)) <= self.radius**2 * (1.0 + tol) + tol
-        return bool(np.all(u >= self.lower - tol) and np.all(u <= self.upper + tol))
+        return u.shape == (self.m,) and bool(self.admits(u, tol))
 
     def project(self, u: ControlVector) -> ControlVector:
         """Euclidean projection; returns the input unchanged when feasible."""
@@ -152,10 +157,19 @@ class ModelSpec:
         """The model constants as a plain dict."""
         return {"alpha": float(self.alpha), "x0": float(self.x0)}
 
-    def require_feasible(self, u: ControlVector) -> np.ndarray:
+    def require_feasible(self, u) -> np.ndarray:
+        """u as floats, if every control vector in it (shape (..., 2)) is admissible.
+
+        One call checks a whole control signal.
+        """
         u = np.asarray(u, dtype=float)
-        if not self.control_set.contains(u):
-            raise ValueError(f"control {u} outside the admissible set")
+        inside = self.control_set.admits(u)
+        if not inside.all():
+            if u.ndim == 1:
+                raise ValueError(f"control {u} outside the admissible set")
+            node = tuple(np.argwhere(~inside)[0].tolist())
+            raise ValueError(f"control {u[node]} at node {', '.join(map(str, node))} "
+                             "outside the admissible set")
         return u
 
     def coupling(self, a1):

@@ -217,8 +217,8 @@ class TestDualityWithTheCost:
                 plus[k, j] += eps
                 minus = np.array(u.values)
                 minus[k, j] -= eps
-                fd = (cost_of_control(rho, ControlSignal(grid, plus), model, grid)
-                      - cost_of_control(rho, ControlSignal(grid, minus), model, grid)
-                      ) / (2.0 * eps)
+                cost_plus, cost_minus = cost_of_control(
+                    rho, [ControlSignal(grid, plus), ControlSignal(grid, minus)], model, grid)
+                fd = (cost_plus - cost_minus) / (2.0 * eps)
                 pred = -grid.tau * d.values[k, j]
                 assert abs(fd - pred) < 5e-6 * max(1.0, abs(pred))

@@ -190,6 +190,32 @@ class TestExitCodes:
         assert "validate.local_u1.kind" in err["error"]["message"]
         assert not out.exists()
 
+    def test_unnormalized_density_is_2_before_any_artifact(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command="solve-forward")
+        code = main(["solve-forward", "--config", str(write_config(tmp_path, doc)),
+                     "--override", 'initial_density={"harmonics": {"0": [1.0, 0.0]}}'])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["category"] == "config"
+        assert "normalized" in err["error"]["message"]
+        assert not out.exists()
+
+    def test_unexpected_exception_is_1_with_an_internal_record(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("mfpmp.cli.integrate_forward", broken)
+        doc = tiny_doc(tmp_path / "out", command="solve-forward")
+        assert main(["solve-forward", "--config", str(write_config(tmp_path, doc))]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        err = json.loads(lines[-1])["error"]
+        assert err["category"] == "internal"
+        assert err["message"] == "RuntimeError: boom"
+        assert "broken" in err["traceback"]
+        assert all(line.startswith("{") for line in lines)  # no bare traceback
+
     def test_override_reaches_the_solver(self, tmp_path):
         doc = tiny_doc(tmp_path / "out", command="solve-forward")
         code = main(["solve-forward", "--config", str(write_config(tmp_path, doc)),

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from mfpmp import (
     ControlSignal,
     DescentConfig,
+    DivergenceError,
     TimeGrid,
     backtracking_step,
     ball,
@@ -173,46 +174,97 @@ class TestNonExtremality:
             assert non_extremality(u, cand, d) <= energy + 1e-12
 
 
+def unit_ladder():
+    """u = 0 toward ubar = 1 with E[u] = 1: a trial's step size is its first value."""
+    grid = TimeGrid(1.0, 0.5)
+    d = SwitchingFunction(grid, np.array([[1.0, 0.0]] * 3))
+    return constant_control(grid, [0.0, 0.0]), constant_control(grid, [1.0, 0.0]), d
+
+
+def ladder_evaluator(cost_of_lam, diverging=(), calls=None):
+    """List-in, list-out evaluator; raises if any trial step lies in `diverging`."""
+    def evaluator(trials):
+        lams = [trial.values[0, 0] for trial in trials]
+        if calls is not None:
+            calls.append(len(trials))
+        if any(lam in diverging for lam in lams):
+            raise DivergenceError("a trial diverged")
+        return [cost_of_lam(lam) for lam in lams]
+    return evaluator
+
+
+def sequential_search(u, ubar, d, cost_u, cfg, evaluator):
+    """The one-trial-at-a-time search the chunked one must reproduce."""
+    slope = -non_extremality(u, ubar, d)
+    lam = 1.0
+    for j in range(cfg.j_max + 1):
+        trial_cost = evaluator([u.toward(ubar, lam)])[0]
+        if trial_cost - cost_u <= cfg.c * lam * slope:
+            return lam, trial_cost, j, True
+        lam *= cfg.theta
+    return 0.0, cost_u, cfg.j_max + 1, False
+
+
 class TestBacktracking:
     def test_quadratic_toy_accepts_the_hand_computed_step(self):
         # cost(lam) = cost_u - 2 E lam (1 - lam) with E = 1: lam = 1 fails
         # the sufficient-decrease test, lam = 1/2 passes it.
-        grid = TimeGrid(1.0, 0.5)
-        d = SwitchingFunction(grid, np.array([[1.0, 0.0]] * 3))
-        u = constant_control(grid, [0.0, 0.0])
-        ubar = constant_control(grid, [1.0, 0.0])
+        u, ubar, d = unit_ladder()
         energy = non_extremality(u, ubar, d)
         assert_allclose(energy, 1.0, atol=1e-15)
-
-        def evaluator(trial):
-            lam = trial.values[0, 0]
-            return 5.0 - 2.0 * energy * lam * (1.0 - lam)
-
+        evaluator = ladder_evaluator(lambda lam: 5.0 - 2.0 * energy * lam * (1.0 - lam))
         cfg = DescentConfig(c=0.01, theta=0.5)
         lam, new_cost, j, ok = backtracking_step(u, ubar, d, 5.0, cfg, evaluator)
         assert ok and j == 1 and lam == 0.5
         assert_allclose(new_cost, 5.0 - 0.5, atol=1e-15)
 
     def test_full_step_accepted_when_it_suffices(self):
-        grid = TimeGrid(1.0, 0.5)
-        d = SwitchingFunction(grid, np.array([[1.0, 0.0]] * 3))
-        u = constant_control(grid, [0.0, 0.0])
-        ubar = constant_control(grid, [1.0, 0.0])
-
-        def evaluator(trial):
-            return 5.0 - trial.values[0, 0]  # linear decrease
-
+        u, ubar, d = unit_ladder()
+        evaluator = ladder_evaluator(lambda lam: 5.0 - lam)  # linear decrease
         lam, _, j, ok = backtracking_step(u, ubar, d, 5.0, DescentConfig(), evaluator)
         assert ok and j == 0 and lam == 1.0
 
     def test_flat_landscape_fails_with_a_flag(self):
-        grid = TimeGrid(1.0, 0.5)
-        d = SwitchingFunction(grid, np.array([[1.0, 0.0]] * 3))
-        u = constant_control(grid, [0.0, 0.0])
-        ubar = constant_control(grid, [1.0, 0.0])
+        # j_max = 12 is not a multiple of the chunk: 13 trials in chunks of 8 and 5.
+        u, ubar, d = unit_ladder()
         cfg = DescentConfig(j_max=12)
-        lam, cost, j, ok = backtracking_step(u, ubar, d, 5.0, cfg, lambda trial: 5.0)
+        calls = []
+        got = backtracking_step(u, ubar, d, 5.0, cfg, ladder_evaluator(lambda lam: 5.0, calls=calls))
+        lam, cost, j, ok = got
         assert not ok and lam == 0.0 and j == cfg.j_max + 1
+        assert got == sequential_search(u, ubar, d, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))
+        assert calls == [8, 5]
+
+
+class TestChunkedBacktracking:
+    def test_acceptance_past_a_chunk_boundary(self):
+        # cost(lam) - 5 = lam * (1500 lam - 1) passes the test at c = 0.01
+        # for lam <= 0.99 / 1500, so first at j = 11, in the second chunk.
+        u, ubar, d = unit_ladder()
+        cfg = DescentConfig(c=0.01, theta=0.5)
+        calls = []
+        evaluator = ladder_evaluator(lambda lam: 5.0 + lam * (1500.0 * lam - 1.0), calls=calls)
+        got = backtracking_step(u, ubar, d, 5.0, cfg, evaluator)
+        assert got == sequential_search(u, ubar, d, 5.0, cfg, evaluator)
+        assert got[2] == 11 and got[3]
+        assert calls[:2] == [8, 8]
+
+    def test_divergence_after_the_accepted_step_is_ignored(self):
+        # lam = 1 fails, lam = 1/2 passes, lam = 1/4 diverges.
+        u, ubar, d = unit_ladder()
+        cfg = DescentConfig(c=0.01, theta=0.5)
+        cost = lambda lam: 5.0 + lam * (1.5 * lam - 1.0)  # noqa: E731
+        got = backtracking_step(u, ubar, d, 5.0, cfg,
+                                ladder_evaluator(cost, diverging={0.25}))
+        assert got == sequential_search(u, ubar, d, 5.0, cfg, ladder_evaluator(cost))
+        assert got[2] == 1
+
+    def test_divergence_before_the_accepted_step_raises(self):
+        u, ubar, d = unit_ladder()
+        cost = lambda lam: 5.0 + lam * (1.5 * lam - 1.0)  # noqa: E731
+        with pytest.raises(DivergenceError):
+            backtracking_step(u, ubar, d, 5.0, DescentConfig(c=0.01, theta=0.5),
+                              ladder_evaluator(cost, diverging={1.0}))
 
 
 class TestRunDescent:

@@ -10,6 +10,8 @@ from mfpmp import (
     TimeGrid,
     ball,
     constant_control,
+    cost_of_control,
+    integrate_backward,
     density_min,
     field_from_harmonics,
     hermitian_defect,
@@ -18,7 +20,9 @@ from mfpmp import (
     rhs_continuity,
     terminal_state,
 )
-from mfpmp.forward import _mode_numbers, _rk4_forward_step, mass_drift
+from mfpmp import forward
+from mfpmp.adjoint import _rk4_backward_step, terminal_adjoint
+from mfpmp.forward import _mode_numbers, _rk4_forward_step, _terminal_rows, mass_drift
 from mfpmp.presets import fig1_density
 from mfpmp.spectral import FourierField, constant_field, grid_points
 
@@ -116,13 +120,12 @@ class TestIntegrateForward:
     def test_hermitian_symmetry_along_random_steps(self, rng):
         model = kuramoto_model(0.4, np.pi, control_set=ball(3.0))
         modes = _mode_numbers(33)
-        for _ in range(5):
-            a = np.array(random_hermitian(32, rng).coeffs)
-            u = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
-            for _ in range(20):
-                a = _rk4_forward_step(a, 1e-3, u, model, modes)
-            defect = np.max(np.abs(a - np.conj(a[::-1])))
-            assert defect < 1e-12
+        a = np.stack([random_hermitian(32, rng).coeffs for _ in range(5)])
+        u = rng.uniform(-1, 1, (5, 2)).astype(complex)  # one control per row
+        for _ in range(20):
+            a = _rk4_forward_step(a, 1e-3, u, model, modes)
+        defect = np.max(np.abs(a - np.conj(a[:, ::-1])))
+        assert defect < 1e-12
 
     def test_rotation_equivariance_of_the_coupled_system(self):
         # Adding a constant drift equals solving without it and rotating
@@ -181,6 +184,78 @@ class TestIntegrateForward:
         stored = integrate_forward(rho, u, model, grid).terminal_field().coeffs
         lean = terminal_state(rho, u, model, grid).coeffs
         assert np.array_equal(stored, lean)
+
+
+def ladder_setup(alpha):
+    """A descent-like ladder u -> target at theta = 1/2, plus a row with u_2 = -0.0."""
+    rho = fig1_density(32)
+    grid = TimeGrid(0.3, 3e-3)
+    model = kuramoto_model(alpha, np.pi, control_set=ball(2.0))
+    t = grid.full_times()
+    u = ControlSignal(grid, np.column_stack([np.sin(3 * t), 0.9 * np.cos(t)]))
+    target = ControlSignal(grid, np.column_stack([np.cos(t), -np.sin(2 * t)]))
+    ladder = [u.toward(target, 0.5 ** j) for j in range(11)]
+    ladder.insert(5, ControlSignal(grid, np.column_stack([0.4 + 0.0 * t, np.full_like(t, -0.0)])))
+    return rho, grid, model, u, ladder
+
+
+class TestBatchedMarch:
+    @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_ladder_rows_equal_one_row_marches(self, alpha, rows, monkeypatch):
+        if rows is not None:  # march the 12 controls in groups of 5, 5 and 2
+            monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 33)
+        rho, grid, model, _, ladder = ladder_setup(alpha)
+        costs = cost_of_control(rho, ladder, model, grid)
+        singles = [terminal_state(rho, trial, model, grid) for trial in ladder]
+        want = [model.cost.eval(one) for one in singles]
+        assert np.array(costs).tobytes() == np.array(want).tobytes()
+        stacked = _terminal_rows(rho, ladder, model, grid)
+        assert stacked.tobytes() == np.stack([one.coeffs for one in singles]).tobytes()
+
+    def test_a_diverging_row_raises(self):
+        rho = fig1_density(64)
+        grid = TimeGrid(10.0, 0.1)
+        model = kuramoto_model(0.0, np.pi, control_set=ball(2000.0))
+        calm = constant_control(grid, [0.0, 0.0])
+        wild = constant_control(grid, [1500.0, 0.0])
+        with pytest.raises(DivergenceError, match="reduce the time step"):
+            cost_of_control(rho, [calm, wild, calm], model, grid)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_blocked_quarter_steps_match_the_per_step_adjoint(self, rows, monkeypatch):
+        monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 33)
+        rho, grid, model, u, _ = ladder_setup(0.31)
+        traj = integrate_forward(rho, u, model, grid)
+        cotraj = integrate_backward(traj, u, model)
+        # Reference: one quarter-step state per backward step, as a one-row state.
+        h = 0.5 * grid.tau
+        modes = _mode_numbers(33)
+        want = np.empty_like(traj.coeffs)
+        b = terminal_adjoint(traj.terminal_field(), model).coeffs
+        last = 2 * grid.n_steps
+        want[last] = b
+        for s in range(last, 0, -1):
+            uk = u.values[(s - 1) >> 1]
+            a_mid = _rk4_forward_step(traj.coeffs[s - 1:s], 0.5 * h,
+                                      uk[None].astype(complex), model, modes)[0]
+            b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
+                                   model, modes)
+            want[s - 1] = b
+        assert cotraj.coeffs.tobytes() == want.tobytes()
+
+    def test_one_infeasible_node_is_rejected_by_both_solvers(self):
+        rho, grid, model, u, _ = ladder_setup(0.0)
+        traj = integrate_forward(rho, u, model, grid)
+        values = np.array(u.values)
+        values[50] = [2.0, 2.0]
+        bad = ControlSignal(grid, values)
+        with pytest.raises(ValueError, match="node 50"):
+            integrate_forward(rho, bad, model, grid)
+        with pytest.raises(ValueError, match="node 50"):
+            cost_of_control(rho, [u, bad], model, grid)
+        with pytest.raises(ValueError, match="node 50"):
+            integrate_backward(traj, bad, model)
 
 
 class TestDensityMin:
