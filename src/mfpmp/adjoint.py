@@ -24,28 +24,38 @@ The march runs at the same half step as the forward solver, so every stage
 reads a forward state either straight from storage or, for quarter-step
 stage times, from a single local RK4 quarter-step off the stored node
 (fourth-order consistent, no interpolation).
+
+The co-density's high harmonics decay geometrically, and at wide
+resolutions a large share of its float parts would fall below the normal
+range; as in the forward march, every backward step flushes the parts
+below `np.finfo(float).tiny` to zero (`forward._settle`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forward import (_check_bounded, _coupling_value, _mode_numbers, _rk4_forward_step,
-                      batch_rows)
+from .forward import _coupling_value, _mode_numbers, _rk4_forward_step, _settle, batch_rows
 from .models import ModelSpec
 from .spectral import FourierField, require_hermitian
 from .timegrid import ControlSignal, Trajectory
 
 
+def _source_phases(model: ModelSpec) -> tuple[complex, complex]:
+    """(e^{i*alpha}/2, e^{-i*alpha}/2): the source's factors of b_{-1} and b_1."""
+    return 0.5 * model.phase, 0.5 * model.phase.conjugate()
+
+
 def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
-                 mode_arr: np.ndarray) -> np.ndarray:
+                 dn: np.ndarray, phases: tuple[complex, complex]) -> np.ndarray:
+    """Co-density derivative; `dn` is `-1j * modes` and `phases` is `_source_phases(model)`."""
     v = _coupling_value(complex(a[a.shape[0] // 2 + 1]), float(u[1]), model)
     # Transport: -i*n*(V b)_n with V(x) = u_1 + v e^{ix} + conj(v) e^{-ix}.
     vb = np.zeros_like(b)
     vb += complex(u[0]) * b
     vb[1:] += v * b[:-1]
     vb[:-1] += v.conjugate() * b[1:]
-    out = -1j * mode_arr * vb
+    out = dn * vb
     # Stretch: ((dV/dx) b)_n with dV/dx = i*v e^{ix} - i*conj(v) e^{-ix}.
     stretch = np.zeros_like(b)
     stretch[1:] += (1j * v) * b[:-1]
@@ -55,10 +65,9 @@ def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
     # whose harmonics are q_{-1} = 2*pi*u_2*(e^{i*alpha}/2)*b_{-1} and its
     # conjugate partner q_1.
     w = u[1] * 2.0 * np.pi
-    phase = model.phase
     center = (b.shape[0] - 1) // 2
-    q_lo = w * (0.5 * phase) * b[center - 1]
-    q_hi = w * (0.5 * phase.conjugate()) * b[center + 1]
+    q_lo = w * phases[0] * b[center - 1]
+    q_hi = w * phases[1] * b[center + 1]
     source = np.zeros_like(a)
     source[:-1] += q_lo * a[1:]
     source[1:] += q_hi * a[:-1]
@@ -68,12 +77,13 @@ def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
 
 def _rk4_backward_step(b: np.ndarray, h: float, u: np.ndarray,
                        a_hi: np.ndarray, a_mid: np.ndarray, a_lo: np.ndarray,
-                       model: ModelSpec, mode_arr: np.ndarray) -> np.ndarray:
+                       model: ModelSpec, dn: np.ndarray,
+                       phases: tuple[complex, complex]) -> np.ndarray:
     hb = -h
-    k1 = _adjoint_rhs(b, a_hi, u, model, mode_arr)
-    k2 = _adjoint_rhs(b + (0.5 * hb) * k1, a_mid, u, model, mode_arr)
-    k3 = _adjoint_rhs(b + (0.5 * hb) * k2, a_mid, u, model, mode_arr)
-    k4 = _adjoint_rhs(b + hb * k3, a_lo, u, model, mode_arr)
+    k1 = _adjoint_rhs(b, a_hi, u, model, dn, phases)
+    k2 = _adjoint_rhs(b + (0.5 * hb) * k1, a_mid, u, model, dn, phases)
+    k3 = _adjoint_rhs(b + (0.5 * hb) * k2, a_mid, u, model, dn, phases)
+    k4 = _adjoint_rhs(b + hb * k3, a_lo, u, model, dn, phases)
     return b + (hb / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -104,8 +114,9 @@ def rhs_adjoint(t: float, b: FourierField, a: FourierField, u,
     u = model.require_feasible(u)
     if b.n_modes != a.n_modes:
         raise ValueError("state and co-state mode counts differ")
-    mode_arr = _mode_numbers(b.coeffs.shape[0])
-    return FourierField(b.n_modes, _adjoint_rhs(b.coeffs, a.coeffs, u, model, mode_arr))
+    dn = -1j * _mode_numbers(b.coeffs.shape[0])
+    return FourierField(b.n_modes, _adjoint_rhs(b.coeffs, a.coeffs, u, model, dn,
+                                                _source_phases(model)))
 
 
 def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
@@ -121,7 +132,12 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
             tested property of the system.
 
     Returns:
-        Co-trajectory on the same half-step lattice.
+        Co-trajectory on the same half-step lattice; the terminal row and
+        every backward step are settled (`forward._settle`) before they are
+        stored.
+
+    Raises:
+        DivergenceError: if any co-density part passes the guard.
     """
     if u.grid != traj.grid:
         raise ValueError("control signal grid does not match the trajectory")
@@ -133,24 +149,26 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         raise ValueError("terminal co-density resolution does not match the trajectory")
 
     h = 0.5 * grid.tau
-    mode_arr = _mode_numbers(traj.n_modes + 1)
+    dn = -1j * _mode_numbers(traj.n_modes + 1)
+    phases = _source_phases(model)
     # Complex control of the step that starts at each half node.
     controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
     block = batch_rows(traj.n_modes + 1)
     out = np.empty_like(traj.coeffs)
     b = np.array(terminal.coeffs, dtype=complex)
     last = 2 * grid.n_steps
+    _settle(b, last * h)
     out[last] = b
     for top in range(last, 0, -block):
         # The quarter-step states of the block's backward steps read only
         # the stored trajectory, so they are marched as the rows of one state.
         lo = max(top - block, 0)
         a_mids = _rk4_forward_step(traj.coeffs[lo:top], 0.5 * h, controls[lo:top],
-                                   model, mode_arr)
+                                   model, dn)
         for s in range(top, lo, -1):
             uk = u.values[(s - 1) >> 1]
             b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mids[s - 1 - lo],
-                                   traj.coeffs[s - 1], model, mode_arr)
-            _check_bounded(b, (s - 1) * h)
+                                   traj.coeffs[s - 1], model, dn, phases)
+            _settle(b, (s - 1) * h)
             out[s - 1] = b
     return Trajectory(grid, out)

@@ -12,6 +12,13 @@ step, hence every RK4 stage sees a single control value.  The n = 0
 equation has an explicit factor n, so the mass coefficient is conserved
 bit-for-bit.
 
+On the initial state and after every step, real and imaginary parts below
+the smallest normal float (`np.finfo(float).tiny`, about 2.2e-308) are set
+to zero (`_settle`).  High harmonics decay geometrically, and arithmetic on
+subnormal floats takes the slow path of the processor; the flushed parts
+lie over 300 orders of magnitude below the mass coefficient 1/(2*pi),
+which the flush never touches.
+
 The kernels march a stack of state rows, each under its own control: the
 trial steps of a line search, or the adjoint's quarter-step states.  Rows
 never mix, so every row gets the bits of a one-row march.
@@ -29,6 +36,9 @@ from .timegrid import ControlSignal, TimeGrid, Trajectory
 # Generous blow-up guard; healthy probability densities keep |a_n| below
 # 1/(2*pi) * O(1), so anything near this limit means tau is too large.
 DIVERGENCE_LIMIT = 1e6
+
+# The IEEE bound of the normal floats: smaller parts are flushed to zero.
+_TINY = np.finfo(float).tiny
 
 _MASS_TOL = 1e-13
 
@@ -78,37 +88,45 @@ def _coupling(a: np.ndarray, u: np.ndarray, model: ModelSpec):
 
 
 def _continuity_rhs(a: np.ndarray, u: np.ndarray, model: ModelSpec,
-                    modes: np.ndarray) -> np.ndarray:
+                    dn: np.ndarray) -> np.ndarray:
     """Coefficient derivative of each row of a (rows, modes) under its control row.
 
     `u` is complex (rows, 2): a real control broadcast against the complex
     state would make NumPy cast on every call, which costs more than the
-    arithmetic.
+    arithmetic.  `dn` is `-1j * modes`, computed once per march.
     """
     v, vc = _coupling(a, u, model)
     va = np.zeros_like(a)  # summing into zeros turns an exact -0.0 into 0.0
     va += u[:, :1] * a
     va[:, 1:] += v * a[:, :-1]
     va[:, :-1] += vc * a[:, 1:]
-    return -1j * modes * va
+    return dn * va
 
 
 def _rk4_forward_step(a: np.ndarray, h: float, u: np.ndarray,
-                      model: ModelSpec, modes: np.ndarray) -> np.ndarray:
-    k1 = _continuity_rhs(a, u, model, modes)
-    k2 = _continuity_rhs(a + (0.5 * h) * k1, u, model, modes)
-    k3 = _continuity_rhs(a + (0.5 * h) * k2, u, model, modes)
-    k4 = _continuity_rhs(a + h * k3, u, model, modes)
+                      model: ModelSpec, dn: np.ndarray) -> np.ndarray:
+    k1 = _continuity_rhs(a, u, model, dn)
+    k2 = _continuity_rhs(a + (0.5 * h) * k1, u, model, dn)
+    k3 = _continuity_rhs(a + (0.5 * h) * k2, u, model, dn)
+    k4 = _continuity_rhs(a + h * k3, u, model, dn)
     return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _check_bounded(a: np.ndarray, t: float) -> None:
-    peak = float(np.max(np.abs(a)))
+def _settle(a: np.ndarray, t: float) -> None:
+    """Flush the subnormal parts of a new complex state to zero, in place, and bound it.
+
+    One look at the float view serves both: parts with |x| < tiny become
+    0.0, and the largest |x| must stay within DIVERGENCE_LIMIT (NaN fails).
+    """
+    parts = a.view(float)
+    mag = np.abs(parts)
+    peak = float(mag.max())
     if not peak <= DIVERGENCE_LIMIT:
         raise DivergenceError(
-            f"coefficient magnitude {peak:.3e} at t = {t:.6g} exceeds "
+            f"coefficient part {peak:.3e} at t = {t:.6g} exceeds "
             f"{DIVERGENCE_LIMIT:.0e}; reduce the time step"
         )
+    parts[mag < _TINY] = 0.0
 
 
 def rhs_continuity(t: float, a: FourierField, u, model: ModelSpec) -> FourierField:
@@ -118,8 +136,8 @@ def rhs_continuity(t: float, a: FourierField, u, model: ModelSpec) -> FourierFie
     """
     u = model.require_feasible(u)
     require_hermitian(a, 1e-10)
-    modes = _mode_numbers(a.coeffs.shape[0])
-    rhs = _continuity_rhs(a.coeffs[None], u.astype(complex)[None], model, modes)
+    dn = -1j * _mode_numbers(a.coeffs.shape[0])
+    rhs = _continuity_rhs(a.coeffs[None], u.astype(complex)[None], model, dn)
     return FourierField(a.n_modes, rhs[0])
 
 
@@ -127,17 +145,20 @@ def _march(a0: np.ndarray, u_values: np.ndarray, model: ModelSpec, grid: TimeGri
            out: np.ndarray | None) -> np.ndarray:
     """March the rows of a0 (rows, modes), row r under the controls u_values[:, r].
 
-    `out`, if given, receives the state at every half-step node.
+    `out`, if given, receives the state at every half-step node.  The
+    initial state and every step are settled (`_settle`) before they are
+    stored or marched on, so stored and lean marches keep equal bits.
     """
     h = 0.5 * grid.tau
-    modes = _mode_numbers(a0.shape[1])
+    dn = -1j * _mode_numbers(a0.shape[1])
     controls = u_values.astype(complex)
     a = np.array(a0, dtype=complex, order="C")  # rows contiguous, even from a broadcast
+    _settle(a, 0.0)
     if out is not None:
         out[0] = a
     for s in range(2 * grid.n_steps):
-        a = _rk4_forward_step(a, h, controls[s >> 1], model, modes)
-        _check_bounded(a, (s + 1) * h)
+        a = _rk4_forward_step(a, h, controls[s >> 1], model, dn)
+        _settle(a, (s + 1) * h)
         if out is not None:
             out[s + 1] = a
     return a
@@ -173,7 +194,7 @@ def integrate_forward(rho0: FourierField, u: ControlSignal, model: ModelSpec,
         grid: time lattice.
 
     Raises:
-        DivergenceError: if any coefficient magnitude passes the guard.
+        DivergenceError: if any coefficient part passes the guard.
     """
     _check_inputs(rho0, [u], model, grid)
     out = np.empty((2 * grid.n_steps + 1, rho0.coeffs.shape[0]), dtype=complex)

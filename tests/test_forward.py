@@ -20,10 +20,11 @@ from mfpmp import (
     rhs_continuity,
     terminal_state,
 )
-from mfpmp import forward
-from mfpmp.adjoint import _rk4_backward_step, terminal_adjoint
+from mfpmp import adjoint, forward
+from mfpmp.adjoint import _rk4_backward_step, _source_phases, terminal_adjoint
 from mfpmp.forward import _mode_numbers, _rk4_forward_step, _terminal_rows, mass_drift
-from mfpmp.presets import fig1_density
+from mfpmp.descent import switching_function
+from mfpmp.presets import fig1_control, fig1_density
 from mfpmp.spectral import FourierField, constant_field, grid_points
 
 from conftest import random_hermitian
@@ -119,11 +120,11 @@ class TestIntegrateForward:
 
     def test_hermitian_symmetry_along_random_steps(self, rng):
         model = kuramoto_model(0.4, np.pi, control_set=ball(3.0))
-        modes = _mode_numbers(33)
+        dn = -1j * _mode_numbers(33)
         a = np.stack([random_hermitian(32, rng).coeffs for _ in range(5)])
         u = rng.uniform(-1, 1, (5, 2)).astype(complex)  # one control per row
         for _ in range(20):
-            a = _rk4_forward_step(a, 1e-3, u, model, modes)
+            a = _rk4_forward_step(a, 1e-3, u, model, dn)
         defect = np.max(np.abs(a - np.conj(a[:, ::-1])))
         assert defect < 1e-12
 
@@ -230,7 +231,8 @@ class TestBatchedMarch:
         cotraj = integrate_backward(traj, u, model)
         # Reference: one quarter-step state per backward step, as a one-row state.
         h = 0.5 * grid.tau
-        modes = _mode_numbers(33)
+        dn = -1j * _mode_numbers(33)
+        phases = _source_phases(model)
         want = np.empty_like(traj.coeffs)
         b = terminal_adjoint(traj.terminal_field(), model).coeffs
         last = 2 * grid.n_steps
@@ -238,9 +240,9 @@ class TestBatchedMarch:
         for s in range(last, 0, -1):
             uk = u.values[(s - 1) >> 1]
             a_mid = _rk4_forward_step(traj.coeffs[s - 1:s], 0.5 * h,
-                                      uk[None].astype(complex), model, modes)[0]
+                                      uk[None].astype(complex), model, dn)[0]
             b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
-                                   model, modes)
+                                   model, dn, phases)
             want[s - 1] = b
         assert cotraj.coeffs.tobytes() == want.tobytes()
 
@@ -256,6 +258,80 @@ class TestBatchedMarch:
             cost_of_control(rho, [u, bad], model, grid)
         with pytest.raises(ValueError, match="node 50"):
             integrate_backward(traj, bad, model)
+
+
+def subnormal_parts(coeffs):
+    """How many real or imaginary parts lie strictly between 0 and finfo.tiny."""
+    parts = np.abs(np.asarray(coeffs).view(float))
+    return int(np.count_nonzero((parts > 0) & (parts < np.finfo(float).tiny)))
+
+
+def fig1_gradient():
+    """Forward, adjoint and switching function of the fig1 problem at 512 harmonics, T = 0.5."""
+    grid = TimeGrid(0.5, 1e-3)
+    model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
+    u = fig1_control(grid)
+    traj = integrate_forward(fig1_density(512), u, model, grid)
+    cotraj = integrate_backward(traj, u, model)
+    return model, traj, cotraj, switching_function(traj, cotraj, model)
+
+
+@pytest.fixture(scope="module")
+def flushed_gradient():
+    return fig1_gradient()
+
+
+class TestSubnormalFlush:
+    """Parts below finfo.tiny are set to zero after every step of both marches."""
+
+    def test_no_stored_row_has_a_subnormal_part(self, flushed_gradient):
+        _, traj, cotraj, _ = flushed_gradient
+        assert subnormal_parts(traj.coeffs) == 0
+        assert subnormal_parts(cotraj.coeffs) == 0
+        assert mass_drift(traj) == 0.0
+
+    def test_flush_matches_the_unflushed_solve(self, flushed_gradient, monkeypatch):
+        def bound_only(a, t):
+            peak = float(np.max(np.abs(a.view(float))))
+            if not peak <= forward.DIVERGENCE_LIMIT:
+                raise DivergenceError(f"part {peak} at t = {t}; reduce the time step")
+
+        monkeypatch.setattr(forward, "_settle", bound_only)
+        monkeypatch.setattr(adjoint, "_settle", bound_only)
+        model, ref_traj, ref_cotraj, ref_d = fig1_gradient()
+        # Without the flush, both trajectories carry subnormal parts.
+        assert subnormal_parts(ref_traj.coeffs) > 0.01 * 2 * ref_traj.coeffs.size
+        assert subnormal_parts(ref_cotraj.coeffs) > 0.001 * 2 * ref_cotraj.coeffs.size
+
+        _, traj, cotraj, d = flushed_gradient
+        ref_cost = model.cost.eval(ref_traj.terminal_field())
+        assert abs(model.cost.eval(traj.terminal_field()) - ref_cost) <= 1e-12 * abs(ref_cost)
+        assert np.max(np.abs(d.values - ref_d.values)) <= 1e-12 * np.max(np.abs(ref_d.values))
+        for got, want in ((cotraj.coeffs[0], ref_cotraj.coeffs[0]),
+                          (traj.coeffs[-1], ref_traj.coeffs[-1])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_a_diverging_row_of_a_batched_march_raises(self):
+        rho = fig1_density(512)
+        grid = TimeGrid(1.0, 0.05)
+        model = kuramoto_model(0.0, np.pi, control_set=ball(2000.0))
+        assert forward.batch_rows(513) >= 3  # the three controls share one march
+        calm = constant_control(grid, [0.0, 0.0])
+        wild = constant_control(grid, [0.0, 1500.0])
+        with pytest.raises(DivergenceError, match="reduce the time step"):
+            cost_of_control(rho, [calm, wild, calm], model, grid)
+
+    def test_a_nan_part_raises_and_mass_is_never_flushed(self):
+        a = np.zeros((2, 5), dtype=complex)
+        a[:, 2] = 1.0 / (2.0 * np.pi)
+        a[0, 0] = complex(1e-310, -1e-320)
+        a[1, 4] = complex(3e-308, 2e-308)  # 3e-308 is normal, 2e-308 is not
+        forward._settle(a, 0.0)
+        assert np.array_equal(a[:, 2], np.full(2, 1.0 / (2.0 * np.pi)))
+        assert a[0, 0] == 0 and a[1, 4] == 3e-308
+        a[1, 1] = complex(0.0, np.nan)
+        with pytest.raises(DivergenceError, match="reduce the time step"):
+            forward._settle(a, 0.0)
 
 
 class TestDensityMin:
