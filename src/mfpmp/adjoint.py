@@ -3,9 +3,9 @@
 The adjoint state is a signed-measure density zeta with coefficients b_n
 driven backward from t = T by
 
-    d b_n / dt = -i*n*(v b)_n  -  ((dv/dx) b)_n  -  (q a)_n,
+    d b_n / dt = -i*n*(V b)_n  -  ((dV/dx) b)_n  -  (q a)_n,
 
-where v is the assembled vector field along the stored forward trajectory,
+where V is the assembled vector field along the stored forward trajectory,
 the middle term stretches the co-density by the velocity gradient, and the
 nonlocal source q(x) = integral D_mu V(y, mu, u, x) dnu(y) is, for the
 Kuramoto coupling, u_2 * integral cos(y - x + alpha) dnu(y).  Both source pieces enter with a minus sign;
@@ -19,6 +19,20 @@ condition pairs the cost's intrinsic derivative with the terminal density:
 
 Unlike the density, the co-density conserves no mass: the n = 0 source is
 generally nonzero.
+
+The co-density is real, so b_{-n} = conj(b_n): like the forward solver,
+the march stores and steps only the half rows n = 0 .. N/2.  Transport and
+stretch share their shifts, so the right-hand side is one three-term
+stencil plus the source,
+
+    -i n u_1 b_n - i(n+1) v b_{n-1} - i(n-1) conj(v) b_{n+1}
+        - q_{-1} a_{n+1} - q_{+1} a_{n-1},
+
+with v = u_2 * i*pi*a_1*e^{i*alpha} and the source harmonics q_{-+1} of
+q(x).  Its mode factors are computed once per solve (`_stencil`).  Only
+the n = 0 entry and q_{-1} read b_{-1} and a_{-1}, which are conj(b_1) and
+conj(a_1); that entry adds its conjugate pairs in scalar arithmetic, so
+b_0 stays real and the full field is Hermitian exactly.
 
 The march runs at the same half step as the forward solver, so every stage
 reads a forward state either straight from storage or, for quarter-step
@@ -35,9 +49,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import _coupling_value, _mode_numbers, _rk4_forward_step, _settle, batch_rows
+from .forward import _coupling_value, _factor, _rk4_forward_step, _settle, batch_rows
 from .models import ModelSpec
-from .spectral import FourierField, require_hermitian
+from .spectral import FourierField, field_from_half, full_rows, half_rows, require_hermitian
 from .timegrid import ControlSignal, Trajectory
 
 
@@ -46,45 +60,69 @@ def _source_phases(model: ModelSpec) -> tuple[complex, complex]:
     return 0.5 * model.phase, 0.5 * model.phase.conjugate()
 
 
+def _stencil(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mode factors -i*n, -i*(n+1) and -i*(n-1) of b_n, b_{n-1} and b_{n+1}.
+
+    The first covers n = 0 .. width - 1, the second the rows n >= 1 and the
+    third the rows n <= width - 2, where the shifted harmonic is stored.
+    """
+    n = np.arange(width)
+    return _factor(width), -1j * (n[1:] + 1), -1j * (n[:-1] - 1)
+
+
 def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
-                 dn: np.ndarray, phases: tuple[complex, complex]) -> np.ndarray:
-    """Co-density derivative; `dn` is `-1j * modes` and `phases` is `_source_phases(model)`."""
-    v = _coupling_value(complex(a[a.shape[0] // 2 + 1]), float(u[1]), model)
-    # Transport: -i*n*(V b)_n with V(x) = u_1 + v e^{ix} + conj(v) e^{-ix}.
-    vb = np.zeros_like(b)
-    vb += complex(u[0]) * b
-    vb[1:] += v * b[:-1]
-    vb[:-1] += v.conjugate() * b[1:]
-    out = dn * vb
-    # Stretch: ((dV/dx) b)_n with dV/dx = i*v e^{ix} - i*conj(v) e^{-ix}.
-    stretch = np.zeros_like(b)
-    stretch[1:] += (1j * v) * b[:-1]
-    stretch[:-1] += (-1j * v.conjugate()) * b[1:]
-    out -= stretch
-    # Source: (q a)_n with q(x) = u_2 * integral cos(y - x + alpha) zeta(y) dy,
-    # whose harmonics are q_{-1} = 2*pi*u_2*(e^{i*alpha}/2)*b_{-1} and its
-    # conjugate partner q_1.
-    w = u[1] * 2.0 * np.pi
-    center = (b.shape[0] - 1) // 2
-    q_lo = w * phases[0] * b[center - 1]
-    q_hi = w * phases[1] * b[center + 1]
-    source = np.zeros_like(a)
-    source[:-1] += q_lo * a[1:]
-    source[1:] += q_hi * a[:-1]
-    out -= source
+                 drift: np.ndarray, stencil, phases: tuple[complex, complex]) -> np.ndarray:
+    """Co-density derivative of the half row b at the forward half row a.
+
+    `drift` is `-1j * n * u_1`, `stencil` is `_stencil(width)` and `phases`
+    is `_source_phases(model)`.
+    """
+    u2 = float(u[1])
+    a1, b1 = complex(a[1]), complex(b[1])  # Python scalars: cheaper than NumPy's
+    a_m1, b_m1 = a1.conjugate(), b1.conjugate()
+    v = _coupling_value(a1, u2, model)
+    vc = v.conjugate()
+    # Source harmonics of q(x) = u_2 * integral cos(y - x + alpha) zeta(y) dy:
+    # q_{-1} = 2*pi*u_2*(e^{i*alpha}/2)*b_{-1} and its conjugate partner q_{+1}.
+    w = u2 * 2.0 * np.pi
+    q_lo = w * phases[0] * b_m1
+    q_hi = w * phases[1] * b1
+    out = drift * b
+    out[1:] += (v * stencil[1]) * b[:-1]
+    out[:-1] += (vc * stencil[2]) * b[1:]
+    out[:-1] -= q_lo * a[1:]
+    out[1:] -= q_hi * a[:-1]
+    # n = 0: the factor of b_0 is 0, and each conjugate pair sums to a real number.
+    out[0] = ((-1j * v) * b_m1 + (1j * vc) * b1) - (q_lo * a1 + q_hi * a_m1)
     return out
 
 
 def _rk4_backward_step(b: np.ndarray, h: float, u: np.ndarray,
                        a_hi: np.ndarray, a_mid: np.ndarray, a_lo: np.ndarray,
-                       model: ModelSpec, dn: np.ndarray,
-                       phases: tuple[complex, complex]) -> np.ndarray:
+                       model: ModelSpec, stencil, phases: tuple[complex, complex]) -> np.ndarray:
     hb = -h
-    k1 = _adjoint_rhs(b, a_hi, u, model, dn, phases)
-    k2 = _adjoint_rhs(b + (0.5 * hb) * k1, a_mid, u, model, dn, phases)
-    k3 = _adjoint_rhs(b + (0.5 * hb) * k2, a_mid, u, model, dn, phases)
-    k4 = _adjoint_rhs(b + hb * k3, a_lo, u, model, dn, phases)
+    drift = complex(u[0]) * stencil[0]
+    k1 = _adjoint_rhs(b, a_hi, u, model, drift, stencil, phases)
+    k2 = _adjoint_rhs(b + (0.5 * hb) * k1, a_mid, u, model, drift, stencil, phases)
+    k3 = _adjoint_rhs(b + (0.5 * hb) * k2, a_mid, u, model, drift, stencil, phases)
+    k4 = _adjoint_rhs(b + hb * k3, a_lo, u, model, drift, stencil, phases)
     return b + (hb / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _terminal_row(muT: FourierField, model: ModelSpec) -> np.ndarray:
+    """Half row of the terminal co-density (-D_mu l(mu_T)) * rho_T."""
+    neg_dmu = -model.cost.dmu(muT).coeffs
+    center = muT.center
+    if np.count_nonzero(neg_dmu) != np.count_nonzero(neg_dmu[[center - 1, center + 1]]):
+        raise ValueError("the cost derivative must carry only the harmonics +-1")
+    lo, hi = neg_dmu[center - 1], neg_dmu[center + 1]
+    a = half_rows(muT.coeffs)
+    b = np.zeros_like(a)
+    b[:-1] += lo * a[1:]
+    b[1:] += hi * a[:-1]
+    # n = 0 reads a_{-1} = conj(a_1); hi = conj(lo), so the two terms are a conjugate pair.
+    b[0] = lo * a[1] + hi * a[1].conjugate()
+    return b
 
 
 def terminal_adjoint(muT: FourierField, model: ModelSpec) -> FourierField:
@@ -94,15 +132,7 @@ def terminal_adjoint(muT: FourierField, model: ModelSpec) -> FourierField:
     b_n(T) = (i/2) * (a_{n-1} e^{-i x0} - a_{n+1} e^{i x0}).
     """
     require_hermitian(muT, 1e-10)
-    neg_dmu = -model.cost.dmu(muT).coeffs
-    center = muT.center
-    if np.count_nonzero(neg_dmu) != np.count_nonzero(neg_dmu[[center - 1, center + 1]]):
-        raise ValueError("the cost derivative must carry only the harmonics +-1")
-    a = muT.coeffs
-    b = np.zeros_like(a)
-    b[:-1] += neg_dmu[center - 1] * a[1:]
-    b[1:] += neg_dmu[center + 1] * a[:-1]
-    return FourierField(muT.n_modes, b)
+    return field_from_half(_terminal_row(muT, model))
 
 
 def rhs_adjoint(t: float, b: FourierField, a: FourierField, u,
@@ -114,9 +144,12 @@ def rhs_adjoint(t: float, b: FourierField, a: FourierField, u,
     u = model.require_feasible(u)
     if b.n_modes != a.n_modes:
         raise ValueError("state and co-state mode counts differ")
-    dn = -1j * _mode_numbers(b.coeffs.shape[0])
-    return FourierField(b.n_modes, _adjoint_rhs(b.coeffs, a.coeffs, u, model, dn,
-                                                _source_phases(model)))
+    require_hermitian(b, 1e-10)
+    require_hermitian(a, 1e-10)
+    stencil = _stencil(b.center + 1)
+    rhs = _adjoint_rhs(half_rows(b.coeffs), half_rows(a.coeffs), u, model,
+                       complex(u[0]) * stencil[0], stencil, _source_phases(model))
+    return FourierField(b.n_modes, full_rows(rhs))
 
 
 def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
@@ -128,11 +161,11 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         u: the control that produced `traj`.
         model: vector-field specification.
         terminal: optional override of the terminal co-density; defaults to
-            the cost-derived condition.  Linearity in this argument is a
-            tested property of the system.
+            the cost-derived condition; it must be Hermitian.  Linearity in
+            this argument is a tested property of the system.
 
     Returns:
-        Co-trajectory on the same half-step lattice; the terminal row and
+        Co-trajectory of half rows on the same half-step lattice; the terminal row and
         every backward step are settled (`forward._settle`) before they are
         stored.
 
@@ -144,18 +177,21 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     grid = traj.grid
     model.require_feasible(u.values)
     if terminal is None:
-        terminal = terminal_adjoint(traj.terminal_field(), model)
-    if terminal.n_modes != traj.n_modes:
-        raise ValueError("terminal co-density resolution does not match the trajectory")
+        b = _terminal_row(traj.terminal_field(), model)
+    else:
+        if terminal.n_modes != traj.n_modes:
+            raise ValueError("terminal co-density resolution does not match the trajectory")
+        require_hermitian(terminal, 1e-10)
+        b = np.array(half_rows(terminal.coeffs), dtype=complex)
 
     h = 0.5 * grid.tau
-    dn = -1j * _mode_numbers(traj.n_modes + 1)
+    width = traj.coeffs.shape[1]
+    stencil = _stencil(width)
     phases = _source_phases(model)
     # Complex control of the step that starts at each half node.
     controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
-    block = batch_rows(traj.n_modes + 1)
+    block = batch_rows(width)
     out = np.empty_like(traj.coeffs)
-    b = np.array(terminal.coeffs, dtype=complex)
     last = 2 * grid.n_steps
     _settle(b, last * h)
     out[last] = b
@@ -164,11 +200,11 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         # the stored trajectory, so they are marched as the rows of one state.
         lo = max(top - block, 0)
         a_mids = _rk4_forward_step(traj.coeffs[lo:top], 0.5 * h, controls[lo:top],
-                                   model, dn)
+                                   model, stencil[0])
         for s in range(top, lo, -1):
             uk = u.values[(s - 1) >> 1]
             b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mids[s - 1 - lo],
-                                   traj.coeffs[s - 1], model, dn, phases)
+                                   traj.coeffs[s - 1], model, stencil, phases)
             _settle(b, (s - 1) * h)
             out[s - 1] = b
     return Trajectory(grid, out)

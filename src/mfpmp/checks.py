@@ -20,7 +20,7 @@ from .descent import non_extremality, switching_function, target_control
 from .forward import cost_of_control, integrate_forward
 from .models import ModelSpec, ball, kuramoto_model
 from .particles import particle_cost, simulate_particles, stratified_ensemble
-from .spectral import FourierField, reconstruct_rows, grid_points
+from .spectral import FourierField, grid_points, half_rows, reconstruct_rows
 from .timegrid import ControlSignal, TimeGrid
 
 
@@ -42,14 +42,13 @@ def meanfield_vs_particles(rho0: FourierField, u: ControlSignal, model: ModelSpe
 
     per_time = {}
     worst = 0.0
-    center = traj.n_modes // 2
     for k, t in zip(check_nodes, times):
         a = traj.coeffs[2 * k]
         phases = snaps[t]
         entry = {}
         for n in (1, 2):
             moment = np.mean(np.exp(1j * n * phases))
-            spectral = 2.0 * np.pi * np.conj(a[center + n])
+            spectral = 2.0 * np.pi * np.conj(a[n])
             gap = abs(moment - spectral)
             entry[f"moment_{n}"] = gap
             worst = max(worst, gap)
@@ -139,8 +138,8 @@ def local_adjoint_check(u1_values, rho0: FourierField, x0: float, grid: TimeGrid
 
     nodes = np.arange(0, n_half + 1, 2)
     x = grid_points(rho0.n_modes)
-    modes = np.arange(-rho0.center, rho0.center + 1)
-    shifted = rho0.coeffs[None, :] * np.exp(-1j * np.outer(accumulated[nodes], modes))
+    modes = np.arange(rho0.center + 1)
+    shifted = half_rows(rho0.coeffs)[None, :] * np.exp(-1j * np.outer(accumulated[nodes], modes))
     rho_t = reconstruct_rows(shifted)
     analytic = -np.sin(x[None, :] + remaining[nodes, None] - x0) * rho_t
     solved = reconstruct_rows(cotraj.coeffs[nodes])

@@ -126,7 +126,8 @@ def switching_function(traj: Trajectory, cotraj: Trajectory,
 
     d_j(t_k) = integral V^j(x, mu_{t_k}) zeta_{t_k}(x) dx, that is
     d_1 = 2*pi * Re b_0 and d_2 = 2*pi * Re(v b_{-1} + conj(v) b_{+1}) with
-    v = i*pi*a_1*e^{i*alpha}, for all nodes at once.
+    v = i*pi*a_1*e^{i*alpha}, for all nodes at once.  The half rows give
+    b_{-1} = conj(b_1), so the two terms of d_2 have one real part.
     """
     if traj.grid != cotraj.grid:
         raise ValueError("trajectories must share a grid")
@@ -134,14 +135,12 @@ def switching_function(traj: Trajectory, cotraj: Trajectory,
         raise ValueError("trajectory resolutions differ")
     a = traj.coeffs[::2]
     b = cotraj.coeffs[::2]
-    center = traj.n_modes // 2
-    vr, vi = model.coupling(a[:, center + 1])
-    bm = b[:, center - 1]
-    bp = b[:, center + 1]
-    # Real parts of v*b_{-1} and conj(v)*b_{+1}, in real arithmetic like v
-    # itself; the leading 0.0 + turns an exact -0.0 sum into 0.0.
-    coupling = 0.0 + (vr * bm.real - vi * bm.imag) + (vr * bp.real + vi * bp.imag)
-    drift = 0.0 + b[:, center].real
+    vr, vi = model.coupling(a[:, 1])
+    b1 = b[:, 1]
+    # Re(conj(v)*b_{+1}), in real arithmetic like v itself, counted twice;
+    # the leading 0.0 + turns an exact -0.0 sum into 0.0.
+    coupling = 0.0 + 2.0 * (vr * b1.real + vi * b1.imag)
+    drift = 0.0 + b[:, 0].real
     vals = (2.0 * np.pi) * np.column_stack([drift, coupling])
     return SwitchingFunction(traj.grid, vals)
 
@@ -249,7 +248,7 @@ def run_descent(rho0: FourierField, u0: ControlSignal, model: ModelSpec,
     def evaluator(trials: list) -> list:
         return cost_of_control(rho0, trials, model, grid)
 
-    chunk = min(TRIAL_CHUNK, batch_rows(rho0.n_modes + 1))
+    chunk = min(TRIAL_CHUNK, batch_rows(rho0.center + 1))
 
     for k in range(cfg.k_max):
         t0 = time.perf_counter()

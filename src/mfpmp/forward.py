@@ -5,7 +5,12 @@ The transport PDE becomes the coefficient system
     d a_n / dt = -i * n * (u_1 a_n + v a_{n-1} + conj(v) a_{n+1}),
 
 where v = u_2 * i*pi*a_1*e^{i*alpha} is the coupling channel's harmonic +1
-and out-of-range harmonics count as zero (series truncation).  Time
+and out-of-range harmonics count as zero (series truncation).  The density
+is real, so a_{-n} = conj(a_n), and the solver stores and marches only the
+half rows n = 0 .. N/2 (`spectral.half_rows`).  Row n >= 1 reads only
+harmonics >= 0, and the n = 0 row is multiplied by n = 0, so the half march
+has the bits of the n >= 0 half of a full-layout march, and the full field
+(`spectral.full_rows`) is Hermitian exactly, not to rounding.  Time
 stepping is classical RK4 at half the control step, so the trajectory
 lands on every half-step node; controls are piecewise constant per full
 step, hence every RK4 stage sees a single control value.  The n = 0
@@ -30,7 +35,8 @@ import numpy as np
 
 from .errors import DivergenceError
 from .models import ModelSpec
-from .spectral import FourierField, reconstruct_rows, require_hermitian
+from .spectral import (FourierField, field_from_half, full_rows, half_rows, reconstruct_rows,
+                       require_hermitian)
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 # Generous blow-up guard; healthy probability densities keep |a_n| below
@@ -43,23 +49,19 @@ _TINY = np.finfo(float).tiny
 _MASS_TOL = 1e-13
 
 # Rows marched as one state share the per-call overhead, which dominates
-# narrow rows: 8 rows of 257 coefficients cost 0.35-0.40x as much per row
-# as one-row marches.  Wide rows gain nothing, since their arithmetic
-# dominates, and temporaries past glibc's default 128 KiB mmap and trim
-# thresholds have their pages faulted in again on every step (8 rows of
-# 2049 cost 1.6-2.2x per row).  A budget of 4096 coefficients (64 KiB) per
-# temporary gives 15 rows at 256 harmonics and 1 at 2048.
-BATCH_COEFFS = 4096
+# narrow rows: 8 full-layout rows of 257 coefficients cost 0.35-0.40x as
+# much per row as one-row marches.  Wide rows gain nothing, since their
+# arithmetic dominates, and temporaries past glibc's default 128 KiB mmap
+# and trim thresholds have their pages faulted in again on every step (8
+# full-layout rows of 2049 cost 1.6-2.2x per row).  A budget of 2048 half-row
+# coefficients (32 KiB) per temporary gives 15 rows at 256 harmonics and 1
+# at 2048.
+BATCH_COEFFS = 2048
 
 
 def batch_rows(width: int) -> int:
-    """How many state rows of `width` coefficients to march as one state."""
+    """How many half rows of `width` coefficients to march as one state."""
     return max(1, BATCH_COEFFS // width)
-
-
-def _mode_numbers(size: int) -> np.ndarray:
-    center = (size - 1) // 2
-    return np.arange(-center, center + 1)
 
 
 def _coupling_value(a1: complex, u2: float, model: ModelSpec) -> complex:
@@ -75,11 +77,10 @@ def _coupling(a: np.ndarray, u: np.ndarray, model: ModelSpec):
     arithmetic is the same, and the array route costs about 13 us more per
     call, which the one-row stored solves would pay on every stage.
     """
-    first = a.shape[1] // 2 + 1
     if a.shape[0] == 1:
-        v = _coupling_value(complex(a[0, first]), float(u[0, 1].real), model)
+        v = _coupling_value(complex(a[0, 1]), float(u[0, 1].real), model)
         return v, v.conjugate()
-    vr, vi = model.coupling(a[:, first])
+    vr, vi = model.coupling(a[:, 1])
     u2 = u[:, 1].real
     v = np.empty((a.shape[0], 1), dtype=complex)
     v.real[:, 0] = u2 * vr
@@ -89,11 +90,12 @@ def _coupling(a: np.ndarray, u: np.ndarray, model: ModelSpec):
 
 def _continuity_rhs(a: np.ndarray, u: np.ndarray, model: ModelSpec,
                     dn: np.ndarray) -> np.ndarray:
-    """Coefficient derivative of each row of a (rows, modes) under its control row.
+    """Coefficient derivative of each half row of a (rows, modes) under its control row.
 
     `u` is complex (rows, 2): a real control broadcast against the complex
     state would make NumPy cast on every call, which costs more than the
-    arithmetic.  `dn` is `-1j * modes`, computed once per march.
+    arithmetic.  `dn` is `-1j * n` for n = 0 .. N/2, computed once per march.
+    Row 0 misses v a_{-1}, but its factor n is 0.
     """
     v, vc = _coupling(a, u, model)
     va = np.zeros_like(a)  # summing into zeros turns an exact -0.0 into 0.0
@@ -136,21 +138,26 @@ def rhs_continuity(t: float, a: FourierField, u, model: ModelSpec) -> FourierFie
     """
     u = model.require_feasible(u)
     require_hermitian(a, 1e-10)
-    dn = -1j * _mode_numbers(a.coeffs.shape[0])
-    rhs = _continuity_rhs(a.coeffs[None], u.astype(complex)[None], model, dn)
-    return FourierField(a.n_modes, rhs[0])
+    half = half_rows(a.coeffs)
+    rhs = _continuity_rhs(half[None], u.astype(complex)[None], model, _factor(half.shape[0]))
+    return FourierField(a.n_modes, full_rows(rhs[0]))
+
+
+def _factor(width: int) -> np.ndarray:
+    """-i*n for the half-row harmonics n = 0 .. width - 1."""
+    return -1j * np.arange(width)
 
 
 def _march(a0: np.ndarray, u_values: np.ndarray, model: ModelSpec, grid: TimeGrid,
            out: np.ndarray | None) -> np.ndarray:
-    """March the rows of a0 (rows, modes), row r under the controls u_values[:, r].
+    """March the half rows of a0 (rows, modes), row r under the controls u_values[:, r].
 
     `out`, if given, receives the state at every half-step node.  The
     initial state and every step are settled (`_settle`) before they are
     stored or marched on, so stored and lean marches keep equal bits.
     """
     h = 0.5 * grid.tau
-    dn = -1j * _mode_numbers(a0.shape[1])
+    dn = _factor(a0.shape[1])
     controls = u_values.astype(complex)
     a = np.array(a0, dtype=complex, order="C")  # rows contiguous, even from a broadcast
     _settle(a, 0.0)
@@ -175,6 +182,7 @@ def require_normalized(rho0: FourierField) -> None:
 
 
 def _check_inputs(rho0: FourierField, controls, model: ModelSpec, grid: TimeGrid) -> None:
+    """Where a density enters a solve: its symmetry, its mass and every control, once."""
     require_hermitian(rho0, 1e-10)
     require_normalized(rho0)
     for u in controls:
@@ -185,7 +193,7 @@ def _check_inputs(rho0: FourierField, controls, model: ModelSpec, grid: TimeGrid
 
 def integrate_forward(rho0: FourierField, u: ControlSignal, model: ModelSpec,
                       grid: TimeGrid) -> Trajectory:
-    """Solve the continuity equation and record every half-step node.
+    """Solve the continuity equation and record the half row of every half-step node.
 
     Args:
         rho0: normalized initial density (mode-0 coefficient 1/(2*pi)).
@@ -197,16 +205,18 @@ def integrate_forward(rho0: FourierField, u: ControlSignal, model: ModelSpec,
         DivergenceError: if any coefficient part passes the guard.
     """
     _check_inputs(rho0, [u], model, grid)
-    out = np.empty((2 * grid.n_steps + 1, rho0.coeffs.shape[0]), dtype=complex)
-    _march(rho0.coeffs[None], u.values[:, None], model, grid, out[:, None])
+    half = half_rows(rho0.coeffs)
+    out = np.empty((2 * grid.n_steps + 1, half.shape[0]), dtype=complex)
+    _march(half[None], u.values[:, None], model, grid, out[:, None])
     return Trajectory(grid, out)
 
 
 def _terminal_rows(rho0: FourierField, controls, model: ModelSpec,
                    grid: TimeGrid) -> np.ndarray:
-    """Terminal coefficients of lean solves, one row per control, marched together."""
+    """Terminal half rows of lean solves, one per control, marched together."""
     _check_inputs(rho0, controls, model, grid)
-    rows = np.broadcast_to(rho0.coeffs, (len(controls), rho0.coeffs.shape[0]))
+    half = half_rows(rho0.coeffs)
+    rows = np.broadcast_to(half, (len(controls), half.shape[0]))
     u_values = np.stack([u.values for u in controls], axis=1)
     return _march(rows, u_values, model, grid, None)
 
@@ -218,7 +228,7 @@ def terminal_state(rho0: FourierField, u: ControlSignal, model: ModelSpec,
     Performs exactly the same arithmetic as `integrate_forward`, so terminal
     costs agree bit-for-bit between the two entry points.
     """
-    return FourierField(rho0.n_modes, _terminal_rows(rho0, [u], model, grid)[0])
+    return field_from_half(_terminal_rows(rho0, [u], model, grid)[0])
 
 
 def cost_of_control(rho0: FourierField, controls, model: ModelSpec,
@@ -231,11 +241,11 @@ def cost_of_control(rho0: FourierField, controls, model: ModelSpec,
     Raises:
         DivergenceError: if the solve of any control diverges.
     """
-    rows = batch_rows(rho0.n_modes + 1)
+    rows = batch_rows(rho0.center + 1)
     costs = []
     for start in range(0, len(controls), rows):
         terminal = _terminal_rows(rho0, controls[start:start + rows], model, grid)
-        costs += [model.cost.eval(FourierField(rho0.n_modes, row)) for row in terminal]
+        costs += [model.cost.eval(field_from_half(row)) for row in terminal]
     return costs
 
 
@@ -250,5 +260,4 @@ def density_min(traj: Trajectory) -> float:
 
 def mass_drift(traj: Trajectory) -> float:
     """Largest deviation of the mode-0 coefficient from 1/(2*pi)."""
-    center = traj.n_modes // 2
-    return float(np.max(np.abs(traj.coeffs[:, center] - 1.0 / (2.0 * np.pi))))
+    return float(np.max(np.abs(traj.coeffs[:, 0] - 1.0 / (2.0 * np.pi))))

@@ -9,10 +9,20 @@ so a probability density carries c_0 = 1/(2*pi).  Real fields satisfy the
 Hermitian symmetry c_{-n} = conj(c_n), and every operation in this module
 preserves that symmetry to rounding error.
 
+Two layouts hold the coefficients.  `FourierField` keeps the full range
+-N/2 .. N/2: configs, presets, the operations below and the public RHS
+functions speak it.  The solvers store and march only the half rows
+n = 0 .. N/2 (`half_rows`), since the n < 0 half is their conjugate.  The
+full field of a half row (`full_rows`, `field_from_half`) is built by
+conjugation, so with a real n = 0 entry, which both solvers keep, it is
+Hermitian exactly, not to rounding.
+
 A note on the boundary mode: on an N-point grid the harmonics +N/2 and -N/2
 alias to the same samples, so only their real part is observable.  The
 transform splits the boundary bin evenly between the two indices, which
-keeps round trips exact for fields whose +-N/2 coefficients are real.
+keeps round trips exact for fields whose +-N/2 coefficients are real.  A
+half row keeps only the +N/2 half of that bin, so its reconstruction
+(`reconstruct_rows`) counts the real part of the last entry twice.
 """
 
 from __future__ import annotations
@@ -200,17 +210,30 @@ def derivative(field: FourierField) -> FourierField:
     return FourierField(field.n_modes, 1j * field.mode_numbers() * field.coeffs)
 
 
-def reconstruct_rows(coeff_rows: np.ndarray) -> np.ndarray:
-    """Physical samples for a stack of coefficient rows (one FFT per row).
+def half_rows(coeffs: np.ndarray) -> np.ndarray:
+    """The harmonics n = 0 .. N/2 of full-layout rows (..., N + 1), as a view."""
+    return coeffs[..., (coeffs.shape[-1] - 1) // 2:]
 
-    Matches `to_physical` on each row but skips per-row validation; used by
-    diagnostics that sweep whole trajectories.
+
+def full_rows(half: np.ndarray) -> np.ndarray:
+    """Full-layout rows (..., N + 1) of half rows (..., N/2 + 1): c_{-n} = conj(c_n)."""
+    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
+
+
+def field_from_half(half: np.ndarray) -> FourierField:
+    """The real field of one half row n = 0 .. N/2."""
+    return FourierField(2 * (half.shape[-1] - 1), full_rows(half))
+
+
+def reconstruct_rows(half: np.ndarray) -> np.ndarray:
+    """Physical samples for a stack of half rows n = 0 .. N/2 (one real FFT per row).
+
+    Matches `to_physical` on the full field of each row but skips per-row
+    validation; used by diagnostics that sweep whole trajectories.  The last
+    entry holds the +N/2 half of the boundary bin, so its real part enters
+    twice.
     """
-    rows = np.atleast_2d(coeff_rows)
-    n = rows.shape[1] - 1
-    half = n // 2
-    spec = np.zeros((rows.shape[0], n), dtype=complex)
-    spec[:, :half] = rows[:, half:n]
-    spec[:, half] = rows[:, n] + rows[:, 0]
-    spec[:, half + 1:] = rows[:, 1:half]
-    return (np.fft.ifft(spec, axis=1) * n).real
+    spec = np.array(np.atleast_2d(half), dtype=complex)
+    n = 2 * (spec.shape[1] - 1)
+    spec[:, -1] = 2.0 * spec[:, -1].real
+    return np.fft.irfft(spec, n, axis=1, norm="forward")

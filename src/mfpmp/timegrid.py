@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FourierField
+from .spectral import FourierField, field_from_half
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,19 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Coefficient snapshots on the half-step lattice: `coeffs[s]` at t = s*tau/2."""
+    """Coefficient snapshots on the half-step lattice: `coeffs[s]` at t = s*tau/2.
+
+    Each snapshot is a half row, the harmonics n = 0 .. N/2 of a real field
+    (`spectral.half_rows`); `field` gives the full field.
+    """
 
     grid: TimeGrid
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
-        if c.ndim != 2 or c.shape[1] % 2 != 1:
-            raise ValueError("coeffs must be a (snapshots, n_modes + 1) array")
+        if c.ndim != 2 or c.shape[1] < 3:
+            raise ValueError("coeffs must be a (snapshots, n_modes/2 + 1) array with n_modes >= 4")
         expected = 2 * self.grid.n_steps + 1
         if c.shape[0] != expected:
             raise ValueError(f"expected {expected} snapshots, got {c.shape[0]}")
@@ -56,14 +60,14 @@ class Trajectory:
 
     @property
     def n_modes(self) -> int:
-        return self.coeffs.shape[1] - 1
+        return 2 * (self.coeffs.shape[1] - 1)
 
     @property
     def n_snapshots(self) -> int:
         return self.coeffs.shape[0]
 
     def field(self, index: int) -> FourierField:
-        return FourierField(self.n_modes, self.coeffs[index])
+        return field_from_half(self.coeffs[index])
 
     def terminal_field(self) -> FourierField:
         return self.field(self.n_snapshots - 1)

@@ -22,6 +22,12 @@ def random_hermitian(n_modes, rng, max_mode=None, scale=0.1, mass=None,
     return FourierField(n_modes, c)
 
 
+def mode_numbers(size):
+    """Harmonic numbers -N/2 .. N/2 of a full-layout row of `size` = N + 1 entries."""
+    center = (size - 1) // 2
+    return np.arange(-center, center + 1)
+
+
 def eval_series(field, x):
     """Direct evaluation of the truncated series at arbitrary points."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -37,8 +37,10 @@ from mfpmp.checks import (
     synthetic_control_pairs,
 )
 from mfpmp.cli import main as cli_main
-from mfpmp.forward import _mode_numbers, mass_drift
+from mfpmp.forward import mass_drift
 from mfpmp.presets import fig1_control, fig1_density
+
+from conftest import mode_numbers
 
 
 def report(num, name, passed, detail):
@@ -124,14 +126,14 @@ class TestCriterion4RotationOracle:
         model = kuramoto_model(0.0, x0, control_set=ball(2.0))
         rho0 = fig1_density(n)
         u = constant_control(grid, [c, 0.0])
-        modes = _mode_numbers(n + 1)
+        modes = mode_numbers(n + 1)
 
         traj = integrate_forward(rho0, u, model, grid)
         fwd_err = 0.0
         for s in (0, 777, 1400, 2000):
             t = s * 0.5 * grid.tau
             closed = rho0.coeffs * np.exp(-1j * modes * c * t)
-            fwd_err = max(fwd_err, np.max(np.abs(traj.coeffs[s] - closed)))
+            fwd_err = max(fwd_err, np.max(np.abs(traj.field(s).coeffs - closed)))
 
         cotraj = integrate_backward(traj, u, model)
         zT = terminal_adjoint(traj.terminal_field(), model).coeffs
@@ -139,7 +141,7 @@ class TestCriterion4RotationOracle:
         for s in (0, 777, 1400, 2000):
             t = s * 0.5 * grid.tau
             closed = zT * np.exp(1j * modes * c * (1.0 - t))
-            adj_err = max(adj_err, np.max(np.abs(cotraj.coeffs[s] - closed)))
+            adj_err = max(adj_err, np.max(np.abs(cotraj.field(s).coeffs - closed)))
 
         ok = fwd_err < 1e-8 and adj_err < 1e-8
         report(4, "rotation closed-form oracle", ok,
@@ -213,7 +215,7 @@ class TestCriterion8Rk4Order:
         for tau in taus:
             grid = TimeGrid(1.0, tau)
             traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
-            closed = rho.coeffs * np.exp(-1j * _mode_numbers(33) * c)
+            closed = rho.coeffs * np.exp(-1j * mode_numbers(33) * c)
             errs.append(np.max(np.abs(traj.terminal_field().coeffs - closed)))
         order = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
         ok = order >= 3.7

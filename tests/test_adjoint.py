@@ -1,6 +1,7 @@
 """Backward balance-law solver: terminal data, sources, closed forms, duality."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from mfpmp import (
@@ -17,11 +18,11 @@ from mfpmp import (
     rhs_adjoint,
     terminal_adjoint,
 )
-from mfpmp.forward import _mode_numbers
+from mfpmp import adjoint
 from mfpmp.presets import fig1_density
-from mfpmp.spectral import FourierField, constant_field
+from mfpmp.spectral import FourierField, constant_field, half_rows
 
-from conftest import random_hermitian
+from conftest import mode_numbers, random_hermitian
 
 
 def literal_adjoint_rhs(b, a, u, alpha):
@@ -98,13 +99,28 @@ class TestAdjointRhs:
             want = literal_adjoint_rhs(np.array(b.coeffs), np.array(a.coeffs), u, 0.47)
             assert np.max(np.abs(got - want)) < 1e-14
 
+    @pytest.mark.parametrize("n_modes, alpha", [(4, 0.47), (24, 0.47), (24, 1.9), (64, 0.0)])
+    def test_fused_stencil_on_half_rows_matches_the_literal_formula(self, n_modes, alpha, rng):
+        model = kuramoto_model(alpha, np.pi, control_set=ball(4.0))
+        stencil = adjoint._stencil(n_modes // 2 + 1)
+        phases = adjoint._source_phases(model)
+        controls = [rng.uniform(-1, 1, 2) for _ in range(5)] + [np.array([0.3, -0.0])]
+        for u in controls:
+            a = random_hermitian(n_modes, rng)
+            b = random_hermitian(n_modes, rng, scale=0.3, mass=rng.standard_normal() * 0.2)
+            got = adjoint._adjoint_rhs(half_rows(b.coeffs), half_rows(a.coeffs), u, model,
+                                       complex(u[0]) * stencil[0], stencil, phases)
+            want = literal_adjoint_rhs(np.array(b.coeffs), np.array(a.coeffs), u, alpha)
+            assert np.max(np.abs(got - half_rows(want))) < 1e-14  # n = 0 included
+            assert got[0].imag == 0.0  # the n = 0 entry sums conjugate pairs
+
     def test_rotation_only_transport(self, rng):
         model = kuramoto_model(0.0, np.pi, control_set=ball(3.0))
         a = random_hermitian(16, rng)
         b = random_hermitian(16, rng, mass=0.1)
         c = 1.9
         out = rhs_adjoint(0.0, b, a, np.array([c, 0.0]), model).coeffs
-        assert_allclose(out, -1j * _mode_numbers(17) * c * b.coeffs, atol=1e-15)
+        assert_allclose(out, -1j * mode_numbers(17) * c * b.coeffs, atol=1e-15)
 
     def test_co_mass_static_without_coupling(self, rng):
         model = kuramoto_model(0.2, np.pi, control_set=ball(3.0))
@@ -139,7 +155,7 @@ class TestIntegrateBackward:
             want = np.zeros(n + 1, complex)
             want[n // 2 + 1] = b1
             want[n // 2 - 1] = np.conj(b1)
-            worst = max(worst, np.max(np.abs(cotraj.coeffs[s] - want)))
+            worst = max(worst, np.max(np.abs(cotraj.field(s).coeffs - want)))
         assert worst < 1e-8
 
     def test_zero_terminal_condition_stays_zero(self):
@@ -176,9 +192,9 @@ class TestIntegrateBackward:
         u = constant_control(grid, [0.3, 1.0])
         traj = integrate_forward(rho, u, model, grid)
         cotraj = integrate_backward(traj, u, model)
-        worst = max(hermitian_defect(cotraj.field(s))
-                    for s in range(0, cotraj.n_snapshots, 25))
-        assert worst < 1e-12
+        # Half rows make the symmetry exact: b_0 stays real at every node.
+        worst = max(hermitian_defect(cotraj.field(s)) for s in range(cotraj.n_snapshots))
+        assert worst == 0.0
 
 
 class TestDualityWithTheCost:

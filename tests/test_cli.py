@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfpmp.cli import main
+from mfpmp.cli import RESOLUTION_TAIL_MAX, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -132,6 +132,54 @@ class TestOptimize:
         assert code == 0
         assert (target / "summary.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def stderr_records(capsys):
+    """The JSON records among the stderr lines (optimize also prints progress lines)."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    return [json.loads(line) for line in lines if line.startswith("{")]
+
+
+class TestResolution:
+    def test_resolved_adjoint_solve_reports_without_a_warning(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command="solve-adjoint")
+        assert main(["solve-adjoint", "--config", str(write_config(tmp_path, doc))]) == 0
+        res = json.loads((out / "summary.json").read_text())["resolution"]
+        assert res["resolved"] is True
+        assert 0.0 <= res["density_tail_ratio"] <= res["tail_threshold"] == RESOLUTION_TAIL_MAX
+        assert 0.0 <= res["adjoint_tail_ratio"] <= RESOLUTION_TAIL_MAX
+        # One minimum per snapshot, equal to the smallest dumped value there.
+        _, rows = read_csv(out / "density_snapshots.csv")
+        assert [m["t"] for m in res["snapshot_density_min"]] == [0.0, 0.4]
+        for entry in res["snapshot_density_min"]:
+            dumped = min(float(r[2]) for r in rows if float(r[0]) == entry["t"])
+            assert entry["value"] == dumped
+        assert stderr_records(capsys) == []
+
+    def test_tail_above_the_threshold_warns_once(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        mass = 1.0 / (2.0 * np.pi)
+        doc = tiny_doc(out, command="solve-forward",
+                       initial_density={"harmonics": {"0": [mass, 0.0], "16": [1e-3, 0.0]}})
+        assert main(["solve-forward", "--config", str(write_config(tmp_path, doc))]) == 0
+        res = json.loads((out / "summary.json").read_text())["resolution"]
+        assert res["resolved"] is False
+        assert res["density_tail_ratio"] >= 1e-3 / mass * (1.0 - 1e-12)
+        assert "adjoint_tail_ratio" not in res  # no co-density was solved
+        records = stderr_records(capsys)
+        assert len(records) == 1
+        assert records[0]["warning"]["category"] == "resolution"
+
+    def test_optimize_reports_both_fields(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = tiny_doc(out, descent={"k_max": 2})
+        assert main(["optimize", "--config", str(write_config(tmp_path, doc))]) == 0
+        res = json.loads((out / "summary.json").read_text())["resolution"]
+        ratios = [res["density_tail_ratio"], res["adjoint_tail_ratio"]]
+        assert res["resolved"] is all(r <= RESOLUTION_TAIL_MAX for r in ratios)
+        assert len(res["snapshot_density_min"]) == 2
+        assert len(stderr_records(capsys)) == (0 if res["resolved"] else 1)
 
 
 class TestExitCodes:

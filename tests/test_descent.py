@@ -75,8 +75,10 @@ class TestSwitchingFunction:
         traj = integrate_forward(rho, u, model, grid)
         cotraj = integrate_backward(traj, u, model)
         got = switching_function(traj, cotraj, model).values[:, 1]
+        # The full fields at the full nodes: b_{-1} is read at its own index.
+        a = np.stack([traj.field(s).coeffs for s in range(0, traj.n_snapshots, 2)])
+        b = np.stack([cotraj.field(s).coeffs for s in range(0, cotraj.n_snapshots, 2)])
         c = traj.n_modes // 2
-        a, b = traj.coeffs[::2], cotraj.coeffs[::2]
         v = 1j * np.pi * a[:, c + 1] * np.exp(1j * alpha)
         literal = 2.0 * np.pi * (v * b[:, c - 1] + np.conj(v) * b[:, c + 1]).real
         assert np.max(np.abs(literal)) > 1e-3

@@ -22,12 +22,12 @@ from mfpmp import (
 )
 from mfpmp import adjoint, forward
 from mfpmp.adjoint import _rk4_backward_step, _source_phases, terminal_adjoint
-from mfpmp.forward import _mode_numbers, _rk4_forward_step, _terminal_rows, mass_drift
+from mfpmp.forward import _rk4_forward_step, _terminal_rows, mass_drift
 from mfpmp.descent import switching_function
 from mfpmp.presets import fig1_control, fig1_density
-from mfpmp.spectral import FourierField, constant_field, grid_points
+from mfpmp.spectral import FourierField, constant_field, field_from_half, grid_points, half_rows
 
-from conftest import random_hermitian
+from conftest import mode_numbers, random_hermitian
 
 
 def literal_coefficient_rhs(a, u, alpha):
@@ -43,6 +43,62 @@ def literal_coefficient_rhs(a, u, alpha):
         out[i] = (-1j * n * u[0] * a[i]
                   + np.pi * n * u[1] * (a1 * anm1 * e - am1 * anp1 * np.conj(e)))
     return out
+
+
+def full_layout_rhs(a, u, model, dn):
+    """The continuity kernel on full-layout rows (rows, N + 1), n = -N/2 .. N/2.
+
+    The reference for the half rows: the arithmetic of
+    `forward._continuity_rhs`, with the coupling read at the full layout's
+    harmonic +1 and `dn` = -1j * n over the whole range.
+    """
+    first = a.shape[1] // 2 + 1
+    if a.shape[0] == 1:
+        v = forward._coupling_value(complex(a[0, first]), float(u[0, 1].real), model)
+        vc = v.conjugate()
+    else:
+        vr, vi = model.coupling(a[:, first])
+        v = np.empty((a.shape[0], 1), dtype=complex)
+        v.real[:, 0] = u[:, 1].real * vr
+        v.imag[:, 0] = u[:, 1].real * vi
+        vc = np.conj(v)
+    va = np.zeros_like(a)
+    va += u[:, :1] * a
+    va[:, 1:] += v * a[:, :-1]
+    va[:, :-1] += vc * a[:, 1:]
+    return dn * va
+
+
+def full_layout_step(a, h, u, model, dn):
+    """One classical RK4 step of full-layout rows."""
+    k1 = full_layout_rhs(a, u, model, dn)
+    k2 = full_layout_rhs(a + (0.5 * h) * k1, u, model, dn)
+    k3 = full_layout_rhs(a + (0.5 * h) * k2, u, model, dn)
+    k4 = full_layout_rhs(a + h * k3, u, model, dn)
+    return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def full_layout_march(rho0, controls, model, grid):
+    """Full-layout rows at every half-step node, one row per control: (nodes, rows, N + 1).
+
+    The controls are marched as the rows of one state and settled after
+    every step, as the solver does with its half rows.
+    """
+    h = 0.5 * grid.tau
+    dn = -1j * mode_numbers(rho0.n_modes + 1)
+    u = np.stack([c.values for c in controls], axis=1).astype(complex)
+    a = np.array(np.broadcast_to(rho0.coeffs, (len(controls), rho0.n_modes + 1)), order="C")
+    forward._settle(a, 0.0)
+    nodes = [a]
+    for s in range(2 * grid.n_steps):
+        a = full_layout_step(a, h, u[s >> 1], model, dn)
+        forward._settle(a, (s + 1) * h)
+        nodes.append(a)
+    return np.stack(nodes)
+
+
+def n_ge_0_half(full):
+    return np.ascontiguousarray(half_rows(full))
 
 
 class TestContinuityRhs:
@@ -66,7 +122,7 @@ class TestContinuityRhs:
         a = random_hermitian(16, rng)
         c = 1.7
         out = rhs_continuity(0.0, a, np.array([c, 0.0]), model).coeffs
-        assert_allclose(out, -1j * _mode_numbers(17) * c * a.coeffs, atol=1e-15)
+        assert_allclose(out, -1j * mode_numbers(17) * c * a.coeffs, atol=1e-15)
 
     def test_initial_growth_rate_of_first_harmonic(self):
         # Near-uniform state with unit coupling: the first harmonic's time
@@ -84,7 +140,7 @@ class TestIntegrateForward:
         c = 1.3
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
         traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
-        closed = rho.coeffs * np.exp(-1j * _mode_numbers(65) * c)
+        closed = rho.coeffs * np.exp(-1j * mode_numbers(65) * c)
         assert np.max(np.abs(traj.terminal_field().coeffs - closed)) < 1e-8
 
     def test_zero_control_keeps_the_state_bitwise(self):
@@ -101,10 +157,9 @@ class TestIntegrateForward:
         grid = TimeGrid(0.1, 1e-3)
         model = kuramoto_model(0.0, np.pi)
         traj = integrate_forward(rho, constant_control(grid, [0.0, 1.0]), model, grid)
-        center = 32
         for s in (40, 120, 200):
             t = s * 0.5 * grid.tau
-            ratio = abs(traj.coeffs[s, center + 1]) / abs(rho[1])
+            ratio = abs(traj.coeffs[s, 1]) / abs(rho[1])
             assert abs(ratio - np.exp(0.5 * t)) < 1e-4
 
     def test_mass_coefficient_is_bitwise_constant(self):
@@ -120,13 +175,18 @@ class TestIntegrateForward:
 
     def test_hermitian_symmetry_along_random_steps(self, rng):
         model = kuramoto_model(0.4, np.pi, control_set=ball(3.0))
-        dn = -1j * _mode_numbers(33)
-        a = np.stack([random_hermitian(32, rng).coeffs for _ in range(5)])
+        full = np.stack([random_hermitian(32, rng).coeffs for _ in range(5)])
+        a = n_ge_0_half(full)
         u = rng.uniform(-1, 1, (5, 2)).astype(complex)  # one control per row
+        dn = -1j * mode_numbers(33)
         for _ in range(20):
-            a = _rk4_forward_step(a, 1e-3, u, model, dn)
-        defect = np.max(np.abs(a - np.conj(a[:, ::-1])))
-        assert defect < 1e-12
+            a = _rk4_forward_step(a, 1e-3, u, model, forward._factor(17))
+            full = full_layout_step(full, 1e-3, u, model, dn)
+        # A full-layout march keeps the symmetry to rounding; the half rows
+        # hold it by construction, and they are the n >= 0 half of that march.
+        assert np.max(np.abs(full - np.conj(full[:, ::-1]))) < 1e-12
+        assert all(hermitian_defect(field_from_half(row)) == 0.0 for row in a)
+        assert a.tobytes() == n_ge_0_half(full).tobytes()
 
     def test_rotation_equivariance_of_the_coupled_system(self):
         # Adding a constant drift equals solving without it and rotating
@@ -137,7 +197,7 @@ class TestIntegrateForward:
         c, u2 = 0.8, 1.1
         with_drift = integrate_forward(rho, constant_control(grid, [c, u2]), model, grid)
         without = integrate_forward(rho, constant_control(grid, [0.0, u2]), model, grid)
-        rotated = without.terminal_field().coeffs * np.exp(-1j * _mode_numbers(65) * c)
+        rotated = without.terminal_field().coeffs * np.exp(-1j * mode_numbers(65) * c)
         assert np.max(np.abs(with_drift.terminal_field().coeffs - rotated)) < 1e-8
 
     def test_rk4_global_order_on_rotation(self):
@@ -150,7 +210,7 @@ class TestIntegrateForward:
         for tau in taus:
             grid = TimeGrid(1.0, tau)
             traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
-            closed = rho.coeffs * np.exp(-1j * _mode_numbers(33) * c)
+            closed = rho.coeffs * np.exp(-1j * mode_numbers(33) * c)
             errs.append(np.max(np.abs(traj.terminal_field().coeffs - closed)))
         order = np.polyfit(np.log(taus), np.log(errs), 1)[0]
         assert order >= 3.7
@@ -205,14 +265,14 @@ class TestBatchedMarch:
     @pytest.mark.parametrize("rows", [None, 5])
     def test_ladder_rows_equal_one_row_marches(self, alpha, rows, monkeypatch):
         if rows is not None:  # march the 12 controls in groups of 5, 5 and 2
-            monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 33)
+            monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
         rho, grid, model, _, ladder = ladder_setup(alpha)
         costs = cost_of_control(rho, ladder, model, grid)
         singles = [terminal_state(rho, trial, model, grid) for trial in ladder]
         want = [model.cost.eval(one) for one in singles]
         assert np.array(costs).tobytes() == np.array(want).tobytes()
         stacked = _terminal_rows(rho, ladder, model, grid)
-        assert stacked.tobytes() == np.stack([one.coeffs for one in singles]).tobytes()
+        assert stacked.tobytes() == np.stack([half_rows(one.coeffs) for one in singles]).tobytes()
 
     def test_a_diverging_row_raises(self):
         rho = fig1_density(64)
@@ -225,24 +285,24 @@ class TestBatchedMarch:
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     def test_blocked_quarter_steps_match_the_per_step_adjoint(self, rows, monkeypatch):
-        monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 33)
+        monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
         rho, grid, model, u, _ = ladder_setup(0.31)
         traj = integrate_forward(rho, u, model, grid)
         cotraj = integrate_backward(traj, u, model)
         # Reference: one quarter-step state per backward step, as a one-row state.
         h = 0.5 * grid.tau
-        dn = -1j * _mode_numbers(33)
+        stencil = adjoint._stencil(17)
         phases = _source_phases(model)
         want = np.empty_like(traj.coeffs)
-        b = terminal_adjoint(traj.terminal_field(), model).coeffs
+        b = half_rows(terminal_adjoint(traj.terminal_field(), model).coeffs)
         last = 2 * grid.n_steps
         want[last] = b
         for s in range(last, 0, -1):
             uk = u.values[(s - 1) >> 1]
             a_mid = _rk4_forward_step(traj.coeffs[s - 1:s], 0.5 * h,
-                                      uk[None].astype(complex), model, dn)[0]
+                                      uk[None].astype(complex), model, stencil[0])[0]
             b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
-                                   model, dn, phases)
+                                   model, stencil, phases)
             want[s - 1] = b
         assert cotraj.coeffs.tobytes() == want.tobytes()
 
@@ -258,6 +318,35 @@ class TestBatchedMarch:
             cost_of_control(rho, [u, bad], model, grid)
         with pytest.raises(ValueError, match="node 50"):
             integrate_backward(traj, bad, model)
+
+
+class TestHalfRowMarch:
+    """The half rows march with the bits of the n >= 0 half of full-layout marches."""
+
+    @staticmethod
+    def density(kind, rng):
+        return fig1_density(32) if kind == "fig1" else random_hermitian(32, rng, scale=0.03)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
+    @pytest.mark.parametrize("kind", ["fig1", "random"])
+    def test_stored_march(self, alpha, kind, rng):
+        _, grid, model, u, _ = ladder_setup(alpha)
+        rho = self.density(kind, rng)
+        traj = integrate_forward(rho, u, model, grid)
+        want = full_layout_march(rho, [u], model, grid)[:, 0]
+        assert traj.coeffs.tobytes() == n_ge_0_half(want).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
+    @pytest.mark.parametrize("kind", ["fig1", "random"])
+    def test_lean_and_batched_marches(self, alpha, kind, rng):
+        _, grid, model, _, ladder = ladder_setup(alpha)
+        rho = self.density(kind, rng)
+        batched = _terminal_rows(rho, ladder, model, grid)  # the 12 controls in one march
+        assert batched.tobytes() == n_ge_0_half(full_layout_march(rho, ladder, model, grid)[-1]).tobytes()
+        for trial in ladder[:4]:
+            lean = half_rows(terminal_state(rho, trial, model, grid).coeffs)
+            want = full_layout_march(rho, [trial], model, grid)[-1, 0]
+            assert lean.tobytes() == n_ge_0_half(want).tobytes()
 
 
 def subnormal_parts(coeffs):
@@ -315,20 +404,20 @@ class TestSubnormalFlush:
         rho = fig1_density(512)
         grid = TimeGrid(1.0, 0.05)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2000.0))
-        assert forward.batch_rows(513) >= 3  # the three controls share one march
+        assert forward.batch_rows(257) >= 3  # the three controls share one march
         calm = constant_control(grid, [0.0, 0.0])
         wild = constant_control(grid, [0.0, 1500.0])
         with pytest.raises(DivergenceError, match="reduce the time step"):
             cost_of_control(rho, [calm, wild, calm], model, grid)
 
     def test_a_nan_part_raises_and_mass_is_never_flushed(self):
-        a = np.zeros((2, 5), dtype=complex)
-        a[:, 2] = 1.0 / (2.0 * np.pi)
-        a[0, 0] = complex(1e-310, -1e-320)
-        a[1, 4] = complex(3e-308, 2e-308)  # 3e-308 is normal, 2e-308 is not
+        a = np.zeros((2, 3), dtype=complex)  # two half rows, n = 0 .. 2
+        a[:, 0] = 1.0 / (2.0 * np.pi)
+        a[0, 1] = complex(1e-310, -1e-320)
+        a[1, 2] = complex(3e-308, 2e-308)  # 3e-308 is normal, 2e-308 is not
         forward._settle(a, 0.0)
-        assert np.array_equal(a[:, 2], np.full(2, 1.0 / (2.0 * np.pi)))
-        assert a[0, 0] == 0 and a[1, 4] == 3e-308
+        assert np.array_equal(a[:, 0], np.full(2, 1.0 / (2.0 * np.pi)))
+        assert a[0, 1] == 0 and a[1, 2] == 3e-308
         a[1, 1] = complex(0.0, np.nan)
         with pytest.raises(DivergenceError, match="reduce the time step"):
             forward._settle(a, 0.0)

@@ -16,10 +16,9 @@ from mfpmp import (
     sync_cost_dmu,
     sync_cost_eval,
 )
-from mfpmp.forward import _mode_numbers
 from mfpmp.spectral import FourierField, constant_field, grid_points
 
-from conftest import eval_series, random_hermitian
+from conftest import eval_series, mode_numbers, random_hermitian
 
 
 def uniform(n=32):
@@ -44,7 +43,7 @@ class TestKuramotoField:
         model = kuramoto_model(0.0, np.pi)
         mu = random_hermitian(32, rng)
         out = rhs_continuity(0.0, mu, np.array([1.0, 0.0]), model).coeffs
-        assert np.array_equal(out, -1j * _mode_numbers(33) * mu.coeffs)
+        assert np.array_equal(out, -1j * mode_numbers(33) * mu.coeffs)
 
     def test_interaction_coefficient(self):
         # With a first harmonic of -i/(4*pi), unit coupling and zero phase
@@ -218,4 +217,4 @@ class TestMeasureDerivativeKernel:
         a = random_hermitian(16, rng)
         b = random_hermitian(16, rng, mass=0.2)
         out = rhs_adjoint(0.0, b, a, np.array([1.4, 0.0]), model).coeffs
-        assert_allclose(out, -1j * _mode_numbers(17) * 1.4 * b.coeffs, atol=1e-15)
+        assert_allclose(out, -1j * mode_numbers(17) * 1.4 * b.coeffs, atol=1e-15)

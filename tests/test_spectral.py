@@ -14,7 +14,8 @@ from mfpmp import (
     to_physical,
     to_spectral,
 )
-from mfpmp.spectral import constant_field, grid_points
+from mfpmp.spectral import (constant_field, field_from_half, full_rows, grid_points, half_rows,
+                            hermitian_defect, reconstruct_rows)
 
 from conftest import eval_series, random_hermitian
 
@@ -92,6 +93,33 @@ class TestToPhysical:
         c[9] = 1.0  # harmonic +1 without its conjugate partner
         with pytest.raises(ValueError, match="Hermitian"):
             to_physical(FourierField(16, c))
+
+
+class TestHalfRows:
+    def test_full_rows_invert_half_rows_on_hermitian_fields(self, rng):
+        for n in (4, 16, 64):
+            f = random_hermitian(n, rng)
+            half = half_rows(f.coeffs)
+            assert half.shape == (n // 2 + 1,)
+            assert np.array_equal(full_rows(half), f.coeffs)
+            assert np.array_equal(field_from_half(half).coeffs, f.coeffs)
+
+    def test_expanded_rows_are_exactly_hermitian(self, rng):
+        rows = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
+        rows[:, 0] = rows[:, 0].real
+        for row in rows:
+            assert hermitian_defect(field_from_half(row)) == 0.0
+        assert np.array_equal(full_rows(rows)[1], full_rows(rows[1]))
+
+    @pytest.mark.parametrize("real_boundary", [True, False])
+    def test_reconstruct_rows_matches_to_physical(self, rng, real_boundary):
+        # A complex +-N/2 pair splits its real part over the boundary bin.
+        fields = [random_hermitian(32, rng, real_boundary=real_boundary) for _ in range(4)]
+        got = reconstruct_rows(np.stack([half_rows(f.coeffs) for f in fields]))
+        want = np.stack([to_physical(f).values for f in fields])
+        assert got.shape == (4, 32)
+        assert np.max(np.abs(got - want)) < 1e-14
+        assert np.array_equal(reconstruct_rows(half_rows(fields[0].coeffs))[0], got[0])
 
 
 class TestPairing:
