@@ -44,17 +44,7 @@ from .particles import (
     stratified_ensemble,
 )
 from .presets import fig1_control, fig1_density
-from .spectral import (
-    FourierField,
-    RealGridField,
-    convolve,
-    derivative,
-    field_from_harmonics,
-    hermitian_defect,
-    pairing,
-    to_physical,
-    to_spectral,
-)
+from .spectral import FourierField, field_from_harmonics
 from .timegrid import ControlSignal, TimeGrid, Trajectory, constant_control, sampled_control
 
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ import numpy as np
 
 from .forward import _coupling_value, _factor, _rk4_forward_step, _settle, batch_rows
 from .models import ModelSpec
-from .spectral import FourierField, field_from_half, full_rows, half_rows, require_hermitian
+from .spectral import FourierField, field_from_half, full_rows, half_rows
 from .timegrid import ControlSignal, Trajectory
 
 
@@ -131,7 +131,6 @@ def terminal_adjoint(muT: FourierField, model: ModelSpec) -> FourierField:
     For the synchronization cost this reduces to
     b_n(T) = (i/2) * (a_{n-1} e^{-i x0} - a_{n+1} e^{i x0}).
     """
-    require_hermitian(muT, 1e-10)
     return field_from_half(_terminal_row(muT, model))
 
 
@@ -144,8 +143,6 @@ def rhs_adjoint(t: float, b: FourierField, a: FourierField, u,
     u = model.require_feasible(u)
     if b.n_modes != a.n_modes:
         raise ValueError("state and co-state mode counts differ")
-    require_hermitian(b, 1e-10)
-    require_hermitian(a, 1e-10)
     stencil = _stencil(b.center + 1)
     rhs = _adjoint_rhs(half_rows(b.coeffs), half_rows(a.coeffs), u, model,
                        complex(u[0]) * stencil[0], stencil, _source_phases(model))
@@ -161,8 +158,8 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         u: the control that produced `traj`.
         model: vector-field specification.
         terminal: optional override of the terminal co-density; defaults to
-            the cost-derived condition; it must be Hermitian.  Linearity in
-            this argument is a tested property of the system.
+            the cost-derived condition.  Linearity in this argument is a
+            tested property of the system.
 
     Returns:
         Co-trajectory of half rows on the same half-step lattice; the terminal row and
@@ -181,7 +178,6 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     else:
         if terminal.n_modes != traj.n_modes:
             raise ValueError("terminal co-density resolution does not match the trajectory")
-        require_hermitian(terminal, 1e-10)
         b = np.array(half_rows(terminal.coeffs), dtype=complex)
 
     h = 0.5 * grid.tau

@@ -44,7 +44,7 @@ from .checks import (
 from .config import COMMANDS, RunConfig, apply_overrides, parse_config_dict
 from .descent import STATUS_LINE_SEARCH, run_descent
 from .errors import ConfigError, DivergenceError, ValidationFailure
-from .forward import density_min, integrate_forward, mass_drift
+from .forward import density_min, integrate_forward, mass_drift, row_blocks
 from .spectral import grid_points, reconstruct_rows
 from .timegrid import ControlSignal, Trajectory
 
@@ -127,7 +127,7 @@ def _resolution(traj: Trajectory, cotraj: Trajectory | None, times) -> dict:
     """
     ratios = {"density_tail_ratio": _tail_ratio(traj.coeffs, np.abs(traj.coeffs[:, 0]))}
     if cotraj is not None:
-        scale = np.abs(cotraj.coeffs).max(axis=1)
+        scale = np.concatenate([np.abs(b).max(axis=1) for b in row_blocks(cotraj.coeffs)])
         ratios["adjoint_tail_ratio"] = _tail_ratio(cotraj.coeffs, scale)
     nodes = [traj.node_index(float(t)) for t in times]
     minima = reconstruct_rows(traj.coeffs[nodes]).min(axis=1) if nodes else []
@@ -236,7 +236,7 @@ def _run_solve_adjoint(config: RunConfig, t_start: float) -> int:
         "terminal_cost": config.model.cost.eval(traj.terminal_field()),
         "density_min": density_min(traj),
         "mass_drift": mass_drift(traj),
-        "adjoint_max_coeff": float(np.max(np.abs(cotraj.coeffs))),
+        "adjoint_max_coeff": max(float(np.abs(b).max()) for b in row_blocks(cotraj.coeffs)),
         "resolution": _resolution(traj, cotraj, config.snapshot_times),
         "timings": {"total_seconds": time.perf_counter() - t_start},
     }

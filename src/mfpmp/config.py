@@ -95,7 +95,7 @@ def _parse_constraint(doc: dict) -> AdmissibleSet:
         raise ConfigError(f"{where}: expected an object with a 'kind'")
     if doc["kind"] == "ball":
         _require_keys(doc, {"kind", "radius"}, {"kind", "radius"}, where)
-        return ball(_number(doc, "radius", where, positive=True), m=2)
+        return ball(_number(doc, "radius", where, positive=True))
     if doc["kind"] == "box":
         _require_keys(doc, {"kind", "lower", "upper"}, {"kind", "lower", "upper"}, where)
         try:
@@ -114,6 +114,8 @@ def _parse_density(doc, n_modes: int) -> tuple[FourierField, dict]:
         rho0 = preset(n_modes)
     elif isinstance(doc, dict):
         _require_keys(doc, {"harmonics"}, {"harmonics"}, where)
+        if not isinstance(doc["harmonics"], dict):
+            raise ConfigError(f"{where}.harmonics: expected an object of harmonic: [re, im]")
         harmonics = {}
         for key, pair in doc["harmonics"].items():
             try:
@@ -166,8 +168,8 @@ def _parse_control(doc, grid: TimeGrid, control_set: AdmissibleSet
             raise ConfigError(f"{where}: {exc}") from exc
     else:
         raise ConfigError(f"{where}: expected a preset name, 'constant', or 'values'")
-    if u0.m != control_set.m:
-        raise ConfigError(f"{where}: control dimension {u0.m} != constraint dimension")
+    if u0.m != 2:
+        raise ConfigError(f"{where}: expected 2 control channels, got {u0.m}")
     outside = np.flatnonzero(~control_set.admits(u0.values))
     if outside.size:
         i = outside[0]
@@ -286,6 +288,8 @@ def parse_config_dict(doc: dict) -> RunConfig:
     if not isinstance(adjoint_snapshots, bool):
         raise ConfigError("config.adjoint_snapshots: expected a boolean")
 
+    if not isinstance(doc["output_dir"], str):
+        raise ConfigError(f"config.output_dir: expected a path string, got {doc['output_dir']!r}")
     output_dir = Path(doc["output_dir"])  # relative paths resolve against the CWD
 
     expanded = {

@@ -28,10 +28,9 @@ ControlVector = np.ndarray
 
 @dataclass(frozen=True)
 class AdmissibleSet:
-    """Compact convex control constraint: a Euclidean ball or a box."""
+    """Compact convex set of the two control channels (u_1, u_2): a disk or a box."""
 
     kind: str
-    m: int
     radius: float = 0.0
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
@@ -43,8 +42,8 @@ class AdmissibleSet:
         elif self.kind == "box":
             lo = np.asarray(self.lower, dtype=float)
             hi = np.asarray(self.upper, dtype=float)
-            if lo.shape != (self.m,) or hi.shape != (self.m,):
-                raise ValueError("box bounds must have length m")
+            if lo.shape != (2,) or hi.shape != (2,):
+                raise ValueError("box bounds must have one entry per control channel (2)")
             if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo <= hi)):
                 raise ValueError("box bounds must be finite with lower <= upper")
             object.__setattr__(self, "lower", lo)
@@ -53,17 +52,13 @@ class AdmissibleSet:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
 
     def admits(self, u, tol: float = 1e-9) -> np.ndarray:
-        """Membership, up to tol, of each control vector in u of shape (..., m)."""
+        """Membership, up to tol, of each control vector in u of shape (..., 2)."""
         u = np.asarray(u, dtype=float)
-        if u.ndim == 0 or u.shape[-1] != self.m:
-            raise ValueError(f"control vectors must have {self.m} entries, got shape {u.shape}")
+        if u.ndim == 0 or u.shape[-1] != 2:
+            raise ValueError(f"control vectors must have 2 entries, got shape {u.shape}")
         if self.kind == "ball":
             return (u * u).sum(axis=-1) <= self.radius**2 * (1.0 + tol) + tol
         return ((u >= self.lower - tol) & (u <= self.upper + tol)).all(axis=-1)
-
-    def contains(self, u: ControlVector, tol: float = 1e-9) -> bool:
-        u = np.asarray(u, dtype=float)
-        return u.shape == (self.m,) and bool(self.admits(u, tol))
 
     def project(self, u: ControlVector) -> ControlVector:
         """Euclidean projection; returns the input unchanged when feasible."""
@@ -76,13 +71,12 @@ class AdmissibleSet:
         return np.clip(u, self.lower, self.upper)
 
 
-def ball(radius: float, m: int = 2) -> AdmissibleSet:
-    return AdmissibleSet("ball", m, radius=radius)
+def ball(radius: float) -> AdmissibleSet:
+    return AdmissibleSet("ball", radius=radius)
 
 
 def box(lower, upper) -> AdmissibleSet:
-    lo = np.atleast_1d(np.asarray(lower, dtype=float))
-    return AdmissibleSet("box", lo.shape[0], lower=lower, upper=upper)
+    return AdmissibleSet("box", lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +142,7 @@ class ModelSpec:
     phase: complex = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.control_set.m != 2:
-            raise ValueError("the Kuramoto model has two control channels")
         object.__setattr__(self, "phase", complex(np.exp(1j * self.alpha)))
-
-    @property
-    def params(self) -> dict:
-        """The model constants as a plain dict."""
-        return {"alpha": float(self.alpha), "x0": float(self.x0)}
 
     def require_feasible(self, u) -> np.ndarray:
         """u as floats, if every control vector in it (shape (..., 2)) is admissible.
@@ -193,6 +180,6 @@ def kuramoto_model(alpha: float, x0: float, control_set: AdmissibleSet | None = 
     The default control set is the disk of radius sqrt(2).
     """
     if control_set is None:
-        control_set = ball(np.sqrt(2.0), m=2)
+        control_set = ball(np.sqrt(2.0))
     return ModelSpec(alpha=float(alpha), x0=float(x0), control_set=control_set,
                      cost=sync_cost_spec(x0))

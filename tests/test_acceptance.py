@@ -19,7 +19,6 @@ from mfpmp import (
     ball,
     constant_control,
     field_from_harmonics,
-    hermitian_defect,
     integrate_backward,
     integrate_forward,
     kuramoto_model,
@@ -40,7 +39,7 @@ from mfpmp.cli import main as cli_main
 from mfpmp.forward import mass_drift
 from mfpmp.presets import fig1_control, fig1_density
 
-from conftest import mode_numbers
+from conftest import hermitian_defect, mode_numbers
 
 
 def report(num, name, passed, detail):
@@ -265,9 +264,10 @@ class TestCriterion9PropertySuites:
         for traj in (desk_run["traj"], desk_run["cotraj"]):
             for s in range(0, traj.n_snapshots, 100):
                 worst = max(worst, hermitian_defect(traj.field(s)))
-        ok = worst < 1e-12
+        # Every stored half row expands to an exactly Hermitian field.
+        ok = worst == 0.0
         report(9, "Hermitian symmetry through optimize", ok,
-               f"max defect {worst:.2e} (limit 1e-12)")
+               f"max defect {worst:.2e} (required: exactly 0)")
 
     def test_summary_determinism(self, tmp_path):
         doc = {

@@ -11,7 +11,6 @@ from mfpmp import (
     constant_control,
     cost_of_control,
     field_from_harmonics,
-    hermitian_defect,
     integrate_backward,
     integrate_forward,
     kuramoto_model,
@@ -20,9 +19,9 @@ from mfpmp import (
 )
 from mfpmp import adjoint
 from mfpmp.presets import fig1_density
-from mfpmp.spectral import FourierField, constant_field, half_rows
+from mfpmp.spectral import FourierField, half_rows
 
-from conftest import mode_numbers, random_hermitian
+from conftest import harmonic, hermitian_defect, mode_numbers, random_hermitian, uniform_field
 
 
 def literal_adjoint_rhs(b, a, u, alpha):
@@ -54,10 +53,10 @@ def literal_adjoint_rhs(b, a, u, alpha):
 class TestTerminalCondition:
     def test_uniform_terminal_density(self):
         model = kuramoto_model(0.0, x0=0.8)
-        z = terminal_adjoint(constant_field(32, 1.0 / (2.0 * np.pi)), model)
-        assert_allclose(z[1], 1j * np.exp(-1j * 0.8) / (4.0 * np.pi), atol=1e-15)
-        assert_allclose(z[-1], np.conj(z[1]), atol=1e-16)
-        assert abs(z[0]) == 0.0
+        z = terminal_adjoint(uniform_field(32), model)
+        assert_allclose(harmonic(z, 1), 1j * np.exp(-1j * 0.8) / (4.0 * np.pi), atol=1e-15)
+        assert_allclose(harmonic(z, -1), np.conj(harmonic(z, 1)), atol=1e-16)
+        assert abs(harmonic(z, 0)) == 0.0
 
     def test_matches_shifted_harmonic_formula(self, rng):
         # b_n(T) = (i/2) (a_{n-1} e^{-i x0} - a_{n+1} e^{i x0})
@@ -78,11 +77,11 @@ class TestTerminalCondition:
         model = kuramoto_model(0.0, x0=0.3)
         z = terminal_adjoint(mu, model)
         want = 0.5j * (np.conj(v) * np.exp(-1j * 0.3) - v * np.exp(1j * 0.3))
-        assert_allclose(z[0], want, atol=1e-16)
-        assert abs(complex(z[0]).imag) < 1e-16
+        assert_allclose(harmonic(z, 0), want, atol=1e-16)
+        assert abs(harmonic(z, 0).imag) < 1e-16
 
     def test_half_turn_target_negates_the_uniform_terminal_field(self):
-        uni = constant_field(32, 1.0 / (2.0 * np.pi))
+        uni = uniform_field(32)
         z0 = terminal_adjoint(uni, kuramoto_model(0.0, x0=0.8))
         z1 = terminal_adjoint(uni, kuramoto_model(0.0, x0=0.8 + np.pi))
         assert_allclose(z1.coeffs, -z0.coeffs, atol=1e-15)
@@ -127,7 +126,7 @@ class TestAdjointRhs:
         a = random_hermitian(16, rng)
         b = random_hermitian(16, rng, mass=0.4)
         out = rhs_adjoint(0.0, b, a, np.array([1.1, 0.0]), model)
-        assert out[0] == 0.0
+        assert harmonic(out, 0) == 0.0
 
     def test_zero_co_state_stays_zero(self, rng):
         model = kuramoto_model(0.2, np.pi)
@@ -145,7 +144,7 @@ class TestIntegrateBackward:
         grid = TimeGrid(1.0, 1e-3)
         c, x0 = 1.3, np.pi
         model = kuramoto_model(0.0, x0, control_set=ball(2.0))
-        rho = constant_field(n, 1.0 / (2.0 * np.pi))
+        rho = uniform_field(n)
         traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
         cotraj = integrate_backward(traj, constant_control(grid, [c, 0.0]), model)
         worst = 0.0

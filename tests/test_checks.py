@@ -131,7 +131,7 @@ class TestPairGenerators:
         for u, ubar in pairs:
             assert not np.array_equal(u.values, ubar.values)
             for row in np.vstack([u.values, ubar.values]):
-                assert control_set.contains(row)
+                assert control_set.admits(row)
 
     def test_experiment_pair_reaches_the_constraint_sphere(self):
         grid = TimeGrid(0.5, 5e-3)

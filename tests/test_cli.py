@@ -6,7 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfpmp.cli import RESOLUTION_TAIL_MAX, main
+from mfpmp import forward
+from mfpmp.adjoint import integrate_backward
+from mfpmp.cli import RESOLUTION_TAIL_MAX, _tail_ratio, main
+from mfpmp.config import parse_config_dict
+from mfpmp.forward import density_min, integrate_forward
+from mfpmp.spectral import reconstruct_rows
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -171,6 +176,31 @@ class TestResolution:
         assert len(records) == 1
         assert records[0]["warning"]["category"] == "resolution"
 
+    def test_blocked_sweeps_equal_one_sweep(self, tmp_path, monkeypatch):
+        # The diagnostics sweep a trajectory DIAGNOSTIC_ROWS rows at a time;
+        # minima and maxima are exact, so the block size changes no byte.
+        summaries = []
+        for rows in (3, 10**6):
+            monkeypatch.setattr(forward, "DIAGNOSTIC_ROWS", rows)
+            out = tmp_path / str(rows)
+            doc = tiny_doc(out, command="solve-adjoint")
+            assert main(["solve-adjoint", "--config", str(write_config(tmp_path, doc))]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            summary.pop("timings")
+            summaries.append(summary)
+        assert summaries[0] == summaries[1]
+
+        cfg = parse_config_dict(tiny_doc(tmp_path / "direct", command="solve-adjoint"))
+        traj = integrate_forward(cfg.rho0, cfg.u0, cfg.model, cfg.grid)
+        cotraj = integrate_backward(traj, cfg.u0, cfg.model)
+        assert traj.n_snapshots > 40 * 3
+        one_sweep = float(reconstruct_rows(traj.coeffs).min())
+        monkeypatch.setattr(forward, "DIAGNOSTIC_ROWS", 3)
+        assert density_min(traj) == one_sweep == summaries[0]["density_min"]
+        assert summaries[0]["adjoint_max_coeff"] == float(np.abs(cotraj.coeffs).max())
+        assert summaries[0]["resolution"]["adjoint_tail_ratio"] == _tail_ratio(
+            cotraj.coeffs, np.abs(cotraj.coeffs).max(axis=1))
+
     def test_optimize_reports_both_fields(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = tiny_doc(out, descent={"k_max": 2})
@@ -212,6 +242,18 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["category"] == "line-search"
 
+    @staticmethod
+    def assert_config_error_before_any_artifact(tmp_path, capsys, monkeypatch, override):
+        """Exit 2 with one JSON `config` record, and nothing written but the config."""
+        monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
+        doc = tiny_doc(tmp_path / "out", command="solve-forward")
+        code = main(["solve-forward", "--config", str(write_config(tmp_path, doc)),
+                     "--override", override])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["category"] == "config"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("override", [
         "model.alpha=NaN",
         "grid.T=Infinity",
@@ -220,15 +262,19 @@ class TestExitCodes:
         "initial_control.constant=[NaN, 0.0]",
         'initial_density.harmonics={"0": [NaN, 0.0]}',
     ])
-    def test_non_finite_numbers_are_2(self, tmp_path, capsys, override):
-        out = tmp_path / "out"
-        doc = tiny_doc(out, command="solve-forward")
-        code = main(["solve-forward", "--config", str(write_config(tmp_path, doc)),
-                     "--override", override])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"]["category"] == "config"
-        assert not out.exists()
+    def test_non_finite_numbers_are_2(self, tmp_path, capsys, monkeypatch, override):
+        self.assert_config_error_before_any_artifact(tmp_path, capsys, monkeypatch, override)
+
+    @pytest.mark.parametrize("override", [
+        'model.constraint={"kind": "box", "lower": [-1, -1, -1], "upper": [1, 1, 1]}',
+        'model.constraint={"kind": "box", "lower": [-1], "upper": [1]}',
+        "initial_density.harmonics=[]",
+        'initial_density.harmonics="x"',
+        "output_dir=5",
+        "output_dir=null",
+    ])
+    def test_malformed_values_are_2(self, tmp_path, capsys, monkeypatch, override):
+        self.assert_config_error_before_any_artifact(tmp_path, capsys, monkeypatch, override)
 
     def test_bad_validate_value_is_2_before_any_artifact(self, tmp_path, capsys):
         out = tmp_path / "out"

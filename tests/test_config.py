@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from mfpmp import ConfigError
 from mfpmp.config import apply_overrides, parse_config, parse_config_dict
 
+from conftest import harmonic
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -33,10 +35,10 @@ class TestParsing:
         assert cfg.command == "optimize"
         assert cfg.n_modes == 256
         assert cfg.grid.n_steps == 1200
-        assert_allclose(cfg.model.params["x0"], np.pi)
+        assert_allclose(cfg.model.x0, np.pi)
         assert_allclose(cfg.model.control_set.radius, np.sqrt(2.0))
-        assert_allclose(cfg.rho0[0], 1.0 / (2.0 * np.pi))
-        assert_allclose(cfg.rho0[1], -0.125j / np.pi)
+        assert_allclose(harmonic(cfg.rho0, 0), 1.0 / (2.0 * np.pi))
+        assert_allclose(harmonic(cfg.rho0, 1), -0.125j / np.pi)
         # control preset sampled at the full nodes
         t = cfg.grid.full_times()
         assert_allclose(cfg.u0.values[:, 0], np.sqrt(2.0) * np.sin(2 * np.pi * t))
@@ -91,8 +93,8 @@ class TestParsing:
             initial_control={"values": [[0.1, 0.0]] * 101},
         )
         cfg = parse_config_dict(doc)
-        assert_allclose(cfg.rho0[2], 0.01 - 0.02j)
-        assert_allclose(cfg.rho0[-2], 0.01 + 0.02j)
+        assert_allclose(harmonic(cfg.rho0, 2), 0.01 - 0.02j)
+        assert_allclose(harmonic(cfg.rho0, -2), 0.01 + 0.02j)
         assert cfg.u0.values.shape == (101, 2)
 
     def test_box_constraint(self):

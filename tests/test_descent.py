@@ -13,8 +13,6 @@ from mfpmp import (
     ball,
     box,
     constant_control,
-    field_from_harmonics,
-    hermitian_defect,
     integrate_backward,
     integrate_forward,
     kuramoto_model,
@@ -22,12 +20,13 @@ from mfpmp import (
     run_descent,
     switching_function,
     target_control,
-    to_physical,
 )
 from mfpmp.descent import STATUS_EXTREMAL, SwitchingFunction
 from mfpmp.presets import fig1_density
-from mfpmp.spectral import constant_field
+from mfpmp.spectral import reconstruct_rows
 from mfpmp.timegrid import Trajectory
+
+from conftest import uniform_field
 
 
 def small_setup(T=0.4, tau=2e-3, n=32, alpha=0.0, radius=2.0):
@@ -48,7 +47,7 @@ class TestSwitchingFunction:
 
     def test_uniform_state_has_no_coupling_channel(self):
         grid, model, _ = small_setup()
-        rho = constant_field(32, 1.0 / (2.0 * np.pi))
+        rho = uniform_field(32)
         u = constant_control(grid, [0.7, 0.4])
         traj = integrate_forward(rho, u, model, grid)
         cotraj = integrate_backward(traj, u, model)
@@ -62,7 +61,7 @@ class TestSwitchingFunction:
         cotraj = integrate_backward(traj, u, model)
         d = switching_function(traj, cotraj, model)
         for k in (0, 50, 200):
-            zeta = to_physical(cotraj.field(2 * k)).values
+            zeta = reconstruct_rows(cotraj.coeffs[2 * k])[0]
             quad = 2.0 * np.pi / zeta.size * zeta.sum()
             assert_allclose(d.values[k, 0], quad, atol=1e-10)
 
@@ -275,7 +274,7 @@ class TestRunDescent:
         # switching value vanishes with it, so any control is extremal.
         grid = TimeGrid(0.3, 3e-3)
         model = kuramoto_model(0.0, np.pi)
-        rho = constant_field(32, 1.0 / (2.0 * np.pi))
+        rho = uniform_field(32)
         u0 = constant_control(grid, [0.9, 0.0])
         result = run_descent(rho, u0, model, grid, DescentConfig())
         assert result.status == STATUS_EXTREMAL
@@ -298,7 +297,7 @@ class TestRunDescent:
                 assert rec.cost - nxt >= cfg.c * rec.lam * rec.non_extremality - 1e-12
             assert rec.non_extremality >= -1e-12
         for row in result.u_final.values:
-            assert model.control_set.contains(row)
+            assert model.control_set.admits(row)
 
     def test_runs_are_deterministic(self):
         grid, model, rho = small_setup(T=0.3, tau=3e-3)

@@ -7,26 +7,25 @@ from numpy.testing import assert_allclose
 from mfpmp import (
     ball,
     box,
-    derivative,
     field_from_harmonics,
     kuramoto_model,
-    pairing,
     rhs_adjoint,
     rhs_continuity,
     sync_cost_dmu,
     sync_cost_eval,
 )
-from mfpmp.spectral import FourierField, constant_field, grid_points
+from mfpmp.spectral import FourierField, grid_points
 
-from conftest import eval_series, mode_numbers, random_hermitian
+from conftest import (eval_series, grid_coefficients, harmonic, mode_numbers, random_hermitian,
+                      uniform_field)
 
 
 def uniform(n=32):
-    return constant_field(n, 1.0 / (2.0 * np.pi))
+    return uniform_field(n)
 
 
 def coupling(model, mu):
-    return complex(*model.coupling(mu[1]))
+    return complex(*model.coupling(harmonic(mu, 1)))
 
 
 def flat_derivative(mu, x0):
@@ -93,7 +92,7 @@ class TestKuramotoField:
         per_channel = [rhs_continuity(0.0, mu, e, model).coeffs for e in np.eye(2)]
         assembled = u[0] * per_channel[0] + u[1] * per_channel[1]
         assert_allclose(rhs_continuity(0.0, mu, u, model).coeffs, assembled, atol=1e-14)
-        assert_allclose(coupling(model, mu), 1j * np.pi * mu[1] * np.exp(1j * alpha),
+        assert_allclose(coupling(model, mu), 1j * np.pi * harmonic(mu, 1) * np.exp(1j * alpha),
                         atol=1e-15)
 
 
@@ -117,14 +116,12 @@ class TestSyncCost:
 
     def test_concentrated_density_scores_near_zero(self):
         # A band-limited bump centered at x0 (von-Mises-like truncation).
-        from mfpmp import to_spectral
-        from mfpmp.spectral import RealGridField
         n = 256
         x0 = 2.0
         x = grid_points(n)
         bump = np.exp(8.0 * np.cos(x - x0))
         bump /= 2.0 * np.pi * np.mean(bump)
-        rho = to_spectral(RealGridField(n, bump))
+        rho = grid_coefficients(bump)
         val = sync_cost_eval(rho, x0)
         fine = np.linspace(0.0, 2.0 * np.pi, 200001)
         fine_bump = np.exp(8.0 * np.cos(fine - x0))
@@ -134,21 +131,21 @@ class TestSyncCost:
         assert_allclose(val, quad, atol=1e-8)
 
     def test_unnormalized_density_rejected(self):
-        bad = constant_field(16, 0.2)
+        bad = uniform_field(16, 0.2)
         with pytest.raises(ValueError, match="normalized"):
             sync_cost_eval(bad, 0.0)
 
     def test_rotation_invariance(self, rng):
         mu = random_hermitian(32, rng)
         phi = 1.234
-        shifted = FourierField(32, mu.coeffs * np.exp(-1j * phi * mu.mode_numbers()))
+        shifted = FourierField(32, mu.coeffs * np.exp(-1j * phi * mode_numbers(33)))
         for x0 in (0.0, 1.0, np.pi):
             assert_allclose(sync_cost_eval(shifted, x0 + phi),
                             sync_cost_eval(mu, x0), atol=1e-13)
 
     def test_dmu_is_the_sine_field(self):
         d0 = sync_cost_dmu(uniform(), 0.0)
-        assert_allclose(d0[1], -0.5j, atol=1e-15)
+        assert_allclose(harmonic(d0, 1), -0.5j, atol=1e-15)
         dpi = sync_cost_dmu(uniform(), np.pi)
         assert_allclose(dpi.coeffs, -d0.coeffs, atol=1e-15)
 
@@ -156,14 +153,15 @@ class TestSyncCost:
         mu = random_hermitian(32, rng)
         for x0 in (0.0, 0.9, np.pi):
             lhs = sync_cost_dmu(mu, x0).coeffs
-            rhs = derivative(flat_derivative(mu, x0)).coeffs
+            rhs = 1j * mode_numbers(33) * flat_derivative(mu, x0).coeffs  # d/dx
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_flat_derivative_has_zero_mean_against_mu(self, rng):
         # Pairing the first variation with mu reproduces the cost itself.
         mu = random_hermitian(32, rng)
         flat = flat_derivative(mu, 0.7)
-        assert abs(pairing(flat, mu)) < 1e-12
+        pairing = 2.0 * np.pi * np.dot(flat.coeffs, mu.coeffs[::-1])  # 2*pi sum f_n mu_{-n}
+        assert abs(pairing) < 1e-12
 
 
 class TestAdmissibleSets:
@@ -183,7 +181,7 @@ class TestAdmissibleSets:
             for _ in range(20):
                 u = rng.standard_normal(2) * 3.0
                 p = s.project(u)
-                assert s.contains(p)
+                assert s.admits(p)
                 assert_allclose(s.project(p), p, atol=0.0)
 
     def test_invalid_sets_rejected(self):
@@ -191,6 +189,17 @@ class TestAdmissibleSets:
             ball(-1.0)
         with pytest.raises(ValueError):
             box([1.0, 0.0], [0.0, 1.0])
+
+    def test_two_channels_by_construction(self):
+        for bounds in ([-1.0], [-1.0, -1.0, -1.0]):
+            with pytest.raises(ValueError, match="control channel"):
+                box(bounds, [-b for b in bounds])
+        with pytest.raises(TypeError):
+            ball(1.0, 2)
+        for s in (ball(1.0), box([-1.0, -1.0], [1.0, 1.0])):
+            assert s.admits(np.zeros((4, 2))).all()
+            with pytest.raises(ValueError, match="2 entries"):
+                s.admits(np.zeros(3))
 
 
 class TestMeasureDerivativeKernel:

@@ -16,7 +16,8 @@ from mfpmp import (
 )
 from mfpmp.particles import density_cdf_values
 from mfpmp.presets import fig1_density
-from mfpmp.spectral import constant_field
+
+from conftest import harmonic, uniform_field
 
 
 class TestSimulation:
@@ -90,7 +91,7 @@ class TestMoments:
         assert_allclose(empirical_moment(ens, 1), np.exp(0.77j), atol=1e-15)
 
     def test_uniform_stratified_sample_cancels_exactly(self):
-        ens = stratified_ensemble(constant_field(32, 1.0 / (2.0 * np.pi)), 128)
+        ens = stratified_ensemble(uniform_field(32), 128)
         assert abs(empirical_moment(ens, 1)) < 1e-13
         assert abs(empirical_moment(ens, 2)) < 1e-13
 
@@ -124,9 +125,9 @@ class TestStratifiedSampling:
         rho = fig1_density(64)
         ens = stratified_ensemble(rho, 4000)
         for n in (1, 2):
-            target = 2.0 * np.pi * np.conj(rho[n])
+            target = 2.0 * np.pi * np.conj(harmonic(rho, n))
             assert abs(empirical_moment(ens, n) - target) < 1e-10
 
     def test_unnormalized_density_rejected(self):
         with pytest.raises(ValueError, match="mass"):
-            stratified_ensemble(constant_field(16, 1.0), 10)
+            stratified_ensemble(uniform_field(16, 1.0), 10)

@@ -1,23 +1,16 @@
-"""Transforms, pairings, convolutions, and derivatives of truncated circle fields."""
+"""Truncated circle fields: the Hermitian invariant, the half-row layout, reconstruction."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfpmp import (
-    FourierField,
-    RealGridField,
-    convolve,
-    derivative,
-    field_from_harmonics,
-    pairing,
-    to_physical,
-    to_spectral,
-)
-from mfpmp.spectral import (constant_field, field_from_half, full_rows, grid_points, half_rows,
-                            hermitian_defect, reconstruct_rows)
+from mfpmp import FourierField, field_from_harmonics
+from mfpmp.presets import fig1_density
+from mfpmp.spectral import (HERMITIAN_TOL, field_from_half, full_rows, grid_points, half_rows,
+                            reconstruct_rows)
 
-from conftest import eval_series, random_hermitian
+from conftest import (grid_coefficients, harmonic, hermitian_defect, mode_numbers,
+                      random_hermitian, uniform_field)
 
 
 def fig1_density_samples(x):
@@ -30,69 +23,85 @@ def quad_coefficient(fn, n, points=200001):
     return np.trapezoid(fn(x) * np.exp(-1j * n * x), x) / (2.0 * np.pi)
 
 
+def to_physical(field):
+    """Literal reference: the truncated series summed directly on the N-point grid.
+
+    The phases n*x_j are reduced modulo 2*pi exactly (as n*j mod N) before
+    the exponential, which keeps the sum at rounding level.
+    """
+    n = field.n_modes
+    phase = np.outer(np.arange(n), mode_numbers(n + 1)) % n
+    return (np.exp(2j * np.pi * phase / n) @ field.coeffs).real
+
+
+def reconstruct(field):
+    """`reconstruct_rows` of one full-layout field."""
+    return reconstruct_rows(half_rows(field.coeffs))[0]
+
+
 class TestToSpectral:
-    def test_constant_density(self):
-        n = 32
-        f = RealGridField(n, np.full(n, 1.0 / (2.0 * np.pi)))
-        c = to_spectral(f)
-        assert_allclose(c[0], 1.0 / (2.0 * np.pi), atol=1e-15)
-        others = np.abs(c.coeffs[np.arange(n + 1) != n // 2])
-        assert others.max() < 1e-15
-
-    def test_sine_harmonic(self):
-        n = 64
-        x = grid_points(n)
-        c = to_spectral(RealGridField(n, np.sin(x)))
-        assert_allclose(c[1], -0.5j, atol=1e-14)
-        assert_allclose(c[-1], 0.5j, atol=1e-14)
-
     def test_experiment_initial_density_against_quadrature(self):
-        # Frozen values from the quadrature oracle below: the first harmonic
-        # is -i/(8*pi) and the second (0.4 + 0.1i)/(4*pi).
+        # The fig1 preset equals the scaled DFT of its grid samples (the
+        # literal `grid_coefficients`) and the quadrature oracle below: the
+        # first harmonic is -i/(8*pi) and the second (0.4 + 0.1i)/(4*pi).
         n = 128
-        x = grid_points(n)
-        c = to_spectral(RealGridField(n, fig1_density_samples(x)))
-        assert_allclose(c[0], 1.0 / (2.0 * np.pi), atol=1e-14)
-        assert_allclose(c[1], -0.125j / np.pi, atol=1e-14)
-        assert_allclose(c[2], (0.4 + 0.1j) / (4.0 * np.pi), atol=1e-14)
-        for harmonic in (0, 1, 2, 3):
-            assert_allclose(c[harmonic],
-                            quad_coefficient(fig1_density_samples, harmonic),
-                            atol=1e-9)
+        rho = fig1_density(n)
+        sampled = grid_coefficients(fig1_density_samples(grid_points(n)))
+        assert np.max(np.abs(sampled.coeffs - rho.coeffs)) < 1e-14
+        assert_allclose(harmonic(rho, 0), 1.0 / (2.0 * np.pi), atol=1e-14)
+        assert_allclose(harmonic(rho, 1), -0.125j / np.pi, atol=1e-14)
+        assert_allclose(harmonic(rho, 2), (0.4 + 0.1j) / (4.0 * np.pi), atol=1e-14)
+        for n_harm in (0, 1, 2, 3):
+            assert_allclose(harmonic(rho, n_harm),
+                            quad_coefficient(fig1_density_samples, n_harm), atol=1e-9)
 
     def test_rejects_bad_grid_sizes(self):
-        with pytest.raises(ValueError):
-            to_spectral(RealGridField(7, np.zeros(7)))
-        with pytest.raises(ValueError):
-            to_spectral(RealGridField(2, np.zeros(2)))
+        with pytest.raises(ValueError, match="even"):
+            FourierField(7, np.zeros(8))
+        with pytest.raises(ValueError, match="even"):
+            FourierField(2, np.zeros(3))
 
 
 class TestToPhysical:
     def test_constant_field(self):
-        f = constant_field(16, 1.0)
-        assert_allclose(to_physical(f).values, np.ones(16), atol=1e-14)
+        assert_allclose(reconstruct(uniform_field(16, 1.0)), np.ones(16), atol=1e-14)
 
     def test_sine_pair(self):
         f = field_from_harmonics(32, {1: -0.5j})
-        assert_allclose(to_physical(f).values, np.sin(grid_points(32)), atol=1e-14)
+        assert_allclose(reconstruct(f), np.sin(grid_points(32)), atol=1e-14)
 
     def test_roundtrip_identity_on_random_fields(self, rng):
         for _ in range(10):
             f = random_hermitian(32, rng)
-            g = to_spectral(to_physical(f))
+            g = grid_coefficients(reconstruct(f))
             assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
 
     def test_physical_roundtrip(self, rng):
-        n = 64
-        vals = rng.standard_normal(n)
-        f = RealGridField(n, vals)
-        assert_allclose(to_physical(to_spectral(f)).values, vals, atol=1e-12)
+        vals = rng.standard_normal(64)
+        assert_allclose(reconstruct(grid_coefficients(vals)), vals, atol=1e-12)
 
     def test_symmetry_violation_raises(self):
         c = np.zeros(17, dtype=complex)
         c[9] = 1.0  # harmonic +1 without its conjugate partner
         with pytest.raises(ValueError, match="Hermitian"):
-            to_physical(FourierField(16, c))
+            FourierField(16, c)
+
+
+class TestHermitianInvariant:
+    # Index 8 holds harmonic 0 of a 16-mode field, index 0 the boundary -8.
+    @pytest.mark.parametrize("index, delta", [(3, 2e-10), (0, 2e-10j), (8, 1e-10j)])
+    def test_rejects_a_defect_above_the_tolerance(self, rng, index, delta):
+        c = random_hermitian(16, rng).coeffs.copy()
+        c[index] += delta
+        assert_allclose(np.max(np.abs(c - np.conj(c[::-1]))), 2e-10, rtol=1e-5)
+        with pytest.raises(ValueError, match="Hermitian"):
+            FourierField(16, c)
+
+    def test_accepts_rounding(self, rng):
+        c = random_hermitian(16, rng).coeffs * (1.0 + 1e-15 * rng.standard_normal(17))
+        assert 0.0 < hermitian_defect(FourierField(16, c)) < 1e-15
+        c = uniform_field(16).coeffs + 0.5e-10j * (np.arange(17) == 3)
+        assert hermitian_defect(FourierField(16, c)) == 0.5e-10 < HERMITIAN_TOL
 
 
 class TestHalfRows:
@@ -116,111 +125,7 @@ class TestHalfRows:
         # A complex +-N/2 pair splits its real part over the boundary bin.
         fields = [random_hermitian(32, rng, real_boundary=real_boundary) for _ in range(4)]
         got = reconstruct_rows(np.stack([half_rows(f.coeffs) for f in fields]))
-        want = np.stack([to_physical(f).values for f in fields])
+        want = np.stack([to_physical(f) for f in fields])
         assert got.shape == (4, 32)
         assert np.max(np.abs(got - want)) < 1e-14
-        assert np.array_equal(reconstruct_rows(half_rows(fields[0].coeffs))[0], got[0])
-
-
-class TestPairing:
-    def test_sine_squared(self):
-        f = field_from_harmonics(32, {1: -0.5j})
-        assert_allclose(pairing(f, f), np.pi, atol=1e-12)
-
-    def test_mass_normalization(self, rng):
-        f = constant_field(32, 1.0 / (2.0 * np.pi))
-        g = random_hermitian(32, rng)
-        assert_allclose(pairing(f, g), 1.0 / (2.0 * np.pi), atol=1e-12)
-
-    def test_cosine_probe_and_grid_quadrature(self, rng):
-        n = 64
-        x0 = 0.7
-        probe = field_from_harmonics(n, {1: 0.5 * np.exp(-1j * x0)})
-        g = random_hermitian(n, rng, max_mode=8)
-        expected = 2.0 * np.pi * (np.exp(-1j * x0) * g[-1]).real
-        assert_allclose(pairing(probe, g), expected, atol=1e-12)
-        x = grid_points(n)
-        quad = 2.0 * np.pi / n * np.sum(np.cos(x - x0) * to_physical(g).values)
-        assert_allclose(pairing(probe, g), quad, atol=1e-10)
-
-    def test_grid_quadrature_identity_below_half_band(self, rng):
-        n = 64
-        f = random_hermitian(n, rng, max_mode=n // 4)
-        g = random_hermitian(n, rng, max_mode=n // 4)
-        x = grid_points(n)
-        quad = 2.0 * np.pi / n * np.sum(to_physical(f).values * to_physical(g).values)
-        assert_allclose(pairing(f, g), quad, atol=1e-10)
-
-    def test_mismatched_resolutions_raise(self, rng):
-        with pytest.raises(ValueError, match="mode counts"):
-            pairing(random_hermitian(16, rng), random_hermitian(32, rng))
-
-
-class TestConvolve:
-    def test_sine_kernel_on_uniform_density(self):
-        n = 32
-        kernel = field_from_harmonics(n, {1: -0.5j})
-        uniform = constant_field(n, 1.0 / (2.0 * np.pi))
-        out = convolve(kernel, uniform)
-        assert np.max(np.abs(out.coeffs)) < 1e-15
-
-    def test_cosine_kernel_coefficients(self, rng):
-        n = 32
-        a = 0.3 - 0.12j
-        kernel = field_from_harmonics(n, {1: 0.5})
-        g = field_from_harmonics(n, {0: 1.0 / (2.0 * np.pi), 1: a})
-        out = convolve(kernel, g)
-        assert_allclose(out[1], 2.0 * np.pi * 0.5 * a, atol=1e-14)
-        assert_allclose(out[-1], np.conj(2.0 * np.pi * 0.5 * a), atol=1e-14)
-
-    def test_grid_quadrature_oracle_on_peaked_density(self, rng):
-        # Band-limited bump: the convolution must match direct quadrature.
-        n = 64
-        kernel = random_hermitian(n, rng, max_mode=5, mass=0.2)
-        peak = to_spectral(RealGridField(
-            n, np.exp(np.cos(grid_points(n) - 1.0) * 3.0)))
-        out = convolve(kernel, peak)
-        x = grid_points(n)
-        fine = np.linspace(0.0, 2.0 * np.pi, 20001)
-        for xj in x[::8]:
-            integrand = eval_series(kernel, xj - fine) * eval_series(peak, fine)
-            quad = np.trapezoid(integrand, fine)
-            assert_allclose(eval_series(out, xj)[0], quad, atol=1e-6)
-
-    def test_bilinear_and_zero_kernel(self, rng):
-        n = 32
-        k1 = random_hermitian(n, rng, mass=0.1)
-        k2 = random_hermitian(n, rng, mass=-0.3)
-        g = random_hermitian(n, rng)
-        lhs = convolve(FourierField(n, 2.0 * k1.coeffs + 0.5 * k2.coeffs), g)
-        rhs = 2.0 * convolve(k1, g).coeffs + 0.5 * convolve(k2, g).coeffs
-        assert_allclose(lhs.coeffs, rhs, atol=1e-14)
-        zero = convolve(FourierField(n, np.zeros(n + 1, complex)), g)
-        assert np.max(np.abs(zero.coeffs)) == 0.0
-
-
-class TestDerivative:
-    def test_constant_has_zero_derivative(self):
-        assert np.max(np.abs(derivative(constant_field(16, 2.0)).coeffs)) == 0.0
-
-    def test_sine_to_cosine(self):
-        n = 32
-        d = derivative(field_from_harmonics(n, {1: -0.5j}))
-        cos_field = field_from_harmonics(n, {1: 0.5})
-        assert_allclose(d.coeffs, cos_field.coeffs, atol=1e-15)
-
-    def test_against_centered_differences(self, rng):
-        f = random_hermitian(32, rng, max_mode=10)
-        d = derivative(f)
-        h = 1e-5
-        xs = np.linspace(0.3, 5.9, 17)
-        fd = (eval_series(f, xs + h) - eval_series(f, xs - h)) / (2.0 * h)
-        assert_allclose(eval_series(d, xs), fd, atol=1e-8)
-
-    def test_commutes_with_convolution(self, rng):
-        k = random_hermitian(32, rng, mass=0.4)
-        g = random_hermitian(32, rng)
-        lhs = derivative(convolve(k, g)).coeffs
-        rhs = convolve(derivative(k), g).coeffs
-        assert_allclose(lhs, rhs, atol=1e-13)
-
+        assert np.array_equal(reconstruct(fields[0]), got[0])
