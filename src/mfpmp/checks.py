@@ -13,10 +13,12 @@ Three cross-checks back the solver stack:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .adjoint import integrate_backward
-from .descent import non_extremality, switching_function, target_control
+from .descent import SwitchingFunction, non_extremality, switching_function, target_control
 from .forward import cost_of_control, integrate_forward
 from .models import ModelSpec, ball, kuramoto_model
 from .particles import particle_cost, simulate_particles, stratified_ensemble
@@ -25,50 +27,71 @@ from .timegrid import ControlSignal, TimeGrid
 
 
 def meanfield_vs_particles(rho0: FourierField, u: ControlSignal, model: ModelSpec,
-                           grid: TimeGrid, n_particles: int) -> dict:
-    """Compare the spectral solution with a stratified particle run.
+                           grid: TimeGrid, ensemble_sizes) -> list[dict]:
+    """Compare the spectral solution with a stratified particle run of each size.
 
-    Both systems see the identical control.  Reports the largest mismatch
-    of the first two trigonometric moments at t in {0, T/2, T} (T/2 rounded
-    down to a full node) and the terminal cost gap.
+    All systems see the identical control, and one spectral solve serves
+    every ensemble.  Reports, per ensemble, the largest mismatch of the
+    first two trigonometric moments at t in {0, T/2, T} (T/2 rounded down
+    to a full node) and the terminal cost gap.
     """
-    traj = integrate_forward(rho0, u, model, grid)
     tau = grid.tau
     check_nodes = sorted({0, grid.n_steps // 2, grid.n_steps})
     times = [k * tau for k in check_nodes]
-
-    ensemble0 = stratified_ensemble(rho0, n_particles)
-    terminal, snaps = simulate_particles(ensemble0, u, model.alpha, grid, record_times=times)
-
-    per_time = {}
-    worst = 0.0
-    for k, t in zip(check_nodes, times):
-        a = traj.coeffs[2 * k]
-        phases = snaps[t]
-        entry = {}
-        for n in (1, 2):
-            moment = np.mean(np.exp(1j * n * phases))
-            spectral = 2.0 * np.pi * np.conj(a[n])
-            gap = abs(moment - spectral)
-            entry[f"moment_{n}"] = gap
-            worst = max(worst, gap)
-        per_time[f"t={t:g}"] = entry
-
+    traj = integrate_forward(rho0, u, model, grid)
     mf_cost = model.cost.eval(traj.terminal_field())
-    pc_cost = particle_cost(terminal, model.x0)
-    return {
-        "n_particles": n_particles,
-        "moment_discrepancy": worst,
-        "per_time": per_time,
-        "meanfield_cost": mf_cost,
-        "particle_cost": pc_cost,
-        "cost_gap": abs(mf_cost - pc_cost),
-    }
+
+    reports = []
+    for n_particles in ensemble_sizes:
+        ensemble0 = stratified_ensemble(rho0, n_particles)
+        terminal, snaps = simulate_particles(ensemble0, u, model.alpha, grid,
+                                             record_times=times)
+        per_time = {}
+        worst = 0.0
+        for k, t in zip(check_nodes, times):
+            a = traj.coeffs[2 * k]
+            phases = snaps[t]
+            entry = {}
+            for n in (1, 2):
+                moment = np.mean(np.exp(1j * n * phases))
+                spectral = 2.0 * np.pi * np.conj(a[n])
+                gap = abs(moment - spectral)
+                entry[f"moment_{n}"] = gap
+                worst = max(worst, gap)
+            per_time[f"t={t:g}"] = entry
+        pc_cost = particle_cost(terminal, model.x0)
+        reports.append({
+            "n_particles": n_particles,
+            "moment_discrepancy": worst,
+            "per_time": per_time,
+            "meanfield_cost": mf_cost,
+            "particle_cost": pc_cost,
+            "cost_gap": abs(mf_cost - pc_cost),
+        })
+    return reports
 
 
-def increment_slope_check(rho0: FourierField, u: ControlSignal, ubar: ControlSignal,
+@dataclass(frozen=True)
+class Reference:
+    """A control with its cost and switching function, but not its trajectories."""
+
+    u: ControlSignal
+    cost: float
+    d: SwitchingFunction
+
+
+def solve_reference(rho0: FourierField, u: ControlSignal, model: ModelSpec,
+                    grid: TimeGrid) -> Reference:
+    """One forward and one adjoint solve of u."""
+    traj = integrate_forward(rho0, u, model, grid)
+    cotraj = integrate_backward(traj, u, model)
+    return Reference(u, model.cost.eval(traj.terminal_field()),
+                     switching_function(traj, cotraj, model))
+
+
+def increment_slope_check(rho0: FourierField, ref: Reference, ubar: ControlSignal,
                           model: ModelSpec, grid: TimeGrid, lambdas) -> dict:
-    """Probe the first-order cost expansion along u + lam * (ubar - u).
+    """Probe the first-order cost expansion along u + lam * (ubar - u), u = ref.u.
 
     The adjoint route predicts cost(u^lam) - cost(u) = -lam * S with
     S = <ubar - u, d>; actual differences come from fresh forward solves of
@@ -79,17 +102,14 @@ def increment_slope_check(rho0: FourierField, u: ControlSignal, ubar: ControlSig
     lambdas = [float(l) for l in lambdas]
     if any(l <= 0 or l > 1 for l in lambdas):
         raise ValueError("lambdas must lie in (0, 1]")
-    traj = integrate_forward(rho0, u, model, grid)
-    cost_u = model.cost.eval(traj.terminal_field())
-    cotraj = integrate_backward(traj, u, model)
-    d = switching_function(traj, cotraj, model)
-    slope = non_extremality(u, ubar, d)
+    u = ref.u
+    slope = non_extremality(u, ubar, ref.d)
 
     ratios = []
     residuals = []
     costs = cost_of_control(rho0, [u.toward(ubar, lam) for lam in lambdas], model, grid)
     for lam, cost in zip(lambdas, costs):
-        actual = cost - cost_u
+        actual = cost - ref.cost
         predicted = -lam * slope
         ratios.append(actual / predicted if predicted != 0.0 else np.nan)
         residuals.append(abs(actual - predicted))
@@ -158,23 +178,22 @@ _PAIR_RECIPES = (
 MAX_EXTRA_PAIRS = len(_PAIR_RECIPES)
 
 
-def synthetic_control_pairs(grid: TimeGrid, control_set, count: int = 2):
+def synthetic_control_pairs(rho0: FourierField, model: ModelSpec, grid: TimeGrid,
+                            count: int = 2) -> list[tuple[Reference, ControlSignal]]:
     """Deterministic feasible (reference, target) pairs for slope probes."""
     if not 0 <= count <= MAX_EXTRA_PAIRS:
         raise ValueError(f"count must lie in 0..{MAX_EXTRA_PAIRS}, got {count}")
     t = grid.full_times()
     pairs = []
     for ref_fn, tgt_fn in _PAIR_RECIPES[:count]:
-        ref = np.stack([control_set.project(row) for row in ref_fn(t)])
-        tgt = np.stack([control_set.project(row) for row in tgt_fn(t)])
-        pairs.append((ControlSignal(grid, ref), ControlSignal(grid, tgt)))
+        ref, tgt = (ControlSignal(grid, [model.control_set.project(row) for row in fn(t)])
+                    for fn in (ref_fn, tgt_fn))
+        pairs.append((solve_reference(rho0, ref, model, grid), tgt))
     return pairs
 
 
 def fig1_slope_pair(rho0: FourierField, u0: ControlSignal, model: ModelSpec,
-                    grid: TimeGrid):
-    """The (initial control, its target control) pair of the experiment."""
-    traj = integrate_forward(rho0, u0, model, grid)
-    cotraj = integrate_backward(traj, u0, model)
-    d = switching_function(traj, cotraj, model)
-    return u0, target_control(d, model.control_set, u0)
+                    grid: TimeGrid) -> tuple[Reference, ControlSignal]:
+    """The (reference of the initial control, its target control) pair of the experiment."""
+    ref = solve_reference(rho0, u0, model, grid)
+    return ref, target_control(ref.d, model.control_set, u0)

@@ -41,7 +41,7 @@ from .checks import (
     meanfield_vs_particles,
     synthetic_control_pairs,
 )
-from .config import COMMANDS, RunConfig, apply_overrides, parse_config_dict
+from .config import COMMANDS, RunConfig, parse_config
 from .descent import STATUS_LINE_SEARCH, run_descent
 from .errors import ConfigError, DivergenceError, ValidationFailure
 from .forward import density_min, integrate_forward, mass_drift, row_blocks
@@ -149,10 +149,26 @@ def _resolution(traj: Trajectory, cotraj: Trajectory | None, times) -> dict:
 
 
 def _write_control(path: Path, u: ControlSignal) -> None:
-    header = ("t",) + tuple(f"u{j + 1}" for j in range(u.m))
-    times = u.grid.full_times()
-    rows = [(t, *row) for t, row in zip(times, u.values)]
-    _write_csv(path, header, rows)
+    _write_csv(path, ("t", "u1", "u2"),
+               [(t, u1, u2) for t, (u1, u2) in zip(u.grid.full_times(), u.values)])
+
+
+def _write_fields(config: RunConfig, traj: Trajectory, cotraj: Trajectory | None) -> dict:
+    """Dump the snapshots of the density and, if solved, of the co-density.
+
+    Returns the summary's `density_min`, `mass_drift` and `resolution` entries.
+    """
+    if config.snapshot_times:
+        _write_snapshots(config.output_dir / "density_snapshots.csv", traj,
+                         config.snapshot_times)
+        if cotraj is not None:
+            _write_snapshots(config.output_dir / "adjoint_snapshots.csv", cotraj,
+                             config.snapshot_times)
+    return {
+        "density_min": density_min(traj),
+        "mass_drift": mass_drift(traj),
+        "resolution": _resolution(traj, cotraj, config.snapshot_times),
+    }
 
 
 def _run_optimize(config: RunConfig, t_start: float) -> int:
@@ -177,11 +193,8 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
     )
     _write_control(out / "control_final.csv", result.u_final)
     cotraj = None
-    if config.snapshot_times:
-        _write_snapshots(out / "density_snapshots.csv", traj, config.snapshot_times)
-        if config.adjoint_snapshots:
-            cotraj = integrate_backward(traj, result.u_final, config.model)
-            _write_snapshots(out / "adjoint_snapshots.csv", cotraj, config.snapshot_times)
+    if config.snapshot_times and config.adjoint_snapshots:
+        cotraj = integrate_backward(traj, result.u_final, config.model)
 
     last = result.history[-1]
     summary = {
@@ -192,9 +205,7 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
         "final_cost": result.final_cost,
         "final_non_extremality": last.non_extremality,
         "lambda_last": last.lam,
-        "density_min": density_min(traj),
-        "mass_drift": mass_drift(traj),
-        "resolution": _resolution(traj, cotraj, config.snapshot_times),
+        **_write_fields(config, traj, cotraj),
         "timings": {"total_seconds": time.perf_counter() - t_start},
     }
     _write_json(out / "summary.json", summary)
@@ -207,40 +218,21 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
     return 0
 
 
-def _run_solve_forward(config: RunConfig, t_start: float) -> int:
-    out = config.output_dir
+def _run_solve(config: RunConfig, t_start: float) -> int:
+    """solve-forward, or solve-adjoint: the forward solve plus the co-density."""
     traj = integrate_forward(config.rho0, config.u0, config.model, config.grid)
-    if config.snapshot_times:
-        _write_snapshots(out / "density_snapshots.csv", traj, config.snapshot_times)
     summary = {
-        "command": "solve-forward",
+        "command": config.command,
         "terminal_cost": config.model.cost.eval(traj.terminal_field()),
-        "density_min": density_min(traj),
-        "mass_drift": mass_drift(traj),
-        "resolution": _resolution(traj, None, config.snapshot_times),
-        "timings": {"total_seconds": time.perf_counter() - t_start},
     }
-    _write_json(out / "summary.json", summary)
-    return 0
-
-
-def _run_solve_adjoint(config: RunConfig, t_start: float) -> int:
-    out = config.output_dir
-    traj = integrate_forward(config.rho0, config.u0, config.model, config.grid)
-    cotraj = integrate_backward(traj, config.u0, config.model)
-    if config.snapshot_times:
-        _write_snapshots(out / "density_snapshots.csv", traj, config.snapshot_times)
-        _write_snapshots(out / "adjoint_snapshots.csv", cotraj, config.snapshot_times)
-    summary = {
-        "command": "solve-adjoint",
-        "terminal_cost": config.model.cost.eval(traj.terminal_field()),
-        "density_min": density_min(traj),
-        "mass_drift": mass_drift(traj),
-        "adjoint_max_coeff": max(float(np.abs(b).max()) for b in row_blocks(cotraj.coeffs)),
-        "resolution": _resolution(traj, cotraj, config.snapshot_times),
-        "timings": {"total_seconds": time.perf_counter() - t_start},
-    }
-    _write_json(out / "summary.json", summary)
+    cotraj = None
+    if config.command == "solve-adjoint":
+        cotraj = integrate_backward(traj, config.u0, config.model)
+        summary["adjoint_max_coeff"] = max(float(np.abs(b).max())
+                                           for b in row_blocks(cotraj.coeffs))
+    summary.update(_write_fields(config, traj, cotraj))
+    summary["timings"] = {"total_seconds": time.perf_counter() - t_start}
+    _write_json(config.output_dir / "summary.json", summary)
     return 0
 
 
@@ -261,14 +253,11 @@ def _run_validate(config: RunConfig, t_start: float) -> int:
     passed = True
 
     # Particle oracle over increasing ensemble sizes.
-    runs = {}
-    discrepancies = []
-    for n in params["n_particles"]:
-        rep = meanfield_vs_particles(config.rho0, config.u0, config.model,
-                                     config.grid, int(n))
-        runs[str(int(n))] = rep
-        discrepancies.append(rep["moment_discrepancy"])
-    cost_gap = runs[str(int(max(params["n_particles"])))]["cost_gap"]
+    reps = meanfield_vs_particles(config.rho0, config.u0, config.model, config.grid,
+                                  params["n_particles"])
+    runs = {str(rep["n_particles"]): rep for rep in reps}
+    discrepancies = [rep["moment_discrepancy"] for rep in reps]
+    cost_gap = runs[str(max(params["n_particles"]))]["cost_gap"]
     monotone = all(b <= a for a, b in zip(discrepancies, discrepancies[1:]))
     particles_ok = cost_gap <= params["cost_tol"]
     if params["require_moment_monotone"]:
@@ -284,12 +273,12 @@ def _run_validate(config: RunConfig, t_start: float) -> int:
 
     # First-order decrement probe on the configured pair plus synthetic ones.
     pairs = [fig1_slope_pair(config.rho0, config.u0, config.model, config.grid)]
-    pairs += synthetic_control_pairs(config.grid, config.model.control_set,
-                                     int(params["extra_pairs"]))
+    pairs += synthetic_control_pairs(config.rho0, config.model, config.grid,
+                                     params["extra_pairs"])
     slope_reports = []
     slope_ok = True
-    for u_ref, u_tgt in pairs:
-        rep = increment_slope_check(config.rho0, u_ref, u_tgt, config.model,
+    for ref, u_tgt in pairs:
+        rep = increment_slope_check(config.rho0, ref, u_tgt, config.model,
                                     config.grid, params["lambdas"])
         ratio_ok = all(np.isfinite(r) and abs(r - 1.0) <= params["ratio_tol"]
                        for r in rep["ratios"])
@@ -323,8 +312,8 @@ def _run_validate(config: RunConfig, t_start: float) -> int:
 
 _RUNNERS = {
     "optimize": _run_optimize,
-    "solve-forward": _run_solve_forward,
-    "solve-adjoint": _run_solve_adjoint,
+    "solve-forward": _run_solve,
+    "solve-adjoint": _run_solve,
     "validate": _run_validate,
 }
 
@@ -353,21 +342,12 @@ def main(argv=None) -> int:
                         help="dotted-path config override, value parsed as JSON")
     args = parser.parse_args(argv)
 
+    # The command and --output are the last overrides, JSON-quoted so they stay strings.
+    overrides = args.override + [f"command={json.dumps(args.command)}"]
+    if args.output is not None:
+        overrides.append(f"output_dir={json.dumps(args.output)}")
     try:
-        path = Path(args.config)
-        try:
-            doc = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-        doc = apply_overrides(doc, args.override)
-        doc["command"] = args.command
-        if args.output is not None:
-            doc["output_dir"] = args.output
-        config = parse_config_dict(doc)
-        return run(config)
+        return run(parse_config(args.config, overrides))
     except ConfigError as exc:
         _fail("config", str(exc))
         return 2

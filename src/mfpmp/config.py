@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .forward import require_normalized
 from .models import AdmissibleSet, ModelSpec, ball, box, kuramoto_model
 from .presets import CONTROL_PRESETS, DENSITY_PRESETS
-from .spectral import FourierField, field_from_harmonics
+from .spectral import FourierField, field_from_harmonics, half_rows
 from .timegrid import ControlSignal, TimeGrid, constant_control
 
 COMMANDS = ("solve-forward", "solve-adjoint", "optimize", "validate")
@@ -44,7 +44,6 @@ class RunConfig:
     command: str
     model: ModelSpec
     grid: TimeGrid
-    n_modes: int
     rho0: FourierField
     u0: ControlSignal
     descent: DescentConfig
@@ -93,15 +92,15 @@ def _parse_constraint(doc: dict) -> AdmissibleSet:
     where = "model.constraint"
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError(f"{where}: expected an object with a 'kind'")
-    if doc["kind"] == "ball":
-        _require_keys(doc, {"kind", "radius"}, {"kind", "radius"}, where)
-        return ball(_number(doc, "radius", where, positive=True))
-    if doc["kind"] == "box":
-        _require_keys(doc, {"kind", "lower", "upper"}, {"kind", "lower", "upper"}, where)
-        try:
+    try:
+        if doc["kind"] == "ball":
+            _require_keys(doc, {"kind", "radius"}, {"kind", "radius"}, where)
+            return ball(_number(doc, "radius", where, positive=True))
+        if doc["kind"] == "box":
+            _require_keys(doc, {"kind", "lower", "upper"}, {"kind", "lower", "upper"}, where)
             return box(doc["lower"], doc["upper"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}.kind: must be 'ball' or 'box', got {doc['kind']!r}")
 
 
@@ -137,17 +136,17 @@ def _parse_density(doc, n_modes: int) -> tuple[FourierField, dict]:
         require_normalized(rho0)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    center = rho0.center
-    echoed = {}
-    for n in range(center + 1):
-        c = rho0.coeffs[center + n]
-        if c != 0:
-            echoed[str(n)] = [c.real, c.imag]
-    return rho0, {"harmonics": echoed}
+    # |c_n| <= c_0 holds for every nonnegative density.
+    half = half_rows(rho0.coeffs)
+    over = np.flatnonzero(np.abs(half) > half[0].real)
+    if over.size:
+        n = over[0]
+        raise ConfigError(f"{where}: harmonic {n} has |c_{n}| = {abs(half[n]):.6g} above "
+                          "c_0 = 1/(2*pi), which no probability density has")
+    return rho0, {"harmonics": {str(n): [c.real, c.imag] for n, c in enumerate(half) if c != 0}}
 
 
-def _parse_control(doc, grid: TimeGrid, control_set: AdmissibleSet
-                   ) -> tuple[ControlSignal, dict]:
+def _parse_control(doc, grid: TimeGrid, model: ModelSpec) -> tuple[ControlSignal, dict]:
     where = "initial_control"
     if isinstance(doc, str):
         preset = CONTROL_PRESETS.get(doc)
@@ -168,13 +167,10 @@ def _parse_control(doc, grid: TimeGrid, control_set: AdmissibleSet
             raise ConfigError(f"{where}: {exc}") from exc
     else:
         raise ConfigError(f"{where}: expected a preset name, 'constant', or 'values'")
-    if u0.m != 2:
-        raise ConfigError(f"{where}: expected 2 control channels, got {u0.m}")
-    outside = np.flatnonzero(~control_set.admits(u0.values))
-    if outside.size:
-        i = outside[0]
-        raise ConfigError(f"{where}: node {i} value {u0.values[i].tolist()} "
-                          "outside the admissible set")
+    try:
+        model.require_feasible(u0.values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     return u0, {"values": [list(map(float, row)) for row in u0.values]}
 
 
@@ -273,7 +269,7 @@ def parse_config_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"grid: {exc}") from exc
 
     rho0, density_echo = _parse_density(doc["initial_density"], n_modes)
-    u0, control_echo = _parse_control(doc["initial_control"], grid, control_set)
+    u0, control_echo = _parse_control(doc["initial_control"], grid, model)
     descent = _parse_descent(doc.get("descent"))
     validate_params = _parse_validate(doc.get("validate"))
 
@@ -298,11 +294,7 @@ def parse_config_dict(doc: dict) -> RunConfig:
         "grid": {"T": T, "tau": tau, "n_modes": n_modes},
         "initial_density": density_echo,
         "initial_control": control_echo,
-        "descent": {
-            "c": descent.c, "theta": descent.theta, "lambda_tol": descent.lambda_tol,
-            "j_max": descent.j_max, "k_max": descent.k_max, "eps_tol": descent.eps_tol,
-            "lambda_patience": descent.lambda_patience,
-        },
+        "descent": asdict(descent),
         "output_dir": str(doc["output_dir"]),
         "snapshot_times": [float(t) for t in snapshot_times],
         "adjoint_snapshots": adjoint_snapshots,
@@ -312,7 +304,6 @@ def parse_config_dict(doc: dict) -> RunConfig:
         command=command,
         model=model,
         grid=grid,
-        n_modes=n_modes,
         rho0=rho0,
         u0=u0,
         descent=descent,
@@ -327,6 +318,8 @@ def parse_config_dict(doc: dict) -> RunConfig:
 def apply_overrides(doc: dict, overrides) -> dict:
     """Apply dotted key=value pairs (values parsed as JSON, else strings)."""
     out = json.loads(json.dumps(doc))
+    if not isinstance(out, dict):
+        raise ConfigError(f"config: expected an object, got {type(out).__name__}")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")

@@ -49,15 +49,18 @@ STATUS_LINE_SEARCH = "line-search-failed"
 
 @dataclass(frozen=True)
 class SwitchingFunction:
-    """Per-node coefficients d(t) of the cost's linear response to the control."""
+    """Per-node coefficients d(t) of the cost's linear response to the control.
+
+    `values` has shape (K + 1, 2): one column per control channel.
+    """
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.grid.n_steps + 1:
-            raise ValueError("switching values must be (n_nodes, m)")
+        if v.shape != (self.grid.n_steps + 1, 2):
+            raise ValueError("switching values must be (n_nodes, 2)")
         if not np.all(np.isfinite(v)):
             raise ValueError("switching values must be finite")
         object.__setattr__(self, "values", v)

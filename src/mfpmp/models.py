@@ -37,8 +37,9 @@ class AdmissibleSet:
 
     def __post_init__(self):
         if self.kind == "ball":
-            if not self.radius > 0.0:
-                raise ValueError("ball radius must be positive")
+            r = float(self.radius)  # r * r overflows to inf, where r**2 would raise
+            if not (r > 0.0 and np.isfinite(r * r)):
+                raise ValueError(f"ball radius must be positive with a finite square, got {r}")
         elif self.kind == "box":
             lo = np.asarray(self.lower, dtype=float)
             hi = np.asarray(self.upper, dtype=float)

@@ -85,6 +85,7 @@ class Trajectory:
 class ControlSignal:
     """Control values at full-step nodes, held constant over each step.
 
+    `values` has shape (K + 1, 2): one column per control channel (u_1, u_2).
     The value at node K (= T) never drives the dynamics; it is kept so
     presets and dumps cover the closed interval.
     """
@@ -94,20 +95,13 @@ class ControlSignal:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if v.shape[0] != self.grid.n_steps + 1:
-            raise ValueError(
-                f"expected {self.grid.n_steps + 1} control nodes, got {v.shape[0]}"
-            )
+        shape = (self.grid.n_steps + 1, 2)
+        if v.shape != shape:
+            raise ValueError(f"expected control values of shape {shape}, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("control values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
 
     def toward(self, other: "ControlSignal", lam: float) -> "ControlSignal":
         """Convex combination u + lam * (other - u)."""
@@ -117,11 +111,9 @@ class ControlSignal:
 
 
 def constant_control(grid: TimeGrid, value) -> ControlSignal:
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    return ControlSignal(grid, np.tile(v, (grid.n_steps + 1, 1)))
+    return ControlSignal(grid, np.tile(np.asarray(value, dtype=float), (grid.n_steps + 1, 1)))
 
 
 def sampled_control(grid: TimeGrid, profile) -> ControlSignal:
-    """Sample a callable t -> control vector at the full-step nodes."""
-    rows = [np.atleast_1d(np.asarray(profile(t), dtype=float)) for t in grid.full_times()]
-    return ControlSignal(grid, np.stack(rows))
+    """Sample a callable t -> control vector (u_1, u_2) at the full-step nodes."""
+    return ControlSignal(grid, [profile(t) for t in grid.full_times()])

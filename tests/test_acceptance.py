@@ -168,13 +168,12 @@ class TestCriterion6IncrementSlope:
         u0 = fig1_control(grid)
         lambdas = [1e-3, 2e-3, 4e-3, 8e-3]
         pairs = [fig1_slope_pair(rho0, u0, model, grid)]
-        pairs += synthetic_control_pairs(grid, model.control_set, 2)
+        pairs += synthetic_control_pairs(rho0, model, grid, 2)
 
         details = []
         ok = True
-        for label, (u_ref, u_tgt) in zip(("experiment", "synthetic-1", "synthetic-2"),
-                                         pairs):
-            rep = increment_slope_check(rho0, u_ref, u_tgt, model, grid, lambdas)
+        for label, (ref, u_tgt) in zip(("experiment", "synthetic-1", "synthetic-2"), pairs):
+            rep = increment_slope_check(rho0, ref, u_tgt, model, grid, lambdas)
             ratios_ok = all(np.isfinite(r) and abs(r - 1.0) <= 0.05
                             for r in rep["ratios"])
             order_ok = rep["residual_order"] >= 1.8
@@ -189,13 +188,9 @@ class TestCriterion7ParticleOracle:
     def test_optimized_control_replayed_through_particles(self, desk_run):
         grid, model = desk_run["grid"], desk_run["model"]
         rho0, u_opt = desk_run["rho0"], desk_run["result"].u_final
-        discrepancies = []
-        cost_gap_1e4 = None
-        for n in (1000, 10000, 100000):
-            rep = meanfield_vs_particles(rho0, u_opt, model, grid, n)
-            discrepancies.append(rep["moment_discrepancy"])
-            if n == 10000:
-                cost_gap_1e4 = rep["cost_gap"]
+        reps = meanfield_vs_particles(rho0, u_opt, model, grid, [1000, 10000, 100000])
+        discrepancies = [rep["moment_discrepancy"] for rep in reps]
+        cost_gap_1e4 = reps[1]["cost_gap"]
         monotone = all(b < a for a, b in zip(discrepancies, discrepancies[1:]))
         ok = cost_gap_1e4 <= 0.02 and monotone
         report(7, "stratified particle oracle", ok,

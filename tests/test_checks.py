@@ -10,6 +10,7 @@ from mfpmp.checks import (
     increment_slope_check,
     local_adjoint_check,
     meanfield_vs_particles,
+    solve_reference,
     synthetic_control_pairs,
 )
 from mfpmp.presets import fig1_density
@@ -48,8 +49,8 @@ class TestIncrementSlopeCheck:
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([0.5 * np.sin(2 * t), 0.4 + 0 * t]))
         ubar = ControlSignal(grid, np.column_stack([0.2 + 0 * t, -0.6 * np.cos(t)]))
-        rep = increment_slope_check(rho, u, ubar, model, grid,
-                                    [1e-3, 2e-3, 4e-3, 8e-3])
+        rep = increment_slope_check(rho, solve_reference(rho, u, model, grid), ubar, model,
+                                    grid, [1e-3, 2e-3, 4e-3, 8e-3])
         for ratio in rep["ratios"]:
             assert abs(ratio - 1.0) < 0.05
         assert rep["residual_order"] >= 1.8
@@ -59,7 +60,8 @@ class TestIncrementSlopeCheck:
         model = kuramoto_model(0.0, np.pi)
         rho = fig1_density(32)
         u = constant_control(grid, [0.4, 0.3])
-        rep = increment_slope_check(rho, u, u, model, grid, [1e-3])
+        rep = increment_slope_check(rho, solve_reference(rho, u, model, grid), u, model, grid,
+                                    [1e-3])
         assert rep["predicted_slope"] == 0.0
         assert np.isnan(rep["ratios"][0])
 
@@ -84,8 +86,10 @@ class TestIncrementSlopeCheck:
             dmu=lambda mu: FourierField(mu.n_modes, kappa * plain.dmu(mu).coeffs),
         )
         scaled = replace(base, cost=scaled_cost)
-        rep_base = increment_slope_check(rho, u, ubar, base, grid, [2e-3, 4e-3])
-        rep_scaled = increment_slope_check(rho, u, ubar, scaled, grid, [2e-3, 4e-3])
+        rep_base, rep_scaled = (
+            increment_slope_check(rho, solve_reference(rho, u, m, grid), ubar, m, grid,
+                                  [2e-3, 4e-3])
+            for m in (base, scaled))
         assert_allclose(rep_scaled["predicted_slope"],
                         kappa * rep_base["predicted_slope"], rtol=1e-12)
         assert_allclose(rep_scaled["ratios"], rep_base["ratios"], rtol=1e-9)
@@ -95,8 +99,9 @@ class TestIncrementSlopeCheck:
         model = kuramoto_model(0.0, np.pi)
         rho = fig1_density(32)
         u = constant_control(grid, [0.4, 0.3])
+        ref = solve_reference(rho, u, model, grid)
         with pytest.raises(ValueError, match="lambdas"):
-            increment_slope_check(rho, u, u, model, grid, [0.0])
+            increment_slope_check(rho, ref, u, model, grid, [0.0])
 
 
 class TestMeanfieldVsParticles:
@@ -106,8 +111,8 @@ class TestMeanfieldVsParticles:
         grid = TimeGrid(1.0, 5e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
         rho = fig1_density(64)
-        rep = meanfield_vs_particles(rho, constant_control(grid, [1.1, 0.0]),
-                                     model, grid, 700)
+        [rep] = meanfield_vs_particles(rho, constant_control(grid, [1.1, 0.0]),
+                                       model, grid, [700])
         gaps = [max(v.values()) for v in rep["per_time"].values()]
         assert max(gaps) < 1e-9
         assert rep["cost_gap"] < 1e-9
@@ -116,22 +121,33 @@ class TestMeanfieldVsParticles:
         grid = TimeGrid(1.0, 5e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
         rho = fig1_density(64)
-        rep = meanfield_vs_particles(rho, constant_control(grid, [0.3, 1.0]),
-                                     model, grid, 2000)
+        [rep] = meanfield_vs_particles(rho, constant_control(grid, [0.3, 1.0]),
+                                       model, grid, [2000])
         assert rep["moment_discrepancy"] < 1e-5
         assert rep["cost_gap"] < 1e-5
+
+    def test_one_spectral_solve_serves_every_ensemble(self):
+        grid = TimeGrid(0.5, 5e-3)
+        model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
+        rho = fig1_density(64)
+        u = constant_control(grid, [0.3, 1.0])
+        reps = meanfield_vs_particles(rho, u, model, grid, [300, 1200])
+        assert [r["n_particles"] for r in reps] == [300, 1200]
+        for rep in reps:
+            [alone] = meanfield_vs_particles(rho, u, model, grid, [rep["n_particles"]])
+            assert rep == alone
 
 
 class TestPairGenerators:
     def test_synthetic_pairs_are_feasible_and_distinct(self):
         grid = TimeGrid(0.5, 5e-3)
-        control_set = ball(np.sqrt(2.0))
-        pairs = synthetic_control_pairs(grid, control_set, 3)
+        model = kuramoto_model(0.0, np.pi)
+        pairs = synthetic_control_pairs(fig1_density(32), model, grid, 3)
         assert len(pairs) == 3
-        for u, ubar in pairs:
-            assert not np.array_equal(u.values, ubar.values)
-            for row in np.vstack([u.values, ubar.values]):
-                assert control_set.admits(row)
+        for ref, ubar in pairs:
+            assert not np.array_equal(ref.u.values, ubar.values)
+            for row in np.vstack([ref.u.values, ubar.values]):
+                assert model.control_set.admits(row)
 
     def test_experiment_pair_reaches_the_constraint_sphere(self):
         grid = TimeGrid(0.5, 5e-3)
@@ -140,7 +156,7 @@ class TestPairGenerators:
         t = grid.full_times()
         u0 = ControlSignal(grid, np.column_stack([
             np.sqrt(2.0) * np.sin(2 * np.pi * t), np.sqrt(2.0) * np.cos(2 * np.pi * t)]))
-        u, ubar = fig1_slope_pair(rho, u0, model, grid)
-        assert u is u0
+        ref, ubar = fig1_slope_pair(rho, u0, model, grid)
+        assert ref.u is u0
         norms = np.linalg.norm(ubar.values, axis=1)
         assert_allclose(norms, np.sqrt(2.0), atol=1e-12)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfpmp import forward
+from mfpmp import checks, cli, forward
 from mfpmp.adjoint import integrate_backward
 from mfpmp.cli import RESOLUTION_TAIL_MAX, _tail_ratio, main
 from mfpmp.config import parse_config_dict
@@ -272,9 +272,20 @@ class TestExitCodes:
         'initial_density.harmonics="x"',
         "output_dir=5",
         "output_dir=null",
+        'model.constraint={"kind": "ball", "radius": 1e308}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.5, 0]}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [1e308, 1e308]}',
+        'initial_control={"constant": [0.1]}',
     ])
     def test_malformed_values_are_2(self, tmp_path, capsys, monkeypatch, override):
         self.assert_config_error_before_any_artifact(tmp_path, capsys, monkeypatch, override)
+
+    def test_non_object_config_is_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert main(["solve-forward", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["message"] == "config: expected an object, got list"
 
     def test_bad_validate_value_is_2_before_any_artifact(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -337,6 +348,24 @@ class TestValidateCommand:
         assert report["particles"]["passed"]
         assert report["increment_slope"]["passed"]
         assert report["local_adjoint"]["passed"]
+
+    def test_each_oracle_solves_each_control_once(self, tmp_path, monkeypatch):
+        # The particle oracle solves u0 once for both ensembles, and the
+        # experiment pair's target and slope probe share one reference solve:
+        # 5 forward and 4 adjoint solves with two synthetic pairs.
+        calls = {"integrate_forward": 0, "integrate_backward": 0}
+        for module in (checks, cli):
+            for name in calls:
+                def counted(*args, _solve=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _solve(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+        doc = tiny_doc(tmp_path / "out", command="validate", snapshot_times=[])
+        doc["grid"] = {"T": 0.5, "tau": 0.005, "n_modes": 64}
+        doc["validate"] = {"n_particles": [500, 2000], "lambdas": [0.002, 0.004, 0.008],
+                           "extra_pairs": 2, "local_u1": {"kind": "constant", "value": 0.9}}
+        assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert calls == {"integrate_forward": 5, "integrate_backward": 4}
 
     def test_failing_tolerance_exits_5(self, tmp_path, capsys):
         out = tmp_path / "out"

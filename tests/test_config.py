@@ -33,7 +33,7 @@ class TestParsing:
     def test_shipped_desk_preset_expands_to_the_experiment(self):
         cfg = parse_config(CONFIG_DIR / "fig1_desk.json")
         assert cfg.command == "optimize"
-        assert cfg.n_modes == 256
+        assert cfg.rho0.n_modes == 256
         assert cfg.grid.n_steps == 1200
         assert_allclose(cfg.model.x0, np.pi)
         assert_allclose(cfg.model.control_set.radius, np.sqrt(2.0))
@@ -49,7 +49,7 @@ class TestParsing:
 
     def test_shipped_full_resolution_preset_parses(self):
         cfg = parse_config(CONFIG_DIR / "fig1_full.json")
-        assert cfg.n_modes == 2048 and cfg.grid.tau == 0.001
+        assert cfg.rho0.n_modes == 2048 and cfg.grid.tau == 0.001
 
     def test_shipped_validate_preset_parses(self):
         cfg = parse_config(CONFIG_DIR / "validate_desk.json")
@@ -85,6 +85,13 @@ class TestParsing:
         doc = minimal_doc(initial_control={"constant": [2.0, 2.0]})
         with pytest.raises(ConfigError, match="admissible"):
             parse_config_dict(doc)
+
+    def test_harmonic_at_the_mass_accepted(self):
+        # |c_n| <= c_0 = 1/(2*pi) holds for every probability density, with
+        # equality allowed; the CLI exit-code tests cover |c_n| > c_0.
+        c0 = 1.0 / (2.0 * np.pi)
+        doc = minimal_doc(initial_density={"harmonics": {"0": [c0, 0.0], "3": [0.0, c0]}})
+        assert harmonic(parse_config_dict(doc).rho0, 3) == 1j * c0
 
     def test_tabulated_density_and_control(self):
         doc = minimal_doc(
