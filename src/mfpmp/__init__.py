@@ -24,7 +24,6 @@ from .forward import (
     density_min,
     integrate_forward,
     rhs_continuity,
-    terminal_state,
 )
 from .models import (
     AdmissibleSet,

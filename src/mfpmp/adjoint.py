@@ -51,7 +51,7 @@ import numpy as np
 
 from .forward import _coupling_value, _factor, _rk4_forward_step, _settle, batch_rows
 from .models import ModelSpec
-from .spectral import FourierField, field_from_half, full_rows, half_rows
+from .spectral import FourierField, full_rows, half_rows
 from .timegrid import ControlSignal, Trajectory
 
 
@@ -109,19 +109,18 @@ def _rk4_backward_step(b: np.ndarray, h: float, u: np.ndarray,
     return b + (hb / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _terminal_row(muT: FourierField, model: ModelSpec) -> np.ndarray:
-    """Half row of the terminal co-density (-D_mu l(mu_T)) * rho_T."""
-    neg_dmu = -model.cost.dmu(muT).coeffs
-    center = muT.center
-    if np.count_nonzero(neg_dmu) != np.count_nonzero(neg_dmu[[center - 1, center + 1]]):
+def _terminal_row(aT: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """Half row of the terminal co-density (-D_mu l(mu_T)) * rho_T at the half row aT."""
+    dmu = model.cost.dmu(aT)
+    if np.any(dmu[:1]) or np.any(dmu[2:]):
         raise ValueError("the cost derivative must carry only the harmonics +-1")
-    lo, hi = neg_dmu[center - 1], neg_dmu[center + 1]
-    a = half_rows(muT.coeffs)
-    b = np.zeros_like(a)
-    b[:-1] += lo * a[1:]
-    b[1:] += hi * a[:-1]
+    hi = -dmu[1]
+    lo = np.conj(hi)
+    b = np.zeros_like(aT)
+    b[:-1] += lo * aT[1:]
+    b[1:] += hi * aT[:-1]
     # n = 0 reads a_{-1} = conj(a_1); hi = conj(lo), so the two terms are a conjugate pair.
-    b[0] = lo * a[1] + hi * a[1].conjugate()
+    b[0] = lo * aT[1] + hi * aT[1].conjugate()
     return b
 
 
@@ -131,7 +130,7 @@ def terminal_adjoint(muT: FourierField, model: ModelSpec) -> FourierField:
     For the synchronization cost this reduces to
     b_n(T) = (i/2) * (a_{n-1} e^{-i x0} - a_{n+1} e^{i x0}).
     """
-    return field_from_half(_terminal_row(muT, model))
+    return FourierField(muT.n_modes, full_rows(_terminal_row(half_rows(muT.coeffs), model)))
 
 
 def rhs_adjoint(t: float, b: FourierField, a: FourierField, u,

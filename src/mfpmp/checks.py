@@ -96,8 +96,9 @@ def increment_slope_check(rho0: FourierField, ref: Reference, ubar: ControlSigna
     The adjoint route predicts cost(u^lam) - cost(u) = -lam * S with
     S = <ubar - u, d>; actual differences come from fresh forward solves of
     the whole ladder at once.
-    Reports per-lambda ratios actual/predicted and the log-log slope of the
-    residual, which must approach 2.
+    Reports per-lambda ratios actual/predicted (None where the predicted
+    decrease is 0) and the log-log slope of the residual, which must
+    approach 2.
     """
     lambdas = [float(l) for l in lambdas]
     if any(l <= 0 or l > 1 for l in lambdas):
@@ -111,7 +112,7 @@ def increment_slope_check(rho0: FourierField, ref: Reference, ubar: ControlSigna
     for lam, cost in zip(lambdas, costs):
         actual = cost - ref.cost
         predicted = -lam * slope
-        ratios.append(actual / predicted if predicted != 0.0 else np.nan)
+        ratios.append(actual / predicted if predicted != 0.0 else None)
         residuals.append(abs(actual - predicted))
 
     logs = np.log(np.maximum(residuals, 1e-300))

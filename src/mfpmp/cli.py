@@ -91,7 +91,9 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinite float raises instead of writing a non-JSON token."""
+    _atomic_write(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -280,7 +282,7 @@ def _run_validate(config: RunConfig, t_start: float) -> int:
     for ref, u_tgt in pairs:
         rep = increment_slope_check(config.rho0, ref, u_tgt, config.model,
                                     config.grid, params["lambdas"])
-        ratio_ok = all(np.isfinite(r) and abs(r - 1.0) <= params["ratio_tol"]
+        ratio_ok = all(r is not None and abs(r - 1.0) <= params["ratio_tol"]
                        for r in rep["ratios"])
         order_ok = rep["residual_order"] >= params["order_min"]
         rep["passed"] = bool(ratio_ok and order_ok)

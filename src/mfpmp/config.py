@@ -125,6 +125,8 @@ def _parse_density(doc, n_modes: int) -> tuple[FourierField, dict]:
             except (ValueError, TypeError, IndexError, OverflowError) as exc:
                 raise ConfigError(
                     f"{where}.harmonics[{key!r}]: expected finite [re, im]") from exc
+            if n in harmonics:
+                raise ConfigError(f"{where}.harmonics[{key!r}]: harmonic {n} is given twice")
             harmonics[n] = complex(re, im)
         try:
             rho0 = field_from_harmonics(n_modes, harmonics)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .models import ModelSpec
-from .spectral import FourierField, field_from_half, full_rows, half_rows, reconstruct_rows
+from .spectral import FourierField, full_rows, half_rows, reconstruct_rows
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 # Generous blow-up guard; healthy probability densities keep |a_n| below
@@ -176,7 +176,7 @@ def _march(a0: np.ndarray, u_values: np.ndarray, model: ModelSpec, grid: TimeGri
 
 def require_normalized(rho0: FourierField) -> None:
     """Raise ValueError unless the mode-0 coefficient is 1/(2*pi) to within 1e-13."""
-    mass = rho0.coeffs[rho0.center]
+    mass = half_rows(rho0.coeffs)[0]
     if abs(mass - 1.0 / (2.0 * np.pi)) > _MASS_TOL:
         raise ValueError(
             f"initial density is not normalized: mode-0 coefficient {mass} "
@@ -223,22 +223,13 @@ def _terminal_rows(rho0: FourierField, controls, model: ModelSpec,
     return _march(rows, u_values, model, grid, None)
 
 
-def terminal_state(rho0: FourierField, u: ControlSignal, model: ModelSpec,
-                   grid: TimeGrid) -> FourierField:
-    """Terminal density of a forward solve without storing the trajectory.
-
-    Performs exactly the same arithmetic as `integrate_forward`, so terminal
-    costs agree bit-for-bit between the two entry points.
-    """
-    return field_from_half(_terminal_rows(rho0, [u], model, grid)[0])
-
-
 def cost_of_control(rho0: FourierField, controls, model: ModelSpec,
                     grid: TimeGrid) -> list[float]:
     """Terminal costs of lean forward solves, one per control (the line-search evaluator).
 
     The controls are marched `batch_rows` at a time as the rows of one
-    state; each cost has the bits of its own one-row solve.
+    state; each cost reads the bits of its own one-row solve's terminal
+    half row, which are those of `integrate_forward`.
 
     Raises:
         DivergenceError: if the solve of any control diverges.
@@ -247,7 +238,7 @@ def cost_of_control(rho0: FourierField, controls, model: ModelSpec,
     costs = []
     for start in range(0, len(controls), rows):
         terminal = _terminal_rows(rho0, controls[start:start + rows], model, grid)
-        costs += [model.cost.eval(field_from_half(row)) for row in terminal]
+        costs += [model.cost.eval(row) for row in terminal]
     return costs
 
 

@@ -7,7 +7,8 @@ The control-affine vector field on the circle is
 Its rotation channel is the constant 1 and its coupling channel has only
 the harmonics n = +-1, with coefficient i*pi*mu_1*e^{i*alpha} at n = 1
 (`ModelSpec.coupling`).  The terminal cost is the phase mismatch
-integral 1 - cos(x - x0) dmu_T.
+integral 1 - cos(x - x0) dmu_T, which reads only the harmonics 0 and 1
+of mu_T.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-from .spectral import FourierField
 
 ControlVector = np.ndarray
 
@@ -86,32 +85,31 @@ def box(lower, upper) -> AdmissibleSet:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Terminal cost and its intrinsic derivative.
+    """Terminal cost l(mu) and its intrinsic derivative D_mu l(mu).
 
-    `dmu` must return a field carrying only the harmonics n = +-1 (the
-    terminal adjoint condition is written for that case).
+    Both act on the half row n = 0 .. N/2 of mu (`spectral.half_rows`), the
+    layout a solve produces.  `dmu` returns the half row of the derivative
+    field and must carry only harmonic 1 (its conjugate -1 is implied): the
+    terminal adjoint condition is written for that case.
     """
 
-    eval: Callable[[FourierField], float]
-    dmu: Callable[[FourierField], FourierField]
+    eval: Callable[[np.ndarray], float]
+    dmu: Callable[[np.ndarray], np.ndarray]
 
 
-def sync_cost_eval(mu: FourierField, x0: float) -> float:
-    """Mean phase mismatch: integral of 1 - cos(x - x0) against mu."""
-    center = mu.center
-    mass = mu.coeffs[center]
-    if abs(mass - 1.0 / (2.0 * np.pi)) > 1e-10:
-        raise ValueError(f"density is not normalized: mode-0 coefficient {mass}")
-    return 1.0 - 2.0 * np.pi * (np.exp(-1j * x0) * mu.coeffs[center - 1]).real
+def sync_cost_eval(mu: np.ndarray, x0: float) -> float:
+    """Mean phase mismatch: integral of 1 - cos(x - x0) against the half row mu."""
+    if abs(mu[0] - 1.0 / (2.0 * np.pi)) > 1e-10:
+        raise ValueError(f"density is not normalized: mode-0 coefficient {mu[0]}")
+    # mu_{-1} = conj(mu_1) of a real density.
+    return 1.0 - 2.0 * np.pi * (np.exp(-1j * x0) * np.conj(mu[1])).real
 
 
-def sync_cost_dmu(mu: FourierField, x0: float) -> FourierField:
-    """Intrinsic derivative of the mismatch cost: the field sin(x - x0)."""
-    c = np.zeros(mu.n_modes + 1, dtype=complex)
-    center = mu.center
-    c[center + 1] = -0.5j * np.exp(-1j * x0)
-    c[center - 1] = np.conj(c[center + 1])
-    return FourierField(mu.n_modes, c)
+def sync_cost_dmu(mu: np.ndarray, x0: float) -> np.ndarray:
+    """Intrinsic derivative of the mismatch cost: the half row of sin(x - x0)."""
+    c = np.zeros(mu.shape[-1], dtype=complex)
+    c[1] = -0.5j * np.exp(-1j * x0)
+    return c
 
 
 def sync_cost_spec(x0: float) -> CostSpec:

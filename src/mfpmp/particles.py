@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .spectral import FourierField
+from .spectral import FourierField, half_rows
 from .timegrid import ControlSignal, TimeGrid
 
 _PHASE_DRIFT_LIMIT = 1e8
@@ -108,11 +108,9 @@ def particle_cost(ensemble: ParticleEnsemble, x0: float) -> float:
 
 def density_cdf_values(rho0: FourierField, x: np.ndarray) -> np.ndarray:
     """Cumulative integral of the density from 0 to x, via its harmonics."""
-    center = rho0.center
-    c = rho0.coeffs
-    out = c[center].real * x
-    for n in range(1, center + 1):
-        cn = c[center + n]
+    c = half_rows(rho0.coeffs)
+    out = c[0].real * x
+    for n, cn in enumerate(c[1:], start=1):
         if cn == 0:
             continue
         # 2*Re[c_n(exp(inx) - 1)/(in)] collects the +-n pair of a real field.
@@ -128,7 +126,7 @@ def stratified_ensemble(rho0: FourierField, n_particles: int) -> ParticleEnsembl
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    mass = rho0.coeffs[rho0.center].real * 2.0 * np.pi
+    mass = half_rows(rho0.coeffs)[0].real * 2.0 * np.pi
     if abs(mass - 1.0) > 1e-10:
         raise ValueError(f"density mass {mass} is not 1")
     q = (np.arange(n_particles) + 0.5) / n_particles

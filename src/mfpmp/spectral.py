@@ -11,12 +11,15 @@ c_{-n} = conj(c_n); `FourierField` rejects coefficients that break it by
 more than rounding (HERMITIAN_TOL), so no solver receives a complex field.
 
 Two layouts hold the coefficients.  `FourierField` keeps the full range
--N/2 .. N/2: configs, presets, the cost and the public RHS functions speak
-it.  The solvers store and march only the half rows n = 0 .. N/2
-(`half_rows`), since the n < 0 half is their conjugate.  The full field of
-a half row (`full_rows`, `field_from_half`) is built by conjugation, so
-with a real n = 0 entry, which both solvers keep, it is Hermitian exactly,
-not to rounding.
+-N/2 .. N/2; it is the type of a density entering or leaving the program:
+the config's initial density, the presets, and the public right-hand sides
+(`forward.rhs_continuity`, `adjoint.rhs_adjoint`) and terminal co-density
+(`adjoint.terminal_adjoint`).  Everything inside and after a solve speaks
+the half row n = 0 .. N/2 (`half_rows`), since the n < 0 half is its
+conjugate: the marches, the stored trajectories, the terminal cost and its
+derivative.  The full row of a half row (`full_rows`) is built by
+conjugation, so with a real n = 0 entry, which both solvers keep, it is
+Hermitian exactly, not to rounding.
 
 A note on the boundary mode: on an N-point grid the harmonics +N/2 and -N/2
 alias to the same samples, so only their real part is observable; the two
@@ -104,11 +107,6 @@ def half_rows(coeffs: np.ndarray) -> np.ndarray:
 def full_rows(half: np.ndarray) -> np.ndarray:
     """Full-layout rows (..., N + 1) of half rows (..., N/2 + 1): c_{-n} = conj(c_n)."""
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
-
-
-def field_from_half(half: np.ndarray) -> FourierField:
-    """The real field of one half row n = 0 .. N/2."""
-    return FourierField(2 * (half.shape[-1] - 1), full_rows(half))
 
 
 def reconstruct_rows(half: np.ndarray) -> np.ndarray:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FourierField, field_from_half
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -43,7 +41,7 @@ class Trajectory:
     """Coefficient snapshots on the half-step lattice: `coeffs[s]` at t = s*tau/2.
 
     Each snapshot is a half row, the harmonics n = 0 .. N/2 of a real field
-    (`spectral.half_rows`); `field` gives the full field.
+    (`spectral.half_rows`).
     """
 
     grid: TimeGrid
@@ -66,11 +64,9 @@ class Trajectory:
     def n_snapshots(self) -> int:
         return self.coeffs.shape[0]
 
-    def field(self, index: int) -> FourierField:
-        return field_from_half(self.coeffs[index])
-
-    def terminal_field(self) -> FourierField:
-        return self.field(self.n_snapshots - 1)
+    def terminal_field(self) -> np.ndarray:
+        """The half row at t = T."""
+        return self.coeffs[-1]
 
     def node_index(self, t: float) -> int:
         """Snapshot index closest to time t."""

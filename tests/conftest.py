@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfpmp import FourierField
+from mfpmp.spectral import full_rows
 
 
 def random_hermitian(n_modes, rng, max_mode=None, scale=0.1, mass=None,
@@ -31,6 +32,11 @@ def mode_numbers(size):
 def harmonic(field, n):
     """Coefficient of the signed harmonic n of a full-layout field."""
     return complex(field.coeffs[field.center + n])
+
+
+def full_field(half):
+    """The full-layout field of one half row n = 0 .. N/2, as a solve stores it."""
+    return FourierField(2 * (half.shape[-1] - 1), full_rows(half))
 
 
 def uniform_field(n_modes, value=1.0 / (2.0 * np.pi)):

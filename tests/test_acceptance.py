@@ -39,7 +39,7 @@ from mfpmp.cli import main as cli_main
 from mfpmp.forward import mass_drift
 from mfpmp.presets import fig1_control, fig1_density
 
-from conftest import hermitian_defect, mode_numbers
+from conftest import full_field, hermitian_defect, mode_numbers
 
 
 def report(num, name, passed, detail):
@@ -132,15 +132,15 @@ class TestCriterion4RotationOracle:
         for s in (0, 777, 1400, 2000):
             t = s * 0.5 * grid.tau
             closed = rho0.coeffs * np.exp(-1j * modes * c * t)
-            fwd_err = max(fwd_err, np.max(np.abs(traj.field(s).coeffs - closed)))
+            fwd_err = max(fwd_err, np.max(np.abs(full_field(traj.coeffs[s]).coeffs - closed)))
 
         cotraj = integrate_backward(traj, u, model)
-        zT = terminal_adjoint(traj.terminal_field(), model).coeffs
+        zT = terminal_adjoint(full_field(traj.terminal_field()), model).coeffs
         adj_err = 0.0
         for s in (0, 777, 1400, 2000):
             t = s * 0.5 * grid.tau
             closed = zT * np.exp(1j * modes * c * (1.0 - t))
-            adj_err = max(adj_err, np.max(np.abs(cotraj.field(s).coeffs - closed)))
+            adj_err = max(adj_err, np.max(np.abs(full_field(cotraj.coeffs[s]).coeffs - closed)))
 
         ok = fwd_err < 1e-8 and adj_err < 1e-8
         report(4, "rotation closed-form oracle", ok,
@@ -210,7 +210,7 @@ class TestCriterion8Rk4Order:
             grid = TimeGrid(1.0, tau)
             traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
             closed = rho.coeffs * np.exp(-1j * mode_numbers(33) * c)
-            errs.append(np.max(np.abs(traj.terminal_field().coeffs - closed)))
+            errs.append(np.max(np.abs(full_field(traj.terminal_field()).coeffs - closed)))
         order = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
         ok = order >= 3.7
         report(8, "integrator convergence order", ok,
@@ -258,7 +258,7 @@ class TestCriterion9PropertySuites:
         worst = 0.0
         for traj in (desk_run["traj"], desk_run["cotraj"]):
             for s in range(0, traj.n_snapshots, 100):
-                worst = max(worst, hermitian_defect(traj.field(s)))
+                worst = max(worst, hermitian_defect(full_field(traj.coeffs[s])))
         # Every stored half row expands to an exactly Hermitian field.
         ok = worst == 0.0
         report(9, "Hermitian symmetry through optimize", ok,

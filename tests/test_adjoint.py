@@ -21,7 +21,8 @@ from mfpmp import adjoint
 from mfpmp.presets import fig1_density
 from mfpmp.spectral import FourierField, half_rows
 
-from conftest import harmonic, hermitian_defect, mode_numbers, random_hermitian, uniform_field
+from conftest import (full_field, harmonic, hermitian_defect, mode_numbers, random_hermitian,
+                      uniform_field)
 
 
 def literal_adjoint_rhs(b, a, u, alpha):
@@ -85,6 +86,25 @@ class TestTerminalCondition:
         z0 = terminal_adjoint(uni, kuramoto_model(0.0, x0=0.8))
         z1 = terminal_adjoint(uni, kuramoto_model(0.0, x0=0.8 + np.pi))
         assert_allclose(z1.coeffs, -z0.coeffs, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_cost_derivative_off_harmonic_one_is_rejected(self, n):
+        # The terminal condition is written for a derivative carrying only
+        # the harmonics +-1; any other harmonic must raise, not be dropped.
+        from dataclasses import replace
+
+        def dmu(a):
+            row = np.zeros_like(a)
+            row[1], row[n] = -0.5j, 0.1
+            return row
+
+        base = kuramoto_model(0.0, np.pi)
+        model = replace(base, cost=replace(base.cost, dmu=dmu))
+        grid = TimeGrid(0.1, 1e-2)
+        u = constant_control(grid, [0.2, 0.5])
+        traj = integrate_forward(fig1_density(16), u, model, grid)
+        with pytest.raises(ValueError, match="harmonics"):
+            integrate_backward(traj, u, model)
 
 
 class TestAdjointRhs:
@@ -154,7 +174,7 @@ class TestIntegrateBackward:
             want = np.zeros(n + 1, complex)
             want[n // 2 + 1] = b1
             want[n // 2 - 1] = np.conj(b1)
-            worst = max(worst, np.max(np.abs(cotraj.field(s).coeffs - want)))
+            worst = max(worst, np.max(np.abs(full_field(cotraj.coeffs[s]).coeffs - want)))
         assert worst < 1e-8
 
     def test_zero_terminal_condition_stays_zero(self):
@@ -192,7 +212,7 @@ class TestIntegrateBackward:
         traj = integrate_forward(rho, u, model, grid)
         cotraj = integrate_backward(traj, u, model)
         # Half rows make the symmetry exact: b_0 stays real at every node.
-        worst = max(hermitian_defect(cotraj.field(s)) for s in range(cotraj.n_snapshots))
+        worst = max(hermitian_defect(full_field(row)) for row in cotraj.coeffs)
         assert worst == 0.0
 
 
@@ -209,7 +229,7 @@ class TestDualityWithTheCost:
             model = kuramoto_model(alpha, np.pi, control_set=ball(3.0))
             traj = integrate_forward(rho, u, model, grid)
             cotraj = integrate_backward(traj, u, model)
-            co_mass = cotraj.coeffs[:, 24].real
+            co_mass = cotraj.coeffs[:, 0].real
             assert np.max(np.abs(co_mass - co_mass[-1])) < 1e-10
 
     def test_gradient_against_brute_force_differences(self):

@@ -63,7 +63,7 @@ class TestIncrementSlopeCheck:
         rep = increment_slope_check(rho, solve_reference(rho, u, model, grid), u, model, grid,
                                     [1e-3])
         assert rep["predicted_slope"] == 0.0
-        assert np.isnan(rep["ratios"][0])
+        assert rep["ratios"] == [None]
 
     def test_cost_scaling_scales_both_sides(self):
         # Scaling the terminal cost scales predicted and actual decrements
@@ -71,7 +71,6 @@ class TestIncrementSlopeCheck:
         from dataclasses import replace
 
         from mfpmp.models import CostSpec, sync_cost_spec
-        from mfpmp.spectral import FourierField
         grid = TimeGrid(0.4, 2e-3)
         rho = fig1_density(48)
         t = grid.full_times()
@@ -82,8 +81,8 @@ class TestIncrementSlopeCheck:
         base = kuramoto_model(0.0, np.pi)
         plain = sync_cost_spec(np.pi)
         scaled_cost = CostSpec(
-            eval=lambda mu: kappa * plain.eval(mu),
-            dmu=lambda mu: FourierField(mu.n_modes, kappa * plain.dmu(mu).coeffs),
+            eval=lambda a: kappa * plain.eval(a),
+            dmu=lambda a: kappa * plain.dmu(a),
         )
         scaled = replace(base, cost=scaled_cost)
         rep_base, rep_scaled = (

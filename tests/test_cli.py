@@ -276,6 +276,8 @@ class TestExitCodes:
         'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.5, 0]}',
         'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [1e308, 1e308]}',
         'initial_control={"constant": [0.1]}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.05, 0], "01": [0, 0]}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.05, 0], " 1": [0, 0]}',
     ])
     def test_malformed_values_are_2(self, tmp_path, capsys, monkeypatch, override):
         self.assert_config_error_before_any_artifact(tmp_path, capsys, monkeypatch, override)
@@ -383,3 +385,30 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 5
         report = json.loads((out / "validation_report.json").read_text())
         assert report["local_adjoint"]["passed"] is False
+
+    def test_undefined_slope_ratios_are_null_in_strict_json(self, tmp_path, capsys):
+        # A uniform density under zero control predicts a zero decrease, so
+        # the ratios actual/predicted are undefined: null, and a failed probe.
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command="validate", snapshot_times=[],
+                       initial_density={"harmonics": {"0": [1.0 / (2.0 * np.pi), 0.0]}},
+                       initial_control={"constant": [0.0, 0.0]})
+        doc["grid"] = {"T": 0.5, "tau": 5e-3, "n_modes": 32}
+        doc["validate"] = {"extra_pairs": 0}
+        assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 5
+        text = (out / "validation_report.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        probe = report["increment_slope"]["pairs"][0]
+        assert probe["predicted_slope"] == 0.0
+        assert probe["ratios"] == [None] * 4
+        assert probe["passed"] is False and report["passed"] is False
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["category"] == "validation"
+
+    def test_non_finite_floats_are_never_written(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "bad.json", {"x": float("nan")})
+        assert not (tmp_path / "bad.json").exists()

@@ -23,7 +23,7 @@ from mfpmp import (
 )
 from mfpmp.descent import STATUS_EXTREMAL, SwitchingFunction
 from mfpmp.presets import fig1_density
-from mfpmp.spectral import reconstruct_rows
+from mfpmp.spectral import full_rows, reconstruct_rows
 from mfpmp.timegrid import Trajectory
 
 from conftest import uniform_field
@@ -75,8 +75,8 @@ class TestSwitchingFunction:
         cotraj = integrate_backward(traj, u, model)
         got = switching_function(traj, cotraj, model).values[:, 1]
         # The full fields at the full nodes: b_{-1} is read at its own index.
-        a = np.stack([traj.field(s).coeffs for s in range(0, traj.n_snapshots, 2)])
-        b = np.stack([cotraj.field(s).coeffs for s in range(0, cotraj.n_snapshots, 2)])
+        a = full_rows(traj.coeffs[::2])
+        b = full_rows(cotraj.coeffs[::2])
         c = traj.n_modes // 2
         v = 1j * np.pi * a[:, c + 1] * np.exp(1j * alpha)
         literal = 2.0 * np.pi * (v * b[:, c - 1] + np.conj(v) * b[:, c + 1]).real

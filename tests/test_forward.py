@@ -17,16 +17,16 @@ from mfpmp import (
     integrate_forward,
     kuramoto_model,
     rhs_continuity,
-    terminal_state,
 )
 from mfpmp import adjoint, forward
-from mfpmp.adjoint import _rk4_backward_step, _source_phases, terminal_adjoint
+from mfpmp.adjoint import _rk4_backward_step, _source_phases
 from mfpmp.forward import _rk4_forward_step, _terminal_rows, mass_drift
 from mfpmp.descent import switching_function
 from mfpmp.presets import fig1_control, fig1_density
-from mfpmp.spectral import field_from_half, half_rows
+from mfpmp.spectral import half_rows
 
-from conftest import harmonic, hermitian_defect, mode_numbers, random_hermitian, uniform_field
+from conftest import (full_field, harmonic, hermitian_defect, mode_numbers, random_hermitian,
+                      uniform_field)
 
 
 def literal_coefficient_rhs(a, u, alpha):
@@ -140,7 +140,7 @@ class TestIntegrateForward:
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
         traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
         closed = rho.coeffs * np.exp(-1j * mode_numbers(65) * c)
-        assert np.max(np.abs(traj.terminal_field().coeffs - closed)) < 1e-8
+        assert np.max(np.abs(full_field(traj.terminal_field()).coeffs - closed)) < 1e-8
 
     def test_zero_control_keeps_the_state_bitwise(self):
         rho = fig1_density(32)
@@ -184,7 +184,7 @@ class TestIntegrateForward:
         # A full-layout march keeps the symmetry to rounding; the half rows
         # hold it by construction, and they are the n >= 0 half of that march.
         assert np.max(np.abs(full - np.conj(full[:, ::-1]))) < 1e-12
-        assert all(hermitian_defect(field_from_half(row)) == 0.0 for row in a)
+        assert all(hermitian_defect(full_field(row)) == 0.0 for row in a)
         assert a.tobytes() == n_ge_0_half(full).tobytes()
 
     def test_rotation_equivariance_of_the_coupled_system(self):
@@ -196,8 +196,8 @@ class TestIntegrateForward:
         c, u2 = 0.8, 1.1
         with_drift = integrate_forward(rho, constant_control(grid, [c, u2]), model, grid)
         without = integrate_forward(rho, constant_control(grid, [0.0, u2]), model, grid)
-        rotated = without.terminal_field().coeffs * np.exp(-1j * mode_numbers(65) * c)
-        assert np.max(np.abs(with_drift.terminal_field().coeffs - rotated)) < 1e-8
+        rotated = full_field(without.terminal_field()).coeffs * np.exp(-1j * mode_numbers(65) * c)
+        assert np.max(np.abs(full_field(with_drift.terminal_field()).coeffs - rotated)) < 1e-8
 
     def test_rk4_global_order_on_rotation(self):
         rho = field_from_harmonics(32, {0: 1.0 / (2.0 * np.pi),
@@ -210,7 +210,7 @@ class TestIntegrateForward:
             grid = TimeGrid(1.0, tau)
             traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
             closed = rho.coeffs * np.exp(-1j * mode_numbers(33) * c)
-            errs.append(np.max(np.abs(traj.terminal_field().coeffs - closed)))
+            errs.append(np.max(np.abs(full_field(traj.terminal_field()).coeffs - closed)))
         order = np.polyfit(np.log(taus), np.log(errs), 1)[0]
         assert order >= 3.7
 
@@ -241,9 +241,10 @@ class TestIntegrateForward:
         model = kuramoto_model(0.0, np.pi)
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([np.sin(t), np.cos(t)]))
-        stored = integrate_forward(rho, u, model, grid).terminal_field().coeffs
-        lean = terminal_state(rho, u, model, grid).coeffs
-        assert np.array_equal(stored, lean)
+        stored = integrate_forward(rho, u, model, grid).terminal_field()
+        assert _terminal_rows(rho, [u], model, grid)[0].tobytes() == stored.tobytes()
+        lean_cost = cost_of_control(rho, [u], model, grid)
+        assert np.array(lean_cost).tobytes() == np.array([model.cost.eval(stored)]).tobytes()
 
 
 def ladder_setup(alpha):
@@ -267,11 +268,11 @@ class TestBatchedMarch:
             monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
         rho, grid, model, _, ladder = ladder_setup(alpha)
         costs = cost_of_control(rho, ladder, model, grid)
-        singles = [terminal_state(rho, trial, model, grid) for trial in ladder]
+        singles = [integrate_forward(rho, trial, model, grid).coeffs[-1] for trial in ladder]
         want = [model.cost.eval(one) for one in singles]
         assert np.array(costs).tobytes() == np.array(want).tobytes()
         stacked = _terminal_rows(rho, ladder, model, grid)
-        assert stacked.tobytes() == np.stack([half_rows(one.coeffs) for one in singles]).tobytes()
+        assert stacked.tobytes() == np.stack(singles).tobytes()
 
     def test_a_diverging_row_raises(self):
         rho = fig1_density(64)
@@ -293,7 +294,7 @@ class TestBatchedMarch:
         stencil = adjoint._stencil(17)
         phases = _source_phases(model)
         want = np.empty_like(traj.coeffs)
-        b = half_rows(terminal_adjoint(traj.terminal_field(), model).coeffs)
+        b = adjoint._terminal_row(traj.terminal_field(), model)
         last = 2 * grid.n_steps
         want[last] = b
         for s in range(last, 0, -1):
@@ -343,7 +344,7 @@ class TestHalfRowMarch:
         batched = _terminal_rows(rho, ladder, model, grid)  # the 12 controls in one march
         assert batched.tobytes() == n_ge_0_half(full_layout_march(rho, ladder, model, grid)[-1]).tobytes()
         for trial in ladder[:4]:
-            lean = half_rows(terminal_state(rho, trial, model, grid).coeffs)
+            lean = _terminal_rows(rho, [trial], model, grid)[0]
             want = full_layout_march(rho, [trial], model, grid)[-1, 0]
             assert lean.tobytes() == n_ge_0_half(want).tobytes()
 

@@ -14,10 +14,10 @@ from mfpmp import (
     sync_cost_dmu,
     sync_cost_eval,
 )
-from mfpmp.spectral import FourierField, grid_points
+from mfpmp.spectral import FourierField, grid_points, half_rows
 
-from conftest import (eval_series, grid_coefficients, harmonic, mode_numbers, random_hermitian,
-                      uniform_field)
+from conftest import (eval_series, full_field, grid_coefficients, harmonic, mode_numbers,
+                      random_hermitian, uniform_field)
 
 
 def uniform(n=32):
@@ -31,7 +31,7 @@ def coupling(model, mu):
 def flat_derivative(mu, x0):
     """First variation of the mismatch cost, 1 - cos(x - x0) - cost(mu)."""
     return field_from_harmonics(mu.n_modes, {
-        0: 1.0 - sync_cost_eval(mu, x0),
+        0: 1.0 - sync_cost_eval(half_rows(mu.coeffs), x0),
         1: -0.5 * np.exp(-1j * x0),
     })
 
@@ -98,7 +98,7 @@ class TestKuramotoField:
 
 class TestSyncCost:
     def test_uniform_density_scores_one(self):
-        assert_allclose(sync_cost_eval(uniform(), 0.37), 1.0, atol=1e-14)
+        assert_allclose(sync_cost_eval(half_rows(uniform().coeffs), 0.37), 1.0, atol=1e-14)
 
     def test_experiment_density_against_quadrature(self):
         # The first harmonic of the experiment's density is purely
@@ -111,8 +111,8 @@ class TestSyncCost:
         x = np.linspace(0.0, 2.0 * np.pi, 100001)
         dens = (2.0 + np.sin(x) + 0.8 * np.cos(2 * x) - 0.2 * np.sin(2 * x)) / (4.0 * np.pi)
         quad = np.trapezoid((1.0 - np.cos(x - np.pi)) * dens, x)
-        assert_allclose(sync_cost_eval(rho, np.pi), quad, atol=1e-9)
-        assert_allclose(sync_cost_eval(rho, np.pi), 1.0, atol=1e-14)
+        assert_allclose(sync_cost_eval(half_rows(rho.coeffs), np.pi), quad, atol=1e-9)
+        assert_allclose(sync_cost_eval(half_rows(rho.coeffs), np.pi), 1.0, atol=1e-14)
 
     def test_concentrated_density_scores_near_zero(self):
         # A band-limited bump centered at x0 (von-Mises-like truncation).
@@ -122,7 +122,7 @@ class TestSyncCost:
         bump = np.exp(8.0 * np.cos(x - x0))
         bump /= 2.0 * np.pi * np.mean(bump)
         rho = grid_coefficients(bump)
-        val = sync_cost_eval(rho, x0)
+        val = sync_cost_eval(half_rows(rho.coeffs), x0)
         fine = np.linspace(0.0, 2.0 * np.pi, 200001)
         fine_bump = np.exp(8.0 * np.cos(fine - x0))
         fine_bump /= np.trapezoid(fine_bump, fine)
@@ -133,26 +133,27 @@ class TestSyncCost:
     def test_unnormalized_density_rejected(self):
         bad = uniform_field(16, 0.2)
         with pytest.raises(ValueError, match="normalized"):
-            sync_cost_eval(bad, 0.0)
+            sync_cost_eval(half_rows(bad.coeffs), 0.0)
 
     def test_rotation_invariance(self, rng):
         mu = random_hermitian(32, rng)
         phi = 1.234
         shifted = FourierField(32, mu.coeffs * np.exp(-1j * phi * mode_numbers(33)))
         for x0 in (0.0, 1.0, np.pi):
-            assert_allclose(sync_cost_eval(shifted, x0 + phi),
-                            sync_cost_eval(mu, x0), atol=1e-13)
+            assert_allclose(sync_cost_eval(half_rows(shifted.coeffs), x0 + phi),
+                            sync_cost_eval(half_rows(mu.coeffs), x0), atol=1e-13)
 
     def test_dmu_is_the_sine_field(self):
-        d0 = sync_cost_dmu(uniform(), 0.0)
-        assert_allclose(harmonic(d0, 1), -0.5j, atol=1e-15)
-        dpi = sync_cost_dmu(uniform(), np.pi)
-        assert_allclose(dpi.coeffs, -d0.coeffs, atol=1e-15)
+        d0 = sync_cost_dmu(half_rows(uniform().coeffs), 0.0)
+        assert d0.shape == (17,) and np.flatnonzero(d0).tolist() == [1]  # harmonic 1 only
+        assert_allclose(d0[1], -0.5j, atol=1e-15)
+        dpi = sync_cost_dmu(half_rows(uniform().coeffs), np.pi)
+        assert_allclose(dpi, -d0, atol=1e-15)
 
     def test_dmu_equals_derivative_of_flat(self, rng):
         mu = random_hermitian(32, rng)
         for x0 in (0.0, 0.9, np.pi):
-            lhs = sync_cost_dmu(mu, x0).coeffs
+            lhs = full_field(sync_cost_dmu(half_rows(mu.coeffs), x0)).coeffs
             rhs = 1j * mode_numbers(33) * flat_derivative(mu, x0).coeffs  # d/dx
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
