@@ -21,7 +21,7 @@ Unlike the density, the co-density conserves no mass: the n = 0 source is
 generally nonzero.
 
 The co-density is real, so b_{-n} = conj(b_n): like the forward solver,
-the march stores and steps only the half rows n = 0 .. N/2.  Transport and
+the march takes, stores and steps only the half rows n = 0 .. N/2.  Transport and
 stretch share their shifts, so the right-hand side is one three-term
 stencil plus the source,
 
@@ -32,7 +32,7 @@ with v = u_2 * i*pi*a_1*e^{i*alpha} and the source harmonics q_{-+1} of
 q(x).  Its mode factors are computed once per solve (`_stencil`).  Only
 the n = 0 entry and q_{-1} read b_{-1} and a_{-1}, which are conj(b_1) and
 conj(a_1); that entry adds its conjugate pairs in scalar arithmetic, so
-b_0 stays real and the full field is Hermitian exactly.
+b_0 stays real and the field is Hermitian exactly.
 
 The march runs at the same half step as the forward solver, so every stage
 reads a forward state either straight from storage or, for quarter-step
@@ -51,7 +51,7 @@ import numpy as np
 
 from .forward import _coupling_value, _factor, _rk4_forward_step, _settle, batch_rows
 from .models import ModelSpec
-from .spectral import FourierField, full_rows, half_rows
+from .spectral import require_row
 from .timegrid import ControlSignal, Trajectory
 
 
@@ -109,8 +109,13 @@ def _rk4_backward_step(b: np.ndarray, h: float, u: np.ndarray,
     return b + (hb / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _terminal_row(aT: np.ndarray, model: ModelSpec) -> np.ndarray:
-    """Half row of the terminal co-density (-D_mu l(mu_T)) * rho_T at the half row aT."""
+def terminal_adjoint(muT: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """Half row of the terminal co-density (-D_mu l(mu_T)) * rho_T at the density half row muT.
+
+    For the synchronization cost this reduces to
+    b_n(T) = (i/2) * (a_{n-1} e^{-i x0} - a_{n+1} e^{i x0}).
+    """
+    aT = require_row(muT, "terminal density")
     dmu = model.cost.dmu(aT)
     if np.any(dmu[:1]) or np.any(dmu[2:]):
         raise ValueError("the cost derivative must carry only the harmonics +-1")
@@ -124,40 +129,30 @@ def _terminal_row(aT: np.ndarray, model: ModelSpec) -> np.ndarray:
     return b
 
 
-def terminal_adjoint(muT: FourierField, model: ModelSpec) -> FourierField:
-    """Terminal co-density: the product (-D_mu l(mu_T)) * rho_T.
-
-    For the synchronization cost this reduces to
-    b_n(T) = (i/2) * (a_{n-1} e^{-i x0} - a_{n+1} e^{i x0}).
-    """
-    return FourierField(muT.n_modes, full_rows(_terminal_row(half_rows(muT.coeffs), model)))
-
-
-def rhs_adjoint(t: float, b: FourierField, a: FourierField, u,
-                model: ModelSpec) -> FourierField:
-    """Coefficient time derivative of the co-density at forward state a.
+def rhs_adjoint(t: float, b: np.ndarray, a: np.ndarray, u, model: ModelSpec) -> np.ndarray:
+    """Half row of the co-density's time derivative at co-density half row b, density half row a.
 
     The model is autonomous; `t` is accepted for the usual ODE signature.
     """
     u = model.require_feasible(u)
-    if b.n_modes != a.n_modes:
+    b, a = require_row(b, "co-density"), require_row(a, "density")
+    if b.shape != a.shape:
         raise ValueError("state and co-state mode counts differ")
-    stencil = _stencil(b.center + 1)
-    rhs = _adjoint_rhs(half_rows(b.coeffs), half_rows(a.coeffs), u, model,
-                       complex(u[0]) * stencil[0], stencil, _source_phases(model))
-    return FourierField(b.n_modes, full_rows(rhs))
+    stencil = _stencil(b.shape[0])
+    return _adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil,
+                        _source_phases(model))
 
 
 def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
-                       terminal: FourierField | None = None) -> Trajectory:
+                       terminal: np.ndarray | None = None) -> Trajectory:
     """Solve the adjoint system backward along a stored forward trajectory.
 
     Args:
         traj: forward trajectory.
         u: the control that produced `traj`.
         model: vector-field specification.
-        terminal: optional override of the terminal co-density; defaults to
-            the cost-derived condition.  Linearity in this argument is a
+        terminal: optional half row overriding the terminal co-density;
+            defaults to `terminal_adjoint`.  Linearity in this argument is a
             tested property of the system.
 
     Returns:
@@ -173,11 +168,11 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     grid = traj.grid
     model.require_feasible(u.values)
     if terminal is None:
-        b = _terminal_row(traj.terminal_field(), model)
+        b = terminal_adjoint(traj.terminal_field(), model)
     else:
-        if terminal.n_modes != traj.n_modes:
+        b = np.array(require_row(terminal, "terminal co-density"))  # settled in place below
+        if b.shape[0] != traj.coeffs.shape[1]:
             raise ValueError("terminal co-density resolution does not match the trajectory")
-        b = np.array(half_rows(terminal.coeffs), dtype=complex)
 
     h = 0.5 * grid.tau
     width = traj.coeffs.shape[1]

@@ -22,11 +22,11 @@ from .descent import SwitchingFunction, non_extremality, switching_function, tar
 from .forward import cost_of_control, integrate_forward
 from .models import ModelSpec, ball, kuramoto_model
 from .particles import particle_cost, simulate_particles, stratified_ensemble
-from .spectral import FourierField, grid_points, half_rows, reconstruct_rows
+from .spectral import grid_points, reconstruct_rows
 from .timegrid import ControlSignal, TimeGrid
 
 
-def meanfield_vs_particles(rho0: FourierField, u: ControlSignal, model: ModelSpec,
+def meanfield_vs_particles(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
                            grid: TimeGrid, ensemble_sizes) -> list[dict]:
     """Compare the spectral solution with a stratified particle run of each size.
 
@@ -80,7 +80,7 @@ class Reference:
     d: SwitchingFunction
 
 
-def solve_reference(rho0: FourierField, u: ControlSignal, model: ModelSpec,
+def solve_reference(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
                     grid: TimeGrid) -> Reference:
     """One forward and one adjoint solve of u."""
     traj = integrate_forward(rho0, u, model, grid)
@@ -89,7 +89,7 @@ def solve_reference(rho0: FourierField, u: ControlSignal, model: ModelSpec,
                      switching_function(traj, cotraj, model))
 
 
-def increment_slope_check(rho0: FourierField, ref: Reference, ubar: ControlSignal,
+def increment_slope_check(rho0: np.ndarray, ref: Reference, ubar: ControlSignal,
                           model: ModelSpec, grid: TimeGrid, lambdas) -> dict:
     """Probe the first-order cost expansion along u + lam * (ubar - u), u = ref.u.
 
@@ -126,7 +126,7 @@ def increment_slope_check(rho0: FourierField, ref: Reference, ubar: ControlSigna
     }
 
 
-def local_adjoint_check(u1_values, rho0: FourierField, x0: float, grid: TimeGrid) -> dict:
+def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid) -> dict:
     """Closed-form co-density check for the measure-independent case.
 
     With the coupling channel off (u_2 = 0) the field is a rigid rotation
@@ -158,14 +158,15 @@ def local_adjoint_check(u1_values, rho0: FourierField, x0: float, grid: TimeGrid
     accumulated = remaining[0] - remaining
 
     nodes = np.arange(0, n_half + 1, 2)
-    x = grid_points(rho0.n_modes)
-    modes = np.arange(rho0.center + 1)
-    shifted = half_rows(rho0.coeffs)[None, :] * np.exp(-1j * np.outer(accumulated[nodes], modes))
+    x = grid_points(traj.n_modes)
+    modes = np.arange(traj.coeffs.shape[1])
+    # rho_0 as the solver marched it: the stored initial half row.
+    shifted = traj.coeffs[0] * np.exp(-1j * np.outer(accumulated[nodes], modes))
     rho_t = reconstruct_rows(shifted)
     analytic = -np.sin(x[None, :] + remaining[nodes, None] - x0) * rho_t
     solved = reconstruct_rows(cotraj.coeffs[nodes])
     err = float(np.max(np.abs(solved - analytic)))
-    return {"max_error": err, "n_modes": rho0.n_modes, "tau": grid.tau}
+    return {"max_error": err, "n_modes": traj.n_modes, "tau": grid.tau}
 
 
 _PAIR_RECIPES = (
@@ -179,7 +180,7 @@ _PAIR_RECIPES = (
 MAX_EXTRA_PAIRS = len(_PAIR_RECIPES)
 
 
-def synthetic_control_pairs(rho0: FourierField, model: ModelSpec, grid: TimeGrid,
+def synthetic_control_pairs(rho0: np.ndarray, model: ModelSpec, grid: TimeGrid,
                             count: int = 2) -> list[tuple[Reference, ControlSignal]]:
     """Deterministic feasible (reference, target) pairs for slope probes."""
     if not 0 <= count <= MAX_EXTRA_PAIRS:
@@ -193,7 +194,7 @@ def synthetic_control_pairs(rho0: FourierField, model: ModelSpec, grid: TimeGrid
     return pairs
 
 
-def fig1_slope_pair(rho0: FourierField, u0: ControlSignal, model: ModelSpec,
+def fig1_slope_pair(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
                     grid: TimeGrid) -> tuple[Reference, ControlSignal]:
     """The (reference of the initial control, its target control) pair of the experiment."""
     ref = solve_reference(rho0, u0, model, grid)

@@ -74,26 +74,10 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 def _write_json(path: Path, obj) -> None:
-    """Strict JSON: a NaN or infinite float raises instead of writing a non-JSON token."""
-    _atomic_write(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True,
-                                   allow_nan=False) + "\n")
+    """Strict JSON, NumPy values as Python ones: a NaN or infinite float raises."""
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                                   default=lambda value: value.tolist()) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:

@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .forward import require_normalized
 from .models import AdmissibleSet, ModelSpec, ball, box, kuramoto_model
 from .presets import CONTROL_PRESETS, DENSITY_PRESETS
-from .spectral import FourierField, field_from_harmonics, half_rows
+from .spectral import half_rows
 from .timegrid import ControlSignal, TimeGrid, constant_control
 
 COMMANDS = ("solve-forward", "solve-adjoint", "optimize", "validate")
@@ -44,7 +44,7 @@ class RunConfig:
     command: str
     model: ModelSpec
     grid: TimeGrid
-    rho0: FourierField
+    rho0: np.ndarray  # half row n = 0 .. N/2 of the initial density
     u0: ControlSignal
     descent: DescentConfig
     output_dir: Path
@@ -79,6 +79,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _numbers(v, where: str, length: int) -> list[float]:
+    """A list of exactly `length` finite JSON numbers (`_is_number`), as floats."""
+    if not (isinstance(v, list) and len(v) == length and all(_is_number(x) for x in v)):
+        raise ConfigError(f"{where}: expected a list of {length} finite numbers, got {v!r}")
+    return [float(x) for x in v]
+
+
 def _number(doc, key, where, positive=False):
     v = doc.get(key)
     if not _is_number(v):
@@ -98,54 +105,53 @@ def _parse_constraint(doc: dict) -> AdmissibleSet:
             return ball(_number(doc, "radius", where, positive=True))
         if doc["kind"] == "box":
             _require_keys(doc, {"kind", "lower", "upper"}, {"kind", "lower", "upper"}, where)
-            return box(doc["lower"], doc["upper"])
+            return box(_numbers(doc["lower"], f"{where}.lower", 2),
+                       _numbers(doc["upper"], f"{where}.upper", 2))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}.kind: must be 'ball' or 'box', got {doc['kind']!r}")
 
 
-def _parse_density(doc, n_modes: int) -> tuple[FourierField, dict]:
+def _parse_density(doc, n_modes: int) -> tuple[np.ndarray, dict]:
+    """The half row n = 0 .. N/2 of the initial density, and its echo."""
     where = "initial_density"
     if isinstance(doc, str):
         preset = DENSITY_PRESETS.get(doc)
         if preset is None:
             raise ConfigError(f"{where}: unknown preset {doc!r}")
-        rho0 = preset(n_modes)
+        rho0 = half_rows(preset(n_modes).coeffs)
     elif isinstance(doc, dict):
         _require_keys(doc, {"harmonics"}, {"harmonics"}, where)
         if not isinstance(doc["harmonics"], dict):
             raise ConfigError(f"{where}.harmonics: expected an object of harmonic: [re, im]")
-        harmonics = {}
+        rho0 = np.zeros(n_modes // 2 + 1, dtype=complex)
+        given = set()
         for key, pair in doc["harmonics"].items():
+            at = f"{where}.harmonics[{key!r}]"
             try:
                 n = int(key)
-                re, im = float(pair[0]), float(pair[1])
-                if not (math.isfinite(re) and math.isfinite(im)):
-                    raise ValueError("non-finite coefficient")
-            except (ValueError, TypeError, IndexError, OverflowError) as exc:
-                raise ConfigError(
-                    f"{where}.harmonics[{key!r}]: expected finite [re, im]") from exc
-            if n in harmonics:
-                raise ConfigError(f"{where}.harmonics[{key!r}]: harmonic {n} is given twice")
-            harmonics[n] = complex(re, im)
-        try:
-            rho0 = field_from_harmonics(n_modes, harmonics)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"{at}: expected a harmonic number as the key") from exc
+            re, im = _numbers(pair, at, 2)
+            if not 0 <= n < rho0.size:
+                raise ConfigError(f"{at}: harmonic {n} must lie in 0..{rho0.size - 1}")
+            if n in given:
+                raise ConfigError(f"{at}: harmonic {n} is given twice")
+            given.add(n)
+            rho0[n] = complex(re, im)
     else:
         raise ConfigError(f"{where}: expected a preset name or harmonics object")
     try:
-        require_normalized(rho0)
+        rho0 = require_normalized(rho0)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     # |c_n| <= c_0 holds for every nonnegative density.
-    half = half_rows(rho0.coeffs)
-    over = np.flatnonzero(np.abs(half) > half[0].real)
+    over = np.flatnonzero(np.abs(rho0) > rho0[0].real)
     if over.size:
         n = over[0]
-        raise ConfigError(f"{where}: harmonic {n} has |c_{n}| = {abs(half[n]):.6g} above "
+        raise ConfigError(f"{where}: harmonic {n} has |c_{n}| = {abs(rho0[n]):.6g} above "
                           "c_0 = 1/(2*pi), which no probability density has")
-    return rho0, {"harmonics": {str(n): [c.real, c.imag] for n, c in enumerate(half) if c != 0}}
+    return rho0, {"harmonics": {str(n): [c.real, c.imag] for n, c in enumerate(rho0) if c != 0}}
 
 
 def _parse_control(doc, grid: TimeGrid, model: ModelSpec) -> tuple[ControlSignal, dict]:
@@ -157,15 +163,15 @@ def _parse_control(doc, grid: TimeGrid, model: ModelSpec) -> tuple[ControlSignal
         u0 = preset(grid)
     elif isinstance(doc, dict) and "constant" in doc:
         _require_keys(doc, {"constant"}, {"constant"}, where)
-        try:
-            u0 = constant_control(grid, doc["constant"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        u0 = constant_control(grid, _numbers(doc["constant"], f"{where}.constant", 2))
     elif isinstance(doc, dict) and "values" in doc:
         _require_keys(doc, {"values"}, {"values"}, where)
+        if not isinstance(doc["values"], list):
+            raise ConfigError(f"{where}.values: expected a list of [u1, u2] rows")
+        rows = [_numbers(row, f"{where}.values[{k}]", 2) for k, row in enumerate(doc["values"])]
         try:
-            u0 = ControlSignal(grid, np.asarray(doc["values"], dtype=float))
-        except (ValueError, TypeError) as exc:
+            u0 = ControlSignal(grid, rows)
+        except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     else:
         raise ConfigError(f"{where}: expected a preset name, 'constant', or 'values'")
@@ -193,7 +199,7 @@ def _parse_descent(doc: dict | None) -> DescentConfig:
             kwargs[key] = _number(doc, key, where)
     try:
         return DescentConfig(**kwargs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # j_max past the float range overflows
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -218,8 +224,9 @@ def _parse_validate(doc: dict | None) -> dict:
         _number(params, key, where)
     lambdas = params["lambdas"]
     if not (isinstance(lambdas, list) and len(lambdas) >= 2
-            and all(_is_number(lam) and 0 < lam <= 1 for lam in lambdas)):
-        raise ConfigError(f"{where}.lambdas: expected at least two steps in (0, 1] "
+            and all(_is_number(lam) and 0 < lam <= 1 for lam in lambdas)
+            and len(set(lambdas)) == len(lambdas)):
+        raise ConfigError(f"{where}.lambdas: expected at least two distinct steps in (0, 1] "
                           f"(the residual order is a fitted slope), got {lambdas!r}")
     if not isinstance(params["require_moment_monotone"], bool):
         raise ConfigError(f"{where}.require_moment_monotone: expected a boolean")

@@ -28,7 +28,6 @@ from .adjoint import integrate_backward
 from .errors import DivergenceError
 from .forward import batch_rows, cost_of_control, integrate_forward
 from .models import ModelSpec
-from .spectral import FourierField
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 # Ball directions shorter than this are treated as ties (current control kept).
@@ -72,7 +71,9 @@ class DescentConfig:
 
     c and theta live in (0, 1); lambda_tol is the accepted-step stopping
     threshold, eps_tol the non-extremality stopping threshold, j_max the
-    deepest backtracking exponent, k_max the outer iteration cap.
+    deepest backtracking exponent, k_max the outer iteration cap.  c * theta^j_max
+    must be a normal float, or the sufficient decrease could round to zero and
+    pass a step that decreases nothing (j_max <= 1015 at c = 0.01, theta = 0.5).
 
     lambda_patience is the number of consecutive below-threshold steps
     required before the step-size rule terminates the run.  Accepted step
@@ -97,6 +98,9 @@ class DescentConfig:
             raise ValueError("tolerances must be nonnegative")
         if self.j_max < 0 or self.k_max < 1:
             raise ValueError("j_max must be >= 0 and k_max >= 1")
+        if self.c * self.theta ** self.j_max < np.finfo(float).tiny:
+            raise ValueError(f"c * theta**j_max must stay a normal float (>= "
+                             f"{np.finfo(float).tiny:.3e}); reduce j_max = {self.j_max}")
         if self.lambda_patience < 1:
             raise ValueError("lambda_patience must be >= 1")
 
@@ -196,27 +200,26 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, d: SwitchingFunctio
     ladder theta^0 .. theta^{j_max} goes to it `chunk` trials at a time, and
     the smallest passing j is accepted, so the result is that of trying one
     step after the other: a trial past the accepted one may diverge without
-    effect, one before it raises.
+    effect, one before it raises.  The ladder is never held whole.
     Returns (lam, new_cost, j, accepted); lam = 0 with accepted = False when
     no exponent up to j_max qualifies.
     """
     slope = _inner_l2(u.values - ubar.values, d.values, u.grid.tau)  # = -E[u]
-    lams = []
     lam = 1.0
-    for _ in range(cfg.j_max + 1):
-        lams.append(lam)
-        lam *= cfg.theta
-    for start in range(0, len(lams), chunk):
-        trials = [u.toward(ubar, lam) for lam in lams[start:start + chunk]]
+    for start in range(0, cfg.j_max + 1, chunk):
+        lams = []
+        for _ in range(min(chunk, cfg.j_max + 1 - start)):
+            lams.append(lam)
+            lam *= cfg.theta
+        trials = [u.toward(ubar, step) for step in lams]
         try:
             costs = evaluator(trials)
         except DivergenceError:
             costs = None  # retried one trial at a time, up to the first passing one
         for i, trial in enumerate(trials):
             trial_cost = evaluator([trial])[0] if costs is None else costs[i]
-            lam = lams[start + i]
-            if trial_cost - cost_u <= cfg.c * lam * slope:
-                return lam, trial_cost, start + i, True
+            if trial_cost - cost_u <= cfg.c * lams[i] * slope:
+                return lams[i], trial_cost, start + i, True
     return 0.0, cost_u, cfg.j_max + 1, False
 
 
@@ -227,7 +230,7 @@ def _project_signal(u: ControlSignal, admissible) -> ControlSignal:
     return ControlSignal(u.grid, out)
 
 
-def run_descent(rho0: FourierField, u0: ControlSignal, model: ModelSpec,
+def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
                 grid: TimeGrid, cfg: DescentConfig,
                 progress=None) -> DescentResult:
     """Outer descent loop.
@@ -240,6 +243,7 @@ def run_descent(rho0: FourierField, u0: ControlSignal, model: ModelSpec,
     recorded costs are non-increasing.
 
     Args:
+        rho0: half row of the initial density.
         progress: optional callable receiving each IterationRecord.
     """
     u = _project_signal(u0, model.control_set)
@@ -251,7 +255,7 @@ def run_descent(rho0: FourierField, u0: ControlSignal, model: ModelSpec,
     def evaluator(trials: list) -> list:
         return cost_of_control(rho0, trials, model, grid)
 
-    chunk = min(TRIAL_CHUNK, batch_rows(rho0.center + 1))
+    chunk = min(TRIAL_CHUNK, batch_rows(len(rho0)))
 
     for k in range(cfg.k_max):
         t0 = time.perf_counter()

@@ -6,11 +6,11 @@ The transport PDE becomes the coefficient system
 
 where v = u_2 * i*pi*a_1*e^{i*alpha} is the coupling channel's harmonic +1
 and out-of-range harmonics count as zero (series truncation).  The density
-is real, so a_{-n} = conj(a_n), and the solver stores and marches only the
-half rows n = 0 .. N/2 (`spectral.half_rows`).  Row n >= 1 reads only
+is real, so a_{-n} = conj(a_n), and the solver takes, stores and marches
+only the half rows n = 0 .. N/2 (see `spectral`).  Row n >= 1 reads only
 harmonics >= 0, and the n = 0 row is multiplied by n = 0, so the half march
-has the bits of the n >= 0 half of a full-layout march, and the full field
-(`spectral.full_rows`) is Hermitian exactly, not to rounding.  Time
+has the bits of the n >= 0 half of a full-layout march, and a_0 stays
+real, which makes the field Hermitian exactly, not to rounding.  Time
 stepping is classical RK4 at half the control step, so the trajectory
 lands on every half-step node; controls are piecewise constant per full
 step, hence every RK4 stage sees a single control value.  The n = 0
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .models import ModelSpec
-from .spectral import FourierField, full_rows, half_rows, reconstruct_rows
+from .spectral import reconstruct_rows, require_row
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 # Generous blow-up guard; healthy probability densities keep |a_n| below
@@ -135,15 +135,14 @@ def _settle(a: np.ndarray, t: float) -> None:
     parts[mag < _TINY] = 0.0
 
 
-def rhs_continuity(t: float, a: FourierField, u, model: ModelSpec) -> FourierField:
-    """Coefficient time derivative of the density under control u.
+def rhs_continuity(t: float, a: np.ndarray, u, model: ModelSpec) -> np.ndarray:
+    """Half row of the coefficient time derivative of the density half row a under control u.
 
     The model is autonomous; `t` is accepted for the usual ODE signature.
     """
     u = model.require_feasible(u)
-    half = half_rows(a.coeffs)
-    rhs = _continuity_rhs(half[None], u.astype(complex)[None], model, _factor(half.shape[0]))
-    return FourierField(a.n_modes, full_rows(rhs[0]))
+    a = require_row(a, "density")
+    return _continuity_rhs(a[None], u.astype(complex)[None], model, _factor(a.shape[0]))[0]
 
 
 def _factor(width: int) -> np.ndarray:
@@ -174,31 +173,35 @@ def _march(a0: np.ndarray, u_values: np.ndarray, model: ModelSpec, grid: TimeGri
     return a
 
 
-def require_normalized(rho0: FourierField) -> None:
-    """Raise ValueError unless the mode-0 coefficient is 1/(2*pi) to within 1e-13."""
-    mass = half_rows(rho0.coeffs)[0]
+def require_normalized(rho0: np.ndarray) -> np.ndarray:
+    """The checked half row (`require_row`) of a density with a_0 = 1/(2*pi) to within 1e-13."""
+    rho0 = require_row(rho0, "initial density")
+    mass = rho0[0]
     if abs(mass - 1.0 / (2.0 * np.pi)) > _MASS_TOL:
         raise ValueError(
             f"initial density is not normalized: mode-0 coefficient {mass} "
             f"differs from 1/(2*pi) by more than {_MASS_TOL:.0e}"
         )
+    return rho0
 
 
-def _check_inputs(rho0: FourierField, controls, model: ModelSpec, grid: TimeGrid) -> None:
-    """Where a density enters a solve: its mass and every control, once."""
-    require_normalized(rho0)
+def _check_inputs(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid) -> np.ndarray:
+    """Where a density enters a solve: check its half row, returned, and every control, once."""
+    rho0 = require_normalized(rho0)
     for u in controls:
         if u.grid != grid:
             raise ValueError("control signal grid does not match the solver grid")
         model.require_feasible(u.values)
+    return rho0
 
 
-def integrate_forward(rho0: FourierField, u: ControlSignal, model: ModelSpec,
+def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
                       grid: TimeGrid) -> Trajectory:
     """Solve the continuity equation and record the half row of every half-step node.
 
     Args:
-        rho0: normalized initial density (mode-0 coefficient 1/(2*pi)).
+        rho0: half row of the normalized initial density (mode-0
+            coefficient 1/(2*pi)).
         u: feasible control signal on the same grid.
         model: vector-field specification.
         grid: time lattice.
@@ -206,24 +209,22 @@ def integrate_forward(rho0: FourierField, u: ControlSignal, model: ModelSpec,
     Raises:
         DivergenceError: if any coefficient part passes the guard.
     """
-    _check_inputs(rho0, [u], model, grid)
-    half = half_rows(rho0.coeffs)
-    out = np.empty((2 * grid.n_steps + 1, half.shape[0]), dtype=complex)
-    _march(half[None], u.values[:, None], model, grid, out[:, None])
+    rho0 = _check_inputs(rho0, [u], model, grid)
+    out = np.empty((2 * grid.n_steps + 1, rho0.shape[0]), dtype=complex)
+    _march(rho0[None], u.values[:, None], model, grid, out[:, None])
     return Trajectory(grid, out)
 
 
-def _terminal_rows(rho0: FourierField, controls, model: ModelSpec,
+def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec,
                    grid: TimeGrid) -> np.ndarray:
     """Terminal half rows of lean solves, one per control, marched together."""
-    _check_inputs(rho0, controls, model, grid)
-    half = half_rows(rho0.coeffs)
-    rows = np.broadcast_to(half, (len(controls), half.shape[0]))
+    rho0 = _check_inputs(rho0, controls, model, grid)
+    rows = np.broadcast_to(rho0, (len(controls), rho0.shape[0]))
     u_values = np.stack([u.values for u in controls], axis=1)
     return _march(rows, u_values, model, grid, None)
 
 
-def cost_of_control(rho0: FourierField, controls, model: ModelSpec,
+def cost_of_control(rho0: np.ndarray, controls, model: ModelSpec,
                     grid: TimeGrid) -> list[float]:
     """Terminal costs of lean forward solves, one per control (the line-search evaluator).
 
@@ -234,7 +235,7 @@ def cost_of_control(rho0: FourierField, controls, model: ModelSpec,
     Raises:
         DivergenceError: if the solve of any control diverges.
     """
-    rows = batch_rows(rho0.center + 1)
+    rows = batch_rows(len(rho0))
     costs = []
     for start in range(0, len(controls), rows):
         terminal = _terminal_rows(rho0, controls[start:start + rows], model, grid)

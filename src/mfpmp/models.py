@@ -87,7 +87,7 @@ def box(lower, upper) -> AdmissibleSet:
 class CostSpec:
     """Terminal cost l(mu) and its intrinsic derivative D_mu l(mu).
 
-    Both act on the half row n = 0 .. N/2 of mu (`spectral.half_rows`), the
+    Both act on the half row n = 0 .. N/2 of mu (see `spectral`), the
     layout a solve produces.  `dmu` returns the half row of the derivative
     field and must carry only harmonic 1 (its conjugate -1 is implied): the
     terminal adjoint condition is written for that case.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .spectral import FourierField, half_rows
+from .spectral import require_row
 from .timegrid import ControlSignal, TimeGrid
 
 _PHASE_DRIFT_LIMIT = 1e8
@@ -106,11 +106,10 @@ def particle_cost(ensemble: ParticleEnsemble, x0: float) -> float:
     return float(np.mean(1.0 - np.cos(ensemble.phases - x0)))
 
 
-def density_cdf_values(rho0: FourierField, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral of the density from 0 to x, via its harmonics."""
-    c = half_rows(rho0.coeffs)
-    out = c[0].real * x
-    for n, cn in enumerate(c[1:], start=1):
+def density_cdf_values(rho0: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative integral from 0 to x of the density with half row rho0."""
+    out = rho0[0].real * x
+    for n, cn in enumerate(rho0[1:], start=1):
         if cn == 0:
             continue
         # 2*Re[c_n(exp(inx) - 1)/(in)] collects the +-n pair of a real field.
@@ -118,15 +117,16 @@ def density_cdf_values(rho0: FourierField, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def stratified_ensemble(rho0: FourierField, n_particles: int) -> ParticleEnsemble:
-    """Deterministic inverse-CDF sample of rho0 at midpoint quantiles.
+def stratified_ensemble(rho0: np.ndarray, n_particles: int) -> ParticleEnsemble:
+    """Deterministic inverse-CDF sample of the density with half row rho0 at midpoint quantiles.
 
     Particle i sits at the (i - 1/2)/N quantile.  The density must be
     normalized and nonnegative enough for its CDF to be monotone.
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    mass = half_rows(rho0.coeffs)[0].real * 2.0 * np.pi
+    rho0 = require_row(rho0, "density")
+    mass = rho0[0].real * 2.0 * np.pi
     if abs(mass - 1.0) > 1e-10:
         raise ValueError(f"density mass {mass} is not 1")
     q = (np.arange(n_particles) + 0.5) / n_particles

@@ -1,25 +1,25 @@
 """Truncated Fourier representation of real periodic fields on the circle.
 
-Fields live on [0, 2*pi) and are stored as complex coefficients over the
-symmetric harmonic range n = -N/2 .. N/2 under the convention
+Fields live on [0, 2*pi) with coefficients over the harmonics
+n = -N/2 .. N/2 under the convention
 
     c_n = (1 / 2*pi) * integral_0^{2*pi} c(x) exp(-i*n*x) dx,
 
 so a probability density carries c_0 = 1/(2*pi).  Every field here is
 real, so its coefficients satisfy the Hermitian symmetry
-c_{-n} = conj(c_n); `FourierField` rejects coefficients that break it by
-more than rounding (HERMITIAN_TOL), so no solver receives a complex field.
+c_{-n} = conj(c_n), and the n < 0 half carries nothing new.
 
-Two layouts hold the coefficients.  `FourierField` keeps the full range
--N/2 .. N/2; it is the type of a density entering or leaving the program:
-the config's initial density, the presets, and the public right-hand sides
-(`forward.rhs_continuity`, `adjoint.rhs_adjoint`) and terminal co-density
-(`adjoint.terminal_adjoint`).  Everything inside and after a solve speaks
-the half row n = 0 .. N/2 (`half_rows`), since the n < 0 half is its
-conjugate: the marches, the stored trajectories, the terminal cost and its
-derivative.  The full row of a half row (`full_rows`) is built by
-conjugation, so with a real n = 0 entry, which both solvers keep, it is
-Hermitian exactly, not to rounding.
+The program therefore speaks one layout: the half row, a 1-D complex array
+of the harmonics n = 0 .. N/2 with a real n = 0 entry.  Every function
+that solves, checks or differentiates takes and returns half rows, from
+the initial density through the marches, the stored trajectories and the
+public right-hand sides to the terminal cost.  `require_row` is the one
+check where a row enters from a caller; with a real n = 0 entry, the
+field a half row stands for is Hermitian exactly, not to rounding.
+
+`FourierField` keeps the full range -N/2 .. N/2.  It is left only as the
+type the presets return (`presets.fig1_density`); the config converts it
+to its half row once (`half_rows`).
 
 A note on the boundary mode: on an N-point grid the harmonics +N/2 and -N/2
 alias to the same samples, so only their real part is observable; the two
@@ -104,9 +104,15 @@ def half_rows(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[..., (coeffs.shape[-1] - 1) // 2:]
 
 
-def full_rows(half: np.ndarray) -> np.ndarray:
-    """Full-layout rows (..., N + 1) of half rows (..., N/2 + 1): c_{-n} = conj(c_n)."""
-    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
+def require_row(row, name: str) -> np.ndarray:
+    """`row` as a complex half row; ValueError unless 1-D, N >= 4 and harmonic 0 real."""
+    c = np.asarray(row, dtype=complex)
+    if c.ndim != 1 or c.shape[0] < 3:
+        raise ValueError(f"{name} must be a half row n = 0 .. N/2 with N >= 4, "
+                         f"got shape {c.shape}")
+    if c[0].imag != 0.0:
+        raise ValueError(f"{name}: harmonic 0 of a real field must be real, got {c[0]}")
+    return c
 
 
 def reconstruct_rows(half: np.ndarray) -> np.ndarray:

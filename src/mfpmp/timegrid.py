@@ -41,7 +41,7 @@ class Trajectory:
     """Coefficient snapshots on the half-step lattice: `coeffs[s]` at t = s*tau/2.
 
     Each snapshot is a half row, the harmonics n = 0 .. N/2 of a real field
-    (`spectral.half_rows`).
+    (see `spectral`).
     """
 
     grid: TimeGrid

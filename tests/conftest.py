@@ -1,26 +1,48 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite.
+
+Fields are half rows, the harmonics n = 0 .. N/2 of a real field, as the
+program takes and returns them.  `full_rows` expands them to the full layout
+n = -N/2 .. N/2 where a test compares against a full-layout reference.
+"""
 
 import numpy as np
 import pytest
 
-from mfpmp import FourierField
-from mfpmp.spectral import full_rows
+from mfpmp.presets import fig1_density
+from mfpmp.spectral import half_rows
+
+
+def full_rows(half):
+    """Full-layout rows (..., N + 1) of half rows (..., N/2 + 1): c_{-n} = conj(c_n)."""
+    return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
+
+
+def half_row(n_modes, harmonics):
+    """The half row with the given harmonics {n >= 0: c_n}, zero elsewhere."""
+    row = np.zeros(n_modes // 2 + 1, dtype=complex)
+    for n, v in harmonics.items():
+        row[n] = v
+    return row
+
+
+def fig1_row(n_modes):
+    """The half row of the fig1 preset density."""
+    return np.array(half_rows(fig1_density(n_modes).coeffs))
 
 
 def random_hermitian(n_modes, rng, max_mode=None, scale=0.1, mass=None,
                      real_boundary=True):
-    """Random real-field coefficients; boundary entries kept real by default."""
+    """Half row of a random real field; the boundary entry is kept real by default."""
     center = n_modes // 2
     limit = center if max_mode is None else min(max_mode, center)
-    c = np.zeros(n_modes + 1, dtype=complex)
+    c = np.zeros(center + 1, dtype=complex)
     for n in range(1, limit + 1):
         v = scale * (rng.standard_normal() + 1j * rng.standard_normal())
         if n == center and real_boundary:
             v = complex(v.real)
-        c[center + n] = v
-        c[center - n] = np.conj(v)
-    c[center] = 1.0 / (2.0 * np.pi) if mass is None else mass
-    return FourierField(n_modes, c)
+        c[n] = v
+    c[0] = 1.0 / (2.0 * np.pi) if mass is None else mass
+    return c
 
 
 def mode_numbers(size):
@@ -29,49 +51,38 @@ def mode_numbers(size):
     return np.arange(-center, center + 1)
 
 
-def harmonic(field, n):
-    """Coefficient of the signed harmonic n of a full-layout field."""
-    return complex(field.coeffs[field.center + n])
-
-
-def full_field(half):
-    """The full-layout field of one half row n = 0 .. N/2, as a solve stores it."""
-    return FourierField(2 * (half.shape[-1] - 1), full_rows(half))
+def harmonic(row, n):
+    """Coefficient of the signed harmonic n of a half row."""
+    return complex(row[n]) if n >= 0 else complex(np.conj(row[-n]))
 
 
 def uniform_field(n_modes, value=1.0 / (2.0 * np.pi)):
-    """The constant field `value`; by default the uniform probability density."""
-    c = np.zeros(n_modes + 1, dtype=complex)
-    c[n_modes // 2] = value
-    return FourierField(n_modes, c)
+    """Half row of the constant field `value`; by default the uniform probability density."""
+    return half_row(n_modes, {0: value})
 
 
-def hermitian_defect(field):
-    """Largest violation of c_{-n} = conj(c_n)."""
-    c = field.coeffs
-    return float(np.max(np.abs(c - np.conj(c[::-1]))))
+def hermitian_defect(full):
+    """Largest violation of c_{-n} = conj(c_n) in a full-layout row."""
+    return float(np.max(np.abs(full - np.conj(full[::-1]))))
 
 
 def grid_coefficients(values):
-    """Coefficients of real samples on the N-point grid: the scaled DFT.
+    """Half row of real samples on the N-point grid: the scaled DFT.
 
-    The boundary bin is split evenly between the harmonics +-N/2, and the
-    negative harmonics are conjugates, so the field is exactly Hermitian.
+    The last entry holds the +N/2 half of the boundary bin, half its real
+    part, as a real field's full layout splits it evenly with -N/2.
     """
     n = len(values)
-    spec = np.fft.fft(values) / n
-    half = n // 2
-    c = np.zeros(n + 1, dtype=complex)
-    c[half:n] = spec[:half]
-    c[1:half] = np.conj(spec[1:half][::-1])
-    c[0] = c[n] = 0.5 * spec[half].real
-    return FourierField(n, c)
+    c = np.fft.fft(values)[:n // 2 + 1] / n
+    c[-1] = 0.5 * c[-1].real
+    return c
 
 
-def eval_series(field, x):
-    """Direct evaluation of the truncated series at arbitrary points."""
+def eval_series(row, x):
+    """Direct evaluation of the truncated series of a half row at arbitrary points."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.exp(1j * np.outer(x, mode_numbers(field.coeffs.size))) @ field.coeffs
+    full = full_rows(np.asarray(row))
+    vals = np.exp(1j * np.outer(x, mode_numbers(full.size))) @ full
     return vals.real if vals.imag.max(initial=0.0) < 1e-9 else vals
 
 

@@ -18,7 +18,6 @@ from mfpmp import (
     TimeGrid,
     ball,
     constant_control,
-    field_from_harmonics,
     integrate_backward,
     integrate_forward,
     kuramoto_model,
@@ -37,9 +36,9 @@ from mfpmp.checks import (
 )
 from mfpmp.cli import main as cli_main
 from mfpmp.forward import mass_drift
-from mfpmp.presets import fig1_control, fig1_density
+from mfpmp.presets import fig1_control
 
-from conftest import full_field, hermitian_defect, mode_numbers
+from conftest import fig1_row, full_rows, half_row, hermitian_defect, mode_numbers
 
 
 def report(num, name, passed, detail):
@@ -50,7 +49,7 @@ def report(num, name, passed, detail):
 def desk_problem():
     grid = TimeGrid(6.0, 5e-3)
     model = kuramoto_model(0.0, np.pi)
-    return grid, model, fig1_density(256), fig1_control(grid)
+    return grid, model, fig1_row(256), fig1_control(grid)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +86,7 @@ class TestCriterion1Reproduction:
     def test_full_resolution_experiment(self):
         grid = TimeGrid(6.0, 1e-3)
         model = kuramoto_model(0.0, np.pi)
-        rho0 = fig1_density(2048)
+        rho0 = fig1_row(2048)
         result = run_descent(rho0, fig1_control(grid), model, grid, DescentConfig())
         ok = result.final_cost <= 1.2e-2
         report(1, "full-resolution synchronization run", ok,
@@ -123,7 +122,7 @@ class TestCriterion4RotationOracle:
         n, c, x0 = 256, 1.3, np.pi
         grid = TimeGrid(1.0, 1e-3)
         model = kuramoto_model(0.0, x0, control_set=ball(2.0))
-        rho0 = fig1_density(n)
+        rho0 = fig1_row(n)
         u = constant_control(grid, [c, 0.0])
         modes = mode_numbers(n + 1)
 
@@ -131,16 +130,16 @@ class TestCriterion4RotationOracle:
         fwd_err = 0.0
         for s in (0, 777, 1400, 2000):
             t = s * 0.5 * grid.tau
-            closed = rho0.coeffs * np.exp(-1j * modes * c * t)
-            fwd_err = max(fwd_err, np.max(np.abs(full_field(traj.coeffs[s]).coeffs - closed)))
+            closed = full_rows(rho0) * np.exp(-1j * modes * c * t)
+            fwd_err = max(fwd_err, np.max(np.abs(full_rows(traj.coeffs[s]) - closed)))
 
         cotraj = integrate_backward(traj, u, model)
-        zT = terminal_adjoint(full_field(traj.terminal_field()), model).coeffs
+        zT = full_rows(terminal_adjoint(traj.terminal_field(), model))
         adj_err = 0.0
         for s in (0, 777, 1400, 2000):
             t = s * 0.5 * grid.tau
             closed = zT * np.exp(1j * modes * c * (1.0 - t))
-            adj_err = max(adj_err, np.max(np.abs(full_field(cotraj.coeffs[s]).coeffs - closed)))
+            adj_err = max(adj_err, np.max(np.abs(full_rows(cotraj.coeffs[s]) - closed)))
 
         ok = fwd_err < 1e-8 and adj_err < 1e-8
         report(4, "rotation closed-form oracle", ok,
@@ -150,7 +149,7 @@ class TestCriterion4RotationOracle:
 class TestCriterion5LocalCaseAdjoint:
     def test_constant_and_sinusoidal_drifts(self):
         grid = TimeGrid(6.0, 1e-3)
-        rho0 = fig1_density(256)
+        rho0 = fig1_row(256)
         t = grid.full_times()
         rep_const = local_adjoint_check(np.full(t.shape, 0.9), rho0, np.pi, grid)
         rep_sin = local_adjoint_check(0.8 * np.sin(1.7 * t), rho0, np.pi, grid)
@@ -164,7 +163,7 @@ class TestCriterion6IncrementSlope:
     def test_three_control_pairs(self):
         grid = TimeGrid(6.0, 1e-3)
         model = kuramoto_model(0.0, np.pi)
-        rho0 = fig1_density(256)
+        rho0 = fig1_row(256)
         u0 = fig1_control(grid)
         lambdas = [1e-3, 2e-3, 4e-3, 8e-3]
         pairs = [fig1_slope_pair(rho0, u0, model, grid)]
@@ -200,8 +199,7 @@ class TestCriterion7ParticleOracle:
 
 class TestCriterion8Rk4Order:
     def test_global_error_scales_at_fourth_order(self):
-        rho = field_from_harmonics(32, {0: 1.0 / (2.0 * np.pi),
-                                        1: 0.04 + 0.02j, 4: 0.03 - 0.05j})
+        rho = half_row(32, {0: 1.0 / (2.0 * np.pi), 1: 0.04 + 0.02j, 4: 0.03 - 0.05j})
         model = kuramoto_model(0.0, np.pi, control_set=ball(3.0))
         c = 2.0
         taus = [4e-3, 2e-3, 1e-3]
@@ -209,8 +207,8 @@ class TestCriterion8Rk4Order:
         for tau in taus:
             grid = TimeGrid(1.0, tau)
             traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
-            closed = rho.coeffs * np.exp(-1j * mode_numbers(33) * c)
-            errs.append(np.max(np.abs(full_field(traj.terminal_field()).coeffs - closed)))
+            closed = full_rows(rho) * np.exp(-1j * mode_numbers(33) * c)
+            errs.append(np.max(np.abs(full_rows(traj.terminal_field()) - closed)))
         order = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
         ok = order >= 3.7
         report(8, "integrator convergence order", ok,
@@ -237,10 +235,9 @@ class TestCriterion9PropertySuites:
 
     def test_adjoint_superposition(self, rng):
         from conftest import random_hermitian
-        from mfpmp.spectral import FourierField
         grid = TimeGrid(0.5, 2.5e-3)
         model = kuramoto_model(0.4, 1.0)
-        rho = field_from_harmonics(32, {0: 1.0 / (2.0 * np.pi), 1: 0.02 + 0.03j})
+        rho = half_row(32, {0: 1.0 / (2.0 * np.pi), 1: 0.02 + 0.03j})
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([0.5 * np.sin(t), 0.7 * np.cos(2 * t)]))
         traj = integrate_forward(rho, u, model, grid)
@@ -248,7 +245,7 @@ class TestCriterion9PropertySuites:
         z2 = random_hermitian(32, rng, mass=-0.2)
         s1 = integrate_backward(traj, u, model, terminal=z1)
         s2 = integrate_backward(traj, u, model, terminal=z2)
-        combo = FourierField(32, 0.6 * z1.coeffs - 1.4 * z2.coeffs)
+        combo = 0.6 * z1 - 1.4 * z2
         s12 = integrate_backward(traj, u, model, terminal=combo)
         gap = float(np.max(np.abs(s12.coeffs - 0.6 * s1.coeffs + 1.4 * s2.coeffs)))
         ok = gap < 1e-10
@@ -258,7 +255,7 @@ class TestCriterion9PropertySuites:
         worst = 0.0
         for traj in (desk_run["traj"], desk_run["cotraj"]):
             for s in range(0, traj.n_snapshots, 100):
-                worst = max(worst, hermitian_defect(full_field(traj.coeffs[s])))
+                worst = max(worst, hermitian_defect(full_rows(traj.coeffs[s])))
         # Every stored half row expands to an exactly Hermitian field.
         ok = worst == 0.0
         report(9, "Hermitian symmetry through optimize", ok,

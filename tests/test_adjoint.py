@@ -10,7 +10,6 @@ from mfpmp import (
     ball,
     constant_control,
     cost_of_control,
-    field_from_harmonics,
     integrate_backward,
     integrate_forward,
     kuramoto_model,
@@ -18,10 +17,8 @@ from mfpmp import (
     terminal_adjoint,
 )
 from mfpmp import adjoint
-from mfpmp.presets import fig1_density
-from mfpmp.spectral import FourierField, half_rows
 
-from conftest import (full_field, harmonic, hermitian_defect, mode_numbers, random_hermitian,
+from conftest import (fig1_row, full_rows, half_row, harmonic, hermitian_defect, random_hermitian,
                       uniform_field)
 
 
@@ -64,8 +61,8 @@ class TestTerminalCondition:
         x0 = 2.1
         model = kuramoto_model(0.0, x0=x0)
         mu = random_hermitian(24, rng)
-        z = terminal_adjoint(mu, model).coeffs
-        a = mu.coeffs
+        z = full_rows(terminal_adjoint(mu, model))
+        a = full_rows(mu)
         for i in range(25):
             lo = a[i - 1] if i - 1 >= 0 else 0.0
             hi = a[i + 1] if i + 1 < 25 else 0.0
@@ -74,7 +71,7 @@ class TestTerminalCondition:
 
     def test_first_harmonic_only_gives_real_total_co_mass(self, rng):
         v = 0.07 - 0.02j
-        mu = field_from_harmonics(32, {0: 1.0 / (2.0 * np.pi), 1: v})
+        mu = half_row(32, {0: 1.0 / (2.0 * np.pi), 1: v})
         model = kuramoto_model(0.0, x0=0.3)
         z = terminal_adjoint(mu, model)
         want = 0.5j * (np.conj(v) * np.exp(-1j * 0.3) - v * np.exp(1j * 0.3))
@@ -85,7 +82,7 @@ class TestTerminalCondition:
         uni = uniform_field(32)
         z0 = terminal_adjoint(uni, kuramoto_model(0.0, x0=0.8))
         z1 = terminal_adjoint(uni, kuramoto_model(0.0, x0=0.8 + np.pi))
-        assert_allclose(z1.coeffs, -z0.coeffs, atol=1e-15)
+        assert_allclose(z1, -z0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_cost_derivative_off_harmonic_one_is_rejected(self, n):
@@ -102,9 +99,18 @@ class TestTerminalCondition:
         model = replace(base, cost=replace(base.cost, dmu=dmu))
         grid = TimeGrid(0.1, 1e-2)
         u = constant_control(grid, [0.2, 0.5])
-        traj = integrate_forward(fig1_density(16), u, model, grid)
+        traj = integrate_forward(fig1_row(16), u, model, grid)
         with pytest.raises(ValueError, match="harmonics"):
             integrate_backward(traj, u, model)
+
+    def test_terminal_adjoint_of_the_terminal_field_is_the_solved_terminal_row(self):
+        # One function serves the public call and the backward solve.
+        grid = TimeGrid(0.3, 3e-3)
+        model = kuramoto_model(0.31, 2.0)
+        u = constant_control(grid, [0.4, 0.9])
+        traj = integrate_forward(fig1_row(32), u, model, grid)
+        got = terminal_adjoint(traj.terminal_field(), model)
+        assert got.tobytes() == integrate_backward(traj, u, model).coeffs[-1].tobytes()
 
 
 class TestAdjointRhs:
@@ -114,8 +120,8 @@ class TestAdjointRhs:
             a = random_hermitian(24, rng)
             b = random_hermitian(24, rng, scale=0.3, mass=rng.standard_normal() * 0.2)
             u = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
-            got = rhs_adjoint(0.0, b, a, u, model).coeffs
-            want = literal_adjoint_rhs(np.array(b.coeffs), np.array(a.coeffs), u, 0.47)
+            got = full_rows(rhs_adjoint(0.0, b, a, u, model))
+            want = literal_adjoint_rhs(full_rows(b), full_rows(a), u, 0.47)
             assert np.max(np.abs(got - want)) < 1e-14
 
     @pytest.mark.parametrize("n_modes, alpha", [(4, 0.47), (24, 0.47), (24, 1.9), (64, 0.0)])
@@ -127,10 +133,10 @@ class TestAdjointRhs:
         for u in controls:
             a = random_hermitian(n_modes, rng)
             b = random_hermitian(n_modes, rng, scale=0.3, mass=rng.standard_normal() * 0.2)
-            got = adjoint._adjoint_rhs(half_rows(b.coeffs), half_rows(a.coeffs), u, model,
-                                       complex(u[0]) * stencil[0], stencil, phases)
-            want = literal_adjoint_rhs(np.array(b.coeffs), np.array(a.coeffs), u, alpha)
-            assert np.max(np.abs(got - half_rows(want))) < 1e-14  # n = 0 included
+            got = adjoint._adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil,
+                                       phases)
+            want = literal_adjoint_rhs(full_rows(b), full_rows(a), u, alpha)
+            assert np.max(np.abs(got - want[n_modes // 2:])) < 1e-14  # n = 0 included
             assert got[0].imag == 0.0  # the n = 0 entry sums conjugate pairs
 
     def test_rotation_only_transport(self, rng):
@@ -138,8 +144,8 @@ class TestAdjointRhs:
         a = random_hermitian(16, rng)
         b = random_hermitian(16, rng, mass=0.1)
         c = 1.9
-        out = rhs_adjoint(0.0, b, a, np.array([c, 0.0]), model).coeffs
-        assert_allclose(out, -1j * mode_numbers(17) * c * b.coeffs, atol=1e-15)
+        out = rhs_adjoint(0.0, b, a, np.array([c, 0.0]), model)
+        assert_allclose(out, -1j * np.arange(9) * c * b, atol=1e-15)
 
     def test_co_mass_static_without_coupling(self, rng):
         model = kuramoto_model(0.2, np.pi, control_set=ball(3.0))
@@ -151,9 +157,9 @@ class TestAdjointRhs:
     def test_zero_co_state_stays_zero(self, rng):
         model = kuramoto_model(0.2, np.pi)
         a = random_hermitian(16, rng)
-        zero = FourierField(16, np.zeros(17, complex))
+        zero = np.zeros(9, complex)
         out = rhs_adjoint(0.0, zero, a, np.array([0.5, 0.5]), model)
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
 
 
 class TestIntegrateBackward:
@@ -174,23 +180,23 @@ class TestIntegrateBackward:
             want = np.zeros(n + 1, complex)
             want[n // 2 + 1] = b1
             want[n // 2 - 1] = np.conj(b1)
-            worst = max(worst, np.max(np.abs(full_field(cotraj.coeffs[s]).coeffs - want)))
+            worst = max(worst, np.max(np.abs(full_rows(cotraj.coeffs[s]) - want)))
         assert worst < 1e-8
 
     def test_zero_terminal_condition_stays_zero(self):
         grid = TimeGrid(0.3, 3e-3)
         model = kuramoto_model(0.0, np.pi)
-        rho = fig1_density(32)
+        rho = fig1_row(32)
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(rho, u, model, grid)
-        zero = FourierField(32, np.zeros(33, complex))
+        zero = np.zeros(17, complex)
         cotraj = integrate_backward(traj, u, model, terminal=zero)
         assert np.max(np.abs(cotraj.coeffs)) == 0.0
 
     def test_superposition_in_the_terminal_condition(self, rng):
         grid = TimeGrid(0.5, 2.5e-3)
         model = kuramoto_model(0.4, 1.0)
-        rho = field_from_harmonics(16, {0: 1.0 / (2.0 * np.pi), 1: 0.02 + 0.03j, 2: -0.01j})
+        rho = half_row(16, {0: 1.0 / (2.0 * np.pi), 1: 0.02 + 0.03j, 2: -0.01j})
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([0.5 * np.sin(t), 0.7 * np.cos(2 * t)]))
         traj = integrate_forward(rho, u, model, grid)
@@ -199,7 +205,7 @@ class TestIntegrateBackward:
         c1, c2 = 0.7, -1.3
         s1 = integrate_backward(traj, u, model, terminal=z1)
         s2 = integrate_backward(traj, u, model, terminal=z2)
-        combo = FourierField(16, c1 * z1.coeffs + c2 * z2.coeffs)
+        combo = c1 * z1 + c2 * z2
         s12 = integrate_backward(traj, u, model, terminal=combo)
         gap = np.max(np.abs(s12.coeffs - c1 * s1.coeffs - c2 * s2.coeffs))
         assert gap < 1e-10
@@ -207,12 +213,12 @@ class TestIntegrateBackward:
     def test_hermitian_symmetry_preserved(self):
         grid = TimeGrid(0.5, 2.5e-3)
         model = kuramoto_model(0.3, 2.0)
-        rho = fig1_density(32)
+        rho = fig1_row(32)
         u = constant_control(grid, [0.3, 1.0])
         traj = integrate_forward(rho, u, model, grid)
         cotraj = integrate_backward(traj, u, model)
         # Half rows make the symmetry exact: b_0 stays real at every node.
-        worst = max(hermitian_defect(full_field(row)) for row in cotraj.coeffs)
+        worst = max(hermitian_defect(full_rows(row)) for row in cotraj.coeffs)
         assert worst == 0.0
 
 
@@ -222,7 +228,7 @@ class TestDualityWithTheCost:
         # sensitivity to the drift channel cannot depend on when the drift
         # acts: the co-density's total mass must be constant in time.
         grid = TimeGrid(0.5, 2.5e-3)
-        rho = fig1_density(48)
+        rho = fig1_row(48)
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([0.4 * np.sin(2 * np.pi * t), 0.9 + 0 * t]))
         for alpha in (0.0, 0.7):
@@ -238,7 +244,7 @@ class TestDualityWithTheCost:
         # order, for both channels and several nodes.
         from mfpmp.descent import switching_function
         grid = TimeGrid(0.5, 2.5e-3)
-        rho = fig1_density(48)
+        rho = fig1_row(48)
         model = kuramoto_model(0.0, np.pi, control_set=ball(10.0))
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([0.4 * np.sin(2 * np.pi * t), 0.9 + 0 * t]))

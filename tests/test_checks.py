@@ -13,39 +13,40 @@ from mfpmp.checks import (
     solve_reference,
     synthetic_control_pairs,
 )
-from mfpmp.presets import fig1_density
+
+from conftest import fig1_row
 
 
 class TestLocalAdjointCheck:
     def test_constant_drift(self):
         grid = TimeGrid(1.0, 1e-3)
         u1 = np.full(grid.n_steps + 1, 0.9)
-        rep = local_adjoint_check(u1, fig1_density(128), np.pi, grid)
+        rep = local_adjoint_check(u1, fig1_row(128), np.pi, grid)
         assert rep["max_error"] < 1e-10
 
     def test_zero_drift_freezes_the_co_density(self):
         grid = TimeGrid(0.5, 2e-3)
         u1 = np.zeros(grid.n_steps + 1)
-        rep = local_adjoint_check(u1, fig1_density(64), 1.2, grid)
+        rep = local_adjoint_check(u1, fig1_row(64), 1.2, grid)
         assert rep["max_error"] < 1e-11
 
     def test_sinusoidal_drift(self):
         grid = TimeGrid(1.0, 1e-3)
         t = grid.full_times()
-        rep = local_adjoint_check(0.8 * np.sin(1.7 * t), fig1_density(128), np.pi, grid)
+        rep = local_adjoint_check(0.8 * np.sin(1.7 * t), fig1_row(128), np.pi, grid)
         assert rep["max_error"] < 1e-10
 
     def test_profile_length_is_validated(self):
         grid = TimeGrid(0.5, 2e-3)
         with pytest.raises(ValueError, match="node values"):
-            local_adjoint_check(np.zeros(7), fig1_density(32), 0.0, grid)
+            local_adjoint_check(np.zeros(7), fig1_row(32), 0.0, grid)
 
 
 class TestIncrementSlopeCheck:
     def test_first_order_match_on_a_generic_pair(self):
         grid = TimeGrid(0.8, 2e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([0.5 * np.sin(2 * t), 0.4 + 0 * t]))
         ubar = ControlSignal(grid, np.column_stack([0.2 + 0 * t, -0.6 * np.cos(t)]))
@@ -58,7 +59,7 @@ class TestIncrementSlopeCheck:
     def test_identical_pair_is_rejected_upstream_by_zero_slope(self):
         grid = TimeGrid(0.2, 2e-3)
         model = kuramoto_model(0.0, np.pi)
-        rho = fig1_density(32)
+        rho = fig1_row(32)
         u = constant_control(grid, [0.4, 0.3])
         rep = increment_slope_check(rho, solve_reference(rho, u, model, grid), u, model, grid,
                                     [1e-3])
@@ -72,7 +73,7 @@ class TestIncrementSlopeCheck:
 
         from mfpmp.models import CostSpec, sync_cost_spec
         grid = TimeGrid(0.4, 2e-3)
-        rho = fig1_density(48)
+        rho = fig1_row(48)
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([0.3 * np.sin(t), 0.2 + 0 * t]))
         ubar = ControlSignal(grid, np.column_stack([-0.2 + 0 * t, 0.5 * np.sin(2 * t)]))
@@ -96,7 +97,7 @@ class TestIncrementSlopeCheck:
     def test_lambda_range_is_validated(self):
         grid = TimeGrid(0.2, 2e-3)
         model = kuramoto_model(0.0, np.pi)
-        rho = fig1_density(32)
+        rho = fig1_row(32)
         u = constant_control(grid, [0.4, 0.3])
         ref = solve_reference(rho, u, model, grid)
         with pytest.raises(ValueError, match="lambdas"):
@@ -109,7 +110,7 @@ class TestMeanfieldVsParticles:
         # grows beyond the (machine-level) sampling error of the start.
         grid = TimeGrid(1.0, 5e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         [rep] = meanfield_vs_particles(rho, constant_control(grid, [1.1, 0.0]),
                                        model, grid, [700])
         gaps = [max(v.values()) for v in rep["per_time"].values()]
@@ -119,7 +120,7 @@ class TestMeanfieldVsParticles:
     def test_interacting_run_stays_close_for_moderate_ensembles(self):
         grid = TimeGrid(1.0, 5e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         [rep] = meanfield_vs_particles(rho, constant_control(grid, [0.3, 1.0]),
                                        model, grid, [2000])
         assert rep["moment_discrepancy"] < 1e-5
@@ -128,7 +129,7 @@ class TestMeanfieldVsParticles:
     def test_one_spectral_solve_serves_every_ensemble(self):
         grid = TimeGrid(0.5, 5e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         u = constant_control(grid, [0.3, 1.0])
         reps = meanfield_vs_particles(rho, u, model, grid, [300, 1200])
         assert [r["n_particles"] for r in reps] == [300, 1200]
@@ -141,7 +142,7 @@ class TestPairGenerators:
     def test_synthetic_pairs_are_feasible_and_distinct(self):
         grid = TimeGrid(0.5, 5e-3)
         model = kuramoto_model(0.0, np.pi)
-        pairs = synthetic_control_pairs(fig1_density(32), model, grid, 3)
+        pairs = synthetic_control_pairs(fig1_row(32), model, grid, 3)
         assert len(pairs) == 3
         for ref, ubar in pairs:
             assert not np.array_equal(ref.u.values, ubar.values)
@@ -151,7 +152,7 @@ class TestPairGenerators:
     def test_experiment_pair_reaches_the_constraint_sphere(self):
         grid = TimeGrid(0.5, 5e-3)
         model = kuramoto_model(0.0, np.pi)
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         t = grid.full_times()
         u0 = ControlSignal(grid, np.column_stack([
             np.sqrt(2.0) * np.sin(2 * np.pi * t), np.sqrt(2.0) * np.cos(2 * np.pi * t)]))

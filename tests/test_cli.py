@@ -278,6 +278,17 @@ class TestExitCodes:
         'initial_control={"constant": [0.1]}',
         'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.05, 0], "01": [0, 0]}',
         'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.05, 0], " 1": [0, 0]}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": {"0": 0.01, "1": 0}}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": "00"}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.01, 0, 7]}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.01, false]}',
+        'initial_control={"constant": ["0.5", "0"]}',
+        'initial_control={"constant": [true, false]}',
+        pytest.param('initial_control=' + json.dumps({"values": [[0.1, 0.0]] * 80 + [["0.1", 0]]}),
+                     id='initial_control={"values": [..., ["0.1", 0]]}'),
+        'model.constraint={"kind": "box", "lower": ["-2", -2], "upper": [2, 2]}',
+        'model.constraint={"kind": "box", "lower": [-2, -2], "upper": [2, true]}',
+        "descent.j_max=1200",
     ])
     def test_malformed_values_are_2(self, tmp_path, capsys, monkeypatch, override):
         self.assert_config_error_before_any_artifact(tmp_path, capsys, monkeypatch, override)
@@ -407,6 +418,17 @@ class TestValidateCommand:
         assert probe["passed"] is False and report["passed"] is False
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["category"] == "validation"
+
+    def test_numpy_values_are_written_as_python_values(self, tmp_path):
+        numpy = {"f": np.float64(0.1), "g": np.float32(0.5), "b": np.bool_(True),
+                 "i": np.int64(3), "a": np.arange(4.0).reshape(2, 2), "t": (np.float64(1.5), 2)}
+        plain = {"f": 0.1, "g": 0.5, "b": True, "i": 3, "a": [[0.0, 1.0], [2.0, 3.0]],
+                 "t": [1.5, 2]}
+        cli._write_json(tmp_path / "numpy.json", numpy)
+        cli._write_json(tmp_path / "plain.json", plain)
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "nan.json", {"x": np.float64("nan")})
 
     def test_non_finite_floats_are_never_written(self, tmp_path):
         with pytest.raises(ValueError):

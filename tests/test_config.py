@@ -33,7 +33,7 @@ class TestParsing:
     def test_shipped_desk_preset_expands_to_the_experiment(self):
         cfg = parse_config(CONFIG_DIR / "fig1_desk.json")
         assert cfg.command == "optimize"
-        assert cfg.rho0.n_modes == 256
+        assert cfg.rho0.shape == (129,)  # the half row n = 0 .. 128
         assert cfg.grid.n_steps == 1200
         assert_allclose(cfg.model.x0, np.pi)
         assert_allclose(cfg.model.control_set.radius, np.sqrt(2.0))
@@ -49,7 +49,7 @@ class TestParsing:
 
     def test_shipped_full_resolution_preset_parses(self):
         cfg = parse_config(CONFIG_DIR / "fig1_full.json")
-        assert cfg.rho0.n_modes == 2048 and cfg.grid.tau == 0.001
+        assert cfg.rho0.shape == (1025,) and cfg.grid.tau == 0.001
 
     def test_shipped_validate_preset_parses(self):
         cfg = parse_config(CONFIG_DIR / "validate_desk.json")
@@ -110,6 +110,18 @@ class TestParsing:
         cfg = parse_config_dict(doc)
         assert cfg.model.control_set.kind == "box"
 
+    @pytest.mark.parametrize("where, value", [
+        ("lower", [False, False]),
+        ("upper", ["1", 1]),
+        ("upper", [1, 1, 1]),
+    ])
+    def test_box_bounds_are_two_json_numbers(self, where, value):
+        doc = minimal_doc()
+        doc["model"]["constraint"] = {"kind": "box", "lower": [-1, -1], "upper": [1, 1],
+                                      where: value}
+        with pytest.raises(ConfigError, match=f"model.constraint.{where}"):
+            parse_config_dict(doc)
+
     def test_snapshot_times_inside_horizon(self):
         doc = minimal_doc(snapshot_times=[0.0, 9.0])
         with pytest.raises(ConfigError, match="snapshot_times"):
@@ -141,6 +153,7 @@ class TestParsing:
         ("local_u1", "constant"),
         ("local_u1", {"kind": "constant", "value": "x"}),
         ("local_u1", {"kind": "constant", "amplitude": 1.0}),
+        ("lambdas", [0.001, 0.001]),  # a fitted slope needs distinct steps
     ])
     def test_validate_values_are_checked(self, key, value):
         with pytest.raises(ConfigError, match=f"validate.{key}"):

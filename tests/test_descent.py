@@ -22,17 +22,16 @@ from mfpmp import (
     target_control,
 )
 from mfpmp.descent import STATUS_EXTREMAL, SwitchingFunction
-from mfpmp.presets import fig1_density
-from mfpmp.spectral import full_rows, reconstruct_rows
+from mfpmp.spectral import reconstruct_rows
 from mfpmp.timegrid import Trajectory
 
-from conftest import uniform_field
+from conftest import fig1_row, full_rows, uniform_field
 
 
 def small_setup(T=0.4, tau=2e-3, n=32, alpha=0.0, radius=2.0):
     grid = TimeGrid(T, tau)
     model = kuramoto_model(alpha, np.pi, control_set=ball(radius))
-    rho = fig1_density(n)
+    rho = fig1_row(n)
     return grid, model, rho
 
 
@@ -235,6 +234,18 @@ class TestBacktracking:
         assert not ok and lam == 0.0 and j == cfg.j_max + 1
         assert got == sequential_search(u, ubar, d, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))
         assert calls == [8, 5]
+
+    def test_the_deepest_step_keeps_a_nonzero_sufficient_decrease(self):
+        # Past j = 1015 at c = 0.01, theta = 0.5, c * theta^j leaves the normal
+        # floats and the bound c * theta^j * slope rounds toward -0.0, which an
+        # equal-cost trial passes: at the parent, j_max = 1200 accepted j = 1069.
+        for j_max in (1200, 1016):
+            with pytest.raises(ValueError, match="j_max"):
+                DescentConfig(j_max=j_max)
+        u, ubar, d = unit_ladder()
+        got = backtracking_step(u, ubar, d, 5.0, DescentConfig(j_max=1015),
+                                ladder_evaluator(lambda lam: 5.0))
+        assert got == (0.0, 5.0, 1016, False)
 
 
 class TestChunkedBacktracking:

@@ -13,7 +13,6 @@ from mfpmp import (
     cost_of_control,
     integrate_backward,
     density_min,
-    field_from_harmonics,
     integrate_forward,
     kuramoto_model,
     rhs_continuity,
@@ -22,11 +21,10 @@ from mfpmp import adjoint, forward
 from mfpmp.adjoint import _rk4_backward_step, _source_phases
 from mfpmp.forward import _rk4_forward_step, _terminal_rows, mass_drift
 from mfpmp.descent import switching_function
-from mfpmp.presets import fig1_control, fig1_density
-from mfpmp.spectral import half_rows
+from mfpmp.presets import fig1_control
 
-from conftest import (full_field, harmonic, hermitian_defect, mode_numbers, random_hermitian,
-                      uniform_field)
+from conftest import (fig1_row, full_rows, half_row, harmonic, hermitian_defect, mode_numbers,
+                      random_hermitian, uniform_field)
 
 
 def literal_coefficient_rhs(a, u, alpha):
@@ -84,9 +82,10 @@ def full_layout_march(rho0, controls, model, grid):
     every step, as the solver does with its half rows.
     """
     h = 0.5 * grid.tau
-    dn = -1j * mode_numbers(rho0.n_modes + 1)
+    full = full_rows(rho0)
+    dn = -1j * mode_numbers(full.size)
     u = np.stack([c.values for c in controls], axis=1).astype(complex)
-    a = np.array(np.broadcast_to(rho0.coeffs, (len(controls), rho0.n_modes + 1)), order="C")
+    a = np.array(np.broadcast_to(full, (len(controls), full.size)), order="C")
     forward._settle(a, 0.0)
     nodes = [a]
     for s in range(2 * grid.n_steps):
@@ -97,7 +96,7 @@ def full_layout_march(rho0, controls, model, grid):
 
 
 def n_ge_0_half(full):
-    return np.ascontiguousarray(half_rows(full))
+    return np.ascontiguousarray(full[..., (full.shape[-1] - 1) // 2:])
 
 
 class TestContinuityRhs:
@@ -106,8 +105,8 @@ class TestContinuityRhs:
         for _ in range(5):
             a = random_hermitian(24, rng)
             u = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
-            got = rhs_continuity(0.0, a, u, model).coeffs
-            want = literal_coefficient_rhs(np.array(a.coeffs), u, 0.31)
+            got = full_rows(rhs_continuity(0.0, a, u, model))
+            want = literal_coefficient_rhs(full_rows(a), u, 0.31)
             assert np.max(np.abs(got - want)) < 1e-14
 
     def test_mass_mode_is_exactly_static(self, rng):
@@ -120,13 +119,13 @@ class TestContinuityRhs:
         model = kuramoto_model(0.0, np.pi, control_set=ball(3.0))
         a = random_hermitian(16, rng)
         c = 1.7
-        out = rhs_continuity(0.0, a, np.array([c, 0.0]), model).coeffs
-        assert_allclose(out, -1j * mode_numbers(17) * c * a.coeffs, atol=1e-15)
+        out = rhs_continuity(0.0, a, np.array([c, 0.0]), model)
+        assert_allclose(out, -1j * np.arange(9) * c * a, atol=1e-15)
 
     def test_initial_growth_rate_of_first_harmonic(self):
         # Near-uniform state with unit coupling: the first harmonic's time
         # derivative equals a_1 / 2 at t = 0 (second harmonic still empty).
-        rho = field_from_harmonics(32, {0: 1.0 / (2.0 * np.pi), 1: 0.05 / (2.0 * np.pi)})
+        rho = half_row(32, {0: 1.0 / (2.0 * np.pi), 1: 0.05 / (2.0 * np.pi)})
         model = kuramoto_model(0.0, np.pi)
         out = rhs_continuity(0.0, rho, np.array([0.0, 1.0]), model)
         assert_allclose(harmonic(out, 1), 0.5 * harmonic(rho, 1), atol=1e-15)
@@ -134,16 +133,16 @@ class TestContinuityRhs:
 
 class TestIntegrateForward:
     def test_rotation_closed_form(self):
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         grid = TimeGrid(1.0, 1e-3)
         c = 1.3
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
         traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
-        closed = rho.coeffs * np.exp(-1j * mode_numbers(65) * c)
-        assert np.max(np.abs(full_field(traj.terminal_field()).coeffs - closed)) < 1e-8
+        closed = full_rows(rho) * np.exp(-1j * mode_numbers(65) * c)
+        assert np.max(np.abs(full_rows(traj.terminal_field()) - closed)) < 1e-8
 
     def test_zero_control_keeps_the_state_bitwise(self):
-        rho = fig1_density(32)
+        rho = fig1_row(32)
         grid = TimeGrid(0.5, 5e-3)
         model = kuramoto_model(0.0, np.pi)
         traj = integrate_forward(rho, constant_control(grid, [0.0, 0.0]), model, grid)
@@ -152,7 +151,7 @@ class TestIntegrateForward:
     def test_short_time_exponential_growth(self):
         # |a_1(t)| follows exp(t/2) to first order while the higher
         # harmonics are still empty.
-        rho = field_from_harmonics(64, {0: 1.0 / (2.0 * np.pi), 1: 0.05 / (2.0 * np.pi)})
+        rho = half_row(64, {0: 1.0 / (2.0 * np.pi), 1: 0.05 / (2.0 * np.pi)})
         grid = TimeGrid(0.1, 1e-3)
         model = kuramoto_model(0.0, np.pi)
         traj = integrate_forward(rho, constant_control(grid, [0.0, 1.0]), model, grid)
@@ -162,7 +161,7 @@ class TestIntegrateForward:
             assert abs(ratio - np.exp(0.5 * t)) < 1e-4
 
     def test_mass_coefficient_is_bitwise_constant(self):
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         grid = TimeGrid(2.0, 5e-3)
         model = kuramoto_model(0.0, np.pi)
         u = ControlSignal(grid, np.column_stack([
@@ -174,7 +173,7 @@ class TestIntegrateForward:
 
     def test_hermitian_symmetry_along_random_steps(self, rng):
         model = kuramoto_model(0.4, np.pi, control_set=ball(3.0))
-        full = np.stack([random_hermitian(32, rng).coeffs for _ in range(5)])
+        full = np.stack([full_rows(random_hermitian(32, rng)) for _ in range(5)])
         a = n_ge_0_half(full)
         u = rng.uniform(-1, 1, (5, 2)).astype(complex)  # one control per row
         dn = -1j * mode_numbers(33)
@@ -184,24 +183,23 @@ class TestIntegrateForward:
         # A full-layout march keeps the symmetry to rounding; the half rows
         # hold it by construction, and they are the n >= 0 half of that march.
         assert np.max(np.abs(full - np.conj(full[:, ::-1]))) < 1e-12
-        assert all(hermitian_defect(full_field(row)) == 0.0 for row in a)
+        assert all(hermitian_defect(full_rows(row)) == 0.0 for row in a)
         assert a.tobytes() == n_ge_0_half(full).tobytes()
 
     def test_rotation_equivariance_of_the_coupled_system(self):
         # Adding a constant drift equals solving without it and rotating
         # the result (zero phase shift makes the coupling frame-invariant).
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         grid = TimeGrid(1.0, 1e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(3.0))
         c, u2 = 0.8, 1.1
         with_drift = integrate_forward(rho, constant_control(grid, [c, u2]), model, grid)
         without = integrate_forward(rho, constant_control(grid, [0.0, u2]), model, grid)
-        rotated = full_field(without.terminal_field()).coeffs * np.exp(-1j * mode_numbers(65) * c)
-        assert np.max(np.abs(full_field(with_drift.terminal_field()).coeffs - rotated)) < 1e-8
+        rotated = full_rows(without.terminal_field()) * np.exp(-1j * mode_numbers(65) * c)
+        assert np.max(np.abs(full_rows(with_drift.terminal_field()) - rotated)) < 1e-8
 
     def test_rk4_global_order_on_rotation(self):
-        rho = field_from_harmonics(32, {0: 1.0 / (2.0 * np.pi),
-                                        1: 0.04 + 0.02j, 4: 0.03 - 0.05j})
+        rho = half_row(32, {0: 1.0 / (2.0 * np.pi), 1: 0.04 + 0.02j, 4: 0.03 - 0.05j})
         model = kuramoto_model(0.0, np.pi, control_set=ball(3.0))
         c = 2.0
         errs = []
@@ -209,13 +207,13 @@ class TestIntegrateForward:
         for tau in taus:
             grid = TimeGrid(1.0, tau)
             traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
-            closed = rho.coeffs * np.exp(-1j * mode_numbers(33) * c)
-            errs.append(np.max(np.abs(full_field(traj.terminal_field()).coeffs - closed)))
+            closed = full_rows(rho) * np.exp(-1j * mode_numbers(33) * c)
+            errs.append(np.max(np.abs(full_rows(traj.terminal_field()) - closed)))
         order = np.polyfit(np.log(taus), np.log(errs), 1)[0]
         assert order >= 3.7
 
     def test_divergence_guard_fires(self):
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         grid = TimeGrid(10.0, 0.1)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2000.0))
         with pytest.raises(DivergenceError, match="reduce the time step"):
@@ -229,14 +227,14 @@ class TestIntegrateForward:
             integrate_forward(bad, constant_control(grid, [0.0, 0.0]), model, grid)
 
     def test_grid_mismatch_rejected(self):
-        rho = fig1_density(16)
+        rho = fig1_row(16)
         model = kuramoto_model(0.0, np.pi)
         u = constant_control(TimeGrid(1.0, 1e-2), [0.0, 0.0])
         with pytest.raises(ValueError, match="grid"):
             integrate_forward(rho, u, model, TimeGrid(2.0, 1e-2))
 
     def test_lean_and_stored_paths_agree_bitwise(self):
-        rho = fig1_density(32)
+        rho = fig1_row(32)
         grid = TimeGrid(0.3, 3e-3)
         model = kuramoto_model(0.0, np.pi)
         t = grid.full_times()
@@ -249,7 +247,7 @@ class TestIntegrateForward:
 
 def ladder_setup(alpha):
     """A descent-like ladder u -> target at theta = 1/2, plus a row with u_2 = -0.0."""
-    rho = fig1_density(32)
+    rho = fig1_row(32)
     grid = TimeGrid(0.3, 3e-3)
     model = kuramoto_model(alpha, np.pi, control_set=ball(2.0))
     t = grid.full_times()
@@ -275,7 +273,7 @@ class TestBatchedMarch:
         assert stacked.tobytes() == np.stack(singles).tobytes()
 
     def test_a_diverging_row_raises(self):
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         grid = TimeGrid(10.0, 0.1)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2000.0))
         calm = constant_control(grid, [0.0, 0.0])
@@ -294,7 +292,7 @@ class TestBatchedMarch:
         stencil = adjoint._stencil(17)
         phases = _source_phases(model)
         want = np.empty_like(traj.coeffs)
-        b = adjoint._terminal_row(traj.terminal_field(), model)
+        b = adjoint.terminal_adjoint(traj.terminal_field(), model)
         last = 2 * grid.n_steps
         want[last] = b
         for s in range(last, 0, -1):
@@ -325,7 +323,7 @@ class TestHalfRowMarch:
 
     @staticmethod
     def density(kind, rng):
-        return fig1_density(32) if kind == "fig1" else random_hermitian(32, rng, scale=0.03)
+        return fig1_row(32) if kind == "fig1" else random_hermitian(32, rng, scale=0.03)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
     @pytest.mark.parametrize("kind", ["fig1", "random"])
@@ -360,7 +358,7 @@ def fig1_gradient():
     grid = TimeGrid(0.5, 1e-3)
     model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
     u = fig1_control(grid)
-    traj = integrate_forward(fig1_density(512), u, model, grid)
+    traj = integrate_forward(fig1_row(512), u, model, grid)
     cotraj = integrate_backward(traj, u, model)
     return model, traj, cotraj, switching_function(traj, cotraj, model)
 
@@ -401,7 +399,7 @@ class TestSubnormalFlush:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_a_diverging_row_of_a_batched_march_raises(self):
-        rho = fig1_density(512)
+        rho = fig1_row(512)
         grid = TimeGrid(1.0, 0.05)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2000.0))
         assert forward.batch_rows(257) >= 3  # the three controls share one march
@@ -432,7 +430,7 @@ class TestDensityMin:
         assert_allclose(density_min(traj), 1.0 / (2.0 * np.pi), atol=1e-14)
 
     def test_experiment_density_matches_fine_grid_minimum(self):
-        rho = fig1_density(256)
+        rho = fig1_row(256)
         grid = TimeGrid(0.02, 1e-2)
         model = kuramoto_model(0.0, np.pi)
         traj = integrate_forward(rho, constant_control(grid, [0.0, 0.0]), model, grid)
@@ -449,7 +447,7 @@ class TestDensityMin:
         n = 32
         c = {0: 1.0 / (2.0 * np.pi)}
         c.update({k: 1.0 / (2.0 * np.pi) for k in range(1, 17)})
-        rho = field_from_harmonics(n, c)
+        rho = half_row(n, c)
         grid = TimeGrid(0.02, 1e-2)
         model = kuramoto_model(0.0, np.pi)
         traj = integrate_forward(rho, constant_control(grid, [0.0, 0.0]), model, grid)

@@ -7,16 +7,15 @@ from numpy.testing import assert_allclose
 from mfpmp import (
     ball,
     box,
-    field_from_harmonics,
     kuramoto_model,
     rhs_adjoint,
     rhs_continuity,
     sync_cost_dmu,
     sync_cost_eval,
 )
-from mfpmp.spectral import FourierField, grid_points, half_rows
+from mfpmp.spectral import grid_points
 
-from conftest import (eval_series, full_field, grid_coefficients, harmonic, mode_numbers,
+from conftest import (eval_series, full_rows, grid_coefficients, half_row, harmonic, mode_numbers,
                       random_hermitian, uniform_field)
 
 
@@ -30,8 +29,8 @@ def coupling(model, mu):
 
 def flat_derivative(mu, x0):
     """First variation of the mismatch cost, 1 - cos(x - x0) - cost(mu)."""
-    return field_from_harmonics(mu.n_modes, {
-        0: 1.0 - sync_cost_eval(half_rows(mu.coeffs), x0),
+    return half_row(2 * (mu.size - 1), {
+        0: 1.0 - sync_cost_eval(mu, x0),
         1: -0.5 * np.exp(-1j * x0),
     })
 
@@ -41,14 +40,14 @@ class TestKuramotoField:
         # With u_2 = 0 the field is the rigid rotation u_1, whatever the state.
         model = kuramoto_model(0.0, np.pi)
         mu = random_hermitian(32, rng)
-        out = rhs_continuity(0.0, mu, np.array([1.0, 0.0]), model).coeffs
-        assert np.array_equal(out, -1j * mode_numbers(33) * mu.coeffs)
+        out = rhs_continuity(0.0, mu, np.array([1.0, 0.0]), model)
+        assert np.array_equal(out, -1j * np.arange(17) * mu)
 
     def test_interaction_coefficient(self):
         # With a first harmonic of -i/(4*pi), unit coupling and zero phase
         # shift gives i*pi * (-i/(4*pi)) = 1/4 at harmonic 1.
         mu1 = -0.25j / np.pi
-        mu = field_from_harmonics(32, {0: 1.0 / (2.0 * np.pi), 1: mu1})
+        mu = half_row(32, {0: 1.0 / (2.0 * np.pi), 1: mu1})
         v = coupling(kuramoto_model(0.0, np.pi), mu)
         assert_allclose(v, 0.25, atol=1e-15)
         # grid-quadrature oracle on the interaction integral
@@ -77,7 +76,7 @@ class TestKuramotoField:
         w = np.array([-1.1, 0.4])
 
         def rhs(c):
-            return rhs_continuity(0.0, mu, c, model).coeffs
+            return rhs_continuity(0.0, mu, c, model)
 
         lhs = rhs(u) + rhs(w) - rhs(np.zeros(2))
         assert np.max(np.abs(lhs - rhs(u + w))) < 1e-12
@@ -89,21 +88,21 @@ class TestKuramotoField:
         model = kuramoto_model(alpha, 1.0, control_set=ball(5.0))
         mu = random_hermitian(32, rng)
         u = np.array([0.6, 1.2])
-        per_channel = [rhs_continuity(0.0, mu, e, model).coeffs for e in np.eye(2)]
+        per_channel = [rhs_continuity(0.0, mu, e, model) for e in np.eye(2)]
         assembled = u[0] * per_channel[0] + u[1] * per_channel[1]
-        assert_allclose(rhs_continuity(0.0, mu, u, model).coeffs, assembled, atol=1e-14)
+        assert_allclose(rhs_continuity(0.0, mu, u, model), assembled, atol=1e-14)
         assert_allclose(coupling(model, mu), 1j * np.pi * harmonic(mu, 1) * np.exp(1j * alpha),
                         atol=1e-15)
 
 
 class TestSyncCost:
     def test_uniform_density_scores_one(self):
-        assert_allclose(sync_cost_eval(half_rows(uniform().coeffs), 0.37), 1.0, atol=1e-14)
+        assert_allclose(sync_cost_eval(uniform(), 0.37), 1.0, atol=1e-14)
 
     def test_experiment_density_against_quadrature(self):
         # The first harmonic of the experiment's density is purely
         # imaginary, so the x0 = pi mismatch evaluates to exactly 1.
-        rho = field_from_harmonics(64, {
+        rho = half_row(64, {
             0: 1.0 / (2.0 * np.pi),
             1: -0.125j / np.pi,
             2: (0.4 + 0.1j) / (4.0 * np.pi),
@@ -111,8 +110,8 @@ class TestSyncCost:
         x = np.linspace(0.0, 2.0 * np.pi, 100001)
         dens = (2.0 + np.sin(x) + 0.8 * np.cos(2 * x) - 0.2 * np.sin(2 * x)) / (4.0 * np.pi)
         quad = np.trapezoid((1.0 - np.cos(x - np.pi)) * dens, x)
-        assert_allclose(sync_cost_eval(half_rows(rho.coeffs), np.pi), quad, atol=1e-9)
-        assert_allclose(sync_cost_eval(half_rows(rho.coeffs), np.pi), 1.0, atol=1e-14)
+        assert_allclose(sync_cost_eval(rho, np.pi), quad, atol=1e-9)
+        assert_allclose(sync_cost_eval(rho, np.pi), 1.0, atol=1e-14)
 
     def test_concentrated_density_scores_near_zero(self):
         # A band-limited bump centered at x0 (von-Mises-like truncation).
@@ -122,7 +121,7 @@ class TestSyncCost:
         bump = np.exp(8.0 * np.cos(x - x0))
         bump /= 2.0 * np.pi * np.mean(bump)
         rho = grid_coefficients(bump)
-        val = sync_cost_eval(half_rows(rho.coeffs), x0)
+        val = sync_cost_eval(rho, x0)
         fine = np.linspace(0.0, 2.0 * np.pi, 200001)
         fine_bump = np.exp(8.0 * np.cos(fine - x0))
         fine_bump /= np.trapezoid(fine_bump, fine)
@@ -133,35 +132,35 @@ class TestSyncCost:
     def test_unnormalized_density_rejected(self):
         bad = uniform_field(16, 0.2)
         with pytest.raises(ValueError, match="normalized"):
-            sync_cost_eval(half_rows(bad.coeffs), 0.0)
+            sync_cost_eval(bad, 0.0)
 
     def test_rotation_invariance(self, rng):
         mu = random_hermitian(32, rng)
         phi = 1.234
-        shifted = FourierField(32, mu.coeffs * np.exp(-1j * phi * mode_numbers(33)))
+        shifted = mu * np.exp(-1j * phi * np.arange(17))
         for x0 in (0.0, 1.0, np.pi):
-            assert_allclose(sync_cost_eval(half_rows(shifted.coeffs), x0 + phi),
-                            sync_cost_eval(half_rows(mu.coeffs), x0), atol=1e-13)
+            assert_allclose(sync_cost_eval(shifted, x0 + phi),
+                            sync_cost_eval(mu, x0), atol=1e-13)
 
     def test_dmu_is_the_sine_field(self):
-        d0 = sync_cost_dmu(half_rows(uniform().coeffs), 0.0)
+        d0 = sync_cost_dmu(uniform(), 0.0)
         assert d0.shape == (17,) and np.flatnonzero(d0).tolist() == [1]  # harmonic 1 only
         assert_allclose(d0[1], -0.5j, atol=1e-15)
-        dpi = sync_cost_dmu(half_rows(uniform().coeffs), np.pi)
+        dpi = sync_cost_dmu(uniform(), np.pi)
         assert_allclose(dpi, -d0, atol=1e-15)
 
     def test_dmu_equals_derivative_of_flat(self, rng):
         mu = random_hermitian(32, rng)
         for x0 in (0.0, 0.9, np.pi):
-            lhs = full_field(sync_cost_dmu(half_rows(mu.coeffs), x0)).coeffs
-            rhs = 1j * mode_numbers(33) * flat_derivative(mu, x0).coeffs  # d/dx
+            lhs = full_rows(sync_cost_dmu(mu, x0))
+            rhs = 1j * mode_numbers(33) * full_rows(flat_derivative(mu, x0))  # d/dx
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_flat_derivative_has_zero_mean_against_mu(self, rng):
         # Pairing the first variation with mu reproduces the cost itself.
         mu = random_hermitian(32, rng)
         flat = flat_derivative(mu, 0.7)
-        pairing = 2.0 * np.pi * np.dot(flat.coeffs, mu.coeffs[::-1])  # 2*pi sum f_n mu_{-n}
+        pairing = 2.0 * np.pi * np.dot(full_rows(flat), full_rows(mu)[::-1])  # 2*pi sum f_n mu_{-n}
         assert abs(pairing) < 1e-12
 
 
@@ -213,7 +212,7 @@ class TestMeasureDerivativeKernel:
         model = kuramoto_model(alpha, 0.0)
         zeta = random_hermitian(32, rng, max_mode=6, mass=0.3)
         out = rhs_adjoint(0.0, zeta, uniform(), np.array([0.0, u2]), model)
-        q = FourierField(32, -2.0 * np.pi * out.coeffs)
+        q = -2.0 * np.pi * out
         y = grid_points(256)
         zeta_y = eval_series(zeta, y)
         for x in np.linspace(0.0, 2 * np.pi, 7):
@@ -226,5 +225,5 @@ class TestMeasureDerivativeKernel:
         model = kuramoto_model(0.3, 0.0, control_set=ball(3.0))
         a = random_hermitian(16, rng)
         b = random_hermitian(16, rng, mass=0.2)
-        out = rhs_adjoint(0.0, b, a, np.array([1.4, 0.0]), model).coeffs
-        assert_allclose(out, -1j * mode_numbers(17) * 1.4 * b.coeffs, atol=1e-15)
+        out = rhs_adjoint(0.0, b, a, np.array([1.4, 0.0]), model)
+        assert_allclose(out, -1j * np.arange(9) * 1.4 * b, atol=1e-15)

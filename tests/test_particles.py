@@ -15,9 +15,8 @@ from mfpmp import (
     stratified_ensemble,
 )
 from mfpmp.particles import density_cdf_values
-from mfpmp.presets import fig1_density
 
-from conftest import harmonic, uniform_field
+from conftest import fig1_row, harmonic, uniform_field
 
 
 class TestSimulation:
@@ -98,7 +97,7 @@ class TestMoments:
 
 class TestStratifiedSampling:
     def test_cdf_matches_quadrature(self):
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         for x in (0.5, 2.0, 4.4, 6.2):
             fine = np.linspace(0.0, x, 200001)
             dens = (2.0 + np.sin(fine) + 0.8 * np.cos(2 * fine)
@@ -107,7 +106,7 @@ class TestStratifiedSampling:
             assert abs(density_cdf_values(rho, np.array([x]))[0] - quad) < 1e-8
 
     def test_quantiles_are_hit(self):
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         n = 1000
         ens = stratified_ensemble(rho, n)
         q = (np.arange(n) + 0.5) / n
@@ -116,13 +115,13 @@ class TestStratifiedSampling:
         assert np.all(np.diff(ens.phases) > 0.0)
 
     def test_sampling_is_deterministic(self):
-        rho = fig1_density(32)
+        rho = fig1_row(32)
         a = stratified_ensemble(rho, 500).phases
         b = stratified_ensemble(rho, 500).phases
         assert np.array_equal(a, b)
 
     def test_first_moments_converge_to_the_density_harmonics(self):
-        rho = fig1_density(64)
+        rho = fig1_row(64)
         ens = stratified_ensemble(rho, 4000)
         for n in (1, 2):
             target = 2.0 * np.pi * np.conj(harmonic(rho, n))

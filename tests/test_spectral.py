@@ -1,15 +1,15 @@
-"""Truncated circle fields: the Hermitian invariant, the half-row layout, reconstruction."""
+"""Truncated circle fields: the half-row layout, its entry check, reconstruction."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfpmp import FourierField, field_from_harmonics
+from mfpmp import ConfigError, FourierField
 from mfpmp.presets import fig1_density
-from mfpmp.spectral import HERMITIAN_TOL, full_rows, grid_points, half_rows, reconstruct_rows
+from mfpmp.spectral import HERMITIAN_TOL, grid_points, half_rows, reconstruct_rows
 
-from conftest import (full_field, grid_coefficients, harmonic, hermitian_defect, mode_numbers,
-                      random_hermitian, uniform_field)
+from conftest import (fig1_row, full_rows, grid_coefficients, half_row, harmonic,
+                      hermitian_defect, mode_numbers, random_hermitian, uniform_field)
 
 
 def fig1_density_samples(x):
@@ -22,20 +22,21 @@ def quad_coefficient(fn, n, points=200001):
     return np.trapezoid(fn(x) * np.exp(-1j * n * x), x) / (2.0 * np.pi)
 
 
-def to_physical(field):
-    """Literal reference: the truncated series summed directly on the N-point grid.
+def to_physical(row):
+    """Literal reference: the truncated series of a half row summed directly on the N-point grid.
 
     The phases n*x_j are reduced modulo 2*pi exactly (as n*j mod N) before
     the exponential, which keeps the sum at rounding level.
     """
-    n = field.n_modes
+    full = full_rows(row)
+    n = full.size - 1
     phase = np.outer(np.arange(n), mode_numbers(n + 1)) % n
-    return (np.exp(2j * np.pi * phase / n) @ field.coeffs).real
+    return (np.exp(2j * np.pi * phase / n) @ full).real
 
 
-def reconstruct(field):
-    """`reconstruct_rows` of one full-layout field."""
-    return reconstruct_rows(half_rows(field.coeffs))[0]
+def reconstruct(row):
+    """`reconstruct_rows` of one half row."""
+    return reconstruct_rows(row)[0]
 
 
 class TestToSpectral:
@@ -44,9 +45,10 @@ class TestToSpectral:
         # literal `grid_coefficients`) and the quadrature oracle below: the
         # first harmonic is -i/(8*pi) and the second (0.4 + 0.1i)/(4*pi).
         n = 128
-        rho = fig1_density(n)
+        rho = fig1_row(n)
         sampled = grid_coefficients(fig1_density_samples(grid_points(n)))
-        assert np.max(np.abs(sampled.coeffs - rho.coeffs)) < 1e-14
+        assert np.max(np.abs(sampled - rho)) < 1e-14
+        assert np.array_equal(full_rows(rho), fig1_density(n).coeffs)
         assert_allclose(harmonic(rho, 0), 1.0 / (2.0 * np.pi), atol=1e-14)
         assert_allclose(harmonic(rho, 1), -0.125j / np.pi, atol=1e-14)
         assert_allclose(harmonic(rho, 2), (0.4 + 0.1j) / (4.0 * np.pi), atol=1e-14)
@@ -66,14 +68,14 @@ class TestToPhysical:
         assert_allclose(reconstruct(uniform_field(16, 1.0)), np.ones(16), atol=1e-14)
 
     def test_sine_pair(self):
-        f = field_from_harmonics(32, {1: -0.5j})
+        f = half_row(32, {1: -0.5j})
         assert_allclose(reconstruct(f), np.sin(grid_points(32)), atol=1e-14)
 
     def test_roundtrip_identity_on_random_fields(self, rng):
         for _ in range(10):
             f = random_hermitian(32, rng)
             g = grid_coefficients(reconstruct(f))
-            assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
+            assert np.max(np.abs(g - f)) < 1e-12
 
     def test_physical_roundtrip(self, rng):
         vals = rng.standard_normal(64)
@@ -90,40 +92,113 @@ class TestHermitianInvariant:
     # Index 8 holds harmonic 0 of a 16-mode field, index 0 the boundary -8.
     @pytest.mark.parametrize("index, delta", [(3, 2e-10), (0, 2e-10j), (8, 1e-10j)])
     def test_rejects_a_defect_above_the_tolerance(self, rng, index, delta):
-        c = random_hermitian(16, rng).coeffs.copy()
+        c = full_rows(random_hermitian(16, rng))
         c[index] += delta
         assert_allclose(np.max(np.abs(c - np.conj(c[::-1]))), 2e-10, rtol=1e-5)
         with pytest.raises(ValueError, match="Hermitian"):
             FourierField(16, c)
 
     def test_accepts_rounding(self, rng):
-        c = random_hermitian(16, rng).coeffs * (1.0 + 1e-15 * rng.standard_normal(17))
-        assert 0.0 < hermitian_defect(FourierField(16, c)) < 1e-15
-        c = uniform_field(16).coeffs + 0.5e-10j * (np.arange(17) == 3)
-        assert hermitian_defect(FourierField(16, c)) == 0.5e-10 < HERMITIAN_TOL
+        c = full_rows(random_hermitian(16, rng)) * (1.0 + 1e-15 * rng.standard_normal(17))
+        assert 0.0 < hermitian_defect(FourierField(16, c).coeffs) < 1e-15
+        c = full_rows(uniform_field(16)) + 0.5e-10j * (np.arange(17) == 3)
+        assert hermitian_defect(FourierField(16, c).coeffs) == 0.5e-10 < HERMITIAN_TOL
 
 
 class TestHalfRows:
     def test_full_rows_invert_half_rows_on_hermitian_fields(self, rng):
         for n in (4, 16, 64):
-            f = random_hermitian(n, rng)
-            half = half_rows(f.coeffs)
-            assert half.shape == (n // 2 + 1,)
-            assert np.array_equal(full_rows(half), f.coeffs)
+            half = random_hermitian(n, rng)
+            f = FourierField(n, full_rows(half))  # the presets' layout
+            assert half_rows(f.coeffs).shape == (n // 2 + 1,)
+            assert np.array_equal(half_rows(f.coeffs), half)
 
     def test_expanded_rows_are_exactly_hermitian(self, rng):
         rows = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
         rows[:, 0] = rows[:, 0].real
         for row in rows:
-            assert hermitian_defect(full_field(row)) == 0.0
+            assert hermitian_defect(full_rows(row)) == 0.0
         assert np.array_equal(full_rows(rows)[1], full_rows(rows[1]))
 
     @pytest.mark.parametrize("real_boundary", [True, False])
     def test_reconstruct_rows_matches_to_physical(self, rng, real_boundary):
         # A complex +-N/2 pair splits its real part over the boundary bin.
         fields = [random_hermitian(32, rng, real_boundary=real_boundary) for _ in range(4)]
-        got = reconstruct_rows(np.stack([half_rows(f.coeffs) for f in fields]))
+        got = reconstruct_rows(np.stack(fields))
         want = np.stack([to_physical(f) for f in fields])
         assert got.shape == (4, 32)
         assert np.max(np.abs(got - want)) < 1e-14
         assert np.array_equal(reconstruct(fields[0]), got[0])
+
+
+def _entry_points():
+    """Each public function a density half row enters, as a call on the row `r`."""
+    from mfpmp import (DescentConfig, TimeGrid, constant_control, cost_of_control,
+                       integrate_backward, integrate_forward, kuramoto_model, rhs_adjoint,
+                       rhs_continuity, run_descent, stratified_ensemble, terminal_adjoint)
+    from mfpmp import checks
+    from mfpmp.config import parse_config_dict
+
+    grid = TimeGrid(0.02, 1e-2)
+    model = kuramoto_model(0.0, np.pi)
+    u = constant_control(grid, [0.1, 0.2])
+    good = fig1_row(16)
+    traj = integrate_forward(good, u, model, grid)
+    ref = checks.solve_reference(good, u, model, grid)
+
+    def config(r):
+        harmonics = {str(n): [c.real, c.imag] for n, c in enumerate(r) if c != 0}
+        doc = {"command": "solve-forward", "output_dir": "out",
+               "model": {"alpha": 0.0, "x0": 0.0, "constraint": {"kind": "ball", "radius": 1.0}},
+               "grid": {"T": 0.02, "tau": 0.01, "n_modes": 16},
+               "initial_density": {"harmonics": harmonics},
+               "initial_control": {"constant": [0.0, 0.0]}}
+        parse_config_dict(doc)
+
+    return {
+        "integrate_forward": lambda r: integrate_forward(r, u, model, grid),
+        "cost_of_control": lambda r: cost_of_control(r, [u], model, grid),
+        "run_descent": lambda r: run_descent(r, u, model, grid, DescentConfig(k_max=1)),
+        "rhs_continuity": lambda r: rhs_continuity(0.0, r, u.values[0], model),
+        "rhs_adjoint(b)": lambda r: rhs_adjoint(0.0, r, good, u.values[0], model),
+        "rhs_adjoint(a)": lambda r: rhs_adjoint(0.0, good, r, u.values[0], model),
+        "terminal_adjoint": lambda r: terminal_adjoint(r, model),
+        "integrate_backward(terminal=)": lambda r: integrate_backward(traj, u, model, terminal=r),
+        "stratified_ensemble": lambda r: stratified_ensemble(r, 10),
+        "meanfield_vs_particles": lambda r: checks.meanfield_vs_particles(r, u, model, grid, [10]),
+        "solve_reference": lambda r: checks.solve_reference(r, u, model, grid),
+        "increment_slope_check": lambda r: checks.increment_slope_check(r, ref, u, model, grid,
+                                                                        [0.1, 0.2]),
+        "local_adjoint_check": lambda r: checks.local_adjoint_check(np.zeros(3), r, 0.0, grid),
+        "synthetic_control_pairs": lambda r: checks.synthetic_control_pairs(r, model, grid, 1),
+        "fig1_slope_pair": lambda r: checks.fig1_slope_pair(r, u, model, grid),
+        "config": config,
+    }
+
+
+ENTRY_POINTS = sorted(_entry_points())
+
+
+class TestEntryCheck:
+    """A row a caller passes in must be 1-D, with N >= 4 and a real harmonic 0."""
+
+    @pytest.mark.parametrize("name", [n for n in ENTRY_POINTS if n != "config"])  # JSON: 1-D
+    def test_a_two_dimensional_row_is_rejected(self, name):
+        call = _entry_points()[name]
+        with pytest.raises(ValueError, match="half row"):
+            call(np.stack([fig1_row(16)] * 2))
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_a_complex_harmonic_0_is_rejected(self, name):
+        call = _entry_points()[name]
+        bad = fig1_row(16)
+        bad[0] += 1e-3j
+        with pytest.raises((ValueError, ConfigError),
+                           match="harmonic 0 of a real field must be real"):
+            call(bad)
+
+    def test_a_row_shorter_than_three_entries_is_rejected(self):
+        from mfpmp.spectral import require_row
+        with pytest.raises(ValueError, match="N >= 4"):
+            require_row(np.array([1.0 / (2.0 * np.pi), 0.0]), "density")
+        assert require_row([1, 0, 0], "density").dtype == complex
