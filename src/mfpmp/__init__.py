@@ -32,8 +32,6 @@ from .models import (
     ball,
     box,
     kuramoto_model,
-    sync_cost_dmu,
-    sync_cost_eval,
 )
 from .particles import (
     ParticleEnsemble,

@@ -15,7 +15,9 @@ phase shift commutes with such flows, so the sensitivity of the terminal
 cost to a shift cannot depend on when the shift is applied).  The terminal
 condition pairs the cost's intrinsic derivative with the terminal density:
 
-    zeta_T = -D_mu l(mu_T) * rho_T.
+    zeta_T = -D_mu l(mu_T) * rho_T,
+
+where D_mu l is the field sin(x - x0) of the phase-mismatch cost.
 
 Unlike the density, the co-density conserves no mass: the n = 0 source is
 generally nonzero.
@@ -112,14 +114,12 @@ def _rk4_backward_step(b: np.ndarray, h: float, u: np.ndarray,
 def terminal_adjoint(muT: np.ndarray, model: ModelSpec) -> np.ndarray:
     """Half row of the terminal co-density (-D_mu l(mu_T)) * rho_T at the density half row muT.
 
-    For the synchronization cost this reduces to
+    The mismatch cost's intrinsic derivative is the field sin(x - x0),
+    whose harmonic 1 is -(i/2) e^{-i x0}, so
     b_n(T) = (i/2) * (a_{n-1} e^{-i x0} - a_{n+1} e^{i x0}).
     """
     aT = require_row(muT, "terminal density")
-    dmu = model.cost.dmu(aT)
-    if np.any(dmu[:1]) or np.any(dmu[2:]):
-        raise ValueError("the cost derivative must carry only the harmonics +-1")
-    hi = -dmu[1]
+    hi = 0.5j * np.exp(-1j * model.x0)
     lo = np.conj(hi)
     b = np.zeros_like(aT)
     b[:-1] += lo * aT[1:]

@@ -44,8 +44,7 @@ def meanfield_vs_particles(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
     reports = []
     for n_particles in ensemble_sizes:
         ensemble0 = stratified_ensemble(rho0, n_particles)
-        terminal, snaps = simulate_particles(ensemble0, u, model.alpha, grid,
-                                             record_times=times)
+        terminal, snaps = simulate_particles(ensemble0, u, model.alpha, grid, times)
         per_time = {}
         worst = 0.0
         for k, t in zip(check_nodes, times):
@@ -181,7 +180,7 @@ MAX_EXTRA_PAIRS = len(_PAIR_RECIPES)
 
 
 def synthetic_control_pairs(rho0: np.ndarray, model: ModelSpec, grid: TimeGrid,
-                            count: int = 2) -> list[tuple[Reference, ControlSignal]]:
+                            count: int) -> list[tuple[Reference, ControlSignal]]:
     """Deterministic feasible (reference, target) pairs for slope probes."""
     if not 0 <= count <= MAX_EXTRA_PAIRS:
         raise ValueError(f"count must lie in 0..{MAX_EXTRA_PAIRS}, got {count}")

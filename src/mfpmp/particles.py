@@ -54,27 +54,21 @@ def _phase_rhs(x: np.ndarray, u: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def simulate_particles(initial: ParticleEnsemble, u: ControlSignal, alpha: float,
-                       grid: TimeGrid, record_times=None):
+                       grid: TimeGrid, record_times):
     """March the oscillator ODE with RK4 at the full control step.
 
-    Args:
-        record_times: optional times (on the full-step lattice) at which to
-            capture phase snapshots.
-
-    Returns:
-        The terminal ensemble, or (terminal, {time: phases}) when
-        `record_times` is given.
+    Returns the terminal ensemble and {time: phases} at each of
+    `record_times`, which must lie on the full-step lattice.
     """
     tau = grid.tau
     x = np.array(initial.phases, dtype=float)
     snapshots = {}
     want = {}
-    if record_times is not None:
-        for t in record_times:
-            k = int(round(t / tau))
-            if abs(k * tau - t) > 1e-9 or k < 0 or k > grid.n_steps:
-                raise ValueError(f"record time {t} is not a full-step node")
-            want[k] = float(t)
+    for t in record_times:
+        k = int(round(t / tau))
+        if abs(k * tau - t) > 1e-9 or k < 0 or k > grid.n_steps:
+            raise ValueError(f"record time {t} is not a full-step node")
+        want[k] = float(t)
     if 0 in want:
         snapshots[want[0]] = x.copy()
     for k in range(grid.n_steps):
@@ -90,10 +84,7 @@ def simulate_particles(initial: ParticleEnsemble, u: ControlSignal, alpha: float
             raise DivergenceError(f"particle phases drifted to {peak:.3e} at t = {t + tau:.6g}")
         if k + 1 in want:
             snapshots[want[k + 1]] = x.copy()
-    terminal = ParticleEnsemble(x)
-    if record_times is not None:
-        return terminal, snapshots
-    return terminal
+    return ParticleEnsemble(x), snapshots
 
 
 def empirical_moment(ensemble: ParticleEnsemble, n: int) -> complex:

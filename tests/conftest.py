@@ -56,6 +56,13 @@ def harmonic(row, n):
     return complex(row[n]) if n >= 0 else complex(np.conj(row[-n]))
 
 
+def literal_sync_cost_dmu(mu, x0):
+    """Literal copy of the former callable cost derivative: the half row of sin(x - x0)."""
+    c = np.zeros(mu.shape[-1], dtype=complex)
+    c[1] = -0.5j * np.exp(-1j * x0)
+    return c
+
+
 def uniform_field(n_modes, value=1.0 / (2.0 * np.pi)):
     """Half row of the constant field `value`; by default the uniform probability density."""
     return half_row(n_modes, {0: value})

@@ -18,8 +18,8 @@ from mfpmp import (
 )
 from mfpmp import adjoint
 
-from conftest import (fig1_row, full_rows, half_row, harmonic, hermitian_defect, random_hermitian,
-                      uniform_field)
+from conftest import (fig1_row, full_rows, half_row, harmonic, hermitian_defect,
+                      literal_sync_cost_dmu, random_hermitian, uniform_field)
 
 
 def literal_adjoint_rhs(b, a, u, alpha):
@@ -84,24 +84,24 @@ class TestTerminalCondition:
         z1 = terminal_adjoint(uni, kuramoto_model(0.0, x0=0.8 + np.pi))
         assert_allclose(z1, -z0, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [0, 2])
-    def test_cost_derivative_off_harmonic_one_is_rejected(self, n):
-        # The terminal condition is written for a derivative carrying only
-        # the harmonics +-1; any other harmonic must raise, not be dropped.
-        from dataclasses import replace
+    def test_closed_form_keeps_the_bits_of_the_callable_derivative(self, rng):
+        # The callable cost read the coefficient from its derivative row
+        # (`literal_sync_cost_dmu`); the closed form must give the same bits.
+        def callable_route(aT, x0):
+            hi = -literal_sync_cost_dmu(aT, x0)[1]
+            lo = np.conj(hi)
+            b = np.zeros_like(aT)
+            b[:-1] += lo * aT[1:]
+            b[1:] += hi * aT[:-1]
+            b[0] = lo * aT[1] + hi * aT[1].conjugate()
+            return b
 
-        def dmu(a):
-            row = np.zeros_like(a)
-            row[1], row[n] = -0.5j, 0.1
-            return row
-
-        base = kuramoto_model(0.0, np.pi)
-        model = replace(base, cost=replace(base.cost, dmu=dmu))
-        grid = TimeGrid(0.1, 1e-2)
-        u = constant_control(grid, [0.2, 0.5])
-        traj = integrate_forward(fig1_row(16), u, model, grid)
-        with pytest.raises(ValueError, match="harmonics"):
-            integrate_backward(traj, u, model)
+        x0s = [0.0, -0.0, np.pi / 2.0, np.pi, *rng.uniform(-10.0, 10.0, 12)]
+        for n_modes in (4, 32, 256):
+            mu = random_hermitian(n_modes, rng)
+            for x0 in x0s:
+                got = terminal_adjoint(mu, kuramoto_model(0.0, x0))
+                assert got.tobytes() == callable_route(mu, x0).tobytes(), (n_modes, x0)
 
     def test_terminal_adjoint_of_the_terminal_field_is_the_solved_terminal_row(self):
         # One function serves the public call and the backward solve.

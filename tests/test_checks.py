@@ -66,34 +66,6 @@ class TestIncrementSlopeCheck:
         assert rep["predicted_slope"] == 0.0
         assert rep["ratios"] == [None]
 
-    def test_cost_scaling_scales_both_sides(self):
-        # Scaling the terminal cost scales predicted and actual decrements
-        # alike, leaving the ratios unchanged.
-        from dataclasses import replace
-
-        from mfpmp.models import CostSpec, sync_cost_spec
-        grid = TimeGrid(0.4, 2e-3)
-        rho = fig1_row(48)
-        t = grid.full_times()
-        u = ControlSignal(grid, np.column_stack([0.3 * np.sin(t), 0.2 + 0 * t]))
-        ubar = ControlSignal(grid, np.column_stack([-0.2 + 0 * t, 0.5 * np.sin(2 * t)]))
-
-        kappa = 3.7
-        base = kuramoto_model(0.0, np.pi)
-        plain = sync_cost_spec(np.pi)
-        scaled_cost = CostSpec(
-            eval=lambda a: kappa * plain.eval(a),
-            dmu=lambda a: kappa * plain.dmu(a),
-        )
-        scaled = replace(base, cost=scaled_cost)
-        rep_base, rep_scaled = (
-            increment_slope_check(rho, solve_reference(rho, u, m, grid), ubar, m, grid,
-                                  [2e-3, 4e-3])
-            for m in (base, scaled))
-        assert_allclose(rep_scaled["predicted_slope"],
-                        kappa * rep_base["predicted_slope"], rtol=1e-12)
-        assert_allclose(rep_scaled["ratios"], rep_base["ratios"], rtol=1e-9)
-
     def test_lambda_range_is_validated(self):
         grid = TimeGrid(0.2, 2e-3)
         model = kuramoto_model(0.0, np.pi)

@@ -1,6 +1,5 @@
 """Configuration parsing: strict validation, presets, overrides."""
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +144,6 @@ class TestParsing:
         ("lambdas", [0, 2]),
         ("lambdas", [0.01]),
         ("lambdas", "0.01"),
-        ("require_moment_monotone", "yes"),
         ("extra_pairs", 4),
         ("extra_pairs", -1),
         ("extra_pairs", True),

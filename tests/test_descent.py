@@ -199,7 +199,7 @@ def sequential_search(u, ubar, d, cost_u, cfg, evaluator):
     lam = 1.0
     for j in range(cfg.j_max + 1):
         trial_cost = evaluator([u.toward(ubar, lam)])[0]
-        if trial_cost - cost_u <= cfg.c * lam * slope:
+        if trial_cost - cost_u <= cfg.c * lam * slope < 0.0:
             return lam, trial_cost, j, True
         lam *= cfg.theta
     return 0.0, cost_u, cfg.j_max + 1, False
@@ -246,6 +246,16 @@ class TestBacktracking:
         got = backtracking_step(u, ubar, d, 5.0, DescentConfig(j_max=1015),
                                 ladder_evaluator(lambda lam: 5.0))
         assert got == (0.0, 5.0, 1016, False)
+
+    def test_an_underflowing_bound_passes_no_equal_cost_trial(self):
+        # With E[u] = 1e-300 the bound c * theta^j * slope underflows to -0.0
+        # from j = 72 on, which an equal-cost trial would pass.
+        grid = TimeGrid(1.0, 0.5)
+        u, ubar = constant_control(grid, [0.0, 0.0]), constant_control(grid, [1.0, 0.0])
+        d = SwitchingFunction(grid, np.array([[1e-300, 0.0]] * 3))
+        cfg = DescentConfig(j_max=100, eps_tol=0.0)
+        got = backtracking_step(u, ubar, d, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))
+        assert got == (0.0, 5.0, cfg.j_max + 1, False)
 
 
 class TestChunkedBacktracking:

@@ -1,5 +1,7 @@
 """Kuramoto vector field, synchronization cost, and admissible sets."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,9 +12,9 @@ from mfpmp import (
     kuramoto_model,
     rhs_adjoint,
     rhs_continuity,
-    sync_cost_dmu,
-    sync_cost_eval,
+    terminal_adjoint,
 )
+from mfpmp.models import CostSpec
 from mfpmp.spectral import grid_points
 
 from conftest import (eval_series, full_rows, grid_coefficients, half_row, harmonic, mode_numbers,
@@ -30,7 +32,7 @@ def coupling(model, mu):
 def flat_derivative(mu, x0):
     """First variation of the mismatch cost, 1 - cos(x - x0) - cost(mu)."""
     return half_row(2 * (mu.size - 1), {
-        0: 1.0 - sync_cost_eval(mu, x0),
+        0: 1.0 - CostSpec(x0).eval(mu),
         1: -0.5 * np.exp(-1j * x0),
     })
 
@@ -97,7 +99,7 @@ class TestKuramotoField:
 
 class TestSyncCost:
     def test_uniform_density_scores_one(self):
-        assert_allclose(sync_cost_eval(uniform(), 0.37), 1.0, atol=1e-14)
+        assert_allclose(CostSpec(0.37).eval(uniform()), 1.0, atol=1e-14)
 
     def test_experiment_density_against_quadrature(self):
         # The first harmonic of the experiment's density is purely
@@ -110,8 +112,8 @@ class TestSyncCost:
         x = np.linspace(0.0, 2.0 * np.pi, 100001)
         dens = (2.0 + np.sin(x) + 0.8 * np.cos(2 * x) - 0.2 * np.sin(2 * x)) / (4.0 * np.pi)
         quad = np.trapezoid((1.0 - np.cos(x - np.pi)) * dens, x)
-        assert_allclose(sync_cost_eval(rho, np.pi), quad, atol=1e-9)
-        assert_allclose(sync_cost_eval(rho, np.pi), 1.0, atol=1e-14)
+        assert_allclose(CostSpec(np.pi).eval(rho), quad, atol=1e-9)
+        assert_allclose(CostSpec(np.pi).eval(rho), 1.0, atol=1e-14)
 
     def test_concentrated_density_scores_near_zero(self):
         # A band-limited bump centered at x0 (von-Mises-like truncation).
@@ -121,7 +123,7 @@ class TestSyncCost:
         bump = np.exp(8.0 * np.cos(x - x0))
         bump /= 2.0 * np.pi * np.mean(bump)
         rho = grid_coefficients(bump)
-        val = sync_cost_eval(rho, x0)
+        val = CostSpec(x0).eval(rho)
         fine = np.linspace(0.0, 2.0 * np.pi, 200001)
         fine_bump = np.exp(8.0 * np.cos(fine - x0))
         fine_bump /= np.trapezoid(fine_bump, fine)
@@ -132,29 +134,42 @@ class TestSyncCost:
     def test_unnormalized_density_rejected(self):
         bad = uniform_field(16, 0.2)
         with pytest.raises(ValueError, match="normalized"):
-            sync_cost_eval(bad, 0.0)
+            CostSpec(0.0).eval(bad)
 
     def test_rotation_invariance(self, rng):
         mu = random_hermitian(32, rng)
         phi = 1.234
         shifted = mu * np.exp(-1j * phi * np.arange(17))
         for x0 in (0.0, 1.0, np.pi):
-            assert_allclose(sync_cost_eval(shifted, x0 + phi),
-                            sync_cost_eval(mu, x0), atol=1e-13)
+            assert_allclose(CostSpec(x0 + phi).eval(shifted),
+                            CostSpec(x0).eval(mu), atol=1e-13)
 
-    def test_dmu_is_the_sine_field(self):
-        d0 = sync_cost_dmu(uniform(), 0.0)
-        assert d0.shape == (17,) and np.flatnonzero(d0).tolist() == [1]  # harmonic 1 only
-        assert_allclose(d0[1], -0.5j, atol=1e-15)
-        dpi = sync_cost_dmu(uniform(), np.pi)
-        assert_allclose(dpi, -d0, atol=1e-15)
+    def test_terminal_adjoint_of_uniform_is_minus_the_sine_field(self):
+        # D_mu l = sin(x - x0), so the uniform density gives -sin(x - x0)/(2*pi).
+        x = grid_points(64)
+        z0 = terminal_adjoint(uniform(), kuramoto_model(0.0, 0.0))
+        assert z0.shape == (17,) and np.flatnonzero(z0).tolist() == [1]  # harmonic 1 only
+        assert_allclose(eval_series(z0, x), -np.sin(x) / (2.0 * np.pi), atol=1e-15)
+        zpi = terminal_adjoint(uniform(), kuramoto_model(0.0, np.pi))
+        assert_allclose(zpi, -z0, atol=1e-15)
 
-    def test_dmu_equals_derivative_of_flat(self, rng):
+    def test_terminal_adjoint_is_minus_derivative_of_flat_times_mu(self, rng):
+        # zeta_T = -(d/dx flat) * mu: the product is a convolution of full
+        # layouts, truncated to the harmonics -16 .. 16.
         mu = random_hermitian(32, rng)
         for x0 in (0.0, 0.9, np.pi):
-            lhs = full_rows(sync_cost_dmu(mu, x0))
-            rhs = 1j * mode_numbers(33) * full_rows(flat_derivative(mu, x0))  # d/dx
-            assert np.max(np.abs(lhs - rhs)) < 1e-10
+            lhs = full_rows(terminal_adjoint(mu, kuramoto_model(0.0, x0)))
+            dmu = 1j * mode_numbers(33) * full_rows(flat_derivative(mu, x0))  # d/dx
+            rhs = -np.convolve(dmu, full_rows(mu))[16:49]
+            assert np.max(np.abs(lhs - rhs)) < 1e-15
+
+    def test_the_cost_is_a_value_derived_from_x0(self):
+        # No callable fields, so models built from equal parameters are equal.
+        assert [f.name for f in fields(CostSpec)] == ["x0"]
+        assert kuramoto_model(0.0, 3.0) == kuramoto_model(0.0, 3.0)
+        assert kuramoto_model(0.0, 3.0) != kuramoto_model(0.0, 3.5)
+        assert kuramoto_model(0.2, 3.0).cost == CostSpec(3.0)
+        assert replace(kuramoto_model(0.2, 3.0), x0=1.0).cost == CostSpec(1.0)
 
     def test_flat_derivative_has_zero_mean_against_mu(self, rng):
         # Pairing the first variation with mu reproduces the cost itself.

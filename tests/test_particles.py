@@ -22,8 +22,8 @@ from conftest import fig1_row, harmonic, uniform_field
 class TestSimulation:
     def test_single_particle_pure_drift(self):
         grid = TimeGrid(2.0, 1e-2)
-        out = simulate_particles(ParticleEnsemble(np.array([0.4])),
-                                 constant_control(grid, [0.7, 0.0]), 0.0, grid)
+        out, _ = simulate_particles(ParticleEnsemble(np.array([0.4])),
+                                    constant_control(grid, [0.7, 0.0]), 0.0, grid, [])
         assert_allclose(out.phases[0], 0.4 + 0.7 * 2.0, rtol=1e-14)
 
     def test_self_interaction_follows_the_plain_pairwise_sum(self):
@@ -31,15 +31,15 @@ class TestSimulation:
         # pairwise sum includes the j = i term.
         grid = TimeGrid(1.0, 1e-2)
         alpha = np.pi / 2.0
-        out = simulate_particles(ParticleEnsemble(np.array([1.0])),
-                                 constant_control(grid, [0.0, 1.0]), alpha, grid)
+        out, _ = simulate_particles(ParticleEnsemble(np.array([1.0])),
+                                    constant_control(grid, [0.0, 1.0]), alpha, grid, [])
         assert_allclose(out.phases[0], 1.0 - np.sin(alpha) * 1.0, atol=1e-12)
 
     def test_synchronized_ensemble_rotates_rigidly(self):
         grid = TimeGrid(1.5, 5e-3)
         phases = np.full(64, 2.2)
-        out = simulate_particles(ParticleEnsemble(phases),
-                                 constant_control(grid, [0.5, 1.3]), 0.0, grid)
+        out, _ = simulate_particles(ParticleEnsemble(phases),
+                                    constant_control(grid, [0.5, 1.3]), 0.0, grid, [])
         assert_allclose(out.phases, 2.2 + 0.5 * 1.5, rtol=1e-13)
 
     def test_two_particle_phase_gap_closed_form(self):
@@ -47,8 +47,8 @@ class TestSimulation:
         # i.e. tan(delta(t)/2) = tan(delta(0)/2) exp(-t).
         grid = TimeGrid(1.0, 1e-3)
         x0 = np.array([0.3, 1.7])
-        out = simulate_particles(ParticleEnsemble(x0),
-                                 constant_control(grid, [0.0, 1.0]), 0.0, grid)
+        out, _ = simulate_particles(ParticleEnsemble(x0),
+                                    constant_control(grid, [0.0, 1.0]), 0.0, grid, [])
         delta = out.phases[1] - out.phases[0]
         want = 2.0 * np.arctan(np.tan((x0[1] - x0[0]) / 2.0) * np.exp(-1.0))
         assert abs(delta - want) < 1e-8
@@ -58,23 +58,22 @@ class TestSimulation:
         rng = np.random.default_rng(5)
         phases = rng.uniform(0.0, 2.0 * np.pi, 200)
         u = constant_control(grid, [0.3, 0.9])
-        base = simulate_particles(ParticleEnsemble(phases), u, 0.0, grid)
+        base, _ = simulate_particles(ParticleEnsemble(phases), u, 0.0, grid, [])
         phi = 1.234
-        shifted = simulate_particles(ParticleEnsemble(phases + phi), u, 0.0, grid)
+        shifted, _ = simulate_particles(ParticleEnsemble(phases + phi), u, 0.0, grid, [])
         assert abs(particle_cost(base, 1.0) - particle_cost(shifted, 1.0 + phi)) < 1e-12
 
     def test_divergence_guard(self):
         grid = TimeGrid(1000.0, 1.0)
         with pytest.raises(DivergenceError):
             simulate_particles(ParticleEnsemble(np.array([0.0])),
-                               constant_control(grid, [1e7, 0.0]), 0.0, grid)
+                               constant_control(grid, [1e7, 0.0]), 0.0, grid, [])
 
     def test_record_times_capture_snapshots(self):
         grid = TimeGrid(1.0, 1e-2)
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         u = constant_control(grid, [1.0, 0.0])
-        terminal, snaps = simulate_particles(start, u, 0.0, grid,
-                                             record_times=[0.0, 0.5, 1.0])
+        terminal, snaps = simulate_particles(start, u, 0.0, grid, [0.0, 0.5, 1.0])
         assert_allclose(snaps[0.0], start.phases)
         assert_allclose(snaps[0.5], start.phases + 0.5, rtol=1e-13)
         assert_allclose(snaps[1.0], terminal.phases)

@@ -197,6 +197,21 @@ class TestEntryCheck:
                            match="harmonic 0 of a real field must be real"):
             call(bad)
 
+    def test_the_config_names_its_key_once(self):
+        call = _entry_points()["config"]
+        bad = fig1_row(16)
+        bad[0] += 1e-3j
+        with pytest.raises(ConfigError) as err:
+            call(bad)
+        assert str(err.value) == ("initial_density: harmonic 0 of a real field must be real, "
+                                  f"got {bad[0]}")
+        heavy = fig1_row(16)
+        heavy[0] = 0.2
+        with pytest.raises(ConfigError) as err:
+            call(heavy)
+        assert str(err.value) == (f"initial_density is not normalized: mode-0 coefficient "
+                                  f"{heavy[0]} differs from 1/(2*pi) by more than 1e-13")
+
     def test_a_row_shorter_than_three_entries_is_rejected(self):
         from mfpmp.spectral import require_row
         with pytest.raises(ValueError, match="N >= 4"):
