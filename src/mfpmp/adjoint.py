@@ -39,7 +39,9 @@ b_0 stays real and the field is Hermitian exactly.
 The march runs at the same half step as the forward solver, so every stage
 reads a forward state either straight from storage or, for quarter-step
 stage times, from a single local RK4 quarter-step off the stored node
-(fourth-order consistent, no interpolation).
+(fourth-order consistent, no interpolation).  Only the switching function
+reads the co-density, at the full-step nodes where the controls live, so
+the co-trajectory keeps every second step: K + 1 rows, row k at t = k*tau.
 
 The co-density's high harmonics decay geometrically, and at wide
 resolutions a large share of its float parts would fall below the normal
@@ -156,9 +158,10 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
             tested property of the system.
 
     Returns:
-        Co-trajectory of half rows on the same half-step lattice; the terminal row and
-        every backward step are settled (`forward._settle`) before they are
-        stored.
+        Co-trajectory of half rows at the full-step nodes, row k at
+        t = k*tau; the march keeps the half step of `traj`.  The terminal row
+        and every backward step are settled (`forward._settle`) before they
+        are stored or marched on.
 
     Raises:
         DivergenceError: if any co-density part passes the guard.
@@ -181,10 +184,10 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     # Complex control of the step that starts at each half node.
     controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
     block = batch_rows(width)
-    out = np.empty_like(traj.coeffs)
+    out = np.empty((grid.n_steps + 1, width), dtype=complex)
     last = 2 * grid.n_steps
     _settle(b, last * h)
-    out[last] = b
+    out[-1] = b
     for top in range(last, 0, -block):
         # The quarter-step states of the block's backward steps read only
         # the stored trajectory, so they are marched as the rows of one state.
@@ -196,5 +199,6 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
             b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mids[s - 1 - lo],
                                    traj.coeffs[s - 1], model, stencil, phases)
             _settle(b, (s - 1) * h)
-            out[s - 1] = b
+            if s & 1:  # landed on the full node s - 1 = 2k
+                out[s >> 1] = b
     return Trajectory(grid, out)

@@ -147,8 +147,9 @@ def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid) 
     traj = integrate_forward(rho0, u, model, grid)
     cotraj = integrate_backward(traj, u, model)
 
-    # Remaining and accumulated rotation per half node, exact for the
-    # piecewise-constant control class.
+    # Remaining and accumulated rotation per half step, summed as the march
+    # steps, exact for the piecewise-constant control class; read at the
+    # full nodes, where the co-trajectory is stored.
     n_half = 2 * grid.n_steps
     h = 0.5 * grid.tau
     remaining = np.zeros(n_half + 1)
@@ -156,14 +157,13 @@ def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid) 
         remaining[s] = remaining[s + 1] + h * u1[s >> 1]
     accumulated = remaining[0] - remaining
 
-    nodes = np.arange(0, n_half + 1, 2)
     x = grid_points(traj.n_modes)
     modes = np.arange(traj.coeffs.shape[1])
     # rho_0 as the solver marched it: the stored initial half row.
-    shifted = traj.coeffs[0] * np.exp(-1j * np.outer(accumulated[nodes], modes))
+    shifted = traj.coeffs[0] * np.exp(-1j * np.outer(accumulated[::2], modes))
     rho_t = reconstruct_rows(shifted)
-    analytic = -np.sin(x[None, :] + remaining[nodes, None] - x0) * rho_t
-    solved = reconstruct_rows(cotraj.coeffs[nodes])
+    analytic = -np.sin(x[None, :] + remaining[::2, None] - x0) * rho_t
+    solved = reconstruct_rows(cotraj.coeffs)
     err = float(np.max(np.abs(solved - analytic)))
     return {"max_error": err, "n_modes": traj.n_modes, "tau": grid.tau}
 

@@ -88,13 +88,13 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_snapshots(path: Path, traj: Trajectory, times) -> None:
-    """Dump (t, x, value) rows of the reconstructed field at chosen times."""
+    """Dump (t, x, value) rows of the reconstructed field at the stored node nearest each time."""
     x = grid_points(traj.n_modes)
     rows = []
     for t in times:
         idx = traj.node_index(float(t))
         values = reconstruct_rows(traj.coeffs[idx])[0]
-        t_node = idx * 0.5 * traj.grid.tau
+        t_node = idx * traj.spacing
         rows.extend((t_node, xj, vj) for xj, vj in zip(x, values))
     _write_csv(path, ("t", "x", "value"), rows)
 
@@ -128,7 +128,7 @@ def _resolution(traj: Trajectory, cotraj: Trajectory | None, times) -> dict:
     return {
         **ratios,
         "tail_threshold": RESOLUTION_TAIL_MAX,
-        "snapshot_density_min": [{"t": i * 0.5 * traj.grid.tau, "value": v}
+        "snapshot_density_min": [{"t": i * traj.spacing, "value": v}
                                  for i, v in zip(nodes, minima)],
         "resolved": resolved,
     }

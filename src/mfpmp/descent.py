@@ -140,8 +140,8 @@ def switching_function(traj: Trajectory, cotraj: Trajectory,
         raise ValueError("trajectories must share a grid")
     if traj.n_modes != cotraj.n_modes:
         raise ValueError("trajectory resolutions differ")
-    a = traj.coeffs[::2]
-    b = cotraj.coeffs[::2]
+    a = traj.full_nodes()
+    b = cotraj.full_nodes()
     vr, vi = model.coupling(a[:, 1])
     b1 = b[:, 1]
     # Re(conj(v)*b_{+1}), in real arithmetic like v itself, counted twice;

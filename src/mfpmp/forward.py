@@ -102,11 +102,11 @@ def _continuity_rhs(a: np.ndarray, u: np.ndarray, model: ModelSpec,
     Row 0 misses v a_{-1}, but its factor n is 0.
     """
     v, vc = _coupling(a, u, model)
-    va = np.zeros_like(a)  # summing into zeros turns an exact -0.0 into 0.0
-    va += u[:, :1] * a
+    va = u[:, :1] * a  # an exact zero may come out -0.0; `_settle` stores it as 0.0
     va[:, 1:] += v * a[:, :-1]
     va[:, :-1] += vc * a[:, 1:]
-    return dn * va
+    va *= dn
+    return va
 
 
 def _rk4_forward_step(a: np.ndarray, h: float, u: np.ndarray,

@@ -1,9 +1,10 @@
 """Time lattices and time-indexed containers shared by the solvers.
 
 Controls are piecewise constant per full step: u(t) = u_k on
-[k*tau, (k+1)*tau).  State trajectories are stored at every half-step node
-t = s*tau/2 so the backward pass can read forward states at its stage
-times without interpolation.
+[k*tau, (k+1)*tau).  The forward trajectory is stored at every half-step
+node t = s*tau/2 so the backward pass can read forward states at its stage
+times without interpolation; the co-trajectory is read only where the
+controls live, so it is stored at the full-step nodes t = k*tau.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Coefficient snapshots on the half-step lattice: `coeffs[s]` at t = s*tau/2.
+    """Coefficient snapshots on the half-step or the full-step lattice.
 
-    Each snapshot is a half row, the harmonics n = 0 .. N/2 of a real field
-    (see `spectral`).
+    The row count names the lattice: 2K + 1 rows hold `coeffs[s]` at
+    t = s*tau/2 (the forward solve), K + 1 rows hold `coeffs[k]` at
+    t = k*tau (the co-trajectory).  Each snapshot is a half row, the
+    harmonics n = 0 .. N/2 of a real field (see `spectral`).
     """
 
     grid: TimeGrid
@@ -51,9 +54,9 @@ class Trajectory:
         c = np.asarray(self.coeffs)
         if c.ndim != 2 or c.shape[1] < 3:
             raise ValueError("coeffs must be a (snapshots, n_modes/2 + 1) array with n_modes >= 4")
-        expected = 2 * self.grid.n_steps + 1
-        if c.shape[0] != expected:
-            raise ValueError(f"expected {expected} snapshots, got {c.shape[0]}")
+        half, full = 2 * self.grid.n_steps + 1, self.grid.n_steps + 1
+        if c.shape[0] not in (half, full):
+            raise ValueError(f"expected {half} or {full} snapshots, got {c.shape[0]}")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -64,13 +67,23 @@ class Trajectory:
     def n_snapshots(self) -> int:
         return self.coeffs.shape[0]
 
+    @property
+    def spacing(self) -> float:
+        """Time between consecutive snapshots: tau/2 or tau."""
+        half = self.n_snapshots == 2 * self.grid.n_steps + 1
+        return 0.5 * self.grid.tau if half else self.grid.tau
+
+    def full_nodes(self) -> np.ndarray:
+        """The snapshots at the full-step nodes t = k*tau, K + 1 rows."""
+        return self.coeffs[::2] if self.spacing < self.grid.tau else self.coeffs
+
     def terminal_field(self) -> np.ndarray:
         """The half row at t = T."""
         return self.coeffs[-1]
 
     def node_index(self, t: float) -> int:
         """Snapshot index closest to time t."""
-        h = 0.5 * self.grid.tau
+        h = self.spacing
         idx = int(round(t / h))
         if idx < 0 or idx >= self.n_snapshots or abs(idx * h - t) > 0.5 * h + 1e-12:
             raise ValueError(f"time {t} outside the stored lattice")

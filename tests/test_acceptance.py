@@ -136,10 +136,10 @@ class TestCriterion4RotationOracle:
         cotraj = integrate_backward(traj, u, model)
         zT = full_rows(terminal_adjoint(traj.terminal_field(), model))
         adj_err = 0.0
-        for s in (0, 777, 1400, 2000):
-            t = s * 0.5 * grid.tau
+        for k in (0, 389, 700, 1000):
+            t = k * grid.tau
             closed = zT * np.exp(1j * modes * c * (1.0 - t))
-            adj_err = max(adj_err, np.max(np.abs(full_rows(cotraj.coeffs[s]) - closed)))
+            adj_err = max(adj_err, np.max(np.abs(full_rows(cotraj.coeffs[k]) - closed)))
 
         ok = fwd_err < 1e-8 and adj_err < 1e-8
         report(4, "rotation closed-form oracle", ok,

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from mfpmp import (
     ControlSignal,
     TimeGrid,
+    Trajectory,
     ball,
     constant_control,
     cost_of_control,
@@ -174,14 +175,31 @@ class TestIntegrateBackward:
         traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
         cotraj = integrate_backward(traj, constant_control(grid, [c, 0.0]), model)
         worst = 0.0
-        for s in (0, 333, 1000, 2000):
-            t = s * 0.5 * grid.tau
+        for k in (0, 333, 500, 1000):
+            t = k * grid.tau
             b1 = 1j * np.exp(-1j * (x0 - c * (1.0 - t))) / (4.0 * np.pi)
             want = np.zeros(n + 1, complex)
             want[n // 2 + 1] = b1
             want[n // 2 - 1] = np.conj(b1)
-            worst = max(worst, np.max(np.abs(full_rows(cotraj.coeffs[s]) - want)))
+            worst = max(worst, np.max(np.abs(full_rows(cotraj.coeffs[k]) - want)))
         assert worst < 1e-8
+
+    def test_the_co_trajectory_holds_the_full_nodes(self):
+        grid = TimeGrid(0.3, 3e-3)
+        model = kuramoto_model(0.0, np.pi)
+        u = constant_control(grid, [0.4, 0.9])
+        traj = integrate_forward(fig1_row(32), u, model, grid)
+        cotraj = integrate_backward(traj, u, model)
+        assert traj.coeffs.shape == (2 * grid.n_steps + 1, 17)
+        assert cotraj.coeffs.shape == (grid.n_steps + 1, 17)
+        assert (traj.spacing, cotraj.spacing) == (0.5 * grid.tau, grid.tau)
+        assert cotraj.full_nodes() is cotraj.coeffs
+        assert traj.full_nodes().tobytes() == traj.coeffs[::2].tobytes()
+        # Times near the half node t = 0.0045 snap to a full node of the co-trajectory.
+        assert traj.node_index(0.0045) == 3
+        assert (cotraj.node_index(0.0044), cotraj.node_index(0.0046)) == (1, 2)
+        with pytest.raises(ValueError, match="expected 201 or 101 snapshots"):
+            Trajectory(grid, cotraj.coeffs[1:])
 
     def test_zero_terminal_condition_stays_zero(self):
         grid = TimeGrid(0.3, 3e-3)

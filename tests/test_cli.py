@@ -83,6 +83,17 @@ class TestSolveAdjoint:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["adjoint_max_coeff"] > 0.0
 
+    def test_a_half_node_time_snaps_to_a_full_node_of_the_co_density(self, tmp_path):
+        # At tau = 0.005, t = 0.0025 is a node of the forward lattice only.
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command="solve-adjoint", snapshot_times=[0.0, 0.0025, 0.4])
+        assert main(["solve-adjoint", "--config", str(write_config(tmp_path, doc))]) == 0
+        density_times = [r[0] for r in read_csv(out / "density_snapshots.csv")[1]]
+        adjoint_times = [r[0] for r in read_csv(out / "adjoint_snapshots.csv")[1]]
+        assert sorted(set(density_times)) == ["0.0", "0.0025", "0.4"]
+        assert sorted(set(adjoint_times)) == ["0.0", "0.4"]
+        assert len(adjoint_times) == len(density_times)  # 0.0025 is dumped at t = 0
+
 
 class TestOptimize:
     def test_artifacts_and_summary(self, tmp_path):

@@ -60,7 +60,7 @@ class TestSwitchingFunction:
         cotraj = integrate_backward(traj, u, model)
         d = switching_function(traj, cotraj, model)
         for k in (0, 50, 200):
-            zeta = reconstruct_rows(cotraj.coeffs[2 * k])[0]
+            zeta = reconstruct_rows(cotraj.coeffs[k])[0]
             quad = 2.0 * np.pi / zeta.size * zeta.sum()
             assert_allclose(d.values[k, 0], quad, atol=1e-10)
 
@@ -75,7 +75,7 @@ class TestSwitchingFunction:
         got = switching_function(traj, cotraj, model).values[:, 1]
         # The full fields at the full nodes: b_{-1} is read at its own index.
         a = full_rows(traj.coeffs[::2])
-        b = full_rows(cotraj.coeffs[::2])
+        b = full_rows(cotraj.coeffs)
         c = traj.n_modes // 2
         v = 1j * np.pi * a[:, c + 1] * np.exp(1j * alpha)
         literal = 2.0 * np.pi * (v * b[:, c - 1] + np.conj(v) * b[:, c + 1]).real

@@ -302,7 +302,7 @@ class TestBatchedMarch:
             b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
                                    model, stencil, phases)
             want[s - 1] = b
-        assert cotraj.coeffs.tobytes() == want.tobytes()
+        assert cotraj.coeffs.tobytes() == want[::2].tobytes()
 
     def test_one_infeasible_node_is_rejected_by_both_solvers(self):
         rho, grid, model, u, _ = ladder_setup(0.0)
@@ -368,6 +368,34 @@ def flushed_gradient():
     return fig1_gradient()
 
 
+@pytest.fixture(scope="module")
+def settled_per_step_adjoint(flushed_gradient):
+    """The fig1 co-density at every full node from a literal backward march.
+
+    One quarter-step state per backward step, as a one-row state; the
+    terminal row and every step are settled, as the solver does.
+    """
+    model, traj, _, _ = flushed_gradient
+    grid = traj.grid
+    u = fig1_control(grid)
+    h = 0.5 * grid.tau
+    stencil = adjoint._stencil(traj.coeffs.shape[1])
+    phases = _source_phases(model)
+    b = adjoint.terminal_adjoint(traj.terminal_field(), model)
+    forward._settle(b, grid.T)
+    nodes = [b]
+    for s in range(2 * grid.n_steps, 0, -1):
+        uk = u.values[(s - 1) >> 1]
+        a_mid = _rk4_forward_step(traj.coeffs[s - 1:s], 0.5 * h,
+                                  uk[None].astype(complex), model, stencil[0])[0]
+        b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
+                               model, stencil, phases)
+        forward._settle(b, (s - 1) * h)
+        if s % 2 == 1:
+            nodes.append(b)
+    return np.stack(nodes[::-1])
+
+
 class TestSubnormalFlush:
     """Parts below finfo.tiny are set to zero after every step of both marches."""
 
@@ -397,6 +425,17 @@ class TestSubnormalFlush:
         for got, want in ((cotraj.coeffs[0], ref_cotraj.coeffs[0]),
                           (traj.coeffs[-1], ref_traj.coeffs[-1])):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_full_nodes_match_a_literal_settled_march(self, rows, flushed_gradient,
+                                                      settled_per_step_adjoint, monkeypatch):
+        # The settle matters at this width: unflushed, the co-density carries
+        # subnormal parts (see the test above).
+        monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 257)
+        model, traj, _, _ = flushed_gradient
+        cotraj = integrate_backward(traj, fig1_control(traj.grid), model)
+        assert cotraj.coeffs.shape == (traj.grid.n_steps + 1, 257)
+        assert cotraj.coeffs.tobytes() == settled_per_step_adjoint.tobytes()
 
     def test_a_diverging_row_of_a_batched_march_raises(self):
         rho = fig1_row(512)
