@@ -35,13 +35,11 @@ from .models import (
 )
 from .particles import (
     ParticleEnsemble,
-    empirical_moment,
     particle_cost,
     simulate_particles,
     stratified_ensemble,
 )
 from .presets import fig1_control, fig1_density
-from .spectral import FourierField, field_from_harmonics
 from .timegrid import ControlSignal, TimeGrid, Trajectory, constant_control, sampled_control
 
 __version__ = "0.1.0"

@@ -40,6 +40,7 @@ def meanfield_vs_particles(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
     times = [k * tau for k in check_nodes]
     traj = integrate_forward(rho0, u, model, grid)
     mf_cost = model.cost.eval(traj.terminal_field())
+    nodes = traj.full_nodes()
 
     reports = []
     for n_particles in ensemble_sizes:
@@ -48,7 +49,7 @@ def meanfield_vs_particles(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
         per_time = {}
         worst = 0.0
         for k, t in zip(check_nodes, times):
-            a = traj.coeffs[2 * k]
+            a = nodes[k]
             phases = snaps[t]
             entry = {}
             for n in (1, 2):

@@ -18,10 +18,9 @@ import numpy as np
 from .checks import MAX_EXTRA_PAIRS
 from .descent import DescentConfig
 from .errors import ConfigError
-from .forward import require_normalized
 from .models import AdmissibleSet, ModelSpec, ball, box, kuramoto_model
 from .presets import CONTROL_PRESETS, DENSITY_PRESETS
-from .spectral import half_rows
+from .spectral import require_normalized
 from .timegrid import ControlSignal, TimeGrid, constant_control
 
 COMMANDS = ("solve-forward", "solve-adjoint", "optimize", "validate")
@@ -118,7 +117,7 @@ def _parse_density(doc, n_modes: int) -> tuple[np.ndarray, dict]:
         preset = DENSITY_PRESETS.get(doc)
         if preset is None:
             raise ConfigError(f"{where}: unknown preset {doc!r}")
-        rho0 = half_rows(preset(n_modes).coeffs)
+        rho0 = preset(n_modes).coeffs[n_modes // 2:]
     elif isinstance(doc, dict):
         _require_keys(doc, {"harmonics"}, {"harmonics"}, where)
         if not isinstance(doc["harmonics"], dict):

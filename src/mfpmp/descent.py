@@ -250,7 +250,6 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
     u = _project_signal(u0, model.control_set)
     history: list[IterationRecord] = []
     status = STATUS_MAX_ITER
-    final_cost = None
     small_steps = 0
 
     def evaluator(trials: list) -> list:
@@ -262,30 +261,23 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
         t0 = time.perf_counter()
         traj = integrate_forward(rho0, u, model, grid)
         cost = model.cost.eval(traj.terminal_field())
-        if final_cost is None:
-            final_cost = cost
         cotraj = integrate_backward(traj, u, model)
         d = switching_function(traj, cotraj, model)
         ubar = target_control(d, model.control_set, u)
         energy = non_extremality(u, ubar, d)
 
-        if energy < cfg.eps_tol:
-            record = IterationRecord(k, cost, energy, 0.0, 0, time.perf_counter() - t0)
-            history.append(record)
-            if progress is not None:
-                progress(record)
-            status = STATUS_EXTREMAL
-            final_cost = cost
-            break
-
-        lam, new_cost, j, accepted = backtracking_step(u, ubar, d, cost, cfg, evaluator, chunk)
+        extremal = energy < cfg.eps_tol
+        if extremal:
+            lam, j, accepted = 0.0, 0, False
+        else:
+            lam, new_cost, j, accepted = backtracking_step(u, ubar, d, cost, cfg, evaluator, chunk)
         record = IterationRecord(k, cost, energy, lam, j, time.perf_counter() - t0)
         history.append(record)
         if progress is not None:
             progress(record)
 
         if not accepted:
-            status = STATUS_LINE_SEARCH
+            status = STATUS_EXTREMAL if extremal else STATUS_LINE_SEARCH
             final_cost = cost
             break
 

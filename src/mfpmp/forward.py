@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .models import ModelSpec
-from .spectral import reconstruct_rows, require_row
+from .spectral import reconstruct_rows, require_normalized, require_row
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 # Generous blow-up guard; healthy probability densities keep |a_n| below
@@ -44,8 +44,6 @@ DIVERGENCE_LIMIT = 1e6
 
 # The IEEE bound of the normal floats: smaller parts are flushed to zero.
 _TINY = np.finfo(float).tiny
-
-_MASS_TOL = 1e-13
 
 # Rows marched as one state share the per-call overhead, which dominates
 # narrow rows: 8 full-layout rows of 257 coefficients cost 0.35-0.40x as
@@ -171,18 +169,6 @@ def _march(a0: np.ndarray, u_values: np.ndarray, model: ModelSpec, grid: TimeGri
         if out is not None:
             out[s + 1] = a
     return a
-
-
-def require_normalized(rho0: np.ndarray, name: str) -> np.ndarray:
-    """The checked half row (`require_row`) of a density with a_0 = 1/(2*pi) to within 1e-13."""
-    rho0 = require_row(rho0, name)
-    mass = rho0[0]
-    if abs(mass - 1.0 / (2.0 * np.pi)) > _MASS_TOL:
-        raise ValueError(
-            f"{name} is not normalized: mode-0 coefficient {mass} "
-            f"differs from 1/(2*pi) by more than {_MASS_TOL:.0e}"
-        )
-    return rho0
 
 
 def _check_inputs(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid) -> np.ndarray:

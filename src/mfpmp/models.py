@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectral import require_normalized
+
 ControlVector = np.ndarray
 
 # Relative and absolute slack of `AdmissibleSet.admits`.
@@ -99,8 +101,7 @@ class CostSpec:
 
     def eval(self, mu: np.ndarray) -> float:
         """Mean phase mismatch: integral of 1 - cos(x - x0) against the half row mu."""
-        if abs(mu[0] - 1.0 / (2.0 * np.pi)) > 1e-10:
-            raise ValueError(f"density is not normalized: mode-0 coefficient {mu[0]}")
+        mu = require_normalized(mu, "density")
         # mu_{-1} = conj(mu_1) of a real density.
         return 1.0 - 2.0 * np.pi * (np.exp(-1j * self.x0) * np.conj(mu[1])).real
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .spectral import require_row
+from .spectral import require_normalized
 from .timegrid import ControlSignal, TimeGrid
 
 _PHASE_DRIFT_LIMIT = 1e8
@@ -87,11 +87,6 @@ def simulate_particles(initial: ParticleEnsemble, u: ControlSignal, alpha: float
     return ParticleEnsemble(x), snapshots
 
 
-def empirical_moment(ensemble: ParticleEnsemble, n: int) -> complex:
-    """Trigonometric moment (1/N) sum_i exp(i n x_i)."""
-    return complex(np.mean(np.exp(1j * n * ensemble.phases)))
-
-
 def particle_cost(ensemble: ParticleEnsemble, x0: float) -> float:
     """Ensemble average of 1 - cos(x - x0)."""
     return float(np.mean(1.0 - np.cos(ensemble.phases - x0)))
@@ -116,10 +111,7 @@ def stratified_ensemble(rho0: np.ndarray, n_particles: int) -> ParticleEnsemble:
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    rho0 = require_row(rho0, "density")
-    mass = rho0[0].real * 2.0 * np.pi
-    if abs(mass - 1.0) > 1e-10:
-        raise ValueError(f"density mass {mass} is not 1")
+    rho0 = require_normalized(rho0, "density")
     q = (np.arange(n_particles) + 0.5) / n_particles
     lo = np.zeros(n_particles)
     hi = np.full(n_particles, 2.0 * np.pi)

@@ -9,6 +9,7 @@ controls live, so it is stored at the full-step nodes t = k*tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +83,14 @@ class Trajectory:
         return self.coeffs[-1]
 
     def node_index(self, t: float) -> int:
-        """Snapshot index closest to time t."""
-        h = self.spacing
-        idx = int(round(t / h))
-        if idx < 0 or idx >= self.n_snapshots or abs(idx * h - t) > 0.5 * h + 1e-12:
+        """Index of the snapshot nearest to time t.
+
+        A time within 1e-9 snapshot spacings of the midpoint between two
+        nodes goes to the earlier node, on either lattice, so rounding in
+        t / spacing never decides a tie.
+        """
+        idx = math.ceil(t / self.spacing - 0.5 - 1e-9)
+        if not 0 <= idx < self.n_snapshots:
             raise ValueError(f"time {t} outside the stored lattice")
         return idx
 

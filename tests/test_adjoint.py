@@ -201,6 +201,23 @@ class TestIntegrateBackward:
         with pytest.raises(ValueError, match="expected 201 or 101 snapshots"):
             Trajectory(grid, cotraj.coeffs[1:])
 
+    @pytest.mark.parametrize("tau, half, want", [
+        (0.005, False, {0.0025: 0.0, 0.0075: 0.005, 0.0125: 0.01, 6.0: 6.0}),
+        (3e-3, False, {0.0015: 0.0, 0.0045: 0.003, 6.0: 6.0}),
+        (0.005, True, {0.00125: 0.0, 0.00375: 0.0025, 0.00625: 0.005, 6.0: 6.0}),
+        (3e-3, True, {0.00075: 0.0, 0.00225: 0.0015, 0.0045: 0.0045, 6.0: 6.0}),
+    ])
+    def test_a_time_between_two_nodes_goes_to_the_earlier_one(self, tau, half, want):
+        # One rule on both lattices, whatever t / spacing rounds to.
+        grid = TimeGrid(6.0, tau)
+        rows = 2 * grid.n_steps + 1 if half else grid.n_steps + 1
+        traj = Trajectory(grid, np.zeros((rows, 3), complex))
+        got = {t: traj.node_index(t) for t in want}
+        assert got == {t: round(node / traj.spacing) for t, node in want.items()}
+        for t in (-0.6 * traj.spacing, 6.0 + 0.6 * traj.spacing):
+            with pytest.raises(ValueError, match="outside the stored lattice"):
+                traj.node_index(t)
+
     def test_zero_terminal_condition_stays_zero(self):
         grid = TimeGrid(0.3, 3e-3)
         model = kuramoto_model(0.0, np.pi)

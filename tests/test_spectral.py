@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfpmp import ConfigError, FourierField
+from mfpmp import ConfigError
 from mfpmp.presets import fig1_density
-from mfpmp.spectral import HERMITIAN_TOL, grid_points, half_rows, reconstruct_rows
+from mfpmp.spectral import grid_points, reconstruct_rows
 
 from conftest import (fig1_row, full_rows, grid_coefficients, half_row, harmonic,
                       hermitian_defect, mode_numbers, random_hermitian, uniform_field)
@@ -56,12 +56,6 @@ class TestToSpectral:
             assert_allclose(harmonic(rho, n_harm),
                             quad_coefficient(fig1_density_samples, n_harm), atol=1e-9)
 
-    def test_rejects_bad_grid_sizes(self):
-        with pytest.raises(ValueError, match="even"):
-            FourierField(7, np.zeros(8))
-        with pytest.raises(ValueError, match="even"):
-            FourierField(2, np.zeros(3))
-
 
 class TestToPhysical:
     def test_constant_field(self):
@@ -81,38 +75,8 @@ class TestToPhysical:
         vals = rng.standard_normal(64)
         assert_allclose(reconstruct(grid_coefficients(vals)), vals, atol=1e-12)
 
-    def test_symmetry_violation_raises(self):
-        c = np.zeros(17, dtype=complex)
-        c[9] = 1.0  # harmonic +1 without its conjugate partner
-        with pytest.raises(ValueError, match="Hermitian"):
-            FourierField(16, c)
-
-
-class TestHermitianInvariant:
-    # Index 8 holds harmonic 0 of a 16-mode field, index 0 the boundary -8.
-    @pytest.mark.parametrize("index, delta", [(3, 2e-10), (0, 2e-10j), (8, 1e-10j)])
-    def test_rejects_a_defect_above_the_tolerance(self, rng, index, delta):
-        c = full_rows(random_hermitian(16, rng))
-        c[index] += delta
-        assert_allclose(np.max(np.abs(c - np.conj(c[::-1]))), 2e-10, rtol=1e-5)
-        with pytest.raises(ValueError, match="Hermitian"):
-            FourierField(16, c)
-
-    def test_accepts_rounding(self, rng):
-        c = full_rows(random_hermitian(16, rng)) * (1.0 + 1e-15 * rng.standard_normal(17))
-        assert 0.0 < hermitian_defect(FourierField(16, c).coeffs) < 1e-15
-        c = full_rows(uniform_field(16)) + 0.5e-10j * (np.arange(17) == 3)
-        assert hermitian_defect(FourierField(16, c).coeffs) == 0.5e-10 < HERMITIAN_TOL
-
 
 class TestHalfRows:
-    def test_full_rows_invert_half_rows_on_hermitian_fields(self, rng):
-        for n in (4, 16, 64):
-            half = random_hermitian(n, rng)
-            f = FourierField(n, full_rows(half))  # the presets' layout
-            assert half_rows(f.coeffs).shape == (n // 2 + 1,)
-            assert np.array_equal(half_rows(f.coeffs), half)
-
     def test_expanded_rows_are_exactly_hermitian(self, rng):
         rows = rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))
         rows[:, 0] = rows[:, 0].real
@@ -173,14 +137,22 @@ def _entry_points():
         "synthetic_control_pairs": lambda r: checks.synthetic_control_pairs(r, model, grid, 1),
         "fig1_slope_pair": lambda r: checks.fig1_slope_pair(r, u, model, grid),
         "config": config,
+        "cost.eval": lambda r: model.cost.eval(r),
     }
 
 
 ENTRY_POINTS = sorted(_entry_points())
 
+# The entry points whose row is a probability density, not any real field.
+DENSITY_ENTRY_POINTS = [n for n in ENTRY_POINTS
+                        if not n.startswith(("rhs_", "terminal_adjoint", "integrate_backward"))]
+
 
 class TestEntryCheck:
-    """A row a caller passes in must be 1-D, with N >= 4 and a real harmonic 0."""
+    """A row a caller passes in must be 1-D, with N >= 4 and a real harmonic 0.
+
+    A probability density's harmonic 0 must also be 1/(2*pi) to within 1e-13.
+    """
 
     @pytest.mark.parametrize("name", [n for n in ENTRY_POINTS if n != "config"])  # JSON: 1-D
     def test_a_two_dimensional_row_is_rejected(self, name):
@@ -196,6 +168,14 @@ class TestEntryCheck:
         with pytest.raises((ValueError, ConfigError),
                            match="harmonic 0 of a real field must be real"):
             call(bad)
+
+    @pytest.mark.parametrize("name", DENSITY_ENTRY_POINTS)
+    def test_a_mass_off_by_1e_12_is_rejected(self, name):
+        call = _entry_points()[name]
+        heavy = fig1_row(16)
+        heavy[0] = 1.0 / (2.0 * np.pi) + 1e-12
+        with pytest.raises((ValueError, ConfigError), match="not normalized"):
+            call(heavy)
 
     def test_the_config_names_its_key_once(self):
         call = _entry_points()["config"]
