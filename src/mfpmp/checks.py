@@ -23,28 +23,29 @@ from .forward import cost_of_control, integrate_forward
 from .models import ModelSpec, ball, kuramoto_model
 from .particles import particle_cost, simulate_particles, stratified_ensemble
 from .spectral import grid_points, reconstruct_rows
-from .timegrid import ControlSignal, TimeGrid
+from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 
-def meanfield_vs_particles(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
-                           grid: TimeGrid, ensemble_sizes) -> list[dict]:
-    """Compare the spectral solution with a stratified particle run of each size.
+def meanfield_vs_particles(traj: Trajectory, u: ControlSignal, model: ModelSpec,
+                           ensemble_sizes) -> list[dict]:
+    """Compare the stored spectral solve `traj` of u with a stratified particle run of each size.
 
-    All systems see the identical control, and one spectral solve serves
-    every ensemble.  Reports, per ensemble, the largest mismatch of the
-    first two trigonometric moments at t in {0, T/2, T} (T/2 rounded down
-    to a full node) and the terminal cost gap.
+    All systems see the identical control and start from the trajectory's
+    initial row, and the one spectral solve serves every ensemble.  Reports,
+    per ensemble, the largest mismatch of the first two trigonometric
+    moments at t in {0, T/2, T} (T/2 rounded down to a full node) and the
+    terminal cost gap.
     """
+    grid = traj.grid
     tau = grid.tau
     check_nodes = sorted({0, grid.n_steps // 2, grid.n_steps})
     times = [k * tau for k in check_nodes]
-    traj = integrate_forward(rho0, u, model, grid)
     mf_cost = model.cost.eval(traj.terminal_field())
     nodes = traj.full_nodes()
 
     reports = []
     for n_particles in ensemble_sizes:
-        ensemble0 = stratified_ensemble(rho0, n_particles)
+        ensemble0 = stratified_ensemble(nodes[0], n_particles)
         terminal, snaps = simulate_particles(ensemble0, u, model.alpha, grid, times)
         per_time = {}
         worst = 0.0
@@ -83,7 +84,11 @@ class Reference:
 def solve_reference(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
                     grid: TimeGrid) -> Reference:
     """One forward and one adjoint solve of u."""
-    traj = integrate_forward(rho0, u, model, grid)
+    return _reference(integrate_forward(rho0, u, model, grid), u, model)
+
+
+def _reference(traj: Trajectory, u: ControlSignal, model: ModelSpec) -> Reference:
+    """The reference of u from its stored solve `traj`: one adjoint solve."""
     cotraj = integrate_backward(traj, u, model)
     return Reference(u, model.cost.eval(traj.terminal_field()),
                      switching_function(traj, cotraj, model))
@@ -194,8 +199,12 @@ def synthetic_control_pairs(rho0: np.ndarray, model: ModelSpec, grid: TimeGrid,
     return pairs
 
 
-def fig1_slope_pair(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
-                    grid: TimeGrid) -> tuple[Reference, ControlSignal]:
-    """The (reference of the initial control, its target control) pair of the experiment."""
-    ref = solve_reference(rho0, u0, model, grid)
+def fig1_slope_pair(traj: Trajectory, u0: ControlSignal,
+                    model: ModelSpec) -> tuple[Reference, ControlSignal]:
+    """The (reference of the initial control, its target control) pair of the experiment.
+
+    `traj` is the stored forward solve of u0, which the particle oracle
+    also reads.
+    """
+    ref = _reference(traj, u0, model)
     return ref, target_control(ref.d, model.control_set, u0)

@@ -238,9 +238,11 @@ def _run_validate(config: RunConfig, t_start: float) -> int:
     report: dict = {}
     passed = True
 
+    # One stored solve of u0 serves the particle oracle and the experiment pair.
+    traj = integrate_forward(config.rho0, config.u0, config.model, config.grid)
+
     # Particle oracle over increasing ensemble sizes.
-    reps = meanfield_vs_particles(config.rho0, config.u0, config.model, config.grid,
-                                  params["n_particles"])
+    reps = meanfield_vs_particles(traj, config.u0, config.model, params["n_particles"])
     runs = {str(rep["n_particles"]): rep for rep in reps}
     discrepancies = [rep["moment_discrepancy"] for rep in reps]
     cost_gap = runs[str(max(params["n_particles"]))]["cost_gap"]
@@ -256,7 +258,8 @@ def _run_validate(config: RunConfig, t_start: float) -> int:
     passed = passed and particles_ok
 
     # First-order decrement probe on the configured pair plus synthetic ones.
-    pairs = [fig1_slope_pair(config.rho0, config.u0, config.model, config.grid)]
+    pairs = [fig1_slope_pair(traj, config.u0, config.model)]
+    del traj  # the synthetic pairs store their own solves; keep one alive at a time
     pairs += synthetic_control_pairs(config.rho0, config.model, config.grid,
                                      params["extra_pairs"])
     slope_reports = []

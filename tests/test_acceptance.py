@@ -166,7 +166,7 @@ class TestCriterion6IncrementSlope:
         rho0 = fig1_row(256)
         u0 = fig1_control(grid)
         lambdas = [1e-3, 2e-3, 4e-3, 8e-3]
-        pairs = [fig1_slope_pair(rho0, u0, model, grid)]
+        pairs = [fig1_slope_pair(integrate_forward(rho0, u0, model, grid), u0, model)]
         pairs += synthetic_control_pairs(rho0, model, grid, 2)
 
         details = []
@@ -187,7 +187,8 @@ class TestCriterion7ParticleOracle:
     def test_optimized_control_replayed_through_particles(self, desk_run):
         grid, model = desk_run["grid"], desk_run["model"]
         rho0, u_opt = desk_run["rho0"], desk_run["result"].u_final
-        reps = meanfield_vs_particles(rho0, u_opt, model, grid, [1000, 10000, 100000])
+        reps = meanfield_vs_particles(integrate_forward(rho0, u_opt, model, grid), u_opt, model,
+                                      [1000, 10000, 100000])
         discrepancies = [rep["moment_discrepancy"] for rep in reps]
         cost_gap_1e4 = reps[1]["cost_gap"]
         monotone = all(b < a for a, b in zip(discrepancies, discrepancies[1:]))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfpmp import ControlSignal, TimeGrid, ball, constant_control, kuramoto_model
+from mfpmp import (ControlSignal, TimeGrid, ball, constant_control, integrate_forward,
+                   kuramoto_model)
 from mfpmp.checks import (
     fig1_slope_pair,
     increment_slope_check,
@@ -83,8 +84,8 @@ class TestMeanfieldVsParticles:
         grid = TimeGrid(1.0, 5e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
         rho = fig1_row(64)
-        [rep] = meanfield_vs_particles(rho, constant_control(grid, [1.1, 0.0]),
-                                       model, grid, [700])
+        u = constant_control(grid, [1.1, 0.0])
+        [rep] = meanfield_vs_particles(integrate_forward(rho, u, model, grid), u, model, [700])
         gaps = [max(v.values()) for v in rep["per_time"].values()]
         assert max(gaps) < 1e-9
         assert rep["cost_gap"] < 1e-9
@@ -93,8 +94,8 @@ class TestMeanfieldVsParticles:
         grid = TimeGrid(1.0, 5e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
         rho = fig1_row(64)
-        [rep] = meanfield_vs_particles(rho, constant_control(grid, [0.3, 1.0]),
-                                       model, grid, [2000])
+        u = constant_control(grid, [0.3, 1.0])
+        [rep] = meanfield_vs_particles(integrate_forward(rho, u, model, grid), u, model, [2000])
         assert rep["moment_discrepancy"] < 1e-5
         assert rep["cost_gap"] < 1e-5
 
@@ -103,10 +104,11 @@ class TestMeanfieldVsParticles:
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
         rho = fig1_row(64)
         u = constant_control(grid, [0.3, 1.0])
-        reps = meanfield_vs_particles(rho, u, model, grid, [300, 1200])
+        traj = integrate_forward(rho, u, model, grid)
+        reps = meanfield_vs_particles(traj, u, model, [300, 1200])
         assert [r["n_particles"] for r in reps] == [300, 1200]
         for rep in reps:
-            [alone] = meanfield_vs_particles(rho, u, model, grid, [rep["n_particles"]])
+            [alone] = meanfield_vs_particles(traj, u, model, [rep["n_particles"]])
             assert rep == alone
 
 
@@ -128,7 +130,7 @@ class TestPairGenerators:
         t = grid.full_times()
         u0 = ControlSignal(grid, np.column_stack([
             np.sqrt(2.0) * np.sin(2 * np.pi * t), np.sqrt(2.0) * np.cos(2 * np.pi * t)]))
-        ref, ubar = fig1_slope_pair(rho, u0, model, grid)
+        ref, ubar = fig1_slope_pair(integrate_forward(rho, u0, model, grid), u0, model)
         assert ref.u is u0
         norms = np.linalg.norm(ubar.values, axis=1)
         assert_allclose(norms, np.sqrt(2.0), atol=1e-12)

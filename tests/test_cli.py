@@ -374,9 +374,9 @@ class TestValidateCommand:
         assert report["local_adjoint"]["passed"]
 
     def test_each_oracle_solves_each_control_once(self, tmp_path, monkeypatch):
-        # The particle oracle solves u0 once for both ensembles, and the
-        # experiment pair's target and slope probe share one reference solve:
-        # 5 forward and 4 adjoint solves with two synthetic pairs.
+        # One stored solve of u0 serves both ensembles of the particle oracle
+        # and the experiment pair, whose target and slope probe share one
+        # adjoint solve: 4 forward and 4 adjoint solves with two synthetic pairs.
         calls = {"integrate_forward": 0, "integrate_backward": 0}
         for module in (checks, cli):
             for name in calls:
@@ -389,7 +389,7 @@ class TestValidateCommand:
         doc["validate"] = {"n_particles": [500, 2000], "lambdas": [0.002, 0.004, 0.008],
                            "extra_pairs": 2, "local_u1": {"kind": "constant", "value": 0.9}}
         assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 0
-        assert calls == {"integrate_forward": 5, "integrate_backward": 4}
+        assert calls == {"integrate_forward": 4, "integrate_backward": 4}
 
     def test_failing_tolerance_exits_5(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfpmp import (
+    ControlSignal,
     DivergenceError,
     ParticleEnsemble,
     TimeGrid,
@@ -21,6 +22,28 @@ from conftest import fig1_row, harmonic, uniform_field
 def moment(ens, n):
     """Literal trigonometric moment (1/N) sum_i exp(i n x_i)."""
     return np.mean(np.exp(1j * n * ens.phases))
+
+
+def reference_rhs(x, u, alpha):
+    """Literal pairwise field through two complex exponentials of the ensemble."""
+    z = np.mean(np.exp(1j * x))
+    return u[0] + u[1] * np.imag(np.exp(-1j * (x + alpha)) * z)
+
+
+def reference_march(phases, u, alpha, grid, record_steps):
+    """Literal RK4 at the full control step; {step: phases} at `record_steps`."""
+    tau = grid.tau
+    x = np.array(phases, dtype=float)
+    snaps = {0: x.copy()}
+    for k in range(grid.n_steps):
+        uk = u.values[k]
+        k1 = reference_rhs(x, uk, alpha)
+        k2 = reference_rhs(x + 0.5 * tau * k1, uk, alpha)
+        k3 = reference_rhs(x + 0.5 * tau * k2, uk, alpha)
+        k4 = reference_rhs(x + tau * k3, uk, alpha)
+        x = x + (tau / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        snaps[k + 1] = x.copy()
+    return x, {k: snaps[k] for k in record_steps}
 
 
 class TestSimulation:
@@ -66,6 +89,23 @@ class TestSimulation:
         phi = 1.234
         shifted, _ = simulate_particles(ParticleEnsemble(phases + phi), u, 0.0, grid, [])
         assert abs(particle_cost(base, 1.0) - particle_cost(shifted, 1.0 + phi)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
+    def test_real_march_matches_the_literal_two_exponential_march(self, alpha):
+        # The real cos/sin field is the same ODE and the same RK4; only
+        # rounding may differ from the complex-exponential form.
+        grid = TimeGrid(1.0, 5e-3)
+        t = grid.full_times()
+        u = ControlSignal(grid, np.column_stack([0.6 * np.sin(3.0 * t), 0.4 + 0.8 * np.cos(t)]))
+        phases = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, 300)
+        steps = [0, 80, grid.n_steps]
+        want_end, want = reference_march(phases, u, alpha, grid, steps)
+        got_end, got = simulate_particles(ParticleEnsemble(phases), u, alpha, grid,
+                                          [k * grid.tau for k in steps])
+        assert np.max(np.abs(got_end.phases - want_end)) < 1e-12
+        assert len(got) == len(steps)
+        for k in steps:
+            assert np.max(np.abs(got[k * grid.tau] - want[k])) < 1e-12
 
     def test_divergence_guard(self):
         grid = TimeGrid(1000.0, 1.0)

@@ -129,13 +129,17 @@ def _entry_points():
         "terminal_adjoint": lambda r: terminal_adjoint(r, model),
         "integrate_backward(terminal=)": lambda r: integrate_backward(traj, u, model, terminal=r),
         "stratified_ensemble": lambda r: stratified_ensemble(r, 10),
-        "meanfield_vs_particles": lambda r: checks.meanfield_vs_particles(r, u, model, grid, [10]),
+        # The particle oracle and the experiment pair read a stored solve;
+        # their row enters through it.
+        "meanfield_vs_particles": lambda r: checks.meanfield_vs_particles(
+            integrate_forward(r, u, model, grid), u, model, [10]),
         "solve_reference": lambda r: checks.solve_reference(r, u, model, grid),
         "increment_slope_check": lambda r: checks.increment_slope_check(r, ref, u, model, grid,
                                                                         [0.1, 0.2]),
         "local_adjoint_check": lambda r: checks.local_adjoint_check(np.zeros(3), r, 0.0, grid),
         "synthetic_control_pairs": lambda r: checks.synthetic_control_pairs(r, model, grid, 1),
-        "fig1_slope_pair": lambda r: checks.fig1_slope_pair(r, u, model, grid),
+        "fig1_slope_pair": lambda r: checks.fig1_slope_pair(integrate_forward(r, u, model, grid),
+                                                            u, model),
         "config": config,
         "cost.eval": lambda r: model.cost.eval(r),
     }
