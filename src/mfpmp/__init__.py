@@ -18,7 +18,7 @@ from .descent import (
     switching_function,
     target_control,
 )
-from .errors import ConfigError, DivergenceError, ValidationFailure
+from .errors import ConfigError, DivergenceError
 from .forward import (
     cost_of_control,
     density_min,

@@ -20,7 +20,7 @@ import numpy as np
 from .adjoint import integrate_backward
 from .descent import SwitchingFunction, non_extremality, switching_function, target_control
 from .forward import cost_of_control, integrate_forward
-from .models import ModelSpec, ball, kuramoto_model
+from .models import ModelSpec, box, kuramoto_model
 from .particles import particle_cost, simulate_particles, stratified_ensemble
 from .spectral import grid_points, reconstruct_rows
 from .timegrid import ControlSignal, TimeGrid, Trajectory
@@ -37,21 +37,19 @@ def meanfield_vs_particles(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     terminal cost gap.
     """
     grid = traj.grid
-    tau = grid.tau
     check_nodes = sorted({0, grid.n_steps // 2, grid.n_steps})
-    times = [k * tau for k in check_nodes]
     mf_cost = model.cost.eval(traj.terminal_field())
     nodes = traj.full_nodes()
 
     reports = []
     for n_particles in ensemble_sizes:
         ensemble0 = stratified_ensemble(nodes[0], n_particles)
-        terminal, snaps = simulate_particles(ensemble0, u, model.alpha, grid, times)
+        terminal, snaps = simulate_particles(ensemble0, u, model.alpha, grid, check_nodes)
         per_time = {}
         worst = 0.0
-        for k, t in zip(check_nodes, times):
+        for k in check_nodes:
             a = nodes[k]
-            phases = snaps[t]
+            phases = snaps[k]
             entry = {}
             for n in (1, 2):
                 moment = np.mean(np.exp(1j * n * phases))
@@ -59,7 +57,7 @@ def meanfield_vs_particles(traj: Trajectory, u: ControlSignal, model: ModelSpec,
                 gap = abs(moment - spectral)
                 entry[f"moment_{n}"] = gap
                 worst = max(worst, gap)
-            per_time[f"t={t:g}"] = entry
+            per_time[f"t={k * grid.tau:g}"] = entry
         pc_cost = particle_cost(terminal, model.x0)
         reports.append({
             "n_particles": n_particles,
@@ -81,13 +79,7 @@ class Reference:
     d: SwitchingFunction
 
 
-def solve_reference(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
-                    grid: TimeGrid) -> Reference:
-    """One forward and one adjoint solve of u."""
-    return _reference(integrate_forward(rho0, u, model, grid), u, model)
-
-
-def _reference(traj: Trajectory, u: ControlSignal, model: ModelSpec) -> Reference:
+def reference(traj: Trajectory, u: ControlSignal, model: ModelSpec) -> Reference:
     """The reference of u from its stored solve `traj`: one adjoint solve."""
     cotraj = integrate_backward(traj, u, model)
     return Reference(u, model.cost.eval(traj.terminal_field()),
@@ -148,8 +140,9 @@ def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid) 
     if u1.shape != (grid.n_steps + 1,):
         raise ValueError(f"u1 profile must have {grid.n_steps + 1} node values")
     u = ControlSignal(grid, np.column_stack([u1, np.zeros_like(u1)]))
-    radius = float(np.max(np.abs(u1))) + 1.0
-    model = kuramoto_model(alpha=0.0, x0=x0, control_set=ball(radius))
+    # Every finite profile fits the least box admitting it; the closed form does not read it.
+    m = float(np.max(np.abs(u1)))
+    model = kuramoto_model(alpha=0.0, x0=x0, control_set=box([-m, 0.0], [m, 0.0]))
     traj = integrate_forward(rho0, u, model, grid)
     cotraj = integrate_backward(traj, u, model)
 
@@ -193,9 +186,9 @@ def synthetic_control_pairs(rho0: np.ndarray, model: ModelSpec, grid: TimeGrid,
     t = grid.full_times()
     pairs = []
     for ref_fn, tgt_fn in _PAIR_RECIPES[:count]:
-        ref, tgt = (ControlSignal(grid, [model.control_set.project(row) for row in fn(t)])
+        ref, tgt = (ControlSignal(grid, model.control_set.project(fn(t)))
                     for fn in (ref_fn, tgt_fn))
-        pairs.append((solve_reference(rho0, ref, model, grid), tgt))
+        pairs.append((reference(integrate_forward(rho0, ref, model, grid), ref, model), tgt))
     return pairs
 
 
@@ -206,5 +199,5 @@ def fig1_slope_pair(traj: Trajectory, u0: ControlSignal,
     `traj` is the stored forward solve of u0, which the particle oracle
     also reads.
     """
-    ref = _reference(traj, u0, model)
+    ref = reference(traj, u0, model)
     return ref, target_control(ref.d, model.control_set, u0)

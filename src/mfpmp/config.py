@@ -19,7 +19,7 @@ from .checks import MAX_EXTRA_PAIRS
 from .descent import DescentConfig
 from .errors import ConfigError
 from .models import AdmissibleSet, ModelSpec, ball, box, kuramoto_model
-from .presets import CONTROL_PRESETS, DENSITY_PRESETS
+from .presets import fig1_control, fig1_density
 from .spectral import require_normalized
 from .timegrid import ControlSignal, TimeGrid, constant_control
 
@@ -114,10 +114,9 @@ def _parse_density(doc, n_modes: int) -> tuple[np.ndarray, dict]:
     """The half row n = 0 .. N/2 of the initial density, and its echo."""
     where = "initial_density"
     if isinstance(doc, str):
-        preset = DENSITY_PRESETS.get(doc)
-        if preset is None:
+        if doc != "fig1":
             raise ConfigError(f"{where}: unknown preset {doc!r}")
-        rho0 = preset(n_modes).coeffs[n_modes // 2:]
+        rho0 = fig1_density(n_modes).coeffs[n_modes // 2:]
     elif isinstance(doc, dict):
         _require_keys(doc, {"harmonics"}, {"harmonics"}, where)
         if not isinstance(doc["harmonics"], dict):
@@ -155,10 +154,9 @@ def _parse_density(doc, n_modes: int) -> tuple[np.ndarray, dict]:
 def _parse_control(doc, grid: TimeGrid, model: ModelSpec) -> tuple[ControlSignal, dict]:
     where = "initial_control"
     if isinstance(doc, str):
-        preset = CONTROL_PRESETS.get(doc)
-        if preset is None:
+        if doc != "fig1":
             raise ConfigError(f"{where}: unknown preset {doc!r}")
-        u0 = preset(grid)
+        u0 = fig1_control(grid)
     elif isinstance(doc, dict) and "constant" in doc:
         _require_keys(doc, {"constant"}, {"constant"}, where)
         u0 = constant_control(grid, _numbers(doc["constant"], f"{where}.constant", 2))

@@ -178,22 +178,23 @@ def target_control(d: SwitchingFunction, admissible, u: ControlSignal) -> Contro
     return ControlSignal(u.grid, out)
 
 
-def _inner_l2(a: np.ndarray, b: np.ndarray, tau: float) -> float:
-    # Rectangle rule over the K control steps; the node at t = T carries no
-    # weight because controls are constant on [t_k, t_{k+1}).
-    return float(tau * np.sum(a[:-1] * b[:-1]))
-
-
 def non_extremality(u: ControlSignal, ubar: ControlSignal, d: SwitchingFunction) -> float:
-    """L2 pairing <ubar - u, d>; nonnegative whenever ubar is the target."""
+    """L2 pairing <ubar - u, d>; nonnegative whenever ubar is the target.
+
+    Rectangle rule over the K control steps; the node at t = T carries no
+    weight because controls are constant on [t_k, t_{k+1}).
+    """
     if u.grid != ubar.grid or u.grid != d.grid:
         raise ValueError("grids differ")
-    return _inner_l2(ubar.values - u.values, d.values, u.grid.tau)
+    a = ubar.values - u.values
+    return float(u.grid.tau * np.sum(a[:-1] * d.values[:-1]))
 
 
-def backtracking_step(u: ControlSignal, ubar: ControlSignal, d: SwitchingFunction,
+def backtracking_step(u: ControlSignal, ubar: ControlSignal, energy: float,
                       cost_u: float, cfg: DescentConfig, evaluator, chunk: int = TRIAL_CHUNK):
     """Largest theta^j (smallest j) passing the sufficient-decrease test.
+
+    `energy` is the non-extremality E[u] = <ubar - u, d> of the step.
 
     `evaluator` maps a list of trial controls to their costs by fresh
     forward solves, raising DivergenceError if any of them diverges.  The
@@ -204,7 +205,7 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, d: SwitchingFunctio
     Returns (lam, new_cost, j, accepted); lam = 0 with accepted = False when
     no exponent up to j_max qualifies.
     """
-    slope = _inner_l2(u.values - ubar.values, d.values, u.grid.tau)  # = -E[u]
+    slope = -energy
     lam = 1.0
     for start in range(0, cfg.j_max + 1, chunk):
         lams = []
@@ -224,13 +225,6 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, d: SwitchingFunctio
     return 0.0, cost_u, cfg.j_max + 1, False
 
 
-def _project_signal(u: ControlSignal, admissible) -> ControlSignal:
-    out = np.array(u.values, dtype=float)
-    for i in range(out.shape[0]):
-        out[i] = admissible.project(out[i])
-    return ControlSignal(u.grid, out)
-
-
 def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
                 grid: TimeGrid, cfg: DescentConfig,
                 progress=None) -> DescentResult:
@@ -247,7 +241,7 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
         rho0: half row of the initial density.
         progress: optional callable receiving each IterationRecord.
     """
-    u = _project_signal(u0, model.control_set)
+    u = ControlSignal(u0.grid, model.control_set.project(u0.values))
     history: list[IterationRecord] = []
     status = STATUS_MAX_ITER
     small_steps = 0
@@ -270,7 +264,8 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
         if extremal:
             lam, j, accepted = 0.0, 0, False
         else:
-            lam, new_cost, j, accepted = backtracking_step(u, ubar, d, cost, cfg, evaluator, chunk)
+            lam, new_cost, j, accepted = backtracking_step(u, ubar, energy, cost, cfg,
+                                                           evaluator, chunk)
         record = IterationRecord(k, cost, energy, lam, j, time.perf_counter() - t0)
         history.append(record)
         if progress is not None:
@@ -281,7 +276,7 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
             final_cost = cost
             break
 
-        u = _project_signal(u.toward(ubar, lam), model.control_set)
+        u = ControlSignal(u.grid, model.control_set.project(u.toward(ubar, lam).values))
         final_cost = new_cost
         small_steps = small_steps + 1 if lam < cfg.lambda_tol else 0
         if small_steps >= cfg.lambda_patience:

@@ -7,7 +7,3 @@ class ConfigError(Exception):
 
 class DivergenceError(RuntimeError):
     """A time integration blew up, usually a too-large step (exit code 3)."""
-
-
-class ValidationFailure(RuntimeError):
-    """An oracle report violated its tolerance (exit code 5)."""

@@ -46,13 +46,13 @@ DIVERGENCE_LIMIT = 1e6
 _TINY = np.finfo(float).tiny
 
 # Rows marched as one state share the per-call overhead, which dominates
-# narrow rows: 8 full-layout rows of 257 coefficients cost 0.35-0.40x as
-# much per row as one-row marches.  Wide rows gain nothing, since their
-# arithmetic dominates, and temporaries past glibc's default 128 KiB mmap
-# and trim thresholds have their pages faulted in again on every step (8
-# full-layout rows of 2049 cost 1.6-2.2x per row).  A budget of 2048 half-row
-# coefficients (32 KiB) per temporary gives 15 rows at 256 harmonics and 1
-# at 2048.
+# narrow rows: at 256 harmonics (half rows of 129, one CPU) one RK4 step
+# costs about 80 us per row for 1 row, 23-31 us for 8 and 18-20 us for 15.
+# Temporaries past glibc's default 128 KiB mmap and trim thresholds have
+# their pages faulted in again on every step: at 2048 harmonics (half rows
+# of 1025) 8 rows cost 0.75-0.8x as much per row as one, 16 rows 1.7x.
+# A budget of 2048 half-row coefficients (32 KiB) per temporary gives 15
+# rows at 256 harmonics and 1 at 2048.
 BATCH_COEFFS = 2048
 
 # Diagnostics sweep a stored trajectory this many rows at a time, so their

@@ -20,8 +20,6 @@ import numpy as np
 
 from .spectral import require_normalized
 
-ControlVector = np.ndarray
-
 # Relative and absolute slack of `AdmissibleSet.admits`.
 _ADMIT_TOL = 1e-9
 
@@ -65,15 +63,19 @@ class AdmissibleSet:
             return (u * u).sum(axis=-1) <= self.radius**2 * (1.0 + _ADMIT_TOL) + _ADMIT_TOL
         return ((u >= self.lower - _ADMIT_TOL) & (u <= self.upper + _ADMIT_TOL)).all(axis=-1)
 
-    def project(self, u: ControlVector) -> ControlVector:
-        """Euclidean projection; returns the input unchanged when feasible."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "ball":
-            norm = float(np.linalg.norm(u))
-            if norm <= self.radius:
-                return u
-            return u * (self.radius / norm)
-        return np.clip(u, self.lower, self.upper)
+    def project(self, u) -> np.ndarray:
+        """Euclidean projection of each control vector in u of shape (..., 2), as a new array.
+
+        The ball takes one norm per vector: a stacked norm may round differently.
+        """
+        out = np.array(u, dtype=float, order="C")  # so that the rows below are views
+        if self.kind == "box":
+            return np.clip(out, self.lower, self.upper)
+        for row in out.reshape(-1, 2):
+            norm = float(np.linalg.norm(row))
+            if norm > self.radius:
+                row *= self.radius / norm
+        return out
 
 
 def ball(radius: float) -> AdmissibleSet:

@@ -63,24 +63,20 @@ def _phase_rhs(x: np.ndarray, u: np.ndarray, tilt: complex) -> np.ndarray:
 
 
 def simulate_particles(initial: ParticleEnsemble, u: ControlSignal, alpha: float,
-                       grid: TimeGrid, record_times):
+                       grid: TimeGrid, record_nodes):
     """March the oscillator ODE with RK4 at the full control step.
 
-    Returns the terminal ensemble and {time: phases} at each of
-    `record_times`, which must lie on the full-step lattice.
+    Returns the terminal ensemble and {k: phases} at each full-step node k
+    of `record_nodes`, which must lie in 0..K.
     """
     tau = grid.tau
     tilt = complex(np.cos(alpha), -np.sin(alpha))
     x = np.array(initial.phases, dtype=float)
-    snapshots = {}
-    want = {}
-    for t in record_times:
-        k = int(round(t / tau))
-        if abs(k * tau - t) > 1e-9 or k < 0 or k > grid.n_steps:
-            raise ValueError(f"record time {t} is not a full-step node")
-        want[k] = float(t)
-    if 0 in want:
-        snapshots[want[0]] = x.copy()
+    want = set(record_nodes)
+    for k in want:
+        if k not in range(grid.n_steps + 1):
+            raise ValueError(f"record node {k!r} is not a full-step node 0..{grid.n_steps}")
+    snapshots = {0: x.copy()} if 0 in want else {}
     for k in range(grid.n_steps):
         uk = u.values[k]
         t = k * tau
@@ -93,7 +89,7 @@ def simulate_particles(initial: ParticleEnsemble, u: ControlSignal, alpha: float
         if not peak <= _PHASE_DRIFT_LIMIT:
             raise DivergenceError(f"particle phases drifted to {peak:.3e} at t = {t + tau:.6g}")
         if k + 1 in want:
-            snapshots[want[k + 1]] = x.copy()
+            snapshots[k + 1] = x.copy()
     return ParticleEnsemble(x), snapshots
 
 

@@ -24,7 +24,3 @@ def fig1_control(grid: TimeGrid) -> ControlSignal:
     return sampled_control(
         grid, lambda t: (r * np.sin(2.0 * np.pi * t), r * np.cos(2.0 * np.pi * t))
     )
-
-
-DENSITY_PRESETS = {"fig1": fig1_density}
-CONTROL_PRESETS = {"fig1": fig1_control}

@@ -26,7 +26,7 @@ class TimeGrid:
         if not (self.T > 0.0 and self.tau > 0.0):
             raise ValueError("T and tau must be positive")
         steps = self.T / self.tau
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
             raise ValueError(f"T/tau = {steps} is not an integer")
 
     @property

@@ -11,7 +11,7 @@ from mfpmp.checks import (
     increment_slope_check,
     local_adjoint_check,
     meanfield_vs_particles,
-    solve_reference,
+    reference,
     synthetic_control_pairs,
 )
 
@@ -51,8 +51,8 @@ class TestIncrementSlopeCheck:
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([0.5 * np.sin(2 * t), 0.4 + 0 * t]))
         ubar = ControlSignal(grid, np.column_stack([0.2 + 0 * t, -0.6 * np.cos(t)]))
-        rep = increment_slope_check(rho, solve_reference(rho, u, model, grid), ubar, model,
-                                    grid, [1e-3, 2e-3, 4e-3, 8e-3])
+        ref = reference(integrate_forward(rho, u, model, grid), u, model)
+        rep = increment_slope_check(rho, ref, ubar, model, grid, [1e-3, 2e-3, 4e-3, 8e-3])
         for ratio in rep["ratios"]:
             assert abs(ratio - 1.0) < 0.05
         assert rep["residual_order"] >= 1.8
@@ -62,8 +62,8 @@ class TestIncrementSlopeCheck:
         model = kuramoto_model(0.0, np.pi)
         rho = fig1_row(32)
         u = constant_control(grid, [0.4, 0.3])
-        rep = increment_slope_check(rho, solve_reference(rho, u, model, grid), u, model, grid,
-                                    [1e-3])
+        ref = reference(integrate_forward(rho, u, model, grid), u, model)
+        rep = increment_slope_check(rho, ref, u, model, grid, [1e-3])
         assert rep["predicted_slope"] == 0.0
         assert rep["ratios"] == [None]
 
@@ -72,7 +72,7 @@ class TestIncrementSlopeCheck:
         model = kuramoto_model(0.0, np.pi)
         rho = fig1_row(32)
         u = constant_control(grid, [0.4, 0.3])
-        ref = solve_reference(rho, u, model, grid)
+        ref = reference(integrate_forward(rho, u, model, grid), u, model)
         with pytest.raises(ValueError, match="lambdas"):
             increment_slope_check(rho, ref, u, model, grid, [0.0])
 

@@ -300,6 +300,7 @@ class TestExitCodes:
         'model.constraint={"kind": "box", "lower": ["-2", -2], "upper": [2, 2]}',
         'model.constraint={"kind": "box", "lower": [-2, -2], "upper": [2, true]}',
         "descent.j_max=1200",
+        "grid.tau=1e-310",  # T/tau overflows to inf
     ])
     def test_malformed_values_are_2(self, tmp_path, capsys, monkeypatch, override):
         self.assert_config_error_before_any_artifact(tmp_path, capsys, monkeypatch, override)
@@ -407,6 +408,16 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 5
         report = json.loads((out / "validation_report.json").read_text())
         assert report["local_adjoint"]["passed"] is False
+
+    def test_a_drift_too_fast_for_tau_is_a_divergence(self, tmp_path, capsys):
+        # The closed-form check admits any finite drift, even one whose square
+        # overflows; the march then diverges like any other.
+        doc = tiny_doc(tmp_path / "out", command="validate", snapshot_times=[])
+        doc["validate"] = {"n_particles": [100], "extra_pairs": 0,
+                           "local_u1": {"kind": "sinusoidal", "amplitude": 1e200}}
+        assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line)["error"]["category"] for line in lines] == ["divergence"]
 
     def test_undefined_slope_ratios_are_null_in_strict_json(self, tmp_path, capsys):
         # A uniform density under zero control predicts a zero decrease, so

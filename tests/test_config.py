@@ -69,6 +69,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="not an integer"):
             parse_config_dict(doc)
 
+    def test_an_overflowing_step_count_is_rejected(self):
+        doc = minimal_doc()
+        doc["grid"]["tau"] = 1e-310  # T/tau is inf
+        with pytest.raises(ConfigError, match="T/tau = inf is not an integer"):
+            parse_config_dict(doc)
+
     def test_descent_parameter_ranges(self):
         doc = minimal_doc(descent={"theta": -0.5})
         with pytest.raises(ConfigError, match="descent"):

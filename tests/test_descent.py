@@ -214,22 +214,24 @@ class TestBacktracking:
         assert_allclose(energy, 1.0, atol=1e-15)
         evaluator = ladder_evaluator(lambda lam: 5.0 - 2.0 * energy * lam * (1.0 - lam))
         cfg = DescentConfig(c=0.01, theta=0.5)
-        lam, new_cost, j, ok = backtracking_step(u, ubar, d, 5.0, cfg, evaluator)
+        lam, new_cost, j, ok = backtracking_step(u, ubar, energy, 5.0, cfg, evaluator)
         assert ok and j == 1 and lam == 0.5
         assert_allclose(new_cost, 5.0 - 0.5, atol=1e-15)
 
     def test_full_step_accepted_when_it_suffices(self):
         u, ubar, d = unit_ladder()
+        energy = non_extremality(u, ubar, d)
         evaluator = ladder_evaluator(lambda lam: 5.0 - lam)  # linear decrease
-        lam, _, j, ok = backtracking_step(u, ubar, d, 5.0, DescentConfig(), evaluator)
+        lam, _, j, ok = backtracking_step(u, ubar, energy, 5.0, DescentConfig(), evaluator)
         assert ok and j == 0 and lam == 1.0
 
     def test_flat_landscape_fails_with_a_flag(self):
         # j_max = 12 is not a multiple of the chunk: 13 trials in chunks of 8 and 5.
         u, ubar, d = unit_ladder()
+        energy = non_extremality(u, ubar, d)
         cfg = DescentConfig(j_max=12)
         calls = []
-        got = backtracking_step(u, ubar, d, 5.0, cfg, ladder_evaluator(lambda lam: 5.0, calls=calls))
+        got = backtracking_step(u, ubar, energy, 5.0, cfg, ladder_evaluator(lambda lam: 5.0, calls=calls))
         lam, cost, j, ok = got
         assert not ok and lam == 0.0 and j == cfg.j_max + 1
         assert got == sequential_search(u, ubar, d, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))
@@ -243,7 +245,8 @@ class TestBacktracking:
             with pytest.raises(ValueError, match="j_max"):
                 DescentConfig(j_max=j_max)
         u, ubar, d = unit_ladder()
-        got = backtracking_step(u, ubar, d, 5.0, DescentConfig(j_max=1015),
+        energy = non_extremality(u, ubar, d)
+        got = backtracking_step(u, ubar, energy, 5.0, DescentConfig(j_max=1015),
                                 ladder_evaluator(lambda lam: 5.0))
         assert got == (0.0, 5.0, 1016, False)
 
@@ -253,8 +256,9 @@ class TestBacktracking:
         grid = TimeGrid(1.0, 0.5)
         u, ubar = constant_control(grid, [0.0, 0.0]), constant_control(grid, [1.0, 0.0])
         d = SwitchingFunction(grid, np.array([[1e-300, 0.0]] * 3))
+        energy = non_extremality(u, ubar, d)
         cfg = DescentConfig(j_max=100, eps_tol=0.0)
-        got = backtracking_step(u, ubar, d, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))
+        got = backtracking_step(u, ubar, energy, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))
         assert got == (0.0, 5.0, cfg.j_max + 1, False)
 
 
@@ -263,10 +267,11 @@ class TestChunkedBacktracking:
         # cost(lam) - 5 = lam * (1500 lam - 1) passes the test at c = 0.01
         # for lam <= 0.99 / 1500, so first at j = 11, in the second chunk.
         u, ubar, d = unit_ladder()
+        energy = non_extremality(u, ubar, d)
         cfg = DescentConfig(c=0.01, theta=0.5)
         calls = []
         evaluator = ladder_evaluator(lambda lam: 5.0 + lam * (1500.0 * lam - 1.0), calls=calls)
-        got = backtracking_step(u, ubar, d, 5.0, cfg, evaluator)
+        got = backtracking_step(u, ubar, energy, 5.0, cfg, evaluator)
         assert got == sequential_search(u, ubar, d, 5.0, cfg, evaluator)
         assert got[2] == 11 and got[3]
         assert calls[:2] == [8, 8]
@@ -274,18 +279,20 @@ class TestChunkedBacktracking:
     def test_divergence_after_the_accepted_step_is_ignored(self):
         # lam = 1 fails, lam = 1/2 passes, lam = 1/4 diverges.
         u, ubar, d = unit_ladder()
+        energy = non_extremality(u, ubar, d)
         cfg = DescentConfig(c=0.01, theta=0.5)
         cost = lambda lam: 5.0 + lam * (1.5 * lam - 1.0)  # noqa: E731
-        got = backtracking_step(u, ubar, d, 5.0, cfg,
+        got = backtracking_step(u, ubar, energy, 5.0, cfg,
                                 ladder_evaluator(cost, diverging={0.25}))
         assert got == sequential_search(u, ubar, d, 5.0, cfg, ladder_evaluator(cost))
         assert got[2] == 1
 
     def test_divergence_before_the_accepted_step_raises(self):
         u, ubar, d = unit_ladder()
+        energy = non_extremality(u, ubar, d)
         cost = lambda lam: 5.0 + lam * (1.5 * lam - 1.0)  # noqa: E731
         with pytest.raises(DivergenceError):
-            backtracking_step(u, ubar, d, 5.0, DescentConfig(c=0.01, theta=0.5),
+            backtracking_step(u, ubar, energy, 5.0, DescentConfig(c=0.01, theta=0.5),
                               ladder_evaluator(cost, diverging={1.0}))
 
 

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from mfpmp import (
     ball,
@@ -185,7 +185,7 @@ class TestAdmissibleSets:
         assert_allclose(s.project(np.array([2.0, 0.0])),
                         [np.sqrt(2.0), 0.0])
         inside = np.array([1.0, 0.0])
-        assert s.project(inside) is inside
+        assert_array_equal(s.project(inside), inside)
 
     def test_box_clamp(self):
         s = box([-1.0, -1.0], [1.0, 1.0])
@@ -198,6 +198,23 @@ class TestAdmissibleSets:
                 p = s.project(u)
                 assert s.admits(p)
                 assert_allclose(s.project(p), p, atol=0.0)
+
+    def test_stack_projection_is_bit_equal_to_per_vector_projection(self, rng):
+        # Rows inside the set, on its boundary and outside it, in a (3, 40, 2) stack.
+        u = rng.standard_normal((3, 40, 2)) * np.array([0.4, 2.5])
+        u[0, :2] = [[1.3, 0.0], [0.0, 0.0]]
+        r, lo, hi = 1.3, np.array([-0.5, -2.0]), np.array([0.2, 1.0])
+
+        def one_ball(v):
+            norm = np.linalg.norm(v)
+            return v if norm <= r else v * (r / norm)
+
+        for s, one in ((ball(r), one_ball), (box(lo, hi), lambda v: np.clip(v, lo, hi))):
+            assert s.admits(u).any() and not s.admits(u).all()
+            got = s.project(u)
+            assert got is not u and got.shape == u.shape
+            assert_array_equal(got.reshape(-1, 2), [one(v) for v in u.reshape(-1, 2)])
+            assert_array_equal(s.project(np.asfortranarray(u)), got)
 
     def test_invalid_sets_rejected(self):
         with pytest.raises(ValueError):

@@ -100,12 +100,11 @@ class TestSimulation:
         phases = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, 300)
         steps = [0, 80, grid.n_steps]
         want_end, want = reference_march(phases, u, alpha, grid, steps)
-        got_end, got = simulate_particles(ParticleEnsemble(phases), u, alpha, grid,
-                                          [k * grid.tau for k in steps])
+        got_end, got = simulate_particles(ParticleEnsemble(phases), u, alpha, grid, steps)
         assert np.max(np.abs(got_end.phases - want_end)) < 1e-12
         assert len(got) == len(steps)
         for k in steps:
-            assert np.max(np.abs(got[k * grid.tau] - want[k])) < 1e-12
+            assert np.max(np.abs(got[k] - want[k])) < 1e-12
 
     def test_divergence_guard(self):
         grid = TimeGrid(1000.0, 1.0)
@@ -113,14 +112,22 @@ class TestSimulation:
             simulate_particles(ParticleEnsemble(np.array([0.0])),
                                constant_control(grid, [1e7, 0.0]), 0.0, grid, [])
 
-    def test_record_times_capture_snapshots(self):
+    def test_record_nodes_capture_snapshots(self):
         grid = TimeGrid(1.0, 1e-2)
         start = ParticleEnsemble(np.array([0.0, 1.0]))
         u = constant_control(grid, [1.0, 0.0])
-        terminal, snaps = simulate_particles(start, u, 0.0, grid, [0.0, 0.5, 1.0])
-        assert_allclose(snaps[0.0], start.phases)
-        assert_allclose(snaps[0.5], start.phases + 0.5, rtol=1e-13)
-        assert_allclose(snaps[1.0], terminal.phases)
+        terminal, snaps = simulate_particles(start, u, 0.0, grid, [0, 50, 100])
+        assert sorted(snaps) == [0, 50, 100]
+        assert_allclose(snaps[0], start.phases)
+        assert_allclose(snaps[50], start.phases + 0.5, rtol=1e-13)
+        assert_allclose(snaps[100], terminal.phases)
+
+    @pytest.mark.parametrize("node", [-1, 101, 0.5])
+    def test_a_record_node_outside_the_lattice_raises(self, node):
+        grid = TimeGrid(1.0, 1e-2)
+        with pytest.raises(ValueError, match="not a full-step node"):
+            simulate_particles(ParticleEnsemble(np.array([0.0])),
+                               constant_control(grid, [1.0, 0.0]), 0.0, grid, [0, node])
 
 
 class TestMoments:

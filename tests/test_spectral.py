@@ -108,7 +108,7 @@ def _entry_points():
     u = constant_control(grid, [0.1, 0.2])
     good = fig1_row(16)
     traj = integrate_forward(good, u, model, grid)
-    ref = checks.solve_reference(good, u, model, grid)
+    ref = checks.reference(traj, u, model)
 
     def config(r):
         harmonics = {str(n): [c.real, c.imag] for n, c in enumerate(r) if c != 0}
@@ -129,11 +129,11 @@ def _entry_points():
         "terminal_adjoint": lambda r: terminal_adjoint(r, model),
         "integrate_backward(terminal=)": lambda r: integrate_backward(traj, u, model, terminal=r),
         "stratified_ensemble": lambda r: stratified_ensemble(r, 10),
-        # The particle oracle and the experiment pair read a stored solve;
+        # The particle oracle, the references and the experiment pair read a stored solve;
         # their row enters through it.
         "meanfield_vs_particles": lambda r: checks.meanfield_vs_particles(
             integrate_forward(r, u, model, grid), u, model, [10]),
-        "solve_reference": lambda r: checks.solve_reference(r, u, model, grid),
+        "reference": lambda r: checks.reference(integrate_forward(r, u, model, grid), u, model),
         "increment_slope_check": lambda r: checks.increment_slope_check(r, ref, u, model, grid,
                                                                         [0.1, 0.2]),
         "local_adjoint_check": lambda r: checks.local_adjoint_check(np.zeros(3), r, 0.0, grid),
