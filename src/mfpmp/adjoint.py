@@ -188,17 +188,19 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     last = 2 * grid.n_steps
     _settle(b, last * h)
     out[-1] = b
-    for top in range(last, 0, -block):
-        # The quarter-step states of the block's backward steps read only
-        # the stored trajectory, so they are marched as the rows of one state.
-        lo = max(top - block, 0)
-        a_mids = _rk4_forward_step(traj.coeffs[lo:top], 0.5 * h, controls[lo:top],
-                                   model, stencil[0])
-        for s in range(top, lo, -1):
-            uk = u.values[(s - 1) >> 1]
-            b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mids[s - 1 - lo],
-                                   traj.coeffs[s - 1], model, stencil, phases)
-            _settle(b, (s - 1) * h)
-            if s & 1:  # landed on the full node s - 1 = 2k
-                out[s >> 1] = b
+    # An overflow inside a step is reported once, by `_settle`, as a divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for top in range(last, 0, -block):
+            # The quarter-step states of the block's backward steps read only
+            # the stored trajectory, so they are marched as the rows of one state.
+            lo = max(top - block, 0)
+            a_mids = _rk4_forward_step(traj.coeffs[lo:top], 0.5 * h, controls[lo:top],
+                                       model, stencil[0])
+            for s in range(top, lo, -1):
+                uk = u.values[(s - 1) >> 1]
+                b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mids[s - 1 - lo],
+                                       traj.coeffs[s - 1], model, stencil, phases)
+                _settle(b, (s - 1) * h)
+                if s & 1:  # landed on the full node s - 1 = 2k
+                    out[s >> 1] = b
     return Trajectory(grid, out)

@@ -105,7 +105,7 @@ def increment_slope_check(rho0: np.ndarray, ref: Reference, ubar: ControlSignal,
 
     ratios = []
     residuals = []
-    costs = cost_of_control(rho0, [u.toward(ubar, lam) for lam in lambdas], model, grid)
+    costs, _ = cost_of_control(rho0, [u.toward(ubar, lam) for lam in lambdas], model, grid)
     for lam, cost in zip(lambdas, costs):
         actual = cost - ref.cost
         predicted = -lam * slope

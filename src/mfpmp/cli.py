@@ -169,7 +169,8 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
 
     result = run_descent(config.rho0, config.u0, config.model, config.grid,
                          config.descent, progress=progress)
-    traj = integrate_forward(config.rho0, result.u_final, config.model, config.grid)
+    traj = integrate_forward(config.rho0, result.u_final, config.model, config.grid,
+                             result.starts)
 
     _write_csv(
         out / "convergence.csv",

@@ -271,8 +271,13 @@ def parse_config_dict(doc: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    rho0, density_echo = _parse_density(doc["initial_density"], n_modes)
-    u0, control_echo = _parse_control(doc["initial_control"], grid, model)
+    # A finite T/tau or n_modes can still be too large to allocate.
+    try:
+        rho0, density_echo = _parse_density(doc["initial_density"], n_modes)
+        u0, control_echo = _parse_control(doc["initial_control"], grid, model)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ConfigError(f"grid: T/tau = {T / tau:.6g} steps of {n_modes} harmonics cannot "
+                          f"be allocated ({type(exc).__name__}: {exc})") from exc
     descent = _parse_descent(doc.get("descent"))
     validate_params = _parse_validate(doc.get("validate"))
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .adjoint import integrate_backward
 from .errors import DivergenceError
-from .forward import batch_rows, cost_of_control, integrate_forward
+from .forward import Checkpoints, batch_rows, cost_of_control, integrate_forward
 from .models import ModelSpec
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
@@ -117,10 +117,17 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class DescentResult:
+    """The final control, one record per iteration, and how the run stopped.
+
+    `starts` are the checkpoints of the last accepted trial (None if no
+    step was accepted), so a stored solve of `u_final` can reuse them.
+    """
+
     u_final: ControlSignal
     history: tuple
     status: str
     final_cost: float
+    starts: Checkpoints | None = None
 
     @property
     def iterations(self) -> int:
@@ -196,14 +203,16 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, energy: float,
 
     `energy` is the non-extremality E[u] = <ubar - u, d> of the step.
 
-    `evaluator` maps a list of trial controls to their costs by fresh
-    forward solves, raising DivergenceError if any of them diverges.  The
+    `evaluator` maps a list of trial controls to their costs and
+    checkpoints, two lists, by fresh forward solves (`cost_of_control`),
+    raising DivergenceError if any of them diverges.  The
     ladder theta^0 .. theta^{j_max} goes to it `chunk` trials at a time, and
     the smallest passing j is accepted, so the result is that of trying one
     step after the other: a trial past the accepted one may diverge without
     effect, one before it raises.  The ladder is never held whole.
-    Returns (lam, new_cost, j, accepted); lam = 0 with accepted = False when
-    no exponent up to j_max qualifies.
+    Returns (lam, new_cost, j, accepted, starts), `starts` being the
+    accepted trial's checkpoints; lam = 0 with accepted = False and
+    starts = None when no exponent up to j_max qualifies.
     """
     slope = -energy
     lam = 1.0
@@ -214,15 +223,18 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, energy: float,
             lam *= cfg.theta
         trials = [u.toward(ubar, step) for step in lams]
         try:
-            costs = evaluator(trials)
+            costs, starts = evaluator(trials)
         except DivergenceError:
             costs = None  # retried one trial at a time, up to the first passing one
         for i, trial in enumerate(trials):
-            trial_cost = evaluator([trial])[0] if costs is None else costs[i]
+            if costs is None:
+                (trial_cost,), (trial_starts,) = evaluator([trial])
+            else:
+                trial_cost, trial_starts = costs[i], starts[i]
             # A bound that underflows to -0.0 would pass a trial that decreases nothing.
             if trial_cost - cost_u <= cfg.c * lams[i] * slope < 0.0:
-                return lams[i], trial_cost, start + i, True
-    return 0.0, cost_u, cfg.j_max + 1, False
+                return lams[i], trial_cost, start + i, True, trial_starts
+    return 0.0, cost_u, cfg.j_max + 1, False, None
 
 
 def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
@@ -232,10 +244,12 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
 
     Per iteration: forward solve, adjoint solve, switching function, target
     control, non-extremality, backtracking, convex update (re-projected to
-    absorb round-off).  Stops when the non-extremality drops below eps_tol,
-    when the accepted step has stayed below lambda_tol for lambda_patience
-    consecutive iterations, on k_max, or on a failed line search.  The
-    recorded costs are non-increasing.
+    absorb round-off).  The next forward solve gets the accepted trial's
+    checkpoints, which it uses if the projection kept the trial's bits.
+    Stops when the non-extremality drops below eps_tol, when the accepted
+    step has stayed below lambda_tol for lambda_patience consecutive
+    iterations, on k_max, or on a failed line search.  The recorded costs
+    are non-increasing.
 
     Args:
         rho0: half row of the initial density.
@@ -245,15 +259,16 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
     history: list[IterationRecord] = []
     status = STATUS_MAX_ITER
     small_steps = 0
+    starts = None
 
-    def evaluator(trials: list) -> list:
+    def evaluator(trials: list) -> tuple[list, list]:
         return cost_of_control(rho0, trials, model, grid)
 
     chunk = min(TRIAL_CHUNK, batch_rows(len(rho0)))
 
     for k in range(cfg.k_max):
         t0 = time.perf_counter()
-        traj = integrate_forward(rho0, u, model, grid)
+        traj = integrate_forward(rho0, u, model, grid, starts)
         cost = model.cost.eval(traj.terminal_field())
         cotraj = integrate_backward(traj, u, model)
         d = switching_function(traj, cotraj, model)
@@ -264,8 +279,8 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
         if extremal:
             lam, j, accepted = 0.0, 0, False
         else:
-            lam, new_cost, j, accepted = backtracking_step(u, ubar, energy, cost, cfg,
-                                                           evaluator, chunk)
+            lam, new_cost, j, accepted, trial_starts = backtracking_step(
+                u, ubar, energy, cost, cfg, evaluator, chunk)
         record = IterationRecord(k, cost, energy, lam, j, time.perf_counter() - t0)
         history.append(record)
         if progress is not None:
@@ -278,9 +293,10 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
 
         u = ControlSignal(u.grid, model.control_set.project(u.toward(ubar, lam).values))
         final_cost = new_cost
+        starts = trial_starts
         small_steps = small_steps + 1 if lam < cfg.lambda_tol else 0
         if small_steps >= cfg.lambda_patience:
             status = STATUS_STEP
             break
 
-    return DescentResult(u, tuple(history), status, float(final_cost))
+    return DescentResult(u, tuple(history), status, float(final_cost), starts)

@@ -25,11 +25,21 @@ lie over 300 orders of magnitude below the mass coefficient 1/(2*pi),
 which the flush never touches.
 
 The kernels march a stack of state rows, each under its own control: the
-trial steps of a line search, or the adjoint's quarter-step states.  Rows
-never mix, so every row gets the bits of a one-row march.
+trial steps of a line search, the adjoint's quarter-step states, or the S
+time segments of one stored solve.  Rows never mix, so every row gets the
+bits of a one-row march.
+
+Time segments reuse a line search's work.  A lean march records the
+settled state of each row at the full nodes k = i*K/S, i = 0 .. S-1
+(`Checkpoints`), and a stored solve of bitwise the same control marches
+the S segments from those states as the S rows of one state, straight into
+its trajectory.  S is the largest divisor of K not above `batch_rows`: 15
+for the 1200 steps of 256 harmonics on the desk grid, 1 at 2048 harmonics.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +62,8 @@ _TINY = np.finfo(float).tiny
 # their pages faulted in again on every step: at 2048 harmonics (half rows
 # of 1025) 8 rows cost 0.75-0.8x as much per row as one, 16 rows 1.7x.
 # A budget of 2048 half-row coefficients (32 KiB) per temporary gives 15
-# rows at 256 harmonics and 1 at 2048.
+# rows at 256 harmonics and 1 at 2048.  It bounds the trials of one lean
+# march and the time segments S of a re-marched stored solve alike.
 BATCH_COEFFS = 2048
 
 # Diagnostics sweep a stored trajectory this many rows at a time, so their
@@ -64,6 +75,24 @@ DIAGNOSTIC_ROWS = 256
 def batch_rows(width: int) -> int:
     """How many half rows of `width` coefficients to march as one state."""
     return max(1, BATCH_COEFFS // width)
+
+
+def segment_count(n_steps: int, width: int) -> int:
+    """S: the largest divisor of the step count K that is at most `batch_rows(width)`."""
+    return max(s for s in range(1, batch_rows(width) + 1) if n_steps % s == 0)
+
+
+@dataclass(frozen=True)
+class Checkpoints:
+    """Settled states of a forward march at the full nodes k = i*K/S, i = 0 .. S-1.
+
+    `controls` are the values (K + 1, 2) the march ran under and `states`
+    the (S, width) half rows; row 0 is the settled initial density.
+    """
+
+    grid: TimeGrid
+    controls: np.ndarray
+    states: np.ndarray
 
 
 def _coupling_value(a1: complex, u2: float, model: ModelSpec) -> complex:
@@ -116,16 +145,20 @@ def _rk4_forward_step(a: np.ndarray, h: float, u: np.ndarray,
     return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _settle(a: np.ndarray, t: float) -> None:
+def _settle(a: np.ndarray, t) -> None:
     """Flush the subnormal parts of a new complex state to zero, in place, and bound it.
 
     One look at the float view serves both: parts with |x| < tiny become
     0.0, and the largest |x| must stay within DIVERGENCE_LIMIT (NaN fails).
+    `t` is the state's time, or an array of one time per row when the rows
+    are time segments; a divergence reports the earliest failing row's.
     """
     parts = a.view(float)
     mag = np.abs(parts)
     peak = float(mag.max())
     if not peak <= DIVERGENCE_LIMIT:
+        if np.ndim(t):
+            t = float(np.min(t[~(mag.max(axis=-1) <= DIVERGENCE_LIMIT)]))
         raise DivergenceError(
             f"coefficient part {peak:.3e} at t = {t:.6g} exceeds "
             f"{DIVERGENCE_LIMIT:.0e}; reduce the time step"
@@ -148,26 +181,39 @@ def _factor(width: int) -> np.ndarray:
     return -1j * np.arange(width)
 
 
-def _march(a0: np.ndarray, u_values: np.ndarray, model: ModelSpec, grid: TimeGrid,
-           out: np.ndarray | None) -> np.ndarray:
+def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
+           out: np.ndarray | None = None, marks: np.ndarray | None = None,
+           first: int | np.ndarray = 0) -> np.ndarray:
     """March the half rows of a0 (rows, modes), row r under the controls u_values[:, r].
 
-    `out`, if given, receives the state at every half-step node.  The
-    initial state and every step are settled (`_settle`) before they are
-    stored or marched on, so stored and lean marches keep equal bits.
+    `u_values` holds the controls of the K full steps, each marched as two
+    RK4 steps of `h`.  `out`, if given, receives the state at every
+    half-step node; `marks`, if given, (S, rows, modes) receives the state
+    at the full nodes k = i*K/S.  `first` is the half-step index of the
+    rows' first node (an array for time segments), which times a
+    divergence.  The initial state and every step are settled (`_settle`)
+    before they are stored or marched on, so stored and lean marches keep
+    equal bits.
     """
-    h = 0.5 * grid.tau
     dn = _factor(a0.shape[1])
     controls = u_values.astype(complex)
+    n_half = 2 * controls.shape[0]
+    mark_every = n_half // marks.shape[0] if marks is not None else 0
     a = np.array(a0, dtype=complex, order="C")  # rows contiguous, even from a broadcast
-    _settle(a, 0.0)
+    _settle(a, first * h)
     if out is not None:
         out[0] = a
-    for s in range(2 * grid.n_steps):
-        a = _rk4_forward_step(a, h, controls[s >> 1], model, dn)
-        _settle(a, (s + 1) * h)
-        if out is not None:
-            out[s + 1] = a
+    if marks is not None:
+        marks[0] = a
+    # An overflow inside a step is reported once, by `_settle`, as a divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(n_half):
+            a = _rk4_forward_step(a, h, controls[s >> 1], model, dn)
+            _settle(a, (first + s + 1) * h)
+            if out is not None:
+                out[s + 1] = a
+            if mark_every and (s + 1) % mark_every == 0 and s + 1 < n_half:
+                marks[(s + 1) // mark_every] = a
     return a
 
 
@@ -181,8 +227,18 @@ def _check_inputs(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid) 
     return rho0
 
 
+def _resumable(starts: Checkpoints | None, rho0: np.ndarray, u: ControlSignal) -> bool:
+    """Whether `starts` were marched from rho0 under bitwise the control values of u."""
+    if starts is None or starts.grid != u.grid:
+        return False
+    a = np.array(rho0[None], dtype=complex)
+    _settle(a, 0.0)
+    return (starts.controls.tobytes() == u.values.tobytes()
+            and starts.states[:1].tobytes() == a.tobytes())
+
+
 def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
-                      grid: TimeGrid) -> Trajectory:
+                      grid: TimeGrid, starts: Checkpoints | None = None) -> Trajectory:
     """Solve the continuity equation and record the half row of every half-step node.
 
     Args:
@@ -191,42 +247,65 @@ def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
         u: feasible control signal on the same grid.
         model: vector-field specification.
         grid: time lattice.
+        starts: optional checkpoints of a lean march (`cost_of_control`).
+            If they were marched from rho0 under bitwise the values of u,
+            their S time segments are marched as the rows of one state,
+            each straight into its stretch of the trajectory; otherwise
+            they are ignored.  Both routes store the same bits.
 
     Raises:
         DivergenceError: if any coefficient part passes the guard.
     """
     rho0 = _check_inputs(rho0, [u], model, grid)
+    h = 0.5 * grid.tau
     out = np.empty((2 * grid.n_steps + 1, rho0.shape[0]), dtype=complex)
-    _march(rho0[None], u.values[:, None], model, grid, out[:, None])
+    if _resumable(starts, rho0, u):
+        n_seg = starts.states.shape[0]
+        seg = 2 * grid.n_steps // n_seg  # half steps per segment
+        # Row i of node s is the trajectory's node i*seg + s; a segment's
+        # last node is the next one's first, and both hold the same bits.
+        nodes = np.lib.stride_tricks.as_strided(
+            out, (seg + 1, n_seg, out.shape[1]),
+            (out.strides[0], seg * out.strides[0], out.strides[1]))
+        u_values = u.values[:-1].reshape(n_seg, grid.n_steps // n_seg, 2).swapaxes(0, 1)
+        _march(starts.states, u_values, h, model, nodes, first=seg * np.arange(n_seg))
+    else:
+        _march(rho0[None], u.values[:-1, None], h, model, out[:, None])
     return Trajectory(grid, out)
 
 
-def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec,
-                   grid: TimeGrid) -> np.ndarray:
-    """Terminal half rows of lean solves, one per control, marched together."""
+def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid,
+                   marks: np.ndarray | None = None) -> np.ndarray:
+    """Terminal half rows of lean solves, one per control, marched together (see `_march`)."""
     rho0 = _check_inputs(rho0, controls, model, grid)
     rows = np.broadcast_to(rho0, (len(controls), rho0.shape[0]))
-    u_values = np.stack([u.values for u in controls], axis=1)
-    return _march(rows, u_values, model, grid, None)
+    u_values = np.stack([u.values[:-1] for u in controls], axis=1)
+    return _march(rows, u_values, 0.5 * grid.tau, model, marks=marks)
 
 
 def cost_of_control(rho0: np.ndarray, controls, model: ModelSpec,
-                    grid: TimeGrid) -> list[float]:
+                    grid: TimeGrid) -> tuple[list[float], list[Checkpoints]]:
     """Terminal costs of lean forward solves, one per control (the line-search evaluator).
 
     The controls are marched `batch_rows` at a time as the rows of one
     state; each cost reads the bits of its own one-row solve's terminal
-    half row, which are those of `integrate_forward`.
+    half row, which are those of `integrate_forward`.  Each control's
+    checkpoints at the full nodes k = i*K/S (`segment_count`) come along,
+    so that a stored solve of it can march its time segments together.
 
     Raises:
         DivergenceError: if the solve of any control diverges.
     """
     rows = batch_rows(len(rho0))
-    costs = []
+    n_seg = segment_count(grid.n_steps, len(rho0))
+    costs, starts = [], []
     for start in range(0, len(controls), rows):
-        terminal = _terminal_rows(rho0, controls[start:start + rows], model, grid)
+        chunk = controls[start:start + rows]
+        marks = np.empty((n_seg, len(chunk), len(rho0)), dtype=complex)
+        terminal = _terminal_rows(rho0, chunk, model, grid, marks)
         costs += [model.cost.eval(row) for row in terminal]
-    return costs
+        starts += [Checkpoints(grid, u.values, marks[:, r]) for r, u in enumerate(chunk)]
+    return costs, starts
 
 
 def row_blocks(coeffs: np.ndarray):

@@ -1,11 +1,14 @@
 """Backward balance-law solver: terminal data, sources, closed forms, duality."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mfpmp import (
     ControlSignal,
+    DivergenceError,
     TimeGrid,
     Trajectory,
     ball,
@@ -256,6 +259,16 @@ class TestIntegrateBackward:
         worst = max(hermitian_defect(full_rows(row)) for row in cotraj.coeffs)
         assert worst == 0.0
 
+    def test_an_overflowing_step_is_a_divergence_without_warnings(self):
+        # A drift of 1e90 overflows inside the first RK4 step; `_settle` reports it.
+        grid = TimeGrid(0.1, 1e-2)
+        model = kuramoto_model(0.0, np.pi, control_set=ball(1e100))
+        traj = integrate_forward(fig1_row(32), constant_control(grid, [0.0, 0.0]), model, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="at t = 0.095 exceeds"):
+                integrate_backward(traj, constant_control(grid, [1e90, 0.0]), model)
+
 
 class TestDualityWithTheCost:
     def test_total_co_mass_is_constant_for_any_phase_shift(self):
@@ -293,7 +306,7 @@ class TestDualityWithTheCost:
                 plus[k, j] += eps
                 minus = np.array(u.values)
                 minus[k, j] -= eps
-                cost_plus, cost_minus = cost_of_control(
+                (cost_plus, cost_minus), _ = cost_of_control(
                     rho, [ControlSignal(grid, plus), ControlSignal(grid, minus)], model, grid)
                 fd = (cost_plus - cost_minus) / (2.0 * eps)
                 pred = -grid.tau * d.values[k, j]

@@ -1,6 +1,7 @@
 """Command-line runner: artifacts, determinism, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,21 @@ class TestOptimize:
         assert len(rows) == 81
         assert (out / "density_snapshots.csv").exists()
         assert (out / "adjoint_snapshots.csv").exists()
+
+    def test_the_final_solve_reuses_the_last_accepted_checkpoints(self, tmp_path, monkeypatch):
+        # On T = 1 the steps go j = 0, 1, 0, 1: the last one keeps its bits
+        # through the projection, so its checkpoints serve the final solve.
+        doc = tiny_doc(tmp_path / "out", descent={"k_max": 4}, snapshot_times=[0.0, 1.0])
+        doc["grid"]["T"] = 1.0
+        reused = []
+
+        def spy(rho0, u, model, grid, starts=None):
+            reused.append(forward._resumable(starts, rho0, u))
+            return integrate_forward(rho0, u, model, grid, starts)
+
+        monkeypatch.setattr(cli, "integrate_forward", spy)
+        assert main(["optimize", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert reused == [True]
 
     def test_repeated_runs_are_byte_identical_except_timings(self, tmp_path):
         doc_a = tiny_doc(tmp_path / "a")
@@ -301,6 +317,8 @@ class TestExitCodes:
         'model.constraint={"kind": "box", "lower": [-2, -2], "upper": [2, true]}',
         "descent.j_max=1200",
         "grid.tau=1e-310",  # T/tau overflows to inf
+        "grid.tau=1e-300",  # finite T/tau, past NumPy's largest array
+        "grid.tau=1e-12",  # finite T/tau, tebibytes of node times
     ])
     def test_malformed_values_are_2(self, tmp_path, capsys, monkeypatch, override):
         self.assert_config_error_before_any_artifact(tmp_path, capsys, monkeypatch, override)
@@ -411,11 +429,15 @@ class TestValidateCommand:
 
     def test_a_drift_too_fast_for_tau_is_a_divergence(self, tmp_path, capsys):
         # The closed-form check admits any finite drift, even one whose square
-        # overflows; the march then diverges like any other.
+        # overflows; the march then diverges like any other.  The state
+        # overflows inside one RK4 step, before `_settle` sees it, and that
+        # must surface as no NumPy warning (here: as no exception).
         doc = tiny_doc(tmp_path / "out", command="validate", snapshot_times=[])
         doc["validate"] = {"n_particles": [100], "extra_pairs": 0,
                            "local_u1": {"kind": "sinusoidal", "amplitude": 1e200}}
-        assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 3
         lines = capsys.readouterr().err.strip().splitlines()
         assert [json.loads(line)["error"]["category"] for line in lines] == ["divergence"]
 

@@ -75,6 +75,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="T/tau = inf is not an integer"):
             parse_config_dict(doc)
 
+    @pytest.mark.parametrize("grid", [
+        {"tau": 1e-300},  # finite T/tau, past NumPy's largest array
+        {"tau": 1e-12},  # finite T/tau, tebibytes of node times
+        {"n_modes": 10 ** 14},  # pebibytes of harmonics
+    ])
+    @pytest.mark.parametrize("control", ["fig1", {"constant": [0.0, 0.0]}])
+    def test_a_grid_too_large_to_allocate_is_rejected(self, grid, control):
+        doc = minimal_doc(initial_control=control)
+        doc["grid"].update(grid)
+        with pytest.raises(ConfigError, match="cannot be allocated"):
+            parse_config_dict(doc)
+
     def test_descent_parameter_ranges(self):
         doc = minimal_doc(descent={"theta": -0.5})
         with pytest.raises(ConfigError, match="descent"):

@@ -21,6 +21,7 @@ from mfpmp import (
     switching_function,
     target_control,
 )
+from mfpmp import descent, forward
 from mfpmp.descent import STATUS_EXTREMAL, SwitchingFunction
 from mfpmp.spectral import reconstruct_rows
 from mfpmp.timegrid import Trajectory
@@ -182,14 +183,18 @@ def unit_ladder():
 
 
 def ladder_evaluator(cost_of_lam, diverging=(), calls=None):
-    """List-in, list-out evaluator; raises if any trial step lies in `diverging`."""
+    """List-in, lists-out evaluator; raises if any trial step lies in `diverging`.
+
+    Each trial's checkpoints are stood in for by ("starts", lam), so a test
+    can tell whose the search returns.
+    """
     def evaluator(trials):
         lams = [trial.values[0, 0] for trial in trials]
         if calls is not None:
             calls.append(len(trials))
         if any(lam in diverging for lam in lams):
             raise DivergenceError("a trial diverged")
-        return [cost_of_lam(lam) for lam in lams]
+        return [cost_of_lam(lam) for lam in lams], [("starts", lam) for lam in lams]
     return evaluator
 
 
@@ -198,11 +203,11 @@ def sequential_search(u, ubar, d, cost_u, cfg, evaluator):
     slope = -non_extremality(u, ubar, d)
     lam = 1.0
     for j in range(cfg.j_max + 1):
-        trial_cost = evaluator([u.toward(ubar, lam)])[0]
+        (trial_cost,), (starts,) = evaluator([u.toward(ubar, lam)])
         if trial_cost - cost_u <= cfg.c * lam * slope < 0.0:
-            return lam, trial_cost, j, True
+            return lam, trial_cost, j, True, starts
         lam *= cfg.theta
-    return 0.0, cost_u, cfg.j_max + 1, False
+    return 0.0, cost_u, cfg.j_max + 1, False, None
 
 
 class TestBacktracking:
@@ -214,15 +219,15 @@ class TestBacktracking:
         assert_allclose(energy, 1.0, atol=1e-15)
         evaluator = ladder_evaluator(lambda lam: 5.0 - 2.0 * energy * lam * (1.0 - lam))
         cfg = DescentConfig(c=0.01, theta=0.5)
-        lam, new_cost, j, ok = backtracking_step(u, ubar, energy, 5.0, cfg, evaluator)
-        assert ok and j == 1 and lam == 0.5
+        lam, new_cost, j, ok, starts = backtracking_step(u, ubar, energy, 5.0, cfg, evaluator)
+        assert ok and j == 1 and lam == 0.5 and starts == ("starts", 0.5)
         assert_allclose(new_cost, 5.0 - 0.5, atol=1e-15)
 
     def test_full_step_accepted_when_it_suffices(self):
         u, ubar, d = unit_ladder()
         energy = non_extremality(u, ubar, d)
         evaluator = ladder_evaluator(lambda lam: 5.0 - lam)  # linear decrease
-        lam, _, j, ok = backtracking_step(u, ubar, energy, 5.0, DescentConfig(), evaluator)
+        lam, _, j, ok, _ = backtracking_step(u, ubar, energy, 5.0, DescentConfig(), evaluator)
         assert ok and j == 0 and lam == 1.0
 
     def test_flat_landscape_fails_with_a_flag(self):
@@ -232,8 +237,8 @@ class TestBacktracking:
         cfg = DescentConfig(j_max=12)
         calls = []
         got = backtracking_step(u, ubar, energy, 5.0, cfg, ladder_evaluator(lambda lam: 5.0, calls=calls))
-        lam, cost, j, ok = got
-        assert not ok and lam == 0.0 and j == cfg.j_max + 1
+        lam, cost, j, ok, starts = got
+        assert not ok and lam == 0.0 and j == cfg.j_max + 1 and starts is None
         assert got == sequential_search(u, ubar, d, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))
         assert calls == [8, 5]
 
@@ -248,7 +253,7 @@ class TestBacktracking:
         energy = non_extremality(u, ubar, d)
         got = backtracking_step(u, ubar, energy, 5.0, DescentConfig(j_max=1015),
                                 ladder_evaluator(lambda lam: 5.0))
-        assert got == (0.0, 5.0, 1016, False)
+        assert got == (0.0, 5.0, 1016, False, None)
 
     def test_an_underflowing_bound_passes_no_equal_cost_trial(self):
         # With E[u] = 1e-300 the bound c * theta^j * slope underflows to -0.0
@@ -259,7 +264,7 @@ class TestBacktracking:
         energy = non_extremality(u, ubar, d)
         cfg = DescentConfig(j_max=100, eps_tol=0.0)
         got = backtracking_step(u, ubar, energy, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))
-        assert got == (0.0, 5.0, cfg.j_max + 1, False)
+        assert got == (0.0, 5.0, cfg.j_max + 1, False, None)
 
 
 class TestChunkedBacktracking:
@@ -338,3 +343,33 @@ class TestRunDescent:
         assert np.array_equal(a.u_final.values, b.u_final.values)
         assert [r.cost for r in a.history] == [r.cost for r in b.history]
         assert [r.lam for r in a.history] == [r.lam for r in b.history]
+
+    def test_checkpoint_reuse_leaves_the_result_bitwise_unchanged(self, monkeypatch):
+        # Steps j = 0, 1, 0, 1, ...: a full step is re-rounded by the
+        # projection, so only the forward solves after the j = 1 steps reuse.
+        grid, model, rho = small_setup(T=1.0, tau=5e-3, radius=np.sqrt(2.0))
+        t = grid.full_times()
+        u0 = ControlSignal(grid, np.column_stack([
+            np.sqrt(2.0) * np.sin(2 * np.pi * t), np.sqrt(2.0) * np.cos(2 * np.pi * t)]))
+        cfg = DescentConfig(k_max=6)
+        reused = []
+
+        def spy(rho0, u, model, grid, starts=None):
+            reused.append(forward._resumable(starts, rho0, u))
+            return forward.integrate_forward(rho0, u, model, grid, starts)
+
+        monkeypatch.setattr(descent, "integrate_forward", spy)
+        got = run_descent(rho, u0, model, grid, cfg)
+        monkeypatch.setattr(descent, "integrate_forward",
+                            lambda rho0, u, model, grid, starts=None:
+                            forward.integrate_forward(rho0, u, model, grid))
+        want = run_descent(rho, u0, model, grid, cfg)
+
+        assert reused == [False, False, True, False, True, False]
+        assert got.u_final.values.tobytes() == want.u_final.values.tobytes()
+        assert (got.status, got.final_cost) == (want.status, want.final_cost)
+        untimed = lambda result: [(r.k, r.cost, r.non_extremality, r.lam,  # noqa: E731
+                                   r.backtrack_count) for r in result.history]
+        assert untimed(got) == untimed(want)
+        assert got.starts.states.tobytes() == want.starts.states.tobytes()
+        assert got.starts.controls.tobytes() == want.starts.controls.tobytes()

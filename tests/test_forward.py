@@ -9,6 +9,7 @@ from mfpmp import (
     DivergenceError,
     TimeGrid,
     ball,
+    box,
     constant_control,
     cost_of_control,
     integrate_backward,
@@ -241,7 +242,7 @@ class TestIntegrateForward:
         u = ControlSignal(grid, np.column_stack([np.sin(t), np.cos(t)]))
         stored = integrate_forward(rho, u, model, grid).terminal_field()
         assert _terminal_rows(rho, [u], model, grid)[0].tobytes() == stored.tobytes()
-        lean_cost = cost_of_control(rho, [u], model, grid)
+        lean_cost, _ = cost_of_control(rho, [u], model, grid)
         assert np.array(lean_cost).tobytes() == np.array([model.cost.eval(stored)]).tobytes()
 
 
@@ -265,7 +266,7 @@ class TestBatchedMarch:
         if rows is not None:  # march the 12 controls in groups of 5, 5 and 2
             monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
         rho, grid, model, _, ladder = ladder_setup(alpha)
-        costs = cost_of_control(rho, ladder, model, grid)
+        costs, _ = cost_of_control(rho, ladder, model, grid)
         singles = [integrate_forward(rho, trial, model, grid).coeffs[-1] for trial in ladder]
         want = [model.cost.eval(one) for one in singles]
         assert np.array(costs).tobytes() == np.array(want).tobytes()
@@ -316,6 +317,78 @@ class TestBatchedMarch:
             cost_of_control(rho, [u, bad], model, grid)
         with pytest.raises(ValueError, match="node 50"):
             integrate_backward(traj, bad, model)
+
+
+def segment_setup(n_modes, T, kind, alpha=0.31):
+    """Two descent-like trials on a grid of tau 5e-3, feasible in a ball or a box."""
+    grid = TimeGrid(T, 5e-3)
+    control_set = ball(2.0) if kind == "ball" else box([-1.0, -1.0], [1.0, 1.0])
+    model = kuramoto_model(alpha, np.pi, control_set=control_set)
+    t = grid.full_times()
+    u = ControlSignal(grid, np.column_stack([np.sin(3 * t), 0.9 * np.cos(t)]))
+    target = ControlSignal(grid, np.column_stack([np.cos(t), -np.sin(2 * t)]))
+    return fig1_row(n_modes), grid, model, [u.toward(target, lam) for lam in (0.5, 0.125)]
+
+
+class TestTimeSegments:
+    """A stored solve re-marched from a lean march's checkpoints keeps every bit."""
+
+    # The desk width on 300 steps, and the benchmark self-test's grid (100 steps).
+    @pytest.mark.parametrize("n_modes, T", [(256, 1.5), (32, 0.5)])
+    @pytest.mark.parametrize("rows", [1, 2, 15, 100])
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    def test_segmented_solve_equals_the_one_row_march(self, n_modes, T, rows, kind,
+                                                      monkeypatch):
+        rho, grid, model, trials = segment_setup(n_modes, T, kind)
+        monkeypatch.setattr(forward, "BATCH_COEFFS", rows * len(rho))
+        n_seg = forward.segment_count(grid.n_steps, len(rho))
+        assert n_seg == (10 if (rows, grid.n_steps) == (15, 100) else rows)
+        _, starts = cost_of_control(rho, trials, model, grid)
+        for trial, mark in zip(trials, starts):
+            assert mark.states.shape == (n_seg, len(rho))
+            assert forward._resumable(mark, rho, trial)
+            one_row = integrate_forward(rho, trial, model, grid)
+            segmented = integrate_forward(rho, trial, model, grid, mark)
+            assert segmented.coeffs.tobytes() == one_row.coeffs.tobytes()
+
+    def test_checkpoints_are_the_stored_rows_at_their_nodes(self):
+        rho, grid, model, trials = segment_setup(256, 1.5, "ball")
+        assert forward.segment_count(grid.n_steps, len(rho)) == 15
+        _, starts = cost_of_control(rho, trials, model, grid)
+        nodes = 2 * (grid.n_steps // 15) * np.arange(15)
+        for trial, mark in zip(trials, starts):
+            traj = integrate_forward(rho, trial, model, grid)
+            assert mark.states.tobytes() == traj.coeffs[nodes].tobytes()
+            assert mark.controls is trial.values
+
+    def test_checkpoints_of_another_control_or_density_are_ignored(self, monkeypatch):
+        rho, grid, model, (trial, _) = segment_setup(256, 1.5, "ball")
+        _, (mark,) = cost_of_control(rho, [trial], model, grid)
+        values = np.array(trial.values)
+        values[37, 1] = np.nextafter(values[37, 1], np.inf)
+        near = ControlSignal(grid, values)
+        assert not forward._resumable(mark, rho, near)
+        assert not forward._resumable(mark, half_row(256, {0: 1.0 / (2.0 * np.pi)}), trial)
+        rows = []
+        march = forward._march
+
+        def spy(a0, *args, **kwargs):
+            rows.append(a0.shape[0])
+            return march(a0, *args, **kwargs)
+
+        monkeypatch.setattr(forward, "_march", spy)
+        got = integrate_forward(rho, near, model, grid, mark)
+        assert rows == [1]  # the one-row march from rho0
+        assert got.coeffs.tobytes() == integrate_forward(rho, near, model, grid).coeffs.tobytes()
+
+    def test_a_diverging_segment_reports_its_absolute_time(self):
+        rho, grid, model, (trial, _) = segment_setup(256, 1.5, "ball")
+        _, (mark,) = cost_of_control(rho, [trial], model, grid)
+        states = np.array(mark.states)
+        states[[4, 9], 2] = 2e6  # above the guard; segment 4 starts at k = 80, t = 0.4
+        bad = forward.Checkpoints(grid, mark.controls, states)
+        with pytest.raises(DivergenceError, match=r"at t = 0\.4 exceeds"):
+            integrate_forward(rho, trial, model, grid, bad)
 
 
 class TestHalfRowMarch:
