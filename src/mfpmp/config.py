@@ -213,9 +213,11 @@ def _parse_validate(doc: dict | None) -> dict:
 
     counts = params["n_particles"]
     if not (isinstance(counts, list) and counts
-            and all(_is_int(n) and n >= 1 for n in counts)):
-        raise ConfigError(f"{where}.n_particles: expected a nonempty list of integers "
-                          f">= 1, got {counts!r}")
+            and all(_is_int(n) and n >= 1 for n in counts)
+            and all(a < b for a, b in zip(counts, counts[1:]))):
+        raise ConfigError(f"{where}.n_particles: expected a nonempty, strictly increasing "
+                          f"list of integers >= 1 (runs are reported by size and checked "
+                          f"for a falling discrepancy), got {counts!r}")
     for key in ("cost_tol", "ratio_tol", "order_min", "local_tol"):
         _number(params, key, where)
     lambdas = params["lambdas"]
@@ -336,6 +338,8 @@ def apply_overrides(doc: dict, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError as exc:
+            raise ConfigError(f"override {dotted!r}: JSON nested too deeply") from exc
         node = out
         keys = dotted.split(".")
         for key in keys[:-1]:
@@ -350,12 +354,14 @@ def parse_config(path, overrides=None) -> RunConfig:
     """Load, override, validate, and expand a JSON run configuration."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply") from exc
     doc = apply_overrides(doc, overrides)
     return parse_config_dict(doc)

@@ -29,12 +29,12 @@ trial steps of a line search, the adjoint's quarter-step states, or the S
 time segments of one stored solve.  Rows never mix, so every row gets the
 bits of a one-row march.
 
-Time segments reuse a line search's work.  A lean march records the
-settled state of each row at the full nodes k = i*K/S, i = 0 .. S-1
-(`Checkpoints`), and a stored solve of bitwise the same control marches
-the S segments from those states as the S rows of one state, straight into
-its trajectory.  S is the largest divisor of K not above `batch_rows`: 15
-for the 1200 steps of 256 harmonics on the desk grid, 1 at 2048 harmonics.
+A lean march (`cost_of_control`) records the settled state of each row at
+the full nodes k = i*K/S, i = 0 .. S-1 (`Checkpoints`).  A stored solve of
+bitwise the same control marches the S segments from those states as the
+rows of one state, straight into its trajectory; a cold solve is the one
+segment from rho0.  S is the largest divisor of K not above `batch_rows`:
+15 for the 1200 steps of 256 harmonics on the desk grid, 1 at 2048 harmonics.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ _TINY = np.finfo(float).tiny
 # their pages faulted in again on every step: at 2048 harmonics (half rows
 # of 1025) 8 rows cost 0.75-0.8x as much per row as one, 16 rows 1.7x.
 # A budget of 2048 half-row coefficients (32 KiB) per temporary gives 15
-# rows at 256 harmonics and 1 at 2048.  It bounds the trials of one lean
-# march and the time segments S of a re-marched stored solve alike.
+# rows at 256 harmonics and 1 at 2048.  It bounds the rows that are
+# re-marched: the time segments S of a stored solve and the adjoint's
+# quarter-step blocks; line-search trials march as one state at any width.
 BATCH_COEFFS = 2048
 
 # Diagnostics sweep a stored trajectory this many rows at a time, so their
@@ -182,38 +183,31 @@ def _factor(width: int) -> np.ndarray:
 
 
 def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
-           out: np.ndarray | None = None, marks: np.ndarray | None = None,
-           first: int | np.ndarray = 0) -> np.ndarray:
+           out: np.ndarray, every: int = 1, first: int | np.ndarray = 0) -> np.ndarray:
     """March the half rows of a0 (rows, modes), row r under the controls u_values[:, r].
 
     `u_values` holds the controls of the K full steps, each marched as two
-    RK4 steps of `h`.  `out`, if given, receives the state at every
-    half-step node; `marks`, if given, (S, rows, modes) receives the state
-    at the full nodes k = i*K/S.  `first` is the half-step index of the
-    rows' first node (an array for time segments), which times a
-    divergence.  The initial state and every step are settled (`_settle`)
+    RK4 steps of `h`.  `out[i]` receives the state at half-step node
+    i*every, for the len(out) nodes i = 0, 1, ...: every node of a stored
+    solve, or the checkpoints of a lean one.  `first` is the half-step
+    index of the rows' first node (an array for time segments), which times
+    a divergence.  The initial state and every step are settled (`_settle`)
     before they are stored or marched on, so stored and lean marches keep
-    equal bits.
+    equal bits.  Returns the final state.
     """
     dn = _factor(a0.shape[1])
     controls = u_values.astype(complex)
-    n_half = 2 * controls.shape[0]
-    mark_every = n_half // marks.shape[0] if marks is not None else 0
     a = np.array(a0, dtype=complex, order="C")  # rows contiguous, even from a broadcast
     _settle(a, first * h)
-    if out is not None:
-        out[0] = a
-    if marks is not None:
-        marks[0] = a
+    out[0] = a
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(n_half):
-            a = _rk4_forward_step(a, h, controls[s >> 1], model, dn)
-            _settle(a, (first + s + 1) * h)
-            if out is not None:
-                out[s + 1] = a
-            if mark_every and (s + 1) % mark_every == 0 and s + 1 < n_half:
-                marks[(s + 1) // mark_every] = a
+        for s in range(1, 2 * controls.shape[0] + 1):
+            a = _rk4_forward_step(a, h, controls[(s - 1) >> 1], model, dn)
+            _settle(a, (first + s) * h)
+            i, off = divmod(s, every)
+            if not off and i < len(out):
+                out[i] = a
     return a
 
 
@@ -249,63 +243,57 @@ def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
         grid: time lattice.
         starts: optional checkpoints of a lean march (`cost_of_control`).
             If they were marched from rho0 under bitwise the values of u,
-            their S time segments are marched as the rows of one state,
-            each straight into its stretch of the trajectory; otherwise
-            they are ignored.  Both routes store the same bits.
+            their S time segments are marched as the rows of one state;
+            otherwise they are ignored and rho0 is the one segment.  Either
+            way each segment goes straight into its stretch of the
+            trajectory, with the same bits.
 
     Raises:
         DivergenceError: if any coefficient part passes the guard.
     """
     rho0 = _check_inputs(rho0, [u], model, grid)
-    h = 0.5 * grid.tau
+    states = starts.states if _resumable(starts, rho0, u) else rho0[None]
+    n_seg = states.shape[0]
+    seg = 2 * grid.n_steps // n_seg  # half steps per segment
     out = np.empty((2 * grid.n_steps + 1, rho0.shape[0]), dtype=complex)
-    if _resumable(starts, rho0, u):
-        n_seg = starts.states.shape[0]
-        seg = 2 * grid.n_steps // n_seg  # half steps per segment
-        # Row i of node s is the trajectory's node i*seg + s; a segment's
-        # last node is the next one's first, and both hold the same bits.
-        nodes = np.lib.stride_tricks.as_strided(
-            out, (seg + 1, n_seg, out.shape[1]),
-            (out.strides[0], seg * out.strides[0], out.strides[1]))
-        u_values = u.values[:-1].reshape(n_seg, grid.n_steps // n_seg, 2).swapaxes(0, 1)
-        _march(starts.states, u_values, h, model, nodes, first=seg * np.arange(n_seg))
-    else:
-        _march(rho0[None], u.values[:-1, None], h, model, out[:, None])
+    # Row i of node s is the trajectory's node i*seg + s; a segment's last
+    # node is the next one's first, and both hold the same bits.
+    nodes = np.lib.stride_tricks.as_strided(
+        out, (seg + 1, n_seg, out.shape[1]),
+        (out.strides[0], seg * out.strides[0], out.strides[1]))
+    u_values = u.values[:-1].reshape(n_seg, grid.n_steps // n_seg, 2).swapaxes(0, 1)
+    _march(states, u_values, 0.5 * grid.tau, model, nodes, first=seg * np.arange(n_seg))
     return Trajectory(grid, out)
 
 
-def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid,
-                   marks: np.ndarray | None = None) -> np.ndarray:
-    """Terminal half rows of lean solves, one per control, marched together (see `_march`)."""
+def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid):
+    """Terminal half rows and (S, rows, width) checkpoints of lean solves marched as one state."""
     rho0 = _check_inputs(rho0, controls, model, grid)
     rows = np.broadcast_to(rho0, (len(controls), rho0.shape[0]))
     u_values = np.stack([u.values[:-1] for u in controls], axis=1)
-    return _march(rows, u_values, 0.5 * grid.tau, model, marks=marks)
+    n_seg = segment_count(grid.n_steps, rho0.shape[0])
+    marks = np.empty((n_seg, len(controls), rho0.shape[0]), dtype=complex)
+    terminal = _march(rows, u_values, 0.5 * grid.tau, model, marks,
+                      every=2 * grid.n_steps // n_seg)
+    return terminal, marks
 
 
 def cost_of_control(rho0: np.ndarray, controls, model: ModelSpec,
                     grid: TimeGrid) -> tuple[list[float], list[Checkpoints]]:
     """Terminal costs of lean forward solves, one per control (the line-search evaluator).
 
-    The controls are marched `batch_rows` at a time as the rows of one
-    state; each cost reads the bits of its own one-row solve's terminal
-    half row, which are those of `integrate_forward`.  Each control's
-    checkpoints at the full nodes k = i*K/S (`segment_count`) come along,
-    so that a stored solve of it can march its time segments together.
+    All the controls are marched as the rows of one state; each cost reads
+    the bits of its own one-row solve's terminal half row, which are those
+    of `integrate_forward`.  Each control's checkpoints at the full nodes
+    k = i*K/S (`segment_count`) come along, so that a stored solve of it
+    can march its time segments together.
 
     Raises:
         DivergenceError: if the solve of any control diverges.
     """
-    rows = batch_rows(len(rho0))
-    n_seg = segment_count(grid.n_steps, len(rho0))
-    costs, starts = [], []
-    for start in range(0, len(controls), rows):
-        chunk = controls[start:start + rows]
-        marks = np.empty((n_seg, len(chunk), len(rho0)), dtype=complex)
-        terminal = _terminal_rows(rho0, chunk, model, grid, marks)
-        costs += [model.cost.eval(row) for row in terminal]
-        starts += [Checkpoints(grid, u.values, marks[:, r]) for r, u in enumerate(chunk)]
-    return costs, starts
+    terminal, marks = _terminal_rows(rho0, controls, model, grid)
+    return ([model.cost.eval(row) for row in terminal],
+            [Checkpoints(grid, u.values, marks[:, r]) for r, u in enumerate(controls)])
 
 
 def row_blocks(coeffs: np.ndarray):

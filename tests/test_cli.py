@@ -319,9 +319,20 @@ class TestExitCodes:
         "grid.tau=1e-310",  # T/tau overflows to inf
         "grid.tau=1e-300",  # finite T/tau, past NumPy's largest array
         "grid.tau=1e-12",  # finite T/tau, tebibytes of node times
+        pytest.param("grid.T=" + "[" * 5000 + "]" * 5000, id="grid.T=[[...]] 5000 deep"),
     ])
     def test_malformed_values_are_2(self, tmp_path, capsys, monkeypatch, override):
         self.assert_config_error_before_any_artifact(tmp_path, capsys, monkeypatch, override)
+
+    @pytest.mark.parametrize("content", [b'{"command": "\xff"}', b"[" * 5000 + b"]" * 5000],
+                             ids=["not-utf8", "nested-5000-deep"])
+    def test_an_undecodable_config_file_is_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["solve-forward", "--config", str(path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["category"] == "config"
 
     def test_non_object_config_is_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"

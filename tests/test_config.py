@@ -155,6 +155,8 @@ class TestParsing:
         ("n_particles", []),
         ("n_particles", [1000, 0]),
         ("n_particles", [1.5]),
+        ("n_particles", [100, 100]),  # runs are reported by size
+        ("n_particles", [1000, 100]),  # the discrepancy must fall as the size grows
         ("cost_tol", "x"),
         ("ratio_tol", float("nan")),
         ("order_min", float("inf")),

@@ -366,10 +366,43 @@ class TestRunDescent:
         want = run_descent(rho, u0, model, grid, cfg)
 
         assert reused == [False, False, True, False, True, False]
-        assert got.u_final.values.tobytes() == want.u_final.values.tobytes()
-        assert (got.status, got.final_cost) == (want.status, want.final_cost)
-        untimed = lambda result: [(r.k, r.cost, r.non_extremality, r.lam,  # noqa: E731
-                                   r.backtrack_count) for r in result.history]
-        assert untimed(got) == untimed(want)
-        assert got.starts.states.tobytes() == want.starts.states.tobytes()
-        assert got.starts.controls.tobytes() == want.starts.controls.tobytes()
+        assert_same_result(got, want)
+
+    def test_trials_come_in_chunks_whatever_the_row_budget(self, monkeypatch):
+        # One row per re-marched block (forward.batch_rows); the line search
+        # still hands TRIAL_CHUNK trials to each lean march.
+        monkeypatch.setattr(forward, "BATCH_COEFFS", 1)
+        assert forward.batch_rows(17) == 1
+        grid, model, rho = small_setup(T=1.0, tau=5e-3, radius=np.sqrt(2.0))
+        t = grid.full_times()
+        u0 = ControlSignal(grid, np.column_stack([
+            np.sqrt(2.0) * np.sin(2 * np.pi * t), np.sqrt(2.0) * np.cos(2 * np.pi * t)]))
+        cfg = DescentConfig(k_max=6)
+        sizes = []
+
+        def chunked(rho0, controls, model, grid):
+            sizes.append(len(controls))
+            return forward.cost_of_control(rho0, controls, model, grid)
+
+        def one_at_a_time(rho0, controls, model, grid):
+            pairs = [forward.cost_of_control(rho0, [u], model, grid) for u in controls]
+            return [c for (c,), _ in pairs], [s for _, (s,) in pairs]
+
+        monkeypatch.setattr(descent, "cost_of_control", chunked)
+        got = run_descent(rho, u0, model, grid, cfg)
+        monkeypatch.setattr(descent, "cost_of_control", one_at_a_time)
+        want = run_descent(rho, u0, model, grid, cfg)
+
+        assert sizes and set(sizes) == {descent.TRIAL_CHUNK}
+        assert_same_result(got, want)
+
+
+def assert_same_result(got, want):
+    """Two DescentResults agree bitwise, apart from the iterations' wall times."""
+    assert got.u_final.values.tobytes() == want.u_final.values.tobytes()
+    assert (got.status, got.final_cost) == (want.status, want.final_cost)
+    untimed = lambda result: [(r.k, r.cost, r.non_extremality, r.lam,  # noqa: E731
+                               r.backtrack_count) for r in result.history]
+    assert untimed(got) == untimed(want)
+    assert got.starts.states.tobytes() == want.starts.states.tobytes()
+    assert got.starts.controls.tobytes() == want.starts.controls.tobytes()

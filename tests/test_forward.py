@@ -241,7 +241,8 @@ class TestIntegrateForward:
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([np.sin(t), np.cos(t)]))
         stored = integrate_forward(rho, u, model, grid).terminal_field()
-        assert _terminal_rows(rho, [u], model, grid)[0].tobytes() == stored.tobytes()
+        terminal, _ = _terminal_rows(rho, [u], model, grid)
+        assert terminal[0].tobytes() == stored.tobytes()
         lean_cost, _ = cost_of_control(rho, [u], model, grid)
         assert np.array(lean_cost).tobytes() == np.array([model.cost.eval(stored)]).tobytes()
 
@@ -259,19 +260,48 @@ def ladder_setup(alpha):
     return rho, grid, model, u, ladder
 
 
+def march_rows(monkeypatch):
+    """The row count of every `forward._march` call from here on."""
+    rows = []
+    march = forward._march
+
+    def spy(a0, *args, **kwargs):
+        rows.append(a0.shape[0])
+        return march(a0, *args, **kwargs)
+
+    monkeypatch.setattr(forward, "_march", spy)
+    return rows
+
+
 class TestBatchedMarch:
     @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
     @pytest.mark.parametrize("rows", [None, 5])
     def test_ladder_rows_equal_one_row_marches(self, alpha, rows, monkeypatch):
-        if rows is not None:  # march the 12 controls in groups of 5, 5 and 2
+        if rows is not None:  # S = 5 checkpoints of the 100 steps, not 100
             monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
         rho, grid, model, _, ladder = ladder_setup(alpha)
         costs, _ = cost_of_control(rho, ladder, model, grid)
         singles = [integrate_forward(rho, trial, model, grid).coeffs[-1] for trial in ladder]
         want = [model.cost.eval(one) for one in singles]
         assert np.array(costs).tobytes() == np.array(want).tobytes()
-        stacked = _terminal_rows(rho, ladder, model, grid)
+        stacked, _ = _terminal_rows(rho, ladder, model, grid)
         assert stacked.tobytes() == np.stack(singles).tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 1, 5])
+    def test_all_controls_march_as_one_state(self, rows, monkeypatch):
+        # The row budget bounds only the checkpoints, never the trials.
+        if rows is not None:
+            monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
+        rho, grid, model, _, ladder = ladder_setup(0.31)
+        calls = march_rows(monkeypatch)
+        cost_of_control(rho, ladder, model, grid)
+        assert calls == [12]
+
+    def test_a_cold_solve_marches_one_row(self, monkeypatch):
+        rho, grid, model, u, _ = ladder_setup(0.31)
+        calls = march_rows(monkeypatch)
+        integrate_forward(rho, u, model, grid)
+        assert calls == [1]
 
     def test_a_diverging_row_raises(self):
         rho = fig1_row(64)
@@ -369,14 +399,7 @@ class TestTimeSegments:
         near = ControlSignal(grid, values)
         assert not forward._resumable(mark, rho, near)
         assert not forward._resumable(mark, half_row(256, {0: 1.0 / (2.0 * np.pi)}), trial)
-        rows = []
-        march = forward._march
-
-        def spy(a0, *args, **kwargs):
-            rows.append(a0.shape[0])
-            return march(a0, *args, **kwargs)
-
-        monkeypatch.setattr(forward, "_march", spy)
+        rows = march_rows(monkeypatch)
         got = integrate_forward(rho, near, model, grid, mark)
         assert rows == [1]  # the one-row march from rho0
         assert got.coeffs.tobytes() == integrate_forward(rho, near, model, grid).coeffs.tobytes()
@@ -412,10 +435,10 @@ class TestHalfRowMarch:
     def test_lean_and_batched_marches(self, alpha, kind, rng):
         _, grid, model, _, ladder = ladder_setup(alpha)
         rho = self.density(kind, rng)
-        batched = _terminal_rows(rho, ladder, model, grid)  # the 12 controls in one march
+        batched, _ = _terminal_rows(rho, ladder, model, grid)  # the 12 controls in one march
         assert batched.tobytes() == n_ge_0_half(full_layout_march(rho, ladder, model, grid)[-1]).tobytes()
         for trial in ladder[:4]:
-            lean = _terminal_rows(rho, [trial], model, grid)[0]
+            lean = _terminal_rows(rho, [trial], model, grid)[0][0]
             want = full_layout_march(rho, [trial], model, grid)[-1, 0]
             assert lean.tobytes() == n_ge_0_half(want).tobytes()
 
@@ -514,7 +537,6 @@ class TestSubnormalFlush:
         rho = fig1_row(512)
         grid = TimeGrid(1.0, 0.05)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2000.0))
-        assert forward.batch_rows(257) >= 3  # the three controls share one march
         calm = constant_control(grid, [0.0, 0.0])
         wild = constant_control(grid, [0.0, 1500.0])
         with pytest.raises(DivergenceError, match="reduce the time step"):
