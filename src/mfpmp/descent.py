@@ -26,17 +26,19 @@ import numpy as np
 
 from .adjoint import integrate_backward
 from .errors import DivergenceError
-from .forward import Checkpoints, cost_of_control, integrate_forward
+from .forward import Checkpoints, batch_rows, cost_of_control, integrate_forward
 from .models import ModelSpec
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 # Ball directions shorter than this are treated as ties (current control kept).
 _TIE_NORM = 1e-14
 
-# Trial steps per forward solve in the line search, marched as one state at
-# any width.  A march of B trials at 256 harmonics takes about 0.15 + 0.05 B
-# seconds (fitted to B = 1..16 on one core); over the accepted exponents of
-# the desk run that cost is lowest at 8 among 2..16.
+# Trial steps per forward solve in the line search.  A march of B trials at
+# 256 harmonics takes about 0.15 + 0.05 B seconds (fitted to B = 1..16 on
+# one core); over the accepted exponents of the desk run that cost is lowest
+# at 8 among 2..16.  Wider rows march fewer at once (`forward.batch_rows`):
+# a chunk also marches the trials past the accepted one, and at 2048
+# harmonics sharing a march saves too little per row to pay for them.
 TRIAL_CHUNK = 8
 
 STATUS_EXTREMAL = "non-extremality-converged"
@@ -197,15 +199,15 @@ def non_extremality(u: ControlSignal, ubar: ControlSignal, d: SwitchingFunction)
 
 
 def backtracking_step(u: ControlSignal, ubar: ControlSignal, energy: float,
-                      cost_u: float, cfg: DescentConfig, evaluator):
+                      cost_u: float, cfg: DescentConfig, evaluator, chunk: int = TRIAL_CHUNK):
     """Largest theta^j (smallest j) passing the sufficient-decrease test.
 
     `energy` is the non-extremality E[u] = <ubar - u, d> of the step.
 
     `evaluator` maps a list of trial controls to their costs and
     checkpoints, two lists, by fresh forward solves (`cost_of_control`),
-    raising DivergenceError if any of them diverges.  The ladder
-    theta^0 .. theta^{j_max} goes to it TRIAL_CHUNK trials at a time, and
+    raising DivergenceError if any of them diverges.  The
+    ladder theta^0 .. theta^{j_max} goes to it `chunk` trials at a time, and
     the smallest passing j is accepted, so the result is that of trying one
     step after the other: a trial past the accepted one may diverge without
     effect, one before it raises.  The ladder is never held whole.
@@ -215,9 +217,9 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, energy: float,
     """
     slope = -energy
     lam = 1.0
-    for start in range(0, cfg.j_max + 1, TRIAL_CHUNK):
+    for start in range(0, cfg.j_max + 1, chunk):
         lams = []
-        for _ in range(min(TRIAL_CHUNK, cfg.j_max + 1 - start)):
+        for _ in range(min(chunk, cfg.j_max + 1 - start)):
             lams.append(lam)
             lam *= cfg.theta
         trials = [u.toward(ubar, step) for step in lams]
@@ -263,6 +265,8 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
     def evaluator(trials: list) -> tuple[list, list]:
         return cost_of_control(rho0, trials, model, grid)
 
+    chunk = min(TRIAL_CHUNK, batch_rows(len(rho0)))
+
     for k in range(cfg.k_max):
         t0 = time.perf_counter()
         traj = integrate_forward(rho0, u, model, grid, starts)
@@ -277,7 +281,7 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
             lam, j, accepted = 0.0, 0, False
         else:
             lam, new_cost, j, accepted, trial_starts = backtracking_step(
-                u, ubar, energy, cost, cfg, evaluator)
+                u, ubar, energy, cost, cfg, evaluator, chunk)
         record = IterationRecord(k, cost, energy, lam, j, time.perf_counter() - t0)
         history.append(record)
         if progress is not None:

@@ -62,9 +62,9 @@ _TINY = np.finfo(float).tiny
 # their pages faulted in again on every step: at 2048 harmonics (half rows
 # of 1025) 8 rows cost 0.75-0.8x as much per row as one, 16 rows 1.7x.
 # A budget of 2048 half-row coefficients (32 KiB) per temporary gives 15
-# rows at 256 harmonics and 1 at 2048.  It bounds the rows that are
-# re-marched: the time segments S of a stored solve and the adjoint's
-# quarter-step blocks; line-search trials march as one state at any width.
+# rows at 256 harmonics and 1 at 2048.  It bounds the S time segments of a
+# stored solve, the adjoint's quarter-step blocks and, by their callers'
+# choice, the controls of one `cost_of_control` call.
 BATCH_COEFFS = 2048
 
 # Diagnostics sweep a stored trajectory this many rows at a time, so their
@@ -282,11 +282,11 @@ def cost_of_control(rho0: np.ndarray, controls, model: ModelSpec,
                     grid: TimeGrid) -> tuple[list[float], list[Checkpoints]]:
     """Terminal costs of lean forward solves, one per control (the line-search evaluator).
 
-    All the controls are marched as the rows of one state; each cost reads
-    the bits of its own one-row solve's terminal half row, which are those
-    of `integrate_forward`.  Each control's checkpoints at the full nodes
-    k = i*K/S (`segment_count`) come along, so that a stored solve of it
-    can march its time segments together.
+    The controls (callers pass at most `batch_rows`) march as the rows of
+    one state; each cost reads the bits of its own one-row solve's terminal
+    half row, which are those of `integrate_forward`.  Each control's
+    checkpoints at the full nodes k = i*K/S (`segment_count`) come along,
+    so that a stored solve of it can march its time segments together.
 
     Raises:
         DivergenceError: if the solve of any control diverges.

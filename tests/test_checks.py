@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from mfpmp import (ControlSignal, TimeGrid, ball, constant_control, integrate_forward,
                    kuramoto_model)
+from mfpmp import checks, forward
 from mfpmp.checks import (
     fig1_slope_pair,
     increment_slope_check,
@@ -56,6 +57,28 @@ class TestIncrementSlopeCheck:
         for ratio in rep["ratios"]:
             assert abs(ratio - 1.0) < 0.05
         assert rep["residual_order"] >= 1.8
+
+    def test_the_ladder_marches_in_groups_of_the_row_budget(self, monkeypatch):
+        grid = TimeGrid(0.4, 2e-3)
+        model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
+        rho = fig1_row(64)
+        t = grid.full_times()
+        u = ControlSignal(grid, np.column_stack([0.5 * np.sin(2 * t), 0.4 + 0 * t]))
+        ubar = ControlSignal(grid, np.column_stack([0.2 + 0 * t, -0.6 * np.cos(t)]))
+        ref = reference(integrate_forward(rho, u, model, grid), u, model)
+        lambdas = [1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2]
+        want = increment_slope_check(rho, ref, ubar, model, grid, lambdas)
+        sizes = []
+
+        def spy(rho0, controls, model, grid):
+            sizes.append(len(controls))
+            return forward.cost_of_control(rho0, controls, model, grid)
+
+        monkeypatch.setattr(forward, "BATCH_COEFFS", 2 * len(rho))
+        monkeypatch.setattr(checks, "cost_of_control", spy)
+        got = increment_slope_check(rho, ref, ubar, model, grid, lambdas)
+        assert sizes == [2, 2, 1]
+        assert got == want
 
     def test_identical_pair_is_rejected_upstream_by_zero_slope(self):
         grid = TimeGrid(0.2, 2e-3)

@@ -368,11 +368,10 @@ class TestRunDescent:
         assert reused == [False, False, True, False, True, False]
         assert_same_result(got, want)
 
-    def test_trials_come_in_chunks_whatever_the_row_budget(self, monkeypatch):
-        # One row per re-marched block (forward.batch_rows); the line search
-        # still hands TRIAL_CHUNK trials to each lean march.
-        monkeypatch.setattr(forward, "BATCH_COEFFS", 1)
-        assert forward.batch_rows(17) == 1
+    @pytest.mark.parametrize("rows", [None, 3, 1])
+    def test_trials_per_lean_march_follow_the_row_budget(self, monkeypatch, rows):
+        # TRIAL_CHUNK trials per lean march, fewer when forward.batch_rows is
+        # smaller; the result is that of marching the trials one at a time.
         grid, model, rho = small_setup(T=1.0, tau=5e-3, radius=np.sqrt(2.0))
         t = grid.full_times()
         u0 = ControlSignal(grid, np.column_stack([
@@ -388,12 +387,14 @@ class TestRunDescent:
             pairs = [forward.cost_of_control(rho0, [u], model, grid) for u in controls]
             return [c for (c,), _ in pairs], [s for _, (s,) in pairs]
 
-        monkeypatch.setattr(descent, "cost_of_control", chunked)
-        got = run_descent(rho, u0, model, grid, cfg)
+        if rows is not None:
+            monkeypatch.setattr(forward, "BATCH_COEFFS", rows * len(rho))
         monkeypatch.setattr(descent, "cost_of_control", one_at_a_time)
         want = run_descent(rho, u0, model, grid, cfg)
+        monkeypatch.setattr(descent, "cost_of_control", chunked)
+        got = run_descent(rho, u0, model, grid, cfg)
 
-        assert sizes and set(sizes) == {descent.TRIAL_CHUNK}
+        assert sizes and set(sizes) == {rows or descent.TRIAL_CHUNK}
         assert_same_result(got, want)
 
 
