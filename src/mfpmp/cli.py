@@ -169,9 +169,6 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
 
     result = run_descent(config.rho0, config.u0, config.model, config.grid,
                          config.descent, progress=progress)
-    traj = integrate_forward(config.rho0, result.u_final, config.model, config.grid,
-                             result.starts)
-
     _write_csv(
         out / "convergence.csv",
         ("k", "cost", "non_extremality", "lambda", "backtrack_count", "wall_time"),
@@ -181,7 +178,7 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
     _write_control(out / "control_final.csv", result.u_final)
     cotraj = None
     if config.snapshot_times and config.adjoint_snapshots:
-        cotraj = integrate_backward(traj, result.u_final, config.model)
+        cotraj = integrate_backward(result.trajectory, result.u_final, config.model)
 
     last = result.history[-1]
     summary = {
@@ -192,7 +189,7 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
         "final_cost": result.final_cost,
         "final_non_extremality": last.non_extremality,
         "lambda_last": last.lam,
-        **_write_fields(config, traj, cotraj),
+        **_write_fields(config, result.trajectory, cotraj),
         "timings": {"total_seconds": time.perf_counter() - t_start},
     }
     _write_json(out / "summary.json", summary)

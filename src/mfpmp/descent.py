@@ -26,7 +26,7 @@ import numpy as np
 
 from .adjoint import integrate_backward
 from .errors import DivergenceError
-from .forward import Checkpoints, batch_rows, cost_of_control, integrate_forward
+from .forward import batch_rows, cost_of_control, integrate_forward
 from .models import ModelSpec
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
@@ -120,15 +120,15 @@ class IterationRecord:
 class DescentResult:
     """The final control, one record per iteration, and how the run stopped.
 
-    `starts` are the checkpoints of the last accepted trial (None if no
-    step was accepted), so a stored solve of `u_final` can reuse them.
+    `trajectory` is the stored forward solve of `u_final`, made by the last
+    iteration (or before the first), and `final_cost` its terminal cost.
     """
 
     u_final: ControlSignal
     history: tuple
     status: str
     final_cost: float
-    starts: Checkpoints | None = None
+    trajectory: Trajectory
 
     @property
     def iterations(self) -> int:
@@ -243,14 +243,15 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
                 progress=None) -> DescentResult:
     """Outer descent loop.
 
-    Per iteration: forward solve, adjoint solve, switching function, target
-    control, non-extremality, backtracking, convex update (re-projected to
-    absorb round-off).  The next forward solve gets the accepted trial's
-    checkpoints, which it uses if the projection kept the trial's bits.
-    Stops when the non-extremality drops below eps_tol, when the accepted
-    step has stayed below lambda_tol for lambda_patience consecutive
-    iterations, on k_max, or on a failed line search.  The recorded costs
-    are non-increasing.
+    Per iteration: adjoint solve along the iterate's stored forward solve,
+    switching function, target control, non-extremality, backtracking, and
+    the step u + lam (target - u), bitwise the accepted trial: a convex
+    combination of admissible controls needs no projection (only u0 is
+    projected), so the next stored solve resumes from the trial's
+    checkpoints.  Stops when the non-extremality drops below eps_tol, when
+    the accepted step has stayed below lambda_tol for lambda_patience
+    consecutive iterations, on k_max, or on a failed line search.  The
+    recorded costs are non-increasing.
 
     Args:
         rho0: half row of the initial density.
@@ -260,16 +261,15 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
     history: list[IterationRecord] = []
     status = STATUS_MAX_ITER
     small_steps = 0
-    starts = None
 
     def evaluator(trials: list) -> tuple[list, list]:
         return cost_of_control(rho0, trials, model, grid)
 
     chunk = min(TRIAL_CHUNK, batch_rows(len(rho0)))
 
+    t0 = time.perf_counter()
+    traj = integrate_forward(rho0, u, model, grid)
     for k in range(cfg.k_max):
-        t0 = time.perf_counter()
-        traj = integrate_forward(rho0, u, model, grid, starts)
         cost = model.cost.eval(traj.terminal_field())
         cotraj = integrate_backward(traj, u, model)
         d = switching_function(traj, cotraj, model)
@@ -280,7 +280,7 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
         if extremal:
             lam, j, accepted = 0.0, 0, False
         else:
-            lam, new_cost, j, accepted, trial_starts = backtracking_step(
+            lam, _, j, accepted, starts = backtracking_step(
                 u, ubar, energy, cost, cfg, evaluator, chunk)
         record = IterationRecord(k, cost, energy, lam, j, time.perf_counter() - t0)
         history.append(record)
@@ -289,15 +289,15 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
 
         if not accepted:
             status = STATUS_EXTREMAL if extremal else STATUS_LINE_SEARCH
-            final_cost = cost
             break
 
-        u = ControlSignal(u.grid, model.control_set.project(u.toward(ubar, lam).values))
-        final_cost = new_cost
-        starts = trial_starts
+        t0 = time.perf_counter()
+        u = u.toward(ubar, lam)
+        traj = integrate_forward(rho0, u, model, grid, starts)
         small_steps = small_steps + 1 if lam < cfg.lambda_tol else 0
         if small_steps >= cfg.lambda_patience:
             status = STATUS_STEP
             break
 
-    return DescentResult(u, tuple(history), status, float(final_cost), starts)
+    return DescentResult(u, tuple(history), status,
+                         float(model.cost.eval(traj.terminal_field())), traj)

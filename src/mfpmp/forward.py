@@ -31,10 +31,10 @@ bits of a one-row march.
 
 A lean march (`cost_of_control`) records the settled state of each row at
 the full nodes k = i*K/S, i = 0 .. S-1 (`Checkpoints`).  A stored solve of
-bitwise the same control marches the S segments from those states as the
-rows of one state, straight into its trajectory; a cold solve is the one
-segment from rho0.  S is the largest divisor of K not above `batch_rows`:
-15 for the 1200 steps of 256 harmonics on the desk grid, 1 at 2048 harmonics.
+the same model, density and bitwise control marches the S segments from
+those states as the rows of one state, straight into its trajectory; a cold
+solve is the one segment from rho0.  S is the largest divisor of K up to
+`batch_rows`: 15 for the desk grid's 1200 steps of 256 harmonics, 1 at 2048.
 """
 
 from __future__ import annotations
@@ -87,11 +87,12 @@ def segment_count(n_steps: int, width: int) -> int:
 class Checkpoints:
     """Settled states of a forward march at the full nodes k = i*K/S, i = 0 .. S-1.
 
-    `controls` are the values (K + 1, 2) the march ran under and `states`
-    the (S, width) half rows; row 0 is the settled initial density.
+    The march ran under `model` and the values `controls` (K + 1, 2);
+    `states` are the (S, width) half rows, row 0 the settled initial density.
     """
 
     grid: TimeGrid
+    model: ModelSpec
     controls: np.ndarray
     states: np.ndarray
 
@@ -221,9 +222,10 @@ def _check_inputs(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid) 
     return rho0
 
 
-def _resumable(starts: Checkpoints | None, rho0: np.ndarray, u: ControlSignal) -> bool:
-    """Whether `starts` were marched from rho0 under bitwise the control values of u."""
-    if starts is None or starts.grid != u.grid:
+def _resumable(starts: Checkpoints | None, rho0: np.ndarray, u: ControlSignal,
+               model: ModelSpec) -> bool:
+    """Whether `starts` were marched from rho0 under `model` and bitwise the values of u."""
+    if starts is None or starts.grid != u.grid or starts.model != model:
         return False
     a = np.array(rho0[None], dtype=complex)
     _settle(a, 0.0)
@@ -242,27 +244,26 @@ def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
         model: vector-field specification.
         grid: time lattice.
         starts: optional checkpoints of a lean march (`cost_of_control`).
-            If they were marched from rho0 under bitwise the values of u,
-            their S time segments are marched as the rows of one state;
-            otherwise they are ignored and rho0 is the one segment.  Either
-            way each segment goes straight into its stretch of the
-            trajectory, with the same bits.
+            If they were marched from rho0 under `model` and bitwise the
+            values of u, their S time segments march as the rows of one
+            state; otherwise rho0 is the one segment.  Either way each
+            segment goes straight into its stretch of the trajectory, with
+            the same bits.
 
     Raises:
         DivergenceError: if any coefficient part passes the guard.
     """
     rho0 = _check_inputs(rho0, [u], model, grid)
-    states = starts.states if _resumable(starts, rho0, u) else rho0[None]
+    states = starts.states if _resumable(starts, rho0, u, model) else rho0[None]
     n_seg = states.shape[0]
     seg = 2 * grid.n_steps // n_seg  # half steps per segment
     out = np.empty((2 * grid.n_steps + 1, rho0.shape[0]), dtype=complex)
-    # Row i of node s is the trajectory's node i*seg + s; a segment's last
-    # node is the next one's first, and both hold the same bits.
-    nodes = np.lib.stride_tricks.as_strided(
-        out, (seg + 1, n_seg, out.shape[1]),
-        (out.strides[0], seg * out.strides[0], out.strides[1]))
+    # Row i of node s is the trajectory's node i*seg + s.  A segment's end is
+    # the next one's start, with the same bits; the last segment's is T.
+    nodes = out[:-1].reshape(n_seg, seg, out.shape[1]).swapaxes(0, 1)
     u_values = u.values[:-1].reshape(n_seg, grid.n_steps // n_seg, 2).swapaxes(0, 1)
-    _march(states, u_values, 0.5 * grid.tau, model, nodes, first=seg * np.arange(n_seg))
+    out[-1] = _march(states, u_values, 0.5 * grid.tau, model, nodes,
+                     first=seg * np.arange(n_seg))[-1]
     return Trajectory(grid, out)
 
 
@@ -293,7 +294,7 @@ def cost_of_control(rho0: np.ndarray, controls, model: ModelSpec,
     """
     terminal, marks = _terminal_rows(rho0, controls, model, grid)
     return ([model.cost.eval(row) for row in terminal],
-            [Checkpoints(grid, u.values, marks[:, r]) for r, u in enumerate(controls)])
+            [Checkpoints(grid, model, u.values, marks[:, r]) for r, u in enumerate(controls)])
 
 
 def row_blocks(coeffs: np.ndarray):

@@ -34,8 +34,8 @@ class AdmissibleSet:
 
     kind: str
     radius: float = 0.0
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    lower: tuple | None = None  # box bounds as float tuples: equal sets compare equal
+    upper: tuple | None = None
 
     def __post_init__(self):
         if self.kind == "ball":
@@ -49,8 +49,8 @@ class AdmissibleSet:
                 raise ValueError("box bounds must have one entry per control channel (2)")
             if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo <= hi)):
                 raise ValueError("box bounds must be finite with lower <= upper")
-            object.__setattr__(self, "lower", lo)
-            object.__setattr__(self, "upper", hi)
+            object.__setattr__(self, "lower", tuple(lo.tolist()))
+            object.__setattr__(self, "upper", tuple(hi.tolist()))
         else:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
 
@@ -61,7 +61,8 @@ class AdmissibleSet:
             raise ValueError(f"control vectors must have 2 entries, got shape {u.shape}")
         if self.kind == "ball":
             return (u * u).sum(axis=-1) <= self.radius**2 * (1.0 + _ADMIT_TOL) + _ADMIT_TOL
-        return ((u >= self.lower - _ADMIT_TOL) & (u <= self.upper + _ADMIT_TOL)).all(axis=-1)
+        return ((u >= np.subtract(self.lower, _ADMIT_TOL))
+                & (u <= np.add(self.upper, _ADMIT_TOL))).all(axis=-1)
 
     def project(self, u) -> np.ndarray:
         """Euclidean projection of each control vector in u of shape (..., 2), as a new array.

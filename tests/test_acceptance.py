@@ -59,12 +59,11 @@ def desk_run():
     t0 = time.perf_counter()
     result = run_descent(rho0, u0, model, grid, DescentConfig())
     duration = time.perf_counter() - t0
-    traj = integrate_forward(rho0, result.u_final, model, grid)
-    cotraj = integrate_backward(traj, result.u_final, model)
+    cotraj = integrate_backward(result.trajectory, result.u_final, model)
     return {
         "grid": grid, "model": model, "rho0": rho0, "u0": u0,
         "result": result, "duration": duration,
-        "traj": traj, "cotraj": cotraj,
+        "traj": result.trajectory, "cotraj": cotraj,
     }
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfpmp import checks, cli, forward
+from mfpmp import checks, cli, descent, forward
 from mfpmp.adjoint import integrate_backward
 from mfpmp.cli import RESOLUTION_TAIL_MAX, _tail_ratio, main
 from mfpmp.config import parse_config_dict
@@ -116,20 +116,23 @@ class TestOptimize:
         assert (out / "density_snapshots.csv").exists()
         assert (out / "adjoint_snapshots.csv").exists()
 
-    def test_the_final_solve_reuses_the_last_accepted_checkpoints(self, tmp_path, monkeypatch):
-        # On T = 1 the steps go j = 0, 1, 0, 1: the last one keeps its bits
-        # through the projection, so its checkpoints serve the final solve.
+    def test_the_artifacts_come_from_the_last_resumed_solve_of_the_descent(self, tmp_path,
+                                                                            monkeypatch):
+        # On T = 1 the steps go j = 0, 1, 0, 1: every stored solve after the
+        # cold one resumes from the accepted trial's checkpoints, and the
+        # artifacts are written from the last of them, with no solve of their own.
         doc = tiny_doc(tmp_path / "out", descent={"k_max": 4}, snapshot_times=[0.0, 1.0])
         doc["grid"]["T"] = 1.0
         reused = []
 
         def spy(rho0, u, model, grid, starts=None):
-            reused.append(forward._resumable(starts, rho0, u))
+            reused.append(forward._resumable(starts, rho0, u, model))
             return integrate_forward(rho0, u, model, grid, starts)
 
-        monkeypatch.setattr(cli, "integrate_forward", spy)
+        monkeypatch.setattr(descent, "integrate_forward", spy)
+        monkeypatch.setattr(cli, "integrate_forward", None)  # a call would exit 1
         assert main(["optimize", "--config", str(write_config(tmp_path, doc))]) == 0
-        assert reused == [True]
+        assert reused == [False, True, True, True, True]
 
     def test_repeated_runs_are_byte_identical_except_timings(self, tmp_path):
         doc_a = tiny_doc(tmp_path / "a")

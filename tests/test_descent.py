@@ -345,28 +345,43 @@ class TestRunDescent:
         assert [r.lam for r in a.history] == [r.lam for r in b.history]
 
     def test_checkpoint_reuse_leaves_the_result_bitwise_unchanged(self, monkeypatch):
-        # Steps j = 0, 1, 0, 1, ...: a full step is re-rounded by the
-        # projection, so only the forward solves after the j = 1 steps reuse.
+        # Steps j = 0, 1, 0, 1, ...: each accepted trial is the next iterate
+        # bit for bit, full steps included, so every stored solve after the
+        # cold one resumes from the trial's checkpoints.
         grid, model, rho = small_setup(T=1.0, tau=5e-3, radius=np.sqrt(2.0))
         t = grid.full_times()
         u0 = ControlSignal(grid, np.column_stack([
             np.sqrt(2.0) * np.sin(2 * np.pi * t), np.sqrt(2.0) * np.cos(2 * np.pi * t)]))
         cfg = DescentConfig(k_max=6)
-        reused = []
-
-        def spy(rho0, u, model, grid, starts=None):
-            reused.append(forward._resumable(starts, rho0, u))
-            return forward.integrate_forward(rho0, u, model, grid, starts)
-
-        monkeypatch.setattr(descent, "integrate_forward", spy)
+        reused = spy_on_stored_solves(monkeypatch)
         got = run_descent(rho, u0, model, grid, cfg)
         monkeypatch.setattr(descent, "integrate_forward",
                             lambda rho0, u, model, grid, starts=None:
                             forward.integrate_forward(rho0, u, model, grid))
         want = run_descent(rho, u0, model, grid, cfg)
 
-        assert reused == [False, False, True, False, True, False]
+        assert reused == [False] + [True] * got.iterations
         assert_same_result(got, want)
+
+    def test_a_box_model_descends_on_admitted_iterates(self, monkeypatch):
+        grid, _, rho = small_setup(T=1.0, tau=5e-3)
+        model = kuramoto_model(0.0, np.pi, control_set=box([-1.5, -1.0], [1.5, 1.2]))
+        t = grid.full_times()
+        u0 = ControlSignal(grid, np.column_stack([1.5 * np.sin(2 * np.pi * t),
+                                                  np.cos(2 * np.pi * t)]))
+        iterates = []
+        monkeypatch.setattr(descent, "non_extremality",
+                            lambda u, ubar, d: iterates.append(u) or non_extremality(u, ubar, d))
+        reused = spy_on_stored_solves(monkeypatch)
+        result = run_descent(rho, u0, model, grid, DescentConfig(k_max=6))
+
+        costs = [r.cost for r in result.history] + [result.final_cost]
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+        assert len(iterates) == result.iterations >= 2
+        assert all(model.control_set.admits(u.values).all() for u in iterates)
+        assert model.control_set.admits(result.u_final.values).all()
+        assert reused == [False] + [True] * (len(reused) - 1)
+        assert len(reused) == result.iterations + (result.history[-1].lam > 0.0)
 
     @pytest.mark.parametrize("rows", [None, 3, 1])
     def test_trials_per_lean_march_follow_the_row_budget(self, monkeypatch, rows):
@@ -398,6 +413,18 @@ class TestRunDescent:
         assert_same_result(got, want)
 
 
+def spy_on_stored_solves(monkeypatch) -> list:
+    """Whether each stored solve of `run_descent` resumes from checkpoints, in call order."""
+    reused = []
+
+    def spy(rho0, u, model, grid, starts=None):
+        reused.append(forward._resumable(starts, rho0, u, model))
+        return forward.integrate_forward(rho0, u, model, grid, starts)
+
+    monkeypatch.setattr(descent, "integrate_forward", spy)
+    return reused
+
+
 def assert_same_result(got, want):
     """Two DescentResults agree bitwise, apart from the iterations' wall times."""
     assert got.u_final.values.tobytes() == want.u_final.values.tobytes()
@@ -405,5 +432,4 @@ def assert_same_result(got, want):
     untimed = lambda result: [(r.k, r.cost, r.non_extremality, r.lam,  # noqa: E731
                                r.backtrack_count) for r in result.history]
     assert untimed(got) == untimed(want)
-    assert got.starts.states.tobytes() == want.starts.states.tobytes()
-    assert got.starts.controls.tobytes() == want.starts.controls.tobytes()
+    assert got.trajectory.coeffs.tobytes() == want.trajectory.coeffs.tobytes()

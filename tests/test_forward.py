@@ -376,7 +376,7 @@ class TestTimeSegments:
         _, starts = cost_of_control(rho, trials, model, grid)
         for trial, mark in zip(trials, starts):
             assert mark.states.shape == (n_seg, len(rho))
-            assert forward._resumable(mark, rho, trial)
+            assert forward._resumable(mark, rho, trial, model)
             one_row = integrate_forward(rho, trial, model, grid)
             segmented = integrate_forward(rho, trial, model, grid, mark)
             assert segmented.coeffs.tobytes() == one_row.coeffs.tobytes()
@@ -397,19 +397,35 @@ class TestTimeSegments:
         values = np.array(trial.values)
         values[37, 1] = np.nextafter(values[37, 1], np.inf)
         near = ControlSignal(grid, values)
-        assert not forward._resumable(mark, rho, near)
-        assert not forward._resumable(mark, half_row(256, {0: 1.0 / (2.0 * np.pi)}), trial)
+        assert not forward._resumable(mark, rho, near, model)
+        assert not forward._resumable(mark, half_row(256, {0: 1.0 / (2.0 * np.pi)}), trial,
+                                      model)
         rows = march_rows(monkeypatch)
         got = integrate_forward(rho, near, model, grid, mark)
         assert rows == [1]  # the one-row march from rho0
         assert got.coeffs.tobytes() == integrate_forward(rho, near, model, grid).coeffs.tobytes()
+
+    def test_checkpoints_of_another_model_are_ignored(self):
+        # The same density and control under another coupling phase: resuming
+        # from the first model's states would carry them into the second's
+        # trajectory (4e-3 off in the coefficients, cost 0.9066 for 0.8951).
+        # An equal model built again, box and all, may resume.
+        grid = TimeGrid(0.6, 5e-3)
+        rho, u = fig1_row(32), fig1_control(grid)
+        model_of = lambda alpha: kuramoto_model(alpha, np.pi, box([-2, -2], [2, 2]))  # noqa: E731
+        _, (mark,) = cost_of_control(rho, [u], model_of(0.0), grid)
+        assert forward._resumable(mark, rho, u, model_of(0.0))
+        assert not forward._resumable(mark, rho, u, model_of(1.0))
+        got = integrate_forward(rho, u, model_of(1.0), grid, mark)
+        want = integrate_forward(rho, u, model_of(1.0), grid)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     def test_a_diverging_segment_reports_its_absolute_time(self):
         rho, grid, model, (trial, _) = segment_setup(256, 1.5, "ball")
         _, (mark,) = cost_of_control(rho, [trial], model, grid)
         states = np.array(mark.states)
         states[[4, 9], 2] = 2e6  # above the guard; segment 4 starts at k = 80, t = 0.4
-        bad = forward.Checkpoints(grid, mark.controls, states)
+        bad = forward.Checkpoints(grid, model, mark.controls, states)
         with pytest.raises(DivergenceError, match=r"at t = 0\.4 exceeds"):
             integrate_forward(rho, trial, model, grid, bad)
 

@@ -168,6 +168,9 @@ class TestSyncCost:
         assert [f.name for f in fields(CostSpec)] == ["x0"]
         assert kuramoto_model(0.0, 3.0) == kuramoto_model(0.0, 3.0)
         assert kuramoto_model(0.0, 3.0) != kuramoto_model(0.0, 3.5)
+        boxed = lambda hi: kuramoto_model(0, 1, box([-1, -1], [1, hi]))  # noqa: E731
+        assert boxed(1) == boxed(1.0) and boxed(1) != boxed(2)
+        assert boxed(1) != kuramoto_model(0, 1, ball(1.0))
         assert kuramoto_model(0.2, 3.0).cost == CostSpec(3.0)
         assert replace(kuramoto_model(0.2, 3.0), x0=1.0).cost == CostSpec(1.0)
 
