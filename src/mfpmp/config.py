@@ -63,6 +63,16 @@ def _require_keys(doc: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """`object_pairs_hook` of the config file and of every override value: no key twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"key {key!r} is given twice in one JSON object")
+        doc[key] = value
+    return doc
+
+
 def _is_number(v) -> bool:
     """A finite JSON number: not a bool, NaN, +-Infinity or an overflowing int."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -125,10 +135,10 @@ def _parse_density(doc, n_modes: int) -> tuple[np.ndarray, dict]:
         given = set()
         for key, pair in doc["harmonics"].items():
             at = f"{where}.harmonics[{key!r}]"
-            try:
-                n = int(key)
-            except ValueError as exc:
-                raise ConfigError(f"{at}: expected a harmonic number as the key") from exc
+            # Plain decimal digits only: int() would also take "1_0", " 2", "+1" or "١".
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                raise ConfigError(f"{at}: expected a harmonic number (ASCII digits) as the key")
+            n = int(key)
             re, im = _numbers(pair, at, 2)
             if not 0 <= n < rho0.size:
                 raise ConfigError(f"{at}: harmonic {n} must lie in 0..{rho0.size - 1}")
@@ -335,11 +345,13 @@ def apply_overrides(doc: dict, overrides) -> dict:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         dotted, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError:
             value = raw
         except RecursionError as exc:
             raise ConfigError(f"override {dotted!r}: JSON nested too deeply") from exc
+        except ConfigError as exc:  # a repeated key
+            raise ConfigError(f"override {dotted!r}: {exc}") from exc
         node = out
         keys = dotted.split(".")
         for key in keys[:-1]:
@@ -358,10 +370,12 @@ def parse_config(path, overrides=None) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: JSON nested too deeply") from exc
+    except ConfigError as exc:  # a repeated key
+        raise ConfigError(f"{path}: {exc}") from exc
     doc = apply_overrides(doc, overrides)
     return parse_config_dict(doc)

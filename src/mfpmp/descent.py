@@ -212,8 +212,9 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, energy: float,
     step after the other: a trial past the accepted one may diverge without
     effect, one before it raises.  The ladder is never held whole.
     Returns (lam, new_cost, j, accepted, starts), `starts` being the
-    accepted trial's checkpoints; lam = 0 with accepted = False and
-    starts = None when no exponent up to j_max qualifies.
+    accepted trial's checkpoints, which carry the trial as `starts.u`;
+    lam = 0 with accepted = False and starts = None when no exponent up to
+    j_max qualifies.
     """
     slope = -energy
     lam = 1.0
@@ -244,14 +245,14 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
     """Outer descent loop.
 
     Per iteration: adjoint solve along the iterate's stored forward solve,
-    switching function, target control, non-extremality, backtracking, and
-    the step u + lam (target - u), bitwise the accepted trial: a convex
-    combination of admissible controls needs no projection (only u0 is
-    projected), so the next stored solve resumes from the trial's
-    checkpoints.  Stops when the non-extremality drops below eps_tol, when
-    the accepted step has stayed below lambda_tol for lambda_patience
-    consecutive iterations, on k_max, or on a failed line search.  The
-    recorded costs are non-increasing.
+    switching function, target control, non-extremality, and backtracking.
+    The accepted trial u + lam (target - u), the object its checkpoints
+    carry, is the next iterate (a convex combination of admissible controls
+    needs no projection; only u0 is projected), and the next stored solve
+    resumes from those checkpoints.  Stops when the non-extremality drops
+    below eps_tol, when the accepted step has stayed below lambda_tol for
+    lambda_patience consecutive iterations, on k_max, or on a failed line
+    search.  The recorded costs are non-increasing.
 
     Args:
         rho0: half row of the initial density.
@@ -292,7 +293,7 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
             break
 
         t0 = time.perf_counter()
-        u = u.toward(ubar, lam)
+        u = starts.u
         traj = integrate_forward(rho0, u, model, grid, starts)
         small_steps = small_steps + 1 if lam < cfg.lambda_tol else 0
         if small_steps >= cfg.lambda_patience:

@@ -31,7 +31,7 @@ bits of a one-row march.
 
 A lean march (`cost_of_control`) records the settled state of each row at
 the full nodes k = i*K/S, i = 0 .. S-1 (`Checkpoints`).  A stored solve of
-the same model, density and bitwise control marches the S segments from
+the same model, density and control object marches the S segments from
 those states as the rows of one state, straight into its trajectory; a cold
 solve is the one segment from rho0.  S is the largest divisor of K up to
 `batch_rows`: 15 for the desk grid's 1200 steps of 256 harmonics, 1 at 2048.
@@ -87,13 +87,12 @@ def segment_count(n_steps: int, width: int) -> int:
 class Checkpoints:
     """Settled states of a forward march at the full nodes k = i*K/S, i = 0 .. S-1.
 
-    The march ran under `model` and the values `controls` (K + 1, 2);
+    The march ran under `model` and the control `u` (read-only values);
     `states` are the (S, width) half rows, row 0 the settled initial density.
     """
 
-    grid: TimeGrid
+    u: ControlSignal
     model: ModelSpec
-    controls: np.ndarray
     states: np.ndarray
 
 
@@ -147,24 +146,19 @@ def _rk4_forward_step(a: np.ndarray, h: float, u: np.ndarray,
     return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _settle(a: np.ndarray, t) -> None:
+def _settle(a: np.ndarray, t: float) -> None:
     """Flush the subnormal parts of a new complex state to zero, in place, and bound it.
 
     One look at the float view serves both: parts with |x| < tiny become
-    0.0, and the largest |x| must stay within DIVERGENCE_LIMIT (NaN fails).
-    `t` is the state's time, or an array of one time per row when the rows
-    are time segments; a divergence reports the earliest failing row's.
+    0.0, and the largest |x| must stay within DIVERGENCE_LIMIT (NaN fails);
+    `t` is the state's time, which a divergence reports.
     """
     parts = a.view(float)
     mag = np.abs(parts)
     peak = float(mag.max())
     if not peak <= DIVERGENCE_LIMIT:
-        if np.ndim(t):
-            t = float(np.min(t[~(mag.max(axis=-1) <= DIVERGENCE_LIMIT)]))
-        raise DivergenceError(
-            f"coefficient part {peak:.3e} at t = {t:.6g} exceeds "
-            f"{DIVERGENCE_LIMIT:.0e}; reduce the time step"
-        )
+        raise DivergenceError(f"coefficient part {peak:.3e} at t = {t:.6g} exceeds "
+                              f"{DIVERGENCE_LIMIT:.0e}; reduce the time step")
     parts[mag < _TINY] = 0.0
 
 
@@ -184,28 +178,26 @@ def _factor(width: int) -> np.ndarray:
 
 
 def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
-           out: np.ndarray, every: int = 1, first: int | np.ndarray = 0) -> np.ndarray:
+           out: np.ndarray, every: int = 1) -> np.ndarray:
     """March the half rows of a0 (rows, modes), row r under the controls u_values[:, r].
 
     `u_values` holds the controls of the K full steps, each marched as two
     RK4 steps of `h`.  `out[i]` receives the state at half-step node
     i*every, for the len(out) nodes i = 0, 1, ...: every node of a stored
-    solve, or the checkpoints of a lean one.  `first` is the half-step
-    index of the rows' first node (an array for time segments), which times
-    a divergence.  The initial state and every step are settled (`_settle`)
-    before they are stored or marched on, so stored and lean marches keep
-    equal bits.  Returns the final state.
+    solve, or the checkpoints of a lean one.  The initial state and every
+    step are settled (`_settle`) before they are stored or marched on, so
+    stored and lean marches keep equal bits.  Returns the final state.
     """
     dn = _factor(a0.shape[1])
     controls = u_values.astype(complex)
     a = np.array(a0, dtype=complex, order="C")  # rows contiguous, even from a broadcast
-    _settle(a, first * h)
+    _settle(a, 0.0)
     out[0] = a
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, 2 * controls.shape[0] + 1):
             a = _rk4_forward_step(a, h, controls[(s - 1) >> 1], model, dn)
-            _settle(a, (first + s) * h)
+            _settle(a, s * h)
             i, off = divmod(s, every)
             if not off and i < len(out):
                 out[i] = a
@@ -224,13 +216,12 @@ def _check_inputs(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid) 
 
 def _resumable(starts: Checkpoints | None, rho0: np.ndarray, u: ControlSignal,
                model: ModelSpec) -> bool:
-    """Whether `starts` were marched from rho0 under `model` and bitwise the values of u."""
-    if starts is None or starts.grid != u.grid or starts.model != model:
+    """Whether `starts` were marched from rho0 under `model` and the control u itself."""
+    if starts is None or starts.u is not u or starts.model != model:
         return False
     a = np.array(rho0[None], dtype=complex)
     _settle(a, 0.0)
-    return (starts.controls.tobytes() == u.values.tobytes()
-            and starts.states[:1].tobytes() == a.tobytes())
+    return starts.states[:1].tobytes() == a.tobytes()
 
 
 def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
@@ -243,27 +234,25 @@ def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
         u: feasible control signal on the same grid.
         model: vector-field specification.
         grid: time lattice.
-        starts: optional checkpoints of a lean march (`cost_of_control`).
-            If they were marched from rho0 under `model` and bitwise the
-            values of u, their S time segments march as the rows of one
-            state; otherwise rho0 is the one segment.  Either way each
-            segment goes straight into its stretch of the trajectory, with
-            the same bits.
+        starts: optional checkpoints of a lean march (`cost_of_control`),
+            as the line search hands over its accepted trial.  If they were
+            marched from rho0 under `model` and the object u itself, their
+            S time segments re-march, as the rows of one state, steps the
+            lean march already settled; otherwise rho0 is the one segment.
+            Either way each segment goes straight into its stretch of the
+            trajectory, with the same bits.
 
     Raises:
         DivergenceError: if any coefficient part passes the guard.
     """
     rho0 = _check_inputs(rho0, [u], model, grid)
     states = starts.states if _resumable(starts, rho0, u, model) else rho0[None]
-    n_seg = states.shape[0]
-    seg = 2 * grid.n_steps // n_seg  # half steps per segment
     out = np.empty((2 * grid.n_steps + 1, rho0.shape[0]), dtype=complex)
-    # Row i of node s is the trajectory's node i*seg + s.  A segment's end is
-    # the next one's start, with the same bits; the last segment's is T.
-    nodes = out[:-1].reshape(n_seg, seg, out.shape[1]).swapaxes(0, 1)
-    u_values = u.values[:-1].reshape(n_seg, grid.n_steps // n_seg, 2).swapaxes(0, 1)
-    out[-1] = _march(states, u_values, 0.5 * grid.tau, model, nodes,
-                     first=seg * np.arange(n_seg))[-1]
+    # nodes[s, i] is node s of segment i.  A segment's end is the next one's
+    # start, with the same bits; the last segment's is T.
+    nodes = out[:-1].reshape(len(states), -1, out.shape[1]).swapaxes(0, 1)
+    u_values = u.values[:-1].reshape(len(states), -1, 2).swapaxes(0, 1)
+    out[-1] = _march(states, u_values, 0.5 * grid.tau, model, nodes)[-1]
     return Trajectory(grid, out)
 
 
@@ -294,7 +283,7 @@ def cost_of_control(rho0: np.ndarray, controls, model: ModelSpec,
     """
     terminal, marks = _terminal_rows(rho0, controls, model, grid)
     return ([model.cost.eval(row) for row in terminal],
-            [Checkpoints(grid, model, u.values, marks[:, r]) for r, u in enumerate(controls)])
+            [Checkpoints(u, model, marks[:, r]) for r, u in enumerate(controls)])
 
 
 def row_blocks(coeffs: np.ndarray):

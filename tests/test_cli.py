@@ -308,6 +308,14 @@ class TestExitCodes:
         'initial_control={"constant": [0.1]}',
         'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.05, 0], "01": [0, 0]}',
         'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.05, 0], " 1": [0, 0]}',
+        # Keys that int() reads as another harmonic: 10, 2, 1 and 1.
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "1_0": [0.01, 0]}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], " 2": [0.01, 0]}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "+1": [0.01, 0]}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "\u0661": [0.01, 0]}',
+        # A repeated key inside an override value; JSON decoding would keep the last.
+        'grid={"T": 0.4, "tau": 0.005, "tau": 0.01, "n_modes": 32}',
+        'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.01, 0], "1": [0, 0]}',
         'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": {"0": 0.01, "1": 0}}',
         'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": "00"}',
         'initial_density.harmonics={"0": [0.15915494309189535, 0], "1": [0.01, 0, 7]}',
@@ -336,6 +344,19 @@ class TestExitCodes:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["category"] == "config"
+
+    def test_a_repeated_key_in_the_config_file_is_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = json.dumps(tiny_doc(out, command="solve-forward"))
+        path = tmp_path / "run.json"
+        path.write_text(text.replace('"tau": 0.005', '"tau": 0.005, "tau": 0.01'))
+        assert main(["solve-forward", "--config", str(path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "config"
+        assert err["message"].endswith("run.json: key 'tau' is given twice in one JSON object")
+        assert not out.exists()
 
     def test_non_object_config_is_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"

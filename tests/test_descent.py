@@ -22,7 +22,7 @@ from mfpmp import (
     target_control,
 )
 from mfpmp import descent, forward
-from mfpmp.descent import STATUS_EXTREMAL, SwitchingFunction
+from mfpmp.descent import STATUS_EXTREMAL, STATUS_MAX_ITER, STATUS_STEP, SwitchingFunction
 from mfpmp.spectral import reconstruct_rows
 from mfpmp.timegrid import Trajectory
 
@@ -411,6 +411,63 @@ class TestRunDescent:
 
         assert sizes and set(sizes) == {rows or descent.TRIAL_CHUNK}
         assert_same_result(got, want)
+
+
+def zigzag_setup():
+    """A descent whose accepted steps alternate: exponents j = 0 2 0 1 3 0 2 2 2 ..."""
+    grid, model, rho = small_setup(T=2.0, tau=1e-2, radius=np.sqrt(2.0))
+    t = grid.full_times()
+    u0 = ControlSignal(grid, np.column_stack([
+        np.sqrt(2.0) * np.sin(2 * np.pi * t), np.sqrt(2.0) * np.cos(2 * np.pi * t)]))
+    return rho, u0, model, grid
+
+
+def spy_on_accepted_steps(monkeypatch) -> list:
+    """The step size of each trial `run_descent`'s line search accepts, in order."""
+    lams = []
+    search = descent.backtracking_step
+
+    def spy(*args):
+        got = search(*args)
+        if got[3]:
+            lams.append(got[0])
+        return got
+
+    monkeypatch.setattr(descent, "backtracking_step", spy)
+    return lams
+
+
+class TestStoppingRules:
+    def test_small_steps_must_come_in_a_row(self, monkeypatch):
+        # lambda_tol = 0.3 makes j >= 2 small.  The run stops at the third
+        # small step in a row, not at the third small step overall: a larger
+        # step in between starts the count again.
+        lams = spy_on_accepted_steps(monkeypatch)
+        cfg = DescentConfig(lambda_tol=0.3, lambda_patience=3, k_max=30)
+        result = run_descent(*zigzag_setup(), cfg)
+        assert result.status == STATUS_STEP
+        assert lams == [r.lam for r in result.history]
+        small = [lam < cfg.lambda_tol for lam in lams]
+        assert small[-3:] == [True] * 3
+        assert not any(small[i:i + 3] == [True] * 3 for i in range(len(small) - 3))
+        assert sum(small[:-1]) >= 3  # without the resets the run would have stopped earlier
+
+    def test_a_patience_of_one_stops_at_the_first_small_step(self, monkeypatch):
+        lams = spy_on_accepted_steps(monkeypatch)
+        cfg = DescentConfig(lambda_tol=0.3, lambda_patience=1, k_max=30)
+        result = run_descent(*zigzag_setup(), cfg)
+        assert result.status == STATUS_STEP
+        assert lams[-1] < cfg.lambda_tol and all(lam >= cfg.lambda_tol for lam in lams[:-1])
+        assert result.iterations == len(lams) >= 2
+
+    def test_the_iteration_cap_ends_an_accepted_step(self, monkeypatch):
+        # lambda_tol = 0 never stops on the step size; the accepted step is
+        # still taken and solved before k_max = 1 ends the run.
+        lams = spy_on_accepted_steps(monkeypatch)
+        result = run_descent(*zigzag_setup(), DescentConfig(lambda_tol=0.0, k_max=1))
+        assert result.status == STATUS_MAX_ITER
+        assert result.iterations == 1 and lams == [result.history[0].lam] == [1.0]
+        assert result.final_cost < result.history[0].cost
 
 
 def spy_on_stored_solves(monkeypatch) -> list:
