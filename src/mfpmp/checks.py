@@ -19,7 +19,7 @@ import numpy as np
 
 from .adjoint import integrate_backward
 from .descent import SwitchingFunction, non_extremality, switching_function, target_control
-from .forward import batch_rows, cost_of_control, integrate_forward
+from .forward import cost_of_control, integrate_forward
 from .models import ModelSpec, box, kuramoto_model
 from .particles import particle_cost, simulate_particles, stratified_ensemble
 from .spectral import grid_points, reconstruct_rows
@@ -92,7 +92,7 @@ def increment_slope_check(rho0: np.ndarray, ref: Reference, ubar: ControlSignal,
 
     The adjoint route predicts cost(u^lam) - cost(u) = -lam * S with
     S = <ubar - u, d>; actual differences come from fresh forward solves of
-    the ladder, `batch_rows` controls at a time.
+    the whole ladder, marched as the rows of one state.
     Reports per-lambda ratios actual/predicted (None where the predicted
     decrease is 0) and the log-log slope of the residual, which must
     approach 2.
@@ -105,10 +105,7 @@ def increment_slope_check(rho0: np.ndarray, ref: Reference, ubar: ControlSignal,
 
     ratios = []
     residuals = []
-    ladder = [u.toward(ubar, lam) for lam in lambdas]
-    rows = batch_rows(len(rho0))
-    costs = [c for i in range(0, len(ladder), rows)
-             for c in cost_of_control(rho0, ladder[i:i + rows], model, grid)[0]]
+    costs, _ = cost_of_control(rho0, [u.toward(ubar, lam) for lam in lambdas], model, grid)
     for lam, cost in zip(lambdas, costs):
         actual = cost - ref.cost
         predicted = -lam * slope

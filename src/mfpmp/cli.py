@@ -221,13 +221,11 @@ def _run_solve(config: RunConfig, t_start: float) -> int:
 
 
 def _local_u1_profile(spec: dict, grid) -> np.ndarray:
-    """Drift profile of the closed-form check; `spec` was validated by the config."""
+    """Drift profile of the closed-form check; the config names every parameter of `spec`."""
     t = grid.full_times()
     if spec["kind"] == "constant":
-        return np.full(t.shape, float(spec.get("value", 1.0)))
-    amp = float(spec.get("amplitude", 1.0))
-    freq = float(spec.get("frequency", 1.0))
-    return amp * np.sin(freq * t)
+        return np.full(t.shape, float(spec["value"]))
+    return float(spec["amplitude"]) * np.sin(float(spec["frequency"]) * t)
 
 
 def _run_validate(config: RunConfig, t_start: float) -> int:

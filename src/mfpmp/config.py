@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,12 @@ _VALIDATE_DEFAULTS = {
     "order_min": 1.8,
     "extra_pairs": 2,
     "local_tol": 1e-6,
-    "local_u1": {"kind": "constant", "value": 1.0},
+    "local_u1": {"kind": "constant"},
 }
+
+# The drift profiles of the closed-form co-density oracle, with their parameter defaults.
+_LOCAL_U1 = {"constant": {"value": 1.0},
+             "sinusoidal": {"amplitude": 1.0, "frequency": 1.0}}
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,23 @@ def _require_keys(doc: dict, allowed: set, required: set, where: str) -> None:
 
 
 def _unique_keys(pairs: list) -> dict:
-    """`object_pairs_hook` of the config file and of every override value: no key twice."""
+    """`object_pairs_hook` of `_decode`: no key twice."""
     doc = {}
     for key, value in pairs:
         if key in doc:
             raise ConfigError(f"key {key!r} is given twice in one JSON object")
         doc[key] = value
     return doc
+
+
+def _decode(text: str, where: str):
+    """The JSON of the config file or of an override value (`where`); no key repeated."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:
+        raise ConfigError(f"{where}: JSON nested too deeply") from exc
+    except ConfigError as exc:  # a repeated key
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _is_number(v) -> bool:
@@ -94,12 +108,10 @@ def _numbers(v, where: str, length: int) -> list[float]:
     return [float(x) for x in v]
 
 
-def _number(doc, key, where, positive=False):
+def _number(doc, key, where):
     v = doc.get(key)
     if not _is_number(v):
         raise ConfigError(f"{where}.{key}: expected a finite number, got {v!r}")
-    if positive and not v > 0:
-        raise ConfigError(f"{where}.{key}: must be positive, got {v}")
     return float(v)
 
 
@@ -110,7 +122,7 @@ def _parse_constraint(doc: dict) -> AdmissibleSet:
     try:
         if doc["kind"] == "ball":
             _require_keys(doc, {"kind", "radius"}, {"kind", "radius"}, where)
-            return ball(_number(doc, "radius", where, positive=True))
+            return ball(_number(doc, "radius", where))
         if doc["kind"] == "box":
             _require_keys(doc, {"kind", "lower", "upper"}, {"kind", "lower", "upper"}, where)
             return box(_numbers(doc["lower"], f"{where}.lower", 2),
@@ -189,37 +201,29 @@ def _parse_control(doc, grid: TimeGrid, model: ModelSpec) -> tuple[ControlSignal
 
 
 def _parse_descent(doc: dict | None) -> DescentConfig:
-    if doc is None:
-        return DescentConfig()
+    doc = {} if doc is None else doc
     where = "descent"
-    allowed = {"c", "theta", "lambda_tol", "j_max", "k_max", "eps_tol", "lambda_patience"}
-    _require_keys(doc, allowed, set(), where)
+    params = fields(DescentConfig)
+    _require_keys(doc, {f.name for f in params}, set(), where)
     kwargs = {}
-    for key in allowed & set(doc):
-        v = doc[key]
-        if key in ("j_max", "k_max", "lambda_patience"):
-            if not _is_int(v):
-                raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
-            kwargs[key] = v
+    for f in [f for f in params if f.name in doc]:  # field order: the first bad one is reported
+        if f.type in (int, "int"):
+            if not _is_int(doc[f.name]):
+                raise ConfigError(f"{where}.{f.name}: expected an integer, got {doc[f.name]!r}")
+            kwargs[f.name] = doc[f.name]
         else:
-            kwargs[key] = _number(doc, key, where)
+            kwargs[f.name] = _number(doc, f.name, where)
     try:
         return DescentConfig(**kwargs)
     except (ValueError, OverflowError) as exc:  # j_max past the float range overflows
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_LOCAL_U1_KEYS = {"constant": {"kind", "value"},
-                  "sinusoidal": {"kind", "amplitude", "frequency"}}
-
-
 def _parse_validate(doc: dict | None) -> dict:
     where = "validate"
-    params = dict(_VALIDATE_DEFAULTS)
-    if doc is None:
-        return params
+    doc = {} if doc is None else doc
     _require_keys(doc, set(_VALIDATE_DEFAULTS), set(), where)
-    params.update(doc)
+    params = {**_VALIDATE_DEFAULTS, **doc}
 
     counts = params["n_particles"]
     if not (isinstance(counts, list) and counts
@@ -229,7 +233,8 @@ def _parse_validate(doc: dict | None) -> dict:
                           f"list of integers >= 1 (runs are reported by size and checked "
                           f"for a falling discrepancy), got {counts!r}")
     for key in ("cost_tol", "ratio_tol", "order_min", "local_tol"):
-        _number(params, key, where)
+        if _number(params, key, where) < 0 and key != "order_min":  # a slope bound
+            raise ConfigError(f"{where}.{key}: must be nonnegative, got {params[key]!r}")
     lambdas = params["lambdas"]
     if not (isinstance(lambdas, list) and len(lambdas) >= 2
             and all(_is_number(lam) and 0 < lam <= 1 for lam in lambdas)
@@ -243,12 +248,13 @@ def _parse_validate(doc: dict | None) -> dict:
 
     local = params["local_u1"]
     kind = local.get("kind") if isinstance(local, dict) else None
-    if kind not in _LOCAL_U1_KEYS:
+    if kind not in _LOCAL_U1:
         raise ConfigError(f"{where}.local_u1.kind: must be one of "
-                          f"{sorted(_LOCAL_U1_KEYS)}, got {kind!r}")
-    _require_keys(local, _LOCAL_U1_KEYS[kind], {"kind"}, f"{where}.local_u1")
+                          f"{sorted(_LOCAL_U1)}, got {kind!r}")
+    _require_keys(local, {"kind", *_LOCAL_U1[kind]}, {"kind"}, f"{where}.local_u1")
     for key in sorted(set(local) - {"kind"}):
         _number(local, key, f"{where}.local_u1")
+    params["local_u1"] = {**_LOCAL_U1[kind], **local}  # every parameter named in the echo
     return params
 
 
@@ -273,15 +279,15 @@ def parse_config_dict(doc: dict) -> RunConfig:
     model = kuramoto_model(alpha, x0, control_set)
 
     _require_keys(doc["grid"], {"T", "tau", "n_modes"}, {"T", "tau", "n_modes"}, "grid")
-    T = _number(doc["grid"], "T", "grid", positive=True)
-    tau = _number(doc["grid"], "tau", "grid", positive=True)
-    n_modes = doc["grid"]["n_modes"]
-    if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes % 2 or n_modes < 4:
-        raise ConfigError(f"grid.n_modes: must be an even integer >= 4, got {n_modes!r}")
+    T = _number(doc["grid"], "T", "grid")
+    tau = _number(doc["grid"], "tau", "grid")
     try:
         grid = TimeGrid(T, tau)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    n_modes = doc["grid"]["n_modes"]
+    if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes % 2 or n_modes < 4:
+        raise ConfigError(f"grid.n_modes: must be an even integer >= 4, got {n_modes!r}")
 
     # A finite T/tau or n_modes can still be too large to allocate.
     try:
@@ -345,13 +351,9 @@ def apply_overrides(doc: dict, overrides) -> dict:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         dotted, raw = item.split("=", 1)
         try:
-            value = json.loads(raw, object_pairs_hook=_unique_keys)
+            value = _decode(raw, f"override {dotted!r}")
         except json.JSONDecodeError:
             value = raw
-        except RecursionError as exc:
-            raise ConfigError(f"override {dotted!r}: JSON nested too deeply") from exc
-        except ConfigError as exc:  # a repeated key
-            raise ConfigError(f"override {dotted!r}: {exc}") from exc
         node = out
         keys = dotted.split(".")
         for key in keys[:-1]:
@@ -370,12 +372,8 @@ def parse_config(path, overrides=None) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = _decode(text, str(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"{path}: JSON nested too deeply") from exc
-    except ConfigError as exc:  # a repeated key
-        raise ConfigError(f"{path}: {exc}") from exc
     doc = apply_overrides(doc, overrides)
     return parse_config_dict(doc)

@@ -63,8 +63,8 @@ _TINY = np.finfo(float).tiny
 # of 1025) 8 rows cost 0.75-0.8x as much per row as one, 16 rows 1.7x.
 # A budget of 2048 half-row coefficients (32 KiB) per temporary gives 15
 # rows at 256 harmonics and 1 at 2048.  It bounds the S time segments of a
-# stored solve, the adjoint's quarter-step blocks and, by their callers'
-# choice, the controls of one `cost_of_control` call.
+# stored solve, the adjoint's quarter-step blocks and, by the line search's
+# choice, its trials per `cost_of_control` call.
 BATCH_COEFFS = 2048
 
 # Diagnostics sweep a stored trajectory this many rows at a time, so their
@@ -105,9 +105,14 @@ def _coupling_value(a1: complex, u2: float, model: ModelSpec) -> complex:
 def _coupling(a: np.ndarray, u: np.ndarray, model: ModelSpec):
     """(v, conj(v)) for every row of a (rows, modes) state under complex controls u (rows, 2).
 
-    Returns (rows, 1) columns, or Python complexes for a single row: the
-    arithmetic is the same, and the array route costs about 13 us more per
-    call, which the one-row stored solves would pay on every stage.
+    Returns (rows, 1) columns, or Python complexes for a single row, with the
+    same arithmetic.  Timed in turn in one process on one CPU of a shared
+    2-vCPU host, a 2400-step one-row march at 256 harmonics took 0.189 s on
+    the array route, 0.124 s here (27 us a step), and every full-pass march is
+    one row.  One expression for all rows, u[:, 1:] * ((1j*pi*a[:, 1:2]) * phase),
+    was 8-19% faster per step for 4-15 rows, 9-19% slower for one (about 15% at
+    2048 harmonics) and 1 ulp off `ModelSpec.coupling` at alpha != 0; a Python
+    loop over rows kept the bits but was 21-28% slower for one row.
     """
     if a.shape[0] == 1:
         v = _coupling_value(complex(a[0, 1]), float(u[0, 1].real), model)
@@ -272,11 +277,11 @@ def cost_of_control(rho0: np.ndarray, controls, model: ModelSpec,
                     grid: TimeGrid) -> tuple[list[float], list[Checkpoints]]:
     """Terminal costs of lean forward solves, one per control (the line-search evaluator).
 
-    The controls (callers pass at most `batch_rows`) march as the rows of
-    one state; each cost reads the bits of its own one-row solve's terminal
-    half row, which are those of `integrate_forward`.  Each control's
-    checkpoints at the full nodes k = i*K/S (`segment_count`) come along,
-    so that a stored solve of it can march its time segments together.
+    The controls (line-search trials, or a slope-oracle ladder) march as
+    the rows of one state; each cost reads the bits of its own one-row
+    solve's terminal half row, which are those of `integrate_forward`.
+    Each control's checkpoints at the full nodes k = i*K/S (`segment_count`)
+    come along, so that a stored solve of it can march its segments together.
 
     Raises:
         DivergenceError: if the solve of any control diverges.

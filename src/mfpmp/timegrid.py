@@ -24,7 +24,7 @@ class TimeGrid:
 
     def __post_init__(self):
         if not (self.T > 0.0 and self.tau > 0.0):
-            raise ValueError("T and tau must be positive")
+            raise ValueError(f"T and tau must be positive, got T = {self.T}, tau = {self.tau}")
         steps = self.T / self.tau
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
             raise ValueError(f"T/tau = {steps} is not an integer")

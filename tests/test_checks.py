@@ -58,7 +58,7 @@ class TestIncrementSlopeCheck:
             assert abs(ratio - 1.0) < 0.05
         assert rep["residual_order"] >= 1.8
 
-    def test_the_ladder_marches_in_groups_of_the_row_budget(self, monkeypatch):
+    def test_the_whole_ladder_marches_as_one_state(self, monkeypatch):
         grid = TimeGrid(0.4, 2e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
         rho = fig1_row(64)
@@ -67,18 +67,24 @@ class TestIncrementSlopeCheck:
         ubar = ControlSignal(grid, np.column_stack([0.2 + 0 * t, -0.6 * np.cos(t)]))
         ref = reference(integrate_forward(rho, u, model, grid), u, model)
         lambdas = [1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2]
-        want = increment_slope_check(rho, ref, ubar, model, grid, lambdas)
         sizes = []
+
+        def one_at_a_time(rho0, controls, model, grid):
+            solves = [forward.cost_of_control(rho0, [c], model, grid) for c in controls]
+            return [s[0][0] for s in solves], [s[1][0] for s in solves]
 
         def spy(rho0, controls, model, grid):
             sizes.append(len(controls))
             return forward.cost_of_control(rho0, controls, model, grid)
 
+        monkeypatch.setattr(checks, "cost_of_control", one_at_a_time)
+        want = increment_slope_check(rho, ref, ubar, model, grid, lambdas)
+        # A row budget of 2 no longer splits the 5-step ladder.
         monkeypatch.setattr(forward, "BATCH_COEFFS", 2 * len(rho))
         monkeypatch.setattr(checks, "cost_of_control", spy)
         got = increment_slope_check(rho, ref, ubar, model, grid, lambdas)
-        assert sizes == [2, 2, 1]
-        assert got == want
+        assert sizes == [5]
+        assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
 
     def test_identical_pair_is_rejected_upstream_by_zero_slope(self):
         grid = TimeGrid(0.2, 2e-3)

@@ -169,6 +169,44 @@ class TestOptimize:
         assert not (tmp_path / "ignored").exists()
 
 
+def same_artifacts(a: Path, b: Path) -> None:
+    """Every artifact in a and b has the same bytes, but for timings, output_dir, wall_time."""
+    assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
+    for path in a.iterdir():
+        if path.suffix == ".json":
+            ja, jb = (json.loads((d / path.name).read_text()) for d in (a, b))
+            for doc in (ja, jb):
+                doc.pop("timings", None), doc.pop("output_dir", None)
+            assert ja == jb, path.name
+        elif path.name == "convergence.csv":
+            ca, cb = ([r[:-1] for r in read_csv(d / path.name)[1]] for d in (a, b))
+            assert ca == cb
+        else:
+            assert path.read_bytes() == (b / path.name).read_bytes(), path.name
+
+
+class TestReproduceFromTheEcho:
+    """A run of its own `config_expanded.json` reproduces the run bit for bit."""
+
+    @pytest.mark.parametrize("command", ["optimize", "solve-adjoint", "validate"])
+    def test_rerunning_the_echo_reproduces_every_artifact(self, tmp_path, command):
+        doc = tiny_doc(tmp_path / "first", command=command)
+        if command == "validate":
+            doc["grid"] = {"T": 0.5, "tau": 0.005, "n_modes": 32}
+            doc["snapshot_times"] = []
+            # The echo names the amplitude this profile leaves to its default.
+            doc["validate"] = {"n_particles": [100, 1000], "extra_pairs": 1,
+                               "local_u1": {"kind": "sinusoidal", "frequency": 1.7}}
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 0
+        echo = tmp_path / "first" / "config_expanded.json"
+        if command == "validate":
+            assert json.loads(echo.read_text())["validate"]["local_u1"] == {
+                "kind": "sinusoidal", "amplitude": 1.0, "frequency": 1.7}
+        second = tmp_path / "second"
+        assert main([command, "--config", str(echo), "--output", str(second)]) == 0
+        same_artifacts(tmp_path / "first", second)
+
+
 def stderr_records(capsys):
     """The JSON records among the stderr lines (optimize also prints progress lines)."""
     lines = capsys.readouterr().err.strip().splitlines()
@@ -327,6 +365,9 @@ class TestExitCodes:
         'model.constraint={"kind": "box", "lower": ["-2", -2], "upper": [2, 2]}',
         'model.constraint={"kind": "box", "lower": [-2, -2], "upper": [2, true]}',
         "descent.j_max=1200",
+        "grid.T=0",  # TimeGrid and AdmissibleSet check positivity; the config wraps it
+        "grid.tau=-0.005",
+        'model.constraint={"kind": "ball", "radius": 0}',
         "grid.tau=1e-310",  # T/tau overflows to inf
         "grid.tau=1e-300",  # finite T/tau, past NumPy's largest array
         "grid.tau=1e-12",  # finite T/tau, tebibytes of node times

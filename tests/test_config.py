@@ -1,11 +1,16 @@
 """Configuration parsing: strict validation, presets, overrides."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mfpmp
 from mfpmp import ConfigError
 from mfpmp.config import apply_overrides, parse_config, parse_config_dict
 
@@ -92,6 +97,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match="descent"):
             parse_config_dict(doc)
 
+    def test_the_first_bad_descent_value_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # The values are checked in DescentConfig's field order, not in the
+        # order of a set of names, which moves with the string hash seed.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(minimal_doc(descent={"j_max": 1.5, "c": "x"})))
+        script = ("import sys\nfrom mfpmp.config import parse_config\n"
+                  "try:\n    parse_config(sys.argv[1])\nexcept Exception as exc:\n    print(exc)")
+        src = str(Path(mfpmp.__file__).resolve().parents[1])
+        messages = [subprocess.run([sys.executable, "-c", script, str(path)],
+                                   env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                                   capture_output=True, text=True, check=True).stdout
+                    for seed in ("1", "4")]
+        assert messages == ["descent.c: expected a finite number, got 'x'\n"] * 2
+
     def test_odd_mode_count_rejected(self):
         doc = minimal_doc()
         doc["grid"]["n_modes"] = 31
@@ -172,6 +191,9 @@ class TestParsing:
         ("local_u1", {"kind": "constant", "value": "x"}),
         ("local_u1", {"kind": "constant", "amplitude": 1.0}),
         ("lambdas", [0.001, 0.001]),  # a fitted slope needs distinct steps
+        ("cost_tol", -1),  # a negative tolerance fails every oracle it bounds
+        ("ratio_tol", -0.5),
+        ("local_tol", -1e-9),
     ])
     def test_validate_values_are_checked(self, key, value):
         with pytest.raises(ConfigError, match=f"validate.{key}"):
@@ -181,6 +203,22 @@ class TestParsing:
         cfg = parse_config_dict(minimal_doc(validate={"extra_pairs": 3}))
         assert cfg.validate_params["extra_pairs"] == 3
         assert cfg.validate_params["lambdas"] == [1e-3, 2e-3, 4e-3, 8e-3]
+        assert cfg.validate_params["local_u1"] == {"kind": "constant", "value": 1.0}
+
+    def test_order_min_may_be_negative(self):
+        cfg = parse_config_dict(minimal_doc(validate={"order_min": -1.0}))
+        assert cfg.validate_params["order_min"] == -1.0
+
+    @pytest.mark.parametrize("local_u1, expanded", [
+        ({"kind": "sinusoidal"}, {"kind": "sinusoidal", "amplitude": 1.0, "frequency": 1.0}),
+        ({"kind": "sinusoidal", "frequency": 1.7},
+         {"kind": "sinusoidal", "amplitude": 1.0, "frequency": 1.7}),
+        ({"kind": "constant"}, {"kind": "constant", "value": 1.0}),
+    ], ids=["sinusoidal", "sinusoidal-frequency", "constant"])
+    def test_local_u1_defaults_are_named_in_the_echo(self, local_u1, expanded):
+        cfg = parse_config_dict(minimal_doc(validate={"local_u1": local_u1}))
+        assert cfg.validate_params["local_u1"] == expanded
+        assert cfg.expanded["validate"]["local_u1"] == expanded
 
 
 class TestOverrides:
