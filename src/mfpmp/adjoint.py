@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import _coupling_value, _factor, _rk4_forward_step, _settle, batch_rows
+from .forward import _coupling_value, _drive, _factor, _rk4_forward_step, _settle, batch_rows
 from .models import ModelSpec
 from .spectral import require_row
 from .timegrid import ControlSignal, Trajectory
@@ -184,6 +184,7 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     # Complex control of the step that starts at each half node.
     controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
     block = batch_rows(width)
+    dn = np.tile(stencil[0], block)  # a prefix serves a shorter block
     out = np.empty((grid.n_steps + 1, width), dtype=complex)
     last = 2 * grid.n_steps
     _settle(b, last * h)
@@ -194,8 +195,9 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
             # The quarter-step states of the block's backward steps read only
             # the stored trajectory, so they are marched as the rows of one state.
             lo = max(top - block, 0)
-            a_mids = _rk4_forward_step(traj.coeffs[lo:top], 0.5 * h, controls[lo:top],
-                                       model, stencil[0])
+            a_mids = _rk4_forward_step(traj.coeffs[lo:top].reshape(-1), 0.5 * h,
+                                       _drive(controls[lo:top], width), model,
+                                       dn[:(top - lo) * width]).reshape(top - lo, width)
             for s in range(top, lo, -1):
                 uk = u.values[(s - 1) >> 1]
                 b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mids[s - 1 - lo],

@@ -178,7 +178,9 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
     _write_control(out / "control_final.csv", result.u_final)
     cotraj = None
     if config.snapshot_times and config.adjoint_snapshots:
-        cotraj = integrate_backward(result.trajectory, result.u_final, config.model)
+        cotraj = result.cotrajectory
+        if cotraj is None:  # the run stopped after a forward solve of u_final
+            cotraj = integrate_backward(result.trajectory, result.u_final, config.model)
 
     last = result.history[-1]
     summary = {

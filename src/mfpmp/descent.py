@@ -33,12 +33,12 @@ from .timegrid import ControlSignal, TimeGrid, Trajectory
 # Ball directions shorter than this are treated as ties (current control kept).
 _TIE_NORM = 1e-14
 
-# Trial steps per forward solve in the line search.  A march of B trials at
-# 256 harmonics takes about 0.15 + 0.05 B seconds (fitted to B = 1..16 on
-# one core); over the accepted exponents of the desk run that cost is lowest
-# at 8 among 2..16.  Wider rows march fewer at once (`forward.batch_rows`):
-# a chunk also marches the trials past the accepted one, and at 2048
-# harmonics sharing a march saves too little per row to pay for them.
+# Trial steps per forward solve in the line search.  A march of B trials on
+# the desk grid takes about 0.12 + 0.013 B seconds (fitted to B = 1..16 on
+# one CPU of a shared 2-vCPU host); over the accepted exponents of the desk
+# run that cost is lowest at 8 among 2..16.  Wider rows march fewer at once
+# (`forward.batch_rows`): a chunk also marches the trials past the accepted
+# one, and at 2048 harmonics sharing a march saves nothing per row.
 TRIAL_CHUNK = 8
 
 STATUS_EXTREMAL = "non-extremality-converged"
@@ -122,6 +122,9 @@ class DescentResult:
 
     `trajectory` is the stored forward solve of `u_final`, made by the last
     iteration (or before the first), and `final_cost` its terminal cost.
+    `cotrajectory` is the co-density along it when the last iteration solved
+    that too, which it does when the run stops extremal or on a failed line
+    search; otherwise None.
     """
 
     u_final: ControlSignal
@@ -129,6 +132,7 @@ class DescentResult:
     status: str
     final_cost: float
     trajectory: Trajectory
+    cotrajectory: Trajectory | None = None
 
     @property
     def iterations(self) -> int:
@@ -270,6 +274,7 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
 
     t0 = time.perf_counter()
     traj = integrate_forward(rho0, u, model, grid)
+    cotraj = None
     for k in range(cfg.k_max):
         cost = model.cost.eval(traj.terminal_field())
         cotraj = integrate_backward(traj, u, model)
@@ -295,10 +300,11 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
         t0 = time.perf_counter()
         u = starts.u
         traj = integrate_forward(rho0, u, model, grid, starts)
+        cotraj = None
         small_steps = small_steps + 1 if lam < cfg.lambda_tol else 0
         if small_steps >= cfg.lambda_patience:
             status = STATUS_STEP
             break
 
     return DescentResult(u, tuple(history), status,
-                         float(model.cost.eval(traj.terminal_field())), traj)
+                         float(model.cost.eval(traj.terminal_field())), traj, cotraj)

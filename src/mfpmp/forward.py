@@ -26,8 +26,16 @@ which the flush never touches.
 
 The kernels march a stack of state rows, each under its own control: the
 trial steps of a line search, the adjoint's quarter-step states, or the S
-time segments of one stored solve.  Rows never mix, so every row gets the
-bits of a one-row march.
+time segments of one stored solve.  The rows of the C-ordered stack march
+as one flat array, so that every NumPy call of a stage runs on contiguous
+memory, and the shifts run over the seams between rows.  Rows still never
+mix: the shift by +1 brings a row's n = 0 entry the previous row's
+v a_{W-1}, which that entry's factor n = 0 turns into zero, and the shift by
+-1 brings a row's last entry conj(v) a_0 of the next row with conj(v)
+zeroed there.  So every row gets the bits of a one-row march.  A part that
+is infinite or NaN crosses a seam as NaN, but its own row then fails the
+bound in that step, so the march raises anyway; so would a seam product
+v a_{W-1} that overflows from finite parts, which takes parts past 1e150.
 
 A lean march (`cost_of_control`) records the settled state of each row at
 the full nodes k = i*K/S, i = 0 .. S-1 (`Checkpoints`).  A stored solve of
@@ -55,12 +63,17 @@ DIVERGENCE_LIMIT = 1e6
 # The IEEE bound of the normal floats: smaller parts are flushed to zero.
 _TINY = np.finfo(float).tiny
 
+# i*pi*a_1 in real parts: (Im a_1, Re a_1) times this is (-pi Im a_1, pi Re a_1).
+_PI_PAIR = np.array([-np.pi, np.pi])
+
 # Rows marched as one state share the per-call overhead, which dominates
-# narrow rows: at 256 harmonics (half rows of 129, one CPU) one RK4 step
-# costs about 80 us per row for 1 row, 23-31 us for 8 and 18-20 us for 15.
-# Temporaries past glibc's default 128 KiB mmap and trim thresholds have
-# their pages faulted in again on every step: at 2048 harmonics (half rows
-# of 1025) 8 rows cost 0.75-0.8x as much per row as one, 16 rows 1.7x.
+# narrow rows: at 256 harmonics (half rows of 129, one CPU of a shared
+# 2-vCPU host, best of three) one RK4 step costs about 34 us per row for
+# 1 row, 11 us for 8 and 7.4 us for 15.  Temporaries past glibc's default
+# 128 KiB mmap and trim thresholds have their pages faulted in again on
+# every step: at 2048 harmonics (half rows of 1025) 8 rows cost 1.1x as
+# much per row as one, 16 rows 1.6x, and the adjoint's quarter-step blocks
+# took longer with every row added past two.
 # A budget of 2048 half-row coefficients (32 KiB) per temporary gives 15
 # rows at 256 harmonics and 1 at 2048.  It bounds the S time segments of a
 # stored solve, the adjoint's quarter-step blocks and, by the line search's
@@ -102,52 +115,71 @@ def _coupling_value(a1: complex, u2: float, model: ModelSpec) -> complex:
     return complex(u2 * vr, u2 * vi)
 
 
-def _coupling(a: np.ndarray, u: np.ndarray, model: ModelSpec):
-    """(v, conj(v)) for every row of a (rows, modes) state under complex controls u (rows, 2).
+def _coupling(a: np.ndarray, u2: np.ndarray, model: ModelSpec):
+    """(v, conj(v)) of every row of the flat state a under the u_2 column u2 (rows, 1).
 
-    Returns (rows, 1) columns, or Python complexes for a single row, with the
-    same arithmetic.  Timed in turn in one process on one CPU of a shared
-    2-vCPU host, a 2400-step one-row march at 256 harmonics took 0.189 s on
-    the array route, 0.124 s here (27 us a step), and every full-pass march is
-    one row.  One expression for all rows, u[:, 1:] * ((1j*pi*a[:, 1:2]) * phase),
-    was 8-19% faster per step for 4-15 rows, 9-19% slower for one (about 15% at
-    2048 harmonics) and 1 ulp off `ModelSpec.coupling` at alpha != 0; a Python
-    loop over rows kept the bits but was 21-28% slower for one row.
+    One row gives Python complexes: every full-pass march is one row, and
+    timed in turn on one CPU of a shared 2-vCPU host a 2400-step one-row
+    march took 0.077 s this way against 0.137 s on the array route at 256
+    harmonics, 0.127 s against 0.200 s at 2048.  Several rows give flat
+    arrays holding each row's value at each of its entries, with conj(v)
+    zeroed at every row's n = 0 entry (see `_continuity_rhs`).  Six real
+    ops on the float view spell out `ModelSpec.coupling` with its
+    roundings, scaled by u_2: x = i*pi*a_1 = (tr, ti) and
+    x*pr + (-ti, tr)*pi, as a + (-b) rounds like a - b.  One complex
+    expression, u_2 * ((1j*pi*a_1) * phase), was 1 ulp off at alpha != 0.
     """
-    if a.shape[0] == 1:
-        v = _coupling_value(complex(a[0, 1]), float(u[0, 1].real), model)
+    if len(u2) == 1:
+        v = _coupling_value(complex(a[1]), float(u2[0, 0]), model)
         return v, v.conjugate()
-    vr, vi = model.coupling(a[:, 1])
-    u2 = u[:, 1].real
-    v = np.empty((a.shape[0], 1), dtype=complex)
-    v.real[:, 0] = u2 * vr
-    v.imag[:, 0] = u2 * vi
-    return v, np.conj(v)
+    width = len(a) // len(u2)
+    parts = a.view(float).reshape(len(u2), 2 * width)
+    x = parts[:, 3:1:-1] * _PI_PAIR
+    s = x * model.phase.real
+    s += (parts[:, 2:4] * -np.pi) * model.phase.imag
+    s *= u2
+    v = s.view(complex).repeat(width)
+    vc = v.conj()
+    vc[::width] = 0.0
+    return v, vc
 
 
-def _continuity_rhs(a: np.ndarray, u: np.ndarray, model: ModelSpec,
-                    dn: np.ndarray) -> np.ndarray:
-    """Coefficient derivative of each half row of a (rows, modes) under its control row.
+def _drive(u: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """u_1 at every entry and u_2 as a (rows, 1) column, for complex controls u (rows, 2).
 
-    `u` is complex (rows, 2): a real control broadcast against the complex
-    state would make NumPy cast on every call, which costs more than the
-    arithmetic.  `dn` is `-1j * n` for n = 0 .. N/2, computed once per march.
-    Row 0 misses v a_{-1}, but its factor n is 0.
+    A march takes it once per control step, for its flat state of half rows
+    of `width`.
     """
-    v, vc = _coupling(a, u, model)
-    va = u[:, :1] * a  # an exact zero may come out -0.0; `_settle` stores it as 0.0
-    va[:, 1:] += v * a[:, :-1]
-    va[:, :-1] += vc * a[:, 1:]
+    return u[:, 0].repeat(width), u.real[:, 1:]
+
+
+def _continuity_rhs(a: np.ndarray, drive, model: ModelSpec, dn: np.ndarray) -> np.ndarray:
+    """Coefficient derivative of the flat state a: its half rows, each under its own control.
+
+    `drive` is `_drive(u, width)` for the complex controls u (rows, 2): a
+    real control broadcast against the complex state would make NumPy cast
+    on every call, which costs more than the arithmetic.  `dn` holds -1j*n
+    of every entry, tiled once per march.  Every call runs on contiguous
+    arrays.  A row's n = 0 entry gets the previous row's v a_{W-1}, or
+    nothing, in place of v a_{-1}; its factor n is 0.
+    """
+    u1, u2 = drive
+    v, vc = _coupling(a, u2, model)
+    va = u1 * a  # an exact zero may come out -0.0; `_settle` stores it as 0.0
+    shifted = v * a
+    va[1:] += shifted[:-1]
+    shifted = vc * a
+    va[:-1] += shifted[1:]
     va *= dn
     return va
 
 
-def _rk4_forward_step(a: np.ndarray, h: float, u: np.ndarray,
-                      model: ModelSpec, dn: np.ndarray) -> np.ndarray:
-    k1 = _continuity_rhs(a, u, model, dn)
-    k2 = _continuity_rhs(a + (0.5 * h) * k1, u, model, dn)
-    k3 = _continuity_rhs(a + (0.5 * h) * k2, u, model, dn)
-    k4 = _continuity_rhs(a + h * k3, u, model, dn)
+def _rk4_forward_step(a: np.ndarray, h: float, drive, model: ModelSpec,
+                      dn: np.ndarray) -> np.ndarray:
+    k1 = _continuity_rhs(a, drive, model, dn)
+    k2 = _continuity_rhs(a + (0.5 * h) * k1, drive, model, dn)
+    k3 = _continuity_rhs(a + (0.5 * h) * k2, drive, model, dn)
+    k4 = _continuity_rhs(a + h * k3, drive, model, dn)
     return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
@@ -174,7 +206,7 @@ def rhs_continuity(t: float, a: np.ndarray, u, model: ModelSpec) -> np.ndarray:
     """
     u = model.require_feasible(u)
     a = require_row(a, "density")
-    return _continuity_rhs(a[None], u.astype(complex)[None], model, _factor(a.shape[0]))[0]
+    return _continuity_rhs(a, _drive(u.astype(complex)[None], len(a)), model, _factor(len(a)))
 
 
 def _factor(width: int) -> np.ndarray:
@@ -193,20 +225,23 @@ def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
     step are settled (`_settle`) before they are stored or marched on, so
     stored and lean marches keep equal bits.  Returns the final state.
     """
-    dn = _factor(a0.shape[1])
+    rows, width = a0.shape
+    dn = np.tile(_factor(width), rows)
     controls = u_values.astype(complex)
-    a = np.array(a0, dtype=complex, order="C")  # rows contiguous, even from a broadcast
+    a = np.array(a0, dtype=complex, order="C").reshape(-1)  # one copy, even of a broadcast
     _settle(a, 0.0)
-    out[0] = a
+    out[0] = a.reshape(rows, width)
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, 2 * controls.shape[0] + 1):
-            a = _rk4_forward_step(a, h, controls[(s - 1) >> 1], model, dn)
+            if s & 1:
+                drive = _drive(controls[s >> 1], width)
+            a = _rk4_forward_step(a, h, drive, model, dn)
             _settle(a, s * h)
             i, off = divmod(s, every)
             if not off and i < len(out):
-                out[i] = a
-    return a
+                out[i] = a.reshape(rows, width)
+    return a.reshape(rows, width)
 
 
 def _check_inputs(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid) -> np.ndarray:

@@ -134,6 +134,27 @@ class TestOptimize:
         assert main(["optimize", "--config", str(write_config(tmp_path, doc))]) == 0
         assert reused == [False, True, True, True, True]
 
+    def test_an_extremal_run_solves_one_adjoint_per_iteration(self, tmp_path, monkeypatch):
+        # The last iteration has solved the co-density of the final control
+        # along its stored solve; the adjoint snapshots reuse it.
+        doc = tiny_doc(tmp_path / "out", descent={"k_max": 20}, snapshot_times=[0.0, 0.5])
+        doc["grid"]["T"] = 0.5
+        doc["model"]["alpha"] = 0.31
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return integrate_backward(*args, **kwargs)
+
+        for module in (descent, cli):
+            monkeypatch.setattr(module, "integrate_backward", counted)
+        assert main(["optimize", "--config", str(write_config(tmp_path, doc))]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == descent.STATUS_EXTREMAL
+        assert len(calls) == summary["iterations"] > 1
+        header, rows = read_csv(tmp_path / "out" / "adjoint_snapshots.csv")
+        assert header == ["t", "x", "value"] and len(rows) == 2 * 32
+
     def test_repeated_runs_are_byte_identical_except_timings(self, tmp_path):
         doc_a = tiny_doc(tmp_path / "a")
         doc_b = tiny_doc(tmp_path / "b")

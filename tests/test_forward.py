@@ -96,6 +96,12 @@ def full_layout_march(rho0, controls, model, grid):
     return np.stack(nodes)
 
 
+def one_row_step(a, h, u, model):
+    """One RK4 step of the half row a under the complex control u (2,), as a one-row state."""
+    return _rk4_forward_step(a, h, forward._drive(u[None], len(a)), model,
+                             forward._factor(len(a)))
+
+
 def n_ge_0_half(full):
     return np.ascontiguousarray(full[..., (full.shape[-1] - 1) // 2:])
 
@@ -178,9 +184,11 @@ class TestIntegrateForward:
         a = n_ge_0_half(full)
         u = rng.uniform(-1, 1, (5, 2)).astype(complex)  # one control per row
         dn = -1j * mode_numbers(33)
+        flat, drive = a.reshape(-1), forward._drive(u, 17)
         for _ in range(20):
-            a = _rk4_forward_step(a, 1e-3, u, model, forward._factor(17))
+            flat = _rk4_forward_step(flat, 1e-3, drive, model, np.tile(forward._factor(17), 5))
             full = full_layout_step(full, 1e-3, u, model, dn)
+        a = flat.reshape(5, 17)
         # A full-layout march keeps the symmetry to rounding; the half rows
         # hold it by construction, and they are the n >= 0 half of that march.
         assert np.max(np.abs(full - np.conj(full[:, ::-1]))) < 1e-12
@@ -328,8 +336,7 @@ class TestBatchedMarch:
         want[last] = b
         for s in range(last, 0, -1):
             uk = u.values[(s - 1) >> 1]
-            a_mid = _rk4_forward_step(traj.coeffs[s - 1:s], 0.5 * h,
-                                      uk[None].astype(complex), model, stencil[0])[0]
+            a_mid = one_row_step(traj.coeffs[s - 1], 0.5 * h, uk.astype(complex), model)
             b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
                                    model, stencil, phases)
             want[s - 1] = b
@@ -347,6 +354,86 @@ class TestBatchedMarch:
             cost_of_control(rho, [u, bad], model, grid)
         with pytest.raises(ValueError, match="node 50"):
             integrate_backward(traj, bad, model)
+
+
+def distinct_rows(rows, width, rng):
+    """Normalized half rows with random harmonics up to the last; row 0 ends near 1e3.
+
+    A large last harmonic is what the next row's n = 0 entry would read
+    across the seam of the flat state.
+    """
+    a = (rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))) * 0.02
+    a[:, 0] = 1.0 / (2.0 * np.pi)
+    a[0, -1] = complex(600.0, -800.0)
+    return a
+
+
+class TestFlatSeams:
+    """Several rows march as one flat array; no row reads another across a seam."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
+    @pytest.mark.parametrize("rows", [2, 8, 15])
+    def test_distinct_rows_equal_their_one_row_marches(self, alpha, rows, rng):
+        width, h = 17, 2.5e-3
+        model = kuramoto_model(alpha, np.pi, control_set=ball(2.0))
+        a0 = distinct_rows(rows, width, rng)
+        u = rng.uniform(-1.0, 1.0, (20, rows, 2))
+        u[:, rows // 2, 1] = -0.0
+        marks = np.empty((5, rows, width), dtype=complex)  # half-step nodes 0, 8, .., 32
+        end = forward._march(a0, u, h, model, marks, every=8)
+        assert np.abs(end[0]).max() > 100.0  # the large harmonic survives the march
+        for r in range(rows):
+            one = np.empty((5, 1, width), dtype=complex)
+            want = forward._march(a0[r:r + 1], u[:, r:r + 1], h, model, one, every=8)
+            assert end[r].tobytes() == want[0].tobytes()
+            assert marks[:, r].tobytes() == one[:, 0].tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
+    def test_multi_row_coupling_equals_the_one_row_value(self, alpha, rng):
+        model = kuramoto_model(alpha, np.pi)
+        width = 5
+        a = distinct_rows(6, width, rng)
+        a[:4, 1] = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, 0.03),
+                    complex(0.02, -0.0)]
+        u2 = np.array([[0.7], [-0.0], [-1.3], [-0.0], [0.0], [0.4]])
+        v, vc = forward._coupling(a.reshape(-1), u2, model)
+        for r in range(6):
+            want = forward._coupling_value(complex(a[r, 1]), float(u2[r, 0]), model)
+            assert v[r * width:(r + 1) * width].tobytes() == np.full(width, want).tobytes()
+            # conj(v) is zero at the row's n = 0 entry: its last entry reads nothing
+            # from the next row.
+            want_c = np.full(width, want.conjugate())
+            want_c[0] = 0.0
+            assert vc[r * width:(r + 1) * width].tobytes() == want_c.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("width", [3, 9])
+    def test_a_non_finite_row_fails_its_own_step(self, bad, width, rng):
+        # NaN may cross a seam or two within the step, never further, and the
+        # step fails the bound on the bad row itself: the march raises anyway.
+        h = 1e-3
+        model = kuramoto_model(0.31, np.pi, control_set=ball(2.0))
+        a = distinct_rows(7, width, rng)
+        a[3, [0, -1]] = bad  # both seams of row 3
+        u = rng.uniform(-1.0, 1.0, (7, 2)).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _rk4_forward_step(a.reshape(-1), h, forward._drive(u, width), model,
+                                     np.tile(forward._factor(width), 7)).reshape(7, width)
+            for r in (0, 6):
+                assert step[r].tobytes() == one_row_step(a[r], h, u[r], model).tobytes()
+            assert not np.isfinite(one_row_step(a[3], h, u[3], model)).all()
+        with pytest.raises(DivergenceError, match="reduce the time step"):
+            forward._settle(step, h)
+
+    def test_an_overflowing_row_between_healthy_rows_raises(self):
+        # u_2 = 1e150 overflows row 3 to inf inside its first step.
+        rho = fig1_row(32)
+        grid = TimeGrid(0.3, 3e-3)
+        model = kuramoto_model(0.31, np.pi, control_set=ball(1e151))
+        calm = constant_control(grid, [0.3, 0.5])
+        wild = constant_control(grid, [0.0, 1e150])
+        with pytest.raises(DivergenceError, match="at t = 0.0015 exceeds"):
+            cost_of_control(rho, [calm, calm, calm, wild, calm, calm, calm, calm], model, grid)
 
 
 def segment_setup(n_modes, T, kind, alpha=0.31):
@@ -504,8 +591,7 @@ def settled_per_step_adjoint(flushed_gradient):
     nodes = [b]
     for s in range(2 * grid.n_steps, 0, -1):
         uk = u.values[(s - 1) >> 1]
-        a_mid = _rk4_forward_step(traj.coeffs[s - 1:s], 0.5 * h,
-                                  uk[None].astype(complex), model, stencil[0])[0]
+        a_mid = one_row_step(traj.coeffs[s - 1], 0.5 * h, uk.astype(complex), model)
         b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
                                model, stencil, phases)
         forward._settle(b, (s - 1) * h)
