@@ -5,9 +5,10 @@ The transport PDE becomes the coefficient system
     d a_n / dt = -i * n * (u_1 a_n + v a_{n-1} + conj(v) a_{n+1}),
 
 where v = u_2 * i*pi*a_1*e^{i*alpha} is the coupling channel's harmonic +1
-and out-of-range harmonics count as zero (series truncation).  The density
-is real, so a_{-n} = conj(a_n), and the solver takes, stores and marches
-only the half rows n = 0 .. N/2 (see `spectral`).  Row n >= 1 reads only
+(u_2 times `ModelSpec.coupling`, its one definition, for any number of rows)
+and out-of-range harmonics count as zero (series truncation).  The density is
+real, so a_{-n} = conj(a_n), and the solver takes, stores and marches only
+the half rows n = 0 .. N/2 (see `spectral`).  Row n >= 1 reads only
 harmonics >= 0, and the n = 0 row is multiplied by n = 0, so the half march
 has the bits of the n >= 0 half of a full-layout march, and a_0 stays
 real, which makes the field Hermitian exactly, not to rounding.  Time
@@ -63,9 +64,6 @@ DIVERGENCE_LIMIT = 1e6
 # The IEEE bound of the normal floats: smaller parts are flushed to zero.
 _TINY = np.finfo(float).tiny
 
-# i*pi*a_1 in real parts: (Im a_1, Re a_1) times this is (-pi Im a_1, pi Re a_1).
-_PI_PAIR = np.array([-np.pi, np.pi])
-
 # Rows marched as one state share the per-call overhead, which dominates
 # narrow rows: at 256 harmonics (half rows of 129, one CPU of a shared
 # 2-vCPU host, best of three) one RK4 step costs about 34 us per row for
@@ -110,7 +108,7 @@ class Checkpoints:
 
 
 def _coupling_value(a1: complex, u2: float, model: ModelSpec) -> complex:
-    """v = u_2 * i*pi*a_1*e^{i*alpha} for one coefficient row, in Python floats."""
+    """v = u_2 * `ModelSpec.coupling`(a_1) for one coefficient row, in Python floats."""
     vr, vi = model.coupling(a1)
     return complex(u2 * vr, u2 * vi)
 
@@ -118,25 +116,21 @@ def _coupling_value(a1: complex, u2: float, model: ModelSpec) -> complex:
 def _coupling(a: np.ndarray, u2: np.ndarray, model: ModelSpec):
     """(v, conj(v)) of every row of the flat state a under the u_2 column u2 (rows, 1).
 
-    One row gives Python complexes: every full-pass march is one row, and
-    timed in turn on one CPU of a shared 2-vCPU host a 2400-step one-row
-    march took 0.077 s this way against 0.137 s on the array route at 256
-    harmonics, 0.127 s against 0.200 s at 2048.  Several rows give flat
-    arrays holding each row's value at each of its entries, with conj(v)
-    zeroed at every row's n = 0 entry (see `_continuity_rhs`).  Six real
-    ops on the float view spell out `ModelSpec.coupling` with its
-    roundings, scaled by u_2: x = i*pi*a_1 = (tr, ti) and
-    x*pr + (-ti, tr)*pi, as a + (-b) rounds like a - b.  One complex
-    expression, u_2 * ((1j*pi*a_1) * phase), was 1 ulp off at alpha != 0.
+    v is `ModelSpec.coupling` of the row's a_1, scaled by u_2: one
+    definition for every row count.  One row gives Python complexes: every
+    full-pass march is one row, and timed in turn on one CPU of a shared
+    2-vCPU host a 2400-step one-row march took 0.077 s this way against
+    0.137 s on the array route at 256 harmonics, 0.127 s against 0.200 s at
+    2048.  Several rows give flat arrays holding each row's value at each of
+    its entries, with conj(v) zeroed at every row's n = 0 entry (see
+    `_continuity_rhs`).
     """
     if len(u2) == 1:
         v = _coupling_value(complex(a[1]), float(u2[0, 0]), model)
         return v, v.conjugate()
     width = len(a) // len(u2)
-    parts = a.view(float).reshape(len(u2), 2 * width)
-    x = parts[:, 3:1:-1] * _PI_PAIR
-    s = x * model.phase.real
-    s += (parts[:, 2:4] * -np.pi) * model.phase.imag
+    s = np.empty((len(u2), 2))
+    s[:, 0], s[:, 1] = model.coupling(a[1::width])
     s *= u2
     v = s.view(complex).repeat(width)
     vc = v.conj()

@@ -156,7 +156,10 @@ class ModelSpec:
         them.  The two complex products (i*pi * a_1, then * e^{i*alpha}) are
         spelled out in real arithmetic because NumPy's array complex multiply
         may round differently from scalar arithmetic; this way one node and a
-        stack of nodes give the same bits.
+        stack of nodes give the same bits.  It is the one definition of v: its
+        callers are `forward._coupling_value` (a one-row march, and the
+        adjoint), the multi-row stage of `forward._coupling`, and
+        `descent.switching_function`.
         """
         tr = -np.pi * a1.imag
         ti = np.pi * a1.real

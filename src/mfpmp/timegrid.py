@@ -17,7 +17,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform lattice on [0, T] with step tau; T/tau must be an integer."""
+    """Uniform lattice on [0, T] with step tau; T/tau must be a positive integer."""
 
     T: float
     tau: float
@@ -28,6 +28,8 @@ class TimeGrid:
         steps = self.T / self.tau
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
             raise ValueError(f"T/tau = {steps} is not an integer")
+        if round(steps) < 1:
+            raise ValueError(f"T = {self.T} is shorter than one step, tau = {self.tau}")
 
     @property
     def n_steps(self) -> int:

@@ -397,6 +397,22 @@ class TestExitCodes:
     def test_malformed_values_are_2(self, tmp_path, capsys, monkeypatch, override):
         self.assert_config_error_before_any_artifact(tmp_path, capsys, monkeypatch, override)
 
+    @pytest.mark.parametrize("command", ["solve-forward", "solve-adjoint", "optimize", "validate"])
+    def test_a_horizon_shorter_than_one_step_is_2(self, tmp_path, capsys, monkeypatch, command):
+        # T/tau = 2e-10 is within 1e-9 of the integer 0: zero steps.  The
+        # snapshot time 0.4 goes too, or it is reported first.
+        monkeypatch.chdir(tmp_path)
+        doc = tiny_doc(tmp_path / "out", command=command)
+        code = main([command, "--config", str(write_config(tmp_path, doc)),
+                     "--override", "grid.T=1e-12", "--override", "snapshot_times=[]"])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "config"
+        assert err["message"] == "grid: T = 1e-12 is shorter than one step, tau = 0.005"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("content", [b'{"command": "\xff"}', b"[" * 5000 + b"]" * 5000],
                              ids=["not-utf8", "nested-5000-deep"])
     def test_an_undecodable_config_file_is_2(self, tmp_path, capsys, content):

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mfpmp
-from mfpmp import ConfigError
+from mfpmp import ConfigError, TimeGrid
 from mfpmp.config import apply_overrides, parse_config, parse_config_dict
 
 from conftest import harmonic
@@ -72,6 +72,14 @@ class TestParsing:
         doc = minimal_doc()
         doc["grid"]["tau"] = 0.3
         with pytest.raises(ConfigError, match="not an integer"):
+            parse_config_dict(doc)
+
+    def test_a_horizon_shorter_than_one_step_is_rejected(self):
+        with pytest.raises(ValueError, match=r"T = 1e-12 is shorter than one step, tau = 0.005"):
+            TimeGrid(1e-12, 5e-3)
+        doc = minimal_doc()
+        doc["grid"]["T"] = 1e-12  # T/tau = 2e-10 rounds to zero steps
+        with pytest.raises(ConfigError, match="grid: T = 1e-12 is shorter than one step"):
             parse_config_dict(doc)
 
     def test_an_overflowing_step_count_is_rejected(self):

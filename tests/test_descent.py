@@ -26,7 +26,7 @@ from mfpmp.descent import STATUS_EXTREMAL, STATUS_MAX_ITER, STATUS_STEP, Switchi
 from mfpmp.spectral import reconstruct_rows
 from mfpmp.timegrid import Trajectory
 
-from conftest import fig1_row, full_rows, uniform_field
+from conftest import fig1_row, full_rows, random_hermitian, uniform_field
 
 
 def small_setup(T=0.4, tau=2e-3, n=32, alpha=0.0, radius=2.0):
@@ -490,3 +490,81 @@ def assert_same_result(got, want):
                                r.backtrack_count) for r in result.history]
     assert untimed(got) == untimed(want)
     assert got.trajectory.coeffs.tobytes() == want.trajectory.coeffs.tobytes()
+
+
+PHI = 1.234  # the rotation angle of TestEquivariance
+
+
+def mirrored(rho, u, model):
+    """The problem reflected by x -> -x: conj(c_n), -u_1, -alpha and -x0."""
+    return (np.conj(rho), ControlSignal(u.grid, u.values * [-1.0, 1.0]),
+            kuramoto_model(-model.alpha, -model.x0, model.control_set))
+
+
+def rotated(rho, u, model):
+    """The problem rotated by x -> x + PHI: c_n e^{-i n PHI} and x0 + PHI."""
+    return (rho * np.exp(-1j * PHI * np.arange(len(rho))), u,
+            kuramoto_model(model.alpha, model.x0 + PHI, model.control_set))
+
+
+def costs(result):
+    return [r.cost for r in result.history] + [result.final_cost]
+
+
+def steps(result):
+    """Each iteration's step size and backtrack count, which fix its exponent j."""
+    return [(r.lam, r.backtrack_count) for r in result.history]
+
+
+class TestEquivariance:
+    """The descent commutes with the reflection and the rotations of the circle.
+
+    Mirroring only negates and conjugates, which no rounding sees, so the
+    mirrored run has the same bits; a rotation multiplies by e^{-i n PHI} and
+    rounds.  Through the line search's multi-row marches this ties the
+    coupling's alpha phase to the signs of the adjoint, the switching
+    function and the target control.
+    """
+
+    @pytest.mark.parametrize("T, tau, alpha", [(1.0, 2e-2, 0.31), (0.5, 1e-2, 0.0)])
+    def test_the_descent_commutes_with_both_maps(self, T, tau, alpha):
+        grid, model, rho = small_setup(T=T, tau=tau, alpha=alpha, radius=np.sqrt(2.0))
+        t = grid.full_times()
+        u0 = ControlSignal(grid, np.column_stack([
+            np.sqrt(2.0) * np.sin(2 * np.pi * t), np.sqrt(2.0) * np.cos(2 * np.pi * t)]))
+        cfg = DescentConfig(k_max=60)
+        want = run_descent(rho, u0, model, grid, cfg)
+        assert want.iterations >= 5
+
+        got = run_descent(*mirrored(rho, u0, model), grid, cfg)
+        assert (got.status, costs(got), steps(got)) == (want.status, costs(want), steps(want))
+        assert got.u_final.values.tobytes() == (want.u_final.values * [-1.0, 1.0]).tobytes()
+
+        got = run_descent(*rotated(rho, u0, model), grid, cfg)
+        assert (got.status, steps(got)) == (want.status, steps(want))
+        assert_allclose(costs(got), costs(want), rtol=1e-12, atol=0.0)
+
+    def test_the_gradient_commutes_with_both_maps(self, rng):
+        grid = TimeGrid(0.5, 5e-3)
+        rho = random_hermitian(32, rng, scale=0.02)
+        u = ControlSignal(grid, rng.uniform(-1.0, 1.0, (grid.n_steps + 1, 2)))
+        model = kuramoto_model(1.7, 0.4, control_set=ball(2.0))
+
+        def gradient(rho, u, model):
+            traj = integrate_forward(rho, u, model, grid)
+            cotraj = integrate_backward(traj, u, model)
+            return traj.coeffs, cotraj.coeffs, switching_function(traj, cotraj, model).values
+
+        a, b, d = gradient(rho, u, model)
+        # Equal values: conj turns a stored 0.0 into -0.0.  The co-density
+        # starts from sin(x - x0), which the mirror maps to its negative.
+        am, bm, dm = gradient(*mirrored(rho, u, model))
+        assert np.array_equal(am, np.conj(a))
+        assert np.array_equal(bm, -np.conj(b))
+        assert np.array_equal(dm, d * [-1.0, 1.0])
+
+        phase = np.exp(-1j * PHI * np.arange(len(rho)))
+        ar, br, dr = gradient(*rotated(rho, u, model))
+        assert_allclose(ar, a * phase, rtol=0.0, atol=1e-12 * np.abs(a).max())
+        assert_allclose(br, b * phase, rtol=0.0, atol=1e-12 * np.abs(b).max())
+        assert_allclose(dr, d, rtol=0.0, atol=1e-12 * np.abs(d).max())
