@@ -86,41 +86,49 @@ def reference(traj: Trajectory, u: ControlSignal, model: ModelSpec) -> Reference
                      switching_function(traj, cotraj, model))
 
 
-def increment_slope_check(rho0: np.ndarray, ref: Reference, ubar: ControlSignal,
-                          model: ModelSpec, grid: TimeGrid, lambdas) -> dict:
-    """Probe the first-order cost expansion along u + lam * (ubar - u), u = ref.u.
+def increment_slope_check(rho0: np.ndarray, pair: tuple[Reference, ControlSignal],
+                          synthetic, model: ModelSpec, grid: TimeGrid, lambdas) -> list[dict]:
+    """Probe the first-order cost expansion along u + lam * (ubar - u) for every pair.
 
-    The adjoint route predicts cost(u^lam) - cost(u) = -lam * S with
-    S = <ubar - u, d>; actual differences come from fresh forward solves of
-    the whole ladder, marched as the rows of one state.
-    Reports per-lambda ratios actual/predicted (None where the predicted
-    decrease is 0) and the log-log slope of the residual, which must
-    approach 2.
+    `pair` is the experiment's (reference, ubar); `synthetic` holds (u, ubar)
+    control pairs.  The adjoint route predicts cost(u^lam) - cost(u) = -lam * S
+    with S = <ubar - u, d>.  One lean march takes each synthetic u and every
+    ladder as the rows of one state; then each synthetic u's stored solve
+    resumes from its checkpoints for its reference, one at a time.
+    Reports per pair, the experiment's first, the per-lambda ratios
+    actual/predicted (None where the predicted decrease is 0) and the
+    log-log slope of the residual, which must approach 2.
     """
     lambdas = [float(l) for l in lambdas]
-    if any(l <= 0 or l > 1 for l in lambdas):
+    if any(not 0.0 < l <= 1.0 for l in lambdas):
         raise ValueError("lambdas must lie in (0, 1]")
-    u = ref.u
-    slope = non_extremality(u, ubar, ref.d)
+    ladders = [u.toward(ubar, lam) for u, ubar in [(pair[0].u, pair[1]), *synthetic]
+               for lam in lambdas]
+    costs, starts = cost_of_control(rho0, [u for u, _ in synthetic] + ladders, model, grid)
+    probes = [pair] + [(reference(integrate_forward(rho0, u, model, grid, marks), u, model), ubar)
+                       for (u, ubar), marks in zip(synthetic, starts)]
 
-    ratios = []
-    residuals = []
-    costs, _ = cost_of_control(rho0, [u.toward(ubar, lam) for lam in lambdas], model, grid)
-    for lam, cost in zip(lambdas, costs):
-        actual = cost - ref.cost
-        predicted = -lam * slope
-        ratios.append(actual / predicted if predicted != 0.0 else None)
-        residuals.append(abs(actual - predicted))
+    reports = []
+    for i, (ref, ubar) in enumerate(probes):
+        slope = non_extremality(ref.u, ubar, ref.d)
+        ratios, residuals = [], []
+        first = len(synthetic) + i * len(lambdas)  # where this pair's ladder costs begin
+        for lam, cost in zip(lambdas, costs[first:]):
+            actual = cost - ref.cost
+            predicted = -lam * slope
+            ratios.append(actual / predicted if predicted != 0.0 else None)
+            residuals.append(abs(actual - predicted))
 
-    logs = np.log(np.maximum(residuals, 1e-300))
-    order = float(np.polyfit(np.log(lambdas), logs, 1)[0]) if len(lambdas) >= 2 else np.nan
-    return {
-        "lambdas": lambdas,
-        "predicted_slope": slope,
-        "ratios": ratios,
-        "residuals": residuals,
-        "residual_order": order,
-    }
+        logs = np.log(np.maximum(residuals, 1e-300))
+        order = float(np.polyfit(np.log(lambdas), logs, 1)[0]) if len(lambdas) >= 2 else np.nan
+        reports.append({
+            "lambdas": lambdas,
+            "predicted_slope": slope,
+            "ratios": ratios,
+            "residuals": residuals,
+            "residual_order": order,
+        })
+    return reports
 
 
 def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid) -> dict:
@@ -178,18 +186,14 @@ _PAIR_RECIPES = (
 MAX_EXTRA_PAIRS = len(_PAIR_RECIPES)
 
 
-def synthetic_control_pairs(rho0: np.ndarray, model: ModelSpec, grid: TimeGrid,
-                            count: int) -> list[tuple[Reference, ControlSignal]]:
-    """Deterministic feasible (reference, target) pairs for slope probes."""
+def synthetic_control_pairs(model: ModelSpec, grid: TimeGrid,
+                            count: int) -> list[tuple[ControlSignal, ControlSignal]]:
+    """Deterministic feasible (u, ubar) control pairs for slope probes, unsolved."""
     if not 0 <= count <= MAX_EXTRA_PAIRS:
         raise ValueError(f"count must lie in 0..{MAX_EXTRA_PAIRS}, got {count}")
     t = grid.full_times()
-    pairs = []
-    for ref_fn, tgt_fn in _PAIR_RECIPES[:count]:
-        ref, tgt = (ControlSignal(grid, model.control_set.project(fn(t)))
-                    for fn in (ref_fn, tgt_fn))
-        pairs.append((reference(integrate_forward(rho0, ref, model, grid), ref, model), tgt))
-    return pairs
+    return [tuple(ControlSignal(grid, model.control_set.project(fn(t))) for fn in recipe)
+            for recipe in _PAIR_RECIPES[:count]]
 
 
 def fig1_slope_pair(traj: Trajectory, u0: ControlSignal,

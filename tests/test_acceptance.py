@@ -165,13 +165,13 @@ class TestCriterion6IncrementSlope:
         rho0 = fig1_row(256)
         u0 = fig1_control(grid)
         lambdas = [1e-3, 2e-3, 4e-3, 8e-3]
-        pairs = [fig1_slope_pair(integrate_forward(rho0, u0, model, grid), u0, model)]
-        pairs += synthetic_control_pairs(rho0, model, grid, 2)
+        pair = fig1_slope_pair(integrate_forward(rho0, u0, model, grid), u0, model)
+        reps = increment_slope_check(rho0, pair, synthetic_control_pairs(model, grid, 2),
+                                     model, grid, lambdas)
 
         details = []
         ok = True
-        for label, (ref, u_tgt) in zip(("experiment", "synthetic-1", "synthetic-2"), pairs):
-            rep = increment_slope_check(rho0, ref, u_tgt, model, grid, lambdas)
+        for label, rep in zip(("experiment", "synthetic-1", "synthetic-2"), reps, strict=True):
             ratios_ok = all(np.isfinite(r) and abs(r - 1.0) <= 0.05
                             for r in rep["ratios"])
             order_ok = rep["residual_order"] >= 1.8

@@ -44,6 +44,12 @@ class TestLocalAdjointCheck:
             local_adjoint_check(np.zeros(7), fig1_row(32), 0.0, grid)
 
 
+def _one_at_a_time(rho0, controls, model, grid):
+    """`cost_of_control` with every control marched alone, as a one-row state."""
+    solves = [forward.cost_of_control(rho0, [c], model, grid) for c in controls]
+    return [s[0][0] for s in solves], [s[1][0] for s in solves]
+
+
 class TestIncrementSlopeCheck:
     def test_first_order_match_on_a_generic_pair(self):
         grid = TimeGrid(0.8, 2e-3)
@@ -53,7 +59,8 @@ class TestIncrementSlopeCheck:
         u = ControlSignal(grid, np.column_stack([0.5 * np.sin(2 * t), 0.4 + 0 * t]))
         ubar = ControlSignal(grid, np.column_stack([0.2 + 0 * t, -0.6 * np.cos(t)]))
         ref = reference(integrate_forward(rho, u, model, grid), u, model)
-        rep = increment_slope_check(rho, ref, ubar, model, grid, [1e-3, 2e-3, 4e-3, 8e-3])
+        [rep] = increment_slope_check(rho, (ref, ubar), [], model, grid,
+                                      [1e-3, 2e-3, 4e-3, 8e-3])
         for ratio in rep["ratios"]:
             assert abs(ratio - 1.0) < 0.05
         assert rep["residual_order"] >= 1.8
@@ -69,20 +76,16 @@ class TestIncrementSlopeCheck:
         lambdas = [1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2]
         sizes = []
 
-        def one_at_a_time(rho0, controls, model, grid):
-            solves = [forward.cost_of_control(rho0, [c], model, grid) for c in controls]
-            return [s[0][0] for s in solves], [s[1][0] for s in solves]
-
         def spy(rho0, controls, model, grid):
             sizes.append(len(controls))
             return forward.cost_of_control(rho0, controls, model, grid)
 
-        monkeypatch.setattr(checks, "cost_of_control", one_at_a_time)
-        want = increment_slope_check(rho, ref, ubar, model, grid, lambdas)
+        monkeypatch.setattr(checks, "cost_of_control", _one_at_a_time)
+        want = increment_slope_check(rho, (ref, ubar), [], model, grid, lambdas)
         # A row budget of 2 no longer splits the 5-step ladder.
         monkeypatch.setattr(forward, "BATCH_COEFFS", 2 * len(rho))
         monkeypatch.setattr(checks, "cost_of_control", spy)
-        got = increment_slope_check(rho, ref, ubar, model, grid, lambdas)
+        got = increment_slope_check(rho, (ref, ubar), [], model, grid, lambdas)
         assert sizes == [5]
         assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
 
@@ -92,7 +95,7 @@ class TestIncrementSlopeCheck:
         rho = fig1_row(32)
         u = constant_control(grid, [0.4, 0.3])
         ref = reference(integrate_forward(rho, u, model, grid), u, model)
-        rep = increment_slope_check(rho, ref, u, model, grid, [1e-3])
+        [rep] = increment_slope_check(rho, (ref, u), [], model, grid, [1e-3])
         assert rep["predicted_slope"] == 0.0
         assert rep["ratios"] == [None]
 
@@ -103,7 +106,75 @@ class TestIncrementSlopeCheck:
         u = constant_control(grid, [0.4, 0.3])
         ref = reference(integrate_forward(rho, u, model, grid), u, model)
         with pytest.raises(ValueError, match="lambdas"):
-            increment_slope_check(rho, ref, u, model, grid, [0.0])
+            increment_slope_check(rho, (ref, u), [], model, grid, [0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-3, 1.5])
+    def test_a_step_outside_the_range_names_lambdas(self, bad):
+        # NaN fails every comparison, so only a check written as
+        # `not 0 < l <= 1` catches it before the march.
+        grid = TimeGrid(0.2, 2e-3)
+        model = kuramoto_model(0.0, np.pi)
+        rho = fig1_row(32)
+        u = constant_control(grid, [0.4, 0.3])
+        ref = reference(integrate_forward(rho, u, model, grid), u, model)
+        with pytest.raises(ValueError, match="lambdas"):
+            increment_slope_check(rho, (ref, u), [], model, grid, [1e-3, bad])
+
+
+class TestBatchedSlopeOracle:
+    """Every pair's ladder and the synthetic reference controls march as one state."""
+
+    LAMBDAS = [1e-3, 2e-3, 4e-3]
+
+    def setup_method(self):
+        self.grid = TimeGrid(0.4, 2e-3)
+        self.model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
+        self.rho = fig1_row(64)
+        t = self.grid.full_times()
+        u0 = ControlSignal(self.grid, np.column_stack([np.sin(3 * t), np.cos(3 * t)]))
+        self.pair = fig1_slope_pair(integrate_forward(self.rho, u0, self.model, self.grid),
+                                    u0, self.model)
+        self.synthetic = synthetic_control_pairs(self.model, self.grid, 2)
+
+    def check(self):
+        return increment_slope_check(self.rho, self.pair, self.synthetic, self.model,
+                                     self.grid, self.LAMBDAS)
+
+    def test_one_lean_march_takes_every_row(self, monkeypatch):
+        calls = []
+
+        def spy(rho0, controls, model, grid):
+            calls.append(controls)
+            return forward.cost_of_control(rho0, controls, model, grid)
+
+        monkeypatch.setattr(checks, "cost_of_control", spy)
+        reports = self.check()
+        assert len(reports) == 3
+        [controls] = calls
+        assert len(controls) == 2 + 3 * len(self.LAMBDAS)
+        assert all(c is u for c, (u, _) in zip(controls, self.synthetic))  # references first
+
+    def test_every_report_has_the_bits_of_rows_marched_alone(self, monkeypatch):
+        got = self.check()
+        # Each pair on its own, the synthetic references from cold stored solves.
+        cold = [(reference(integrate_forward(self.rho, u, self.model, self.grid), u, self.model),
+                 ubar) for u, ubar in self.synthetic]
+        alone = [increment_slope_check(self.rho, pair, [], self.model, self.grid, self.LAMBDAS)[0]
+                 for pair in [self.pair] + cold]
+        monkeypatch.setattr(checks, "cost_of_control", _one_at_a_time)
+        want = self.check()
+        assert repr(got) == repr(want) == repr(alone)  # repr tells -0.0 from 0.0
+
+    def test_each_synthetic_reference_resumes_from_its_checkpoints(self, monkeypatch):
+        resumed = []
+
+        def spy(rho0, u, model, grid, starts=None):
+            resumed.append(forward._resumable(starts, rho0, u, model))
+            return forward.integrate_forward(rho0, u, model, grid, starts)
+
+        monkeypatch.setattr(checks, "integrate_forward", spy)
+        self.check()
+        assert resumed == [True, True]
 
 
 class TestMeanfieldVsParticles:
@@ -145,11 +216,11 @@ class TestPairGenerators:
     def test_synthetic_pairs_are_feasible_and_distinct(self):
         grid = TimeGrid(0.5, 5e-3)
         model = kuramoto_model(0.0, np.pi)
-        pairs = synthetic_control_pairs(fig1_row(32), model, grid, 3)
+        pairs = synthetic_control_pairs(model, grid, 3)
         assert len(pairs) == 3
-        for ref, ubar in pairs:
-            assert not np.array_equal(ref.u.values, ubar.values)
-            for row in np.vstack([ref.u.values, ubar.values]):
+        for u, ubar in pairs:
+            assert not np.array_equal(u.values, ubar.values)
+            for row in np.vstack([u.values, ubar.values]):
                 assert model.control_set.admits(row)
 
     def test_experiment_pair_reaches_the_constraint_sphere(self):

@@ -134,10 +134,12 @@ def _entry_points():
         "meanfield_vs_particles": lambda r: checks.meanfield_vs_particles(
             integrate_forward(r, u, model, grid), u, model, [10]),
         "reference": lambda r: checks.reference(integrate_forward(r, u, model, grid), u, model),
-        "increment_slope_check": lambda r: checks.increment_slope_check(r, ref, u, model, grid,
-                                                                        [0.1, 0.2]),
+        "increment_slope_check": lambda r: checks.increment_slope_check(r, (ref, u), [], model,
+                                                                        grid, [0.1, 0.2]),
         "local_adjoint_check": lambda r: checks.local_adjoint_check(np.zeros(3), r, 0.0, grid),
-        "synthetic_control_pairs": lambda r: checks.synthetic_control_pairs(r, model, grid, 1),
+        # The synthetic pairs are controls only; the slope oracle solves them from its row.
+        "synthetic_control_pairs": lambda r: checks.increment_slope_check(
+            r, (ref, u), checks.synthetic_control_pairs(model, grid, 1), model, grid, [0.1, 0.2]),
         "fig1_slope_pair": lambda r: checks.fig1_slope_pair(integrate_forward(r, u, model, grid),
                                                             u, model),
         "config": config,
