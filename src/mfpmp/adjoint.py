@@ -39,9 +39,13 @@ b_0 stays real and the field is Hermitian exactly.
 The march runs at the same half step as the forward solver, so every stage
 reads a forward state either straight from storage or, for quarter-step
 stage times, from a single local RK4 quarter-step off the stored node
-(fourth-order consistent, no interpolation).  Only the switching function
-reads the co-density, at the full-step nodes where the controls live, so
-the co-trajectory keeps every second step: K + 1 rows, row k at t = k*tau.
+(fourth-order consistent, no interpolation).  The quarter steps of up to
+`forward.batch_rows` backward steps, 8 at 2048 harmonics, march as the
+rows of one forward state, and one `forward.Workspace` per solve holds the
+stage buffers of those blocks and of every backward step.  Only the
+switching function reads the co-density, at the full-step nodes where the
+controls live, so the co-trajectory keeps every second step: K + 1 rows,
+row k at t = k*tau.
 
 The co-density's high harmonics decay geometrically, and at wide
 resolutions a large share of its float parts would fall below the normal
@@ -53,7 +57,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import _coupling_value, _drive, _factor, _rk4_forward_step, _settle, batch_rows
+from .forward import (Workspace, _coupling_value, _drive, _factor, _rk4_forward_step, _settle,
+                      batch_rows)
 from .models import ModelSpec
 from .spectral import require_row
 from .timegrid import ControlSignal, Trajectory
@@ -75,11 +80,12 @@ def _stencil(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
-                 drift: np.ndarray, stencil, phases: tuple[complex, complex]) -> np.ndarray:
-    """Co-density derivative of the half row b at the forward half row a.
+                 drift: np.ndarray, stencil, phases: tuple[complex, complex],
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Co-density derivative of the half row b at the forward half row a, into `out`.
 
     `drift` is `-1j * n * u_1`, `stencil` is `_stencil(width)` and `phases`
-    is `_source_phases(model)`.
+    is `_source_phases(model)`; `out` is a new array by default.
     """
     u2 = float(u[1])
     a1, b1 = complex(a[1]), complex(b[1])  # Python scalars: cheaper than NumPy's
@@ -91,7 +97,7 @@ def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
     w = u2 * 2.0 * np.pi
     q_lo = w * phases[0] * b_m1
     q_hi = w * phases[1] * b1
-    out = drift * b
+    out = np.multiply(drift, b, out=out)
     out[1:] += (v * stencil[1]) * b[:-1]
     out[:-1] += (vc * stencil[2]) * b[1:]
     out[:-1] -= q_lo * a[1:]
@@ -103,14 +109,23 @@ def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
 
 def _rk4_backward_step(b: np.ndarray, h: float, u: np.ndarray,
                        a_hi: np.ndarray, a_mid: np.ndarray, a_lo: np.ndarray,
-                       model: ModelSpec, stencil, phases: tuple[complex, complex]) -> np.ndarray:
+                       model: ModelSpec, stencil, phases: tuple[complex, complex],
+                       work: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """One RK4 step of the co-density half row b from t to t - h, into `out` (new by default).
+
+    The stages use the buffers of `work` (new ones by default) in the order
+    of b + (-h/6)*(k1 + 2*(k2 + k3) + k4) with fresh temporaries, as
+    `forward._rk4_forward_step` does.  `out` must not be b.
+    """
     hb = -h
     drift = complex(u[0]) * stencil[0]
-    k1 = _adjoint_rhs(b, a_hi, u, model, drift, stencil, phases)
-    k2 = _adjoint_rhs(b + (0.5 * hb) * k1, a_mid, u, model, drift, stencil, phases)
-    k3 = _adjoint_rhs(b + (0.5 * hb) * k2, a_mid, u, model, drift, stencil, phases)
-    k4 = _adjoint_rhs(b + hb * k3, a_lo, u, model, drift, stencil, phases)
-    return b + (hb / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    w = Workspace.of(b.size) if work is None else work
+    k1, k2, k3, k4 = w.k
+    _adjoint_rhs(b, a_hi, u, model, drift, stencil, phases, k1)
+    _adjoint_rhs(w.stage_state(b, 0.5 * hb, k1), a_mid, u, model, drift, stencil, phases, k2)
+    _adjoint_rhs(w.stage_state(b, 0.5 * hb, k2), a_mid, u, model, drift, stencil, phases, k3)
+    _adjoint_rhs(w.stage_state(b, hb, k3), a_lo, u, model, drift, stencil, phases, k4)
+    return w.combine(b, hb, out)
 
 
 def terminal_adjoint(muT: np.ndarray, model: ModelSpec) -> np.ndarray:
@@ -185,9 +200,15 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
     block = batch_rows(width)
     dn = np.tile(stencil[0], block)  # a prefix serves a shorter block
+    # One workspace: the quarter-step block's stages, then the backward
+    # steps' in its prefix; each backward step goes into the other half row.
+    work = Workspace.of(block * width)
+    back = work.prefix(width)
+    mids = np.empty(block * width, dtype=complex)
+    spare = np.empty_like(b)
     out = np.empty((grid.n_steps + 1, width), dtype=complex)
     last = 2 * grid.n_steps
-    _settle(b, last * h)
+    _settle(b, last * h, back)
     out[-1] = b
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -195,14 +216,16 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
             # The quarter-step states of the block's backward steps read only
             # the stored trajectory, so they are marched as the rows of one state.
             lo = max(top - block, 0)
+            size = (top - lo) * width
             a_mids = _rk4_forward_step(traj.coeffs[lo:top].reshape(-1), 0.5 * h,
-                                       _drive(controls[lo:top], width), model,
-                                       dn[:(top - lo) * width]).reshape(top - lo, width)
+                                       _drive(controls[lo:top], width), model, dn[:size],
+                                       work.prefix(size), mids[:size]).reshape(top - lo, width)
             for s in range(top, lo, -1):
                 uk = u.values[(s - 1) >> 1]
-                b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mids[s - 1 - lo],
-                                       traj.coeffs[s - 1], model, stencil, phases)
-                _settle(b, (s - 1) * h)
+                b, spare = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mids[s - 1 - lo],
+                                              traj.coeffs[s - 1], model, stencil, phases,
+                                              back, spare), b
+                _settle(b, (s - 1) * h, back)
                 if s & 1:  # landed on the full node s - 1 = 2k
                     out[s >> 1] = b
     return Trajectory(grid, out)

@@ -36,9 +36,10 @@ _TIE_NORM = 1e-14
 # Trial steps per forward solve in the line search.  A march of B trials on
 # the desk grid takes about 0.12 + 0.013 B seconds (fitted to B = 1..16 on
 # one CPU of a shared 2-vCPU host); over the accepted exponents of the desk
-# run that cost is lowest at 8 among 2..16.  Wider rows march fewer at once
-# (`forward.batch_rows`): a chunk also marches the trials past the accepted
-# one, and at 2048 harmonics sharing a march saves nothing per row.
+# run that cost is lowest at 8 among 2..16.  Wider rows march no more than
+# `forward.batch_rows` at once, 8 at 2048 harmonics, where a row of an
+# 8-row march costs about 0.6x a one-row march's: the chunk's trials past
+# the accepted one cost less than marching the trials one at a time saves.
 TRIAL_CHUNK = 8
 
 STATUS_EXTREMAL = "non-extremality-converged"
@@ -299,8 +300,8 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
 
         t0 = time.perf_counter()
         u = starts.u
+        traj = cotraj = None  # freed before the next stored solve allocates its own
         traj = integrate_forward(rho0, u, model, grid, starts)
-        cotraj = None
         small_steps = small_steps + 1 if lam < cfg.lambda_tol else 0
         if small_steps >= cfg.lambda_patience:
             status = STATUS_STEP

@@ -38,12 +38,21 @@ is infinite or NaN crosses a seam as NaN, but its own row then fails the
 bound in that step, so the march raises anyway; so would a seam product
 v a_{W-1} that overflows from finite parts, which takes parts past 1e150.
 
+A march allocates its buffers once (`Workspace`): the four RK4 stages, the
+stage state, the shift product and the flush's magnitudes and mask, which
+every step overwrites with `out=` ufuncs in the operation order of fresh
+temporaries, so the bits are theirs; the step itself goes into the state
+array that the step before left, and back.  Fresh temporaries of a wide
+state pass glibc's 128 KiB mmap and trim thresholds, and their pages were
+faulted in again on every step.
+
 A lean march (`cost_of_control`) records the settled state of each row at
 the full nodes k = i*K/S, i = 0 .. S-1 (`Checkpoints`).  A stored solve of
 the same model, density and control object marches the S segments from
 those states as the rows of one state, straight into its trajectory; a cold
 solve is the one segment from rho0.  S is the largest divisor of K up to
-`batch_rows`: 15 for the desk grid's 1200 steps of 256 harmonics, 1 at 2048.
+`batch_rows`: 60 for the desk grid's 1200 steps of 256 harmonics, 8 for the
+6000 steps of 2048 harmonics at tau 1e-3.
 """
 
 from __future__ import annotations
@@ -65,18 +74,18 @@ DIVERGENCE_LIMIT = 1e6
 _TINY = np.finfo(float).tiny
 
 # Rows marched as one state share the per-call overhead, which dominates
-# narrow rows: at 256 harmonics (half rows of 129, one CPU of a shared
-# 2-vCPU host, best of three) one RK4 step costs about 34 us per row for
-# 1 row, 11 us for 8 and 7.4 us for 15.  Temporaries past glibc's default
-# 128 KiB mmap and trim thresholds have their pages faulted in again on
-# every step: at 2048 harmonics (half rows of 1025) 8 rows cost 1.1x as
-# much per row as one, 16 rows 1.6x, and the adjoint's quarter-step blocks
-# took longer with every row added past two.
-# A budget of 2048 half-row coefficients (32 KiB) per temporary gives 15
-# rows at 256 harmonics and 1 at 2048.  It bounds the S time segments of a
-# stored solve, the adjoint's quarter-step blocks and, by the line search's
-# choice, its trials per `cost_of_control` call.
-BATCH_COEFFS = 2048
+# narrow rows.  With the buffers of one `Workspace` per march, a lean march
+# (one CPU of a shared 2-vCPU host, best of three) costs per row and RK4
+# step, at 256 harmonics (half rows of 129): 71 us for 1 row, 25 us for 8,
+# 17 us for 15, 13 us for 32 and 8.6 us for 63; at 2048 harmonics (half
+# rows of 1025): 105 us for 1 row, 75 us for 4, 64 us for 8, 62 us for 12
+# and 63 us for 16.  Fresh temporaries cost 103 us for 8 rows of 1025 and
+# 160 us for 16 in the same run, and fault their pages in on every step.
+# A budget of 8200 half-row coefficients gives 63 rows at 256 harmonics and
+# 8 at 2048, where the per-row cost levels off.  It bounds the S time
+# segments of a stored solve, the adjoint's quarter-step blocks and, by
+# the line search's choice, its trials per `cost_of_control` call.
+BATCH_COEFFS = 8200
 
 # Diagnostics sweep a stored trajectory this many rows at a time, so their
 # temporaries stay small next to the trajectory (at 2048 harmonics one
@@ -147,50 +156,105 @@ def _drive(u: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return u[:, 0].repeat(width), u.real[:, 1:]
 
 
-def _continuity_rhs(a: np.ndarray, drive, model: ModelSpec, dn: np.ndarray) -> np.ndarray:
+def _continuity_rhs(a: np.ndarray, drive, model: ModelSpec, dn: np.ndarray,
+                    out: np.ndarray | None = None, prod: np.ndarray | None = None) -> np.ndarray:
     """Coefficient derivative of the flat state a: its half rows, each under its own control.
 
     `drive` is `_drive(u, width)` for the complex controls u (rows, 2): a
     real control broadcast against the complex state would make NumPy cast
     on every call, which costs more than the arithmetic.  `dn` holds -1j*n
-    of every entry, tiled once per march.  Every call runs on contiguous
-    arrays.  A row's n = 0 entry gets the previous row's v a_{W-1}, or
-    nothing, in place of v a_{-1}; its factor n is 0.
+    of every entry, tiled once per march.  The result goes into `out` and
+    the shift products into `prod`, new arrays by default.  Every call runs
+    on contiguous arrays.  A row's n = 0 entry gets the previous row's
+    v a_{W-1}, or nothing, in place of v a_{-1}; its factor n is 0.
     """
     u1, u2 = drive
     v, vc = _coupling(a, u2, model)
-    va = u1 * a  # an exact zero may come out -0.0; `_settle` stores it as 0.0
-    shifted = v * a
+    va = np.multiply(u1, a, out=out)  # an exact zero may come out -0.0; `_settle` stores it as 0.0
+    shifted = np.multiply(v, a, out=prod)
     va[1:] += shifted[:-1]
-    shifted = vc * a
+    shifted = np.multiply(vc, a, out=shifted)
     va[:-1] += shifted[1:]
     va *= dn
     return va
 
 
-def _rk4_forward_step(a: np.ndarray, h: float, drive, model: ModelSpec,
-                      dn: np.ndarray) -> np.ndarray:
-    k1 = _continuity_rhs(a, drive, model, dn)
-    k2 = _continuity_rhs(a + (0.5 * h) * k1, drive, model, dn)
-    k3 = _continuity_rhs(a + (0.5 * h) * k2, drive, model, dn)
-    k4 = _continuity_rhs(a + h * k3, drive, model, dn)
-    return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+@dataclass(frozen=True)
+class Workspace:
+    """The flat buffers of one march, allocated once and overwritten by every step.
+
+    `k` holds the four RK4 stages (rows of one array), `stage` the state a
+    stage reads, `prod` a right-hand side's shift products, and `mag` and
+    `mask` the float parts' magnitudes and flush mask of `_settle`.
+    """
+
+    k: tuple[np.ndarray, ...]
+    stage: np.ndarray
+    prod: np.ndarray
+    mag: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def of(cls, size: int) -> Workspace:
+        """Buffers for a flat state of `size` complex entries."""
+        return cls(tuple(np.empty((4, size), dtype=complex)), np.empty(size, dtype=complex),
+                   np.empty(size, dtype=complex), np.empty(2 * size), np.empty(2 * size, dtype=bool))
+
+    def prefix(self, size: int) -> Workspace:
+        """Views of the first `size` entries: the buffers of a shorter state."""
+        return Workspace(tuple(k[:size] for k in self.k), self.stage[:size], self.prod[:size],
+                         self.mag[:2 * size], self.mask[:2 * size])
+
+    def stage_state(self, a: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
+        """a + c*k, in the stage buffer."""
+        return np.add(a, np.multiply(c, k, out=self.stage), out=self.stage)
+
+    def combine(self, a: np.ndarray, h: float, out: np.ndarray | None) -> np.ndarray:
+        """a + (h/6)*(k1 + 2*(k2 + k3) + k4), grouped as written, into `out` (new if None).
+
+        The sum overwrites k2.
+        """
+        k1, k2, k3, k4 = self.k
+        np.add(k2, k3, out=k2)
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k2)
+        np.add(k2, k4, out=k2)
+        return np.add(a, np.multiply(h / 6.0, k2, out=k2), out=out)
 
 
-def _settle(a: np.ndarray, t: float) -> None:
+def _rk4_forward_step(a: np.ndarray, h: float, drive, model: ModelSpec, dn: np.ndarray,
+                      work: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """One classical RK4 step of the flat state a, written into `out` (a new array by default).
+
+    The stages use the buffers of `work` (new ones by default) and keep the
+    operations and their order of a + (h/6)*(k1 + 2*(k2 + k3) + k4) with
+    fresh temporaries, so the step has their bits.  `out` must not be a.
+    """
+    w = Workspace.of(a.size) if work is None else work
+    k1, k2, k3, k4 = w.k
+    _continuity_rhs(a, drive, model, dn, k1, w.prod)
+    _continuity_rhs(w.stage_state(a, 0.5 * h, k1), drive, model, dn, k2, w.prod)
+    _continuity_rhs(w.stage_state(a, 0.5 * h, k2), drive, model, dn, k3, w.prod)
+    _continuity_rhs(w.stage_state(a, h, k3), drive, model, dn, k4, w.prod)
+    return w.combine(a, h, out)
+
+
+def _settle(a: np.ndarray, t: float, work: Workspace | None = None) -> None:
     """Flush the subnormal parts of a new complex state to zero, in place, and bound it.
 
     One look at the float view serves both: parts with |x| < tiny become
     0.0, and the largest |x| must stay within DIVERGENCE_LIMIT (NaN fails);
-    `t` is the state's time, which a divergence reports.
+    `t` is the state's time, which a divergence reports.  Given `work`, the
+    magnitudes and the mask go into its buffers, and a is the flat state
+    of its size.
     """
     parts = a.view(float)
-    mag = np.abs(parts)
+    mag = np.abs(parts, out=None if work is None else work.mag)
     peak = float(mag.max())
     if not peak <= DIVERGENCE_LIMIT:
         raise DivergenceError(f"coefficient part {peak:.3e} at t = {t:.6g} exceeds "
                               f"{DIVERGENCE_LIMIT:.0e}; reduce the time step")
-    parts[mag < _TINY] = 0.0
+    parts[np.less(mag, _TINY, out=None if work is None else work.mask)] = 0.0
 
 
 def rhs_continuity(t: float, a: np.ndarray, u, model: ModelSpec) -> np.ndarray:
@@ -222,16 +286,18 @@ def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
     rows, width = a0.shape
     dn = np.tile(_factor(width), rows)
     controls = u_values.astype(complex)
+    work = Workspace.of(rows * width)
     a = np.array(a0, dtype=complex, order="C").reshape(-1)  # one copy, even of a broadcast
-    _settle(a, 0.0)
+    spare = np.empty_like(a)  # each step goes into the state the previous one left
+    _settle(a, 0.0, work)
     out[0] = a.reshape(rows, width)
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, 2 * controls.shape[0] + 1):
             if s & 1:
                 drive = _drive(controls[s >> 1], width)
-            a = _rk4_forward_step(a, h, drive, model, dn)
-            _settle(a, s * h)
+            a, spare = _rk4_forward_step(a, h, drive, model, dn, work, spare), a
+            _settle(a, s * h, work)
             i, off = divmod(s, every)
             if not off and i < len(out):
                 out[i] = a.reshape(rows, width)

@@ -8,6 +8,7 @@ n = -N/2 .. N/2 where a test compares against a full-layout reference.
 import numpy as np
 import pytest
 
+from mfpmp.forward import Workspace
 from mfpmp.presets import fig1_density
 
 
@@ -22,6 +23,14 @@ def half_row(n_modes, harmonics):
     for n, v in harmonics.items():
         row[n] = v
     return row
+
+
+def poisoned_workspace(size):
+    """The buffers of a march of `size` entries, filled with NaN so that a read before a write shows."""
+    work = Workspace.of(size)
+    for buf in (*work.k, work.stage, work.prod, work.mag):
+        buf.fill(np.nan)
+    return work
 
 
 def fig1_row(n_modes):

@@ -20,10 +20,11 @@ from mfpmp import (
     rhs_adjoint,
     terminal_adjoint,
 )
-from mfpmp import adjoint
+from mfpmp import adjoint, forward
+from mfpmp.presets import fig1_control
 
 from conftest import (fig1_row, full_rows, half_row, harmonic, hermitian_defect,
-                      literal_sync_cost_dmu, random_hermitian, uniform_field)
+                      literal_sync_cost_dmu, poisoned_workspace, random_hermitian, uniform_field)
 
 
 def literal_adjoint_rhs(b, a, u, alpha):
@@ -268,6 +269,74 @@ class TestIntegrateBackward:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DivergenceError, match="at t = 0.095 exceeds"):
                 integrate_backward(traj, constant_control(grid, [1e90, 0.0]), model)
+
+
+def fresh_backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil, phases):
+    """The backward RK4 step of the half row b with a fresh temporary for every operation."""
+    hb = -h
+    drift = complex(u[0]) * stencil[0]
+
+    def rhs(x, a):
+        return adjoint._adjoint_rhs(x, a, u, model, drift, stencil, phases)
+
+    k1 = rhs(b, a_hi)
+    k2 = rhs(b + (0.5 * hb) * k1, a_mid)
+    k3 = rhs(b + (0.5 * hb) * k2, a_mid)
+    k4 = rhs(b + hb * k3, a_lo)
+    return b + (hb / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def backward_step_setup(width, alpha, rng):
+    """A co-density half row, three forward half rows, a control and the step's constants."""
+    model = kuramoto_model(alpha, np.pi, control_set=ball(2.0))
+    b, a_hi, a_mid, a_lo = (random_hermitian(2 * (width - 1), rng) for _ in range(4))
+    stencil = adjoint._stencil(width)
+    return model, b, (a_hi, a_mid, a_lo), stencil, adjoint._source_phases(model)
+
+
+class TestBufferedBackwardStep:
+    """A backward step through the buffers of one workspace has the bits of fresh temporaries."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
+    @pytest.mark.parametrize("width", [17, 1025])
+    def test_buffered_step_equals_fresh_temporaries(self, alpha, width, rng):
+        model, b, nodes, stencil, phases = backward_step_setup(width, alpha, rng)
+        u = np.array([0.6, -1.1])
+        want = fresh_backward_step(b, 2.5e-3, u, *nodes, model, stencil, phases)
+        got = adjoint._rk4_backward_step(b, 2.5e-3, u, *nodes, model, stencil, phases,
+                                         poisoned_workspace(width), np.empty_like(b))
+        assert got.tobytes() == want.tobytes()
+
+    def test_two_steps_through_one_workspace(self, rng):
+        # The second step reads other forward rows under another control: a
+        # stage left over from the first would show in its bits.
+        model, b, nodes, stencil, phases = backward_step_setup(1025, 0.31, rng)
+        before = b.copy()
+        u1, u2 = np.array([0.6, -1.1]), np.array([-0.2, 0.9])
+        later = tuple(random_hermitian(2048, rng) for _ in range(3))
+        work, spare = poisoned_workspace(1025), np.empty_like(b)
+        first = adjoint._rk4_backward_step(b, 2.5e-3, u1, *nodes, model, stencil, phases,
+                                           work, spare)
+        assert first is spare and b.tobytes() == before.tobytes()
+        want_first = fresh_backward_step(before, 2.5e-3, u1, *nodes, model, stencil, phases)
+        want = fresh_backward_step(want_first, 2.5e-3, u2, *later, model, stencil, phases)
+        second = adjoint._rk4_backward_step(first, 2.5e-3, u2, *later, model, stencil, phases,
+                                            work, b)  # back into b
+        assert second is b and second.tobytes() == want.tobytes()
+        assert first.tobytes() == want_first.tobytes()
+
+    def test_a_short_last_block_at_2048_harmonics_equals_one_row_blocks(self, monkeypatch):
+        # 2K = 20 half steps in blocks of 8 rows: 8, 8 and a last block of 4.
+        grid = TimeGrid(0.01, 1e-3)
+        model = kuramoto_model(0.31, np.pi, control_set=ball(np.sqrt(2.0)))
+        u = fig1_control(grid)
+        traj = integrate_forward(fig1_row(2048), u, model, grid)
+        assert forward.batch_rows(1025) == 8 and (2 * grid.n_steps) % 8 == 4
+        blocked = integrate_backward(traj, u, model)
+        monkeypatch.setattr(forward, "BATCH_COEFFS", 1025)
+        assert forward.batch_rows(1025) == 1
+        one_row = integrate_backward(traj, u, model)
+        assert blocked.coeffs.tobytes() == one_row.coeffs.tobytes()
 
 
 class TestDualityWithTheCost:

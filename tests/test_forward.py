@@ -25,7 +25,7 @@ from mfpmp.descent import switching_function
 from mfpmp.presets import fig1_control
 
 from conftest import (fig1_row, full_rows, half_row, harmonic, hermitian_defect, mode_numbers,
-                      random_hermitian, uniform_field)
+                      poisoned_workspace, random_hermitian, uniform_field)
 
 
 def literal_coefficient_rhs(a, u, alpha):
@@ -436,6 +436,75 @@ class TestFlatSeams:
             cost_of_control(rho, [calm, calm, calm, wild, calm, calm, calm, calm], model, grid)
 
 
+def fresh_forward_step(a, h, drive, model, dn):
+    """The RK4 step of the flat state a with a fresh temporary for every operation."""
+    u1, u2 = drive
+
+    def rhs(x):
+        v, vc = forward._coupling(x, u2, model)
+        va = u1 * x
+        shifted = v * x
+        va[1:] += shifted[:-1]
+        shifted = vc * x
+        va[:-1] += shifted[1:]
+        va *= dn
+        return va
+
+    k1 = rhs(a)
+    k2 = rhs(a + (0.5 * h) * k1)
+    k3 = rhs(a + (0.5 * h) * k2)
+    k4 = rhs(a + h * k3)
+    return a + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+class TestWorkspace:
+    """A step through the buffers of one workspace has the bits of fresh temporaries."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
+    @pytest.mark.parametrize("rows", [1, 8])
+    @pytest.mark.parametrize("width", [17, 1025])
+    def test_buffered_step_equals_fresh_temporaries(self, alpha, rows, width, rng):
+        h = 2.5e-3
+        model = kuramoto_model(alpha, np.pi, control_set=ball(2.0))
+        a = distinct_rows(rows, width, rng).reshape(-1)
+        u = rng.uniform(-1.0, 1.0, (rows, 2)).astype(complex)
+        drive, dn = forward._drive(u, width), np.tile(forward._factor(width), rows)
+        want = fresh_forward_step(a, h, drive, model, dn)
+        got = _rk4_forward_step(a, h, drive, model, dn, poisoned_workspace(a.size),
+                                np.empty_like(a))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_two_steps_through_one_workspace(self, rows, rng):
+        # The second step reads another state under other controls: a stage
+        # left over from the first would show in its bits.
+        width, h = 1025, 2.5e-3
+        model = kuramoto_model(0.31, np.pi, control_set=ball(2.0))
+        a = distinct_rows(rows, width, rng).reshape(-1)
+        before = a.copy()
+        drives = [forward._drive(rng.uniform(-1.0, 1.0, (rows, 2)).astype(complex), width)
+                  for _ in range(2)]
+        dn = np.tile(forward._factor(width), rows)
+        work, spare = poisoned_workspace(a.size), np.empty_like(a)
+        first = _rk4_forward_step(a, h, drives[0], model, dn, work, spare)
+        assert first is spare and a.tobytes() == before.tobytes()
+        want = fresh_forward_step(fresh_forward_step(before, h, drives[0], model, dn), h,
+                                  drives[1], model, dn)
+        second = _rk4_forward_step(first, h, drives[1], model, dn, work, a)  # back into a
+        assert second is a and second.tobytes() == want.tobytes()
+        assert first.tobytes() == fresh_forward_step(before, h, drives[0], model, dn).tobytes()
+
+    def test_settle_through_the_workspace_equals_a_fresh_settle(self):
+        a = np.zeros((2, 3), dtype=complex)
+        a[:, 0] = 1.0 / (2.0 * np.pi)
+        a[0, 1] = complex(1e-310, -1e-320)
+        a[1, 2] = complex(3e-308, 2e-308)
+        fresh, flat = a.copy(), a.reshape(-1).copy()
+        forward._settle(fresh, 0.0)
+        forward._settle(flat, 0.0, poisoned_workspace(flat.size))
+        assert flat.tobytes() == fresh.tobytes()
+
+
 def segment_setup(n_modes, T, kind, alpha=0.31):
     """Two descent-like trials on a grid of tau 5e-3, feasible in a ball or a box."""
     grid = TimeGrid(T, 5e-3)
@@ -470,9 +539,9 @@ class TestTimeSegments:
 
     def test_checkpoints_are_the_stored_rows_at_their_nodes(self):
         rho, grid, model, trials = segment_setup(256, 1.5, "ball")
-        assert forward.segment_count(grid.n_steps, len(rho)) == 15
+        assert forward.segment_count(grid.n_steps, len(rho)) == 60
         _, starts = cost_of_control(rho, trials, model, grid)
-        nodes = 2 * (grid.n_steps // 15) * np.arange(15)
+        nodes = 2 * (grid.n_steps // 60) * np.arange(60)
         for trial, mark in zip(trials, starts):
             traj = integrate_forward(rho, trial, model, grid)
             assert mark.states.tobytes() == traj.coeffs[nodes].tobytes()
@@ -610,7 +679,7 @@ class TestSubnormalFlush:
         assert mass_drift(traj) == 0.0
 
     def test_flush_matches_the_unflushed_solve(self, flushed_gradient, monkeypatch):
-        def bound_only(a, t):
+        def bound_only(a, t, work=None):
             peak = float(np.max(np.abs(a.view(float))))
             if not peak <= forward.DIVERGENCE_LIMIT:
                 raise DivergenceError(f"part {peak} at t = {t}; reduce the time step")
