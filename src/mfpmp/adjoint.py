@@ -39,13 +39,13 @@ b_0 stays real and the field is Hermitian exactly.
 The march runs at the same half step as the forward solver, so every stage
 reads a forward state either straight from storage or, for quarter-step
 stage times, from a single local RK4 quarter-step off the stored node
-(fourth-order consistent, no interpolation).  The quarter steps of up to
-`forward.batch_rows` backward steps, 8 at 2048 harmonics, march as the
-rows of one forward state, and one `forward.Workspace` per solve holds the
-stage buffers of those blocks and of every backward step.  Only the
-switching function reads the co-density, at the full-step nodes where the
-controls live, so the co-trajectory keeps every second step: K + 1 rows,
-row k at t = k*tau.
+(fourth-order consistent, no interpolation).  The quarter steps of
+`forward.batch_rows` backward steps, 8 at 2048 harmonics (all 2K if fewer),
+march as the rows of one forward state, in blocks of that one size.  Both
+they and the backward steps are `forward.Workspace.step`, each through a
+workspace allocated once per solve.  Only the switching function reads
+the co-density, at the full-step nodes where the controls live, so the
+co-trajectory keeps every second step: K + 1 rows, row k at t = k*tau.
 
 The co-density's high harmonics decay geometrically, and at wide
 resolutions a large share of its float parts would fall below the normal
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import (Workspace, _coupling_value, _drive, _factor, _rk4_forward_step, _settle,
+from .forward import (Workspace, _continuity_rhs, _coupling_value, _drive, _factor, _settle,
                       batch_rows)
 from .models import ModelSpec
 from .spectral import require_row
@@ -81,11 +81,11 @@ def _stencil(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
                  drift: np.ndarray, stencil, phases: tuple[complex, complex],
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray) -> np.ndarray:
     """Co-density derivative of the half row b at the forward half row a, into `out`.
 
     `drift` is `-1j * n * u_1`, `stencil` is `_stencil(width)` and `phases`
-    is `_source_phases(model)`; `out` is a new array by default.
+    is `_source_phases(model)`; `out` is an array of b's size.
     """
     u2 = float(u[1])
     a1, b1 = complex(a[1]), complex(b[1])  # Python scalars: cheaper than NumPy's
@@ -105,27 +105,6 @@ def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
     # n = 0: the factor of b_0 is 0, and each conjugate pair sums to a real number.
     out[0] = ((-1j * v) * b_m1 + (1j * vc) * b1) - (q_lo * a1 + q_hi * a_m1)
     return out
-
-
-def _rk4_backward_step(b: np.ndarray, h: float, u: np.ndarray,
-                       a_hi: np.ndarray, a_mid: np.ndarray, a_lo: np.ndarray,
-                       model: ModelSpec, stencil, phases: tuple[complex, complex],
-                       work: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """One RK4 step of the co-density half row b from t to t - h, into `out` (new by default).
-
-    The stages use the buffers of `work` (new ones by default) in the order
-    of b + (-h/6)*(k1 + 2*(k2 + k3) + k4) with fresh temporaries, as
-    `forward._rk4_forward_step` does.  `out` must not be b.
-    """
-    hb = -h
-    drift = complex(u[0]) * stencil[0]
-    w = Workspace.of(b.size) if work is None else work
-    k1, k2, k3, k4 = w.k
-    _adjoint_rhs(b, a_hi, u, model, drift, stencil, phases, k1)
-    _adjoint_rhs(w.stage_state(b, 0.5 * hb, k1), a_mid, u, model, drift, stencil, phases, k2)
-    _adjoint_rhs(w.stage_state(b, 0.5 * hb, k2), a_mid, u, model, drift, stencil, phases, k3)
-    _adjoint_rhs(w.stage_state(b, hb, k3), a_lo, u, model, drift, stencil, phases, k4)
-    return w.combine(b, hb, out)
 
 
 def terminal_adjoint(muT: np.ndarray, model: ModelSpec) -> np.ndarray:
@@ -157,7 +136,7 @@ def rhs_adjoint(t: float, b: np.ndarray, a: np.ndarray, u, model: ModelSpec) -> 
         raise ValueError("state and co-state mode counts differ")
     stencil = _stencil(b.shape[0])
     return _adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil,
-                        _source_phases(model))
+                        _source_phases(model), np.empty_like(b))
 
 
 def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
@@ -179,11 +158,16 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         are stored or marched on.
 
     Raises:
+        ValueError: if `traj` is not stored at every half node (2K + 1 rows).
         DivergenceError: if any co-density part passes the guard.
     """
     if u.grid != traj.grid:
         raise ValueError("control signal grid does not match the trajectory")
     grid = traj.grid
+    last = 2 * grid.n_steps
+    if traj.n_snapshots != last + 1:
+        raise ValueError(f"the forward trajectory must hold every half node: expected {last + 1} "
+                         f"rows, got {traj.n_snapshots}")
     model.require_feasible(u.values)
     if terminal is None:
         b = terminal_adjoint(traj.terminal_field(), model)
@@ -198,33 +182,34 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     phases = _source_phases(model)
     # Complex control of the step that starts at each half node.
     controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
-    block = batch_rows(width)
-    dn = np.tile(stencil[0], block)  # a prefix serves a shorter block
-    # One workspace: the quarter-step block's stages, then the backward
-    # steps' in its prefix; each backward step goes into the other half row.
-    work = Workspace.of(block * width)
-    back = work.prefix(width)
-    mids = np.empty(block * width, dtype=complex)
-    spare = np.empty_like(b)
+    block = min(batch_rows(width), last)
+    dn = np.tile(stencil[0], block)
+    quarter, mids = Workspace.of(block * width), np.empty(block * width, dtype=complex)
+    back, spare = Workspace.of(width), np.empty_like(b)  # each step goes into the other half row
+
+    def quarter_rhs(x, i, k):
+        _continuity_rhs(x, drive, model, dn, k, quarter.prod)
+
+    def back_rhs(x, i, k):
+        _adjoint_rhs(x, nodes[i], uk, model, drift, stencil, phases, k)
+
     out = np.empty((grid.n_steps + 1, width), dtype=complex)
-    last = 2 * grid.n_steps
     _settle(b, last * h, back)
     out[-1] = b
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         for top in range(last, 0, -block):
-            # The quarter-step states of the block's backward steps read only
-            # the stored trajectory, so they are marched as the rows of one state.
+            # The block's quarter-step states read only the stored trajectory, so
+            # they march as one state; the lowest block re-marches rows above it.
             lo = max(top - block, 0)
-            size = (top - lo) * width
-            a_mids = _rk4_forward_step(traj.coeffs[lo:top].reshape(-1), 0.5 * h,
-                                       _drive(controls[lo:top], width), model, dn[:size],
-                                       work.prefix(size), mids[:size]).reshape(top - lo, width)
+            drive = _drive(controls[lo:lo + block], width)
+            a_mids = quarter.step(traj.coeffs[lo:lo + block].reshape(-1), 0.5 * h, quarter_rhs,
+                                  mids).reshape(block, width)
             for s in range(top, lo, -1):
                 uk = u.values[(s - 1) >> 1]
-                b, spare = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mids[s - 1 - lo],
-                                              traj.coeffs[s - 1], model, stencil, phases,
-                                              back, spare), b
+                drift = complex(uk[0]) * stencil[0]
+                nodes = (traj.coeffs[s], a_mids[s - 1 - lo], a_mids[s - 1 - lo], traj.coeffs[s - 1])
+                b, spare = back.step(b, -h, back_rhs, spare), b
                 _settle(b, (s - 1) * h, back)
                 if s & 1:  # landed on the full node s - 1 = 2k
                     out[s >> 1] = b

@@ -39,12 +39,12 @@ bound in that step, so the march raises anyway; so would a seam product
 v a_{W-1} that overflows from finite parts, which takes parts past 1e150.
 
 A march allocates its buffers once (`Workspace`): the four RK4 stages, the
-stage state, the shift product and the flush's magnitudes and mask, which
-every step overwrites with `out=` ufuncs in the operation order of fresh
-temporaries, so the bits are theirs; the step itself goes into the state
-array that the step before left, and back.  Fresh temporaries of a wide
-state pass glibc's 128 KiB mmap and trim thresholds, and their pages were
-faulted in again on every step.
+shift product and the flush's magnitudes and mask.  The one RK4 step of
+both equations, `Workspace.step`, overwrites them with `out=` ufuncs in the
+operation order of fresh temporaries, so the bits are theirs; its stage
+states and its result go into the state array that the step before left,
+and back.  Fresh temporaries of a wide state pass glibc's 128 KiB mmap and
+trim thresholds, and their pages were faulted in again on every step.
 
 A lean march (`cost_of_control`) records the settled state of each row at
 the full nodes k = i*K/S, i = 0 .. S-1 (`Checkpoints`).  A stored solve of
@@ -83,8 +83,8 @@ _TINY = np.finfo(float).tiny
 # 160 us for 16 in the same run, and fault their pages in on every step.
 # A budget of 8200 half-row coefficients gives 63 rows at 256 harmonics and
 # 8 at 2048, where the per-row cost levels off.  It bounds the S time
-# segments of a stored solve, the adjoint's quarter-step blocks and, by
-# the line search's choice, its trials per `cost_of_control` call.
+# segments of a stored solve, the adjoint's quarter-step blocks (one size
+# per solve) and, by the line search's choice, its trials per lean march.
 BATCH_COEFFS = 8200
 
 # Diagnostics sweep a stored trajectory this many rows at a time, so their
@@ -108,7 +108,8 @@ class Checkpoints:
     """Settled states of a forward march at the full nodes k = i*K/S, i = 0 .. S-1.
 
     The march ran under `model` and the control `u` (read-only values);
-    `states` are the (S, width) half rows, row 0 the settled initial density.
+    `states` are the (S, width) half rows, row 0 the settled initial density,
+    copied out of the march's records so that no other row stays alive with them.
     """
 
     u: ControlSignal
@@ -157,14 +158,14 @@ def _drive(u: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _continuity_rhs(a: np.ndarray, drive, model: ModelSpec, dn: np.ndarray,
-                    out: np.ndarray | None = None, prod: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray, prod: np.ndarray) -> np.ndarray:
     """Coefficient derivative of the flat state a: its half rows, each under its own control.
 
     `drive` is `_drive(u, width)` for the complex controls u (rows, 2): a
     real control broadcast against the complex state would make NumPy cast
     on every call, which costs more than the arithmetic.  `dn` holds -1j*n
     of every entry, tiled once per march.  The result goes into `out` and
-    the shift products into `prod`, new arrays by default.  Every call runs
+    the shift products into `prod`, arrays of a's size.  Every call runs
     on contiguous arrays.  A row's n = 0 entry gets the previous row's
     v a_{W-1}, or nothing, in place of v a_{-1}; its factor n is 0.
     """
@@ -183,13 +184,12 @@ def _continuity_rhs(a: np.ndarray, drive, model: ModelSpec, dn: np.ndarray,
 class Workspace:
     """The flat buffers of one march, allocated once and overwritten by every step.
 
-    `k` holds the four RK4 stages (rows of one array), `stage` the state a
-    stage reads, `prod` a right-hand side's shift products, and `mag` and
-    `mask` the float parts' magnitudes and flush mask of `_settle`.
+    `k` holds the four RK4 stages (rows of one array), `prod` a right-hand
+    side's shift products, and `mag` and `mask` the float parts' magnitudes
+    and flush mask of `_settle`.
     """
 
     k: tuple[np.ndarray, ...]
-    stage: np.ndarray
     prod: np.ndarray
     mag: np.ndarray
     mask: np.ndarray
@@ -198,23 +198,21 @@ class Workspace:
     def of(cls, size: int) -> Workspace:
         """Buffers for a flat state of `size` complex entries."""
         return cls(tuple(np.empty((4, size), dtype=complex)), np.empty(size, dtype=complex),
-                   np.empty(size, dtype=complex), np.empty(2 * size), np.empty(2 * size, dtype=bool))
+                   np.empty(2 * size), np.empty(2 * size, dtype=bool))
 
-    def prefix(self, size: int) -> Workspace:
-        """Views of the first `size` entries: the buffers of a shorter state."""
-        return Workspace(tuple(k[:size] for k in self.k), self.stage[:size], self.prod[:size],
-                         self.mag[:2 * size], self.mask[:2 * size])
+    def step(self, a: np.ndarray, h: float, rhs, out: np.ndarray) -> np.ndarray:
+        """One classical RK4 step of the flat state a, a + (h/6)*(k1 + 2*(k2 + k3) + k4).
 
-    def stage_state(self, a: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
-        """a + c*k, in the stage buffer."""
-        return np.add(a, np.multiply(c, k, out=self.stage), out=self.stage)
-
-    def combine(self, a: np.ndarray, h: float, out: np.ndarray | None) -> np.ndarray:
-        """a + (h/6)*(k1 + 2*(k2 + k3) + k4), grouped as written, into `out` (new if None).
-
-        The sum overwrites k2.
+        `rhs(x, i, k)` writes the derivative of stage i = 0 .. 3 at the state
+        x into k.  The stage states and then the step go into `out`, which
+        must not be a, and the sum overwrites k2, in the operations and order
+        of fresh temporaries, so the step has their bits.
         """
         k1, k2, k3, k4 = self.k
+        rhs(a, 0, k1)
+        rhs(np.add(a, np.multiply(0.5 * h, k1, out=out), out=out), 1, k2)
+        rhs(np.add(a, np.multiply(0.5 * h, k2, out=out), out=out), 2, k3)
+        rhs(np.add(a, np.multiply(h, k3, out=out), out=out), 3, k4)
         np.add(k2, k3, out=k2)
         np.multiply(2.0, k2, out=k2)
         np.add(k1, k2, out=k2)
@@ -222,39 +220,21 @@ class Workspace:
         return np.add(a, np.multiply(h / 6.0, k2, out=k2), out=out)
 
 
-def _rk4_forward_step(a: np.ndarray, h: float, drive, model: ModelSpec, dn: np.ndarray,
-                      work: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """One classical RK4 step of the flat state a, written into `out` (a new array by default).
-
-    The stages use the buffers of `work` (new ones by default) and keep the
-    operations and their order of a + (h/6)*(k1 + 2*(k2 + k3) + k4) with
-    fresh temporaries, so the step has their bits.  `out` must not be a.
-    """
-    w = Workspace.of(a.size) if work is None else work
-    k1, k2, k3, k4 = w.k
-    _continuity_rhs(a, drive, model, dn, k1, w.prod)
-    _continuity_rhs(w.stage_state(a, 0.5 * h, k1), drive, model, dn, k2, w.prod)
-    _continuity_rhs(w.stage_state(a, 0.5 * h, k2), drive, model, dn, k3, w.prod)
-    _continuity_rhs(w.stage_state(a, h, k3), drive, model, dn, k4, w.prod)
-    return w.combine(a, h, out)
-
-
-def _settle(a: np.ndarray, t: float, work: Workspace | None = None) -> None:
-    """Flush the subnormal parts of a new complex state to zero, in place, and bound it.
+def _settle(a: np.ndarray, t: float, work: Workspace) -> None:
+    """Flush the subnormal parts of the new flat complex state a to zero, in place, and bound it.
 
     One look at the float view serves both: parts with |x| < tiny become
     0.0, and the largest |x| must stay within DIVERGENCE_LIMIT (NaN fails);
-    `t` is the state's time, which a divergence reports.  Given `work`, the
-    magnitudes and the mask go into its buffers, and a is the flat state
-    of its size.
+    `t` is the state's time, which a divergence reports.  The magnitudes
+    and the mask go into the buffers of `work`, a workspace of a's size.
     """
     parts = a.view(float)
-    mag = np.abs(parts, out=None if work is None else work.mag)
+    mag = np.abs(parts, out=work.mag)
     peak = float(mag.max())
     if not peak <= DIVERGENCE_LIMIT:
         raise DivergenceError(f"coefficient part {peak:.3e} at t = {t:.6g} exceeds "
                               f"{DIVERGENCE_LIMIT:.0e}; reduce the time step")
-    parts[np.less(mag, _TINY, out=None if work is None else work.mask)] = 0.0
+    parts[np.less(mag, _TINY, out=work.mask)] = 0.0
 
 
 def rhs_continuity(t: float, a: np.ndarray, u, model: ModelSpec) -> np.ndarray:
@@ -264,7 +244,8 @@ def rhs_continuity(t: float, a: np.ndarray, u, model: ModelSpec) -> np.ndarray:
     """
     u = model.require_feasible(u)
     a = require_row(a, "density")
-    return _continuity_rhs(a, _drive(u.astype(complex)[None], len(a)), model, _factor(len(a)))
+    return _continuity_rhs(a, _drive(u.astype(complex)[None], len(a)), model, _factor(len(a)),
+                           np.empty_like(a), np.empty_like(a))
 
 
 def _factor(width: int) -> np.ndarray:
@@ -291,12 +272,16 @@ def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
     spare = np.empty_like(a)  # each step goes into the state the previous one left
     _settle(a, 0.0, work)
     out[0] = a.reshape(rows, width)
+
+    def rhs(x, i, k):
+        _continuity_rhs(x, drive, model, dn, k, work.prod)
+
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, 2 * controls.shape[0] + 1):
             if s & 1:
                 drive = _drive(controls[s >> 1], width)
-            a, spare = _rk4_forward_step(a, h, drive, model, dn, work, spare), a
+            a, spare = work.step(a, h, rhs, spare), a
             _settle(a, s * h, work)
             i, off = divmod(s, every)
             if not off and i < len(out):
@@ -319,8 +304,8 @@ def _resumable(starts: Checkpoints | None, rho0: np.ndarray, u: ControlSignal,
     """Whether `starts` were marched from rho0 under `model` and the control u itself."""
     if starts is None or starts.u is not u or starts.model != model:
         return False
-    a = np.array(rho0[None], dtype=complex)
-    _settle(a, 0.0)
+    a = np.array(rho0, dtype=complex)
+    _settle(a, 0.0, Workspace.of(len(a)))
     return starts.states[:1].tobytes() == a.tobytes()
 
 
@@ -383,7 +368,7 @@ def cost_of_control(rho0: np.ndarray, controls, model: ModelSpec,
     """
     terminal, marks = _terminal_rows(rho0, controls, model, grid)
     return ([model.cost.eval(row) for row in terminal],
-            [Checkpoints(u, model, marks[:, r]) for r, u in enumerate(controls)])
+            [Checkpoints(u, model, marks[:, r].copy()) for r, u in enumerate(controls)])
 
 
 def row_blocks(coeffs: np.ndarray):

@@ -8,6 +8,7 @@ n = -N/2 .. N/2 where a test compares against a full-layout reference.
 import numpy as np
 import pytest
 
+from mfpmp import adjoint
 from mfpmp.forward import Workspace
 from mfpmp.presets import fig1_density
 
@@ -28,9 +29,26 @@ def half_row(n_modes, harmonics):
 def poisoned_workspace(size):
     """The buffers of a march of `size` entries, filled with NaN so that a read before a write shows."""
     work = Workspace.of(size)
-    for buf in (*work.k, work.stage, work.prod, work.mag):
+    for buf in (*work.k, work.prod, work.mag):
         buf.fill(np.nan)
     return work
+
+
+def backward_rhs(u, a_hi, a_mid, a_lo, model, stencil, phases):
+    """The `rhs` of `Workspace.step` for a backward step under the control u (2,).
+
+    Stages 0 .. 3 read the forward half rows a_hi, a_mid, a_mid and a_lo.
+    """
+    drift = complex(u[0]) * stencil[0]
+    nodes = (a_hi, a_mid, a_mid, a_lo)
+    return lambda x, i, k: adjoint._adjoint_rhs(x, nodes[i], u, model, drift, stencil, phases, k)
+
+
+def backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil, phases):
+    """One RK4 step of the co-density half row b from t to t - h, through a workspace of its own."""
+    work = Workspace.of(b.size)
+    return work.step(b, -h, backward_rhs(u, a_hi, a_mid, a_lo, model, stencil, phases),
+                     np.empty_like(b))
 
 
 def fig1_row(n_modes):

@@ -23,7 +23,7 @@ from mfpmp import (
 from mfpmp import adjoint, forward
 from mfpmp.presets import fig1_control
 
-from conftest import (fig1_row, full_rows, half_row, harmonic, hermitian_defect,
+from conftest import (backward_rhs, fig1_row, full_rows, half_row, harmonic, hermitian_defect,
                       literal_sync_cost_dmu, poisoned_workspace, random_hermitian, uniform_field)
 
 
@@ -139,7 +139,7 @@ class TestAdjointRhs:
             a = random_hermitian(n_modes, rng)
             b = random_hermitian(n_modes, rng, scale=0.3, mass=rng.standard_normal() * 0.2)
             got = adjoint._adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil,
-                                       phases)
+                                       phases, np.empty_like(b))
             want = literal_adjoint_rhs(full_rows(b), full_rows(a), u, alpha)
             assert np.max(np.abs(got - want[n_modes // 2:])) < 1e-14  # n = 0 included
             assert got[0].imag == 0.0  # the n = 0 entry sums conjugate pairs
@@ -260,6 +260,16 @@ class TestIntegrateBackward:
         worst = max(hermitian_defect(full_rows(row)) for row in cotraj.coeffs)
         assert worst == 0.0
 
+    def test_a_trajectory_without_its_half_nodes_is_rejected(self):
+        # The quarter steps and the stages read the forward state at every half node.
+        grid = TimeGrid(0.5, 1e-2)
+        model = kuramoto_model(0.0, np.pi)
+        u = constant_control(grid, [0.4, 0.9])
+        traj = integrate_forward(fig1_row(32), u, model, grid)
+        for short in (Trajectory(grid, traj.full_nodes()), integrate_backward(traj, u, model)):
+            with pytest.raises(ValueError, match="every half node: expected 101 rows, got 51"):
+                integrate_backward(short, u, model)
+
     def test_an_overflowing_step_is_a_divergence_without_warnings(self):
         # A drift of 1e90 overflows inside the first RK4 step; `_settle` reports it.
         grid = TimeGrid(0.1, 1e-2)
@@ -277,7 +287,7 @@ def fresh_backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil, phases):
     drift = complex(u[0]) * stencil[0]
 
     def rhs(x, a):
-        return adjoint._adjoint_rhs(x, a, u, model, drift, stencil, phases)
+        return adjoint._adjoint_rhs(x, a, u, model, drift, stencil, phases, np.empty_like(x))
 
     k1 = rhs(b, a_hi)
     k2 = rhs(b + (0.5 * hb) * k1, a_mid)
@@ -303,8 +313,9 @@ class TestBufferedBackwardStep:
         model, b, nodes, stencil, phases = backward_step_setup(width, alpha, rng)
         u = np.array([0.6, -1.1])
         want = fresh_backward_step(b, 2.5e-3, u, *nodes, model, stencil, phases)
-        got = adjoint._rk4_backward_step(b, 2.5e-3, u, *nodes, model, stencil, phases,
-                                         poisoned_workspace(width), np.empty_like(b))
+        got = poisoned_workspace(width).step(b, -2.5e-3,
+                                             backward_rhs(u, *nodes, model, stencil, phases),
+                                             np.full_like(b, np.nan))
         assert got.tobytes() == want.tobytes()
 
     def test_two_steps_through_one_workspace(self, rng):
@@ -314,19 +325,20 @@ class TestBufferedBackwardStep:
         before = b.copy()
         u1, u2 = np.array([0.6, -1.1]), np.array([-0.2, 0.9])
         later = tuple(random_hermitian(2048, rng) for _ in range(3))
-        work, spare = poisoned_workspace(1025), np.empty_like(b)
-        first = adjoint._rk4_backward_step(b, 2.5e-3, u1, *nodes, model, stencil, phases,
-                                           work, spare)
+        work, spare = poisoned_workspace(1025), np.full_like(b, np.nan)
+        first = work.step(b, -2.5e-3, backward_rhs(u1, *nodes, model, stencil, phases), spare)
         assert first is spare and b.tobytes() == before.tobytes()
         want_first = fresh_backward_step(before, 2.5e-3, u1, *nodes, model, stencil, phases)
         want = fresh_backward_step(want_first, 2.5e-3, u2, *later, model, stencil, phases)
-        second = adjoint._rk4_backward_step(first, 2.5e-3, u2, *later, model, stencil, phases,
-                                            work, b)  # back into b
+        second = work.step(first, -2.5e-3, backward_rhs(u2, *later, model, stencil, phases),
+                           b)  # back into b
         assert second is b and second.tobytes() == want.tobytes()
         assert first.tobytes() == want_first.tobytes()
 
-    def test_a_short_last_block_at_2048_harmonics_equals_one_row_blocks(self, monkeypatch):
-        # 2K = 20 half steps in blocks of 8 rows: 8, 8 and a last block of 4.
+    def test_an_overlapping_lowest_block_at_2048_harmonics_equals_one_row_blocks(self,
+                                                                                 monkeypatch):
+        # 2K = 20 half steps in blocks of 8 rows: two, then the lowest block,
+        # which starts at node 0 and recomputes 4 rows of the block above.
         grid = TimeGrid(0.01, 1e-3)
         model = kuramoto_model(0.31, np.pi, control_set=ball(np.sqrt(2.0)))
         u = fig1_control(grid)

@@ -19,13 +19,13 @@ from mfpmp import (
     rhs_continuity,
 )
 from mfpmp import adjoint, forward
-from mfpmp.adjoint import _rk4_backward_step, _source_phases
-from mfpmp.forward import _rk4_forward_step, _terminal_rows, mass_drift
+from mfpmp.adjoint import _source_phases
+from mfpmp.forward import _terminal_rows, mass_drift
 from mfpmp.descent import switching_function
 from mfpmp.presets import fig1_control
 
-from conftest import (fig1_row, full_rows, half_row, harmonic, hermitian_defect, mode_numbers,
-                      poisoned_workspace, random_hermitian, uniform_field)
+from conftest import (backward_step, fig1_row, full_rows, half_row, harmonic, hermitian_defect,
+                      mode_numbers, poisoned_workspace, random_hermitian, uniform_field)
 
 
 def literal_coefficient_rhs(a, u, alpha):
@@ -87,19 +87,34 @@ def full_layout_march(rho0, controls, model, grid):
     dn = -1j * mode_numbers(full.size)
     u = np.stack([c.values for c in controls], axis=1).astype(complex)
     a = np.array(np.broadcast_to(full, (len(controls), full.size)), order="C")
-    forward._settle(a, 0.0)
+    settle(a, 0.0)
     nodes = [a]
     for s in range(2 * grid.n_steps):
         a = full_layout_step(a, h, u[s >> 1], model, dn)
-        forward._settle(a, (s + 1) * h)
+        settle(a, (s + 1) * h)
         nodes.append(a)
     return np.stack(nodes)
 
 
+def settle(a, t):
+    """`forward._settle` of the C-ordered state a, of any shape, through a workspace of its size."""
+    forward._settle(a.reshape(-1), t, forward.Workspace.of(a.size))
+
+
+def continuity_rhs(work, drive, model, dn):
+    """The `rhs` of `Workspace.step` for the continuity kernel, with the shift products in `work`."""
+    return lambda x, i, k: forward._continuity_rhs(x, drive, model, dn, k, work.prod)
+
+
+def flat_step(a, h, drive, model, dn):
+    """One RK4 step of the flat state a through a workspace of its own, into a new array."""
+    work = forward.Workspace.of(a.size)
+    return work.step(a, h, continuity_rhs(work, drive, model, dn), np.empty_like(a))
+
+
 def one_row_step(a, h, u, model):
     """One RK4 step of the half row a under the complex control u (2,), as a one-row state."""
-    return _rk4_forward_step(a, h, forward._drive(u[None], len(a)), model,
-                             forward._factor(len(a)))
+    return flat_step(a, h, forward._drive(u[None], len(a)), model, forward._factor(len(a)))
 
 
 def n_ge_0_half(full):
@@ -186,7 +201,7 @@ class TestIntegrateForward:
         dn = -1j * mode_numbers(33)
         flat, drive = a.reshape(-1), forward._drive(u, 17)
         for _ in range(20):
-            flat = _rk4_forward_step(flat, 1e-3, drive, model, np.tile(forward._factor(17), 5))
+            flat = flat_step(flat, 1e-3, drive, model, np.tile(forward._factor(17), 5))
             full = full_layout_step(full, 1e-3, u, model, dn)
         a = flat.reshape(5, 17)
         # A full-layout march keeps the symmetry to rounding; the half rows
@@ -311,6 +326,15 @@ class TestBatchedMarch:
         integrate_forward(rho, u, model, grid)
         assert calls == [1]
 
+    def test_each_control_owns_its_checkpoints(self):
+        # A view of the march's (S, rows, width) records would keep every
+        # row's checkpoints alive for as long as any one control's are.
+        rho, grid, model, _, ladder = ladder_setup(0.31)
+        _, starts = cost_of_control(rho, ladder, model, grid)
+        for i, mark in enumerate(starts):
+            assert mark.states.flags.c_contiguous and mark.states.flags.owndata
+            assert not any(np.shares_memory(mark.states, other.states) for other in starts[:i])
+
     def test_a_diverging_row_raises(self):
         rho = fig1_row(64)
         grid = TimeGrid(10.0, 0.1)
@@ -320,7 +344,7 @@ class TestBatchedMarch:
         with pytest.raises(DivergenceError, match="reduce the time step"):
             cost_of_control(rho, [calm, wild, calm], model, grid)
 
-    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("rows", [1, 7, 64, 256])  # 256 rows: one block of 2K = 200
     def test_blocked_quarter_steps_match_the_per_step_adjoint(self, rows, monkeypatch):
         monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
         rho, grid, model, u, _ = ladder_setup(0.31)
@@ -337,8 +361,8 @@ class TestBatchedMarch:
         for s in range(last, 0, -1):
             uk = u.values[(s - 1) >> 1]
             a_mid = one_row_step(traj.coeffs[s - 1], 0.5 * h, uk.astype(complex), model)
-            b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
-                                   model, stencil, phases)
+            b = backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
+                              model, stencil, phases)
             want[s - 1] = b
         assert cotraj.coeffs.tobytes() == want[::2].tobytes()
 
@@ -417,13 +441,13 @@ class TestFlatSeams:
         a[3, [0, -1]] = bad  # both seams of row 3
         u = rng.uniform(-1.0, 1.0, (7, 2)).astype(complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            step = _rk4_forward_step(a.reshape(-1), h, forward._drive(u, width), model,
-                                     np.tile(forward._factor(width), 7)).reshape(7, width)
+            step = flat_step(a.reshape(-1), h, forward._drive(u, width), model,
+                             np.tile(forward._factor(width), 7)).reshape(7, width)
             for r in (0, 6):
                 assert step[r].tobytes() == one_row_step(a[r], h, u[r], model).tobytes()
             assert not np.isfinite(one_row_step(a[3], h, u[3], model)).all()
         with pytest.raises(DivergenceError, match="reduce the time step"):
-            forward._settle(step, h)
+            settle(step, h)
 
     def test_an_overflowing_row_between_healthy_rows_raises(self):
         # u_2 = 1e150 overflows row 3 to inf inside its first step.
@@ -470,8 +494,8 @@ class TestWorkspace:
         u = rng.uniform(-1.0, 1.0, (rows, 2)).astype(complex)
         drive, dn = forward._drive(u, width), np.tile(forward._factor(width), rows)
         want = fresh_forward_step(a, h, drive, model, dn)
-        got = _rk4_forward_step(a, h, drive, model, dn, poisoned_workspace(a.size),
-                                np.empty_like(a))
+        work = poisoned_workspace(a.size)
+        got = work.step(a, h, continuity_rhs(work, drive, model, dn), np.full_like(a, np.nan))
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 8])
@@ -485,12 +509,12 @@ class TestWorkspace:
         drives = [forward._drive(rng.uniform(-1.0, 1.0, (rows, 2)).astype(complex), width)
                   for _ in range(2)]
         dn = np.tile(forward._factor(width), rows)
-        work, spare = poisoned_workspace(a.size), np.empty_like(a)
-        first = _rk4_forward_step(a, h, drives[0], model, dn, work, spare)
+        work, spare = poisoned_workspace(a.size), np.full_like(a, np.nan)
+        first = work.step(a, h, continuity_rhs(work, drives[0], model, dn), spare)
         assert first is spare and a.tobytes() == before.tobytes()
         want = fresh_forward_step(fresh_forward_step(before, h, drives[0], model, dn), h,
                                   drives[1], model, dn)
-        second = _rk4_forward_step(first, h, drives[1], model, dn, work, a)  # back into a
+        second = work.step(first, h, continuity_rhs(work, drives[1], model, dn), a)  # back into a
         assert second is a and second.tobytes() == want.tobytes()
         assert first.tobytes() == fresh_forward_step(before, h, drives[0], model, dn).tobytes()
 
@@ -500,7 +524,8 @@ class TestWorkspace:
         a[0, 1] = complex(1e-310, -1e-320)
         a[1, 2] = complex(3e-308, 2e-308)
         fresh, flat = a.copy(), a.reshape(-1).copy()
-        forward._settle(fresh, 0.0)
+        parts = fresh.view(float)
+        parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
         forward._settle(flat, 0.0, poisoned_workspace(flat.size))
         assert flat.tobytes() == fresh.tobytes()
 
@@ -656,14 +681,14 @@ def settled_per_step_adjoint(flushed_gradient):
     stencil = adjoint._stencil(traj.coeffs.shape[1])
     phases = _source_phases(model)
     b = adjoint.terminal_adjoint(traj.terminal_field(), model)
-    forward._settle(b, grid.T)
+    settle(b, grid.T)
     nodes = [b]
     for s in range(2 * grid.n_steps, 0, -1):
         uk = u.values[(s - 1) >> 1]
         a_mid = one_row_step(traj.coeffs[s - 1], 0.5 * h, uk.astype(complex), model)
-        b = _rk4_backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
-                               model, stencil, phases)
-        forward._settle(b, (s - 1) * h)
+        b = backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
+                          model, stencil, phases)
+        settle(b, (s - 1) * h)
         if s % 2 == 1:
             nodes.append(b)
     return np.stack(nodes[::-1])
@@ -679,7 +704,7 @@ class TestSubnormalFlush:
         assert mass_drift(traj) == 0.0
 
     def test_flush_matches_the_unflushed_solve(self, flushed_gradient, monkeypatch):
-        def bound_only(a, t, work=None):
+        def bound_only(a, t, work):
             peak = float(np.max(np.abs(a.view(float))))
             if not peak <= forward.DIVERGENCE_LIMIT:
                 raise DivergenceError(f"part {peak} at t = {t}; reduce the time step")
@@ -724,12 +749,12 @@ class TestSubnormalFlush:
         a[:, 0] = 1.0 / (2.0 * np.pi)
         a[0, 1] = complex(1e-310, -1e-320)
         a[1, 2] = complex(3e-308, 2e-308)  # 3e-308 is normal, 2e-308 is not
-        forward._settle(a, 0.0)
+        settle(a, 0.0)
         assert np.array_equal(a[:, 0], np.full(2, 1.0 / (2.0 * np.pi)))
         assert a[0, 1] == 0 and a[1, 2] == 3e-308
         a[1, 1] = complex(0.0, np.nan)
         with pytest.raises(DivergenceError, match="reduce the time step"):
-            forward._settle(a, 0.0)
+            settle(a, 0.0)
 
 
 class TestDensityMin:
