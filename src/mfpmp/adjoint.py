@@ -31,10 +31,10 @@ stencil plus the source,
         - q_{-1} a_{n+1} - q_{+1} a_{n-1},
 
 with v = u_2 * i*pi*a_1*e^{i*alpha} and the source harmonics q_{-+1} of
-q(x).  Its mode factors are computed once per solve (`_stencil`).  Only
-the n = 0 entry and q_{-1} read b_{-1} and a_{-1}, which are conj(b_1) and
-conj(a_1); that entry adds its conjugate pairs in scalar arithmetic, so
-b_0 stays real and the field is Hermitian exactly.
+q(x).  Its mode factors and source phases are computed once per solve
+(`_stencil`).  Only the n = 0 entry and q_{-1} read b_{-1} and a_{-1},
+which are conj(b_1) and conj(a_1); that entry adds its conjugate pairs in
+scalar arithmetic, so b_0 stays real and the field is Hermitian exactly.
 
 The march runs at the same half step as the forward solver, so every stage
 reads a forward state either straight from storage or, for quarter-step
@@ -64,28 +64,24 @@ from .spectral import require_row
 from .timegrid import ControlSignal, Trajectory
 
 
-def _source_phases(model: ModelSpec) -> tuple[complex, complex]:
-    """(e^{i*alpha}/2, e^{-i*alpha}/2): the source's factors of b_{-1} and b_1."""
-    return 0.5 * model.phase, 0.5 * model.phase.conjugate()
-
-
-def _stencil(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mode factors -i*n, -i*(n+1) and -i*(n-1) of b_n, b_{n-1} and b_{n+1}.
+def _stencil(width: int, model: ModelSpec) -> tuple:
+    """The mode factors -i*n, -i*(n+1), -i*(n-1) of b_n, b_{n-1}, b_{n+1}, then e^{+-i*alpha}/2.
 
     The first covers n = 0 .. width - 1, the second the rows n >= 1 and the
     third the rows n <= width - 2, where the shifted harmonic is stored.
+    e^{i*alpha}/2 and e^{-i*alpha}/2 are the source's factors of b_{-1} and b_1.
     """
     n = np.arange(width)
-    return _factor(width), -1j * (n[1:] + 1), -1j * (n[:-1] - 1)
+    return (_factor(width), -1j * (n[1:] + 1), -1j * (n[:-1] - 1),
+            0.5 * model.phase, 0.5 * model.phase.conjugate())
 
 
 def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
-                 drift: np.ndarray, stencil, phases: tuple[complex, complex],
-                 out: np.ndarray) -> np.ndarray:
+                 drift: np.ndarray, stencil, out: np.ndarray) -> np.ndarray:
     """Co-density derivative of the half row b at the forward half row a, into `out`.
 
-    `drift` is `-1j * n * u_1`, `stencil` is `_stencil(width)` and `phases`
-    is `_source_phases(model)`; `out` is an array of b's size.
+    `drift` is `-1j * n * u_1` and `stencil` is `_stencil(width, model)`;
+    `out` is an array of b's size.
     """
     u2 = float(u[1])
     a1, b1 = complex(a[1]), complex(b[1])  # Python scalars: cheaper than NumPy's
@@ -95,8 +91,8 @@ def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
     # Source harmonics of q(x) = u_2 * integral cos(y - x + alpha) zeta(y) dy:
     # q_{-1} = 2*pi*u_2*(e^{i*alpha}/2)*b_{-1} and its conjugate partner q_{+1}.
     w = u2 * 2.0 * np.pi
-    q_lo = w * phases[0] * b_m1
-    q_hi = w * phases[1] * b1
+    q_lo = w * stencil[3] * b_m1
+    q_hi = w * stencil[4] * b1
     out = np.multiply(drift, b, out=out)
     out[1:] += (v * stencil[1]) * b[:-1]
     out[:-1] += (vc * stencil[2]) * b[1:]
@@ -134,9 +130,8 @@ def rhs_adjoint(t: float, b: np.ndarray, a: np.ndarray, u, model: ModelSpec) -> 
     b, a = require_row(b, "co-density"), require_row(a, "density")
     if b.shape != a.shape:
         raise ValueError("state and co-state mode counts differ")
-    stencil = _stencil(b.shape[0])
-    return _adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil,
-                        _source_phases(model), np.empty_like(b))
+    stencil = _stencil(b.shape[0], model)
+    return _adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil, np.empty_like(b))
 
 
 def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
@@ -178,8 +173,7 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
 
     h = 0.5 * grid.tau
     width = traj.coeffs.shape[1]
-    stencil = _stencil(width)
-    phases = _source_phases(model)
+    stencil = _stencil(width, model)
     # Complex control of the step that starts at each half node.
     controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
     block = min(batch_rows(width), last)
@@ -191,7 +185,7 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         _continuity_rhs(x, drive, model, dn, k, quarter.prod)
 
     def back_rhs(x, i, k):
-        _adjoint_rhs(x, nodes[i], uk, model, drift, stencil, phases, k)
+        _adjoint_rhs(x, nodes[i], uk, model, drift, stencil, k)
 
     out = np.empty((grid.n_steps + 1, width), dtype=complex)
     _settle(b, last * h, back)

@@ -105,6 +105,7 @@ def increment_slope_check(rho0: np.ndarray, pair: tuple[Reference, ControlSignal
     ladders = [u.toward(ubar, lam) for u, ubar in [(pair[0].u, pair[1]), *synthetic]
                for lam in lambdas]
     costs, starts = cost_of_control(rho0, [u for u, _ in synthetic] + ladders, model, grid)
+    del starts[len(synthetic):]  # the ladders' checkpoints are never resumed
     probes = [pair] + [(reference(integrate_forward(rho0, u, model, grid, marks), u, model), ubar)
                        for (u, ubar), marks in zip(synthetic, starts)]
 

@@ -87,16 +87,18 @@ def _write_csv(path: Path, header, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_snapshots(path: Path, traj: Trajectory, times) -> None:
-    """Dump (t, x, value) rows of the reconstructed field at the stored node nearest each time."""
+def _write_snapshots(path: Path, traj: Trajectory, times) -> tuple[list, np.ndarray]:
+    """Dump (t, x, value) rows of the reconstructed field at the stored node nearest each time.
+
+    Returns the nodes and the fields written, one row per time.
+    """
     x = grid_points(traj.n_modes)
-    rows = []
-    for t in times:
-        idx = traj.node_index(float(t))
-        values = reconstruct_rows(traj.coeffs[idx])[0]
-        t_node = idx * traj.spacing
-        rows.extend((t_node, xj, vj) for xj, vj in zip(x, values))
-    _write_csv(path, ("t", "x", "value"), rows)
+    nodes = [traj.node_index(float(t)) for t in times]
+    fields = reconstruct_rows(traj.coeffs[nodes])
+    _write_csv(path, ("t", "x", "value"),
+               [(idx * traj.spacing, xj, vj)
+                for idx, values in zip(nodes, fields) for xj, vj in zip(x, values)])
+    return nodes, fields
 
 
 def _tail_ratio(coeffs: np.ndarray, scale: np.ndarray) -> float:
@@ -105,18 +107,19 @@ def _tail_ratio(coeffs: np.ndarray, scale: np.ndarray) -> float:
     return float(np.divide(tail, scale, out=np.zeros_like(tail), where=scale > 0).max())
 
 
-def _resolution(traj: Trajectory, cotraj: Trajectory | None, times) -> dict:
+def _resolution(traj: Trajectory, cotraj: Trajectory | None, snapshots) -> dict:
     """The summary's `resolution` block; warns once on stderr when it is not resolved.
 
     The density's tail is measured against its mass |a_0|; the co-density's
     against its largest harmonic, since its mode 0 (the co-mass) may vanish.
+    `snapshots` are the density's (nodes, fields) of `_write_snapshots`.
     """
     ratios = {"density_tail_ratio": _tail_ratio(traj.coeffs, np.abs(traj.coeffs[:, 0]))}
     if cotraj is not None:
         scale = np.concatenate([np.abs(b).max(axis=1) for b in row_blocks(cotraj.coeffs)])
         ratios["adjoint_tail_ratio"] = _tail_ratio(cotraj.coeffs, scale)
-    nodes = [traj.node_index(float(t)) for t in times]
-    minima = reconstruct_rows(traj.coeffs[nodes]).min(axis=1) if nodes else []
+    nodes, fields = snapshots
+    minima = fields.min(axis=1)
     resolved = all(r <= RESOLUTION_TAIL_MAX for r in ratios.values())
     if not resolved:
         worst = ", ".join(f"{k} {v:.3e}" for k, v in ratios.items())
@@ -144,16 +147,17 @@ def _write_fields(config: RunConfig, traj: Trajectory, cotraj: Trajectory | None
 
     Returns the summary's `density_min`, `mass_drift` and `resolution` entries.
     """
+    snapshots = [], np.empty((0, traj.n_modes))
     if config.snapshot_times:
-        _write_snapshots(config.output_dir / "density_snapshots.csv", traj,
-                         config.snapshot_times)
+        snapshots = _write_snapshots(config.output_dir / "density_snapshots.csv", traj,
+                                     config.snapshot_times)
         if cotraj is not None:
             _write_snapshots(config.output_dir / "adjoint_snapshots.csv", cotraj,
                              config.snapshot_times)
     return {
         "density_min": density_min(traj),
         "mass_drift": mass_drift(traj),
-        "resolution": _resolution(traj, cotraj, config.snapshot_times),
+        "resolution": _resolution(traj, cotraj, snapshots),
     }
 
 

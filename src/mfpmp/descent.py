@@ -48,23 +48,7 @@ STATUS_MAX_ITER = "max-iterations"
 STATUS_LINE_SEARCH = "line-search-failed"
 
 
-@dataclass(frozen=True)
-class SwitchingFunction:
-    """Per-node coefficients d(t) of the cost's linear response to the control.
-
-    `values` has shape (K + 1, 2): one column per control channel.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_steps + 1, 2):
-            raise ValueError("switching values must be (n_nodes, 2)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("switching values must be finite")
-        object.__setattr__(self, "values", v)
+SwitchingFunction = ControlSignal  # d(t) has the control's two channels and K + 1 nodes
 
 
 @dataclass(frozen=True)
@@ -216,10 +200,10 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, energy: float,
     the smallest passing j is accepted, so the result is that of trying one
     step after the other: a trial past the accepted one may diverge without
     effect, one before it raises.  The ladder is never held whole.
-    Returns (lam, new_cost, j, accepted, starts), `starts` being the
-    accepted trial's checkpoints, which carry the trial as `starts.u`;
-    lam = 0 with accepted = False and starts = None when no exponent up to
-    j_max qualifies.
+    Returns (lam, j, starts, accepted), `starts` being the accepted
+    trial's checkpoints, which carry the trial as `starts.u`; lam = 0 with
+    starts = None and accepted = False when no exponent up to j_max
+    qualifies.
     """
     slope = -energy
     lam = 1.0
@@ -240,8 +224,8 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, energy: float,
                 trial_cost, trial_starts = costs[i], starts[i]
             # A bound that underflows to -0.0 would pass a trial that decreases nothing.
             if trial_cost - cost_u <= cfg.c * lams[i] * slope < 0.0:
-                return lams[i], trial_cost, start + i, True, trial_starts
-    return 0.0, cost_u, cfg.j_max + 1, False, None
+                return lams[i], start + i, trial_starts, True
+    return 0.0, cfg.j_max + 1, None, False
 
 
 def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
@@ -287,7 +271,7 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
         if extremal:
             lam, j, accepted = 0.0, 0, False
         else:
-            lam, _, j, accepted, starts = backtracking_step(
+            lam, j, starts, accepted = backtracking_step(
                 u, ubar, energy, cost, cfg, evaluator, chunk)
         record = IterationRecord(k, cost, energy, lam, j, time.perf_counter() - t0)
         history.append(record)

@@ -43,8 +43,8 @@ shift product and the flush's magnitudes and mask.  The one RK4 step of
 both equations, `Workspace.step`, overwrites them with `out=` ufuncs in the
 operation order of fresh temporaries, so the bits are theirs; its stage
 states and its result go into the state array that the step before left,
-and back.  Fresh temporaries of a wide state pass glibc's 128 KiB mmap and
-trim thresholds, and their pages were faulted in again on every step.
+and back.  Fresh temporaries of a wide state would pass glibc's 128 KiB
+mmap and trim thresholds and fault their pages in on every step.
 
 A lean march (`cost_of_control`) records the settled state of each row at
 the full nodes k = i*K/S, i = 0 .. S-1 (`Checkpoints`).  A stored solve of
@@ -79,18 +79,14 @@ _TINY = np.finfo(float).tiny
 # step, at 256 harmonics (half rows of 129): 71 us for 1 row, 25 us for 8,
 # 17 us for 15, 13 us for 32 and 8.6 us for 63; at 2048 harmonics (half
 # rows of 1025): 105 us for 1 row, 75 us for 4, 64 us for 8, 62 us for 12
-# and 63 us for 16.  Fresh temporaries cost 103 us for 8 rows of 1025 and
-# 160 us for 16 in the same run, and fault their pages in on every step.
-# A budget of 8200 half-row coefficients gives 63 rows at 256 harmonics and
-# 8 at 2048, where the per-row cost levels off.  It bounds the S time
-# segments of a stored solve, the adjoint's quarter-step blocks (one size
-# per solve) and, by the line search's choice, its trials per lean march.
+# and 63 us for 16.  Fresh temporaries in place of the buffers cost 103 us
+# for 8 rows of 1025 and 160 us for 16 in the same run.  A budget of 8200
+# half-row coefficients gives 63 rows at 256 harmonics and 8 at 2048, where
+# the per-row cost levels off.  It bounds the S time segments of a stored
+# solve, the adjoint's quarter-step blocks (one size per solve), by the
+# line search's choice its trials per lean march, and the row blocks of a
+# diagnostic sweep (`row_blocks`).
 BATCH_COEFFS = 8200
-
-# Diagnostics sweep a stored trajectory this many rows at a time, so their
-# temporaries stay small next to the trajectory (at 2048 harmonics one
-# whole-trajectory reconstruction took 376 MB).
-DIAGNOSTIC_ROWS = 256
 
 
 def batch_rows(width: int) -> int:
@@ -372,8 +368,13 @@ def cost_of_control(rho0: np.ndarray, controls, model: ModelSpec,
 
 
 def row_blocks(coeffs: np.ndarray):
-    """Views of consecutive blocks of DIAGNOSTIC_ROWS rows of a stored trajectory."""
-    return (coeffs[i:i + DIAGNOSTIC_ROWS] for i in range(0, coeffs.shape[0], DIAGNOSTIC_ROWS))
+    """Views of consecutive blocks of `batch_rows` rows of a stored trajectory.
+
+    Diagnostics sweep a trajectory block by block, so their temporaries stay
+    small next to it (one whole reconstruction at 2048 harmonics: 376 MB).
+    """
+    rows = batch_rows(coeffs.shape[1])
+    return (coeffs[i:i + rows] for i in range(0, coeffs.shape[0], rows))
 
 
 def density_min(traj: Trajectory) -> float:

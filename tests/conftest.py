@@ -34,20 +34,20 @@ def poisoned_workspace(size):
     return work
 
 
-def backward_rhs(u, a_hi, a_mid, a_lo, model, stencil, phases):
+def backward_rhs(u, a_hi, a_mid, a_lo, model, stencil):
     """The `rhs` of `Workspace.step` for a backward step under the control u (2,).
 
     Stages 0 .. 3 read the forward half rows a_hi, a_mid, a_mid and a_lo.
     """
     drift = complex(u[0]) * stencil[0]
     nodes = (a_hi, a_mid, a_mid, a_lo)
-    return lambda x, i, k: adjoint._adjoint_rhs(x, nodes[i], u, model, drift, stencil, phases, k)
+    return lambda x, i, k: adjoint._adjoint_rhs(x, nodes[i], u, model, drift, stencil, k)
 
 
-def backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil, phases):
+def backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil):
     """One RK4 step of the co-density half row b from t to t - h, through a workspace of its own."""
     work = Workspace.of(b.size)
-    return work.step(b, -h, backward_rhs(u, a_hi, a_mid, a_lo, model, stencil, phases),
+    return work.step(b, -h, backward_rhs(u, a_hi, a_mid, a_lo, model, stencil),
                      np.empty_like(b))
 
 

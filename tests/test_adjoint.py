@@ -132,14 +132,13 @@ class TestAdjointRhs:
     @pytest.mark.parametrize("n_modes, alpha", [(4, 0.47), (24, 0.47), (24, 1.9), (64, 0.0)])
     def test_fused_stencil_on_half_rows_matches_the_literal_formula(self, n_modes, alpha, rng):
         model = kuramoto_model(alpha, np.pi, control_set=ball(4.0))
-        stencil = adjoint._stencil(n_modes // 2 + 1)
-        phases = adjoint._source_phases(model)
+        stencil = adjoint._stencil(n_modes // 2 + 1, model)
         controls = [rng.uniform(-1, 1, 2) for _ in range(5)] + [np.array([0.3, -0.0])]
         for u in controls:
             a = random_hermitian(n_modes, rng)
             b = random_hermitian(n_modes, rng, scale=0.3, mass=rng.standard_normal() * 0.2)
             got = adjoint._adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil,
-                                       phases, np.empty_like(b))
+                                       np.empty_like(b))
             want = literal_adjoint_rhs(full_rows(b), full_rows(a), u, alpha)
             assert np.max(np.abs(got - want[n_modes // 2:])) < 1e-14  # n = 0 included
             assert got[0].imag == 0.0  # the n = 0 entry sums conjugate pairs
@@ -281,13 +280,13 @@ class TestIntegrateBackward:
                 integrate_backward(traj, constant_control(grid, [1e90, 0.0]), model)
 
 
-def fresh_backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil, phases):
+def fresh_backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil):
     """The backward RK4 step of the half row b with a fresh temporary for every operation."""
     hb = -h
     drift = complex(u[0]) * stencil[0]
 
     def rhs(x, a):
-        return adjoint._adjoint_rhs(x, a, u, model, drift, stencil, phases, np.empty_like(x))
+        return adjoint._adjoint_rhs(x, a, u, model, drift, stencil, np.empty_like(x))
 
     k1 = rhs(b, a_hi)
     k2 = rhs(b + (0.5 * hb) * k1, a_mid)
@@ -300,8 +299,7 @@ def backward_step_setup(width, alpha, rng):
     """A co-density half row, three forward half rows, a control and the step's constants."""
     model = kuramoto_model(alpha, np.pi, control_set=ball(2.0))
     b, a_hi, a_mid, a_lo = (random_hermitian(2 * (width - 1), rng) for _ in range(4))
-    stencil = adjoint._stencil(width)
-    return model, b, (a_hi, a_mid, a_lo), stencil, adjoint._source_phases(model)
+    return model, b, (a_hi, a_mid, a_lo), adjoint._stencil(width, model)
 
 
 class TestBufferedBackwardStep:
@@ -310,27 +308,27 @@ class TestBufferedBackwardStep:
     @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
     @pytest.mark.parametrize("width", [17, 1025])
     def test_buffered_step_equals_fresh_temporaries(self, alpha, width, rng):
-        model, b, nodes, stencil, phases = backward_step_setup(width, alpha, rng)
+        model, b, nodes, stencil = backward_step_setup(width, alpha, rng)
         u = np.array([0.6, -1.1])
-        want = fresh_backward_step(b, 2.5e-3, u, *nodes, model, stencil, phases)
+        want = fresh_backward_step(b, 2.5e-3, u, *nodes, model, stencil)
         got = poisoned_workspace(width).step(b, -2.5e-3,
-                                             backward_rhs(u, *nodes, model, stencil, phases),
+                                             backward_rhs(u, *nodes, model, stencil),
                                              np.full_like(b, np.nan))
         assert got.tobytes() == want.tobytes()
 
     def test_two_steps_through_one_workspace(self, rng):
         # The second step reads other forward rows under another control: a
         # stage left over from the first would show in its bits.
-        model, b, nodes, stencil, phases = backward_step_setup(1025, 0.31, rng)
+        model, b, nodes, stencil = backward_step_setup(1025, 0.31, rng)
         before = b.copy()
         u1, u2 = np.array([0.6, -1.1]), np.array([-0.2, 0.9])
         later = tuple(random_hermitian(2048, rng) for _ in range(3))
         work, spare = poisoned_workspace(1025), np.full_like(b, np.nan)
-        first = work.step(b, -2.5e-3, backward_rhs(u1, *nodes, model, stencil, phases), spare)
+        first = work.step(b, -2.5e-3, backward_rhs(u1, *nodes, model, stencil), spare)
         assert first is spare and b.tobytes() == before.tobytes()
-        want_first = fresh_backward_step(before, 2.5e-3, u1, *nodes, model, stencil, phases)
-        want = fresh_backward_step(want_first, 2.5e-3, u2, *later, model, stencil, phases)
-        second = work.step(first, -2.5e-3, backward_rhs(u2, *later, model, stencil, phases),
+        want_first = fresh_backward_step(before, 2.5e-3, u1, *nodes, model, stencil)
+        want = fresh_backward_step(want_first, 2.5e-3, u2, *later, model, stencil)
+        second = work.step(first, -2.5e-3, backward_rhs(u2, *later, model, stencil),
                            b)  # back into b
         assert second is b and second.tobytes() == want.tobytes()
         assert first.tobytes() == want_first.tobytes()

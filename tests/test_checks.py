@@ -1,5 +1,7 @@
 """Oracle harness: particle comparison, slope probe, closed-form co-density."""
 
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -175,6 +177,25 @@ class TestBatchedSlopeOracle:
         monkeypatch.setattr(checks, "integrate_forward", spy)
         self.check()
         assert resumed == [True, True]
+
+    def test_the_ladders_checkpoints_are_freed_before_the_stored_solves(self, monkeypatch):
+        # Only the synthetic references resume: the ladders' checkpoints must
+        # not stay alive through the references' stored solves and adjoints.
+        ladders, alive = [], []
+
+        def lean(rho0, controls, model, grid):
+            costs, starts = forward.cost_of_control(rho0, controls, model, grid)
+            ladders.extend(weakref.ref(s) for s in starts[len(self.synthetic):])
+            return costs, starts
+
+        def stored(rho0, u, model, grid, starts=None):
+            alive.append(sum(ref() is not None for ref in ladders))
+            return forward.integrate_forward(rho0, u, model, grid, starts)
+
+        monkeypatch.setattr(checks, "cost_of_control", lean)
+        monkeypatch.setattr(checks, "integrate_forward", stored)
+        self.check()
+        assert len(ladders) == 3 * len(self.LAMBDAS) and alive == [0, 0]
 
 
 class TestMeanfieldVsParticles:

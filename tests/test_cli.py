@@ -251,6 +251,35 @@ class TestResolution:
             assert entry["value"] == dumped
         assert stderr_records(capsys) == []
 
+    @pytest.mark.parametrize("command", ["solve-forward", "optimize"])
+    def test_no_snapshot_times_write_no_snapshots(self, tmp_path, command):
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command=command, snapshot_times=[], descent={"k_max": 2})
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 0
+        assert not list(out.glob("*_snapshots.csv"))
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["resolution"]["snapshot_density_min"] == []
+        assert summary["density_min"] > 0.0
+
+    def test_each_snapshot_is_reconstructed_once(self, tmp_path, monkeypatch):
+        # The density minima at the snapshots read the fields dumped there.
+        calls = []
+
+        def spy(half):
+            calls.append(np.shape(half))
+            return reconstruct_rows(half)
+
+        monkeypatch.setattr(cli, "reconstruct_rows", spy)
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command="solve-adjoint", snapshot_times=[0.0, 0.0025, 0.4])
+        assert main(["solve-adjoint", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert calls == [(3, 17), (3, 17)]  # the density, then the co-density
+        _, rows = read_csv(out / "density_snapshots.csv")
+        res = json.loads((out / "summary.json").read_text())["resolution"]
+        assert [m["t"] for m in res["snapshot_density_min"]] == [0.0, 0.0025, 0.4]
+        for entry in res["snapshot_density_min"]:
+            assert entry["value"] == min(float(r[2]) for r in rows if float(r[0]) == entry["t"])
+
     def test_tail_above_the_threshold_warns_once(self, tmp_path, capsys):
         out = tmp_path / "out"
         mass = 1.0 / (2.0 * np.pi)
@@ -266,11 +295,11 @@ class TestResolution:
         assert records[0]["warning"]["category"] == "resolution"
 
     def test_blocked_sweeps_equal_one_sweep(self, tmp_path, monkeypatch):
-        # The diagnostics sweep a trajectory DIAGNOSTIC_ROWS rows at a time;
+        # The diagnostics sweep a trajectory `batch_rows` rows at a time;
         # minima and maxima are exact, so the block size changes no byte.
         summaries = []
-        for rows in (3, 10**6):
-            monkeypatch.setattr(forward, "DIAGNOSTIC_ROWS", rows)
+        for rows in (3, 10**4):  # half rows of 17 coefficients
+            monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
             out = tmp_path / str(rows)
             doc = tiny_doc(out, command="solve-adjoint")
             assert main(["solve-adjoint", "--config", str(write_config(tmp_path, doc))]) == 0
@@ -284,7 +313,7 @@ class TestResolution:
         cotraj = integrate_backward(traj, cfg.u0, cfg.model)
         assert traj.n_snapshots > 40 * 3
         one_sweep = float(reconstruct_rows(traj.coeffs).min())
-        monkeypatch.setattr(forward, "DIAGNOSTIC_ROWS", 3)
+        monkeypatch.setattr(forward, "BATCH_COEFFS", 3 * 17)
         assert density_min(traj) == one_sweep == summaries[0]["density_min"]
         assert summaries[0]["adjoint_max_coeff"] == float(np.abs(cotraj.coeffs).max())
         assert summaries[0]["resolution"]["adjoint_tail_ratio"] == _tail_ratio(

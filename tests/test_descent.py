@@ -37,6 +37,15 @@ def small_setup(T=0.4, tau=2e-3, n=32, alpha=0.0, radius=2.0):
 
 
 class TestSwitchingFunction:
+    def test_is_a_control_signal_with_its_shape_rules(self):
+        # d(t) has the control's two channels and K + 1 nodes.
+        assert SwitchingFunction is ControlSignal
+        grid = TimeGrid(1.0, 0.5)
+        with pytest.raises(ValueError, match="shape"):
+            SwitchingFunction(grid, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            SwitchingFunction(grid, np.full((3, 2), np.nan))
+
     def test_zero_co_state_gives_zero(self):
         grid, model, rho = small_setup()
         u = constant_control(grid, [0.3, 0.5])
@@ -205,9 +214,9 @@ def sequential_search(u, ubar, d, cost_u, cfg, evaluator):
     for j in range(cfg.j_max + 1):
         (trial_cost,), (starts,) = evaluator([u.toward(ubar, lam)])
         if trial_cost - cost_u <= cfg.c * lam * slope < 0.0:
-            return lam, trial_cost, j, True, starts
+            return lam, j, starts, True
         lam *= cfg.theta
-    return 0.0, cost_u, cfg.j_max + 1, False, None
+    return 0.0, cfg.j_max + 1, None, False
 
 
 class TestBacktracking:
@@ -219,15 +228,14 @@ class TestBacktracking:
         assert_allclose(energy, 1.0, atol=1e-15)
         evaluator = ladder_evaluator(lambda lam: 5.0 - 2.0 * energy * lam * (1.0 - lam))
         cfg = DescentConfig(c=0.01, theta=0.5)
-        lam, new_cost, j, ok, starts = backtracking_step(u, ubar, energy, 5.0, cfg, evaluator)
+        lam, j, starts, ok = backtracking_step(u, ubar, energy, 5.0, cfg, evaluator)
         assert ok and j == 1 and lam == 0.5 and starts == ("starts", 0.5)
-        assert_allclose(new_cost, 5.0 - 0.5, atol=1e-15)
 
     def test_full_step_accepted_when_it_suffices(self):
         u, ubar, d = unit_ladder()
         energy = non_extremality(u, ubar, d)
         evaluator = ladder_evaluator(lambda lam: 5.0 - lam)  # linear decrease
-        lam, _, j, ok, _ = backtracking_step(u, ubar, energy, 5.0, DescentConfig(), evaluator)
+        lam, j, _, ok = backtracking_step(u, ubar, energy, 5.0, DescentConfig(), evaluator)
         assert ok and j == 0 and lam == 1.0
 
     def test_flat_landscape_fails_with_a_flag(self):
@@ -237,7 +245,7 @@ class TestBacktracking:
         cfg = DescentConfig(j_max=12)
         calls = []
         got = backtracking_step(u, ubar, energy, 5.0, cfg, ladder_evaluator(lambda lam: 5.0, calls=calls))
-        lam, cost, j, ok, starts = got
+        lam, j, starts, ok = got
         assert not ok and lam == 0.0 and j == cfg.j_max + 1 and starts is None
         assert got == sequential_search(u, ubar, d, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))
         assert calls == [8, 5]
@@ -253,7 +261,7 @@ class TestBacktracking:
         energy = non_extremality(u, ubar, d)
         got = backtracking_step(u, ubar, energy, 5.0, DescentConfig(j_max=1015),
                                 ladder_evaluator(lambda lam: 5.0))
-        assert got == (0.0, 5.0, 1016, False, None)
+        assert got == (0.0, 1016, None, False)
 
     def test_an_underflowing_bound_passes_no_equal_cost_trial(self):
         # With E[u] = 1e-300 the bound c * theta^j * slope underflows to -0.0
@@ -264,7 +272,7 @@ class TestBacktracking:
         energy = non_extremality(u, ubar, d)
         cfg = DescentConfig(j_max=100, eps_tol=0.0)
         got = backtracking_step(u, ubar, energy, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))
-        assert got == (0.0, 5.0, cfg.j_max + 1, False, None)
+        assert got == (0.0, cfg.j_max + 1, None, False)
 
 
 class TestChunkedBacktracking:
@@ -278,7 +286,7 @@ class TestChunkedBacktracking:
         evaluator = ladder_evaluator(lambda lam: 5.0 + lam * (1500.0 * lam - 1.0), calls=calls)
         got = backtracking_step(u, ubar, energy, 5.0, cfg, evaluator)
         assert got == sequential_search(u, ubar, d, 5.0, cfg, evaluator)
-        assert got[2] == 11 and got[3]
+        assert got[1] == 11 and got[3]
         assert calls[:2] == [8, 8]
 
     def test_divergence_after_the_accepted_step_is_ignored(self):
@@ -290,7 +298,19 @@ class TestChunkedBacktracking:
         got = backtracking_step(u, ubar, energy, 5.0, cfg,
                                 ladder_evaluator(cost, diverging={0.25}))
         assert got == sequential_search(u, ubar, d, 5.0, cfg, ladder_evaluator(cost))
-        assert got[2] == 1
+        assert got[1] == 1
+
+    @pytest.mark.parametrize("cost, diverging, accepted", [
+        (lambda lam: 5.0 - lam, (), True),  # from a chunk
+        (lambda lam: 5.0 + lam * (1.5 * lam - 1.0), {0.25}, True),  # on the one-trial retry
+        (lambda lam: 5.0, (), False),  # no exponent qualifies
+    ])
+    def test_checkpoints_come_back_exactly_with_an_accepted_step(self, cost, diverging, accepted):
+        u, ubar, d = unit_ladder()
+        energy = non_extremality(u, ubar, d)
+        got = backtracking_step(u, ubar, energy, 5.0, DescentConfig(j_max=12),
+                                ladder_evaluator(cost, diverging=diverging))
+        assert len(got) == 4 and got[3] is accepted is (got[2] is not None)
 
     def test_divergence_before_the_accepted_step_raises(self):
         u, ubar, d = unit_ladder()

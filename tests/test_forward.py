@@ -19,7 +19,6 @@ from mfpmp import (
     rhs_continuity,
 )
 from mfpmp import adjoint, forward
-from mfpmp.adjoint import _source_phases
 from mfpmp.forward import _terminal_rows, mass_drift
 from mfpmp.descent import switching_function
 from mfpmp.presets import fig1_control
@@ -352,8 +351,7 @@ class TestBatchedMarch:
         cotraj = integrate_backward(traj, u, model)
         # Reference: one quarter-step state per backward step, as a one-row state.
         h = 0.5 * grid.tau
-        stencil = adjoint._stencil(17)
-        phases = _source_phases(model)
+        stencil = adjoint._stencil(17, model)
         want = np.empty_like(traj.coeffs)
         b = adjoint.terminal_adjoint(traj.terminal_field(), model)
         last = 2 * grid.n_steps
@@ -362,7 +360,7 @@ class TestBatchedMarch:
             uk = u.values[(s - 1) >> 1]
             a_mid = one_row_step(traj.coeffs[s - 1], 0.5 * h, uk.astype(complex), model)
             b = backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
-                              model, stencil, phases)
+                              model, stencil)
             want[s - 1] = b
         assert cotraj.coeffs.tobytes() == want[::2].tobytes()
 
@@ -678,8 +676,7 @@ def settled_per_step_adjoint(flushed_gradient):
     grid = traj.grid
     u = fig1_control(grid)
     h = 0.5 * grid.tau
-    stencil = adjoint._stencil(traj.coeffs.shape[1])
-    phases = _source_phases(model)
+    stencil = adjoint._stencil(traj.coeffs.shape[1], model)
     b = adjoint.terminal_adjoint(traj.terminal_field(), model)
     settle(b, grid.T)
     nodes = [b]
@@ -687,7 +684,7 @@ def settled_per_step_adjoint(flushed_gradient):
         uk = u.values[(s - 1) >> 1]
         a_mid = one_row_step(traj.coeffs[s - 1], 0.5 * h, uk.astype(complex), model)
         b = backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
-                          model, stencil, phases)
+                          model, stencil)
         settle(b, (s - 1) * h)
         if s % 2 == 1:
             nodes.append(b)
