@@ -11,7 +11,6 @@ from .descent import (
     DescentConfig,
     DescentResult,
     IterationRecord,
-    SwitchingFunction,
     backtracking_step,
     non_extremality,
     run_descent,

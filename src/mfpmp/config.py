@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import MAX_EXTRA_PAIRS
+from .checks import LOCAL_U1, MAX_EXTRA_PAIRS
 from .descent import DescentConfig
 from .errors import ConfigError
 from .models import AdmissibleSet, ModelSpec, ball, box, kuramoto_model
@@ -35,10 +35,6 @@ _VALIDATE_DEFAULTS = {
     "local_tol": 1e-6,
     "local_u1": {"kind": "constant"},
 }
-
-# The drift profiles of the closed-form co-density oracle, with their parameter defaults.
-_LOCAL_U1 = {"constant": {"value": 1.0},
-             "sinusoidal": {"amplitude": 1.0, "frequency": 1.0}}
 
 
 @dataclass(frozen=True)
@@ -240,7 +236,8 @@ def _parse_validate(doc: dict | None) -> dict:
             and all(_is_number(lam) and 0 < lam <= 1 for lam in lambdas)
             and len(set(lambdas)) == len(lambdas)):
         raise ConfigError(f"{where}.lambdas: expected at least two distinct steps in (0, 1] "
-                          f"(the residual order is a fitted slope), got {lambdas!r}")
+                          f"(the residual order is taken between the two smallest steps), "
+                          f"got {lambdas!r}")
     pairs = params["extra_pairs"]
     if not (_is_int(pairs) and 0 <= pairs <= MAX_EXTRA_PAIRS):
         raise ConfigError(f"{where}.extra_pairs: expected an integer in "
@@ -248,13 +245,13 @@ def _parse_validate(doc: dict | None) -> dict:
 
     local = params["local_u1"]
     kind = local.get("kind") if isinstance(local, dict) else None
-    if kind not in _LOCAL_U1:
+    if kind not in LOCAL_U1:
         raise ConfigError(f"{where}.local_u1.kind: must be one of "
-                          f"{sorted(_LOCAL_U1)}, got {kind!r}")
-    _require_keys(local, {"kind", *_LOCAL_U1[kind]}, {"kind"}, f"{where}.local_u1")
+                          f"{sorted(LOCAL_U1)}, got {kind!r}")
+    _require_keys(local, {"kind", *LOCAL_U1[kind]}, {"kind"}, f"{where}.local_u1")
     for key in sorted(set(local) - {"kind"}):
         _number(local, key, f"{where}.local_u1")
-    params["local_u1"] = {**_LOCAL_U1[kind], **local}  # every parameter named in the echo
+    params["local_u1"] = {**LOCAL_U1[kind], **local}  # every parameter named in the echo
     return params
 
 

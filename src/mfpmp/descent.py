@@ -30,9 +30,6 @@ from .forward import batch_rows, cost_of_control, integrate_forward
 from .models import ModelSpec
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
-# Ball directions shorter than this are treated as ties (current control kept).
-_TIE_NORM = 1e-14
-
 # Trial steps per forward solve in the line search.  A march of B trials on
 # the desk grid takes about 0.12 + 0.013 B seconds (fitted to B = 1..16 on
 # one CPU of a shared 2-vCPU host); over the accepted exponents of the desk
@@ -46,9 +43,6 @@ STATUS_EXTREMAL = "non-extremality-converged"
 STATUS_STEP = "step-size-converged"
 STATUS_MAX_ITER = "max-iterations"
 STATUS_LINE_SEARCH = "line-search-failed"
-
-
-SwitchingFunction = ControlSignal  # d(t) has the control's two channels and K + 1 nodes
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ class DescentResult:
 
 
 def switching_function(traj: Trajectory, cotraj: Trajectory,
-                       model: ModelSpec) -> SwitchingFunction:
+                       model: ModelSpec) -> ControlSignal:
     """Pair each control channel's field with the co-density at full nodes.
 
     d_j(t_k) = integral V^j(x, mu_{t_k}) zeta_{t_k}(x) dx, that is
@@ -146,36 +140,17 @@ def switching_function(traj: Trajectory, cotraj: Trajectory,
     coupling = 0.0 + 2.0 * (vr * b1.real + vi * b1.imag)
     drift = 0.0 + b[:, 0].real
     vals = (2.0 * np.pi) * np.column_stack([drift, coupling])
-    return SwitchingFunction(traj.grid, vals)
+    return ControlSignal(traj.grid, vals)
 
 
-def target_control(d: SwitchingFunction, admissible, u: ControlSignal) -> ControlSignal:
-    """Pointwise maximizer of v . d(t) over the admissible set.
-
-    Ball: radius * d/|d|.  Box: the bound selected by the sign of each
-    component.  Where the direction vanishes every point maximizes, and the
-    current control value is kept (ties contribute nothing to the
-    non-extremality integral and avoid spurious direction changes).
-    """
+def target_control(d: ControlSignal, admissible, u: ControlSignal) -> ControlSignal:
+    """Pointwise maximizer of v . d(t) over the admissible set (`AdmissibleSet.maximizer`)."""
     if d.grid != u.grid:
         raise ValueError("switching function and control live on different grids")
-    dv = d.values
-    out = np.array(u.values, dtype=float)
-    if admissible.kind == "ball":
-        norms = np.linalg.norm(dv, axis=1)
-        active = norms > _TIE_NORM
-        out[active] = dv[active] * (admissible.radius / norms[active])[:, None]
-    else:
-        pos = dv > 0.0
-        neg = dv < 0.0
-        upper = np.broadcast_to(admissible.upper, dv.shape)
-        lower = np.broadcast_to(admissible.lower, dv.shape)
-        out[pos] = upper[pos]
-        out[neg] = lower[neg]
-    return ControlSignal(u.grid, out)
+    return ControlSignal(u.grid, admissible.maximizer(d.values, u.values))
 
 
-def non_extremality(u: ControlSignal, ubar: ControlSignal, d: SwitchingFunction) -> float:
+def non_extremality(u: ControlSignal, ubar: ControlSignal, d: ControlSignal) -> float:
     """L2 pairing <ubar - u, d>; nonnegative whenever ubar is the target.
 
     Rectangle rule over the K control steps; the node at t = T carries no

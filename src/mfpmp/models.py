@@ -23,6 +23,9 @@ from .spectral import require_normalized
 # Relative and absolute slack of `AdmissibleSet.admits`.
 _ADMIT_TOL = 1e-9
 
+# Ball directions shorter than this are treated as ties (current control kept).
+_TIE_NORM = 1e-14
+
 
 # ---------------------------------------------------------------------------
 # Admissible control sets
@@ -77,6 +80,22 @@ class AdmissibleSet:
             if norm > self.radius:
                 row *= self.radius / norm
         return out
+
+    def maximizer(self, d, current) -> np.ndarray:
+        """Pointwise maximizer of v . d over the set, for each row of d (shape (K + 1, 2)).
+
+        Ball: radius * d/|d|.  Box: the bound selected by the sign of each
+        component.  Where the direction vanishes every point maximizes, and the
+        row of `current` is kept (ties contribute nothing to the
+        non-extremality integral and avoid spurious direction changes).
+        """
+        out = np.array(current, dtype=float)
+        if self.kind == "ball":
+            norms = np.linalg.norm(d, axis=1)
+            active = norms > _TIE_NORM
+            out[active] = d[active] * (self.radius / norms[active])[:, None]
+            return out
+        return np.where(d > 0.0, self.upper, np.where(d < 0.0, self.lower, out))
 
 
 def ball(radius: float) -> AdmissibleSet:

@@ -102,7 +102,7 @@ class ControlSignal:
     """A control or its switching function: values at the full-step nodes.
 
     `values` has shape (K + 1, 2): one column per control channel (u_1, u_2),
-    or per channel of d(t) (`descent.SwitchingFunction`).  A control is held
+    or per channel of d(t) (`descent.switching_function`).  A control is held
     constant over each step, so its value at node K (= T) never drives the
     dynamics; it is kept so presets and dumps cover the closed interval.
     """

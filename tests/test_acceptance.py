@@ -167,7 +167,7 @@ class TestCriterion6IncrementSlope:
         lambdas = [1e-3, 2e-3, 4e-3, 8e-3]
         pair = fig1_slope_pair(integrate_forward(rho0, u0, model, grid), u0, model)
         reps = increment_slope_check(rho0, pair, synthetic_control_pairs(model, grid, 2),
-                                     model, grid, lambdas)
+                                     model, grid, lambdas, 0.05, 1.8)
 
         details = []
         ok = True

@@ -1,6 +1,7 @@
 """Oracle harness: particle comparison, slope probe, closed-form co-density."""
 
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from mfpmp import (ControlSignal, TimeGrid, ball, constant_control, integrate_forward,
                    kuramoto_model)
-from mfpmp import checks, forward
+from mfpmp import adjoint, checks, forward
 from mfpmp.checks import (
     fig1_slope_pair,
     increment_slope_check,
@@ -17,6 +18,7 @@ from mfpmp.checks import (
     reference,
     synthetic_control_pairs,
 )
+from mfpmp.config import parse_config
 
 from conftest import fig1_row
 
@@ -52,29 +54,56 @@ def _one_at_a_time(rho0, controls, model, grid):
     return [s[0][0] for s in solves], [s[1][0] for s in solves]
 
 
+def generic_pair(T):
+    """(rho0, (reference, ubar), model, grid) of one smooth pair on a 64-mode grid."""
+    grid = TimeGrid(T, 2e-3)
+    model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
+    rho = fig1_row(64)
+    t = grid.full_times()
+    u = ControlSignal(grid, np.column_stack([0.5 * np.sin(2 * t), 0.4 + 0 * t]))
+    ubar = ControlSignal(grid, np.column_stack([0.2 + 0 * t, -0.6 * np.cos(t)]))
+    ref = reference(integrate_forward(rho, u, model, grid), u, model)
+    return rho, (ref, ubar), model, grid
+
+
 class TestIncrementSlopeCheck:
     def test_first_order_match_on_a_generic_pair(self):
-        grid = TimeGrid(0.8, 2e-3)
-        model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
-        rho = fig1_row(64)
-        t = grid.full_times()
-        u = ControlSignal(grid, np.column_stack([0.5 * np.sin(2 * t), 0.4 + 0 * t]))
-        ubar = ControlSignal(grid, np.column_stack([0.2 + 0 * t, -0.6 * np.cos(t)]))
-        ref = reference(integrate_forward(rho, u, model, grid), u, model)
-        [rep] = increment_slope_check(rho, (ref, ubar), [], model, grid,
-                                      [1e-3, 2e-3, 4e-3, 8e-3])
+        rho, pair, model, grid = generic_pair(0.8)
+        [rep] = increment_slope_check(rho, pair, [], model, grid,
+                                      [1e-3, 2e-3, 4e-3, 8e-3], 0.05, 1.8)
         for ratio in rep["ratios"]:
             assert abs(ratio - 1.0) < 0.05
-        assert rep["residual_order"] >= 1.8
+        assert rep["residual_order"] >= 1.8 and rep["passed"] is True
+
+    def test_the_verdict_reads_the_two_smallest_steps(self):
+        rho, pair, model, grid = generic_pair(0.4)
+        [rep] = increment_slope_check(rho, pair, [], model, grid, [1e-3, 2e-3, 4e-3], 0.05, 1.8)
+        r = rep["residuals"]
+        assert rep["residual_order"] == pytest.approx(np.log(r[1] / r[0]) / np.log(2.0),
+                                                      rel=1e-12)
+        dev, order = abs(rep["ratios"][0] - 1.0), rep["residual_order"]
+
+        def passed(lambdas, ratio_tol, order_min):
+            [rep] = increment_slope_check(rho, pair, [], model, grid, lambdas, ratio_tol,
+                                          order_min)
+            return rep["passed"]
+
+        # The bounds are met exactly at the smallest step and the pair of smallest steps,
+        # whatever the order of the ladder and the ratios further out.
+        for lambdas in ([1e-3, 2e-3, 4e-3], [4e-3, 1e-3, 2e-3], [2e-3, 1e-3, 0.5]):
+            assert passed(lambdas, dev, order)
+        assert not passed([1e-3, 2e-3, 4e-3], 0.99 * dev, order)
+        assert not passed([1e-3, 2e-3, 4e-3], dev, np.nextafter(order, np.inf))
+
+    def test_one_step_has_no_order_and_fails(self):
+        rho, pair, model, grid = generic_pair(0.4)
+        [rep] = increment_slope_check(rho, pair, [], model, grid, [1e-3], 0.05, 1.8)
+        assert abs(rep["ratios"][0] - 1.0) < 0.05
+        assert np.isnan(rep["residual_order"])
+        assert rep["passed"] is False
 
     def test_the_whole_ladder_marches_as_one_state(self, monkeypatch):
-        grid = TimeGrid(0.4, 2e-3)
-        model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
-        rho = fig1_row(64)
-        t = grid.full_times()
-        u = ControlSignal(grid, np.column_stack([0.5 * np.sin(2 * t), 0.4 + 0 * t]))
-        ubar = ControlSignal(grid, np.column_stack([0.2 + 0 * t, -0.6 * np.cos(t)]))
-        ref = reference(integrate_forward(rho, u, model, grid), u, model)
+        rho, (ref, ubar), model, grid = generic_pair(0.4)
         lambdas = [1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2]
         sizes = []
 
@@ -83,11 +112,11 @@ class TestIncrementSlopeCheck:
             return forward.cost_of_control(rho0, controls, model, grid)
 
         monkeypatch.setattr(checks, "cost_of_control", _one_at_a_time)
-        want = increment_slope_check(rho, (ref, ubar), [], model, grid, lambdas)
+        want = increment_slope_check(rho, (ref, ubar), [], model, grid, lambdas, 0.05, 1.8)
         # A row budget of 2 no longer splits the 5-step ladder.
         monkeypatch.setattr(forward, "BATCH_COEFFS", 2 * len(rho))
         monkeypatch.setattr(checks, "cost_of_control", spy)
-        got = increment_slope_check(rho, (ref, ubar), [], model, grid, lambdas)
+        got = increment_slope_check(rho, (ref, ubar), [], model, grid, lambdas, 0.05, 1.8)
         assert sizes == [5]
         assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
 
@@ -97,9 +126,10 @@ class TestIncrementSlopeCheck:
         rho = fig1_row(32)
         u = constant_control(grid, [0.4, 0.3])
         ref = reference(integrate_forward(rho, u, model, grid), u, model)
-        [rep] = increment_slope_check(rho, (ref, u), [], model, grid, [1e-3])
+        [rep] = increment_slope_check(rho, (ref, u), [], model, grid, [1e-3], 0.05, 1.8)
         assert rep["predicted_slope"] == 0.0
         assert rep["ratios"] == [None]
+        assert rep["passed"] is False
 
     def test_lambda_range_is_validated(self):
         grid = TimeGrid(0.2, 2e-3)
@@ -108,7 +138,7 @@ class TestIncrementSlopeCheck:
         u = constant_control(grid, [0.4, 0.3])
         ref = reference(integrate_forward(rho, u, model, grid), u, model)
         with pytest.raises(ValueError, match="lambdas"):
-            increment_slope_check(rho, (ref, u), [], model, grid, [0.0])
+            increment_slope_check(rho, (ref, u), [], model, grid, [0.0], 0.05, 1.8)
 
     @pytest.mark.parametrize("bad", [np.nan, -1e-3, 1.5])
     def test_a_step_outside_the_range_names_lambdas(self, bad):
@@ -120,7 +150,43 @@ class TestIncrementSlopeCheck:
         u = constant_control(grid, [0.4, 0.3])
         ref = reference(integrate_forward(rho, u, model, grid), u, model)
         with pytest.raises(ValueError, match="lambdas"):
-            increment_slope_check(rho, (ref, u), [], model, grid, [1e-3, bad])
+            increment_slope_check(rho, (ref, u), [], model, grid, [1e-3, bad], 0.05, 1.8)
+
+
+def desk_slope_reports(alpha: float) -> list[dict]:
+    """The slope oracle of `mfpmp validate` on configs/validate_desk.json at this alpha."""
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "validate_desk.json",
+                       [f"model.alpha={alpha}"])
+    params = cfg.validate_params
+    pair = fig1_slope_pair(integrate_forward(cfg.rho0, cfg.u0, cfg.model, cfg.grid), cfg.u0,
+                           cfg.model)
+    synthetic = synthetic_control_pairs(cfg.model, cfg.grid, params["extra_pairs"])
+    return increment_slope_check(cfg.rho0, pair, synthetic, cfg.model, cfg.grid,
+                                 params["lambdas"], params["ratio_tol"], params["order_min"])
+
+
+class TestSlopeOracleOnTheDeskGrid:
+    """The shipped ladder judged at its small-step end, where the expansion is asymptotic."""
+
+    @pytest.mark.parametrize("alpha", [1.7, 2.2])
+    def test_a_correct_gradient_passes_every_pair(self, alpha):
+        # A fit over the whole ladder failed the experiment pair's order at 1.7
+        # (1.51: the lam^3 term cancels the lam^2 one at the larger steps), and
+        # the largest step's ratio failed the second synthetic pair at 2.2.
+        reports = desk_slope_reports(alpha)
+        assert len(reports) == 3
+        assert all(rep["passed"] for rep in reports), reports
+
+    @pytest.mark.parametrize("alpha", [0.31, 1.7])
+    def test_swapped_source_phases_fail(self, alpha, monkeypatch):
+        # e^{i alpha}/2 and e^{-i alpha}/2 exchanged: a wrong gradient that
+        # the particle and closed-form oracles do not see.
+        def swapped(width, model, _stencil=adjoint._stencil):
+            factors = _stencil(width, model)
+            return factors[:3] + (factors[4], factors[3])
+
+        monkeypatch.setattr(adjoint, "_stencil", swapped)
+        assert not all(rep["passed"] for rep in desk_slope_reports(alpha))
 
 
 class TestBatchedSlopeOracle:
@@ -140,7 +206,7 @@ class TestBatchedSlopeOracle:
 
     def check(self):
         return increment_slope_check(self.rho, self.pair, self.synthetic, self.model,
-                                     self.grid, self.LAMBDAS)
+                                     self.grid, self.LAMBDAS, 0.05, 1.8)
 
     def test_one_lean_march_takes_every_row(self, monkeypatch):
         calls = []
@@ -161,7 +227,8 @@ class TestBatchedSlopeOracle:
         # Each pair on its own, the synthetic references from cold stored solves.
         cold = [(reference(integrate_forward(self.rho, u, self.model, self.grid), u, self.model),
                  ubar) for u, ubar in self.synthetic]
-        alone = [increment_slope_check(self.rho, pair, [], self.model, self.grid, self.LAMBDAS)[0]
+        alone = [increment_slope_check(self.rho, pair, [], self.model, self.grid, self.LAMBDAS,
+                                       0.05, 1.8)[0]
                  for pair in [self.pair] + cold]
         monkeypatch.setattr(checks, "cost_of_control", _one_at_a_time)
         want = self.check()

@@ -319,6 +319,24 @@ class TestResolution:
         assert summaries[0]["resolution"]["adjoint_tail_ratio"] == _tail_ratio(
             cotraj.coeffs, np.abs(cotraj.coeffs).max(axis=1))
 
+    @pytest.mark.parametrize("command", ["solve-adjoint", "optimize"])
+    def test_the_co_trajectory_is_swept_once(self, tmp_path, monkeypatch, command):
+        # solve-adjoint's `adjoint_max_coeff` is the largest of the per-row
+        # maxima that scale the co-density's tail ratio.
+        swept = []
+
+        def spy(coeffs):
+            swept.append(coeffs.shape)
+            return forward.row_blocks(coeffs)
+
+        monkeypatch.setattr(cli, "row_blocks", spy)
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command=command, descent={"k_max": 2})
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 0
+        assert swept == [(81, 17)]  # K + 1 full nodes of 17 coefficients
+        summary = json.loads((out / "summary.json").read_text())
+        assert ("adjoint_max_coeff" in summary) is (command == "solve-adjoint")
+
     def test_optimize_reports_both_fields(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = tiny_doc(out, descent={"k_max": 2})

@@ -198,7 +198,7 @@ class TestParsing:
         ("local_u1", "constant"),
         ("local_u1", {"kind": "constant", "value": "x"}),
         ("local_u1", {"kind": "constant", "amplitude": 1.0}),
-        ("lambdas", [0.001, 0.001]),  # a fitted slope needs distinct steps
+        ("lambdas", [0.001, 0.001]),  # equal smallest steps give no order
         ("cost_tol", -1),  # a negative tolerance fails every oracle it bounds
         ("ratio_tol", -0.5),
         ("local_tol", -1e-9),

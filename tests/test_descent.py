@@ -22,7 +22,7 @@ from mfpmp import (
     target_control,
 )
 from mfpmp import descent, forward
-from mfpmp.descent import STATUS_EXTREMAL, STATUS_MAX_ITER, STATUS_STEP, SwitchingFunction
+from mfpmp.descent import STATUS_EXTREMAL, STATUS_MAX_ITER, STATUS_STEP
 from mfpmp.spectral import reconstruct_rows
 from mfpmp.timegrid import Trajectory
 
@@ -36,15 +36,14 @@ def small_setup(T=0.4, tau=2e-3, n=32, alpha=0.0, radius=2.0):
     return grid, model, rho
 
 
-class TestSwitchingFunction:
+class TestSwitching:
     def test_is_a_control_signal_with_its_shape_rules(self):
         # d(t) has the control's two channels and K + 1 nodes.
-        assert SwitchingFunction is ControlSignal
         grid = TimeGrid(1.0, 0.5)
         with pytest.raises(ValueError, match="shape"):
-            SwitchingFunction(grid, np.zeros((2, 2)))
+            ControlSignal(grid, np.zeros((2, 2)))
         with pytest.raises(ValueError, match="finite"):
-            SwitchingFunction(grid, np.full((3, 2), np.nan))
+            ControlSignal(grid, np.full((3, 2), np.nan))
 
     def test_zero_co_state_gives_zero(self):
         grid, model, rho = small_setup()
@@ -105,7 +104,7 @@ class TestSwitchingFunction:
 class TestTargetControl:
     def test_ball_maximizer_is_the_scaled_direction(self):
         grid = TimeGrid(0.1, 0.05)
-        d = SwitchingFunction(grid, np.array([[3.0, 4.0], [3.0, 4.0], [0.6, -0.8]]))
+        d = ControlSignal(grid, np.array([[3.0, 4.0], [3.0, 4.0], [0.6, -0.8]]))
         u = constant_control(grid, [0.0, 0.0])
         ubar = target_control(d, ball(np.sqrt(2.0)), u)
         assert_allclose(ubar.values[0], [3.0 * np.sqrt(2.0) / 5.0, 4.0 * np.sqrt(2.0) / 5.0])
@@ -113,7 +112,7 @@ class TestTargetControl:
 
     def test_vanishing_direction_keeps_the_current_control(self):
         grid = TimeGrid(0.1, 0.05)
-        d = SwitchingFunction(grid, np.array([[0.0, 0.0], [1e-16, 0.0], [1.0, 0.0]]))
+        d = ControlSignal(grid, np.array([[0.0, 0.0], [1e-16, 0.0], [1.0, 0.0]]))
         u = constant_control(grid, [0.3, -0.4])
         ubar = target_control(d, ball(np.sqrt(2.0)), u)
         assert_allclose(ubar.values[0], [0.3, -0.4])
@@ -122,7 +121,7 @@ class TestTargetControl:
 
     def test_box_sign_rule(self):
         grid = TimeGrid(0.1, 0.05)
-        d = SwitchingFunction(grid, np.array([[0.5, -2.0], [0.0, 1.0], [-0.1, 0.0]]))
+        d = ControlSignal(grid, np.array([[0.5, -2.0], [0.0, 1.0], [-0.1, 0.0]]))
         u = constant_control(grid, [0.25, -0.25])
         ubar = target_control(d, box([-1.0, -1.0], [1.0, 1.0]), u)
         assert_allclose(ubar.values[0], [1.0, -1.0])
@@ -133,14 +132,14 @@ class TestTargetControl:
 class TestNonExtremality:
     def test_identical_controls_give_zero(self):
         grid = TimeGrid(0.2, 0.01)
-        d = SwitchingFunction(grid, np.ones((grid.n_steps + 1, 2)))
+        d = ControlSignal(grid, np.ones((grid.n_steps + 1, 2)))
         u = constant_control(grid, [0.4, 0.1])
         assert non_extremality(u, u, d) == 0.0
 
     def test_pointwise_maximal_control_scores_zero(self):
         grid = TimeGrid(0.2, 0.01)
         vals = np.column_stack([np.cos(grid.full_times()), np.sin(grid.full_times())])
-        d = SwitchingFunction(grid, vals)
+        d = ControlSignal(grid, vals)
         s = ball(1.5)
         u = ControlSignal(grid, 1.5 * vals / np.linalg.norm(vals, axis=1)[:, None])
         ubar = target_control(d, s, u)
@@ -151,7 +150,7 @@ class TestNonExtremality:
         # aligned refinement reproduces the same integral exactly.
         grid = TimeGrid(1.0, 0.05)
         t = grid.full_times()
-        d = SwitchingFunction(grid, np.column_stack([np.sin(3 * t), np.cos(2 * t)]))
+        d = ControlSignal(grid, np.column_stack([np.sin(3 * t), np.cos(2 * t)]))
         u = ControlSignal(grid, np.column_stack([0.2 * t, -0.1 + 0 * t]))
         ubar = ControlSignal(grid, np.column_stack([np.cos(t), np.sin(t)]))
         value = non_extremality(u, ubar, d)
@@ -187,7 +186,7 @@ class TestNonExtremality:
 def unit_ladder():
     """u = 0 toward ubar = 1 with E[u] = 1: a trial's step size is its first value."""
     grid = TimeGrid(1.0, 0.5)
-    d = SwitchingFunction(grid, np.array([[1.0, 0.0]] * 3))
+    d = ControlSignal(grid, np.array([[1.0, 0.0]] * 3))
     return constant_control(grid, [0.0, 0.0]), constant_control(grid, [1.0, 0.0]), d
 
 
@@ -268,7 +267,7 @@ class TestBacktracking:
         # from j = 72 on, which an equal-cost trial would pass.
         grid = TimeGrid(1.0, 0.5)
         u, ubar = constant_control(grid, [0.0, 0.0]), constant_control(grid, [1.0, 0.0])
-        d = SwitchingFunction(grid, np.array([[1e-300, 0.0]] * 3))
+        d = ControlSignal(grid, np.array([[1e-300, 0.0]] * 3))
         energy = non_extremality(u, ubar, d)
         cfg = DescentConfig(j_max=100, eps_tol=0.0)
         got = backtracking_step(u, ubar, energy, 5.0, cfg, ladder_evaluator(lambda lam: 5.0))

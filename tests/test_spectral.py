@@ -135,11 +135,13 @@ def _entry_points():
             integrate_forward(r, u, model, grid), u, model, [10]),
         "reference": lambda r: checks.reference(integrate_forward(r, u, model, grid), u, model),
         "increment_slope_check": lambda r: checks.increment_slope_check(r, (ref, u), [], model,
-                                                                        grid, [0.1, 0.2]),
+                                                                        grid, [0.1, 0.2],
+                                                                        0.05, 1.8),
         "local_adjoint_check": lambda r: checks.local_adjoint_check(np.zeros(3), r, 0.0, grid),
         # The synthetic pairs are controls only; the slope oracle solves them from its row.
         "synthetic_control_pairs": lambda r: checks.increment_slope_check(
-            r, (ref, u), checks.synthetic_control_pairs(model, grid, 1), model, grid, [0.1, 0.2]),
+            r, (ref, u), checks.synthetic_control_pairs(model, grid, 1), model, grid, [0.1, 0.2],
+            0.05, 1.8),
         "fig1_slope_pair": lambda r: checks.fig1_slope_pair(integrate_forward(r, u, model, grid),
                                                             u, model),
         "config": config,
