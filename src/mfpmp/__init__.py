@@ -6,7 +6,7 @@ maximum-condition descent loop with backtracking, validated against
 particle, finite-difference, and closed-form oracles.
 """
 
-from .adjoint import integrate_backward, rhs_adjoint, terminal_adjoint
+from .adjoint import CoTrajectory, integrate_backward, rhs_adjoint, terminal_adjoint
 from .descent import (
     DescentConfig,
     DescentResult,

@@ -43,9 +43,11 @@ stage times, from a single local RK4 quarter-step off the stored node
 `forward.batch_rows` backward steps, 8 at 2048 harmonics (all 2K if fewer),
 march as the rows of one forward state, in blocks of that one size.  Both
 they and the backward steps are `forward.Workspace.step`, each through a
-workspace allocated once per solve.  Only the switching function reads
-the co-density, at the full-step nodes where the controls live, so the
-co-trajectory keeps every second step: K + 1 rows, row k at t = k*tau.
+workspace allocated once per solve.  The switching function reads only
+b_0 and b_1, at the full-step nodes where the controls live, and the
+resolution diagnostics only max_n |b_n| and |b_{N/2}|, so the march records
+those as it lands on each full node and keeps whole half rows only at node
+0 and at the nodes asked for (`CoTrajectory`).
 
 The co-density's high harmonics decay geometrically, and at wide
 resolutions a large share of its float parts would fall below the normal
@@ -55,13 +57,34 @@ below `np.finfo(float).tiny` to zero (`forward._settle`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .forward import (Workspace, _continuity_rhs, _coupling_value, _drive, _factor, _settle,
                       batch_rows)
 from .models import ModelSpec
 from .spectral import require_row
-from .timegrid import ControlSignal, Trajectory
+from .timegrid import ControlSignal, TimeGrid, Trajectory
+
+
+@dataclass(frozen=True)
+class CoTrajectory:
+    """What the backward march keeps of the co-density at the full-step nodes t = k*tau.
+
+    `head` holds b_0 and b_1 of every node, shape (K + 1, 2), which is all
+    the switching function reads; `scale` holds max_n |b_n| and `tail`
+    |b_{N/2}| of every node.  Whole half rows are kept only at the full
+    nodes `nodes`, increasing from node 0: `coeffs[j]` is node `nodes[j]`.
+    """
+
+    grid: TimeGrid
+    n_modes: int
+    head: np.ndarray
+    scale: np.ndarray
+    tail: np.ndarray
+    nodes: tuple
+    coeffs: np.ndarray
 
 
 def _stencil(width: int, model: ModelSpec) -> tuple:
@@ -135,7 +158,7 @@ def rhs_adjoint(t: float, b: np.ndarray, a: np.ndarray, u, model: ModelSpec) -> 
 
 
 def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
-                       terminal: np.ndarray | None = None) -> Trajectory:
+                       terminal: np.ndarray | None = None, keep=()) -> CoTrajectory:
     """Solve the adjoint system backward along a stored forward trajectory.
 
     Args:
@@ -145,24 +168,22 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         terminal: optional half row overriding the terminal co-density;
             defaults to `terminal_adjoint`.  Linearity in this argument is a
             tested property of the system.
+        keep: times whose nearest full node (`TimeGrid.nearest_node`) keeps
+            its whole half row, besides node 0.
 
     Returns:
-        Co-trajectory of half rows at the full-step nodes, row k at
-        t = k*tau; the march keeps the half step of `traj`.  The terminal row
-        and every backward step are settled (`forward._settle`) before they
-        are stored or marched on.
+        The march's `CoTrajectory`; the march keeps the half step of
+        `traj`.  The terminal row and every backward step are settled
+        (`forward._settle`) before they are recorded or marched on.
 
     Raises:
-        ValueError: if `traj` is not stored at every half node (2K + 1 rows).
+        ValueError: if a time in `keep` lies outside [0, T].
         DivergenceError: if any co-density part passes the guard.
     """
     if u.grid != traj.grid:
         raise ValueError("control signal grid does not match the trajectory")
     grid = traj.grid
     last = 2 * grid.n_steps
-    if traj.n_snapshots != last + 1:
-        raise ValueError(f"the forward trajectory must hold every half node: expected {last + 1} "
-                         f"rows, got {traj.n_snapshots}")
     model.require_feasible(u.values)
     if terminal is None:
         b = terminal_adjoint(traj.terminal_field(), model)
@@ -187,9 +208,20 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     def back_rhs(x, i, k):
         _adjoint_rhs(x, nodes[i], uk, model, drift, stencil, k)
 
-    out = np.empty((grid.n_steps + 1, width), dtype=complex)
+    slot = {k: j for j, k in enumerate(sorted({0, *(grid.nearest_node(t) for t in keep)}))}
+    head = np.empty((grid.n_steps + 1, 2), dtype=complex)
+    scale, tail, mag = np.empty(grid.n_steps + 1), np.empty(grid.n_steps + 1), np.empty(width)
+    kept = np.empty((len(slot), width), dtype=complex)
+
+    def land(b, k):  # record the settled half row b at full node k
+        head[k] = b[:2]
+        scale[k] = np.abs(b, out=mag).max()
+        tail[k] = mag[-1]
+        if k in slot:
+            kept[slot[k]] = b
+
     _settle(b, last * h, back)
-    out[-1] = b
+    land(b, grid.n_steps)
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         for top in range(last, 0, -block):
@@ -206,5 +238,5 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
                 b, spare = back.step(b, -h, back_rhs, spare), b
                 _settle(b, (s - 1) * h, back)
                 if s & 1:  # landed on the full node s - 1 = 2k
-                    out[s >> 1] = b
-    return Trajectory(grid, out)
+                    land(b, s >> 1)
+    return CoTrajectory(grid, traj.n_modes, head, scale, tail, tuple(slot), kept)

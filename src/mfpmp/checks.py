@@ -175,11 +175,11 @@ def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid) 
     m = float(np.max(np.abs(u1)))
     model = kuramoto_model(alpha=0.0, x0=x0, control_set=box([-m, 0.0], [m, 0.0]))
     traj = integrate_forward(rho0, u, model, grid)
-    cotraj = integrate_backward(traj, u, model)
+    cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
 
     # Remaining and accumulated rotation per half step, summed as the march
     # steps, exact for the piecewise-constant control class; read at the
-    # full nodes, where the co-trajectory is stored.
+    # full nodes, all of which the co-trajectory keeps.
     n_half = 2 * grid.n_steps
     h = 0.5 * grid.tau
     remaining = np.zeros(n_half + 1)

@@ -13,11 +13,11 @@ JSON error record to stderr; an unexpected exception gets the category
 "internal", with its traceback inside the record.
 
 The solve and optimize summaries carry a `resolution` block: the largest
-spectral tail ratio over the stored time nodes of the density and, where
-one is solved, of the co-density, and the density minimum at every
-snapshot.  A tail ratio above RESOLUTION_TAIL_MAX sets `resolved: false`
-and prints one JSON warning record to stderr: the fields, and the
-snapshots drawn from them, are then dominated by truncation error.
+spectral tail ratio over the time nodes of the density and, where one is
+solved, of the co-density, and the density minimum at every snapshot.  A
+tail ratio above RESOLUTION_TAIL_MAX sets `resolved: false` and prints one
+JSON warning record to stderr: the fields, and the snapshots drawn from
+them, are then dominated by truncation error.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjoint import integrate_backward
+from .adjoint import CoTrajectory, integrate_backward
 from .checks import (
     fig1_slope_pair,
     increment_slope_check,
@@ -45,7 +45,7 @@ from .checks import (
 from .config import COMMANDS, RunConfig, parse_config
 from .descent import STATUS_LINE_SEARCH, run_descent
 from .errors import ConfigError, DivergenceError
-from .forward import density_min, integrate_forward, mass_drift, row_blocks
+from .forward import density_min, integrate_forward, mass_drift
 from .spectral import grid_points, reconstruct_rows
 from .timegrid import ControlSignal, Trajectory
 
@@ -88,38 +88,33 @@ def _write_csv(path: Path, header, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _write_snapshots(path: Path, traj: Trajectory, times) -> tuple[list, np.ndarray]:
-    """Dump (t, x, value) rows of the reconstructed field at the stored node nearest each time.
-
-    Returns the nodes and the fields written, one row per time.
-    """
-    x = grid_points(traj.n_modes)
-    nodes = [traj.node_index(float(t)) for t in times]
-    fields = reconstruct_rows(traj.coeffs[nodes])
+def _write_snapshots(path: Path, times: list, rows: np.ndarray) -> np.ndarray:
+    """Dump (t, x, value) rows of the reconstructed half rows at `times`; returns the fields."""
+    x = grid_points(2 * (rows.shape[1] - 1))
+    fields = reconstruct_rows(rows)
     _write_csv(path, ("t", "x", "value"),
-               [(idx * traj.spacing, xj, vj)
-                for idx, values in zip(nodes, fields) for xj, vj in zip(x, values)])
-    return nodes, fields
+               [(t, xj, vj) for t, values in zip(times, fields) for xj, vj in zip(x, values)])
+    return fields
 
 
-def _tail_ratio(coeffs: np.ndarray, scale: np.ndarray) -> float:
-    """Largest |c_{N/2}| / scale over the stored half rows (0 where the scale is 0)."""
-    tail = np.abs(coeffs[:, -1])
+def _tail_ratio(tail: np.ndarray, scale: np.ndarray) -> float:
+    """Largest tail / scale over the nodes (0 where the scale is 0)."""
     return float(np.divide(tail, scale, out=np.zeros_like(tail), where=scale > 0).max())
 
 
-def _resolution(traj: Trajectory, cotraj: Trajectory | None, co_scale, snapshots) -> dict:
+def _resolution(traj: Trajectory, cotraj: CoTrajectory | None, snapshots) -> dict:
     """The summary's `resolution` block; warns once on stderr when it is not resolved.
 
-    The density's tail is measured against its mass |a_0|; the co-density's
-    against its largest harmonic per row, `co_scale`, since its mode 0 (the
-    co-mass) may vanish.  `snapshots` are the density's (nodes, fields) of
-    `_write_snapshots`.
+    The density's tail |a_{N/2}| is measured against its mass |a_0|; the
+    co-density's against its largest harmonic per node, since its mode 0
+    (the co-mass) may vanish.  `snapshots` are the density's (times,
+    fields) of `_write_snapshots`.
     """
-    ratios = {"density_tail_ratio": _tail_ratio(traj.coeffs, np.abs(traj.coeffs[:, 0]))}
+    ratios = {"density_tail_ratio": _tail_ratio(np.abs(traj.coeffs[:, -1]),
+                                                np.abs(traj.coeffs[:, 0]))}
     if cotraj is not None:
-        ratios["adjoint_tail_ratio"] = _tail_ratio(cotraj.coeffs, co_scale)
-    nodes, fields = snapshots
+        ratios["adjoint_tail_ratio"] = _tail_ratio(cotraj.tail, cotraj.scale)
+    times, fields = snapshots
     minima = fields.min(axis=1)
     resolved = all(r <= RESOLUTION_TAIL_MAX for r in ratios.values())
     if not resolved:
@@ -132,8 +127,7 @@ def _resolution(traj: Trajectory, cotraj: Trajectory | None, co_scale, snapshots
     return {
         **ratios,
         "tail_threshold": RESOLUTION_TAIL_MAX,
-        "snapshot_density_min": [{"t": i * traj.spacing, "value": v}
-                                 for i, v in zip(nodes, minima)],
+        "snapshot_density_min": [{"t": t, "value": v} for t, v in zip(times, minima)],
         "resolved": resolved,
     }
 
@@ -143,26 +137,28 @@ def _write_control(path: Path, u: ControlSignal) -> None:
                [(t, u1, u2) for t, (u1, u2) in zip(u.grid.full_times(), u.values)])
 
 
-def _write_fields(config: RunConfig, traj: Trajectory, cotraj: Trajectory | None) -> dict:
+def _write_fields(config: RunConfig, traj: Trajectory, cotraj: CoTrajectory | None) -> dict:
     """Dump the snapshots of the density and, if solved, of the co-density.
 
-    Returns the summary's `density_min`, `mass_drift` and `resolution`
-    entries, and solve-adjoint's `adjoint_max_coeff`.
+    A snapshot is the node nearest its time: a half node of the density, a
+    full node of the co-density (a row `cotraj` keeps).  Returns the
+    summary's `density_min`, `mass_drift` and `resolution` entries, and
+    solve-adjoint's `adjoint_max_coeff`.
     """
+    grid, times, out = traj.grid, config.snapshot_times, config.output_dir
     snapshots = [], np.empty((0, traj.n_modes))
-    if config.snapshot_times:
-        snapshots = _write_snapshots(config.output_dir / "density_snapshots.csv", traj,
-                                     config.snapshot_times)
+    if times:
+        half = [grid.nearest_node(t, 2) for t in times]
+        at = [s * (0.5 * grid.tau) for s in half]
+        snapshots = at, _write_snapshots(out / "density_snapshots.csv", at, traj.coeffs[half])
         if cotraj is not None:
-            _write_snapshots(config.output_dir / "adjoint_snapshots.csv", cotraj,
-                             config.snapshot_times)
+            full = [grid.nearest_node(t) for t in times]
+            _write_snapshots(out / "adjoint_snapshots.csv", [k * grid.tau for k in full],
+                             cotraj.coeffs[[cotraj.nodes.index(k) for k in full]])
     fields = {"density_min": density_min(traj), "mass_drift": mass_drift(traj)}
-    co_scale = None
-    if cotraj is not None:  # one sweep of |b| per row: the tail scale and the largest coefficient
-        co_scale = np.concatenate([np.abs(b).max(axis=1) for b in row_blocks(cotraj.coeffs)])
-        if config.command == "solve-adjoint":
-            fields["adjoint_max_coeff"] = float(co_scale.max())
-    return {**fields, "resolution": _resolution(traj, cotraj, co_scale, snapshots)}
+    if cotraj is not None and config.command == "solve-adjoint":
+        fields["adjoint_max_coeff"] = float(cotraj.scale.max())
+    return {**fields, "resolution": _resolution(traj, cotraj, snapshots)}
 
 
 def _run_optimize(config: RunConfig, t_start: float) -> int:
@@ -175,8 +171,9 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
             file=sys.stderr,
         )
 
+    keep = config.snapshot_times if config.adjoint_snapshots else ()
     result = run_descent(config.rho0, config.u0, config.model, config.grid,
-                         config.descent, progress=progress)
+                         config.descent, progress=progress, keep=keep)
     _write_csv(
         out / "convergence.csv",
         ("k", "cost", "non_extremality", "lambda", "backtrack_count", "wall_time"),
@@ -188,7 +185,7 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
     if config.snapshot_times and config.adjoint_snapshots:
         cotraj = result.cotrajectory
         if cotraj is None:  # the run stopped after a forward solve of u_final
-            cotraj = integrate_backward(result.trajectory, result.u_final, config.model)
+            cotraj = integrate_backward(result.trajectory, result.u_final, config.model, keep=keep)
 
     last = result.history[-1]
     summary = {
@@ -221,7 +218,7 @@ def _run_solve(config: RunConfig, t_start: float) -> int:
     }
     cotraj = None
     if config.command == "solve-adjoint":
-        cotraj = integrate_backward(traj, config.u0, config.model)
+        cotraj = integrate_backward(traj, config.u0, config.model, keep=config.snapshot_times)
     summary.update(_write_fields(config, traj, cotraj))
     summary["timings"] = {"total_seconds": time.perf_counter() - t_start}
     _write_json(config.output_dir / "summary.json", summary)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import integrate_backward
+from .adjoint import CoTrajectory, integrate_backward
 from .errors import DivergenceError
 from .forward import batch_rows, cost_of_control, integrate_forward
 from .models import ModelSpec
@@ -101,9 +101,10 @@ class DescentResult:
 
     `trajectory` is the stored forward solve of `u_final`, made by the last
     iteration (or before the first), and `final_cost` its terminal cost.
-    `cotrajectory` is the co-density along it when the last iteration solved
-    that too, which it does when the run stops extremal or on a failed line
-    search; otherwise None.
+    `cotrajectory` is the adjoint solve along it, with the whole rows of
+    `run_descent`'s `keep`, when the last iteration solved that too, which
+    it does when the run stops extremal or on a failed line search;
+    otherwise None.
     """
 
     u_final: ControlSignal
@@ -111,28 +112,28 @@ class DescentResult:
     status: str
     final_cost: float
     trajectory: Trajectory
-    cotrajectory: Trajectory | None = None
+    cotrajectory: CoTrajectory | None = None
 
     @property
     def iterations(self) -> int:
         return len(self.history)
 
 
-def switching_function(traj: Trajectory, cotraj: Trajectory,
+def switching_function(traj: Trajectory, cotraj: CoTrajectory,
                        model: ModelSpec) -> ControlSignal:
     """Pair each control channel's field with the co-density at full nodes.
 
     d_j(t_k) = integral V^j(x, mu_{t_k}) zeta_{t_k}(x) dx, that is
     d_1 = 2*pi * Re b_0 and d_2 = 2*pi * Re(v b_{-1} + conj(v) b_{+1}) with
-    v = i*pi*a_1*e^{i*alpha}, for all nodes at once.  The half rows give
-    b_{-1} = conj(b_1), so the two terms of d_2 have one real part.
+    v = i*pi*a_1*e^{i*alpha}, for all nodes at once from `cotraj.head`.  The
+    half rows give b_{-1} = conj(b_1), so the two terms of d_2 have one real part.
     """
     if traj.grid != cotraj.grid:
         raise ValueError("trajectories must share a grid")
     if traj.n_modes != cotraj.n_modes:
         raise ValueError("trajectory resolutions differ")
     a = traj.full_nodes()
-    b = cotraj.full_nodes()
+    b = cotraj.head
     vr, vi = model.coupling(a[:, 1])
     b1 = b[:, 1]
     # Re(conj(v)*b_{+1}), in real arithmetic like v itself, counted twice;
@@ -205,7 +206,7 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, energy: float,
 
 def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
                 grid: TimeGrid, cfg: DescentConfig,
-                progress=None) -> DescentResult:
+                progress=None, keep=()) -> DescentResult:
     """Outer descent loop.
 
     Per iteration: adjoint solve along the iterate's stored forward solve,
@@ -221,6 +222,7 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
     Args:
         rho0: half row of the initial density.
         progress: optional callable receiving each IterationRecord.
+        keep: times whose co-density rows each adjoint solve keeps (`integrate_backward`).
     """
     u = ControlSignal(u0.grid, model.control_set.project(u0.values))
     history: list[IterationRecord] = []
@@ -237,7 +239,7 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
     cotraj = None
     for k in range(cfg.k_max):
         cost = model.cost.eval(traj.terminal_field())
-        cotraj = integrate_backward(traj, u, model)
+        cotraj = integrate_backward(traj, u, model, keep=keep)
         d = switching_function(traj, cotraj, model)
         ubar = target_control(d, model.control_set, u)
         energy = non_extremality(u, ubar, d)

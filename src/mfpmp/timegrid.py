@@ -3,8 +3,9 @@
 Controls are piecewise constant per full step: u(t) = u_k on
 [k*tau, (k+1)*tau).  The forward trajectory is stored at every half-step
 node t = s*tau/2 so the backward pass can read forward states at its stage
-times without interpolation; the co-trajectory is read only where the
-controls live, so it is stored at the full-step nodes t = k*tau.
+times without interpolation; the backward pass keeps what its readers read
+at the full-step nodes t = k*tau (`adjoint.CoTrajectory`).  One
+nearest-node rule, `TimeGrid.nearest_node`, serves both lattices.
 """
 
 from __future__ import annotations
@@ -39,15 +40,25 @@ class TimeGrid:
     def full_times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.tau
 
+    def nearest_node(self, t: float, per_step: int = 1) -> int:
+        """Index of the node nearest to time t on the lattice of `per_step` nodes per step.
+
+        Node i lies at t = i*tau/per_step.  A time within 1e-9 node spacings
+        of the midpoint between two nodes goes to the earlier node, so
+        rounding in t / spacing never decides a tie.
+        """
+        idx = math.ceil(t / (self.tau / per_step) - 0.5 - 1e-9)
+        if not 0 <= idx <= per_step * self.n_steps:
+            raise ValueError(f"time {t} outside the stored lattice")
+        return idx
+
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Coefficient snapshots on the half-step or the full-step lattice.
+    """Coefficient snapshots at every half-step node: `coeffs[s]` at t = s*tau/2.
 
-    The row count names the lattice: 2K + 1 rows hold `coeffs[s]` at
-    t = s*tau/2 (the forward solve), K + 1 rows hold `coeffs[k]` at
-    t = k*tau (the co-trajectory).  Each snapshot is a half row, the
-    harmonics n = 0 .. N/2 of a real field (see `spectral`).
+    Its 2K + 1 rows are half rows, the harmonics n = 0 .. N/2 of a real
+    field (see `spectral`).
     """
 
     grid: TimeGrid
@@ -57,44 +68,22 @@ class Trajectory:
         c = np.asarray(self.coeffs)
         if c.ndim != 2 or c.shape[1] < 3:
             raise ValueError("coeffs must be a (snapshots, n_modes/2 + 1) array with n_modes >= 4")
-        half, full = 2 * self.grid.n_steps + 1, self.grid.n_steps + 1
-        if c.shape[0] not in (half, full):
-            raise ValueError(f"expected {half} or {full} snapshots, got {c.shape[0]}")
+        rows = 2 * self.grid.n_steps + 1
+        if c.shape[0] != rows:
+            raise ValueError(f"not every half node: expected {rows} rows, got {c.shape[0]}")
         object.__setattr__(self, "coeffs", c)
 
     @property
     def n_modes(self) -> int:
         return 2 * (self.coeffs.shape[1] - 1)
 
-    @property
-    def n_snapshots(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def spacing(self) -> float:
-        """Time between consecutive snapshots: tau/2 or tau."""
-        half = self.n_snapshots == 2 * self.grid.n_steps + 1
-        return 0.5 * self.grid.tau if half else self.grid.tau
-
     def full_nodes(self) -> np.ndarray:
         """The snapshots at the full-step nodes t = k*tau, K + 1 rows."""
-        return self.coeffs[::2] if self.spacing < self.grid.tau else self.coeffs
+        return self.coeffs[::2]
 
     def terminal_field(self) -> np.ndarray:
         """The half row at t = T."""
         return self.coeffs[-1]
-
-    def node_index(self, t: float) -> int:
-        """Index of the snapshot nearest to time t.
-
-        A time within 1e-9 snapshot spacings of the midpoint between two
-        nodes goes to the earlier node, on either lattice, so rounding in
-        t / spacing never decides a tie.
-        """
-        idx = math.ceil(t / self.spacing - 0.5 - 1e-9)
-        if not 0 <= idx < self.n_snapshots:
-            raise ValueError(f"time {t} outside the stored lattice")
-        return idx
 
 
 @dataclass(frozen=True)

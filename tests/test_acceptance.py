@@ -59,7 +59,7 @@ def desk_run():
     t0 = time.perf_counter()
     result = run_descent(rho0, u0, model, grid, DescentConfig())
     duration = time.perf_counter() - t0
-    cotraj = integrate_backward(result.trajectory, result.u_final, model)
+    cotraj = integrate_backward(result.trajectory, result.u_final, model, keep=grid.full_times())
     return {
         "grid": grid, "model": model, "rho0": rho0, "u0": u0,
         "result": result, "duration": duration,
@@ -132,7 +132,7 @@ class TestCriterion4RotationOracle:
             closed = full_rows(rho0) * np.exp(-1j * modes * c * t)
             fwd_err = max(fwd_err, np.max(np.abs(full_rows(traj.coeffs[s]) - closed)))
 
-        cotraj = integrate_backward(traj, u, model)
+        cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
         zT = full_rows(terminal_adjoint(traj.terminal_field(), model))
         adj_err = 0.0
         for k in (0, 389, 700, 1000):
@@ -243,10 +243,11 @@ class TestCriterion9PropertySuites:
         traj = integrate_forward(rho, u, model, grid)
         z1 = random_hermitian(32, rng, mass=0.3)
         z2 = random_hermitian(32, rng, mass=-0.2)
-        s1 = integrate_backward(traj, u, model, terminal=z1)
-        s2 = integrate_backward(traj, u, model, terminal=z2)
+        every = grid.full_times()
+        s1 = integrate_backward(traj, u, model, terminal=z1, keep=every)
+        s2 = integrate_backward(traj, u, model, terminal=z2, keep=every)
         combo = 0.6 * z1 - 1.4 * z2
-        s12 = integrate_backward(traj, u, model, terminal=combo)
+        s12 = integrate_backward(traj, u, model, terminal=combo, keep=every)
         gap = float(np.max(np.abs(s12.coeffs - 0.6 * s1.coeffs + 1.4 * s2.coeffs)))
         ok = gap < 1e-10
         report(9, "adjoint superposition", ok, f"defect {gap:.2e} (limit 1e-10)")
@@ -254,7 +255,7 @@ class TestCriterion9PropertySuites:
     def test_hermitian_symmetry_through_the_full_run(self, desk_run):
         worst = 0.0
         for traj in (desk_run["traj"], desk_run["cotraj"]):
-            for s in range(0, traj.n_snapshots, 100):
+            for s in range(0, len(traj.coeffs), 100):
                 worst = max(worst, hermitian_defect(full_rows(traj.coeffs[s])))
         # Every stored half row expands to an exactly Hermitian field.
         ok = worst == 0.0

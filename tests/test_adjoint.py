@@ -115,7 +115,8 @@ class TestTerminalCondition:
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(fig1_row(32), u, model, grid)
         got = terminal_adjoint(traj.terminal_field(), model)
-        assert got.tobytes() == integrate_backward(traj, u, model).coeffs[-1].tobytes()
+        cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
+        assert got.tobytes() == cotraj.coeffs[-1].tobytes()
 
 
 class TestAdjointRhs:
@@ -176,7 +177,8 @@ class TestIntegrateBackward:
         model = kuramoto_model(0.0, x0, control_set=ball(2.0))
         rho = uniform_field(n)
         traj = integrate_forward(rho, constant_control(grid, [c, 0.0]), model, grid)
-        cotraj = integrate_backward(traj, constant_control(grid, [c, 0.0]), model)
+        cotraj = integrate_backward(traj, constant_control(grid, [c, 0.0]), model,
+                                    keep=grid.full_times())
         worst = 0.0
         for k in (0, 333, 500, 1000):
             t = k * grid.tau
@@ -187,22 +189,26 @@ class TestIntegrateBackward:
             worst = max(worst, np.max(np.abs(full_rows(cotraj.coeffs[k]) - want)))
         assert worst < 1e-8
 
-    def test_the_co_trajectory_holds_the_full_nodes(self):
+    def test_the_co_trajectory_keeps_node_0_and_the_nodes_asked_for(self):
         grid = TimeGrid(0.3, 3e-3)
         model = kuramoto_model(0.0, np.pi)
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(fig1_row(32), u, model, grid)
-        cotraj = integrate_backward(traj, u, model)
+        every = integrate_backward(traj, u, model, keep=grid.full_times())
         assert traj.coeffs.shape == (2 * grid.n_steps + 1, 17)
-        assert cotraj.coeffs.shape == (grid.n_steps + 1, 17)
-        assert (traj.spacing, cotraj.spacing) == (0.5 * grid.tau, grid.tau)
-        assert cotraj.full_nodes() is cotraj.coeffs
         assert traj.full_nodes().tobytes() == traj.coeffs[::2].tobytes()
-        # Times near the half node t = 0.0045 snap to a full node of the co-trajectory.
-        assert traj.node_index(0.0045) == 3
-        assert (cotraj.node_index(0.0044), cotraj.node_index(0.0046)) == (1, 2)
-        with pytest.raises(ValueError, match="expected 201 or 101 snapshots"):
-            Trajectory(grid, cotraj.coeffs[1:])
+        assert every.nodes == tuple(range(grid.n_steps + 1)) and every.n_modes == 32
+        assert every.coeffs.shape == (grid.n_steps + 1, 17)
+        assert every.head.shape == (grid.n_steps + 1, 2)
+        assert every.scale.shape == every.tail.shape == (grid.n_steps + 1,)
+        # Times near the half node t = 0.0045 snap to full nodes 1 and 2.
+        assert grid.nearest_node(0.0045, 2) == 3
+        for keep, nodes in (((), (0,)), ((0.0046, 0.0044, 0.0), (0, 1, 2))):
+            cotraj = integrate_backward(traj, u, model, keep=keep)
+            assert cotraj.nodes == nodes
+            assert cotraj.coeffs.tobytes() == every.coeffs[list(nodes)].tobytes()
+        with pytest.raises(ValueError, match="outside the stored lattice"):
+            integrate_backward(traj, u, model, keep=[0.31])
 
     @pytest.mark.parametrize("tau, half, want", [
         (0.005, False, {0.0025: 0.0, 0.0075: 0.005, 0.0125: 0.01, 6.0: 6.0}),
@@ -213,13 +219,13 @@ class TestIntegrateBackward:
     def test_a_time_between_two_nodes_goes_to_the_earlier_one(self, tau, half, want):
         # One rule on both lattices, whatever t / spacing rounds to.
         grid = TimeGrid(6.0, tau)
-        rows = 2 * grid.n_steps + 1 if half else grid.n_steps + 1
-        traj = Trajectory(grid, np.zeros((rows, 3), complex))
-        got = {t: traj.node_index(t) for t in want}
-        assert got == {t: round(node / traj.spacing) for t, node in want.items()}
-        for t in (-0.6 * traj.spacing, 6.0 + 0.6 * traj.spacing):
+        per_step = 2 if half else 1
+        spacing = tau / per_step
+        got = {t: grid.nearest_node(t, per_step) for t in want}
+        assert got == {t: round(node / spacing) for t, node in want.items()}
+        for t in (-0.6 * spacing, 6.0 + 0.6 * spacing):
             with pytest.raises(ValueError, match="outside the stored lattice"):
-                traj.node_index(t)
+                grid.nearest_node(t, per_step)
 
     def test_zero_terminal_condition_stays_zero(self):
         grid = TimeGrid(0.3, 3e-3)
@@ -228,7 +234,7 @@ class TestIntegrateBackward:
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(rho, u, model, grid)
         zero = np.zeros(17, complex)
-        cotraj = integrate_backward(traj, u, model, terminal=zero)
+        cotraj = integrate_backward(traj, u, model, terminal=zero, keep=grid.full_times())
         assert np.max(np.abs(cotraj.coeffs)) == 0.0
 
     def test_superposition_in_the_terminal_condition(self, rng):
@@ -241,10 +247,11 @@ class TestIntegrateBackward:
         z1 = random_hermitian(16, rng, mass=0.3)
         z2 = random_hermitian(16, rng, mass=-0.1)
         c1, c2 = 0.7, -1.3
-        s1 = integrate_backward(traj, u, model, terminal=z1)
-        s2 = integrate_backward(traj, u, model, terminal=z2)
+        every = grid.full_times()
+        s1 = integrate_backward(traj, u, model, terminal=z1, keep=every)
+        s2 = integrate_backward(traj, u, model, terminal=z2, keep=every)
         combo = c1 * z1 + c2 * z2
-        s12 = integrate_backward(traj, u, model, terminal=combo)
+        s12 = integrate_backward(traj, u, model, terminal=combo, keep=every)
         gap = np.max(np.abs(s12.coeffs - c1 * s1.coeffs - c2 * s2.coeffs))
         assert gap < 1e-10
 
@@ -254,20 +261,19 @@ class TestIntegrateBackward:
         rho = fig1_row(32)
         u = constant_control(grid, [0.3, 1.0])
         traj = integrate_forward(rho, u, model, grid)
-        cotraj = integrate_backward(traj, u, model)
+        cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
         # Half rows make the symmetry exact: b_0 stays real at every node.
         worst = max(hermitian_defect(full_rows(row)) for row in cotraj.coeffs)
         assert worst == 0.0
 
-    def test_a_trajectory_without_its_half_nodes_is_rejected(self):
+    def test_a_trajectory_without_its_half_nodes_is_rejected_when_constructed(self):
         # The quarter steps and the stages read the forward state at every half node.
         grid = TimeGrid(0.5, 1e-2)
         model = kuramoto_model(0.0, np.pi)
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(fig1_row(32), u, model, grid)
-        for short in (Trajectory(grid, traj.full_nodes()), integrate_backward(traj, u, model)):
-            with pytest.raises(ValueError, match="every half node: expected 101 rows, got 51"):
-                integrate_backward(short, u, model)
+        with pytest.raises(ValueError, match="not every half node: expected 101 rows, got 51"):
+            Trajectory(grid, traj.full_nodes())
 
     def test_an_overflowing_step_is_a_divergence_without_warnings(self):
         # A drift of 1e90 overflows inside the first RK4 step; `_settle` reports it.
@@ -342,10 +348,10 @@ class TestBufferedBackwardStep:
         u = fig1_control(grid)
         traj = integrate_forward(fig1_row(2048), u, model, grid)
         assert forward.batch_rows(1025) == 8 and (2 * grid.n_steps) % 8 == 4
-        blocked = integrate_backward(traj, u, model)
+        blocked = integrate_backward(traj, u, model, keep=grid.full_times())
         monkeypatch.setattr(forward, "BATCH_COEFFS", 1025)
         assert forward.batch_rows(1025) == 1
-        one_row = integrate_backward(traj, u, model)
+        one_row = integrate_backward(traj, u, model, keep=grid.full_times())
         assert blocked.coeffs.tobytes() == one_row.coeffs.tobytes()
 
 
@@ -361,7 +367,7 @@ class TestDualityWithTheCost:
         for alpha in (0.0, 0.7):
             model = kuramoto_model(alpha, np.pi, control_set=ball(3.0))
             traj = integrate_forward(rho, u, model, grid)
-            cotraj = integrate_backward(traj, u, model)
+            cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
             co_mass = cotraj.coeffs[:, 0].real
             assert np.max(np.abs(co_mass - co_mass[-1])) < 1e-10
 

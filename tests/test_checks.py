@@ -177,7 +177,7 @@ class TestSlopeOracleOnTheDeskGrid:
         assert len(reports) == 3
         assert all(rep["passed"] for rep in reports), reports
 
-    @pytest.mark.parametrize("alpha", [0.31, 1.7])
+    @pytest.mark.parametrize("alpha", [0.31, 1.0, 1.7, 2.2])
     def test_swapped_source_phases_fail(self, alpha, monkeypatch):
         # e^{i alpha}/2 and e^{-i alpha}/2 exchanged: a wrong gradient that
         # the particle and closed-form oracles do not see.
@@ -186,7 +186,11 @@ class TestSlopeOracleOnTheDeskGrid:
             return factors[:3] + (factors[4], factors[3])
 
         monkeypatch.setattr(adjoint, "_stencil", swapped)
-        assert not all(rep["passed"] for rep in desk_slope_reports(alpha))
+        reports = desk_slope_reports(alpha)
+        assert not all(rep["passed"] for rep in reports)
+        if alpha in (1.0, 2.2):
+            # Only a synthetic pair sees it here: `validate.extra_pairs` 0 passes it.
+            assert reports[0]["passed"] and not all(rep["passed"] for rep in reports[1:])
 
 
 class TestBatchedSlopeOracle:

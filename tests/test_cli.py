@@ -310,32 +310,37 @@ class TestResolution:
 
         cfg = parse_config_dict(tiny_doc(tmp_path / "direct", command="solve-adjoint"))
         traj = integrate_forward(cfg.rho0, cfg.u0, cfg.model, cfg.grid)
-        cotraj = integrate_backward(traj, cfg.u0, cfg.model)
-        assert traj.n_snapshots > 40 * 3
+        cotraj = integrate_backward(traj, cfg.u0, cfg.model, keep=cfg.grid.full_times())
+        assert traj.coeffs.shape[0] > 40 * 3
         one_sweep = float(reconstruct_rows(traj.coeffs).min())
         monkeypatch.setattr(forward, "BATCH_COEFFS", 3 * 17)
         assert density_min(traj) == one_sweep == summaries[0]["density_min"]
         assert summaries[0]["adjoint_max_coeff"] == float(np.abs(cotraj.coeffs).max())
         assert summaries[0]["resolution"]["adjoint_tail_ratio"] == _tail_ratio(
-            cotraj.coeffs, np.abs(cotraj.coeffs).max(axis=1))
+            np.abs(cotraj.coeffs[:, -1]), np.abs(cotraj.coeffs).max(axis=1))
 
     @pytest.mark.parametrize("command", ["solve-adjoint", "optimize"])
-    def test_the_co_trajectory_is_swept_once(self, tmp_path, monkeypatch, command):
-        # solve-adjoint's `adjoint_max_coeff` is the largest of the per-row
-        # maxima that scale the co-density's tail ratio.
-        swept = []
+    def test_the_co_density_keeps_only_the_snapshot_rows(self, tmp_path, monkeypatch, command):
+        # solve-adjoint's `adjoint_max_coeff` is the largest of the per-node
+        # maxima that scale the co-density's tail ratio, which the march
+        # records; whole rows are kept at node 0 and at the snapshot times.
+        solved = []
 
-        def spy(coeffs):
-            swept.append(coeffs.shape)
-            return forward.row_blocks(coeffs)
+        def spy(*args, **kwargs):
+            solved.append(integrate_backward(*args, **kwargs))
+            return solved[-1]
 
-        monkeypatch.setattr(cli, "row_blocks", spy)
+        for module in (descent, cli):
+            monkeypatch.setattr(module, "integrate_backward", spy)
         out = tmp_path / "out"
-        doc = tiny_doc(out, command=command, descent={"k_max": 2})
+        doc = tiny_doc(out, command=command, descent={"k_max": 2}, snapshot_times=[0.2, 0.4])
         assert main([command, "--config", str(write_config(tmp_path, doc))]) == 0
-        assert swept == [(81, 17)]  # K + 1 full nodes of 17 coefficients
+        assert solved and all(c.nodes == (0, 40, 80) for c in solved)  # of K + 1 = 81 nodes
+        assert all(c.coeffs.shape == (3, 17) and c.scale.shape == (81,) for c in solved)
         summary = json.loads((out / "summary.json").read_text())
         assert ("adjoint_max_coeff" in summary) is (command == "solve-adjoint")
+        if command == "solve-adjoint":
+            assert summary["adjoint_max_coeff"] == float(solved[-1].scale.max())
 
     def test_optimize_reports_both_fields(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -24,7 +24,6 @@ from mfpmp import (
 from mfpmp import descent, forward
 from mfpmp.descent import STATUS_EXTREMAL, STATUS_MAX_ITER, STATUS_STEP
 from mfpmp.spectral import reconstruct_rows
-from mfpmp.timegrid import Trajectory
 
 from conftest import fig1_row, full_rows, random_hermitian, uniform_field
 
@@ -49,7 +48,7 @@ class TestSwitching:
         grid, model, rho = small_setup()
         u = constant_control(grid, [0.3, 0.5])
         traj = integrate_forward(rho, u, model, grid)
-        zeros = Trajectory(grid, np.zeros_like(traj.coeffs))
+        zeros = integrate_backward(traj, u, model, terminal=np.zeros_like(traj.coeffs[0]))
         d = switching_function(traj, zeros, model)
         assert np.max(np.abs(d.values)) == 0.0
 
@@ -66,7 +65,7 @@ class TestSwitching:
         grid, model, rho = small_setup()
         u = constant_control(grid, [0.2, 0.9])
         traj = integrate_forward(rho, u, model, grid)
-        cotraj = integrate_backward(traj, u, model)
+        cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
         d = switching_function(traj, cotraj, model)
         for k in (0, 50, 200):
             zeta = reconstruct_rows(cotraj.coeffs[k])[0]
@@ -80,7 +79,7 @@ class TestSwitching:
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([0.5 * np.sin(3 * t), 0.9 * np.cos(t)]))
         traj = integrate_forward(rho, u, model, grid)
-        cotraj = integrate_backward(traj, u, model)
+        cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
         got = switching_function(traj, cotraj, model).values[:, 1]
         # The full fields at the full nodes: b_{-1} is read at its own index.
         a = full_rows(traj.coeffs[::2])
@@ -571,7 +570,7 @@ class TestEquivariance:
 
         def gradient(rho, u, model):
             traj = integrate_forward(rho, u, model, grid)
-            cotraj = integrate_backward(traj, u, model)
+            cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
             return traj.coeffs, cotraj.coeffs, switching_function(traj, cotraj, model).values
 
         a, b, d = gradient(rho, u, model)

@@ -1,5 +1,7 @@
 """Forward transport solver: coefficient system, RK4 march, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -295,6 +297,26 @@ def march_rows(monkeypatch):
     return rows
 
 
+def per_step_adjoint(traj, u, model):
+    """The co-density at every full node from a literal backward march of the 17-wide half rows.
+
+    One quarter-step state per backward step, as a one-row state.
+    """
+    grid = traj.grid
+    h = 0.5 * grid.tau
+    stencil = adjoint._stencil(17, model)
+    want = np.empty_like(traj.coeffs)
+    b = adjoint.terminal_adjoint(traj.terminal_field(), model)
+    last = 2 * grid.n_steps
+    want[last] = b
+    for s in range(last, 0, -1):
+        uk = u.values[(s - 1) >> 1]
+        a_mid = one_row_step(traj.coeffs[s - 1], 0.5 * h, uk.astype(complex), model)
+        b = backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1], model, stencil)
+        want[s - 1] = b
+    return want[::2]
+
+
 class TestBatchedMarch:
     @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
     @pytest.mark.parametrize("rows", [None, 5])
@@ -348,21 +370,39 @@ class TestBatchedMarch:
         monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
         rho, grid, model, u, _ = ladder_setup(0.31)
         traj = integrate_forward(rho, u, model, grid)
-        cotraj = integrate_backward(traj, u, model)
-        # Reference: one quarter-step state per backward step, as a one-row state.
-        h = 0.5 * grid.tau
-        stencil = adjoint._stencil(17, model)
-        want = np.empty_like(traj.coeffs)
-        b = adjoint.terminal_adjoint(traj.terminal_field(), model)
-        last = 2 * grid.n_steps
-        want[last] = b
-        for s in range(last, 0, -1):
-            uk = u.values[(s - 1) >> 1]
-            a_mid = one_row_step(traj.coeffs[s - 1], 0.5 * h, uk.astype(complex), model)
-            b = backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
-                              model, stencil)
-            want[s - 1] = b
-        assert cotraj.coeffs.tobytes() == want[::2].tobytes()
+        cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
+        assert cotraj.coeffs.tobytes() == per_step_adjoint(traj, u, model).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 64, 256])
+    def test_the_thin_co_trajectory_matches_the_per_step_adjoint(self, rows, monkeypatch):
+        # b_0, b_1, max_n |b_n| and |b_{N/2}| at every full node, and the kept
+        # rows, are those of the literal march and of a solve keeping every row.
+        monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
+        rho, grid, model, u, _ = ladder_setup(0.31)
+        traj = integrate_forward(rho, u, model, grid)
+        want = per_step_adjoint(traj, u, model)
+        every = integrate_backward(traj, u, model, keep=grid.full_times())
+        thin = integrate_backward(traj, u, model, keep=[0.15])
+        assert thin.nodes == (0, 50) and thin.coeffs.tobytes() == want[[0, 50]].tobytes()
+        for got in (thin, every):
+            assert got.head.tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
+            assert got.scale.tobytes() == np.abs(want).max(axis=1).tobytes()
+            assert got.tail.tobytes() == np.abs(want[:, -1]).tobytes()
+
+    def test_the_march_holds_no_co_density_array(self):
+        # On the desk grid the solve's own allocations, workspaces and
+        # quarter-step block included, stay below one (K + 1) x W array.
+        grid = TimeGrid(6.0, 5e-3)
+        model = kuramoto_model(0.0, np.pi)
+        u = fig1_control(grid)
+        traj = integrate_forward(fig1_row(256), u, model, grid)
+        tracemalloc.start()
+        try:
+            integrate_backward(traj, u, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (grid.n_steps + 1) * 129 * 16
 
     def test_one_infeasible_node_is_rejected_by_both_solvers(self):
         rho, grid, model, u, _ = ladder_setup(0.0)
@@ -656,7 +696,7 @@ def fig1_gradient():
     model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
     u = fig1_control(grid)
     traj = integrate_forward(fig1_row(512), u, model, grid)
-    cotraj = integrate_backward(traj, u, model)
+    cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
     return model, traj, cotraj, switching_function(traj, cotraj, model)
 
 
@@ -728,7 +768,8 @@ class TestSubnormalFlush:
         # subnormal parts (see the test above).
         monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 257)
         model, traj, _, _ = flushed_gradient
-        cotraj = integrate_backward(traj, fig1_control(traj.grid), model)
+        cotraj = integrate_backward(traj, fig1_control(traj.grid), model,
+                                    keep=traj.grid.full_times())
         assert cotraj.coeffs.shape == (traj.grid.n_steps + 1, 257)
         assert cotraj.coeffs.tobytes() == settled_per_step_adjoint.tobytes()
 
