@@ -41,9 +41,11 @@ reads a forward state either straight from storage or, for quarter-step
 stage times, from a single local RK4 quarter-step off the stored node
 (fourth-order consistent, no interpolation).  The quarter steps of
 `forward.batch_rows` backward steps, 8 at 2048 harmonics (all 2K if fewer),
-march as the rows of one forward state, in blocks of that one size.  Both
-they and the backward steps are `forward.Workspace.step`, each through a
-workspace allocated once per solve.  The switching function reads only
+march as the rows of one forward state, in blocks of that one size; each
+block reads its stored rows and the one above, zero-padded past where the
+trajectory cut them (`Trajectory.rows`), into one buffer.  Both the
+quarter and the backward steps are `forward.Workspace.step`, and the
+buffers are allocated once per solve.  The switching function reads only
 b_0 and b_1, at the full-step nodes where the controls live, and the
 resolution diagnostics only max_n |b_n| and |b_{N/2}|, so the march records
 those as it lands on each full node and keeps whole half rows only at node
@@ -189,17 +191,18 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         b = terminal_adjoint(traj.terminal_field(), model)
     else:
         b = np.array(require_row(terminal, "terminal co-density"))  # settled in place below
-        if b.shape[0] != traj.coeffs.shape[1]:
+        if b.shape[0] != traj.width:
             raise ValueError("terminal co-density resolution does not match the trajectory")
 
     h = 0.5 * grid.tau
-    width = traj.coeffs.shape[1]
+    width = traj.width
     stencil = _stencil(width, model)
     # Complex control of the step that starts at each half node.
     controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
     block = min(batch_rows(width), last)
     dn = np.tile(stencil[0], block)
     quarter, mids = Workspace.of(block * width), np.empty(block * width, dtype=complex)
+    stored = np.empty((block + 1, width), dtype=complex)  # the block's rows, zero-padded
     back, spare = Workspace.of(width), np.empty_like(b)  # each step goes into the other half row
 
     def quarter_rhs(x, i, k):
@@ -228,13 +231,14 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
             # The block's quarter-step states read only the stored trajectory, so
             # they march as one state; the lowest block re-marches rows above it.
             lo = max(top - block, 0)
+            traj.rows(lo, lo + block + 1, stored)
             drive = _drive(controls[lo:lo + block], width)
-            a_mids = quarter.step(traj.coeffs[lo:lo + block].reshape(-1), 0.5 * h, quarter_rhs,
+            a_mids = quarter.step(stored[:block].reshape(-1), 0.5 * h, quarter_rhs,
                                   mids).reshape(block, width)
             for s in range(top, lo, -1):
                 uk = u.values[(s - 1) >> 1]
                 drift = complex(uk[0]) * stencil[0]
-                nodes = (traj.coeffs[s], a_mids[s - 1 - lo], a_mids[s - 1 - lo], traj.coeffs[s - 1])
+                nodes = (stored[s - lo], a_mids[s - 1 - lo], a_mids[s - 1 - lo], stored[s - 1 - lo])
                 b, spare = back.step(b, -h, back_rhs, spare), b
                 _settle(b, (s - 1) * h, back)
                 if s & 1:  # landed on the full node s - 1 = 2k

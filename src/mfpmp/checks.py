@@ -27,21 +27,23 @@ from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 
 def meanfield_vs_particles(traj: Trajectory, u: ControlSignal, model: ModelSpec,
-                           ensemble_sizes) -> list[dict]:
+                           ensemble_sizes, cost_tol: float) -> dict:
     """Compare the stored spectral solve `traj` of u with a stratified particle run of each size.
 
     All systems see the identical control and start from the trajectory's
     initial row, and the one spectral solve serves every ensemble.  Reports,
-    per ensemble, the largest mismatch of the first two trigonometric
-    moments at t in {0, T/2, T} (T/2 rounded down to a full node) and the
-    terminal cost gap.
+    per ensemble (`runs`, keyed by its size as a string), the largest
+    mismatch of the first two trigonometric moments at t in {0, T/2, T}
+    (T/2 rounded down to a full node) and the terminal cost gap; whether
+    the mismatches fall as the ensembles grow; and the verdict: the largest
+    ensemble's cost gap must be at most cost_tol.
     """
     grid = traj.grid
     check_nodes = sorted({0, grid.n_steps // 2, grid.n_steps})
     mf_cost = model.cost.eval(traj.terminal_field())
-    nodes = traj.full_nodes()
+    nodes = {k: traj.rows(2 * k, 2 * k + 1)[0] for k in check_nodes}
 
-    reports = []
+    runs = {}
     for n_particles in ensemble_sizes:
         ensemble0 = stratified_ensemble(nodes[0], n_particles)
         terminal, snaps = simulate_particles(ensemble0, u, model.alpha, grid, check_nodes)
@@ -59,15 +61,23 @@ def meanfield_vs_particles(traj: Trajectory, u: ControlSignal, model: ModelSpec,
                 worst = max(worst, gap)
             per_time[f"t={k * grid.tau:g}"] = entry
         pc_cost = particle_cost(terminal, model.x0)
-        reports.append({
+        runs[str(n_particles)] = {
             "n_particles": n_particles,
             "moment_discrepancy": worst,
             "per_time": per_time,
             "meanfield_cost": mf_cost,
             "particle_cost": pc_cost,
             "cost_gap": abs(mf_cost - pc_cost),
-        })
-    return reports
+        }
+    discrepancies = [run["moment_discrepancy"] for run in runs.values()]
+    cost_gap = runs[str(max(ensemble_sizes))]["cost_gap"]
+    return {
+        "runs": runs,
+        "cost_gap": cost_gap,
+        "cost_tol": cost_tol,
+        "moment_monotone": all(b <= a for a, b in zip(discrepancies, discrepancies[1:])),
+        "passed": bool(cost_gap <= cost_tol),
+    }
 
 
 @dataclass(frozen=True)
@@ -154,7 +164,8 @@ def local_u1_profile(spec: dict, grid: TimeGrid) -> np.ndarray:
     return float(spec["amplitude"]) * np.sin(float(spec["frequency"]) * t)
 
 
-def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid) -> dict:
+def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid,
+                        tol: float) -> dict:
     """Closed-form co-density check for the measure-independent case.
 
     With the coupling channel off (u_2 = 0) the field is a rigid rotation
@@ -165,7 +176,8 @@ def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid) 
     where s(t) is the remaining rotation integral of u_1 and c(t) the
     accumulated one (both exact for piecewise-constant controls).  Reports
     the largest pointwise gap between the solved and analytic co-densities
-    over all full-step nodes and grid points.
+    over all full-step nodes and grid points, and the verdict: the gap must
+    be at most tol.
     """
     u1 = np.asarray(u1_values, dtype=float)
     if u1.shape != (grid.n_steps + 1,):
@@ -188,14 +200,15 @@ def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid) 
     accumulated = remaining[0] - remaining
 
     x = grid_points(traj.n_modes)
-    modes = np.arange(traj.coeffs.shape[1])
+    modes = np.arange(traj.width)
     # rho_0 as the solver marched it: the stored initial half row.
-    shifted = traj.coeffs[0] * np.exp(-1j * np.outer(accumulated[::2], modes))
+    shifted = traj.rows(0, 1)[0] * np.exp(-1j * np.outer(accumulated[::2], modes))
     rho_t = reconstruct_rows(shifted)
     analytic = -np.sin(x[None, :] + remaining[::2, None] - x0) * rho_t
     solved = reconstruct_rows(cotraj.coeffs)
     err = float(np.max(np.abs(solved - analytic)))
-    return {"max_error": err, "n_modes": traj.n_modes, "tau": grid.tau}
+    return {"max_error": err, "n_modes": traj.n_modes, "tau": grid.tau, "tol": tol,
+            "passed": err <= tol}
 
 
 _PAIR_RECIPES = (

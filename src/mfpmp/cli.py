@@ -110,8 +110,8 @@ def _resolution(traj: Trajectory, cotraj: CoTrajectory | None, snapshots) -> dic
     (the co-mass) may vanish.  `snapshots` are the density's (times,
     fields) of `_write_snapshots`.
     """
-    ratios = {"density_tail_ratio": _tail_ratio(np.abs(traj.coeffs[:, -1]),
-                                                np.abs(traj.coeffs[:, 0]))}
+    ratios = {"density_tail_ratio": _tail_ratio(np.abs(traj.column(traj.width - 1)),
+                                                np.abs(traj.column(0)))}
     if cotraj is not None:
         ratios["adjoint_tail_ratio"] = _tail_ratio(cotraj.tail, cotraj.scale)
     times, fields = snapshots
@@ -150,7 +150,8 @@ def _write_fields(config: RunConfig, traj: Trajectory, cotraj: CoTrajectory | No
     if times:
         half = [grid.nearest_node(t, 2) for t in times]
         at = [s * (0.5 * grid.tau) for s in half]
-        snapshots = at, _write_snapshots(out / "density_snapshots.csv", at, traj.coeffs[half])
+        rows = np.concatenate([traj.rows(s, s + 1) for s in half])
+        snapshots = at, _write_snapshots(out / "density_snapshots.csv", at, rows)
         if cotraj is not None:
             full = [grid.nearest_node(t) for t in times]
             _write_snapshots(out / "adjoint_snapshots.csv", [k * grid.tau for k in full],
@@ -235,18 +236,8 @@ def _run_validate(config: RunConfig, t_start: float) -> int:
 
     # Particle oracle over increasing ensemble sizes.
     t_oracle = time.perf_counter()
-    reps = meanfield_vs_particles(traj, config.u0, config.model, params["n_particles"])
-    runs = {str(rep["n_particles"]): rep for rep in reps}
-    discrepancies = [rep["moment_discrepancy"] for rep in reps]
-    cost_gap = runs[str(max(params["n_particles"]))]["cost_gap"]
-    monotone = all(b <= a for a, b in zip(discrepancies, discrepancies[1:]))
-    report["particles"] = {
-        "runs": runs,
-        "cost_gap": cost_gap,
-        "cost_tol": params["cost_tol"],
-        "moment_monotone": monotone,
-        "passed": cost_gap <= params["cost_tol"],
-    }
+    report["particles"] = meanfield_vs_particles(traj, config.u0, config.model,
+                                                 params["n_particles"], params["cost_tol"])
     timings = {"particles_s": time.perf_counter() - t_oracle}
 
     # First-order decrement probe on the configured pair plus synthetic ones.
@@ -268,10 +259,8 @@ def _run_validate(config: RunConfig, t_start: float) -> int:
     # Closed-form co-density in the rotation-only case.
     t_oracle = time.perf_counter()
     u1 = local_u1_profile(params["local_u1"], config.grid)
-    local = local_adjoint_check(u1, config.rho0, config.model.x0, config.grid)
-    local["tol"] = params["local_tol"]
-    local["passed"] = local["max_error"] <= params["local_tol"]
-    report["local_adjoint"] = local
+    report["local_adjoint"] = local_adjoint_check(u1, config.rho0, config.model.x0, config.grid,
+                                                  params["local_tol"])
     timings["local_adjoint_s"] = time.perf_counter() - t_oracle
 
     report["passed"] = all(report[oracle]["passed"]

@@ -132,9 +132,8 @@ def switching_function(traj: Trajectory, cotraj: CoTrajectory,
         raise ValueError("trajectories must share a grid")
     if traj.n_modes != cotraj.n_modes:
         raise ValueError("trajectory resolutions differ")
-    a = traj.full_nodes()
     b = cotraj.head
-    vr, vi = model.coupling(a[:, 1])
+    vr, vi = model.coupling(traj.column(1)[::2])
     b1 = b[:, 1]
     # Re(conj(v)*b_{+1}), in real arithmetic like v itself, counted twice;
     # the leading 0.0 + turns an exact -0.0 sum into 0.0.

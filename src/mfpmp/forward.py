@@ -53,6 +53,14 @@ those states as the rows of one state, straight into its trajectory; a cold
 solve is the one segment from rho0.  S is the largest divisor of K up to
 `batch_rows`: 60 for the desk grid's 1200 steps of 256 harmonics, 8 for the
 6000 steps of 2048 harmonics at tau 1e-3.
+
+A stored solve keeps each step's rows as one rectangle of its trajectory's
+buffer, cut after the last harmonic that any of them keeps (`Trajectory`):
+the flushed high harmonics of a cold full-scale solve are 59% of its
+12001 x 1025 coefficients.  The flush mask of `_settle` tells where to
+cut, so the state is not compared again.  The buffer is allocated at the
+dense size and only its used head is written, which is all of it that the
+operating system backs with memory.
 """
 
 from __future__ import annotations
@@ -85,7 +93,7 @@ _TINY = np.finfo(float).tiny
 # the per-row cost levels off.  It bounds the S time segments of a stored
 # solve, the adjoint's quarter-step blocks (one size per solve), by the
 # line search's choice its trials per lean march, and the row blocks of a
-# diagnostic sweep (`row_blocks`).
+# diagnostic sweep (`density_min`).
 BATCH_COEFFS = 8200
 
 
@@ -250,24 +258,27 @@ def _factor(width: int) -> np.ndarray:
 
 
 def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
-           out: np.ndarray, every: int = 1) -> np.ndarray:
+           record, every: int = 1) -> np.ndarray:
     """March the half rows of a0 (rows, modes), row r under the controls u_values[:, r].
 
     `u_values` holds the controls of the K full steps, each marched as two
-    RK4 steps of `h`.  `out[i]` receives the state at half-step node
-    i*every, for the len(out) nodes i = 0, 1, ...: every node of a stored
+    RK4 steps of `h`.  `record(i, a, flushed)` receives the state at
+    half-step node i*every, for i = 0, 1, .. up to the last step: the
+    (rows, modes) state and the flush mask of its float parts, (rows,
+    2*modes), True where a part is zero.  It sees every node of a stored
     solve, or the checkpoints of a lean one.  The initial state and every
-    step are settled (`_settle`) before they are stored or marched on, so
+    step are settled (`_settle`) before they are recorded or marched on, so
     stored and lean marches keep equal bits.  Returns the final state.
     """
     rows, width = a0.shape
     dn = np.tile(_factor(width), rows)
     controls = u_values.astype(complex)
     work = Workspace.of(rows * width)
+    flushed = work.mask.reshape(rows, 2 * width)
     a = np.array(a0, dtype=complex, order="C").reshape(-1)  # one copy, even of a broadcast
     spare = np.empty_like(a)  # each step goes into the state the previous one left
     _settle(a, 0.0, work)
-    out[0] = a.reshape(rows, width)
+    record(0, a.reshape(rows, width), flushed)
 
     def rhs(x, i, k):
         _continuity_rhs(x, drive, model, dn, k, work.prod)
@@ -280,8 +291,8 @@ def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
             a, spare = work.step(a, h, rhs, spare), a
             _settle(a, s * h, work)
             i, off = divmod(s, every)
-            if not off and i < len(out):
-                out[i] = a.reshape(rows, width)
+            if not off:
+                record(i, a.reshape(rows, width), flushed)
     return a.reshape(rows, width)
 
 
@@ -320,21 +331,44 @@ def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
             marched from rho0 under `model` and the object u itself, their
             S time segments re-march, as the rows of one state, steps the
             lean march already settled; otherwise rho0 is the one segment.
-            Either way each segment goes straight into its stretch of the
-            trajectory, with the same bits.
+            Either way each step's S rows go straight into the trajectory,
+            cut after the last harmonic any of them keeps, and every row
+            reads back with the same bits.
 
     Raises:
         DivergenceError: if any coefficient part passes the guard.
     """
     rho0 = _check_inputs(rho0, [u], model, grid)
     states = starts.states if _resumable(starts, rho0, u, model) else rho0[None]
-    out = np.empty((2 * grid.n_steps + 1, rho0.shape[0]), dtype=complex)
-    # nodes[s, i] is node s of segment i.  A segment's end is the next one's
-    # start, with the same bits; the last segment's is T.
-    nodes = out[:-1].reshape(len(states), -1, out.shape[1]).swapaxes(0, 1)
-    u_values = u.values[:-1].reshape(len(states), -1, 2).swapaxes(0, 1)
-    out[-1] = _march(states, u_values, 0.5 * grid.tau, model, nodes)[-1]
-    return Trajectory(grid, out)
+    segments, width = states.shape
+    last = 2 * grid.n_steps
+    steps = last // segments
+    buf = np.empty((last + 1) * width, dtype=complex)  # only the used head is ever written
+    cut, used = [], 0
+
+    def record(i, a, flushed):
+        # Step i holds node i of every segment; a segment's end is the next
+        # one's start, with the same bits, so the last step keeps only T.
+        nonlocal used
+        if i == steps:
+            a = a[-1:]
+        flushed = flushed[-1] if len(a) == 1 else np.logical_and.reduce(flushed)
+        n = (len(flushed) + 1 - int(flushed[::-1].argmin())) // 2  # past the last kept harmonic
+        np.copyto(buf[used:used + len(a) * n].reshape(-1, n), a[:, :n])
+        cut.append(n)
+        used += len(a) * n
+
+    u_values = u.values[:-1].reshape(segments, -1, 2).swapaxes(0, 1)
+    _march(states, u_values, 0.5 * grid.tau, model, record)
+    # Rectangle i (node i of each segment) starts after the rectangles before it.
+    n = np.array(cut)
+    start = np.cumsum(n * segments) - n * segments
+    index = np.empty((last + 1, 2), dtype=np.intp)
+    nodes = index[:-1].reshape(segments, steps, 2)  # node j*steps + i at [j, i]
+    nodes[..., 0] = start[:-1] + np.arange(segments)[:, None] * n[:-1]
+    nodes[..., 1] = n[:-1]
+    index[-1] = start[-1], n[-1]
+    return Trajectory(grid, width, buf[:used], index)
 
 
 def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid):
@@ -344,7 +378,12 @@ def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid)
     u_values = np.stack([u.values[:-1] for u in controls], axis=1)
     n_seg = segment_count(grid.n_steps, rho0.shape[0])
     marks = np.empty((n_seg, len(controls), rho0.shape[0]), dtype=complex)
-    terminal = _march(rows, u_values, 0.5 * grid.tau, model, marks,
+
+    def record(i, a, flushed):
+        if i < n_seg:  # the end is the terminal row
+            marks[i] = a
+
+    terminal = _march(rows, u_values, 0.5 * grid.tau, model, record,
                       every=2 * grid.n_steps // n_seg)
     return terminal, marks
 
@@ -367,25 +406,21 @@ def cost_of_control(rho0: np.ndarray, controls, model: ModelSpec,
             [Checkpoints(u, model, marks[:, r].copy()) for r, u in enumerate(controls)])
 
 
-def row_blocks(coeffs: np.ndarray):
-    """Views of consecutive blocks of `batch_rows` rows of a stored trajectory.
-
-    Diagnostics sweep a trajectory block by block, so their temporaries stay
-    small next to it (one whole reconstruction at 2048 harmonics: 376 MB).
-    """
-    rows = batch_rows(coeffs.shape[1])
-    return (coeffs[i:i + rows] for i in range(0, coeffs.shape[0], rows))
-
-
 def density_min(traj: Trajectory) -> float:
     """Minimum reconstructed density over all snapshots and grid points.
 
     Spectral truncation can push concentrated states slightly negative;
-    the value is reported as computed, never clipped.
+    the value is reported as computed, never clipped.  The rows are swept
+    `batch_rows` at a time, so the temporaries stay small next to the
+    trajectory (one whole reconstruction at 2048 harmonics: 376 MB).
     """
-    return float(min(reconstruct_rows(block).min() for block in row_blocks(traj.coeffs)))
+    total, rows = len(traj.index), batch_rows(traj.width)
+    block = np.empty((rows, traj.width), dtype=complex)
+    return float(min(reconstruct_rows(traj.rows(lo, min(lo + rows, total),
+                                                 block[:total - lo])).min()
+                     for lo in range(0, total, rows)))
 
 
 def mass_drift(traj: Trajectory) -> float:
     """Largest deviation of the mode-0 coefficient from 1/(2*pi)."""
-    return float(np.max(np.abs(traj.coeffs[:, 0] - 1.0 / (2.0 * np.pi))))
+    return float(np.max(np.abs(traj.column(0) - 1.0 / (2.0 * np.pi))))

@@ -3,7 +3,8 @@
 Controls are piecewise constant per full step: u(t) = u_k on
 [k*tau, (k+1)*tau).  The forward trajectory is stored at every half-step
 node t = s*tau/2 so the backward pass can read forward states at its stage
-times without interpolation; the backward pass keeps what its readers read
+times without interpolation, each half row cut after its last nonzero
+harmonic (`Trajectory`); the backward pass keeps what its readers read
 at the full-step nodes t = k*tau (`adjoint.CoTrajectory`).  One
 nearest-node rule, `TimeGrid.nearest_node`, serves both lattices.
 """
@@ -55,35 +56,89 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Coefficient snapshots at every half-step node: `coeffs[s]` at t = s*tau/2.
+    """Coefficient snapshots at every half-step node t = s*tau/2, each cut after its last nonzero.
 
-    Its 2K + 1 rows are half rows, the harmonics n = 0 .. N/2 of a real
-    field (see `spectral`).
+    Its 2K + 1 rows are half rows of `width` coefficients, the harmonics
+    n = 0 .. N/2 of a real field (see `spectral`).  High harmonics decay to
+    exact zeros (`forward._settle`), so each row keeps only its head: row s
+    is `coeffs[off:off + length]` for `(off, length) = index[s]`, and its
+    harmonics from `length` on are zero.  The readers hand out whole rows,
+    zero-padded, with the bits of the rows that were cut.
     """
 
     grid: TimeGrid
+    width: int
     coeffs: np.ndarray
+    index: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs)
-        if c.ndim != 2 or c.shape[1] < 3:
-            raise ValueError("coeffs must be a (snapshots, n_modes/2 + 1) array with n_modes >= 4")
+        c, index = np.asarray(self.coeffs), np.asarray(self.index)
+        if c.ndim != 1 or self.width < 3:
+            raise ValueError("coeffs must be one buffer of half rows of n_modes/2 + 1 >= 3 entries")
         rows = 2 * self.grid.n_steps + 1
-        if c.shape[0] != rows:
-            raise ValueError(f"not every half node: expected {rows} rows, got {c.shape[0]}")
+        if index.shape != (rows, 2):
+            raise ValueError(f"not every half node: expected {rows} rows, got {len(index)}")
+        off, length = index.T
+        if not (np.all((length >= 1) & (length <= self.width))
+                and np.all((off >= 0) & (off + length <= len(c)))):
+            raise ValueError("every row needs 1 .. width coefficients inside the buffer")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "index", index)
+
+    @classmethod
+    def pack(cls, grid: TimeGrid, rows) -> Trajectory:
+        """The trajectory of the dense half rows `rows`, one per half node.
+
+        Each row is cut after its last entry whose bits are not all zero, so
+        a -0.0 stays and every row reads back bit for bit.
+        """
+        rows = np.ascontiguousarray(rows, dtype=complex)
+        if rows.ndim != 2:
+            raise ValueError("rows must be a (snapshots, n_modes/2 + 1) array")
+        nonzero = (rows.view(np.uint64) != 0).reshape(*rows.shape, 2).any(axis=2)
+        length = np.where(nonzero.any(axis=1),
+                          rows.shape[1] - nonzero[:, ::-1].argmax(axis=1), 1)
+        off = np.concatenate([[0], np.cumsum(length)[:-1]])
+        coeffs = np.concatenate([r[:n] for r, n in zip(rows, length)])
+        return cls(grid, rows.shape[1], coeffs, np.column_stack([off, length]))
 
     @property
     def n_modes(self) -> int:
-        return 2 * (self.coeffs.shape[1] - 1)
+        return 2 * (self.width - 1)
 
-    def full_nodes(self) -> np.ndarray:
-        """The snapshots at the full-step nodes t = k*tau, K + 1 rows."""
-        return self.coeffs[::2]
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The half rows of the nodes lo .. hi - 1, zero-padded, into `out` if given.
+
+        `out` must be a C-ordered (hi - lo, width) complex array.
+        """
+        if not 0 <= lo <= hi <= len(self.index):
+            raise IndexError(f"rows {lo} .. {hi} outside the {len(self.index)} half nodes")
+        width = self.width
+        if out is None:
+            out = np.empty((hi - lo, width), dtype=complex)
+        elif out.shape != (hi - lo, width) or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-ordered ({hi - lo}, {width}) array")
+        flat, c, start = out.reshape(-1), self.coeffs, 0
+        for off, n in self.index[lo:hi].tolist():
+            flat[start:start + n] = c[off:off + n]
+            if n < width:
+                flat[start + n:start + width] = 0.0
+            start += width
+        return out
+
+    def column(self, n: int) -> np.ndarray:
+        """Harmonic n of every half node, 0 where the row was cut before it."""
+        if not 0 <= n < self.width:
+            raise IndexError(f"harmonic {n} outside 0 .. {self.width - 1}")
+        off, length = self.index.T
+        kept = length > n
+        out = np.zeros(len(off), dtype=complex)
+        out[kept] = self.coeffs[off[kept] + n]
+        return out
 
     def terminal_field(self) -> np.ndarray:
         """The half row at t = T."""
-        return self.coeffs[-1]
+        return self.rows(len(self.index) - 1, len(self.index))[0]
 
 
 @dataclass(frozen=True)

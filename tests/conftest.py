@@ -18,6 +18,11 @@ def full_rows(half):
     return np.concatenate([np.conj(half[..., :0:-1]), half], axis=-1)
 
 
+def dense(traj):
+    """Every half row of a stored forward trajectory, zero-padded (`Trajectory.rows`)."""
+    return traj.rows(0, len(traj.index))
+
+
 def half_row(n_modes, harmonics):
     """The half row with the given harmonics {n >= 0: c_n}, zero elsewhere."""
     row = np.zeros(n_modes // 2 + 1, dtype=complex)

@@ -23,8 +23,9 @@ from mfpmp import (
 from mfpmp import adjoint, forward
 from mfpmp.presets import fig1_control
 
-from conftest import (backward_rhs, fig1_row, full_rows, half_row, harmonic, hermitian_defect,
-                      literal_sync_cost_dmu, poisoned_workspace, random_hermitian, uniform_field)
+from conftest import (backward_rhs, dense, fig1_row, full_rows, half_row, harmonic,
+                      hermitian_defect, literal_sync_cost_dmu, poisoned_workspace,
+                      random_hermitian, uniform_field)
 
 
 def literal_adjoint_rhs(b, a, u, alpha):
@@ -195,8 +196,8 @@ class TestIntegrateBackward:
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(fig1_row(32), u, model, grid)
         every = integrate_backward(traj, u, model, keep=grid.full_times())
-        assert traj.coeffs.shape == (2 * grid.n_steps + 1, 17)
-        assert traj.full_nodes().tobytes() == traj.coeffs[::2].tobytes()
+        assert dense(traj).shape == (2 * grid.n_steps + 1, 17)
+        assert traj.column(1)[::2].tobytes() == dense(traj)[::2, 1].tobytes()
         assert every.nodes == tuple(range(grid.n_steps + 1)) and every.n_modes == 32
         assert every.coeffs.shape == (grid.n_steps + 1, 17)
         assert every.head.shape == (grid.n_steps + 1, 2)
@@ -273,7 +274,7 @@ class TestIntegrateBackward:
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(fig1_row(32), u, model, grid)
         with pytest.raises(ValueError, match="not every half node: expected 101 rows, got 51"):
-            Trajectory(grid, traj.full_nodes())
+            Trajectory.pack(grid, dense(traj)[::2])
 
     def test_an_overflowing_step_is_a_divergence_without_warnings(self):
         # A drift of 1e90 overflows inside the first RK4 step; `_settle` reports it.

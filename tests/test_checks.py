@@ -27,25 +27,32 @@ class TestLocalAdjointCheck:
     def test_constant_drift(self):
         grid = TimeGrid(1.0, 1e-3)
         u1 = np.full(grid.n_steps + 1, 0.9)
-        rep = local_adjoint_check(u1, fig1_row(128), np.pi, grid)
+        rep = local_adjoint_check(u1, fig1_row(128), np.pi, grid, 1e-10)
         assert rep["max_error"] < 1e-10
+        assert rep["passed"] is True and rep["tol"] == 1e-10
 
     def test_zero_drift_freezes_the_co_density(self):
         grid = TimeGrid(0.5, 2e-3)
         u1 = np.zeros(grid.n_steps + 1)
-        rep = local_adjoint_check(u1, fig1_row(64), 1.2, grid)
+        rep = local_adjoint_check(u1, fig1_row(64), 1.2, grid, 1e-11)
         assert rep["max_error"] < 1e-11
+        assert rep["passed"] is True
 
     def test_sinusoidal_drift(self):
         grid = TimeGrid(1.0, 1e-3)
         t = grid.full_times()
-        rep = local_adjoint_check(0.8 * np.sin(1.7 * t), fig1_row(128), np.pi, grid)
+        rep = local_adjoint_check(0.8 * np.sin(1.7 * t), fig1_row(128), np.pi, grid, 1e-10)
         assert rep["max_error"] < 1e-10
+        # The verdict is the gap against the tolerance it is given.
+        assert rep["passed"] is True
+        tight = local_adjoint_check(0.8 * np.sin(1.7 * t), fig1_row(128), np.pi, grid,
+                                    0.5 * rep["max_error"])
+        assert tight["passed"] is False and tight["max_error"] == rep["max_error"]
 
     def test_profile_length_is_validated(self):
         grid = TimeGrid(0.5, 2e-3)
         with pytest.raises(ValueError, match="node values"):
-            local_adjoint_check(np.zeros(7), fig1_row(32), 0.0, grid)
+            local_adjoint_check(np.zeros(7), fig1_row(32), 0.0, grid, 1e-6)
 
 
 def _one_at_a_time(rho0, controls, model, grid):
@@ -277,19 +284,25 @@ class TestMeanfieldVsParticles:
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
         rho = fig1_row(64)
         u = constant_control(grid, [1.1, 0.0])
-        [rep] = meanfield_vs_particles(integrate_forward(rho, u, model, grid), u, model, [700])
+        block = meanfield_vs_particles(integrate_forward(rho, u, model, grid), u, model, [700],
+                                       1e-9)
+        [rep] = block["runs"].values()
         gaps = [max(v.values()) for v in rep["per_time"].values()]
         assert max(gaps) < 1e-9
         assert rep["cost_gap"] < 1e-9
+        assert block["cost_gap"] == rep["cost_gap"] and block["passed"] is True
 
     def test_interacting_run_stays_close_for_moderate_ensembles(self):
         grid = TimeGrid(1.0, 5e-3)
         model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
         rho = fig1_row(64)
         u = constant_control(grid, [0.3, 1.0])
-        [rep] = meanfield_vs_particles(integrate_forward(rho, u, model, grid), u, model, [2000])
+        block = meanfield_vs_particles(integrate_forward(rho, u, model, grid), u, model, [2000],
+                                       1e-5)
+        [rep] = block["runs"].values()
         assert rep["moment_discrepancy"] < 1e-5
         assert rep["cost_gap"] < 1e-5
+        assert block["passed"] is True
 
     def test_one_spectral_solve_serves_every_ensemble(self):
         grid = TimeGrid(0.5, 5e-3)
@@ -297,11 +310,26 @@ class TestMeanfieldVsParticles:
         rho = fig1_row(64)
         u = constant_control(grid, [0.3, 1.0])
         traj = integrate_forward(rho, u, model, grid)
-        reps = meanfield_vs_particles(traj, u, model, [300, 1200])
+        block = meanfield_vs_particles(traj, u, model, [300, 1200], 1e-5)
+        reps = list(block["runs"].values())
         assert [r["n_particles"] for r in reps] == [300, 1200]
+        assert list(block["runs"]) == ["300", "1200"]
         for rep in reps:
-            [alone] = meanfield_vs_particles(traj, u, model, [rep["n_particles"]])
+            [alone] = meanfield_vs_particles(traj, u, model, [rep["n_particles"]],
+                                             1e-5)["runs"].values()
             assert rep == alone
+
+    def test_the_verdict_reads_the_largest_ensemble_against_the_tolerance(self):
+        grid = TimeGrid(0.5, 5e-3)
+        model = kuramoto_model(0.0, np.pi, control_set=ball(2.0))
+        u = constant_control(grid, [0.3, 1.0])
+        traj = integrate_forward(fig1_row(64), u, model, grid)
+        block = meanfield_vs_particles(traj, u, model, [1200, 300], 1.0)
+        gap = block["runs"]["1200"]["cost_gap"]
+        assert block["cost_gap"] == gap and block["cost_tol"] == 1.0 and block["passed"] is True
+        discrepancies = [r["moment_discrepancy"] for r in block["runs"].values()]
+        assert block["moment_monotone"] is bool(discrepancies[1] <= discrepancies[0])
+        assert meanfield_vs_particles(traj, u, model, [1200, 300], 0.5 * gap)["passed"] is False
 
 
 class TestPairGenerators:

@@ -14,6 +14,8 @@ from mfpmp.config import parse_config_dict
 from mfpmp.forward import density_min, integrate_forward
 from mfpmp.spectral import reconstruct_rows
 
+from conftest import dense
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -311,8 +313,8 @@ class TestResolution:
         cfg = parse_config_dict(tiny_doc(tmp_path / "direct", command="solve-adjoint"))
         traj = integrate_forward(cfg.rho0, cfg.u0, cfg.model, cfg.grid)
         cotraj = integrate_backward(traj, cfg.u0, cfg.model, keep=cfg.grid.full_times())
-        assert traj.coeffs.shape[0] > 40 * 3
-        one_sweep = float(reconstruct_rows(traj.coeffs).min())
+        assert len(traj.index) > 40 * 3
+        one_sweep = float(reconstruct_rows(dense(traj)).min())
         monkeypatch.setattr(forward, "BATCH_COEFFS", 3 * 17)
         assert density_min(traj) == one_sweep == summaries[0]["density_min"]
         assert summaries[0]["adjoint_max_coeff"] == float(np.abs(cotraj.coeffs).max())

@@ -25,7 +25,7 @@ from mfpmp import descent, forward
 from mfpmp.descent import STATUS_EXTREMAL, STATUS_MAX_ITER, STATUS_STEP
 from mfpmp.spectral import reconstruct_rows
 
-from conftest import fig1_row, full_rows, random_hermitian, uniform_field
+from conftest import dense, fig1_row, full_rows, random_hermitian, uniform_field
 
 
 def small_setup(T=0.4, tau=2e-3, n=32, alpha=0.0, radius=2.0):
@@ -48,7 +48,7 @@ class TestSwitching:
         grid, model, rho = small_setup()
         u = constant_control(grid, [0.3, 0.5])
         traj = integrate_forward(rho, u, model, grid)
-        zeros = integrate_backward(traj, u, model, terminal=np.zeros_like(traj.coeffs[0]))
+        zeros = integrate_backward(traj, u, model, terminal=np.zeros_like(traj.terminal_field()))
         d = switching_function(traj, zeros, model)
         assert np.max(np.abs(d.values)) == 0.0
 
@@ -82,7 +82,7 @@ class TestSwitching:
         cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
         got = switching_function(traj, cotraj, model).values[:, 1]
         # The full fields at the full nodes: b_{-1} is read at its own index.
-        a = full_rows(traj.coeffs[::2])
+        a = full_rows(dense(traj)[::2])
         b = full_rows(cotraj.coeffs)
         c = traj.n_modes // 2
         v = 1j * np.pi * a[:, c + 1] * np.exp(1j * alpha)
@@ -507,7 +507,7 @@ def assert_same_result(got, want):
     untimed = lambda result: [(r.k, r.cost, r.non_extremality, r.lam,  # noqa: E731
                                r.backtrack_count) for r in result.history]
     assert untimed(got) == untimed(want)
-    assert got.trajectory.coeffs.tobytes() == want.trajectory.coeffs.tobytes()
+    assert dense(got.trajectory).tobytes() == dense(want.trajectory).tobytes()
 
 
 PHI = 1.234  # the rotation angle of TestEquivariance
@@ -571,7 +571,7 @@ class TestEquivariance:
         def gradient(rho, u, model):
             traj = integrate_forward(rho, u, model, grid)
             cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
-            return traj.coeffs, cotraj.coeffs, switching_function(traj, cotraj, model).values
+            return dense(traj), cotraj.coeffs, switching_function(traj, cotraj, model).values
 
         a, b, d = gradient(rho, u, model)
         # Equal values: conj turns a stored 0.0 into -0.0.  The co-density

@@ -10,6 +10,7 @@ from mfpmp import (
     ControlSignal,
     DivergenceError,
     TimeGrid,
+    Trajectory,
     ball,
     box,
     constant_control,
@@ -25,8 +26,9 @@ from mfpmp.forward import _terminal_rows, mass_drift
 from mfpmp.descent import switching_function
 from mfpmp.presets import fig1_control
 
-from conftest import (backward_step, fig1_row, full_rows, half_row, harmonic, hermitian_defect,
-                      mode_numbers, poisoned_workspace, random_hermitian, uniform_field)
+from conftest import (backward_step, dense, fig1_row, full_rows, half_row, harmonic,
+                      hermitian_defect, mode_numbers, poisoned_workspace, random_hermitian,
+                      uniform_field)
 
 
 def literal_coefficient_rhs(a, u, alpha):
@@ -169,7 +171,7 @@ class TestIntegrateForward:
         grid = TimeGrid(0.5, 5e-3)
         model = kuramoto_model(0.0, np.pi)
         traj = integrate_forward(rho, constant_control(grid, [0.0, 0.0]), model, grid)
-        assert np.array_equal(traj.coeffs[0], traj.coeffs[-1])
+        assert np.array_equal(traj.rows(0, 1)[0], traj.terminal_field())
 
     def test_short_time_exponential_growth(self):
         # |a_1(t)| follows exp(t/2) to first order while the higher
@@ -180,7 +182,7 @@ class TestIntegrateForward:
         traj = integrate_forward(rho, constant_control(grid, [0.0, 1.0]), model, grid)
         for s in (40, 120, 200):
             t = s * 0.5 * grid.tau
-            ratio = abs(traj.coeffs[s, 1]) / abs(harmonic(rho, 1))
+            ratio = abs(traj.column(1)[s]) / abs(harmonic(rho, 1))
             assert abs(ratio - np.exp(0.5 * t)) < 1e-4
 
     def test_mass_coefficient_is_bitwise_constant(self):
@@ -305,14 +307,15 @@ def per_step_adjoint(traj, u, model):
     grid = traj.grid
     h = 0.5 * grid.tau
     stencil = adjoint._stencil(17, model)
-    want = np.empty_like(traj.coeffs)
+    a = dense(traj)
+    want = np.empty_like(a)
     b = adjoint.terminal_adjoint(traj.terminal_field(), model)
     last = 2 * grid.n_steps
     want[last] = b
     for s in range(last, 0, -1):
         uk = u.values[(s - 1) >> 1]
-        a_mid = one_row_step(traj.coeffs[s - 1], 0.5 * h, uk.astype(complex), model)
-        b = backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1], model, stencil)
+        a_mid = one_row_step(a[s - 1], 0.5 * h, uk.astype(complex), model)
+        b = backward_step(b, h, uk, a[s], a_mid, a[s - 1], model, stencil)
         want[s - 1] = b
     return want[::2]
 
@@ -325,7 +328,7 @@ class TestBatchedMarch:
             monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
         rho, grid, model, _, ladder = ladder_setup(alpha)
         costs, _ = cost_of_control(rho, ladder, model, grid)
-        singles = [integrate_forward(rho, trial, model, grid).coeffs[-1] for trial in ladder]
+        singles = [integrate_forward(rho, trial, model, grid).terminal_field() for trial in ladder]
         want = [model.cost.eval(one) for one in singles]
         assert np.array(costs).tobytes() == np.array(want).tobytes()
         stacked, _ = _terminal_rows(rho, ladder, model, grid)
@@ -430,6 +433,18 @@ def distinct_rows(rows, width, rng):
     return a
 
 
+def recorder(marks):
+    """A `forward._march` record keeping the states of the nodes i < len(marks) in marks[i].
+
+    Every state comes with its flush mask, True exactly at its zero parts.
+    """
+    def record(i, a, flushed):
+        assert flushed.tobytes() == (a.view(float) == 0.0).tobytes()
+        if i < len(marks):
+            marks[i] = a
+    return record
+
+
 class TestFlatSeams:
     """Several rows march as one flat array; no row reads another across a seam."""
 
@@ -442,11 +457,11 @@ class TestFlatSeams:
         u = rng.uniform(-1.0, 1.0, (20, rows, 2))
         u[:, rows // 2, 1] = -0.0
         marks = np.empty((5, rows, width), dtype=complex)  # half-step nodes 0, 8, .., 32
-        end = forward._march(a0, u, h, model, marks, every=8)
+        end = forward._march(a0, u, h, model, recorder(marks), every=8)
         assert np.abs(end[0]).max() > 100.0  # the large harmonic survives the march
         for r in range(rows):
             one = np.empty((5, 1, width), dtype=complex)
-            want = forward._march(a0[r:r + 1], u[:, r:r + 1], h, model, one, every=8)
+            want = forward._march(a0[r:r + 1], u[:, r:r + 1], h, model, recorder(one), every=8)
             assert end[r].tobytes() == want[0].tobytes()
             assert marks[:, r].tobytes() == one[:, 0].tobytes()
 
@@ -598,7 +613,7 @@ class TestTimeSegments:
             assert forward._resumable(mark, rho, trial, model)
             one_row = integrate_forward(rho, trial, model, grid)
             segmented = integrate_forward(rho, trial, model, grid, mark)
-            assert segmented.coeffs.tobytes() == one_row.coeffs.tobytes()
+            assert dense(segmented).tobytes() == dense(one_row).tobytes()
 
     def test_checkpoints_are_the_stored_rows_at_their_nodes(self):
         rho, grid, model, trials = segment_setup(256, 1.5, "ball")
@@ -607,7 +622,7 @@ class TestTimeSegments:
         nodes = 2 * (grid.n_steps // 60) * np.arange(60)
         for trial, mark in zip(trials, starts):
             traj = integrate_forward(rho, trial, model, grid)
-            assert mark.states.tobytes() == traj.coeffs[nodes].tobytes()
+            assert mark.states.tobytes() == dense(traj)[nodes].tobytes()
             assert mark.u is trial
 
     def test_checkpoints_of_another_control_or_density_are_ignored(self, monkeypatch):
@@ -622,7 +637,7 @@ class TestTimeSegments:
         rows = march_rows(monkeypatch)
         got = integrate_forward(rho, near, model, grid, mark)
         assert rows == [1]  # the one-row march from rho0
-        assert got.coeffs.tobytes() == integrate_forward(rho, near, model, grid).coeffs.tobytes()
+        assert dense(got).tobytes() == dense(integrate_forward(rho, near, model, grid)).tobytes()
 
     def test_checkpoints_of_an_equal_control_object_are_ignored(self, monkeypatch):
         # Checkpoints resume only the object they marched: an equal control
@@ -637,7 +652,7 @@ class TestTimeSegments:
         got = integrate_forward(rho, twin, model, grid, mark)
         assert rows == [1]
         want = integrate_forward(rho, trial, model, grid, mark)
-        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert dense(got).tobytes() == dense(want).tobytes()
 
     def test_checkpoints_of_another_model_are_ignored(self):
         # The same density and control under another coupling phase: resuming
@@ -652,7 +667,38 @@ class TestTimeSegments:
         assert not forward._resumable(mark, rho, u, model_of(1.0))
         got = integrate_forward(rho, u, model_of(1.0), grid, mark)
         want = integrate_forward(rho, u, model_of(1.0), grid)
-        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert dense(got).tobytes() == dense(want).tobytes()
+
+
+class TestPackedStorage:
+    """A stored solve keeps each step's rows only up to the last harmonic any of them keeps."""
+
+    @staticmethod
+    def wide_solve():
+        """The fig1 problem at 2048 harmonics on T = 0.5, tau 1e-3: 1001 half rows of 1025."""
+        grid = TimeGrid(0.5, 1e-3)
+        model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
+        return fig1_row(2048), grid, model, fig1_control(grid)
+
+    def test_most_of_a_cold_wide_solve_is_never_stored(self):
+        rho, grid, model, u = self.wide_solve()
+        traj = integrate_forward(rho, u, model, grid)
+        assert traj.coeffs.size <= 0.3 * 1001 * 1025
+        # A cold solve marches one row, so each row is cut right after its last nonzero.
+        assert traj.index[:, 1].tolist() == Trajectory.pack(grid, dense(traj)).index[:, 1].tolist()
+
+    def test_resumed_and_cold_solves_read_the_same_rows(self):
+        rho, grid, model, u = self.wide_solve()
+        _, (mark,) = cost_of_control(rho, [u], model, grid)
+        assert mark.states.shape == (5, 1025)  # 500 steps: S = 5 segments of at most 8
+        cold = integrate_forward(rho, u, model, grid)
+        resumed = integrate_forward(rho, u, model, grid, mark)
+        assert dense(resumed).tobytes() == dense(cold).tobytes()
+        # Each step's rectangle is as wide as the widest of its five rows; T is cut alone.
+        lengths = resumed.index[:-1, 1].reshape(5, -1)
+        assert (lengths == cold.index[:-1, 1].reshape(5, -1).max(axis=0)).all()
+        assert resumed.index[-1, 1] == cold.index[-1, 1]
+        assert cold.coeffs.size < resumed.coeffs.size < 0.3 * 1001 * 1025
 
 
 class TestHalfRowMarch:
@@ -669,7 +715,7 @@ class TestHalfRowMarch:
         rho = self.density(kind, rng)
         traj = integrate_forward(rho, u, model, grid)
         want = full_layout_march(rho, [u], model, grid)[:, 0]
-        assert traj.coeffs.tobytes() == n_ge_0_half(want).tobytes()
+        assert dense(traj).tobytes() == n_ge_0_half(want).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
     @pytest.mark.parametrize("kind", ["fig1", "random"])
@@ -716,14 +762,15 @@ def settled_per_step_adjoint(flushed_gradient):
     grid = traj.grid
     u = fig1_control(grid)
     h = 0.5 * grid.tau
-    stencil = adjoint._stencil(traj.coeffs.shape[1], model)
+    stencil = adjoint._stencil(traj.width, model)
+    a = dense(traj)
     b = adjoint.terminal_adjoint(traj.terminal_field(), model)
     settle(b, grid.T)
     nodes = [b]
     for s in range(2 * grid.n_steps, 0, -1):
         uk = u.values[(s - 1) >> 1]
-        a_mid = one_row_step(traj.coeffs[s - 1], 0.5 * h, uk.astype(complex), model)
-        b = backward_step(b, h, uk, traj.coeffs[s], a_mid, traj.coeffs[s - 1],
+        a_mid = one_row_step(a[s - 1], 0.5 * h, uk.astype(complex), model)
+        b = backward_step(b, h, uk, a[s], a_mid, a[s - 1],
                           model, stencil)
         settle(b, (s - 1) * h)
         if s % 2 == 1:
@@ -736,7 +783,7 @@ class TestSubnormalFlush:
 
     def test_no_stored_row_has_a_subnormal_part(self, flushed_gradient):
         _, traj, cotraj, _ = flushed_gradient
-        assert subnormal_parts(traj.coeffs) == 0
+        assert subnormal_parts(dense(traj)) == 0
         assert subnormal_parts(cotraj.coeffs) == 0
         assert mass_drift(traj) == 0.0
 
@@ -745,12 +792,13 @@ class TestSubnormalFlush:
             peak = float(np.max(np.abs(a.view(float))))
             if not peak <= forward.DIVERGENCE_LIMIT:
                 raise DivergenceError(f"part {peak} at t = {t}; reduce the time step")
+            work.mask.fill(False)  # no part flushed: a stored solve keeps every harmonic
 
         monkeypatch.setattr(forward, "_settle", bound_only)
         monkeypatch.setattr(adjoint, "_settle", bound_only)
         model, ref_traj, ref_cotraj, ref_d = fig1_gradient()
         # Without the flush, both trajectories carry subnormal parts.
-        assert subnormal_parts(ref_traj.coeffs) > 0.01 * 2 * ref_traj.coeffs.size
+        assert subnormal_parts(dense(ref_traj)) > 0.01 * 2 * dense(ref_traj).size
         assert subnormal_parts(ref_cotraj.coeffs) > 0.001 * 2 * ref_cotraj.coeffs.size
 
         _, traj, cotraj, d = flushed_gradient
@@ -758,7 +806,7 @@ class TestSubnormalFlush:
         assert abs(model.cost.eval(traj.terminal_field()) - ref_cost) <= 1e-12 * abs(ref_cost)
         assert np.max(np.abs(d.values - ref_d.values)) <= 1e-12 * np.max(np.abs(ref_d.values))
         for got, want in ((cotraj.coeffs[0], ref_cotraj.coeffs[0]),
-                          (traj.coeffs[-1], ref_traj.coeffs[-1])):
+                          (traj.terminal_field(), ref_traj.terminal_field())):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("rows", [1, 7, 64])

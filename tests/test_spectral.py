@@ -132,12 +132,12 @@ def _entry_points():
         # The particle oracle, the references and the experiment pair read a stored solve;
         # their row enters through it.
         "meanfield_vs_particles": lambda r: checks.meanfield_vs_particles(
-            integrate_forward(r, u, model, grid), u, model, [10]),
+            integrate_forward(r, u, model, grid), u, model, [10], 1.0),
         "reference": lambda r: checks.reference(integrate_forward(r, u, model, grid), u, model),
         "increment_slope_check": lambda r: checks.increment_slope_check(r, (ref, u), [], model,
                                                                         grid, [0.1, 0.2],
                                                                         0.05, 1.8),
-        "local_adjoint_check": lambda r: checks.local_adjoint_check(np.zeros(3), r, 0.0, grid),
+        "local_adjoint_check": lambda r: checks.local_adjoint_check(np.zeros(3), r, 0.0, grid, 1.0),
         # The synthetic pairs are controls only; the slope oracle solves them from its row.
         "synthetic_control_pairs": lambda r: checks.increment_slope_check(
             r, (ref, u), checks.synthetic_control_pairs(model, grid, 1), model, grid, [0.1, 0.2],
