@@ -7,10 +7,10 @@ Commands: solve-forward, solve-adjoint, optimize, validate.  All artifacts
 byte-identical across repeated runs of the same configuration, timing
 fields aside; the pipeline contains no randomness.
 
-Exit codes: 0 success, 2 config error, 3 divergence, 4 line-search failure,
-5 validation failure, 1 io or internal error.  Every failure prints one
-JSON error record to stderr; an unexpected exception gets the category
-"internal", with its traceback inside the record.
+Exit codes: 0 success, 2 config error or a run too large to allocate, 3
+divergence, 4 line-search failure, 5 validation failure, 1 io or internal
+error.  Every failure prints one JSON error record to stderr; an unexpected
+exception gets the category "internal", with its traceback inside the record.
 
 The solve and optimize summaries carry a `resolution` block: the largest
 spectral tail ratio over the time nodes of the density and, where one is
@@ -137,15 +137,20 @@ def _write_control(path: Path, u: ControlSignal) -> None:
                [(t, u1, u2) for t, (u1, u2) in zip(u.grid.full_times(), u.values)])
 
 
-def _write_fields(config: RunConfig, traj: Trajectory, cotraj: CoTrajectory | None) -> dict:
-    """Dump the snapshots of the density and, if solved, of the co-density.
+def _write_fields(config: RunConfig, traj: Trajectory, u: ControlSignal) -> dict:
+    """Dump the snapshots of the density and, if solved here, of the co-density.
 
+    The co-density along `traj`, the stored solve of `u`, is solved by
+    solve-adjoint always and by optimize when it dumps adjoint snapshots.
     A snapshot is the node nearest its time: a half node of the density, a
-    full node of the co-density (a row `cotraj` keeps).  Returns the
-    summary's `density_min`, `mass_drift` and `resolution` entries, and
-    solve-adjoint's `adjoint_max_coeff`.
+    full node of the co-density.  Returns the summary's `density_min`,
+    `mass_drift` and `resolution` entries, and solve-adjoint's `adjoint_max_coeff`.
     """
     grid, times, out = traj.grid, config.snapshot_times, config.output_dir
+    cotraj = None
+    if config.command == "solve-adjoint" or (config.command == "optimize" and times
+                                             and config.adjoint_snapshots):
+        cotraj = integrate_backward(traj, u, config.model, keep=times)
     snapshots = [], np.empty((0, traj.n_modes))
     if times:
         half = [grid.nearest_node(t, 2) for t in times]
@@ -157,7 +162,7 @@ def _write_fields(config: RunConfig, traj: Trajectory, cotraj: CoTrajectory | No
             _write_snapshots(out / "adjoint_snapshots.csv", [k * grid.tau for k in full],
                              cotraj.coeffs[[cotraj.nodes.index(k) for k in full]])
     fields = {"density_min": density_min(traj), "mass_drift": mass_drift(traj)}
-    if cotraj is not None and config.command == "solve-adjoint":
+    if config.command == "solve-adjoint":
         fields["adjoint_max_coeff"] = float(cotraj.scale.max())
     return {**fields, "resolution": _resolution(traj, cotraj, snapshots)}
 
@@ -172,9 +177,8 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
             file=sys.stderr,
         )
 
-    keep = config.snapshot_times if config.adjoint_snapshots else ()
     result = run_descent(config.rho0, config.u0, config.model, config.grid,
-                         config.descent, progress=progress, keep=keep)
+                         config.descent, progress=progress)
     _write_csv(
         out / "convergence.csv",
         ("k", "cost", "non_extremality", "lambda", "backtrack_count", "wall_time"),
@@ -182,11 +186,6 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
          for r in result.history],
     )
     _write_control(out / "control_final.csv", result.u_final)
-    cotraj = None
-    if config.snapshot_times and config.adjoint_snapshots:
-        cotraj = result.cotrajectory
-        if cotraj is None:  # the run stopped after a forward solve of u_final
-            cotraj = integrate_backward(result.trajectory, result.u_final, config.model, keep=keep)
 
     last = result.history[-1]
     summary = {
@@ -197,7 +196,7 @@ def _run_optimize(config: RunConfig, t_start: float) -> int:
         "final_cost": result.final_cost,
         "final_non_extremality": last.non_extremality,
         "lambda_last": last.lam,
-        **_write_fields(config, result.trajectory, cotraj),
+        **_write_fields(config, result.trajectory, result.u_final),
         "timings": {"total_seconds": time.perf_counter() - t_start},
     }
     _write_json(out / "summary.json", summary)
@@ -217,10 +216,7 @@ def _run_solve(config: RunConfig, t_start: float) -> int:
         "command": config.command,
         "terminal_cost": config.model.cost.eval(traj.terminal_field()),
     }
-    cotraj = None
-    if config.command == "solve-adjoint":
-        cotraj = integrate_backward(traj, config.u0, config.model, keep=config.snapshot_times)
-    summary.update(_write_fields(config, traj, cotraj))
+    summary.update(_write_fields(config, traj, config.u0))
     summary["timings"] = {"total_seconds": time.perf_counter() - t_start}
     _write_json(config.output_dir / "summary.json", summary)
     return 0
@@ -313,6 +309,9 @@ def main(argv=None) -> int:
         return run(parse_config(args.config, overrides))
     except ConfigError as exc:
         _fail("config", str(exc))
+        return 2
+    except MemoryError as exc:  # a grid or ensemble too large to allocate is bad input too
+        _fail("config", f"the run cannot be allocated (MemoryError: {exc})")
         return 2
     except DivergenceError as exc:
         _fail("divergence", str(exc))

@@ -223,11 +223,12 @@ def _parse_validate(doc: dict | None) -> dict:
 
     counts = params["n_particles"]
     if not (isinstance(counts, list) and counts
-            and all(_is_int(n) and n >= 1 for n in counts)
+            and all(_is_int(n) and 1 <= n < 2**63 for n in counts)
             and all(a < b for a, b in zip(counts, counts[1:]))):
         raise ConfigError(f"{where}.n_particles: expected a nonempty, strictly increasing "
-                          f"list of integers >= 1 (runs are reported by size and checked "
-                          f"for a falling discrepancy), got {counts!r}")
+                          f"list of integers in [1, 2**63) (runs are reported by size and "
+                          f"checked for a falling discrepancy; an ensemble is one NumPy "
+                          f"array), got {counts!r}")
     for key in ("cost_tol", "ratio_tol", "order_min", "local_tol"):
         if _number(params, key, where) < 0 and key != "order_min":  # a slope bound
             raise ConfigError(f"{where}.{key}: must be nonnegative, got {params[key]!r}")

@@ -101,10 +101,7 @@ class DescentResult:
 
     `trajectory` is the stored forward solve of `u_final`, made by the last
     iteration (or before the first), and `final_cost` its terminal cost.
-    `cotrajectory` is the adjoint solve along it, with the whole rows of
-    `run_descent`'s `keep`, when the last iteration solved that too, which
-    it does when the run stops extremal or on a failed line search;
-    otherwise None.
+    The co-density along it is the caller's to solve (`integrate_backward`).
     """
 
     u_final: ControlSignal
@@ -112,7 +109,6 @@ class DescentResult:
     status: str
     final_cost: float
     trajectory: Trajectory
-    cotrajectory: CoTrajectory | None = None
 
     @property
     def iterations(self) -> int:
@@ -204,11 +200,11 @@ def backtracking_step(u: ControlSignal, ubar: ControlSignal, energy: float,
 
 
 def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
-                grid: TimeGrid, cfg: DescentConfig,
-                progress=None, keep=()) -> DescentResult:
+                grid: TimeGrid, cfg: DescentConfig, progress=None) -> DescentResult:
     """Outer descent loop.
 
-    Per iteration: adjoint solve along the iterate's stored forward solve,
+    Per iteration: adjoint solve along the iterate's stored forward solve
+    (no whole rows kept but node 0's: the switching function reads none),
     switching function, target control, non-extremality, and backtracking.
     The accepted trial u + lam (target - u), the object its checkpoints
     carry, is the next iterate (a convex combination of admissible controls
@@ -221,7 +217,6 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
     Args:
         rho0: half row of the initial density.
         progress: optional callable receiving each IterationRecord.
-        keep: times whose co-density rows each adjoint solve keeps (`integrate_backward`).
     """
     u = ControlSignal(u0.grid, model.control_set.project(u0.values))
     history: list[IterationRecord] = []
@@ -235,11 +230,9 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
 
     t0 = time.perf_counter()
     traj = integrate_forward(rho0, u, model, grid)
-    cotraj = None
     for k in range(cfg.k_max):
         cost = model.cost.eval(traj.terminal_field())
-        cotraj = integrate_backward(traj, u, model, keep=keep)
-        d = switching_function(traj, cotraj, model)
+        d = switching_function(traj, integrate_backward(traj, u, model), model)
         ubar = target_control(d, model.control_set, u)
         energy = non_extremality(u, ubar, d)
 
@@ -260,7 +253,7 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
 
         t0 = time.perf_counter()
         u = starts.u
-        traj = cotraj = None  # freed before the next stored solve allocates its own
+        traj = None  # freed before the next stored solve allocates its own
         traj = integrate_forward(rho0, u, model, grid, starts)
         small_steps = small_steps + 1 if lam < cfg.lambda_tol else 0
         if small_steps >= cfg.lambda_patience:
@@ -268,4 +261,4 @@ def run_descent(rho0: np.ndarray, u0: ControlSignal, model: ModelSpec,
             break
 
     return DescentResult(u, tuple(history), status,
-                         float(model.cost.eval(traj.terminal_field())), traj, cotraj)
+                         float(model.cost.eval(traj.terminal_field())), traj)

@@ -98,6 +98,29 @@ class TestSolveAdjoint:
         assert len(adjoint_times) == len(density_times)  # 0.0025 is dumped at t = 0
 
 
+def extremal_doc(out_dir, snapshot_times):
+    """An optimize run on T = 0.5 at alpha = 0.31 that stops extremal after a few steps."""
+    doc = tiny_doc(out_dir, descent={"k_max": 20}, snapshot_times=snapshot_times)
+    doc["grid"]["T"] = 0.5
+    doc["model"]["alpha"] = 0.31
+    return doc
+
+
+def spy_adjoint_solves(monkeypatch):
+    """(calling module, CoTrajectory) of every adjoint solve of the descent and the CLI."""
+    sites = []
+
+    def spying(module):
+        def solve(*args, **kwargs):
+            sites.append((module.__name__, integrate_backward(*args, **kwargs)))
+            return sites[-1][1]
+        return solve
+
+    for module in (descent, cli):
+        monkeypatch.setattr(module, "integrate_backward", spying(module))
+    return sites
+
+
 class TestOptimize:
     def test_artifacts_and_summary(self, tmp_path):
         out = tmp_path / "out"
@@ -136,26 +159,42 @@ class TestOptimize:
         assert main(["optimize", "--config", str(write_config(tmp_path, doc))]) == 0
         assert reused == [False, True, True, True, True]
 
-    def test_an_extremal_run_solves_one_adjoint_per_iteration(self, tmp_path, monkeypatch):
-        # The last iteration has solved the co-density of the final control
-        # along its stored solve; the adjoint snapshots reuse it.
-        doc = tiny_doc(tmp_path / "out", descent={"k_max": 20}, snapshot_times=[0.0, 0.5])
-        doc["grid"]["T"] = 0.5
-        doc["model"]["alpha"] = 0.31
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return integrate_backward(*args, **kwargs)
-
-        for module in (descent, cli):
-            monkeypatch.setattr(module, "integrate_backward", counted)
+    def test_an_extremal_run_solves_the_dumped_co_density_in_the_cli(self, tmp_path,
+                                                                     monkeypatch):
+        # Each iteration solves the co-density for its switching function
+        # only; the adjoint snapshots come from one more solve, made by the
+        # command line along the final control's stored solve.
+        doc = extremal_doc(tmp_path / "out", [0.0, 0.5])
+        sites = spy_adjoint_solves(monkeypatch)
         assert main(["optimize", "--config", str(write_config(tmp_path, doc))]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert summary["status"] == descent.STATUS_EXTREMAL
-        assert len(calls) == summary["iterations"] > 1
+        assert summary["status"] == descent.STATUS_EXTREMAL and summary["iterations"] > 1
+        assert [site for site, _ in sites] == (["mfpmp.descent"] * summary["iterations"]
+                                               + ["mfpmp.cli"])
         header, rows = read_csv(tmp_path / "out" / "adjoint_snapshots.csv")
         assert header == ["t", "x", "value"] and len(rows) == 2 * 32
+
+    def test_an_extremal_run_dumps_the_co_density_of_its_final_control(self, tmp_path,
+                                                                       monkeypatch):
+        times = [0.0, 0.25, 0.5]
+        doc = extremal_doc(tmp_path / "out", times)
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(descent.run_descent(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_descent", spy)
+        assert main(["optimize", "--config", str(write_config(tmp_path, doc))]) == 0
+        (result,) = results
+        assert result.status == descent.STATUS_EXTREMAL
+        cfg = parse_config_dict(doc)
+        direct = integrate_backward(result.trajectory, result.u_final, cfg.model, keep=times)
+        nodes = [cfg.grid.nearest_node(t) for t in times]
+        fields = reconstruct_rows(direct.coeffs[[direct.nodes.index(k) for k in nodes]])
+        _, rows = read_csv(tmp_path / "out" / "adjoint_snapshots.csv")
+        assert [float(r[0]) for r in rows] == [t for t in times for _ in range(32)]
+        assert [float(r[2]) for r in rows] == fields.ravel().tolist()  # bit for bit
 
     def test_repeated_runs_are_byte_identical_except_timings(self, tmp_path):
         doc_a = tiny_doc(tmp_path / "a")
@@ -325,24 +364,24 @@ class TestResolution:
     def test_the_co_density_keeps_only_the_snapshot_rows(self, tmp_path, monkeypatch, command):
         # solve-adjoint's `adjoint_max_coeff` is the largest of the per-node
         # maxima that scale the co-density's tail ratio, which the march
-        # records; whole rows are kept at node 0 and at the snapshot times.
-        solved = []
-
-        def spy(*args, **kwargs):
-            solved.append(integrate_backward(*args, **kwargs))
-            return solved[-1]
-
-        for module in (descent, cli):
-            monkeypatch.setattr(module, "integrate_backward", spy)
+        # records.  The command line's one solve keeps whole rows at node 0
+        # and at the snapshot times; the descent's solves keep node 0 only.
+        sites = spy_adjoint_solves(monkeypatch)
         out = tmp_path / "out"
         doc = tiny_doc(out, command=command, descent={"k_max": 2}, snapshot_times=[0.2, 0.4])
         assert main([command, "--config", str(write_config(tmp_path, doc))]) == 0
-        assert solved and all(c.nodes == (0, 40, 80) for c in solved)  # of K + 1 = 81 nodes
-        assert all(c.coeffs.shape == (3, 17) and c.scale.shape == (81,) for c in solved)
+        *iterations, (site, dumped) = sites
+        assert site == "mfpmp.cli"
+        assert dumped.nodes == (0, 40, 80) and dumped.coeffs.shape == (3, 17)  # of 81 nodes
+        assert len(iterations) == (0 if command == "solve-adjoint" else 2)
+        for site, cotraj in iterations:
+            assert site == "mfpmp.descent"
+            assert cotraj.nodes == (0,) and cotraj.coeffs.shape == (1, 17)
+        assert all(c.scale.shape == (81,) for _, c in sites)
         summary = json.loads((out / "summary.json").read_text())
         assert ("adjoint_max_coeff" in summary) is (command == "solve-adjoint")
         if command == "solve-adjoint":
-            assert summary["adjoint_max_coeff"] == float(solved[-1].scale.max())
+            assert summary["adjoint_max_coeff"] == float(dumped.scale.max())
 
     def test_optimize_reports_both_fields(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -530,6 +569,23 @@ class TestExitCodes:
         assert err["message"] == "RuntimeError: boom"
         assert "broken" in err["traceback"]
         assert all(line.startswith("{") for line in lines)  # no bare traceback
+
+    def test_a_run_too_large_to_allocate_is_2_without_a_traceback(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # A stored solve of too many steps or harmonics fails on its first
+        # allocation; a real one is never made here, since a host that
+        # overcommits memory grants it and the march then fills the RAM.
+        def oversized(*args):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr("mfpmp.cli.integrate_forward", oversized)
+        doc = tiny_doc(tmp_path / "out", command="solve-forward")
+        assert main(["solve-forward", "--config", str(write_config(tmp_path, doc))]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "config" and "traceback" not in err
+        assert "298. GiB" in err["message"]
 
     def test_override_reaches_the_solver(self, tmp_path):
         doc = tiny_doc(tmp_path / "out", command="solve-forward")

@@ -202,6 +202,7 @@ class TestParsing:
         ("cost_tol", -1),  # a negative tolerance fails every oracle it bounds
         ("ratio_tol", -0.5),
         ("local_tol", -1e-9),
+        ("n_particles", [1, 2**63]),  # past the largest NumPy array
     ])
     def test_validate_values_are_checked(self, key, value):
         with pytest.raises(ConfigError, match=f"validate.{key}"):
