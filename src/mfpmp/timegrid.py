@@ -85,23 +85,6 @@ class Trajectory:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "index", index)
 
-    @classmethod
-    def pack(cls, grid: TimeGrid, rows) -> Trajectory:
-        """The trajectory of the dense half rows `rows`, one per half node.
-
-        Each row is cut after its last entry whose bits are not all zero, so
-        a -0.0 stays and every row reads back bit for bit.
-        """
-        rows = np.ascontiguousarray(rows, dtype=complex)
-        if rows.ndim != 2:
-            raise ValueError("rows must be a (snapshots, n_modes/2 + 1) array")
-        nonzero = (rows.view(np.uint64) != 0).reshape(*rows.shape, 2).any(axis=2)
-        length = np.where(nonzero.any(axis=1),
-                          rows.shape[1] - nonzero[:, ::-1].argmax(axis=1), 1)
-        off = np.concatenate([[0], np.cumsum(length)[:-1]])
-        coeffs = np.concatenate([r[:n] for r, n in zip(rows, length)])
-        return cls(grid, rows.shape[1], coeffs, np.column_stack([off, length]))
-
     @property
     def n_modes(self) -> int:
         return 2 * (self.width - 1)

@@ -8,7 +8,7 @@ n = -N/2 .. N/2 where a test compares against a full-layout reference.
 import numpy as np
 import pytest
 
-from mfpmp import adjoint
+from mfpmp import Trajectory, adjoint
 from mfpmp.forward import Workspace
 from mfpmp.presets import fig1_density
 
@@ -21,6 +21,23 @@ def full_rows(half):
 def dense(traj):
     """Every half row of a stored forward trajectory, zero-padded (`Trajectory.rows`)."""
     return traj.rows(0, len(traj.index))
+
+
+def pack(grid, rows):
+    """The `Trajectory` of the dense half rows `rows`, one per half node.
+
+    Each row is cut after its last entry whose bits are not all zero, so
+    a -0.0 stays and every row reads back bit for bit.
+    """
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a (snapshots, n_modes/2 + 1) array")
+    nonzero = (rows.view(np.uint64) != 0).reshape(*rows.shape, 2).any(axis=2)
+    length = np.where(nonzero.any(axis=1),
+                      rows.shape[1] - nonzero[:, ::-1].argmax(axis=1), 1)
+    off = np.concatenate([[0], np.cumsum(length)[:-1]])
+    coeffs = np.concatenate([r[:n] for r, n in zip(rows, length)])
+    return Trajectory(grid, rows.shape[1], coeffs, np.column_stack([off, length]))
 
 
 def half_row(n_modes, harmonics):

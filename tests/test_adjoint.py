@@ -10,7 +10,6 @@ from mfpmp import (
     ControlSignal,
     DivergenceError,
     TimeGrid,
-    Trajectory,
     ball,
     constant_control,
     cost_of_control,
@@ -24,7 +23,7 @@ from mfpmp import adjoint, forward
 from mfpmp.presets import fig1_control
 
 from conftest import (backward_rhs, dense, fig1_row, full_rows, half_row, harmonic,
-                      hermitian_defect, literal_sync_cost_dmu, poisoned_workspace,
+                      hermitian_defect, literal_sync_cost_dmu, pack, poisoned_workspace,
                       random_hermitian, uniform_field)
 
 
@@ -274,7 +273,7 @@ class TestIntegrateBackward:
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(fig1_row(32), u, model, grid)
         with pytest.raises(ValueError, match="not every half node: expected 101 rows, got 51"):
-            Trajectory.pack(grid, dense(traj)[::2])
+            pack(grid, dense(traj)[::2])
 
     def test_an_overflowing_step_is_a_divergence_without_warnings(self):
         # A drift of 1e90 overflows inside the first RK4 step; `_settle` reports it.

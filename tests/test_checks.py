@@ -1,5 +1,6 @@
 """Oracle harness: particle comparison, slope probe, closed-form co-density."""
 
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -7,18 +8,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfpmp import (ControlSignal, TimeGrid, ball, constant_control, integrate_forward,
-                   kuramoto_model)
+from mfpmp import (ControlSignal, TimeGrid, ball, box, constant_control, integrate_backward,
+                   integrate_forward, kuramoto_model)
 from mfpmp import adjoint, checks, forward
 from mfpmp.checks import (
     fig1_slope_pair,
     increment_slope_check,
     local_adjoint_check,
+    local_u1_profile,
     meanfield_vs_particles,
     reference,
     synthetic_control_pairs,
 )
 from mfpmp.config import parse_config
+from mfpmp.spectral import grid_points, reconstruct_rows
 
 from conftest import fig1_row
 
@@ -53,6 +56,68 @@ class TestLocalAdjointCheck:
         grid = TimeGrid(0.5, 2e-3)
         with pytest.raises(ValueError, match="node values"):
             local_adjoint_check(np.zeros(7), fig1_row(32), 0.0, grid, 1e-6)
+
+
+def whole_horizon_error(u1, rho0, x0, grid):
+    """The gap of `local_adjoint_check`, as one array over every full node at once."""
+    u = ControlSignal(grid, np.column_stack([u1, np.zeros_like(u1)]))
+    m = float(np.max(np.abs(u1)))
+    model = kuramoto_model(0.0, x0, control_set=box([-m, 0.0], [m, 0.0]))
+    traj = integrate_forward(rho0, u, model, grid)
+    cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
+    # The rotation still to come, summed from T back one half step at a time.
+    halves = 0.5 * grid.tau * np.repeat(u1[:-1], 2)
+    remaining = np.append(np.cumsum(halves[::-1])[::-1], 0.0)[::2]
+    accumulated = remaining[0] - remaining
+    shifted = traj.rows(0, 1)[0] * np.exp(-1j * np.outer(accumulated, np.arange(traj.width)))
+    x = grid_points(traj.n_modes)
+    analytic = -np.sin(x[None, :] + remaining[:, None] - x0) * reconstruct_rows(shifted)
+    return float(np.max(np.abs(reconstruct_rows(cotraj.coeffs) - analytic)))
+
+
+class TestBlockedLocalAdjointCheck:
+    """The oracle compares `forward.batch_rows` nodes at a time."""
+
+    SINUSOIDAL = {"kind": "sinusoidal", "amplitude": 1.0, "frequency": 1.7}
+
+    @pytest.mark.parametrize("T, tau, n_modes, spec, block", [
+        (6.0, 5e-3, 256, SINUSOIDAL, 63),  # 1201 = 19*63 + 4 nodes
+        (0.05, 1e-3, 2048, {"kind": "constant", "value": 0.9}, 8),  # 51 = 6*8 + 3 nodes
+    ], ids=["desk", "wide-short"])
+    def test_the_gap_has_the_bits_of_the_whole_horizon_array(self, T, tau, n_modes, spec, block,
+                                                             monkeypatch):
+        grid = TimeGrid(T, tau)
+        assert forward.batch_rows(n_modes // 2 + 1) == block
+        full, last = divmod(grid.n_steps + 1, block)
+        assert last > 0  # the last block is short
+        sizes = []
+        monkeypatch.setattr(checks, "reconstruct_rows",
+                            lambda rows: sizes.append(len(rows)) or reconstruct_rows(rows))
+        u1, rho0 = local_u1_profile(spec, grid), fig1_row(n_modes)
+        rep = local_adjoint_check(u1, rho0, np.pi, grid, 1e-6)
+        # Every node once: the analytic and the solved rows of each block.
+        assert sizes == [block] * (2 * full) + [last] * 2
+        assert rep["max_error"] > 0.0
+        assert rep["max_error"].hex() == whole_horizon_error(u1, rho0, np.pi, grid).hex()
+
+    def test_the_peak_is_the_kept_rows_the_trajectory_and_a_few_blocks(self):
+        # NumPy reports its buffers to tracemalloc, so the bound holds on any
+        # host.  The forward buffer is allocated at its dense size; the
+        # backward march's workspaces come to about seven of the blocks of
+        # samples below.  Whole-horizon temporaries took 22.5 MB here.
+        grid = TimeGrid(6.0, 5e-3)
+        width = 129
+        u1 = local_u1_profile(self.SINUSOIDAL, grid)
+        kept = (grid.n_steps + 1) * width * 16
+        trajectory = (2 * grid.n_steps + 1) * width * 16
+        block = forward.batch_rows(width) * 256 * 16
+        tracemalloc.start()
+        try:
+            local_adjoint_check(u1, fig1_row(256), np.pi, grid, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kept + trajectory + 12 * block
 
 
 def _one_at_a_time(rho0, controls, model, grid):

@@ -72,6 +72,19 @@ class TestSwitching:
             quad = 2.0 * np.pi / zeta.size * zeta.sum()
             assert_allclose(d.values[k, 0], quad, atol=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.7])
+    def test_the_drift_channel_is_constant_in_time(self, alpha):
+        # d_1 = 2*pi*Re b_0 is the cost's sensitivity to a rigid rotation,
+        # which commutes with the flow at any alpha, so it cannot depend on
+        # when the rotation acts.
+        grid, model, rho = small_setup(alpha=alpha)
+        t = grid.full_times()
+        u = ControlSignal(grid, np.column_stack([0.5 * np.sin(3 * t), 0.9 * np.cos(t)]))
+        traj = integrate_forward(rho, u, model, grid)
+        d1 = switching_function(traj, integrate_backward(traj, u, model), model).values[:, 0]
+        assert np.abs(d1).max() > 1e-2
+        assert np.ptp(d1) <= 1e-14 * np.abs(d1).max()
+
     @pytest.mark.parametrize("alpha", [0.31, 1.7])
     def test_coupling_channel_matches_the_pairing_formula(self, alpha):
         # d_2(t_k) = 2*pi * Re(v b_{-1} + conj(v) b_{+1}), v = i*pi*a_1*e^{i*alpha}.

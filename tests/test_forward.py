@@ -10,7 +10,6 @@ from mfpmp import (
     ControlSignal,
     DivergenceError,
     TimeGrid,
-    Trajectory,
     ball,
     box,
     constant_control,
@@ -27,8 +26,8 @@ from mfpmp.descent import switching_function
 from mfpmp.presets import fig1_control
 
 from conftest import (backward_step, dense, fig1_row, full_rows, half_row, harmonic,
-                      hermitian_defect, mode_numbers, poisoned_workspace, random_hermitian,
-                      uniform_field)
+                      hermitian_defect, mode_numbers, pack, poisoned_workspace,
+                      random_hermitian, uniform_field)
 
 
 def literal_coefficient_rhs(a, u, alpha):
@@ -215,15 +214,38 @@ class TestIntegrateForward:
 
     def test_rotation_equivariance_of_the_coupled_system(self):
         # Adding a constant drift equals solving without it and rotating
-        # the result (zero phase shift makes the coupling frame-invariant).
+        # the result, at any alpha: the coupling's phase e^{i*alpha}
+        # multiplies a_1, which rotates with the state.
         rho = fig1_row(64)
         grid = TimeGrid(1.0, 1e-3)
-        model = kuramoto_model(0.0, np.pi, control_set=ball(3.0))
         c, u2 = 0.8, 1.1
-        with_drift = integrate_forward(rho, constant_control(grid, [c, u2]), model, grid)
-        without = integrate_forward(rho, constant_control(grid, [0.0, u2]), model, grid)
-        rotated = full_rows(without.terminal_field()) * np.exp(-1j * mode_numbers(65) * c)
-        assert np.max(np.abs(full_rows(with_drift.terminal_field()) - rotated)) < 1e-8
+        for alpha in (0.0, 1.7):
+            model = kuramoto_model(alpha, np.pi, control_set=ball(3.0))
+            with_drift = integrate_forward(rho, constant_control(grid, [c, u2]), model, grid)
+            without = integrate_forward(rho, constant_control(grid, [0.0, u2]), model, grid)
+            rotated = full_rows(without.terminal_field()) * np.exp(-1j * mode_numbers(65) * c)
+            assert np.max(np.abs(full_rows(with_drift.terminal_field()) - rotated)) < 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.7])
+    def test_the_drift_reaches_the_state_only_through_its_integral(self, alpha):
+        # In the frame turning with theta(t) = integral of u_1 the system is
+        # the u_1 = 0 one, so the terminal state sees u_1 only through
+        # theta(T).  Reversing u_1 in time or flattening it to its mean keeps
+        # theta(T); shifting it does not.  The value at node K never drives.
+        grid = TimeGrid(6.0, 5e-3)
+        model = kuramoto_model(alpha, np.pi, control_set=ball(np.sqrt(2.0)))
+        u, K = 0.5 * fig1_control(grid).values, grid.n_steps  # the fig1 control at half radius
+        reversed_, flat, shifted = u.copy(), u.copy(), u.copy()
+        reversed_[:K, 0] = u[K - 1::-1, 0]
+        flat[:K, 0] = u[:K, 0].mean()
+        shifted[:, 0] += 0.1
+        controls = [ControlSignal(grid, v) for v in (u, reversed_, flat, shifted)]
+        rho = fig1_row(256)
+        costs, _ = cost_of_control(rho, controls, model, grid)
+        terminal, _ = _terminal_rows(rho, controls, model, grid)
+        assert_allclose(costs[1:3], costs[0], rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(terminal[1:3] - terminal[0])) <= 1e-12
+        assert abs(costs[3] - costs[0]) > 0.1
 
     def test_rk4_global_order_on_rotation(self):
         rho = half_row(32, {0: 1.0 / (2.0 * np.pi), 1: 0.04 + 0.02j, 4: 0.03 - 0.05j})
@@ -685,7 +707,7 @@ class TestPackedStorage:
         traj = integrate_forward(rho, u, model, grid)
         assert traj.coeffs.size <= 0.3 * 1001 * 1025
         # A cold solve marches one row, so each row is cut right after its last nonzero.
-        assert traj.index[:, 1].tolist() == Trajectory.pack(grid, dense(traj)).index[:, 1].tolist()
+        assert traj.index[:, 1].tolist() == pack(grid, dense(traj)).index[:, 1].tolist()
 
     def test_resumed_and_cold_solves_read_the_same_rows(self):
         rho, grid, model, u = self.wide_solve()

@@ -1,6 +1,6 @@
 """The stored forward trajectory: half rows cut after their last nonzero harmonic.
 
-`Trajectory.pack` cuts dense rows; every reader hands back the rows, or
+`conftest.pack` cuts dense rows; every reader hands back the rows, or
 their columns, with the bits they had before the cut.
 """
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mfpmp import TimeGrid, Trajectory
 
-from conftest import dense
+from conftest import dense, pack
 
 PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308]),
                   st.floats(allow_nan=False, allow_infinity=False))
@@ -41,7 +41,7 @@ class TestPack:
     @given(half_rows())
     def test_the_readers_give_back_the_packed_rows_bitwise(self, case):
         grid, rows = case
-        traj = Trajectory.pack(grid, rows)
+        traj = pack(grid, rows)
         assert traj.rows(0, len(rows)).tobytes() == rows.tobytes()
         assert traj.terminal_field().tobytes() == rows[-1].tobytes()
         for n in range(rows.shape[1]):
@@ -61,7 +61,7 @@ class TestPack:
         rows[0, [0, 3]] = 1.0          # zeros between kept entries
         rows[1] = 2.0                  # a full-width row
         rows[2, 0], rows[2, 4] = 0.5, complex(-0.0, 0.0)  # -0.0 is not a zero of the cut
-        traj = Trajectory.pack(grid, rows)
+        traj = pack(grid, rows)
         assert traj.index[:, 1].tolist() == [4, 6, 5]
         assert traj.index[:, 0].tolist() == [0, 4, 10]
         assert traj.rows(0, 3).tobytes() == rows.tobytes()
@@ -71,7 +71,7 @@ class TestPack:
         grid = TimeGrid(0.5, 0.5)
         rows = np.zeros((3, 4), dtype=complex)
         rows[1, 2] = 1j
-        traj = Trajectory.pack(grid, rows)
+        traj = pack(grid, rows)
         assert traj.index[:, 1].tolist() == [1, 3, 1]
         assert dense(traj).tobytes() == rows.tobytes()
 
@@ -100,10 +100,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="one buffer"):
             Trajectory(self.grid, 4, np.zeros((3, 4), dtype=complex), [[0, 1]] * 3)
         with pytest.raises(ValueError, match="one buffer"):
-            Trajectory.pack(self.grid, np.zeros((3, 2), dtype=complex))
+            pack(self.grid, np.zeros((3, 2), dtype=complex))
 
     def test_readers_refuse_what_lies_outside(self):
-        traj = Trajectory.pack(self.grid, np.ones((3, 4), dtype=complex))
+        traj = pack(self.grid, np.ones((3, 4), dtype=complex))
         with pytest.raises(IndexError, match="outside"):
             traj.rows(1, 4)
         with pytest.raises(IndexError, match="outside"):
