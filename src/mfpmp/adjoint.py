@@ -42,14 +42,31 @@ stage times, from a single local RK4 quarter-step off the stored node
 (fourth-order consistent, no interpolation).  The quarter steps of
 `forward.batch_rows` backward steps, 8 at 2048 harmonics (all 2K if fewer),
 march as the rows of one forward state, in blocks of that one size; each
-block reads its stored rows and the one above, zero-padded past where the
-trajectory cut them (`Trajectory.rows`), into one buffer.  Both the
+block reads its stored rows and the one above straight into one buffer on
+the block's band (`forward.band` of the longest row the trajectory kept;
+`Trajectory.rows` zero-pads each row up to the band only).  Both the
 quarter and the backward steps are `forward.Workspace.step`, and the
-buffers are allocated once per solve.  The switching function reads only
-b_0 and b_1, at the full-step nodes where the controls live, and the
-resolution diagnostics only max_n |b_n| and |b_{N/2}|, so the march records
-those as it lands on each full node and keeps whole half rows only at node
-0 and at the nodes asked for (`CoTrajectory`).
+buffers are allocated once per solve, at full width, and used through
+their heads.
+
+The co-density marches on a band too, for the same reason as the density
+(see `forward`): past it every stage reads only zeros, and what a
+full-width march would put there are exact zeros that `forward._settle`
+stores as +0.0, so the band keeps every bit.  Its width covers b's own
+reach and also the forward rows' band, since the source terms read
+a_{n-1} and reach one harmonic past the forward rows: it is the band of
+whichever reaches further, so the rows b reads are at least four columns
+narrower than b, or as wide at full width (`_adjoint_rhs`).  In the cold
+full-scale solve each co-density row ends in its 540th to 566th column,
+and b steps 544 to 576 of the 1025 columns; the quarter steps run on the
+forward rows' bands, up to 560 columns.
+
+The switching function reads only b_0 and b_1, at the full-step nodes
+where the controls live, and the resolution diagnostics only max_n |b_n|
+and |b_{N/2}|, so the march records those as it lands on each full node
+and keeps whole half rows, zero-padded past the band, only at node 0 and
+at the nodes asked for (`CoTrajectory`).  |b_{N/2}| is exactly 0.0 while
+the band stops short of N/2.
 
 The co-density's high harmonics decay geometrically, and at wide
 resolutions a large share of its float parts would fall below the normal
@@ -63,8 +80,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (Workspace, _continuity_rhs, _coupling_value, _drive, _factor, _settle,
-                      batch_rows)
+from .forward import (Workspace, _continuity_rhs, _coupling_value, _drive, _factor, _kept,
+                      _repack, _settle, band, batch_rows)
 from .models import ModelSpec
 from .spectral import require_row
 from .timegrid import ControlSignal, TimeGrid, Trajectory
@@ -102,11 +119,14 @@ def _stencil(width: int, model: ModelSpec) -> tuple:
 
 
 def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
-                 drift: np.ndarray, stencil, out: np.ndarray) -> np.ndarray:
+                 drift: np.ndarray, stencil, out: np.ndarray, shifts) -> np.ndarray:
     """Co-density derivative of the half row b at the forward half row a, into `out`.
 
-    `drift` is `-1j * n * u_1` and `stencil` is `_stencil(width, model)`;
-    `out` is an array of b's size.
+    `drift` is `-1j * n * u_1` and `stencil` is `_stencil(len(b), model)`;
+    `out` is an array of b's size and `shifts` two arrays of one entry less,
+    which take the shift products.  a is as wide as b, or, on a band, at
+    least one column narrower, its harmonics past it being zero: the source
+    reads a_{n-1} up to n = len(a).
     """
     u2 = float(u[1])
     a1, b1 = complex(a[1]), complex(b[1])  # Python scalars: cheaper than NumPy's
@@ -118,11 +138,13 @@ def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
     w = u2 * 2.0 * np.pi
     q_lo = w * stencil[3] * b_m1
     q_hi = w * stencil[4] * b1
+    up, down = shifts
     out = np.multiply(drift, b, out=out)
-    out[1:] += (v * stencil[1]) * b[:-1]
-    out[:-1] += (vc * stencil[2]) * b[1:]
-    out[:-1] -= q_lo * a[1:]
-    out[1:] -= q_hi * a[:-1]
+    out[1:] += np.multiply(np.multiply(v, stencil[1], out=up), b[:-1], out=up)
+    out[:-1] += np.multiply(np.multiply(vc, stencil[2], out=down), b[1:], out=down)
+    n, m = len(a) - 1, min(len(a), len(b) - 1)
+    out[:n] -= np.multiply(q_lo, a[1:], out=up[:n])
+    out[1:m + 1] -= np.multiply(q_hi, a[:m], out=down[:m])
     # n = 0: the factor of b_0 is 0, and each conjugate pair sums to a real number.
     out[0] = ((-1j * v) * b_m1 + (1j * vc) * b1) - (q_lo * a1 + q_hi * a_m1)
     return out
@@ -156,7 +178,8 @@ def rhs_adjoint(t: float, b: np.ndarray, a: np.ndarray, u, model: ModelSpec) -> 
     if b.shape != a.shape:
         raise ValueError("state and co-state mode counts differ")
     stencil = _stencil(b.shape[0], model)
-    return _adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil, np.empty_like(b))
+    return _adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil, np.empty_like(b),
+                        np.empty((2, b.shape[0] - 1), dtype=complex))
 
 
 def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
@@ -188,59 +211,75 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     last = 2 * grid.n_steps
     model.require_feasible(u.values)
     if terminal is None:
-        b = terminal_adjoint(traj.terminal_field(), model)
+        terminal = terminal_adjoint(traj.terminal_field(), model)
     else:
-        b = np.array(require_row(terminal, "terminal co-density"))  # settled in place below
-        if b.shape[0] != traj.width:
+        terminal = require_row(terminal, "terminal co-density")  # copied and settled below
+        if terminal.shape[0] != traj.width:
             raise ValueError("terminal co-density resolution does not match the trajectory")
 
     h = 0.5 * grid.tau
     width = traj.width
-    stencil = _stencil(width, model)
     # Complex control of the step that starts at each half node.
     controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
     block = min(batch_rows(width), last)
-    dn = np.tile(stencil[0], block)
+    lengths = traj.index[:, 1]
+    # Every buffer is allocated once at full width and read through its head.
     quarter, mids = Workspace.of(block * width), np.empty(block * width, dtype=complex)
-    stored = np.empty((block + 1, width), dtype=complex)  # the block's rows, zero-padded
-    back, spare = Workspace.of(width), np.empty_like(b)  # each step goes into the other half row
+    stored = np.empty((block + 1) * width, dtype=complex)  # the block's rows on their band
+    back, shifts = Workspace.of(width), np.empty((2, width - 1), dtype=complex)
+    pair = np.empty((2, width), dtype=complex)  # each step goes into the other row
+    b, held = pair[0], 0
+    b[:] = terminal
 
     def quarter_rhs(x, i, k):
-        _continuity_rhs(x, drive, model, dn, k, quarter.prod)
+        _continuity_rhs(x, drive, model, dn, k, qwork.prod)
 
     def back_rhs(x, i, k):
-        _adjoint_rhs(x, nodes[i], uk, model, drift, stencil, k)
+        _adjoint_rhs(x, nodes[i], uk, model, drift, stencil, k, prods)
 
     slot = {k: j for j, k in enumerate(sorted({0, *(grid.nearest_node(t) for t in keep)}))}
     head = np.empty((grid.n_steps + 1, 2), dtype=complex)
     scale, tail, mag = np.empty(grid.n_steps + 1), np.empty(grid.n_steps + 1), np.empty(width)
-    kept = np.empty((len(slot), width), dtype=complex)
+    kept = np.zeros((len(slot), width), dtype=complex)
 
     def land(b, k):  # record the settled half row b at full node k
         head[k] = b[:2]
-        scale[k] = np.abs(b, out=mag).max()
-        tail[k] = mag[-1]
+        scale[k] = np.abs(b, out=mag[:len(b)]).max()
+        tail[k] = mag[-1] if len(b) == width else 0.0  # the band stops short of N/2
         if k in slot:
-            kept[slot[k]] = b
+            kept[slot[k], :len(b)] = b
 
     _settle(b, last * h, back)
     land(b, grid.n_steps)
+    # b marches on its band, which also covers the forward rows' band: the
+    # source reaches one harmonic past them.  A full-width march stays full.
+    wb, wa, reach = 0, 0, _kept(back.mask[None])
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         for top in range(last, 0, -block):
             # The block's quarter-step states read only the stored trajectory, so
             # they march as one state; the lowest block re-marches rows above it.
             lo = max(top - block, 0)
-            traj.rows(lo, lo + block + 1, stored)
-            drive = _drive(controls[lo:lo + block], width)
-            a_mids = quarter.step(stored[:block].reshape(-1), 0.5 * h, quarter_rhs,
-                                  mids).reshape(block, width)
+            fit = band(int(lengths[lo:lo + block + 1].max()), width)
+            if fit != wa:
+                wa, dn = fit, np.tile(_factor(fit), block)
+                qwork = quarter.prefix(block * wa)
+            rows = traj.rows(lo, lo + block + 1, stored[:(block + 1) * wa].reshape(-1, wa))
+            drive = _drive(controls[lo:lo + block], wa)
+            a_mids = qwork.step(rows[:block].reshape(-1), 0.5 * h, quarter_rhs,
+                                mids[:block * wa]).reshape(block, wa)
             for s in range(top, lo, -1):
+                fit = band(max(reach, wa), width)
+                if fit != wb:  # b moves to its new width, in the other buffer
+                    b, spare = _repack(b, 1, fit, pair[1 - held]), pair[held, :fit]
+                    wb, held, stencil = fit, 1 - held, _stencil(fit, model)
+                    bwork, prods = back.prefix(wb), (shifts[0, :wb - 1], shifts[1, :wb - 1])
                 uk = u.values[(s - 1) >> 1]
                 drift = complex(uk[0]) * stencil[0]
-                nodes = (stored[s - lo], a_mids[s - 1 - lo], a_mids[s - 1 - lo], stored[s - 1 - lo])
-                b, spare = back.step(b, -h, back_rhs, spare), b
-                _settle(b, (s - 1) * h, back)
+                nodes = (rows[s - lo], a_mids[s - 1 - lo], a_mids[s - 1 - lo], rows[s - 1 - lo])
+                b, spare, held = bwork.step(b, -h, back_rhs, spare), b, 1 - held
+                _settle(b, (s - 1) * h, bwork)
+                reach = _kept(bwork.mask[None]) if wb < width else width
                 if s & 1:  # landed on the full node s - 1 = 2k
                     land(b, s >> 1)
     return CoTrajectory(grid, traj.n_modes, head, scale, tail, tuple(slot), kept)

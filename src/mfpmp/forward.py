@@ -31,12 +31,30 @@ time segments of one stored solve.  The rows of the C-ordered stack march
 as one flat array, so that every NumPy call of a stage runs on contiguous
 memory, and the shifts run over the seams between rows.  Rows still never
 mix: the shift by +1 brings a row's n = 0 entry the previous row's
-v a_{W-1}, which that entry's factor n = 0 turns into zero, and the shift by
+v a_{w-1}, which that entry's factor n = 0 turns into zero, and the shift by
 -1 brings a row's last entry conj(v) a_0 of the next row with conj(v)
 zeroed there.  So every row gets the bits of a one-row march.  A part that
 is infinite or NaN crosses a seam as NaN, but its own row then fails the
 bound in that step, so the march raises anyway; so would a seam product
-v a_{W-1} that overflows from finite parts, which takes parts past 1e150.
+v a_{w-1} that overflows from finite parts, which takes parts past 1e150.
+
+Every march steps its rows on a working width w, the band of harmonics
+the next step can reach, not on all W = N/2 + 1 columns (`band`).  Each
+RK4 stage reaches one harmonic further, so a step from rows whose
+harmonics from L on are zero stays within L + 4 columns, and a column
+past them reads only zeros in every stage.  w is L + 4 rounded up to a
+multiple of 16 and capped at W; L comes from the flush mask that `_settle`
+computes anyway.  What a full-width march adds past the band are sums of
+products with a zero factor: exact zeros, perhaps -0.0, which `_settle`
+stores as +0.0, and every other entry takes the same operations on the same
+values.  So the band keeps every bit.  The flat state is repacked when w
+changes, about 36 times in a cold full-scale solve; the `Workspace` is
+allocated at full width and used through its head.  Records see the rows
+on their band; trajectories, checkpoints and terminal rows are full rows,
+zero-padded.  A march that reaches full width stays there and stops looking:
+the desk grid's rows fill their 129 columns after about 30 of 2400 half
+steps; at 2048 harmonics a cold solve keeps 424 of the 1025 on average
+(553 at most).
 
 A march allocates its buffers once (`Workspace`): the four RK4 stages, the
 shift product and the flush's magnitudes and mask.  The one RK4 step of
@@ -80,6 +98,11 @@ DIVERGENCE_LIMIT = 1e6
 
 # The IEEE bound of the normal floats: smaller parts are flushed to zero.
 _TINY = np.finfo(float).tiny
+
+# Working widths are multiples of this many columns (`band`), so that a
+# cold full-scale solve changes width about 36 times in 12000 forward steps
+# and its adjoint about 9 times in 12000 backward steps.
+_BAND_STEP = 16
 
 # Rows marched as one state share the per-call overhead, which dominates
 # narrow rows.  With the buffers of one `Workspace` per march, a lean march
@@ -136,17 +159,16 @@ def _coupling(a: np.ndarray, u2: np.ndarray, model: ModelSpec):
     2-vCPU host a 2400-step one-row march took 0.077 s this way against
     0.137 s on the array route at 256 harmonics, 0.127 s against 0.200 s at
     2048.  Several rows give flat arrays holding each row's value at each of
-    its entries, with conj(v) zeroed at every row's n = 0 entry (see
+    its entries (`ModelSpec.coupling_rows` of the float parts of the a_1
+    column), with conj(v) zeroed at every row's n = 0 entry (see
     `_continuity_rhs`).
     """
     if len(u2) == 1:
         v = _coupling_value(complex(a[1]), float(u2[0, 0]), model)
         return v, v.conjugate()
     width = len(a) // len(u2)
-    s = np.empty((len(u2), 2))
-    s[:, 0], s[:, 1] = model.coupling(a[1::width])
-    s *= u2
-    v = s.view(complex).repeat(width)
+    v = model.coupling_rows(a.view(float).reshape(len(u2), -1)[:, 2:4], u2)
+    v = v.view(complex).repeat(width)
     vc = v.conj()
     vc[::width] = 0.0
     return v, vc
@@ -204,6 +226,11 @@ class Workspace:
         return cls(tuple(np.empty((4, size), dtype=complex)), np.empty(size, dtype=complex),
                    np.empty(2 * size), np.empty(2 * size, dtype=bool))
 
+    def prefix(self, size: int) -> Workspace:
+        """The heads of the buffers, for a flat state of `size` entries: a march on its band."""
+        return Workspace(tuple(k[:size] for k in self.k), self.prod[:size],
+                         self.mag[:2 * size], self.mask[:2 * size])
+
     def step(self, a: np.ndarray, h: float, rhs, out: np.ndarray) -> np.ndarray:
         """One classical RK4 step of the flat state a, a + (h/6)*(k1 + 2*(k2 + k3) + k4).
 
@@ -241,6 +268,39 @@ def _settle(a: np.ndarray, t: float, work: Workspace) -> None:
     parts[np.less(mag, _TINY, out=work.mask)] = 0.0
 
 
+def band(kept: int, width: int) -> int:
+    """The working width of a step from a state whose columns from `kept` on are zero.
+
+    Each RK4 stage reaches one column further, so a step stays within
+    kept + 4 columns, and a column past them reads only zeros in every
+    stage.  The width is rounded up to a multiple of `_BAND_STEP`, so that
+    it changes rarely, and capped at the row width.
+    """
+    return min(-(-(kept + 4) // _BAND_STEP) * _BAND_STEP, width)
+
+
+def _kept(flushed: np.ndarray) -> int:
+    """Columns up to the last part that any row keeps, from the (rows, 2*w) mask of `_settle`.
+
+    `bytes.rfind` finds the last False, a kept part, in one C call.
+    """
+    mask = flushed if len(flushed) == 1 else np.logical_and.reduce(flushed)
+    return (mask.tobytes().rfind(0) + 2) // 2
+
+
+def _repack(a: np.ndarray, rows: int, w: int, out: np.ndarray) -> np.ndarray:
+    """The flat state a of `rows` rows repacked at width w into the head of `out`, as a flat view.
+
+    Columns that a's rows lack become zeros; the columns they lose must be zeros.
+    """
+    src = a.reshape(rows, -1)
+    dst = out[:rows * w].reshape(rows, w)
+    n = min(w, src.shape[1])
+    dst[:, :n] = src[:, :n]
+    dst[:, n:] = 0.0
+    return dst.reshape(-1)
+
+
 def rhs_continuity(t: float, a: np.ndarray, u, model: ModelSpec) -> np.ndarray:
     """Half row of the coefficient time derivative of the density half row a under control u.
 
@@ -264,21 +324,24 @@ def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
     `u_values` holds the controls of the K full steps, each marched as two
     RK4 steps of `h`.  `record(i, a, flushed)` receives the state at
     half-step node i*every, for i = 0, 1, .. up to the last step: the
-    (rows, modes) state and the flush mask of its float parts, (rows,
-    2*modes), True where a part is zero.  It sees every node of a stored
-    solve, or the checkpoints of a lean one.  The initial state and every
-    step are settled (`_settle`) before they are recorded or marched on, so
-    stored and lean marches keep equal bits.  Returns the final state.
+    (rows, w) state on its working width w (`band`; the harmonics from w
+    on are zero) and the flush mask of its float parts, (rows, 2*w), True
+    where a part is zero.  It sees every node of a stored solve, or the
+    checkpoints of a lean one.  The initial state and every step are
+    settled (`_settle`) before they are recorded or marched on, so stored
+    and lean marches keep equal bits.  Returns the final state, zero-padded
+    to full rows.
     """
     rows, width = a0.shape
-    dn = np.tile(_factor(width), rows)
     controls = u_values.astype(complex)
-    work = Workspace.of(rows * width)
-    flushed = work.mask.reshape(rows, 2 * width)
-    a = np.array(a0, dtype=complex, order="C").reshape(-1)  # one copy, even of a broadcast
-    spare = np.empty_like(a)  # each step goes into the state the previous one left
-    _settle(a, 0.0, work)
+    full = Workspace.of(rows * width)
+    pair = np.empty((2, rows * width), dtype=complex)  # each step goes into the other row
+    a, spare, held = pair[0], pair[1], 0
+    np.copyto(a.reshape(rows, width), a0)  # one copy, even of a broadcast
+    _settle(a, 0.0, full)
+    flushed = full.mask.reshape(rows, 2 * width)
     record(0, a.reshape(rows, width), flushed)
+    w, fit = 0, band(_kept(flushed), width)  # the first step packs the rows at their band
 
     def rhs(x, i, k):
         _continuity_rhs(x, drive, model, dn, k, work.prod)
@@ -286,14 +349,23 @@ def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, 2 * controls.shape[0] + 1):
-            if s & 1:
-                drive = _drive(controls[s >> 1], width)
-            a, spare = work.step(a, h, rhs, spare), a
+            if fit != w:  # the rows move to their new width, in the other buffer
+                a, spare = _repack(a, rows, fit, pair[1 - held]), pair[held, :rows * fit]
+                w, held = fit, 1 - held
+                work, dn, drive = full.prefix(rows * w), np.tile(_factor(w), rows), None
+                flushed = work.mask.reshape(rows, 2 * w)
+            if s & 1 or drive is None:
+                drive = _drive(controls[(s - 1) >> 1], w)
+            a, spare, held = work.step(a, h, rhs, spare), a, 1 - held
             _settle(a, s * h, work)
             i, off = divmod(s, every)
             if not off:
-                record(i, a.reshape(rows, width), flushed)
-    return a.reshape(rows, width)
+                record(i, a.reshape(rows, w), flushed)
+            if w < width:  # a full-width march stays full
+                fit = band(_kept(flushed), width)
+    end = np.zeros((rows, width), dtype=complex)
+    end[:, :w] = a.reshape(rows, w)
+    return end
 
 
 def _check_inputs(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid) -> np.ndarray:
@@ -351,9 +423,8 @@ def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
         # one's start, with the same bits, so the last step keeps only T.
         nonlocal used
         if i == steps:
-            a = a[-1:]
-        flushed = flushed[-1] if len(a) == 1 else np.logical_and.reduce(flushed)
-        n = (len(flushed) + 1 - int(flushed[::-1].argmin())) // 2  # past the last kept harmonic
+            a, flushed = a[-1:], flushed[-1:]
+        n = _kept(flushed)
         np.copyto(buf[used:used + len(a) * n].reshape(-1, n), a[:, :n])
         cut.append(n)
         used += len(a) * n
@@ -377,11 +448,11 @@ def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid)
     rows = np.broadcast_to(rho0, (len(controls), rho0.shape[0]))
     u_values = np.stack([u.values[:-1] for u in controls], axis=1)
     n_seg = segment_count(grid.n_steps, rho0.shape[0])
-    marks = np.empty((n_seg, len(controls), rho0.shape[0]), dtype=complex)
+    marks = np.zeros((n_seg, len(controls), rho0.shape[0]), dtype=complex)
 
     def record(i, a, flushed):
         if i < n_seg:  # the end is the terminal row
-            marks[i] = a
+            marks[i, :, :a.shape[1]] = a
 
     terminal = _march(rows, u_values, 0.5 * grid.tau, model, record,
                       every=2 * grid.n_steps // n_seg)

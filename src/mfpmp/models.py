@@ -26,6 +26,9 @@ _ADMIT_TOL = 1e-9
 # Ball directions shorter than this are treated as ties (current control kept).
 _TIE_NORM = 1e-14
 
+# The turn (re, im) -> (-pi*im, pi*re) of a complex number's parts: i*pi times it.
+_TURN = np.array([-np.pi, np.pi])
+
 
 # ---------------------------------------------------------------------------
 # Admissible control sets
@@ -148,10 +151,18 @@ class ModelSpec:
     control_set: AdmissibleSet
     cost: CostSpec = field(init=False, repr=False)
     phase: complex = field(init=False, repr=False)
+    rotation: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cost", CostSpec(self.x0))
         object.__setattr__(self, "phase", complex(np.exp(1j * self.alpha)))
+        # The rows (cos, cos) and (-sin, sin) of alpha: a number with parts
+        # (x, y) times e^{i*alpha} has the parts (x, y) * rotation[0] +
+        # (y, x) * rotation[1] (`coupling_rows`).
+        c, s = self.phase.real, self.phase.imag
+        rows = np.array([[c, c], [-s, s]])
+        rows.flags.writeable = False
+        object.__setattr__(self, "rotation", tuple(rows))
 
     def require_feasible(self, u) -> np.ndarray:
         """u as floats, if every control vector in it (shape (..., 2)) is admissible.
@@ -172,18 +183,35 @@ class ModelSpec:
         """(re, im) of i*pi*a_1*e^{i*alpha}, the coupling channel's harmonic +1.
 
         `a1` is the density's first harmonic: a Python complex or an array of
-        them.  The two complex products (i*pi * a_1, then * e^{i*alpha}) are
-        spelled out in real arithmetic because NumPy's array complex multiply
-        may round differently from scalar arithmetic; this way one node and a
-        stack of nodes give the same bits.  It is the one definition of v: its
-        callers are `forward._coupling_value` (a one-row march, and the
-        adjoint), the multi-row stage of `forward._coupling`, and
-        `descent.switching_function`.
+        them.  The two complex products (the turn i*pi * a_1, then the
+        rotation by e^{i*alpha}) are spelled out in real arithmetic because
+        NumPy's array complex multiply may round differently from scalar
+        arithmetic; this way one node and a stack of nodes give the same
+        bits, and so does `coupling_rows`, the same products on the float
+        parts of many rows.  Its callers are `forward._coupling_value` (a
+        one-row march, and the adjoint) and `descent.switching_function`.
         """
         tr = -np.pi * a1.imag
         ti = np.pi * a1.real
         pr, pi = self.phase.real, self.phase.imag
         return tr * pr - ti * pi, tr * pi + ti * pr
+
+    def coupling_rows(self, parts: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        """u_2 times `coupling`, with its bits, for the (rows, 2) float parts of many a_1.
+
+        `u2` is a (rows, 1) column; the result is a new C-ordered (rows, 2)
+        array of the parts of each row's v.  Five NumPy calls: the turn, the
+        two rotation products, their sum and the u_2 scale.  Adding
+        ti * (-sin alpha) rounds as subtracting ti * sin alpha, and a sum
+        does not depend on the order of its two terms, so the parts have
+        the bits of `coupling`.
+        """
+        cos_row, sin_row = self.rotation
+        turn = np.multiply(parts[:, ::-1], _TURN)
+        v = np.multiply(turn, cos_row)
+        v += np.multiply(turn[:, ::-1], sin_row)
+        v *= u2
+        return v
 
 
 def kuramoto_model(alpha: float, x0: float, control_set: AdmissibleSet | None = None) -> ModelSpec:

@@ -92,15 +92,20 @@ class Trajectory:
     def rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """The half rows of the nodes lo .. hi - 1, zero-padded, into `out` if given.
 
-        `out` must be a C-ordered (hi - lo, width) complex array.
+        `out` must be a C-ordered complex array of hi - lo rows, at most
+        `width` wide and at least as wide as every row's head: a reader on
+        a band of the harmonics gets the rows cut to it, and a row's
+        entries past its head are written as zeros up to the band only.
         """
         if not 0 <= lo <= hi <= len(self.index):
             raise IndexError(f"rows {lo} .. {hi} outside the {len(self.index)} half nodes")
-        width = self.width
         if out is None:
-            out = np.empty((hi - lo, width), dtype=complex)
-        elif out.shape != (hi - lo, width) or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-ordered ({hi - lo}, {width}) array")
+            out = np.empty((hi - lo, self.width), dtype=complex)
+        elif not (out.ndim == 2 and out.shape[0] == hi - lo and out.flags.c_contiguous
+                  and self.index[lo:hi, 1].max(initial=1) <= out.shape[1] <= self.width):
+            raise ValueError(f"out must be a C-ordered array of {hi - lo} rows, as wide as "
+                             f"their heads and at most {self.width}")
+        width = out.shape[1]
         flat, c, start = out.reshape(-1), self.coeffs, 0
         for off, n in self.index[lo:hi].tolist():
             flat[start:start + n] = c[off:off + n]

@@ -8,7 +8,7 @@ n = -N/2 .. N/2 where a test compares against a full-layout reference.
 import numpy as np
 import pytest
 
-from mfpmp import Trajectory, adjoint
+from mfpmp import Trajectory, adjoint, forward
 from mfpmp.forward import Workspace
 from mfpmp.presets import fig1_density
 
@@ -60,10 +60,13 @@ def backward_rhs(u, a_hi, a_mid, a_lo, model, stencil):
     """The `rhs` of `Workspace.step` for a backward step under the control u (2,).
 
     Stages 0 .. 3 read the forward half rows a_hi, a_mid, a_mid and a_lo.
+    The shift products go into two buffers filled with NaN, so that a read
+    before a write shows.
     """
     drift = complex(u[0]) * stencil[0]
     nodes = (a_hi, a_mid, a_mid, a_lo)
-    return lambda x, i, k: adjoint._adjoint_rhs(x, nodes[i], u, model, drift, stencil, k)
+    shifts = np.full((2, len(drift) - 1), np.nan, dtype=complex)
+    return lambda x, i, k: adjoint._adjoint_rhs(x, nodes[i], u, model, drift, stencil, k, shifts)
 
 
 def backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil):
@@ -71,6 +74,54 @@ def backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil):
     work = Workspace.of(b.size)
     return work.step(b, -h, backward_rhs(u, a_hi, a_mid, a_lo, model, stencil),
                      np.empty_like(b))
+
+
+def continuity_step(a, h, u, model):
+    """One RK4 step of the one-row state a under the control u (2,), on all its columns."""
+    work, width = Workspace.of(a.size), a.size
+    drive, dn = forward._drive(u.astype(complex)[None], width), forward._factor(width)
+    return work.step(a, h, lambda x, i, k: forward._continuity_rhs(x, drive, model, dn, k,
+                                                                   work.prod),
+                     np.empty_like(a))
+
+
+def full_width_march(a0, u_values, h, model):
+    """Every settled state, (2K + 1, width), of a literal one-row march on the full row width.
+
+    `u_values` holds the controls (K, 2) of the full steps: two RK4 steps of
+    h each (`continuity_step`), and a settle after the initial state and
+    every step, as the solver marches, but over every column.
+    """
+    a = np.array(a0, dtype=complex)
+    forward._settle(a, 0.0, Workspace.of(a.size))
+    rows = [a]
+    for s in range(2 * len(u_values)):
+        a = continuity_step(a, h, u_values[s >> 1], model)
+        forward._settle(a, (s + 1) * h, Workspace.of(a.size))
+        rows.append(a)
+    return np.stack(rows)
+
+
+def full_width_adjoint(rows, u_values, h, model):
+    """The settled co-density at every full node, (K + 1, width), of a literal full-width march.
+
+    It marches back along the dense forward rows (2K + 1, width) of
+    `full_width_march` from `adjoint.terminal_adjoint`, with one
+    quarter-step state per backward step, over every column.
+    """
+    stencil = adjoint._stencil(rows.shape[1], model)
+    b = adjoint.terminal_adjoint(rows[-1], model)
+    last = len(rows) - 1
+    forward._settle(b, last * h, Workspace.of(b.size))
+    nodes = [b]
+    for s in range(last, 0, -1):
+        uk = u_values[(s - 1) >> 1]
+        a_mid = continuity_step(rows[s - 1], 0.5 * h, uk, model)
+        b = backward_step(b, h, uk, rows[s], a_mid, rows[s - 1], model, stencil)
+        forward._settle(b, (s - 1) * h, Workspace.of(b.size))
+        if s & 1:
+            nodes.append(b)
+    return np.stack(nodes[::-1])
 
 
 def fig1_row(n_modes):

@@ -139,7 +139,7 @@ class TestAdjointRhs:
             a = random_hermitian(n_modes, rng)
             b = random_hermitian(n_modes, rng, scale=0.3, mass=rng.standard_normal() * 0.2)
             got = adjoint._adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil,
-                                       np.empty_like(b))
+                                       np.empty_like(b), np.empty((2, len(b) - 1), dtype=complex))
             want = literal_adjoint_rhs(full_rows(b), full_rows(a), u, alpha)
             assert np.max(np.abs(got - want[n_modes // 2:])) < 1e-14  # n = 0 included
             assert got[0].imag == 0.0  # the n = 0 entry sums conjugate pairs
@@ -292,7 +292,8 @@ def fresh_backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil):
     drift = complex(u[0]) * stencil[0]
 
     def rhs(x, a):
-        return adjoint._adjoint_rhs(x, a, u, model, drift, stencil, np.empty_like(x))
+        return adjoint._adjoint_rhs(x, a, u, model, drift, stencil, np.empty_like(x),
+                                    np.empty((2, len(x) - 1), dtype=complex))
 
     k1 = rhs(b, a_hi)
     k2 = rhs(b + (0.5 * hb) * k1, a_mid)

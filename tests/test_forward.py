@@ -25,8 +25,8 @@ from mfpmp.forward import _terminal_rows, mass_drift
 from mfpmp.descent import switching_function
 from mfpmp.presets import fig1_control
 
-from conftest import (backward_step, dense, fig1_row, full_rows, half_row, harmonic,
-                      hermitian_defect, mode_numbers, pack, poisoned_workspace,
+from conftest import (backward_step, dense, fig1_row, full_rows, full_width_adjoint, half_row,
+                      harmonic, hermitian_defect, mode_numbers, pack, poisoned_workspace,
                       random_hermitian, uniform_field)
 
 
@@ -778,26 +778,12 @@ def settled_per_step_adjoint(flushed_gradient):
     """The fig1 co-density at every full node from a literal backward march.
 
     One quarter-step state per backward step, as a one-row state; the
-    terminal row and every step are settled, as the solver does.
+    terminal row and every step are settled, as the solver does
+    (`conftest.full_width_adjoint`).
     """
     model, traj, _, _ = flushed_gradient
     grid = traj.grid
-    u = fig1_control(grid)
-    h = 0.5 * grid.tau
-    stencil = adjoint._stencil(traj.width, model)
-    a = dense(traj)
-    b = adjoint.terminal_adjoint(traj.terminal_field(), model)
-    settle(b, grid.T)
-    nodes = [b]
-    for s in range(2 * grid.n_steps, 0, -1):
-        uk = u.values[(s - 1) >> 1]
-        a_mid = one_row_step(a[s - 1], 0.5 * h, uk.astype(complex), model)
-        b = backward_step(b, h, uk, a[s], a_mid, a[s - 1],
-                          model, stencil)
-        settle(b, (s - 1) * h)
-        if s % 2 == 1:
-            nodes.append(b)
-    return np.stack(nodes[::-1])
+    return full_width_adjoint(dense(traj), fig1_control(grid).values[:-1], 0.5 * grid.tau, model)
 
 
 class TestSubnormalFlush:
