@@ -57,9 +57,9 @@ reach and also the forward rows' band, since the source terms read
 a_{n-1} and reach one harmonic past the forward rows: it is the band of
 whichever reaches further, so the rows b reads are at least four columns
 narrower than b, or as wide at full width (`_adjoint_rhs`).  In the cold
-full-scale solve each co-density row ends in its 540th to 566th column,
-and b steps 544 to 576 of the 1025 columns; the quarter steps run on the
-forward rows' bands, up to 560 columns.
+full-scale solve each co-density row ends in its 154th to 164th column,
+and b steps 176 of the 1025 columns throughout; the quarter steps run on
+the forward rows' bands, 48 to 160 columns.
 
 The switching function reads only b_0 and b_1, at the full-step nodes
 where the controls live, and the resolution diagnostics only max_n |b_n|
@@ -71,7 +71,11 @@ the band stops short of N/2.
 The co-density's high harmonics decay geometrically, and at wide
 resolutions a large share of its float parts would fall below the normal
 range; as in the forward march, every backward step flushes the parts
-below `np.finfo(float).tiny` to zero (`forward._settle`).
+below 2^-511, the square root of the smallest normal float, to zero
+(`forward._settle`).  The reasons are the forward march's: a product of
+two kept parts is a normal float, and the flushed parts are too small to
+move a reported number.  With the smallest normal float as the bound, a
+cold full-scale co-density row would keep 540 to 566 columns.
 """
 
 from __future__ import annotations
@@ -139,12 +143,12 @@ def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
     q_lo = w * stencil[3] * b_m1
     q_hi = w * stencil[4] * b1
     up, down = shifts
-    out = np.multiply(drift, b, out=out)
-    out[1:] += np.multiply(np.multiply(v, stencil[1], out=up), b[:-1], out=up)
-    out[:-1] += np.multiply(np.multiply(vc, stencil[2], out=down), b[1:], out=down)
+    out = np.multiply(drift, b, out)
+    out[1:] += np.multiply(np.multiply(v, stencil[1], up), b[:-1], up)
+    out[:-1] += np.multiply(np.multiply(vc, stencil[2], down), b[1:], down)
     n, m = len(a) - 1, min(len(a), len(b) - 1)
-    out[:n] -= np.multiply(q_lo, a[1:], out=up[:n])
-    out[1:m + 1] -= np.multiply(q_hi, a[:m], out=down[:m])
+    out[:n] -= np.multiply(q_lo, a[1:], up[:n])
+    out[1:m + 1] -= np.multiply(q_hi, a[:m], down[:m])
     # n = 0: the factor of b_0 is 0, and each conjugate pair sums to a real number.
     out[0] = ((-1j * v) * b_m1 + (1j * vc) * b1) - (q_lo * a1 + q_hi * a_m1)
     return out
@@ -269,8 +273,8 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
             a_mids = qwork.step(rows[:block].reshape(-1), 0.5 * h, quarter_rhs,
                                 mids[:block * wa]).reshape(block, wa)
             for s in range(top, lo, -1):
-                fit = band(max(reach, wa), width)
-                if fit != wb:  # b moves to its new width, in the other buffer
+                if wb < width and (fit := band(max(reach, wa), width)) != wb:
+                    # b moves to its new width, in the other buffer
                     b, spare = _repack(b, 1, fit, pair[1 - held]), pair[held, :fit]
                     wb, held, stencil = fit, 1 - held, _stencil(fit, model)
                     bwork, prods = back.prefix(wb), (shifts[0, :wb - 1], shifts[1, :wb - 1])
@@ -279,7 +283,8 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
                 nodes = (rows[s - lo], a_mids[s - 1 - lo], a_mids[s - 1 - lo], rows[s - 1 - lo])
                 b, spare, held = bwork.step(b, -h, back_rhs, spare), b, 1 - held
                 _settle(b, (s - 1) * h, bwork)
-                reach = _kept(bwork.mask[None]) if wb < width else width
+                if wb < width:
+                    reach = _kept(bwork.mask[None])
                 if s & 1:  # landed on the full node s - 1 = 2k
                     land(b, s >> 1)
     return CoTrajectory(grid, traj.n_modes, head, scale, tail, tuple(slot), kept)

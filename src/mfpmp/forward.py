@@ -19,11 +19,19 @@ equation has an explicit factor n, so the mass coefficient is conserved
 bit-for-bit.
 
 On the initial state and after every step, real and imaginary parts below
-the smallest normal float (`np.finfo(float).tiny`, about 2.2e-308) are set
-to zero (`_settle`).  High harmonics decay geometrically, and arithmetic on
-subnormal floats takes the slow path of the processor; the flushed parts
-lie over 300 orders of magnitude below the mass coefficient 1/(2*pi),
-which the flush never touches.
+2^-511 (about 1.5e-154, the square root of the smallest normal float
+`np.finfo(float).tiny`) are set to zero (`_settle`).  High harmonics decay
+geometrically, and the bound has two reasons.  The product of two kept parts
+is at least tiny, a normal float, so no RK4 stage does arithmetic on
+subnormal floats, which takes the slow path of the processor.  And the
+flushed parts are too small to move a reported number: they lie about 137
+orders of magnitude below the ulp of the mass coefficient 1/(2*pi), which
+the flush never touches.  The desk descent keeps every artifact byte with
+the bound at 2^-1022, 2^-511, 1e-100 or 1e-70; the smallest bound tried
+that moves it is 1e-60, where its final cost moves by 6.6e-13 relative.
+At 2048 harmonics most of what the smallest normal float would keep is
+dust below 2^-511: a cold solve's density rows keep 146 columns on
+average with this bound and 424 with that one.
 
 The kernels march a stack of state rows, each under its own control: the
 trial steps of a line search, the adjoint's quarter-step states, or the S
@@ -48,13 +56,13 @@ computes anyway.  What a full-width march adds past the band are sums of
 products with a zero factor: exact zeros, perhaps -0.0, which `_settle`
 stores as +0.0, and every other entry takes the same operations on the same
 values.  So the band keeps every bit.  The flat state is repacked when w
-changes, about 36 times in a cold full-scale solve; the `Workspace` is
+changes, 9 times in a cold full-scale solve; the `Workspace` is
 allocated at full width and used through its head.  Records see the rows
 on their band; trajectories, checkpoints and terminal rows are full rows,
 zero-padded.  A march that reaches full width stays there and stops looking:
-the desk grid's rows fill their 129 columns after about 30 of 2400 half
-steps; at 2048 harmonics a cold solve keeps 424 of the 1025 on average
-(553 at most).
+a cold desk solve's rows fill their 129 columns after about 230 of 2400
+half steps; at 2048 harmonics a cold solve keeps 146 of the 1025 on average
+(154 at most).
 
 A march allocates its buffers once (`Workspace`): the four RK4 stages, the
 shift product and the flush's magnitudes and mask.  The one RK4 step of
@@ -74,7 +82,7 @@ solve is the one segment from rho0.  S is the largest divisor of K up to
 
 A stored solve keeps each step's rows as one rectangle of its trajectory's
 buffer, cut after the last harmonic that any of them keeps (`Trajectory`):
-the flushed high harmonics of a cold full-scale solve are 59% of its
+the flushed high harmonics of a cold full-scale solve are 86% of its
 12001 x 1025 coefficients.  The flush mask of `_settle` tells where to
 cut, so the state is not compared again.  The buffer is allocated at the
 dense size and only its used head is written, which is all of it that the
@@ -96,12 +104,13 @@ from .timegrid import ControlSignal, TimeGrid, Trajectory
 # 1/(2*pi) * O(1), so anything near this limit means tau is too large.
 DIVERGENCE_LIMIT = 1e6
 
-# The IEEE bound of the normal floats: smaller parts are flushed to zero.
-_TINY = np.finfo(float).tiny
+# Smaller parts are flushed to zero, in both marches: 2^-511, the square root
+# of the smallest normal float, so that a product of two kept parts is normal.
+_FLUSH = 2.0 ** -511
 
 # Working widths are multiples of this many columns (`band`), so that a
-# cold full-scale solve changes width about 36 times in 12000 forward steps
-# and its adjoint about 9 times in 12000 backward steps.
+# cold full-scale solve changes width 9 times in 12000 forward steps and
+# its adjoint's co-density keeps the one width of its first step.
 _BAND_STEP = 16
 
 # Rows marched as one state share the per-call overhead, which dominates
@@ -252,9 +261,9 @@ class Workspace:
 
 
 def _settle(a: np.ndarray, t: float, work: Workspace) -> None:
-    """Flush the subnormal parts of the new flat complex state a to zero, in place, and bound it.
+    """Flush the parts below 2^-511 of the new flat complex state a to zero, in place; bound it.
 
-    One look at the float view serves both: parts with |x| < tiny become
+    One look at the float view serves both: parts with |x| < `_FLUSH` become
     0.0, and the largest |x| must stay within DIVERGENCE_LIMIT (NaN fails);
     `t` is the state's time, which a divergence reports.  The magnitudes
     and the mask go into the buffers of `work`, a workspace of a's size.
@@ -265,7 +274,7 @@ def _settle(a: np.ndarray, t: float, work: Workspace) -> None:
     if not peak <= DIVERGENCE_LIMIT:
         raise DivergenceError(f"coefficient part {peak:.3e} at t = {t:.6g} exceeds "
                               f"{DIVERGENCE_LIMIT:.0e}; reduce the time step")
-    parts[np.less(mag, _TINY, out=work.mask)] = 0.0
+    parts[np.less(mag, _FLUSH, out=work.mask)] = 0.0
 
 
 def band(kept: int, width: int) -> int:

@@ -60,9 +60,12 @@ class Trajectory:
 
     Its 2K + 1 rows are half rows of `width` coefficients, the harmonics
     n = 0 .. N/2 of a real field (see `spectral`).  High harmonics decay to
-    exact zeros (`forward._settle`), so each row keeps only its head: row s
+    exact zeros, since parts below 2^-511 are flushed (`forward._settle`,
+    which gives the bound's reasons), so each row keeps only its head: row s
     is `coeffs[off:off + length]` for `(off, length) = index[s]`, and its
-    harmonics from `length` on are zero.  The readers hand out whole rows,
+    harmonics from `length` on are zero.  At full scale a row keeps 146 of
+    its 1025 columns on average; flushed only below the smallest normal
+    float, 2^-1022, it would keep 424.  The readers hand out whole rows,
     zero-padded, with the bits of the rows that were cut.
     """
 

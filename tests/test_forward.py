@@ -596,11 +596,11 @@ class TestWorkspace:
     def test_settle_through_the_workspace_equals_a_fresh_settle(self):
         a = np.zeros((2, 3), dtype=complex)
         a[:, 0] = 1.0 / (2.0 * np.pi)
-        a[0, 1] = complex(1e-310, -1e-320)
-        a[1, 2] = complex(3e-308, 2e-308)
+        a[0, 1] = complex(1e-200, -1e-320)
+        a[1, 2] = complex(2e-154, 1e-154)  # either side of the bound 2^-511 = 1.49e-154
         fresh, flat = a.copy(), a.reshape(-1).copy()
         parts = fresh.view(float)
-        parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+        parts[np.abs(parts) < 2.0 ** -511] = 0.0
         forward._settle(flat, 0.0, poisoned_workspace(flat.size))
         assert flat.tobytes() == fresh.tobytes()
 
@@ -787,7 +787,7 @@ def settled_per_step_adjoint(flushed_gradient):
 
 
 class TestSubnormalFlush:
-    """Parts below finfo.tiny are set to zero after every step of both marches."""
+    """Parts below 2^-511 are set to zero after every step of both marches."""
 
     def test_no_stored_row_has_a_subnormal_part(self, flushed_gradient):
         _, traj, cotraj, _ = flushed_gradient
@@ -829,6 +829,33 @@ class TestSubnormalFlush:
         assert cotraj.coeffs.shape == (traj.grid.n_steps + 1, 257)
         assert cotraj.coeffs.tobytes() == settled_per_step_adjoint.tobytes()
 
+    def test_flushed_dust_is_inert(self, monkeypatch):
+        # At 1024 harmonics and T = 1 the smallest normal float keeps parts
+        # the bound 2^-511 flushes; the gradient keeps every bit without them.
+        grid = TimeGrid(1.0, 2e-3)
+        model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
+        u = fig1_control(grid)
+
+        def gradient():
+            traj = integrate_forward(fig1_row(1024), u, model, grid)
+            cotraj = integrate_backward(traj, u, model)
+            return traj, cotraj, switching_function(traj, cotraj, model)
+
+        traj, cotraj, d = gradient()
+        with monkeypatch.context() as m:
+            m.setattr(forward, "_FLUSH", np.finfo(float).tiny)
+            ref_traj, ref_cotraj, ref_d = gradient()
+        parts = np.abs(dense(ref_traj).view(float))
+        assert np.count_nonzero((parts > 0.0) & (parts < 2.0 ** -511)) > 0
+        assert d.values.tobytes() == ref_d.values.tobytes()
+        assert cotraj.head.tobytes() == ref_cotraj.head.tobytes()
+        assert cotraj.scale.tobytes() == ref_cotraj.scale.tobytes()
+        cost, ref = (np.float64(model.cost.eval(t.terminal_field())) for t in (traj, ref_traj))
+        assert cost.tobytes() == ref.tobytes()
+        assert 2 * traj.coeffs.nbytes <= ref_traj.coeffs.nbytes
+        parts = np.abs(traj.coeffs.view(float))
+        assert np.count_nonzero((parts > 0.0) & (parts < 2.0 ** -511)) == 0
+
     def test_a_diverging_row_of_a_batched_march_raises(self):
         rho = fig1_row(512)
         grid = TimeGrid(1.0, 0.05)
@@ -839,13 +866,17 @@ class TestSubnormalFlush:
             cost_of_control(rho, [calm, wild, calm], model, grid)
 
     def test_a_nan_part_raises_and_mass_is_never_flushed(self):
+        bound = 2.0 ** -511
+        below = np.nextafter(bound, 0.0)
         a = np.zeros((2, 3), dtype=complex)  # two half rows, n = 0 .. 2
         a[:, 0] = 1.0 / (2.0 * np.pi)
-        a[0, 1] = complex(1e-310, -1e-320)
-        a[1, 2] = complex(3e-308, 2e-308)  # 3e-308 is normal, 2e-308 is not
+        a[0, 1] = complex(-1e-310, 3e-308)  # subnormal and normal, both below the bound
+        a[0, 2] = complex(-bound, -below)
+        a[1, 2] = complex(bound, below)  # a part of exactly the bound stays
         settle(a, 0.0)
         assert np.array_equal(a[:, 0], np.full(2, 1.0 / (2.0 * np.pi)))
-        assert a[0, 1] == 0 and a[1, 2] == 3e-308
+        want = np.array([[0.0, 0.0, -bound, 0.0], [0.0, 0.0, bound, 0.0]])
+        assert a[:, 1:].view(float).tobytes() == want.tobytes()  # flushed parts are +0.0
         a[1, 1] = complex(0.0, np.nan)
         with pytest.raises(DivergenceError, match="reduce the time step"):
             settle(a, 0.0)
