@@ -31,23 +31,43 @@ stencil plus the source,
         - q_{-1} a_{n+1} - q_{+1} a_{n-1},
 
 with v = u_2 * i*pi*a_1*e^{i*alpha} and the source harmonics q_{-+1} of
-q(x).  Its mode factors and source phases are computed once per solve
+q(x).  Its mode factors and source phases come from one place
 (`_stencil`).  Only the n = 0 entry and q_{-1} read b_{-1} and a_{-1},
 which are conj(b_1) and conj(a_1); that entry adds its conjugate pairs in
 scalar arithmetic, so b_0 stays real and the field is Hermitian exactly.
 
+A stage of the march is three NumPy calls (`_stage`), because the march is
+bound by the cost per call, not by arithmetic.  b lives between two zero
+pad columns, so b_{n-1}, b_n and b_{n+1} are the rows of one (3, w) view of
+its buffer; one multiply takes them by the three stencil rows
+v*(-i(n+1)), -i n u_1 and conj(v)*(-i(n-1)), one multiply takes the
+source rows a_{n+1} and a_{n-1}, zero past the forward row, by the column
+(-q_{-1}, -q_{+1}), and one `np.add.reduce` sums the five products row
+by row, in the order of the stencil above.  Each product takes its
+operands in the stencil's order, since NumPy's complex multiply can round
+x*y and y*x differently, and x + (-y) rounds as x - y.  The pad products
+are exact zeros, which change no sum but perhaps the sign of a zero, and
+`forward._settle` stores a zero as +0.0; so a stage has the bits of the
+stencil summed term by term into one array.  The factors depend only
+on the forward rows and the control, so they are filled a few steps at a
+time (`_fill`), the couplings v once per quarter-step block (`_couple`).
+The buffers of the stage kernel are allocated at b's band, anew when the
+band changes (`_Stages`).
+
 The march runs at the same half step as the forward solver, so every stage
 reads a forward state either straight from storage or, for quarter-step
 stage times, from a single local RK4 quarter-step off the stored node
-(fourth-order consistent, no interpolation).  The quarter steps of
-`forward.batch_rows` backward steps, 8 at 2048 harmonics (all 2K if fewer),
-march as the rows of one forward state, in blocks of that one size; each
-block reads its stored rows and the one above straight into one buffer on
-the block's band (`forward.band` of the longest row the trajectory kept;
-`Trajectory.rows` zero-pads each row up to the band only).  Both the
-quarter and the backward steps are `forward.Workspace.step`, and the
-buffers are allocated once per solve, at full width, and used through
-their heads.
+(fourth-order consistent, no interpolation).  The quarter steps of a block
+of backward steps march as the rows of one forward state; each block reads
+its stored rows and the one above straight into one buffer on the block's
+band (`forward.band` of the longest row the trajectory kept;
+`Trajectory.rows` zero-pads each row up to the band only).  A block has
+`forward.batch_rows` rows of the widest band the whole trajectory keeps,
+at most `_BLOCK_ROWS` (16) and at most 2K, one size per solve: 16 rows
+both at 2048 harmonics and on the desk grid.  Its buffers are allocated
+once per solve at that band, not at the full row.  Both the quarter and
+the backward steps are `forward.Workspace.step`; b's workspace is
+allocated at full width and used through its head.
 
 The co-density marches on a band too, for the same reason as the density
 (see `forward`): past it every stage reads only zeros, and what a
@@ -56,7 +76,7 @@ stores as +0.0, so the band keeps every bit.  Its width covers b's own
 reach and also the forward rows' band, since the source terms read
 a_{n-1} and reach one harmonic past the forward rows: it is the band of
 whichever reaches further, so the rows b reads are at least four columns
-narrower than b, or as wide at full width (`_adjoint_rhs`).  In the cold
+narrower than b, or as wide at full width (`_fill`).  In the cold
 full-scale solve each co-density row ends in its 154th to 164th column,
 and b steps 176 of the 1025 columns throughout; the quarter steps run on
 the forward rows' bands, 48 to 160 columns.
@@ -81,14 +101,33 @@ cold full-scale co-density row would keep 540 to 566 columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .forward import (Workspace, _continuity_rhs, _coupling_value, _drive, _factor, _kept,
-                      _repack, _settle, band, batch_rows)
+from .forward import (Workspace, _continuity_rhs, _drive, _factor, _kept, _repack, _settle,
+                      band, batch_rows)
 from .models import ModelSpec
 from .spectral import require_row
 from .timegrid import ControlSignal, TimeGrid, Trajectory
+
+# The most quarter-step rows a block marches as one state.  Blocks sized by
+# the band alone would reach 51 rows at full scale and 512 in a u_2 = 0
+# solve that keeps harmonics 0 .. 2, while the per-row cost of a quarter
+# step levels off and the block's buffers, which it fills on every page,
+# keep growing.  In the full-pass benchmark (one CPU of a shared 2-vCPU
+# host, 3 runs each) 12, 16 and 24 rows gave `wall_ref_s` 1.63, 1.59 and
+# 1.58 s and `peak_rss_mb` 69.07, 69.21 and 69.31 MB; 64 rows measured
+# about 2% faster than 24 but 1.4 MB more.
+_BLOCK_ROWS = 16
+
+# Backward steps whose stage factors are filled at once (`_fill`).
+_GROUP = 4
+
+# The stage row that each RK4 stage of a backward step reads: the stored
+# node above, the quarter-step state (twice), the stored node below.
+_ROW = (0, 1, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -113,45 +152,150 @@ class CoTrajectory:
 def _stencil(width: int, model: ModelSpec) -> tuple:
     """The mode factors -i*n, -i*(n+1), -i*(n-1) of b_n, b_{n-1}, b_{n+1}, then e^{+-i*alpha}/2.
 
-    The first covers n = 0 .. width - 1, the second the rows n >= 1 and the
-    third the rows n <= width - 2, where the shifted harmonic is stored.
-    e^{i*alpha}/2 and e^{-i*alpha}/2 are the source's factors of b_{-1} and b_1.
+    Each factor row covers n = 0 .. width - 1.  e^{i*alpha}/2 and
+    e^{-i*alpha}/2 are the source's factors of b_{-1} and b_1.
     """
     n = np.arange(width)
-    return (_factor(width), -1j * (n[1:] + 1), -1j * (n[:-1] - 1),
+    return (_factor(width), -1j * (n + 1), -1j * (n - 1),
             0.5 * model.phase, 0.5 * model.phase.conjugate())
 
 
-def _adjoint_rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec,
-                 drift: np.ndarray, stencil, out: np.ndarray, shifts) -> np.ndarray:
-    """Co-density derivative of the half row b at the forward half row a, into `out`.
+class _Stages(NamedTuple):
+    """The buffers of the stage kernel for a co-density on a band of w columns.
 
-    `drift` is `-1j * n * u_1` and `stencil` is `_stencil(len(b), model)`;
-    `out` is an array of b's size and `shifts` two arrays of one entry less,
-    which take the shift products.  a is as wide as b, or, on a band, at
-    least one column narrower, its harmonics past it being zero: the source
-    reads a_{n-1} up to n = len(a).
+    `pair` holds b and the stage states (each step goes into the other
+    row) at its columns 1 .. w, between pad columns kept zero (`clear`), and
+    `windows` are its rows as (3, w) views of b_{n-1}, b_n and b_{n+1}.
+    Slot j of `factors` (`_GROUP`, 7, w) holds the stencil rows of one
+    step (`_fill`): v*(-i*(n+1)) of its stage rows 0, 1, 2, then
+    -i*n*u_1, then conj(v)*(-i*(n-1)) of its stage rows 2, 1, 0, so
+    that `stencils[j][r]`, the rows r, 3 and 6 - r, is the (3, w) stencil
+    of stage row r.  `sources[j, r]` holds the forward row of stage row r
+    in the same padded layout as b, zero past it (`clear`), and
+    `source_rows[j][r]` is its (2, w) view of a_{n+1} and a_{n-1}.
+    `prod` takes a stage's five products, `terms` and `sourced` being its
+    first three and last two rows, and `col` the column (-q_{-1}, -q_{+1}).
+    A named tuple, which a module builds faster than a dataclass.
     """
-    u2 = float(u[1])
-    a1, b1 = complex(a[1]), complex(b[1])  # Python scalars: cheaper than NumPy's
-    a_m1, b_m1 = a1.conjugate(), b1.conjugate()
-    v = _coupling_value(a1, u2, model)
-    vc = v.conjugate()
+
+    pair: np.ndarray
+    windows: tuple
+    factors: np.ndarray
+    stencils: tuple
+    sources: np.ndarray
+    source_rows: tuple
+    prod: np.ndarray
+    terms: np.ndarray
+    sourced: np.ndarray
+    col: np.ndarray
+
+    @classmethod
+    def of(cls, w: int) -> _Stages:
+        pair, prod = np.empty((2, w + 2), dtype=complex), np.empty((5, w), dtype=complex)
+        factors = np.empty((_GROUP, 7, w), dtype=complex)
+        sources = np.empty((_GROUP, 3, w + 2), dtype=complex)
+        entry, row = factors.strides[1:][::-1]
+        return cls(pair, tuple(as_strided(p, (3, w), (entry, entry)) for p in pair),
+                   factors, tuple(tuple(as_strided(f[r:], (3, w), ((3 - r) * row, entry))
+                                        for r in range(3)) for f in factors),
+                   sources, tuple(tuple(as_strided(a[2:], (2, w), (-2 * entry, entry))
+                                        for a in slot) for slot in sources),
+                   prod, prod[:3], prod[3:], np.empty((2, 1), dtype=complex))
+
+    def clear(self, wa: int) -> None:
+        """Zero the pad columns of `pair`, and of `sources` around forward rows of wa columns.
+
+        The march and `_fill` write only b and the forward rows, so this is
+        due once for new buffers and whenever wa changes.  a_{-1}, which
+        only the scalar n = 0 entry reads, is a pad too.
+        """
+        self.pair[:, ::self.pair.shape[1] - 1] = 0.0
+        self.sources[..., 0] = 0.0
+        self.sources[..., wa + 1:] = 0.0
+
+
+def _couple(nodes, u2: np.ndarray, model: ModelSpec):
+    """v and a_1 of the three stage rows of each step, both (steps, 3) complex.
+
+    `nodes` are the forward rows (steps, wa) that the stage rows read (`_ROW`)
+    and `u2` the steps' u_2 column (steps, 1); one `ModelSpec.coupling_rows`
+    call scales each row's coupling by its step's u_2, with the bits of
+    `ModelSpec.coupling`.
+    """
+    parts = np.empty((len(u2), 3, 2))
+    for r, a in enumerate(nodes):
+        parts[:, r] = a.view(float)[:, 2:4]
+    v = model.coupling_rows(parts.reshape(-1, 2), np.repeat(u2, 3, axis=0))
+    return v.view(complex).reshape(-1, 3), parts.view(complex).reshape(-1, 3)
+
+
+def _fill(stages: _Stages, stencil, uk: np.ndarray, v: np.ndarray, a1: np.ndarray, nodes):
+    """The stage factors of g steps into slots 0 .. g-1 of `stages`; returns their scalars.
+
+    `uk` holds the steps' controls (g, 2), `v` and `a1` come from `_couple`
+    and `nodes` are the steps' three forward rows (g, wa), where wa is at
+    most the band w of `stages`, whose sources must be clear past wa
+    (`_Stages.clear`).  Each stage row's scalars are the source weights
+    u_2*2*pi*e^{+-i*alpha}/2, -i*v, i*conj(v), a_1 and conj(a_1), in Python
+    numbers, for the source column and the n = 0 entry (`_stage`).
+    """
+    g, wa = len(uk), nodes[0].shape[1]
+    f = stages.factors[:g]
+    np.multiply(v[:, :, None], stencil[1], out=f[:, :3])
+    np.multiply(uk[:, :1].astype(complex), stencil[0], out=f[:, 3])
+    np.multiply(v[:, ::-1, None].conj(), stencil[2], out=f[:, 4:])
+    for r, a in enumerate(nodes):
+        stages.sources[:g, r, 1:wa + 1] = a
+    scalars = []
+    for u2, vs, a1s in zip(uk[:, 1].tolist(), v.tolist(), a1.tolist()):
+        w = u2 * 2.0 * np.pi
+        lo, hi = w * stencil[3], w * stencil[4]
+        scalars.append([(lo, hi, -1j * x, 1j * x.conjugate(), y, y.conjugate())
+                        for x, y in zip(vs, a1s)])
+    return scalars
+
+
+def _stage(x: np.ndarray, window: np.ndarray, factors: np.ndarray, sources: np.ndarray,
+           scalars, stages: _Stages, out: np.ndarray) -> np.ndarray:
+    """Co-density derivative of the half row x at one stage row, into `out`: three NumPy calls.
+
+    `window` is the (3, w) view of x's row of `stages.pair` (b_{n-1}, b_n,
+    b_{n+1}), and `factors`, `sources` and `scalars` are one stage row's
+    from `_fill`.  The five products sum in the order of the stencil, and
+    the n = 0 entry adds its conjugate pairs in scalar arithmetic.
+    """
+    lo, hi, mv, pvc, a1, a_m1 = scalars
+    b1 = complex(x[1])  # Python scalars: cheaper than NumPy's
+    b_m1 = b1.conjugate()
     # Source harmonics of q(x) = u_2 * integral cos(y - x + alpha) zeta(y) dy:
     # q_{-1} = 2*pi*u_2*(e^{i*alpha}/2)*b_{-1} and its conjugate partner q_{+1}.
-    w = u2 * 2.0 * np.pi
-    q_lo = w * stencil[3] * b_m1
-    q_hi = w * stencil[4] * b1
-    up, down = shifts
-    out = np.multiply(drift, b, out)
-    out[1:] += np.multiply(np.multiply(v, stencil[1], up), b[:-1], up)
-    out[:-1] += np.multiply(np.multiply(vc, stencil[2], down), b[1:], down)
-    n, m = len(a) - 1, min(len(a), len(b) - 1)
-    out[:n] -= np.multiply(q_lo, a[1:], up[:n])
-    out[1:m + 1] -= np.multiply(q_hi, a[:m], down[:m])
+    q_lo, q_hi = lo * b_m1, hi * b1
+    col = stages.col
+    col[0, 0] = -q_lo
+    col[1, 0] = -q_hi
+    np.multiply(factors, window, out=stages.terms)
+    np.multiply(col, sources, out=stages.sourced)
+    np.add.reduce(stages.prod, axis=0, out=out)
     # n = 0: the factor of b_0 is 0, and each conjugate pair sums to a real number.
-    out[0] = ((-1j * v) * b_m1 + (1j * vc) * b1) - (q_lo * a1 + q_hi * a_m1)
+    out[0] = (mv * b_m1 + pvc * b1) - (q_lo * a1 + q_hi * a_m1)
     return out
+
+
+def _rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec, stencil,
+         out: np.ndarray) -> np.ndarray:
+    """The stage kernel on one co-density half row b at the forward half row a, into `out`.
+
+    `stencil` is `_stencil(len(b), model)`; a is as wide as b, or, on a
+    band, narrower, its harmonics past it being zero.
+    """
+    stages = _Stages.of(len(b))
+    stages.pair[0, 1:-1] = b
+    stages.clear(len(a))
+    nodes, uk = (a[None],) * 3, np.asarray(u, dtype=float)[None]
+    v, a1 = _couple(nodes, uk[:, 1:], model)
+    scalars = _fill(stages, stencil, uk, v, a1, nodes)[0][0]
+    return _stage(b, stages.windows[0], stages.stencils[0][0], stages.source_rows[0][0], scalars,
+                  stages, out)
 
 
 def terminal_adjoint(muT: np.ndarray, model: ModelSpec) -> np.ndarray:
@@ -181,9 +325,7 @@ def rhs_adjoint(t: float, b: np.ndarray, a: np.ndarray, u, model: ModelSpec) -> 
     b, a = require_row(b, "co-density"), require_row(a, "density")
     if b.shape != a.shape:
         raise ValueError("state and co-state mode counts differ")
-    stencil = _stencil(b.shape[0], model)
-    return _adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil, np.empty_like(b),
-                        np.empty((2, b.shape[0] - 1), dtype=complex))
+    return _rhs(b, a, u, model, _stencil(b.shape[0], model), np.empty_like(b))
 
 
 def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
@@ -223,23 +365,22 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
 
     h = 0.5 * grid.tau
     width = traj.width
-    # Complex control of the step that starts at each half node.
-    controls = np.repeat(u.values[:-1], 2, axis=0).astype(complex)
-    block = min(batch_rows(width), last)
     lengths = traj.index[:, 1]
-    # Every buffer is allocated once at full width and read through its head.
-    quarter, mids = Workspace.of(block * width), np.empty(block * width, dtype=complex)
-    stored = np.empty((block + 1) * width, dtype=complex)  # the block's rows on their band
-    back, shifts = Workspace.of(width), np.empty((2, width - 1), dtype=complex)
-    pair = np.empty((2, width), dtype=complex)  # each step goes into the other row
-    b, held = pair[0], 0
-    b[:] = terminal
+    # Quarter-step blocks of one size, on the widest band the trajectory keeps.
+    wide = band(int(lengths.max()), width)
+    block = min(batch_rows(wide), _BLOCK_ROWS, last)
+    quarter, mids = Workspace.of(block * wide), np.empty(block * wide, dtype=complex)
+    stored = np.empty((block + 1) * wide, dtype=complex)  # the block's rows on their band
+    back = Workspace.of(width)  # allocated at full width and used through its head
+    halves = np.arange(block)
+    b = np.array(terminal, dtype=complex)
 
     def quarter_rhs(x, i, k):
         _continuity_rhs(x, drive, model, dn, k, qwork.prod)
 
     def back_rhs(x, i, k):
-        _adjoint_rhs(x, nodes[i], uk, model, drift, stencil, k, prods)
+        r = _ROW[i]
+        _stage(x, windows[i > 0], factors[r], sources[r], scalars[r], stages, k)
 
     slot = {k: j for j, k in enumerate(sorted({0, *(grid.nearest_node(t) for t in keep)}))}
     head = np.empty((grid.n_steps + 1, 2), dtype=complex)
@@ -268,19 +409,32 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
             if fit != wa:
                 wa, dn = fit, np.tile(_factor(fit), block)
                 qwork = quarter.prefix(block * wa)
+                if wb:
+                    stages.clear(wa)
             rows = traj.rows(lo, lo + block + 1, stored[:(block + 1) * wa].reshape(-1, wa))
-            drive = _drive(controls[lo:lo + block], wa)
+            uk = u.values[(lo + halves) >> 1]  # the control of each half step
+            drive = _drive(uk.astype(complex), wa)
             a_mids = qwork.step(rows[:block].reshape(-1), 0.5 * h, quarter_rhs,
                                 mids[:block * wa]).reshape(block, wa)
+            # Step j of the block, from node lo + j + 1 to lo + j, reads these rows.
+            nodes = (rows[1:], a_mids, rows[:-1])
+            v, a1 = _couple(nodes, drive[1], model)
+            filled = block  # the lowest step whose factors are in `stages`
             for s in range(top, lo, -1):
                 if wb < width and (fit := band(max(reach, wa), width)) != wb:
-                    # b moves to its new width, in the other buffer
-                    b, spare = _repack(b, 1, fit, pair[1 - held]), pair[held, :fit]
-                    wb, held, stencil = fit, 1 - held, _stencil(fit, model)
-                    bwork, prods = back.prefix(wb), (shifts[0, :wb - 1], shifts[1, :wb - 1])
-                uk = u.values[(s - 1) >> 1]
-                drift = complex(uk[0]) * stencil[0]
-                nodes = (rows[s - lo], a_mids[s - 1 - lo], a_mids[s - 1 - lo], rows[s - 1 - lo])
+                    # b moves to its new width, into new stage buffers
+                    stages, stencil = _Stages.of(fit), _stencil(fit, model)
+                    stages.clear(wa)
+                    b, spare = _repack(b, 1, fit, stages.pair[0, 1:]), stages.pair[1, 1:fit + 1]
+                    wb, held, filled, bwork = fit, 0, block, back.prefix(fit)
+                j = s - 1 - lo
+                if j < filled:  # the factors of steps j, j - 1, .. down to filled
+                    filled = max(j + 1 - _GROUP, 0)
+                    sl = slice(filled, j + 1)
+                    group = _fill(stages, stencil, uk[sl], v[sl], a1[sl], [a[sl] for a in nodes])
+                factors, sources = stages.stencils[j - filled], stages.source_rows[j - filled]
+                scalars = group[j - filled]
+                windows = stages.windows[held], stages.windows[1 - held]
                 b, spare, held = bwork.step(b, -h, back_rhs, spare), b, 1 - held
                 _settle(b, (s - 1) * h, bwork)
                 if wb < width:

@@ -123,9 +123,10 @@ _BAND_STEP = 16
 # for 8 rows of 1025 and 160 us for 16 in the same run.  A budget of 8200
 # half-row coefficients gives 63 rows at 256 harmonics and 8 at 2048, where
 # the per-row cost levels off.  It bounds the S time segments of a stored
-# solve, the adjoint's quarter-step blocks (one size per solve), the line
-# search's trials per lean march (with `descent.TRIAL_CHUNK`), and the row
-# blocks of a diagnostic sweep (`density_min`).
+# solve, the adjoint's quarter-step blocks (one size per solve, counted on
+# the widest band the trajectory keeps and capped at `adjoint._BLOCK_ROWS`),
+# the line search's trials per lean march (with `descent.TRIAL_CHUNK`), and
+# the row blocks of a diagnostic sweep (`density_min`).
 BATCH_COEFFS = 8200
 
 

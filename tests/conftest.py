@@ -56,17 +56,21 @@ def poisoned_workspace(size):
     return work
 
 
+def poison(stages):
+    """The buffers of `adjoint._Stages`, pads included, filled with NaN: a read before a write shows."""
+    for buf in (stages.pair, stages.factors, stages.sources, stages.prod, stages.col):
+        buf.fill(np.nan)
+    return stages
+
+
 def backward_rhs(u, a_hi, a_mid, a_lo, model, stencil):
     """The `rhs` of `Workspace.step` for a backward step under the control u (2,).
 
-    Stages 0 .. 3 read the forward half rows a_hi, a_mid, a_mid and a_lo.
-    The shift products go into two buffers filled with NaN, so that a read
-    before a write shows.
+    Stages 0 .. 3 read the forward half rows a_hi, a_mid, a_mid and a_lo
+    through the stage kernel, with stage buffers of their own (`adjoint._rhs`).
     """
-    drift = complex(u[0]) * stencil[0]
     nodes = (a_hi, a_mid, a_mid, a_lo)
-    shifts = np.full((2, len(drift) - 1), np.nan, dtype=complex)
-    return lambda x, i, k: adjoint._adjoint_rhs(x, nodes[i], u, model, drift, stencil, k, shifts)
+    return lambda x, i, k: adjoint._rhs(x, nodes[i], u, model, stencil, k)
 
 
 def backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil):

@@ -1,5 +1,6 @@
 """Backward balance-law solver: terminal data, sources, closed forms, duality."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,9 +23,9 @@ from mfpmp import (
 from mfpmp import adjoint, forward
 from mfpmp.presets import fig1_control
 
-from conftest import (backward_rhs, dense, fig1_row, full_rows, half_row, harmonic,
-                      hermitian_defect, literal_sync_cost_dmu, pack, poisoned_workspace,
-                      random_hermitian, uniform_field)
+from conftest import (backward_rhs, dense, fig1_row, full_rows, full_width_adjoint, half_row,
+                      harmonic, hermitian_defect, literal_sync_cost_dmu, pack, poison,
+                      poisoned_workspace, random_hermitian, uniform_field)
 
 
 def literal_adjoint_rhs(b, a, u, alpha):
@@ -138,8 +139,7 @@ class TestAdjointRhs:
         for u in controls:
             a = random_hermitian(n_modes, rng)
             b = random_hermitian(n_modes, rng, scale=0.3, mass=rng.standard_normal() * 0.2)
-            got = adjoint._adjoint_rhs(b, a, u, model, complex(u[0]) * stencil[0], stencil,
-                                       np.empty_like(b), np.empty((2, len(b) - 1), dtype=complex))
+            got = adjoint._rhs(b, a, u, model, stencil, np.empty_like(b))
             want = literal_adjoint_rhs(full_rows(b), full_rows(a), u, alpha)
             assert np.max(np.abs(got - want[n_modes // 2:])) < 1e-14  # n = 0 included
             assert got[0].imag == 0.0  # the n = 0 entry sums conjugate pairs
@@ -289,11 +289,9 @@ class TestIntegrateBackward:
 def fresh_backward_step(b, h, u, a_hi, a_mid, a_lo, model, stencil):
     """The backward RK4 step of the half row b with a fresh temporary for every operation."""
     hb = -h
-    drift = complex(u[0]) * stencil[0]
 
     def rhs(x, a):
-        return adjoint._adjoint_rhs(x, a, u, model, drift, stencil, np.empty_like(x),
-                                    np.empty((2, len(x) - 1), dtype=complex))
+        return adjoint._rhs(x, a, u, model, stencil, np.empty_like(x))
 
     k1 = rhs(b, a_hi)
     k2 = rhs(b + (0.5 * hb) * k1, a_mid)
@@ -342,18 +340,94 @@ class TestBufferedBackwardStep:
 
     def test_an_overlapping_lowest_block_at_2048_harmonics_equals_one_row_blocks(self,
                                                                                  monkeypatch):
-        # 2K = 20 half steps in blocks of 8 rows: two, then the lowest block,
-        # which starts at node 0 and recomputes 4 rows of the block above.
-        grid = TimeGrid(0.01, 1e-3)
+        # 2K = 60 half steps in blocks of 16 rows (the cap: the band alone
+        # would allow more): three, then the lowest block, which starts at
+        # node 0 and recomputes 4 rows of the block above.
+        grid = TimeGrid(0.03, 1e-3)
         model = kuramoto_model(0.31, np.pi, control_set=ball(np.sqrt(2.0)))
         u = fig1_control(grid)
         traj = integrate_forward(fig1_row(2048), u, model, grid)
-        assert forward.batch_rows(1025) == 8 and (2 * grid.n_steps) % 8 == 4
+        wide = forward.band(int(traj.index[:, 1].max()), 1025)
+        assert forward.batch_rows(wide) > adjoint._BLOCK_ROWS == 16
+        assert (2 * grid.n_steps) % 16 == 12
         blocked = integrate_backward(traj, u, model, keep=grid.full_times())
-        monkeypatch.setattr(forward, "BATCH_COEFFS", 1025)
-        assert forward.batch_rows(1025) == 1
+        monkeypatch.setattr(adjoint, "_BLOCK_ROWS", 1)
         one_row = integrate_backward(traj, u, model, keep=grid.full_times())
         assert blocked.coeffs.tobytes() == one_row.coeffs.tobytes()
+
+
+class TestStageBuffers:
+    """The stage kernel's buffers: written before every read, and sized by the band."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
+    def test_poisoned_buffers_give_the_bits_of_fresh_ones(self, alpha, monkeypatch):
+        # On this grid b widens inside a quarter-step block, so the buffers
+        # of the new width get their factors and pads in mid-block.
+        grid = TimeGrid(0.3, 2.5e-3)
+        model = kuramoto_model(alpha, np.pi, control_set=ball(np.sqrt(2.0)))
+        u = fig1_control(grid)
+        traj = integrate_forward(fig1_row(256), u, model, grid)
+        fresh = integrate_backward(traj, u, model, keep=grid.full_times())
+        events = []
+        monkeypatch.setattr(adjoint, "_couple",
+                            lambda *args, f=adjoint._couple: events.append("block") or f(*args))
+        monkeypatch.setattr(adjoint, "_fill",
+                            lambda *args, f=adjoint._fill: events.append("fill") or f(*args))
+        monkeypatch.setattr(adjoint._Stages, "of",
+                            lambda w, of=adjoint._Stages.of: events.append(w) or poison(of(w)))
+        poisoned = integrate_backward(traj, u, model, keep=grid.full_times())
+        for name in ("head", "scale", "tail", "coeffs"):
+            assert getattr(poisoned, name).tobytes() == getattr(fresh, name).tobytes(), name
+        # A width change after a fill of the same block is a change inside it.
+        opened = [i for i, e in enumerate(events) if e == "block"]
+        inside = [e for i, e in enumerate(events) if isinstance(e, int)
+                  and "fill" in events[max(j for j in opened if j < i):i]]
+        assert inside
+
+    def test_a_narrower_block_clears_the_source_columns_it_no_longer_writes(self, rng):
+        # Three blocks of 16 rows over stored rows with 30 harmonics after
+        # node 16 and 3 up to it: the lowest block reads 16 columns, where
+        # the last steps of the block above it left 33 in the same stage
+        # buffers (b marches at full width throughout).  The literal march
+        # takes fresh buffers every step.
+        grid = TimeGrid(0.12, 5e-3)
+        model = kuramoto_model(0.31, np.pi, control_set=ball(2.0))
+        u = fig1_control(grid)
+        rows = np.array([random_hermitian(64, rng, max_mode=3 if s <= 16 else 30, scale=0.01)
+                         for s in range(2 * grid.n_steps + 1)])
+        got = integrate_backward(pack(grid, rows), u, model, keep=grid.full_times())
+        want = full_width_adjoint(rows, u.values[:-1], 0.5 * grid.tau, model)
+        assert got.coeffs.tobytes() == want.tobytes()
+
+    def test_the_buffers_stay_on_the_band(self, monkeypatch):
+        # NumPy reports its buffers to tracemalloc, so the bound holds on any
+        # host.  A quarter-step block takes about twelve arrays of its rows on
+        # the trajectory's widest band (the workspace, the stored rows, the
+        # states, the mode factors and u_1, the last two briefly twice), the
+        # full-width row about eleven rows (b's workspace, the terminal rows,
+        # the kept row), and b two sets of stage buffers where it changes
+        # width: 0.64 MB here.  Blocks of full rows would take 3 MB more, and
+        # full-width stage buffers 1.5 MB.
+        grid = TimeGrid(0.05, 1e-3)
+        model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
+        u = fig1_control(grid)
+        traj = integrate_forward(fig1_row(2048), u, model, grid)
+        wide = forward.band(int(traj.index[:, 1].max()), 1025)
+        block = min(forward.batch_rows(wide), adjoint._BLOCK_ROWS)
+        widths = []
+        monkeypatch.setattr(adjoint._Stages, "of",
+                            lambda w, of=adjoint._Stages.of: widths.append(w) or of(w))
+        tracemalloc.start()
+        try:
+            integrate_backward(traj, u, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stages = adjoint._Stages.of(max(widths))
+        stage = sum(buf.nbytes for buf in (stages.pair, stages.factors, stages.sources,
+                                           stages.prod, stages.col))
+        assert max(widths) < 1025 // 8 and block == 16
+        assert peak < 16 * block * wide * 16 + 16 * 1025 * 16 + 2 * stage
 
 
 class TestDualityWithTheCost:

@@ -104,14 +104,19 @@ class TestFullScaleBand:
     def test_the_marches_step_fewer_columns_than_the_row(self, short_full_scale, monkeypatch):
         # A silent fallback to full width would step 1025 columns.
         sizes = step_sizes(monkeypatch)
-        self.solve(short_full_scale)
+        traj, _ = self.solve(short_full_scale)
         march, back = sizes["rhs"], sizes["back_rhs"]
-        quarter = [size // forward.batch_rows(WIDTH) for size in sizes["quarter_rhs"]]
-        assert len(march) == len(back) == 100 and len(quarter) == 13
+        # Quarter-step blocks are sized by the widest band the trajectory
+        # keeps, and capped: 7 blocks of 16 rows, the last recomputing 12
+        # rows of the one above.
+        wide = forward.band(int(traj.index[:, 1].max()), WIDTH)
+        block = min(forward.batch_rows(wide), adjoint._BLOCK_ROWS)
+        assert wide < WIDTH and block == 16
+        quarter = [size // block for size in sizes["quarter_rhs"]]
+        assert len(march) == len(back) == 100 and len(quarter) == 7
         assert march[0] == 16 and march == sorted(march)  # the density only spreads here
-        assert max(march) < WIDTH and max(quarter) < WIDTH and max(back) < WIDTH
+        assert max(march) < WIDTH and max(quarter) <= wide and max(back) < WIDTH
         # b's band covers the source from the forward rows of its block.
-        block = forward.batch_rows(WIDTH)
         assert all(b > quarter[j // block] or b == WIDTH for j, b in enumerate(back))
 
 
@@ -189,7 +194,5 @@ def test_a_narrower_forward_row_reads_as_its_zero_padding(alpha, rng):
     padded[:len(a)] = a
     u = np.array([0.6, -1.1])
     stencil = adjoint._stencil(len(b), model)
-    got, want = (adjoint._adjoint_rhs(b, row, u, model, complex(u[0]) * stencil[0], stencil,
-                                      np.empty_like(b), np.empty((2, len(b) - 1), dtype=complex))
-                 for row in (a, padded))
+    got, want = (adjoint._rhs(b, row, u, model, stencil, np.empty_like(b)) for row in (a, padded))
     assert a[-1] != 0.0 and got.tobytes() == want.tobytes()

@@ -393,6 +393,7 @@ class TestBatchedMarch:
     @pytest.mark.parametrize("rows", [1, 7, 64, 256])  # 256 rows: one block of 2K = 200
     def test_blocked_quarter_steps_match_the_per_step_adjoint(self, rows, monkeypatch):
         monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
+        monkeypatch.setattr(adjoint, "_BLOCK_ROWS", rows)
         rho, grid, model, u, _ = ladder_setup(0.31)
         traj = integrate_forward(rho, u, model, grid)
         cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
@@ -403,6 +404,7 @@ class TestBatchedMarch:
         # b_0, b_1, max_n |b_n| and |b_{N/2}| at every full node, and the kept
         # rows, are those of the literal march and of a solve keeping every row.
         monkeypatch.setattr(forward, "BATCH_COEFFS", rows * 17)
+        monkeypatch.setattr(adjoint, "_BLOCK_ROWS", rows)
         rho, grid, model, u, _ = ladder_setup(0.31)
         traj = integrate_forward(rho, u, model, grid)
         want = per_step_adjoint(traj, u, model)
