@@ -49,25 +49,25 @@ x*y and y*x differently, and x + (-y) rounds as x - y.  The pad products
 are exact zeros, which change no sum but perhaps the sign of a zero, and
 `forward._settle` stores a zero as +0.0; so a stage has the bits of the
 stencil summed term by term into one array.  The factors depend only
-on the forward rows and the control, so they are filled a few steps at a
-time (`_fill`), the couplings v once per quarter-step block (`_couple`).
-The buffers of the stage kernel are allocated at b's band, anew when the
-band changes (`_Stages`).
+on the forward rows and the control, so one call (`_fill`) writes those
+of all the steps of a quarter-step block, with their couplings v
+(`ModelSpec.coupling_rows`), into the stage kernel's buffers: one slot
+per step, allocated with b's workspace at b's band, anew when the band
+changes (`_Stages`).
 
 The march runs at the same half step as the forward solver, so every stage
 reads a forward state either straight from storage or, for quarter-step
 stage times, from a single local RK4 quarter-step off the stored node
 (fourth-order consistent, no interpolation).  The quarter steps of a block
 of backward steps march as the rows of one forward state; each block reads
-its stored rows and the one above straight into one buffer on the block's
-band (`forward.band` of the longest row the trajectory kept;
-`Trajectory.rows` zero-pads each row up to the band only).  A block has
-`forward.batch_rows` rows of the widest band the whole trajectory keeps,
-at most `_BLOCK_ROWS` (16) and at most 2K, one size per solve: 16 rows
-both at 2048 harmonics and on the desk grid.  Its buffers are allocated
-once per solve at that band, not at the full row.  Both the quarter and
-the backward steps are `forward.Workspace.step`; b's workspace is
-allocated at full width and used through its head.
+its stored rows and the one above straight into one buffer on the one band
+of the solve, `forward.band` of the longest row the trajectory kept
+(`Trajectory.rows` zero-pads each row up to the band only).  A block has
+`forward.batch_rows` rows of that band, at most `_BLOCK_ROWS` (16) and at
+most 2K, one size per solve: 16 rows both at 2048 harmonics and on the
+desk grid.  Its buffers are allocated once per solve at that band, not at
+the full row.  Both the quarter and the backward steps are
+`forward.Workspace.step`.
 
 The co-density marches on a band too, for the same reason as the density
 (see `forward`): past it every stage reads only zeros, and what a
@@ -76,10 +76,13 @@ stores as +0.0, so the band keeps every bit.  Its width covers b's own
 reach and also the forward rows' band, since the source terms read
 a_{n-1} and reach one harmonic past the forward rows: it is the band of
 whichever reaches further, so the rows b reads are at least four columns
-narrower than b, or as wide at full width (`_fill`).  In the cold
-full-scale solve each co-density row ends in its 154th to 164th column,
-and b steps 176 of the 1025 columns throughout; the quarter steps run on
-the forward rows' bands, 48 to 160 columns.
+narrower than b, or as wide at full width.  The forward band is the
+solve's one band, so b never marches narrower than it: on a trajectory
+whose band narrows again, b marches at the widest forward band
+throughout.  No shipped config or benchmark workload has such a
+trajectory.  In the cold full-scale solve
+each co-density row ends in its 154th to 164th column, and b steps 176 of
+the 1025 columns throughout; the quarter steps run on 160.
 
 The switching function reads only b_0 and b_1, at the full-step nodes
 where the controls live, and the resolution diagnostics only max_n |b_n|
@@ -122,9 +125,6 @@ from .timegrid import ControlSignal, TimeGrid, Trajectory
 # about 2% faster than 24 but 1.4 MB more.
 _BLOCK_ROWS = 16
 
-# Backward steps whose stage factors are filled at once (`_fill`).
-_GROUP = 4
-
 # The stage row that each RK4 stage of a backward step reads: the stored
 # node above, the quarter-step state (twice), the stored node below.
 _ROW = (0, 1, 1, 2)
@@ -161,21 +161,24 @@ def _stencil(width: int, model: ModelSpec) -> tuple:
 
 
 class _Stages(NamedTuple):
-    """The buffers of the stage kernel for a co-density on a band of w columns.
+    """The buffers of the stage kernel for a co-density on a band of w columns, a slot per step.
 
     `pair` holds b and the stage states (each step goes into the other
-    row) at its columns 1 .. w, between pad columns kept zero (`clear`), and
-    `windows` are its rows as (3, w) views of b_{n-1}, b_n and b_{n+1}.
-    Slot j of `factors` (`_GROUP`, 7, w) holds the stencil rows of one
-    step (`_fill`): v*(-i*(n+1)) of its stage rows 0, 1, 2, then
-    -i*n*u_1, then conj(v)*(-i*(n-1)) of its stage rows 2, 1, 0, so
-    that `stencils[j][r]`, the rows r, 3 and 6 - r, is the (3, w) stencil
-    of stage row r.  `sources[j, r]` holds the forward row of stage row r
-    in the same padded layout as b, zero past it (`clear`), and
-    `source_rows[j][r]` is its (2, w) view of a_{n+1} and a_{n-1}.
-    `prod` takes a stage's five products, `terms` and `sourced` being its
-    first three and last two rows, and `col` the column (-q_{-1}, -q_{+1}).
-    A named tuple, which a module builds faster than a dataclass.
+    row) at its columns 1 .. w, between two pad columns, and `windows` are
+    its rows as (3, w) views of b_{n-1}, b_n and b_{n+1}.  Slot j of
+    `factors` (steps, 7, w) holds the stencil rows of step j (`_fill`):
+    v*(-i*(n+1)) of its stage rows 0, 1, 2, then -i*n*u_1, then
+    conj(v)*(-i*(n-1)) of its stage rows 2, 1, 0, so that
+    `stencils[j][r]`, the rows r, 3 and 6 - r, is the (3, w) stencil of
+    stage row r.  `sources[j, r]` holds the forward row of stage row r in
+    the same padded layout as b, and `source_rows[j][r]` is its (2, w)
+    view of a_{n+1} and a_{n-1}.  `pair` and `sources` are allocated as
+    zeros and the march writes only b and the forward rows, so their pads,
+    a_{-1} among them, which only the scalar n = 0 entry reads, and the
+    source columns past the forward rows stay zero.  `prod` takes a
+    stage's five products, `terms` and `sourced` being its first three and
+    last two rows, and `col` the column (-q_{-1}, -q_{+1}).  A named
+    tuple, which a module builds faster than a dataclass.
     """
 
     pair: np.ndarray
@@ -190,10 +193,10 @@ class _Stages(NamedTuple):
     col: np.ndarray
 
     @classmethod
-    def of(cls, w: int) -> _Stages:
-        pair, prod = np.empty((2, w + 2), dtype=complex), np.empty((5, w), dtype=complex)
-        factors = np.empty((_GROUP, 7, w), dtype=complex)
-        sources = np.empty((_GROUP, 3, w + 2), dtype=complex)
+    def of(cls, w: int, steps: int) -> _Stages:
+        pair, prod = np.zeros((2, w + 2), dtype=complex), np.empty((5, w), dtype=complex)
+        factors = np.empty((steps, 7, w), dtype=complex)
+        sources = np.zeros((steps, 3, w + 2), dtype=complex)
         entry, row = factors.strides[1:][::-1]
         return cls(pair, tuple(as_strided(p, (3, w), (entry, entry)) for p in pair),
                    factors, tuple(tuple(as_strided(f[r:], (3, w), ((3 - r) * row, entry))
@@ -202,50 +205,31 @@ class _Stages(NamedTuple):
                                         for a in slot) for slot in sources),
                    prod, prod[:3], prod[3:], np.empty((2, 1), dtype=complex))
 
-    def clear(self, wa: int) -> None:
-        """Zero the pad columns of `pair`, and of `sources` around forward rows of wa columns.
 
-        The march and `_fill` write only b and the forward rows, so this is
-        due once for new buffers and whenever wa changes.  a_{-1}, which
-        only the scalar n = 0 entry reads, is a pad too.
-        """
-        self.pair[:, ::self.pair.shape[1] - 1] = 0.0
-        self.sources[..., 0] = 0.0
-        self.sources[..., wa + 1:] = 0.0
+def _fill(stages: _Stages, stencil, uk: np.ndarray, nodes, model: ModelSpec):
+    """The stage factors and sources of g steps into slots 0 .. g-1 of `stages`; returns their scalars.
 
-
-def _couple(nodes, u2: np.ndarray, model: ModelSpec):
-    """v and a_1 of the three stage rows of each step, both (steps, 3) complex.
-
-    `nodes` are the forward rows (steps, wa) that the stage rows read (`_ROW`)
-    and `u2` the steps' u_2 column (steps, 1); one `ModelSpec.coupling_rows`
-    call scales each row's coupling by its step's u_2, with the bits of
-    `ModelSpec.coupling`.
-    """
-    parts = np.empty((len(u2), 3, 2))
-    for r, a in enumerate(nodes):
-        parts[:, r] = a.view(float)[:, 2:4]
-    v = model.coupling_rows(parts.reshape(-1, 2), np.repeat(u2, 3, axis=0))
-    return v.view(complex).reshape(-1, 3), parts.view(complex).reshape(-1, 3)
-
-
-def _fill(stages: _Stages, stencil, uk: np.ndarray, v: np.ndarray, a1: np.ndarray, nodes):
-    """The stage factors of g steps into slots 0 .. g-1 of `stages`; returns their scalars.
-
-    `uk` holds the steps' controls (g, 2), `v` and `a1` come from `_couple`
-    and `nodes` are the steps' three forward rows (g, wa), where wa is at
-    most the band w of `stages`, whose sources must be clear past wa
-    (`_Stages.clear`).  Each stage row's scalars are the source weights
-    u_2*2*pi*e^{+-i*alpha}/2, -i*v, i*conj(v), a_1 and conj(a_1), in Python
-    numbers, for the source column and the n = 0 entry (`_stage`).
+    `uk` holds the steps' controls (g, 2) and `nodes` the three forward
+    rows (g, wa) that their stage rows read (`_ROW`), where wa is at most
+    the band w of `stages`, and the same at every call on the same
+    buffers: nothing clears the source columns past it (`_Stages`).  One
+    `ModelSpec.coupling_rows` call gives the couplings v of all the stage
+    rows, with the bits of `ModelSpec.coupling`.  Each stage row's scalars
+    are the source weights u_2*2*pi*e^{+-i*alpha}/2, -i*v, i*conj(v), a_1
+    and conj(a_1), in Python numbers, for the source column and the n = 0
+    entry (`_stage`).
     """
     g, wa = len(uk), nodes[0].shape[1]
+    parts = np.empty((g, 3, 2))
+    for r, a in enumerate(nodes):
+        parts[:, r] = a.view(float)[:, 2:4]
+        stages.sources[:g, r, 1:wa + 1] = a
+    v = model.coupling_rows(parts.reshape(-1, 2), np.repeat(uk[:, 1:], 3, axis=0))
+    v, a1 = v.view(complex).reshape(g, 3), parts.view(complex).reshape(g, 3)
     f = stages.factors[:g]
     np.multiply(v[:, :, None], stencil[1], out=f[:, :3])
     np.multiply(uk[:, :1].astype(complex), stencil[0], out=f[:, 3])
     np.multiply(v[:, ::-1, None].conj(), stencil[2], out=f[:, 4:])
-    for r, a in enumerate(nodes):
-        stages.sources[:g, r, 1:wa + 1] = a
     scalars = []
     for u2, vs, a1s in zip(uk[:, 1].tolist(), v.tolist(), a1.tolist()):
         w = u2 * 2.0 * np.pi
@@ -288,12 +272,10 @@ def _rhs(b: np.ndarray, a: np.ndarray, u: np.ndarray, model: ModelSpec, stencil,
     `stencil` is `_stencil(len(b), model)`; a is as wide as b, or, on a
     band, narrower, its harmonics past it being zero.
     """
-    stages = _Stages.of(len(b))
+    stages = _Stages.of(len(b), 1)
     stages.pair[0, 1:-1] = b
-    stages.clear(len(a))
-    nodes, uk = (a[None],) * 3, np.asarray(u, dtype=float)[None]
-    v, a1 = _couple(nodes, uk[:, 1:], model)
-    scalars = _fill(stages, stencil, uk, v, a1, nodes)[0][0]
+    scalars = _fill(stages, stencil, np.asarray(u, dtype=float)[None], (a[None],) * 3,
+                    model)[0][0]
     return _stage(b, stages.windows[0], stages.stencils[0][0], stages.source_rows[0][0], scalars,
                   stages, out)
 
@@ -365,14 +347,12 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
 
     h = 0.5 * grid.tau
     width = traj.width
-    lengths = traj.index[:, 1]
     # Quarter-step blocks of one size, on the widest band the trajectory keeps.
-    wide = band(int(lengths.max()), width)
-    block = min(batch_rows(wide), _BLOCK_ROWS, last)
-    quarter, mids = Workspace.of(block * wide), np.empty(block * wide, dtype=complex)
-    stored = np.empty((block + 1) * wide, dtype=complex)  # the block's rows on their band
-    back = Workspace.of(width)  # allocated at full width and used through its head
-    halves = np.arange(block)
+    wa = band(int(traj.index[:, 1].max()), width)
+    block = min(batch_rows(wa), _BLOCK_ROWS, last)
+    qwork, mids = Workspace.of(block * wa), np.empty(block * wa, dtype=complex)
+    stored = np.empty((block + 1, wa), dtype=complex)  # the block's rows on the band
+    dn, halves = np.tile(_factor(wa), block), np.arange(block)
     b = np.array(terminal, dtype=complex)
 
     def quarter_rhs(x, i, k):
@@ -394,46 +374,37 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         if k in slot:
             kept[slot[k], :len(b)] = b
 
-    _settle(b, last * h, back)
+    bwork = Workspace.of(width)  # the terminal row's; b's own comes with its band
+    _settle(b, last * h, bwork)
     land(b, grid.n_steps)
     # b marches on its band, which also covers the forward rows' band: the
     # source reaches one harmonic past them.  A full-width march stays full.
-    wb, wa, reach = 0, 0, _kept(back.mask[None])
+    wb, reach = 0, _kept(bwork.mask[None])
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         for top in range(last, 0, -block):
             # The block's quarter-step states read only the stored trajectory, so
             # they march as one state; the lowest block re-marches rows above it.
             lo = max(top - block, 0)
-            fit = band(int(lengths[lo:lo + block + 1].max()), width)
-            if fit != wa:
-                wa, dn = fit, np.tile(_factor(fit), block)
-                qwork = quarter.prefix(block * wa)
-                if wb:
-                    stages.clear(wa)
-            rows = traj.rows(lo, lo + block + 1, stored[:(block + 1) * wa].reshape(-1, wa))
+            rows = traj.rows(lo, lo + block + 1, stored)
             uk = u.values[(lo + halves) >> 1]  # the control of each half step
             drive = _drive(uk.astype(complex), wa)
             a_mids = qwork.step(rows[:block].reshape(-1), 0.5 * h, quarter_rhs,
-                                mids[:block * wa]).reshape(block, wa)
+                                mids).reshape(block, wa)
             # Step j of the block, from node lo + j + 1 to lo + j, reads these rows.
             nodes = (rows[1:], a_mids, rows[:-1])
-            v, a1 = _couple(nodes, drive[1], model)
-            filled = block  # the lowest step whose factors are in `stages`
             for s in range(top, lo, -1):
-                if wb < width and (fit := band(max(reach, wa), width)) != wb:
-                    # b moves to its new width, into new stage buffers
-                    stages, stencil = _Stages.of(fit), _stencil(fit, model)
-                    stages.clear(wa)
-                    b, spare = _repack(b, 1, fit, stages.pair[0, 1:]), stages.pair[1, 1:fit + 1]
-                    wb, held, filled, bwork = fit, 0, block, back.prefix(fit)
                 j = s - 1 - lo
-                if j < filled:  # the factors of steps j, j - 1, .. down to filled
-                    filled = max(j + 1 - _GROUP, 0)
-                    sl = slice(filled, j + 1)
-                    group = _fill(stages, stencil, uk[sl], v[sl], a1[sl], [a[sl] for a in nodes])
-                factors, sources = stages.stencils[j - filled], stages.source_rows[j - filled]
-                scalars = group[j - filled]
+                refill = s == top
+                if wb < width and (fit := band(max(reach, wa), width)) != wb:
+                    # b moves to its new width, into new buffers that steps 0 .. j refill
+                    stages, stencil = _Stages.of(fit, block), _stencil(fit, model)
+                    b, spare = _repack(b, 1, fit, stages.pair[0, 1:]), stages.pair[1, 1:fit + 1]
+                    wb, held, bwork, refill = fit, 0, Workspace.of(fit), True
+                if refill:
+                    filled = _fill(stages, stencil, uk[:j + 1], [a[:j + 1] for a in nodes],
+                                   model)
+                factors, sources, scalars = stages.stencils[j], stages.source_rows[j], filled[j]
                 windows = stages.windows[held], stages.windows[1 - held]
                 b, spare, held = bwork.step(b, -h, back_rhs, spare), b, 1 - held
                 _settle(b, (s - 1) * h, bwork)

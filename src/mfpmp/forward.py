@@ -154,12 +154,6 @@ class Checkpoints:
     states: np.ndarray
 
 
-def _coupling_value(a1: complex, u2: float, model: ModelSpec) -> complex:
-    """v = u_2 * `ModelSpec.coupling`(a_1) for one coefficient row, in Python floats."""
-    vr, vi = model.coupling(a1)
-    return complex(u2 * vr, u2 * vi)
-
-
 def _coupling(a: np.ndarray, u2: np.ndarray, model: ModelSpec):
     """(v, conj(v)) of every row of the flat state a under the u_2 column u2 (rows, 1).
 
@@ -174,7 +168,8 @@ def _coupling(a: np.ndarray, u2: np.ndarray, model: ModelSpec):
     `_continuity_rhs`).
     """
     if len(u2) == 1:
-        v = _coupling_value(complex(a[1]), float(u2[0, 0]), model)
+        scale, (vr, vi) = float(u2[0, 0]), model.coupling(complex(a[1]))
+        v = complex(scale * vr, scale * vi)
         return v, v.conjugate()
     width = len(a) // len(u2)
     v = model.coupling_rows(a.view(float).reshape(len(u2), -1)[:, 2:4], u2)

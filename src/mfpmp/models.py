@@ -188,8 +188,9 @@ class ModelSpec:
         NumPy's array complex multiply may round differently from scalar
         arithmetic; this way one node and a stack of nodes give the same
         bits, and so does `coupling_rows`, the same products on the float
-        parts of many rows.  Its callers are `forward._coupling_value` (a
-        one-row march, and the adjoint) and `descent.switching_function`.
+        parts of many rows.  Its callers are `forward._coupling` (a one-row
+        march) and `descent.switching_function`; the adjoint and the marches
+        of several rows take `coupling_rows`.
         """
         tr = -np.pi * a1.imag
         ti = np.pi * a1.real

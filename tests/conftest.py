@@ -56,11 +56,24 @@ def poisoned_workspace(size):
     return work
 
 
-def poison(stages):
-    """The buffers of `adjoint._Stages`, pads included, filled with NaN: a read before a write shows."""
-    for buf in (stages.pair, stages.factors, stages.sources, stages.prod, stages.col):
+def poison(stages, wa):
+    """What a backward march writes of `adjoint._Stages` on forward rows of wa columns, NaN-filled.
+
+    That is b's columns of `pair`, the factors, the source columns 1 .. wa,
+    `prod` and `col`: a read before a write shows.  The rest, the pad
+    columns and the source columns past wa, must stay +0.0 (`zero_pads`).
+    """
+    for buf in (stages.pair[:, 1:-1], stages.factors, stages.sources[..., 1:wa + 1],
+                stages.prod, stages.col):
         buf.fill(np.nan)
     return stages
+
+
+def zero_pads(stages, wa):
+    """Whether the pad columns of `adjoint._Stages` and its source columns past wa hold +0.0 only."""
+    rest = (stages.pair[:, 0], stages.pair[:, -1], stages.sources[..., 0],
+            stages.sources[..., wa + 1:])
+    return not any(np.array(buf).view(np.uint64).any() for buf in rest)
 
 
 def backward_rhs(u, a_hi, a_mid, a_lo, model, stencil):

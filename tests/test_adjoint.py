@@ -25,7 +25,7 @@ from mfpmp.presets import fig1_control
 
 from conftest import (backward_rhs, dense, fig1_row, full_rows, full_width_adjoint, half_row,
                       harmonic, hermitian_defect, literal_sync_cost_dmu, pack, poison,
-                      poisoned_workspace, random_hermitian, uniform_field)
+                      poisoned_workspace, random_hermitian, uniform_field, zero_pads)
 
 
 def literal_adjoint_rhs(b, a, u, alpha):
@@ -356,40 +356,79 @@ class TestBufferedBackwardStep:
         assert blocked.coeffs.tobytes() == one_row.coeffs.tobytes()
 
 
+def widening_case(alpha, rng):
+    """A solve in which b widens inside a quarter-step block: (traj, u, model, terminal).
+
+    The stored rows keep harmonics 0 .. 3 of 64, so the forward band is 16
+    of the 65 columns, and the terminal co-density reaches harmonic 27: b
+    starts on 32 columns and widens to 48, 64 and 65 within the first of
+    three blocks of 16 steps.
+    """
+    grid = TimeGrid(0.12, 5e-3)
+    rows = np.array([random_hermitian(128, rng, max_mode=3, scale=0.01)
+                     for _ in range(2 * grid.n_steps + 1)])
+    return (pack(grid, rows), fig1_control(grid),
+            kuramoto_model(alpha, np.pi, control_set=ball(2.0)),
+            random_hermitian(128, rng, max_mode=27))
+
+
+def cold_case(n_modes, T, tau):
+    """The cold fig1 solve at n_modes harmonics: (traj, u, model, None)."""
+    grid = TimeGrid(T, tau)
+    model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
+    u = fig1_control(grid)
+    return integrate_forward(fig1_row(n_modes), u, model, grid), u, model, None
+
+
 class TestStageBuffers:
-    """The stage kernel's buffers: written before every read, and sized by the band."""
+    """The stage kernel's buffers: written before every read, zero elsewhere, sized by the band."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
-    def test_poisoned_buffers_give_the_bits_of_fresh_ones(self, alpha, monkeypatch):
-        # On this grid b widens inside a quarter-step block, so the buffers
-        # of the new width get their factors and pads in mid-block.
-        grid = TimeGrid(0.3, 2.5e-3)
-        model = kuramoto_model(alpha, np.pi, control_set=ball(np.sqrt(2.0)))
-        u = fig1_control(grid)
-        traj = integrate_forward(fig1_row(256), u, model, grid)
-        fresh = integrate_backward(traj, u, model, keep=grid.full_times())
-        events = []
-        monkeypatch.setattr(adjoint, "_couple",
-                            lambda *args, f=adjoint._couple: events.append("block") or f(*args))
-        monkeypatch.setattr(adjoint, "_fill",
-                            lambda *args, f=adjoint._fill: events.append("fill") or f(*args))
-        monkeypatch.setattr(adjoint._Stages, "of",
-                            lambda w, of=adjoint._Stages.of: events.append(w) or poison(of(w)))
-        poisoned = integrate_backward(traj, u, model, keep=grid.full_times())
+    def test_poisoned_buffers_give_the_bits_of_fresh_ones(self, alpha, rng, monkeypatch):
+        # b widens three times inside the first block, so the buffers of
+        # each new width get the factors of the block's lower steps in mid-block.
+        traj, u, model, terminal = widening_case(alpha, rng)
+        keep, wa = traj.grid.full_times(), forward.band(4, 65)
+        fresh = integrate_backward(traj, u, model, terminal=terminal, keep=keep)
+        made, steps = [], []
+        monkeypatch.setattr(adjoint._Stages, "of", lambda w, block, of=adjoint._Stages.of:
+                            made.append(poison(of(w, block), wa)) or made[-1])
+        monkeypatch.setattr(adjoint, "_fill", lambda *args, f=adjoint._fill:
+                            steps.append(len(args[2])) or f(*args))
+        poisoned = integrate_backward(traj, u, model, terminal=terminal, keep=keep)
         for name in ("head", "scale", "tail", "coeffs"):
             assert getattr(poisoned, name).tobytes() == getattr(fresh, name).tobytes(), name
-        # A width change after a fill of the same block is a change inside it.
-        opened = [i for i, e in enumerate(events) if e == "block"]
-        inside = [e for i, e in enumerate(events) if isinstance(e, int)
-                  and "fill" in events[max(j for j in opened if j < i):i]]
-        assert inside
+        assert [stages.pair.shape[1] - 2 for stages in made] == [32, 48, 64, 65]
+        assert all(zero_pads(stages, wa) for stages in made)
+        assert min(steps) < max(steps) == 16  # a refill of fewer steps than a block
 
-    def test_a_narrower_block_clears_the_source_columns_it_no_longer_writes(self, rng):
+    @pytest.mark.parametrize("case", ["desk", "2048", "widening"])
+    def test_one_fill_per_block_and_per_width_change_inside_one(self, case, rng, monkeypatch):
+        traj, u, model, terminal = {
+            "desk": lambda: cold_case(256, 6.0, 5e-3),
+            "2048": lambda: cold_case(2048, 0.05, 1e-3),
+            "widening": lambda: widening_case(0.31, rng)}[case]()
+        events = []  # "block" per quarter-step block, "of" per width of b, "fill" per fill
+        for name, mark in (("_drive", "block"), ("_fill", "fill")):
+            monkeypatch.setattr(adjoint, name, lambda *args, f=getattr(adjoint, name), mark=mark:
+                                events.append(mark) or f(*args))
+        monkeypatch.setattr(adjoint._Stages, "of", lambda *args, of=adjoint._Stages.of:
+                            events.append("of") or of(*args))
+        integrate_backward(traj, u, model, terminal=terminal)
+        last = 2 * traj.grid.n_steps
+        block = min(forward.batch_rows(forward.band(int(traj.index[:, 1].max()), traj.width)),
+                    adjoint._BLOCK_ROWS, last)
+        inside = sum(e == "of" and before != "block" for before, e in zip(events, events[1:]))
+        assert events.count("block") == len(range(last, 0, -block))
+        assert events.count("fill") == events.count("block") + inside
+        assert inside == (3 if case == "widening" else 0)
+
+    def test_narrow_rows_under_wide_ones_give_the_bits_of_a_full_width_march(self, rng):
         # Three blocks of 16 rows over stored rows with 30 harmonics after
-        # node 16 and 3 up to it: the lowest block reads 16 columns, where
-        # the last steps of the block above it left 33 in the same stage
-        # buffers (b marches at full width throughout).  The literal march
-        # takes fresh buffers every step.
+        # node 16 and 3 up to it: every block marches its quarter steps on
+        # the trajectory's one band, the lowest one over rows that are zero
+        # past harmonic 3 (b marches at full width throughout).  The literal
+        # march takes fresh buffers every step.
         grid = TimeGrid(0.12, 5e-3)
         model = kuramoto_model(0.31, np.pi, control_set=ball(2.0))
         u = fig1_control(grid)
@@ -403,31 +442,32 @@ class TestStageBuffers:
         # NumPy reports its buffers to tracemalloc, so the bound holds on any
         # host.  A quarter-step block takes about twelve arrays of its rows on
         # the trajectory's widest band (the workspace, the stored rows, the
-        # states, the mode factors and u_1, the last two briefly twice), the
-        # full-width row about eleven rows (b's workspace, the terminal rows,
-        # the kept row), and b two sets of stage buffers where it changes
-        # width: 0.64 MB here.  Blocks of full rows would take 3 MB more, and
-        # full-width stage buffers 1.5 MB.
-        grid = TimeGrid(0.05, 1e-3)
-        model = kuramoto_model(0.0, np.pi, control_set=ball(np.sqrt(2.0)))
-        u = fig1_control(grid)
-        traj = integrate_forward(fig1_row(2048), u, model, grid)
+        # states, the mode factors and u_1, the couplings briefly), the
+        # full-width row about ten rows (the terminal rows, the terminal
+        # row's workspace until b gets its own, the kept row), and b its
+        # stage buffers, a slot per step of a block, with its workspace, on
+        # its band: two sets where it changes width, or one and the
+        # iterator buffers of a fill, about as large: 1.0 MB here.  Blocks
+        # of full rows would take 3 MB more, and full-width stage buffers
+        # 2.5 MB more a set.
+        traj, u, model, _ = cold_case(2048, 0.05, 1e-3)
         wide = forward.band(int(traj.index[:, 1].max()), 1025)
         block = min(forward.batch_rows(wide), adjoint._BLOCK_ROWS)
         widths = []
-        monkeypatch.setattr(adjoint._Stages, "of",
-                            lambda w, of=adjoint._Stages.of: widths.append(w) or of(w))
+        monkeypatch.setattr(adjoint._Stages, "of", lambda w, steps, of=adjoint._Stages.of:
+                            widths.append(w) or of(w, steps))
         tracemalloc.start()
         try:
             integrate_backward(traj, u, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stages = adjoint._Stages.of(max(widths))
+        stages, work = adjoint._Stages.of(max(widths), block), forward.Workspace.of(max(widths))
         stage = sum(buf.nbytes for buf in (stages.pair, stages.factors, stages.sources,
-                                           stages.prod, stages.col))
+                                           stages.prod, stages.col, *work.k, work.prod,
+                                           work.mag, work.mask))
         assert max(widths) < 1025 // 8 and block == 16
-        assert peak < 16 * block * wide * 16 + 16 * 1025 * 16 + 2 * stage
+        assert peak < 16 * block * wide * 16 + 10 * 1025 * 16 + 2 * stage
 
 
 class TestDualityWithTheCost:

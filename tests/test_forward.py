@@ -54,8 +54,7 @@ def full_layout_rhs(a, u, model, dn):
     """
     first = a.shape[1] // 2 + 1
     if a.shape[0] == 1:
-        v = forward._coupling_value(complex(a[0, first]), float(u[0, 1].real), model)
-        vc = v.conjugate()
+        v, vc = forward._coupling(a[0, first - 1:], u[:, 1:].real, model)
     else:
         vr, vi = model.coupling(a[:, first])
         v = np.empty((a.shape[0], 1), dtype=complex)
@@ -499,7 +498,7 @@ class TestFlatSeams:
         u2 = np.array([[0.7], [-0.0], [-1.3], [-0.0], [0.0], [0.4]])
         v, vc = forward._coupling(a.reshape(-1), u2, model)
         for r in range(6):
-            want = forward._coupling_value(complex(a[r, 1]), float(u2[r, 0]), model)
+            want, _ = forward._coupling(a[r], u2[r:r + 1], model)
             assert v[r * width:(r + 1) * width].tobytes() == np.full(width, want).tobytes()
             # conj(v) is zero at the row's n = 0 entry: its last entry reads nothing
             # from the next row.
