@@ -55,16 +55,16 @@ of all the steps of a quarter-step block, with their couplings v
 per step, allocated with b's workspace at b's band, anew when the band
 changes (`_Stages`).
 
-The march runs at the same half step as the forward solver, so every stage
-reads a forward state either straight from storage or, for quarter-step
-stage times, from a single local RK4 quarter-step off the stored node
-(fourth-order consistent, no interpolation).  The quarter steps of a block
-of backward steps march as the rows of one forward state; each block reads
-its stored rows and the one above straight into one buffer on the one band
-of the solve, `forward.band` of the longest row the trajectory kept
-(`Trajectory.rows` zero-pads each row up to the band only).  A block has
+The march runs at the forward solver's sub-step tau/m (`TimeGrid.substeps`),
+so every stage reads a forward state either straight from storage or, for
+the midpoint stage times, from a single local RK4 quarter-step (half a
+sub-step) off the stored node (fourth-order consistent, no interpolation).
+The quarter steps of a block of backward steps march as the rows of one
+forward state; each block reads its stored rows and the one above straight
+into one buffer on the one band of the solve, `forward.band` of the longest
+row the trajectory kept (`Trajectory.rows` zero-pads each row up to the band only).  A block has
 `forward.batch_rows` rows of that band, at most `_BLOCK_ROWS` (16) and at
-most 2K, one size per solve: 16 rows both at 2048 harmonics and on the
+most mK, one size per solve: 16 rows both at 2048 harmonics and on the
 desk grid.  Its buffers are allocated once per solve at that band, not at
 the full row.  Both the quarter and the backward steps are
 `forward.Workspace.step`.
@@ -325,7 +325,7 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
             its whole half row, besides node 0.
 
     Returns:
-        The march's `CoTrajectory`; the march keeps the half step of
+        The march's `CoTrajectory`; the march keeps the sub-step of
         `traj`.  The terminal row and every backward step are settled
         (`forward._settle`) before they are recorded or marched on.
 
@@ -335,8 +335,8 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     """
     if u.grid != traj.grid:
         raise ValueError("control signal grid does not match the trajectory")
-    grid = traj.grid
-    last = 2 * grid.n_steps
+    grid, m = traj.grid, traj.grid.substeps
+    last = m * grid.n_steps
     model.require_feasible(u.values)
     if terminal is None:
         terminal = terminal_adjoint(traj.terminal_field(), model)
@@ -345,14 +345,14 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
         if terminal.shape[0] != traj.width:
             raise ValueError("terminal co-density resolution does not match the trajectory")
 
-    h = 0.5 * grid.tau
+    h = grid.tau / m
     width = traj.width
     # Quarter-step blocks of one size, on the widest band the trajectory keeps.
     wa = band(int(traj.index[:, 1].max()), width)
     block = min(batch_rows(wa), _BLOCK_ROWS, last)
     qwork, mids = Workspace.of(block * wa), np.empty(block * wa, dtype=complex)
     stored = np.empty((block + 1, wa), dtype=complex)  # the block's rows on the band
-    dn, halves = np.tile(_factor(wa), block), np.arange(block)
+    dn, subs = np.tile(_factor(wa), block), np.arange(block)
     b = np.array(terminal, dtype=complex)
 
     def quarter_rhs(x, i, k):
@@ -387,7 +387,7 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
             # they march as one state; the lowest block re-marches rows above it.
             lo = max(top - block, 0)
             rows = traj.rows(lo, lo + block + 1, stored)
-            uk = u.values[(lo + halves) >> 1]  # the control of each half step
+            uk = u.values[(lo + subs) // m]  # the control of each sub-step
             drive = _drive(uk.astype(complex), wa)
             a_mids = qwork.step(rows[:block].reshape(-1), 0.5 * h, quarter_rhs,
                                 mids).reshape(block, wa)
@@ -410,6 +410,6 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
                 _settle(b, (s - 1) * h, bwork)
                 if wb < width:
                     reach = _kept(bwork.mask[None])
-                if s & 1:  # landed on the full node s - 1 = 2k
-                    land(b, s >> 1)
+                if (s - 1) % m == 0:  # landed on the full node s - 1 = mk
+                    land(b, (s - 1) // m)
     return CoTrajectory(grid, traj.n_modes, head, scale, tail, tuple(slot), kept)

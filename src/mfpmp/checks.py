@@ -41,7 +41,7 @@ def meanfield_vs_particles(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     grid = traj.grid
     check_nodes = sorted({0, grid.n_steps // 2, grid.n_steps})
     mf_cost = model.cost.eval(traj.terminal_field())
-    nodes = {k: traj.rows(2 * k, 2 * k + 1)[0] for k in check_nodes}
+    nodes = {k: traj.rows(grid.substeps * k, grid.substeps * k + 1)[0] for k in check_nodes}
 
     runs = {}
     for n_particles in ensemble_sizes:
@@ -195,23 +195,22 @@ def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid,
     initial, width = traj.rows(0, 1)[0], traj.width
     del traj
 
-    # Remaining and accumulated rotation per half step, summed as the march
-    # steps, exact for the piecewise-constant control class; read at the
-    # full nodes, all of which the co-trajectory keeps.
-    n_half = 2 * grid.n_steps
-    h = 0.5 * grid.tau
-    remaining = np.zeros(n_half + 1)
-    for s in range(n_half - 1, -1, -1):
-        remaining[s] = remaining[s + 1] + h * u1[s >> 1]
+    # Remaining and accumulated rotation per sub-step, summed backward in
+    # order as the march steps (np.cumsum is sequential), exact for the
+    # piecewise-constant control class; read at the full nodes, all of which
+    # the co-trajectory keeps.
+    m = grid.substeps
+    steps = (grid.tau / m) * np.repeat(u1[:-1], m)
+    remaining = np.append(np.cumsum(steps[::-1])[::-1], 0.0)[::m]
     accumulated = remaining[0] - remaining
 
     x = grid_points(cotraj.n_modes)
     modes = np.arange(width)
     rows, err = batch_rows(width), 0.0  # np.maximum keeps a NaN, as one np.max would
     for lo in range(0, grid.n_steps + 1, rows):
-        nodes = slice(2 * lo, 2 * (lo + rows), 2)
-        rho_t = reconstruct_rows(initial * np.exp(-1j * np.outer(accumulated[nodes], modes)))
-        analytic = -np.sin(x[None, :] + remaining[nodes, None] - x0) * rho_t
+        rho_t = reconstruct_rows(initial * np.exp(-1j * np.outer(accumulated[lo:lo + rows],
+                                                                  modes)))
+        analytic = -np.sin(x[None, :] + remaining[lo:lo + rows, None] - x0) * rho_t
         solved = reconstruct_rows(cotraj.coeffs[lo:lo + rows])
         err = float(np.maximum(err, np.max(np.abs(solved - analytic))))
     return {"max_error": err, "n_modes": cotraj.n_modes, "tau": grid.tau, "tol": tol,

@@ -142,8 +142,8 @@ def _write_fields(config: RunConfig, traj: Trajectory, u: ControlSignal) -> dict
 
     The co-density along `traj`, the stored solve of `u`, is solved by
     solve-adjoint always and by optimize when it dumps adjoint snapshots.
-    A snapshot is the node nearest its time: a half node of the density, a
-    full node of the co-density.  Returns the summary's `density_min`,
+    A snapshot is the node nearest its time: a sub-step node of the density,
+    a full node of the co-density.  Returns the summary's `density_min`,
     `mass_drift` and `resolution` entries, and solve-adjoint's `adjoint_max_coeff`.
     """
     grid, times, out = traj.grid, config.snapshot_times, config.output_dir
@@ -153,9 +153,10 @@ def _write_fields(config: RunConfig, traj: Trajectory, u: ControlSignal) -> dict
         cotraj = integrate_backward(traj, u, config.model, keep=times)
     snapshots = [], np.empty((0, traj.n_modes))
     if times:
-        half = [grid.nearest_node(t, 2) for t in times]
-        at = [s * (0.5 * grid.tau) for s in half]
-        rows = np.concatenate([traj.rows(s, s + 1) for s in half])
+        m = grid.substeps
+        sub = [grid.nearest_node(t, m) for t in times]
+        at = [s * (grid.tau / m) for s in sub]
+        rows = np.concatenate([traj.rows(s, s + 1) for s in sub])
         snapshots = at, _write_snapshots(out / "density_snapshots.csv", at, rows)
         if cotraj is not None:
             full = [grid.nearest_node(t) for t in times]

@@ -12,11 +12,10 @@ the half rows n = 0 .. N/2 (see `spectral`).  Row n >= 1 reads only
 harmonics >= 0, and the n = 0 row is multiplied by n = 0, so the half march
 has the bits of the n >= 0 half of a full-layout march, and a_0 stays
 real, which makes the field Hermitian exactly, not to rounding.  Time
-stepping is classical RK4 at half the control step, so the trajectory
-lands on every half-step node; controls are piecewise constant per full
-step, hence every RK4 stage sees a single control value.  The n = 0
-equation has an explicit factor n, so the mass coefficient is conserved
-bit-for-bit.
+stepping is classical RK4 at the sub-step tau/m of `TimeGrid.substeps`, so
+the trajectory lands on every sub-step node; controls are piecewise constant
+per full step, hence every RK4 stage sees a single control value.  The n = 0
+equation has an explicit factor n, so the mass coefficient is conserved bit-for-bit.
 
 On the initial state and after every step, real and imaginary parts below
 2^-511 (about 1.5e-154, the square root of the smallest normal float
@@ -61,7 +60,7 @@ allocated at full width and used through its head.  Records see the rows
 on their band; trajectories, checkpoints and terminal rows are full rows,
 zero-padded.  A march that reaches full width stays there and stops looking:
 a cold desk solve's rows fill their 129 columns after about 230 of 2400
-half steps; at 2048 harmonics a cold solve keeps 146 of the 1025 on average
+sub-steps; at 2048 harmonics a cold solve keeps 146 of the 1025 on average
 (154 at most).
 
 A march allocates its buffers once (`Workspace`): the four RK4 stages, the
@@ -322,13 +321,13 @@ def _factor(width: int) -> np.ndarray:
     return -1j * np.arange(width)
 
 
-def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
+def _march(a0: np.ndarray, u_values: np.ndarray, grid: TimeGrid, model: ModelSpec,
            record, every: int = 1) -> np.ndarray:
     """March the half rows of a0 (rows, modes), row r under the controls u_values[:, r].
 
-    `u_values` holds the controls of the K full steps, each marched as two
-    RK4 steps of `h`.  `record(i, a, flushed)` receives the state at
-    half-step node i*every, for i = 0, 1, .. up to the last step: the
+    `u_values` holds the controls of the full steps, each marched as m RK4
+    steps of tau/m (`grid.substeps`).  `record(i, a, flushed)` receives the
+    state at sub-step node i*every, for i = 0, 1, .. up to the last step: the
     (rows, w) state on its working width w (`band`; the harmonics from w
     on are zero) and the flush mask of its float parts, (rows, 2*w), True
     where a part is zero.  It sees every node of a stored solve, or the
@@ -338,7 +337,8 @@ def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
     to full rows.
     """
     rows, width = a0.shape
-    controls = u_values.astype(complex)
+    controls, m = u_values.astype(complex), grid.substeps
+    h = grid.tau / m
     full = Workspace.of(rows * width)
     pair = np.empty((2, rows * width), dtype=complex)  # each step goes into the other row
     a, spare, held = pair[0], pair[1], 0
@@ -353,14 +353,14 @@ def _march(a0: np.ndarray, u_values: np.ndarray, h: float, model: ModelSpec,
 
     # An overflow inside a step is reported once, by `_settle`, as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, 2 * controls.shape[0] + 1):
+        for s in range(1, m * controls.shape[0] + 1):
             if fit != w:  # the rows move to their new width, in the other buffer
                 a, spare = _repack(a, rows, fit, pair[1 - held]), pair[held, :rows * fit]
                 w, held = fit, 1 - held
                 work, dn, drive = full.prefix(rows * w), np.tile(_factor(w), rows), None
                 flushed = work.mask.reshape(rows, 2 * w)
-            if s & 1 or drive is None:
-                drive = _drive(controls[(s - 1) >> 1], w)
+            if (s - 1) % m == 0 or drive is None:
+                drive = _drive(controls[(s - 1) // m], w)
             a, spare, held = work.step(a, h, rhs, spare), a, 1 - held
             _settle(a, s * h, work)
             i, off = divmod(s, every)
@@ -395,7 +395,7 @@ def _resumable(starts: Checkpoints | None, rho0: np.ndarray, u: ControlSignal,
 
 def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
                       grid: TimeGrid, starts: Checkpoints | None = None) -> Trajectory:
-    """Solve the continuity equation and record the half row of every half-step node.
+    """Solve the continuity equation and record the half row of every sub-step node.
 
     Args:
         rho0: half row of the normalized initial density (mode-0
@@ -418,32 +418,26 @@ def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
     rho0 = _check_inputs(rho0, [u], model, grid)
     states = starts.states if _resumable(starts, rho0, u, model) else rho0[None]
     segments, width = states.shape
-    last = 2 * grid.n_steps
+    last = grid.substeps * grid.n_steps
     steps = last // segments
     buf = np.empty((last + 1) * width, dtype=complex)  # only the used head is ever written
-    cut, used = [], 0
+    index, used = np.empty((last + 1, 2), dtype=np.intp), 0
 
     def record(i, a, flushed):
-        # Step i holds node i of every segment; a segment's end is the next
-        # one's start, with the same bits, so the last step keeps only T.
+        # Step i holds node j*steps + i of every segment j; a segment's end is
+        # the next one's start, with the same bits, so the last step keeps only T.
         nonlocal used
+        nodes = index[i:last:steps]
         if i == steps:
-            a, flushed = a[-1:], flushed[-1:]
+            a, flushed, nodes = a[-1:], flushed[-1:], index[last:]
         n = _kept(flushed)
         np.copyto(buf[used:used + len(a) * n].reshape(-1, n), a[:, :n])
-        cut.append(n)
+        nodes[:, 0] = np.arange(used, used + len(a) * n, n)
+        nodes[:, 1] = n
         used += len(a) * n
 
     u_values = u.values[:-1].reshape(segments, -1, 2).swapaxes(0, 1)
-    _march(states, u_values, 0.5 * grid.tau, model, record)
-    # Rectangle i (node i of each segment) starts after the rectangles before it.
-    n = np.array(cut)
-    start = np.cumsum(n * segments) - n * segments
-    index = np.empty((last + 1, 2), dtype=np.intp)
-    nodes = index[:-1].reshape(segments, steps, 2)  # node j*steps + i at [j, i]
-    nodes[..., 0] = start[:-1] + np.arange(segments)[:, None] * n[:-1]
-    nodes[..., 1] = n[:-1]
-    index[-1] = start[-1], n[-1]
+    _march(states, u_values, grid, model, record)
     return Trajectory(grid, width, buf[:used], index)
 
 
@@ -459,8 +453,8 @@ def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid)
         if i < n_seg:  # the end is the terminal row
             marks[i, :, :a.shape[1]] = a
 
-    terminal = _march(rows, u_values, 0.5 * grid.tau, model, record,
-                      every=2 * grid.n_steps // n_seg)
+    terminal = _march(rows, u_values, grid, model, record,
+                      every=grid.substeps * grid.n_steps // n_seg)
     return terminal, marks
 
 

@@ -14,6 +14,7 @@ sin(x - x0), carries only the harmonics +-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,7 +142,7 @@ class ModelSpec:
 
     Attributes:
         alpha: coupling phase shift.
-        x0: synchronization target phase of the cost.
+        x0: synchronization target phase of the cost, reduced to [-pi, pi].
         control_set: admissible set U of the two channels (u_1, u_2).
         cost: the terminal cost, derived from x0.
     """
@@ -154,6 +155,8 @@ class ModelSpec:
     rotation: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # To [-pi, pi], exactly (pi stays pi): an oracle's cos(x - x0) loses a huge x0's phase.
+        object.__setattr__(self, "x0", math.remainder(self.x0, 2.0 * math.pi))
         object.__setattr__(self, "cost", CostSpec(self.x0))
         object.__setattr__(self, "phase", complex(np.exp(1j * self.alpha)))
         # The rows (cos, cos) and (-sin, sin) of alpha: a number with parts

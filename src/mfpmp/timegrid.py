@@ -1,12 +1,13 @@
 """Time lattices and time-indexed containers shared by the solvers.
 
 Controls are piecewise constant per full step: u(t) = u_k on
-[k*tau, (k+1)*tau).  The forward trajectory is stored at every half-step
-node t = s*tau/2 so the backward pass can read forward states at its stage
+[k*tau, (k+1)*tau), and both marches take the m = `TimeGrid.substeps` RK4
+steps of tau/m of each.  The forward trajectory is stored at every sub-step
+node t = s*tau/m so the backward pass can read forward states at its stage
 times without interpolation, each half row cut after its last nonzero
-harmonic (`Trajectory`); the backward pass keeps what its readers read
-at the full-step nodes t = k*tau (`adjoint.CoTrajectory`).  One
-nearest-node rule, `TimeGrid.nearest_node`, serves both lattices.
+harmonic (`Trajectory`); the backward pass keeps what its readers read at
+the full-step nodes t = k*tau (`adjoint.CoTrajectory`).  One nearest-node
+rule, `TimeGrid.nearest_node`, serves both lattices.
 """
 
 from __future__ import annotations
@@ -35,8 +36,13 @@ class TimeGrid:
 
     @property
     def n_steps(self) -> int:
-        """Number K of full steps; there are K + 1 full nodes and 2K + 1 half nodes."""
+        """Number K of full steps; there are K + 1 full nodes and mK + 1 sub-step nodes."""
         return int(round(self.T / self.tau))
+
+    @property
+    def substeps(self) -> int:
+        """m, the RK4 steps of tau/m that both marches take per control step."""
+        return 2
 
     def full_times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.tau
@@ -56,9 +62,9 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Coefficient snapshots at every half-step node t = s*tau/2, each cut after its last nonzero.
+    """Coefficient snapshots at every sub-step node t = s*tau/m, each cut after its last nonzero.
 
-    Its 2K + 1 rows are half rows of `width` coefficients, the harmonics
+    Its mK + 1 rows are half rows of `width` coefficients, the harmonics
     n = 0 .. N/2 of a real field (see `spectral`).  High harmonics decay to
     exact zeros, since parts below 2^-511 are flushed (`forward._settle`,
     which gives the bound's reasons), so each row keeps only its head: row s
@@ -78,9 +84,9 @@ class Trajectory:
         c, index = np.asarray(self.coeffs), np.asarray(self.index)
         if c.ndim != 1 or self.width < 3:
             raise ValueError("coeffs must be one buffer of half rows of n_modes/2 + 1 >= 3 entries")
-        rows = 2 * self.grid.n_steps + 1
+        rows = self.grid.substeps * self.grid.n_steps + 1
         if index.shape != (rows, 2):
-            raise ValueError(f"not every half node: expected {rows} rows, got {len(index)}")
+            raise ValueError(f"not every sub-step node: expected {rows} rows, got {len(index)}")
         off, length = index.T
         if not (np.all((length >= 1) & (length <= self.width))
                 and np.all((off >= 0) & (off + length <= len(c)))):
@@ -101,7 +107,7 @@ class Trajectory:
         entries past its head are written as zeros up to the band only.
         """
         if not 0 <= lo <= hi <= len(self.index):
-            raise IndexError(f"rows {lo} .. {hi} outside the {len(self.index)} half nodes")
+            raise IndexError(f"rows {lo} .. {hi} outside the {len(self.index)} sub-step nodes")
         if out is None:
             out = np.empty((hi - lo, self.width), dtype=complex)
         elif not (out.ndim == 2 and out.shape[0] == hi - lo and out.flags.c_contiguous
@@ -118,7 +124,7 @@ class Trajectory:
         return out
 
     def column(self, n: int) -> np.ndarray:
-        """Harmonic n of every half node, 0 where the row was cut before it."""
+        """Harmonic n of every sub-step node, 0 where the row was cut before it."""
         if not 0 <= n < self.width:
             raise IndexError(f"harmonic {n} outside 0 .. {self.width - 1}")
         off, length = self.index.T

@@ -24,7 +24,7 @@ def dense(traj):
 
 
 def pack(grid, rows):
-    """The `Trajectory` of the dense half rows `rows`, one per half node.
+    """The `Trajectory` of the dense half rows `rows`, one per sub-step node.
 
     Each row is cut after its last entry whose bits are not all zero, so
     a -0.0 stays and every row reads back bit for bit.
@@ -102,41 +102,46 @@ def continuity_step(a, h, u, model):
                      np.empty_like(a))
 
 
-def full_width_march(a0, u_values, h, model):
-    """Every settled state, (2K + 1, width), of a literal one-row march on the full row width.
+def full_width_march(a0, u_values, grid, model):
+    """Every settled state, (mK + 1, width), of a literal one-row march on the full row width.
 
-    `u_values` holds the controls (K, 2) of the full steps: two RK4 steps of
-    h each (`continuity_step`), and a settle after the initial state and
-    every step, as the solver marches, but over every column.
+    `u_values` holds the controls (K, 2) of the full steps: m = `grid.substeps`
+    RK4 steps of h = tau/m each (`continuity_step`), and a settle after the
+    initial state and every step, as the solver marches, but over every column.
     """
+    m = grid.substeps
+    h = grid.tau / m
     a = np.array(a0, dtype=complex)
     forward._settle(a, 0.0, Workspace.of(a.size))
     rows = [a]
-    for s in range(2 * len(u_values)):
-        a = continuity_step(a, h, u_values[s >> 1], model)
+    for s in range(m * len(u_values)):
+        a = continuity_step(a, h, u_values[s // m], model)
         forward._settle(a, (s + 1) * h, Workspace.of(a.size))
         rows.append(a)
     return np.stack(rows)
 
 
-def full_width_adjoint(rows, u_values, h, model):
+def full_width_adjoint(rows, u_values, grid, model):
     """The settled co-density at every full node, (K + 1, width), of a literal full-width march.
 
-    It marches back along the dense forward rows (2K + 1, width) of
-    `full_width_march` from `adjoint.terminal_adjoint`, with one
-    quarter-step state per backward step, over every column.
+    It marches back along the dense forward rows (mK + 1, width) of
+    `full_width_march` from `adjoint.terminal_adjoint`, m RK4 steps of
+    h = tau/m per control step (`grid.substeps`), with one midpoint
+    state per backward step, over every column.
     """
+    m = grid.substeps
+    h = grid.tau / m
     stencil = adjoint._stencil(rows.shape[1], model)
     b = adjoint.terminal_adjoint(rows[-1], model)
     last = len(rows) - 1
     forward._settle(b, last * h, Workspace.of(b.size))
     nodes = [b]
     for s in range(last, 0, -1):
-        uk = u_values[(s - 1) >> 1]
+        uk = u_values[(s - 1) // m]
         a_mid = continuity_step(rows[s - 1], 0.5 * h, uk, model)
         b = backward_step(b, h, uk, rows[s], a_mid, rows[s - 1], model, stencil)
         forward._settle(b, (s - 1) * h, Workspace.of(b.size))
-        if s & 1:
+        if (s - 1) % m == 0:
             nodes.append(b)
     return np.stack(nodes[::-1])
 

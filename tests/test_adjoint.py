@@ -105,9 +105,10 @@ class TestTerminalCondition:
         x0s = [0.0, -0.0, np.pi / 2.0, np.pi, *rng.uniform(-10.0, 10.0, 12)]
         for n_modes in (4, 32, 256):
             mu = random_hermitian(n_modes, rng)
-            for x0 in x0s:
-                got = terminal_adjoint(mu, kuramoto_model(0.0, x0))
-                assert got.tobytes() == callable_route(mu, x0).tobytes(), (n_modes, x0)
+            for x0 in x0s:  # the model holds x0 reduced to [-pi, pi]
+                model = kuramoto_model(0.0, x0)
+                got = terminal_adjoint(mu, model)
+                assert got.tobytes() == callable_route(mu, model.x0).tobytes(), (n_modes, x0)
 
     def test_terminal_adjoint_of_the_terminal_field_is_the_solved_terminal_row(self):
         # One function serves the public call and the backward solve.
@@ -267,12 +268,12 @@ class TestIntegrateBackward:
         assert worst == 0.0
 
     def test_a_trajectory_without_its_half_nodes_is_rejected_when_constructed(self):
-        # The quarter steps and the stages read the forward state at every half node.
+        # The quarter steps and the stages read the forward state at every sub-step node.
         grid = TimeGrid(0.5, 1e-2)
         model = kuramoto_model(0.0, np.pi)
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(fig1_row(32), u, model, grid)
-        with pytest.raises(ValueError, match="not every half node: expected 101 rows, got 51"):
+        with pytest.raises(ValueError, match="not every sub-step node: expected 101 rows, got 51"):
             pack(grid, dense(traj)[::2])
 
     def test_an_overflowing_step_is_a_divergence_without_warnings(self):
@@ -435,7 +436,7 @@ class TestStageBuffers:
         rows = np.array([random_hermitian(64, rng, max_mode=3 if s <= 16 else 30, scale=0.01)
                          for s in range(2 * grid.n_steps + 1)])
         got = integrate_backward(pack(grid, rows), u, model, keep=grid.full_times())
-        want = full_width_adjoint(rows, u.values[:-1], 0.5 * grid.tau, model)
+        want = full_width_adjoint(rows, u.values[:-1], grid, model)
         assert got.coeffs.tobytes() == want.tobytes()
 
     def test_the_buffers_stay_on_the_band(self, monkeypatch):

@@ -49,8 +49,8 @@ def short_full_scale():
 def literal_gradient(short_full_scale):
     """Dense forward rows and the co-density at every full node, marched on every column."""
     grid, model, u = short_full_scale
-    rows = full_width_march(fig1_row(N_MODES), u.values[:-1], 0.5 * grid.tau, model)
-    return rows, full_width_adjoint(rows, u.values[:-1], 0.5 * grid.tau, model)
+    rows = full_width_march(fig1_row(N_MODES), u.values[:-1], grid, model)
+    return rows, full_width_adjoint(rows, u.values[:-1], grid, model)
 
 
 class TestFullScaleBand:
@@ -155,7 +155,7 @@ def banded_rows(full_row):
 class TestRepack:
     """The flat state of several rows moves to a new width, both ways, and keeps every bit."""
 
-    h, every = 2.5e-3, 30
+    grid, every = TimeGrid(5e-3, 5e-3), 30  # `_march` reads only tau and m of its grid
 
     @pytest.mark.parametrize("full_row", [False, True], ids=["widen-then-narrow", "full"])
     def test_rows_of_different_bands_equal_their_one_row_marches(self, full_row, monkeypatch):
@@ -164,7 +164,7 @@ class TestRepack:
         n_rows = len(a0)
         marks = np.zeros((11, n_rows, WIDTH), dtype=complex)
         sizes = step_sizes(monkeypatch)
-        end = forward._march(a0, u, self.h, model, recorder(marks), every=self.every)
+        end = forward._march(a0, u, self.grid, model, recorder(marks), every=self.every)
         bands = [size // n_rows for size in sizes.pop("rhs")]
         if full_row:
             assert set(bands) == {WIDTH}
@@ -174,11 +174,11 @@ class TestRepack:
             assert min(bands[peak:]) < bands[peak] // 2  # .. and narrows
         for r in range(n_rows):
             one = np.zeros((11, 1, WIDTH), dtype=complex)
-            want = forward._march(a0[r:r + 1], u[:, r:r + 1], self.h, model, recorder(one),
+            want = forward._march(a0[r:r + 1], u[:, r:r + 1], self.grid, model, recorder(one),
                                   every=self.every)
             assert end[r].tobytes() == want[0].tobytes()
             assert marks[:, r].tobytes() == one[:, 0].tobytes()
-            literal = full_width_march(a0[r], u[:, r], self.h, model)
+            literal = full_width_march(a0[r], u[:, r], self.grid, model)
             assert end[r].tobytes() == literal[-1].tobytes()
             assert marks[:, r].tobytes() == literal[::self.every].tobytes()
 

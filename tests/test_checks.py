@@ -65,9 +65,9 @@ def whole_horizon_error(u1, rho0, x0, grid):
     model = kuramoto_model(0.0, x0, control_set=box([-m, 0.0], [m, 0.0]))
     traj = integrate_forward(rho0, u, model, grid)
     cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
-    # The rotation still to come, summed from T back one half step at a time.
-    halves = 0.5 * grid.tau * np.repeat(u1[:-1], 2)
-    remaining = np.append(np.cumsum(halves[::-1])[::-1], 0.0)[::2]
+    # The rotation still to come, summed from T back one sub-step at a time.
+    subs = (grid.tau / grid.substeps) * np.repeat(u1[:-1], grid.substeps)
+    remaining = np.append(np.cumsum(subs[::-1])[::-1], 0.0)[::grid.substeps]
     accumulated = remaining[0] - remaining
     shifted = traj.rows(0, 1)[0] * np.exp(-1j * np.outer(accumulated, np.arange(traj.width)))
     x = grid_points(traj.n_modes)

@@ -615,6 +615,18 @@ class TestValidateCommand:
         assert report["increment_slope"]["passed"]
         assert report["local_adjoint"]["passed"]
 
+    def test_a_huge_target_phase_passes_every_oracle(self, tmp_path):
+        # The particle and closed-form oracles compute cos(x - x0) and
+        # sin(x + s - x0); unreduced, x0 = 1e308 loses the phase and both fail.
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command="validate", snapshot_times=[])
+        doc["model"]["x0"] = 1e308
+        doc["grid"] = {"T": 0.1, "tau": 0.005, "n_modes": 16}
+        doc["validate"] = {"n_particles": [100, 1000]}
+        code = main(["validate", "--config", str(write_config(tmp_path, doc))])
+        report = json.loads((out / "validation_report.json").read_text())
+        assert code == 0 and report["passed"] is True, report
+
     def test_each_oracle_solves_each_control_once(self, tmp_path, monkeypatch):
         # One stored solve of u0 serves both ensembles of the particle oracle
         # and the experiment pair, whose target and slope probe share one

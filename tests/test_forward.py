@@ -25,7 +25,7 @@ from mfpmp.forward import _terminal_rows, mass_drift
 from mfpmp.descent import switching_function
 from mfpmp.presets import fig1_control
 
-from conftest import (backward_step, dense, fig1_row, full_rows, full_width_adjoint, half_row,
+from conftest import (dense, fig1_row, full_rows, full_width_adjoint, half_row,
                       harmonic, hermitian_defect, mode_numbers, pack, poisoned_workspace,
                       random_hermitian, uniform_field)
 
@@ -78,20 +78,22 @@ def full_layout_step(a, h, u, model, dn):
 
 
 def full_layout_march(rho0, controls, model, grid):
-    """Full-layout rows at every half-step node, one row per control: (nodes, rows, N + 1).
+    """Full-layout rows at every sub-step node, one row per control: (nodes, rows, N + 1).
 
-    The controls are marched as the rows of one state and settled after
-    every step, as the solver does with its half rows.
+    The controls are marched as the rows of one state, m = `grid.substeps`
+    RK4 steps of tau/m per control step, and settled after every step, as
+    the solver does with its half rows.
     """
-    h = 0.5 * grid.tau
+    m = grid.substeps
+    h = grid.tau / m
     full = full_rows(rho0)
     dn = -1j * mode_numbers(full.size)
     u = np.stack([c.values for c in controls], axis=1).astype(complex)
     a = np.array(np.broadcast_to(full, (len(controls), full.size)), order="C")
     settle(a, 0.0)
     nodes = [a]
-    for s in range(2 * grid.n_steps):
-        a = full_layout_step(a, h, u[s >> 1], model, dn)
+    for s in range(m * grid.n_steps):
+        a = full_layout_step(a, h, u[s // m], model, dn)
         settle(a, (s + 1) * h)
         nodes.append(a)
     return np.stack(nodes)
@@ -320,27 +322,6 @@ def march_rows(monkeypatch):
     return rows
 
 
-def per_step_adjoint(traj, u, model):
-    """The co-density at every full node from a literal backward march of the 17-wide half rows.
-
-    One quarter-step state per backward step, as a one-row state.
-    """
-    grid = traj.grid
-    h = 0.5 * grid.tau
-    stencil = adjoint._stencil(17, model)
-    a = dense(traj)
-    want = np.empty_like(a)
-    b = adjoint.terminal_adjoint(traj.terminal_field(), model)
-    last = 2 * grid.n_steps
-    want[last] = b
-    for s in range(last, 0, -1):
-        uk = u.values[(s - 1) >> 1]
-        a_mid = one_row_step(a[s - 1], 0.5 * h, uk.astype(complex), model)
-        b = backward_step(b, h, uk, a[s], a_mid, a[s - 1], model, stencil)
-        want[s - 1] = b
-    return want[::2]
-
-
 class TestBatchedMarch:
     @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
     @pytest.mark.parametrize("rows", [None, 5])
@@ -396,7 +377,8 @@ class TestBatchedMarch:
         rho, grid, model, u, _ = ladder_setup(0.31)
         traj = integrate_forward(rho, u, model, grid)
         cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
-        assert cotraj.coeffs.tobytes() == per_step_adjoint(traj, u, model).tobytes()
+        want = full_width_adjoint(dense(traj), u.values[:-1], grid, model)
+        assert cotraj.coeffs.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 7, 64, 256])
     def test_the_thin_co_trajectory_matches_the_per_step_adjoint(self, rows, monkeypatch):
@@ -406,7 +388,7 @@ class TestBatchedMarch:
         monkeypatch.setattr(adjoint, "_BLOCK_ROWS", rows)
         rho, grid, model, u, _ = ladder_setup(0.31)
         traj = integrate_forward(rho, u, model, grid)
-        want = per_step_adjoint(traj, u, model)
+        want = full_width_adjoint(dense(traj), u.values[:-1], grid, model)
         every = integrate_backward(traj, u, model, keep=grid.full_times())
         thin = integrate_backward(traj, u, model, keep=[0.15])
         assert thin.nodes == (0, 50) and thin.coeffs.tobytes() == want[[0, 50]].tobytes()
@@ -474,17 +456,17 @@ class TestFlatSeams:
     @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
     @pytest.mark.parametrize("rows", [2, 8, 15])
     def test_distinct_rows_equal_their_one_row_marches(self, alpha, rows, rng):
-        width, h = 17, 2.5e-3
+        width, grid = 17, TimeGrid(5e-3, 5e-3)  # `_march` reads only tau and m of its grid
         model = kuramoto_model(alpha, np.pi, control_set=ball(2.0))
         a0 = distinct_rows(rows, width, rng)
         u = rng.uniform(-1.0, 1.0, (20, rows, 2))
         u[:, rows // 2, 1] = -0.0
-        marks = np.empty((5, rows, width), dtype=complex)  # half-step nodes 0, 8, .., 32
-        end = forward._march(a0, u, h, model, recorder(marks), every=8)
+        marks = np.empty((5, rows, width), dtype=complex)  # sub-step nodes 0, 8, .., 32
+        end = forward._march(a0, u, grid, model, recorder(marks), every=8)
         assert np.abs(end[0]).max() > 100.0  # the large harmonic survives the march
         for r in range(rows):
             one = np.empty((5, 1, width), dtype=complex)
-            want = forward._march(a0[r:r + 1], u[:, r:r + 1], h, model, recorder(one), every=8)
+            want = forward._march(a0[r:r + 1], u[:, r:r + 1], grid, model, recorder(one), every=8)
             assert end[r].tobytes() == want[0].tobytes()
             assert marks[:, r].tobytes() == one[:, 0].tobytes()
 
@@ -784,7 +766,7 @@ def settled_per_step_adjoint(flushed_gradient):
     """
     model, traj, _, _ = flushed_gradient
     grid = traj.grid
-    return full_width_adjoint(dense(traj), fig1_control(grid).values[:-1], 0.5 * grid.tau, model)
+    return full_width_adjoint(dense(traj), fig1_control(grid).values[:-1], grid, model)
 
 
 class TestSubnormalFlush:

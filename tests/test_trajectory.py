@@ -77,7 +77,7 @@ class TestPack:
 
 
 class TestConstruction:
-    grid = TimeGrid(0.5, 0.5)  # 3 half nodes
+    grid = TimeGrid(0.5, 0.5)  # 3 sub-step nodes
 
     def test_a_consistent_index_is_accepted(self):
         coeffs = np.arange(7, dtype=complex)
@@ -86,7 +86,7 @@ class TestConstruction:
         assert traj.column(1).tolist() == [1, 5, 0]
 
     @pytest.mark.parametrize("index, match", [
-        ([[0, 4], [4, 2]], "not every half node: expected 3 rows, got 2"),
+        ([[0, 4], [4, 2]], "not every sub-step node: expected 3 rows, got 2"),
         ([[0, 4], [4, 0], [6, 1]], "1 .. width"),
         ([[0, 5], [4, 2], [6, 1]], "1 .. width"),
         ([[0, 4], [4, 2], [6, 2]], "inside the buffer"),
