@@ -55,7 +55,7 @@ of all the steps of a quarter-step block, with their couplings v
 per step, allocated with b's workspace at b's band, anew when the band
 changes (`_Stages`).
 
-The march runs at the forward solver's sub-step tau/m (`TimeGrid.substeps`),
+The march runs at the stored solve's sub-step tau/m (`Trajectory.substeps`),
 so every stage reads a forward state either straight from storage or, for
 the midpoint stage times, from a single local RK4 quarter-step (half a
 sub-step) off the stored node (fourth-order consistent, no interpolation).
@@ -227,9 +227,10 @@ def _fill(stages: _Stages, stencil, uk: np.ndarray, nodes, model: ModelSpec):
     v = model.coupling_rows(parts.reshape(-1, 2), np.repeat(uk[:, 1:], 3, axis=0))
     v, a1 = v.view(complex).reshape(g, 3), parts.view(complex).reshape(g, 3)
     f = stages.factors[:g]
-    np.multiply(v[:, :, None], stencil[1], out=f[:, :3])
+    for r in range(3):  # row by row: a broadcast into the strided slots buffers every operand
+        np.multiply(v[:, r, None], stencil[1], out=f[:, r])
+        np.multiply(v[:, 2 - r, None].conj(), stencil[2], out=f[:, 4 + r])
     np.multiply(uk[:, :1].astype(complex), stencil[0], out=f[:, 3])
-    np.multiply(v[:, ::-1, None].conj(), stencil[2], out=f[:, 4:])
     scalars = []
     for u2, vs, a1s in zip(uk[:, 1].tolist(), v.tolist(), a1.tolist()):
         w = u2 * 2.0 * np.pi
@@ -335,7 +336,7 @@ def integrate_backward(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     """
     if u.grid != traj.grid:
         raise ValueError("control signal grid does not match the trajectory")
-    grid, m = traj.grid, traj.grid.substeps
+    grid, m = traj.grid, traj.substeps
     last = m * grid.n_steps
     model.require_feasible(u.values)
     if terminal is None:

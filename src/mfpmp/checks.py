@@ -38,10 +38,10 @@ def meanfield_vs_particles(traj: Trajectory, u: ControlSignal, model: ModelSpec,
     the mismatches fall as the ensembles grow; and the verdict: the largest
     ensemble's cost gap must be at most cost_tol.
     """
-    grid = traj.grid
+    grid, m = traj.grid, traj.substeps
     check_nodes = sorted({0, grid.n_steps // 2, grid.n_steps})
     mf_cost = model.cost.eval(traj.terminal_field())
-    nodes = {k: traj.rows(grid.substeps * k, grid.substeps * k + 1)[0] for k in check_nodes}
+    nodes = {k: traj.rows(m * k, m * k + 1)[0] for k in check_nodes}
 
     runs = {}
     for n_particles in ensemble_sizes:
@@ -192,14 +192,13 @@ def local_adjoint_check(u1_values, rho0: np.ndarray, x0: float, grid: TimeGrid,
     traj = integrate_forward(rho0, u, model, grid)
     cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
     # rho_0 as the solver marched it: the stored initial half row.
-    initial, width = traj.rows(0, 1)[0], traj.width
+    initial, width, m = traj.rows(0, 1)[0], traj.width, traj.substeps
     del traj
 
     # Remaining and accumulated rotation per sub-step, summed backward in
     # order as the march steps (np.cumsum is sequential), exact for the
     # piecewise-constant control class; read at the full nodes, all of which
     # the co-trajectory keeps.
-    m = grid.substeps
     steps = (grid.tau / m) * np.repeat(u1[:-1], m)
     remaining = np.append(np.cumsum(steps[::-1])[::-1], 0.0)[::m]
     accumulated = remaining[0] - remaining

@@ -153,7 +153,7 @@ def _write_fields(config: RunConfig, traj: Trajectory, u: ControlSignal) -> dict
         cotraj = integrate_backward(traj, u, config.model, keep=times)
     snapshots = [], np.empty((0, traj.n_modes))
     if times:
-        m = grid.substeps
+        m = traj.substeps
         sub = [grid.nearest_node(t, m) for t in times]
         at = [s * (grid.tau / m) for s in sub]
         rows = np.concatenate([traj.rows(s, s + 1) for s in sub])

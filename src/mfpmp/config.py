@@ -294,6 +294,10 @@ def parse_config_dict(doc: dict) -> RunConfig:
     except (ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError(f"grid: T/tau = {T / tau:.6g} steps of {n_modes} harmonics cannot "
                           f"be allocated ({type(exc).__name__}: {exc})") from exc
+    if command == "validate" and rho0[1] == 0:
+        raise ConfigError("initial_density: validate needs a nonzero harmonic 1: with a_1 = 0 "
+                          "the cost is 1 for every control (a_1 and the coupling stay 0), so "
+                          "the slope oracle has no slope to check")
     descent = _parse_descent(doc.get("descent"))
     validate_params = _parse_validate(doc.get("validate"))
 

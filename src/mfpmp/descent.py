@@ -129,7 +129,7 @@ def switching_function(traj: Trajectory, cotraj: CoTrajectory,
     if traj.n_modes != cotraj.n_modes:
         raise ValueError("trajectory resolutions differ")
     b = cotraj.head
-    vr, vi = model.coupling(traj.column(1)[::traj.grid.substeps])
+    vr, vi = model.coupling(traj.column(1)[::traj.substeps])
     b1 = b[:, 1]
     # Re(conj(v)*b_{+1}), in real arithmetic like v itself, counted twice;
     # the leading 0.0 + turns an exact -0.0 sum into 0.0.

@@ -12,8 +12,8 @@ the half rows n = 0 .. N/2 (see `spectral`).  Row n >= 1 reads only
 harmonics >= 0, and the n = 0 row is multiplied by n = 0, so the half march
 has the bits of the n >= 0 half of a full-layout march, and a_0 stays
 real, which makes the field Hermitian exactly, not to rounding.  Time
-stepping is classical RK4 at the sub-step tau/m of `TimeGrid.substeps`, so
-the trajectory lands on every sub-step node; controls are piecewise constant
+stepping is classical RK4 at the sub-step tau/m of `SUBSTEPS`, so the
+trajectory lands on every sub-step node; controls are piecewise constant
 per full step, hence every RK4 stage sees a single control value.  The n = 0
 equation has an explicit factor n, so the mass coefficient is conserved bit-for-bit.
 
@@ -98,6 +98,10 @@ from .errors import DivergenceError
 from .models import ModelSpec
 from .spectral import reconstruct_rows, require_normalized, require_row
 from .timegrid import ControlSignal, TimeGrid, Trajectory
+
+# m, the RK4 steps of tau/m per control step: the forward march's choice, which
+# its `Trajectory` records for the backward march and every other reader.
+SUBSTEPS = 2
 
 # Generous blow-up guard; healthy probability densities keep |a_n| below
 # 1/(2*pi) * O(1), so anything near this limit means tau is too large.
@@ -326,7 +330,7 @@ def _march(a0: np.ndarray, u_values: np.ndarray, grid: TimeGrid, model: ModelSpe
     """March the half rows of a0 (rows, modes), row r under the controls u_values[:, r].
 
     `u_values` holds the controls of the full steps, each marched as m RK4
-    steps of tau/m (`grid.substeps`).  `record(i, a, flushed)` receives the
+    steps of tau/m (`SUBSTEPS`).  `record(i, a, flushed)` receives the
     state at sub-step node i*every, for i = 0, 1, .. up to the last step: the
     (rows, w) state on its working width w (`band`; the harmonics from w
     on are zero) and the flush mask of its float parts, (rows, 2*w), True
@@ -337,7 +341,7 @@ def _march(a0: np.ndarray, u_values: np.ndarray, grid: TimeGrid, model: ModelSpe
     to full rows.
     """
     rows, width = a0.shape
-    controls, m = u_values.astype(complex), grid.substeps
+    controls, m = u_values.astype(complex), SUBSTEPS
     h = grid.tau / m
     full = Workspace.of(rows * width)
     pair = np.empty((2, rows * width), dtype=complex)  # each step goes into the other row
@@ -418,7 +422,7 @@ def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
     rho0 = _check_inputs(rho0, [u], model, grid)
     states = starts.states if _resumable(starts, rho0, u, model) else rho0[None]
     segments, width = states.shape
-    last = grid.substeps * grid.n_steps
+    last = SUBSTEPS * grid.n_steps
     steps = last // segments
     buf = np.empty((last + 1) * width, dtype=complex)  # only the used head is ever written
     index, used = np.empty((last + 1, 2), dtype=np.intp), 0
@@ -438,7 +442,7 @@ def integrate_forward(rho0: np.ndarray, u: ControlSignal, model: ModelSpec,
 
     u_values = u.values[:-1].reshape(segments, -1, 2).swapaxes(0, 1)
     _march(states, u_values, grid, model, record)
-    return Trajectory(grid, width, buf[:used], index)
+    return Trajectory(grid, SUBSTEPS, width, buf[:used], index)
 
 
 def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid):
@@ -454,7 +458,7 @@ def _terminal_rows(rho0: np.ndarray, controls, model: ModelSpec, grid: TimeGrid)
             marks[i, :, :a.shape[1]] = a
 
     terminal = _march(rows, u_values, grid, model, record,
-                      every=grid.substeps * grid.n_steps // n_seg)
+                      every=SUBSTEPS * grid.n_steps // n_seg)
     return terminal, marks
 
 

@@ -1,11 +1,11 @@
 """Time lattices and time-indexed containers shared by the solvers.
 
 Controls are piecewise constant per full step: u(t) = u_k on
-[k*tau, (k+1)*tau), and both marches take the m = `TimeGrid.substeps` RK4
-steps of tau/m of each.  The forward trajectory is stored at every sub-step
-node t = s*tau/m so the backward pass can read forward states at its stage
-times without interpolation, each half row cut after its last nonzero
-harmonic (`Trajectory`); the backward pass keeps what its readers read at
+[k*tau, (k+1)*tau), and the forward march takes m = `forward.SUBSTEPS` RK4
+steps of tau/m of each.  Its trajectory keeps m and every sub-step node
+t = s*tau/m, each half row cut after its last nonzero harmonic
+(`Trajectory`), so the backward pass marches that m and reads forward states
+at its stage times without interpolation; it keeps what its readers read at
 the full-step nodes t = k*tau (`adjoint.CoTrajectory`).  One nearest-node
 rule, `TimeGrid.nearest_node`, serves both lattices.
 """
@@ -36,13 +36,8 @@ class TimeGrid:
 
     @property
     def n_steps(self) -> int:
-        """Number K of full steps; there are K + 1 full nodes and mK + 1 sub-step nodes."""
+        """Number K of full steps: K + 1 full nodes, and mK + 1 sub-step nodes of a `Trajectory`."""
         return int(round(self.T / self.tau))
-
-    @property
-    def substeps(self) -> int:
-        """m, the RK4 steps of tau/m that both marches take per control step."""
-        return 2
 
     def full_times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.tau
@@ -72,10 +67,12 @@ class Trajectory:
     harmonics from `length` on are zero.  At full scale a row keeps 146 of
     its 1025 columns on average; flushed only below the smallest normal
     float, 2^-1022, it would keep 424.  The readers hand out whole rows,
-    zero-padded, with the bits of the rows that were cut.
+    zero-padded, with the bits of the rows that were cut.  `substeps` is
+    the march's m (`forward.SUBSTEPS`), which every reader takes from here.
     """
 
     grid: TimeGrid
+    substeps: int
     width: int
     coeffs: np.ndarray
     index: np.ndarray
@@ -84,7 +81,9 @@ class Trajectory:
         c, index = np.asarray(self.coeffs), np.asarray(self.index)
         if c.ndim != 1 or self.width < 3:
             raise ValueError("coeffs must be one buffer of half rows of n_modes/2 + 1 >= 3 entries")
-        rows = self.grid.substeps * self.grid.n_steps + 1
+        if not (type(self.substeps) is int and self.substeps >= 1):
+            raise ValueError(f"substeps must be a positive int, got {self.substeps!r}")
+        rows = self.substeps * self.grid.n_steps + 1
         if index.shape != (rows, 2):
             raise ValueError(f"not every sub-step node: expected {rows} rows, got {len(index)}")
         off, length = index.T

@@ -37,7 +37,8 @@ def pack(grid, rows):
                       rows.shape[1] - nonzero[:, ::-1].argmax(axis=1), 1)
     off = np.concatenate([[0], np.cumsum(length)[:-1]])
     coeffs = np.concatenate([r[:n] for r, n in zip(rows, length)])
-    return Trajectory(grid, rows.shape[1], coeffs, np.column_stack([off, length]))
+    return Trajectory(grid, forward.SUBSTEPS, rows.shape[1], coeffs,
+                      np.column_stack([off, length]))
 
 
 def half_row(n_modes, harmonics):
@@ -105,11 +106,11 @@ def continuity_step(a, h, u, model):
 def full_width_march(a0, u_values, grid, model):
     """Every settled state, (mK + 1, width), of a literal one-row march on the full row width.
 
-    `u_values` holds the controls (K, 2) of the full steps: m = `grid.substeps`
+    `u_values` holds the controls (K, 2) of the full steps: m = `forward.SUBSTEPS`
     RK4 steps of h = tau/m each (`continuity_step`), and a settle after the
     initial state and every step, as the solver marches, but over every column.
     """
-    m = grid.substeps
+    m = forward.SUBSTEPS
     h = grid.tau / m
     a = np.array(a0, dtype=complex)
     forward._settle(a, 0.0, Workspace.of(a.size))
@@ -126,10 +127,10 @@ def full_width_adjoint(rows, u_values, grid, model):
 
     It marches back along the dense forward rows (mK + 1, width) of
     `full_width_march` from `adjoint.terminal_adjoint`, m RK4 steps of
-    h = tau/m per control step (`grid.substeps`), with one midpoint
+    h = tau/m per control step (`forward.SUBSTEPS`), with one midpoint
     state per backward step, over every column.
     """
-    m = grid.substeps
+    m = forward.SUBSTEPS
     h = grid.tau / m
     stencil = adjoint._stencil(rows.shape[1], model)
     b = adjoint.terminal_adjoint(rows[-1], model)

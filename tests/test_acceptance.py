@@ -128,7 +128,7 @@ class TestCriterion4RotationOracle:
         traj = integrate_forward(rho0, u, model, grid)
         fwd_err = 0.0
         for s in (0, 777, 1400, 2000):
-            t = s * 0.5 * grid.tau
+            t = s * grid.tau / traj.substeps
             closed = full_rows(rho0) * np.exp(-1j * modes * c * t)
             fwd_err = max(fwd_err, np.max(np.abs(full_rows(traj.rows(s, s + 1)[0]) - closed)))
 

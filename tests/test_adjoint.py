@@ -196,14 +196,15 @@ class TestIntegrateBackward:
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(fig1_row(32), u, model, grid)
         every = integrate_backward(traj, u, model, keep=grid.full_times())
-        assert dense(traj).shape == (2 * grid.n_steps + 1, 17)
-        assert traj.column(1)[::2].tobytes() == dense(traj)[::2, 1].tobytes()
+        m = traj.substeps
+        assert dense(traj).shape == (m * grid.n_steps + 1, 17)
+        assert traj.column(1)[::m].tobytes() == dense(traj)[::m, 1].tobytes()
         assert every.nodes == tuple(range(grid.n_steps + 1)) and every.n_modes == 32
         assert every.coeffs.shape == (grid.n_steps + 1, 17)
         assert every.head.shape == (grid.n_steps + 1, 2)
         assert every.scale.shape == every.tail.shape == (grid.n_steps + 1,)
         # Times near the half node t = 0.0045 snap to full nodes 1 and 2.
-        assert grid.nearest_node(0.0045, 2) == 3
+        assert m == 2 and grid.nearest_node(0.0045, m) == 3
         for keep, nodes in (((), (0,)), ((0.0046, 0.0044, 0.0), (0, 1, 2))):
             cotraj = integrate_backward(traj, u, model, keep=keep)
             assert cotraj.nodes == nodes
@@ -273,8 +274,10 @@ class TestIntegrateBackward:
         model = kuramoto_model(0.0, np.pi)
         u = constant_control(grid, [0.4, 0.9])
         traj = integrate_forward(fig1_row(32), u, model, grid)
-        with pytest.raises(ValueError, match="not every sub-step node: expected 101 rows, got 51"):
-            pack(grid, dense(traj)[::2])
+        m = traj.substeps
+        rows = f"expected {m * grid.n_steps + 1} rows, got {grid.n_steps + 1}"
+        with pytest.raises(ValueError, match=f"not every sub-step node: {rows}"):
+            pack(grid, dense(traj)[::m])
 
     def test_an_overflowing_step_is_a_divergence_without_warnings(self):
         # A drift of 1e90 overflows inside the first RK4 step; `_settle` reports it.
@@ -350,7 +353,7 @@ class TestBufferedBackwardStep:
         traj = integrate_forward(fig1_row(2048), u, model, grid)
         wide = forward.band(int(traj.index[:, 1].max()), 1025)
         assert forward.batch_rows(wide) > adjoint._BLOCK_ROWS == 16
-        assert (2 * grid.n_steps) % 16 == 12
+        assert traj.substeps == 2 and (traj.substeps * grid.n_steps) % 16 == 12
         blocked = integrate_backward(traj, u, model, keep=grid.full_times())
         monkeypatch.setattr(adjoint, "_BLOCK_ROWS", 1)
         one_row = integrate_backward(traj, u, model, keep=grid.full_times())
@@ -367,7 +370,7 @@ def widening_case(alpha, rng):
     """
     grid = TimeGrid(0.12, 5e-3)
     rows = np.array([random_hermitian(128, rng, max_mode=3, scale=0.01)
-                     for _ in range(2 * grid.n_steps + 1)])
+                     for _ in range(forward.SUBSTEPS * grid.n_steps + 1)])
     return (pack(grid, rows), fig1_control(grid),
             kuramoto_model(alpha, np.pi, control_set=ball(2.0)),
             random_hermitian(128, rng, max_mode=27))
@@ -416,7 +419,7 @@ class TestStageBuffers:
         monkeypatch.setattr(adjoint._Stages, "of", lambda *args, of=adjoint._Stages.of:
                             events.append("of") or of(*args))
         integrate_backward(traj, u, model, terminal=terminal)
-        last = 2 * traj.grid.n_steps
+        last = traj.substeps * traj.grid.n_steps
         block = min(forward.batch_rows(forward.band(int(traj.index[:, 1].max()), traj.width)),
                     adjoint._BLOCK_ROWS, last)
         inside = sum(e == "of" and before != "block" for before, e in zip(events, events[1:]))
@@ -434,7 +437,7 @@ class TestStageBuffers:
         model = kuramoto_model(0.31, np.pi, control_set=ball(2.0))
         u = fig1_control(grid)
         rows = np.array([random_hermitian(64, rng, max_mode=3 if s <= 16 else 30, scale=0.01)
-                         for s in range(2 * grid.n_steps + 1)])
+                         for s in range(forward.SUBSTEPS * grid.n_steps + 1)])
         got = integrate_backward(pack(grid, rows), u, model, keep=grid.full_times())
         want = full_width_adjoint(rows, u.values[:-1], grid, model)
         assert got.coeffs.tobytes() == want.tobytes()

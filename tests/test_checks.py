@@ -66,8 +66,8 @@ def whole_horizon_error(u1, rho0, x0, grid):
     traj = integrate_forward(rho0, u, model, grid)
     cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
     # The rotation still to come, summed from T back one sub-step at a time.
-    subs = (grid.tau / grid.substeps) * np.repeat(u1[:-1], grid.substeps)
-    remaining = np.append(np.cumsum(subs[::-1])[::-1], 0.0)[::grid.substeps]
+    subs = (grid.tau / traj.substeps) * np.repeat(u1[:-1], traj.substeps)
+    remaining = np.append(np.cumsum(subs[::-1])[::-1], 0.0)[::traj.substeps]
     accumulated = remaining[0] - remaining
     shifted = traj.rows(0, 1)[0] * np.exp(-1j * np.outer(accumulated, np.arange(traj.width)))
     x = grid_points(traj.n_modes)
@@ -109,7 +109,7 @@ class TestBlockedLocalAdjointCheck:
         width = 129
         u1 = local_u1_profile(self.SINUSOIDAL, grid)
         kept = (grid.n_steps + 1) * width * 16
-        trajectory = (2 * grid.n_steps + 1) * width * 16
+        trajectory = (forward.SUBSTEPS * grid.n_steps + 1) * width * 16
         block = forward.batch_rows(width) * 256 * 16
         tracemalloc.start()
         try:

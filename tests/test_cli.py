@@ -587,6 +587,40 @@ class TestExitCodes:
         assert err["category"] == "config" and "traceback" not in err
         assert "298. GiB" in err["message"]
 
+    @pytest.mark.parametrize("override, where", [
+        ("model=5", "model"),
+        ('model={"alpha": 0.0}', "model"),
+        pytest.param("grid.T=1" + "0" * 400, "grid.T", id="grid.T=10**400"),
+        ("model.constraint=5", "model.constraint"),
+        ('model.constraint={"kind": "disk"}', "model.constraint.kind"),
+        ('initial_density="fig2"', "initial_density"),
+        ('initial_density={"harmonics": {"99": [0.0, 0.0]}}', "initial_density.harmonics['99']"),
+        ("initial_density=5", "initial_density"),
+        ('initial_control="fig2"', "initial_control"),
+        ('initial_control={"values": 5}', "initial_control.values"),
+        ('initial_control={"values": [[0.0, 0.0]]}', "initial_control"),
+        ("initial_control=5", "initial_control"),
+        ("descent.j_max=2.5", "descent.j_max"),
+        ("descent.lambda_tol=-1", "descent"),
+        ("descent.k_max=0", "descent"),
+        ("descent.lambda_patience=0", "descent"),
+        ("snapshot_times=5", "config.snapshot_times"),
+        ("adjoint_snapshots=1", "config.adjoint_snapshots"),
+    ])
+    def test_every_rejected_value_names_its_key(self, tmp_path, capsys, override, where):
+        # One override per branch of `config` that raises a `ConfigError`.
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command="solve-forward", snapshot_times=[0.0, 0.1])
+        doc["grid"] = {"T": 0.1, "tau": 0.005, "n_modes": 16}
+        assert main(["solve-forward", "--config", str(write_config(tmp_path, doc)),
+                     "--override", override]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "config"
+        assert err["message"].startswith(f"{where}:"), err["message"]
+        assert not out.exists()
+
     def test_override_reaches_the_solver(self, tmp_path):
         doc = tiny_doc(tmp_path / "out", command="solve-forward")
         code = main(["solve-forward", "--config", str(write_config(tmp_path, doc)),
@@ -626,6 +660,29 @@ class TestValidateCommand:
         code = main(["validate", "--config", str(write_config(tmp_path, doc))])
         report = json.loads((out / "validation_report.json").read_text())
         assert code == 0 and report["passed"] is True, report
+
+    def test_a_density_without_harmonic_1_is_2_for_validate_only(self, tmp_path, capsys):
+        # With a_1 = 0, a_1 and the coupling stay 0 and the cost is 1 for
+        # every control: every predicted slope is 0, and the slope oracle
+        # would fail a correct program (exit 5).  optimize stops at once.
+        harmonics = {"0": [1.0 / (2.0 * np.pi), 0.0], "3": [0.01, 0.0]}
+        out = tmp_path / "out"
+        doc = tiny_doc(out, command="validate", snapshot_times=[],
+                       initial_density={"harmonics": harmonics})
+        doc["grid"] = {"T": 0.1, "tau": 0.005, "n_modes": 16}
+        doc["validate"] = {"n_particles": [100, 1000]}
+        assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["category"] == "config"
+        assert err["message"].startswith("initial_density: validate needs a nonzero harmonic 1")
+        assert not out.exists()
+        doc["command"] = "optimize"
+        assert main(["optimize", "--config", str(write_config(tmp_path, doc))]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "non-extremality-converged"
+        assert summary["iterations"] == 1 and summary["final_cost"] == 1.0
 
     def test_each_oracle_solves_each_control_once(self, tmp_path, monkeypatch):
         # One stored solve of u0 serves both ensembles of the particle oracle
@@ -677,15 +734,20 @@ class TestValidateCommand:
         assert [json.loads(line)["error"]["category"] for line in lines] == ["divergence"]
 
     def test_undefined_slope_ratios_are_null_in_strict_json(self, tmp_path, capsys):
-        # A uniform density under zero control predicts a zero decrease, so
-        # the ratios actual/predicted are undefined: null, and a failed probe.
+        # Under zero control nothing moves, and a density symmetric about
+        # x0 = 0 gives b_0 = 0, so d_1 = 0 exactly; the box holds u_2 at 0.
+        # So the predicted decrease is 0 and the ratios actual/predicted are
+        # undefined: null, and a failed probe.
         def reject(token):
             raise ValueError(f"non-JSON constant {token}")
 
         out = tmp_path / "out"
+        harmonics = {"0": [1.0 / (2.0 * np.pi), 0.0], "1": [0.05, 0.0]}
         doc = tiny_doc(out, command="validate", snapshot_times=[],
-                       initial_density={"harmonics": {"0": [1.0 / (2.0 * np.pi), 0.0]}},
+                       initial_density={"harmonics": harmonics},
                        initial_control={"constant": [0.0, 0.0]})
+        doc["model"] = {"alpha": 0.0, "x0": 0.0,
+                        "constraint": {"kind": "box", "lower": [-1.0, 0.0], "upper": [1.0, 0.0]}}
         doc["grid"] = {"T": 0.5, "tau": 5e-3, "n_modes": 32}
         doc["validate"] = {"extra_pairs": 0}
         assert main(["validate", "--config", str(write_config(tmp_path, doc))]) == 5

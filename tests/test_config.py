@@ -60,6 +60,11 @@ class TestParsing:
         assert cfg.command == "validate"
         assert cfg.validate_params["n_particles"] == [1000, 10000]
 
+    def test_an_unknown_command_is_rejected(self):
+        # The command line always sets the command; a config document may not.
+        with pytest.raises(ConfigError, match="config.command: must be one of"):
+            parse_config_dict(minimal_doc(command="plot"))
+
     def test_unknown_keys_are_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys.*typo"):
             parse_config_dict(minimal_doc(typo=1))

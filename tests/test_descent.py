@@ -95,7 +95,7 @@ class TestSwitching:
         cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
         got = switching_function(traj, cotraj, model).values[:, 1]
         # The full fields at the full nodes: b_{-1} is read at its own index.
-        a = full_rows(dense(traj)[::2])
+        a = full_rows(dense(traj)[::traj.substeps])
         b = full_rows(cotraj.coeffs)
         c = traj.n_modes // 2
         v = 1j * np.pi * a[:, c + 1] * np.exp(1j * alpha)

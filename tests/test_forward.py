@@ -80,11 +80,11 @@ def full_layout_step(a, h, u, model, dn):
 def full_layout_march(rho0, controls, model, grid):
     """Full-layout rows at every sub-step node, one row per control: (nodes, rows, N + 1).
 
-    The controls are marched as the rows of one state, m = `grid.substeps`
+    The controls are marched as the rows of one state, m = `forward.SUBSTEPS`
     RK4 steps of tau/m per control step, and settled after every step, as
     the solver does with its half rows.
     """
-    m = grid.substeps
+    m = forward.SUBSTEPS
     h = grid.tau / m
     full = full_rows(rho0)
     dn = -1j * mode_numbers(full.size)
@@ -181,7 +181,7 @@ class TestIntegrateForward:
         model = kuramoto_model(0.0, np.pi)
         traj = integrate_forward(rho, constant_control(grid, [0.0, 1.0]), model, grid)
         for s in (40, 120, 200):
-            t = s * 0.5 * grid.tau
+            t = s * grid.tau / traj.substeps
             ratio = abs(traj.column(1)[s]) / abs(harmonic(rho, 1))
             assert abs(ratio - np.exp(0.5 * t)) < 1e-4
 

@@ -1,8 +1,10 @@
-"""The sub-step lattice: every march and reader takes m = `TimeGrid.substeps` from the grid.
+"""The sub-step lattice: the forward march takes m = `forward.SUBSTEPS`, and every reader
+takes it from the stored solve (`Trajectory.substeps`).
 
-Every shipped grid has m = 2.  These tests patch the property to other
+Every shipped run has m = 2.  These tests patch the constant to other
 values, the way other tests patch `forward.BATCH_COEFFS`, so that a reader
-that still assumes two RK4 steps per control step shows.
+that still assumes two RK4 steps per control step, or reads the module's m
+in place of the trajectory's, shows.
 """
 
 import json
@@ -21,7 +23,7 @@ from conftest import dense, fig1_row, full_width_adjoint, full_width_march
 
 
 def use_substeps(monkeypatch, m):
-    monkeypatch.setattr(TimeGrid, "substeps", property(lambda self: m))
+    monkeypatch.setattr(forward, "SUBSTEPS", m)
 
 
 def lattice_setup():
@@ -38,7 +40,7 @@ def test_both_marches_keep_their_contracts_on_m_sub_steps(m, monkeypatch):
     use_substeps(monkeypatch, m)
     rho, grid, model, u = lattice_setup()
     cold = integrate_forward(rho, u, model, grid)
-    assert len(cold.index) == m * grid.n_steps + 1
+    assert cold.substeps == m and len(cold.index) == m * grid.n_steps + 1
     literal = full_width_march(rho, u.values[:-1], grid, model)
     assert dense(cold).tobytes() == literal.tobytes()
     for rows in (None, 7):  # S = K segments of one control step each, then S = 5
@@ -72,6 +74,25 @@ def test_the_full_node_readers_agree_with_two_sub_steps_to_the_step_error(m, mon
     for got, want in zip(full_node_readings(rho, u, model, grid), two):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10
+
+
+def test_the_readers_take_m_from_the_trajectory_not_from_the_module(monkeypatch):
+    # A solve marched at m = 3 reads back with the bits it gave at 3 after
+    # the module's m is set back to 2.
+    rho, grid, model, u = lattice_setup()
+    use_substeps(monkeypatch, 3)
+    traj = integrate_forward(rho, u, model, grid)
+    assert traj.substeps == 3
+
+    def readings():
+        cotraj = integrate_backward(traj, u, model, keep=grid.full_times())
+        d = switching_function(traj, cotraj, model)
+        report = meanfield_vs_particles(traj, u, model, [100], 1.0)
+        return cotraj.coeffs.tobytes(), d.values.tobytes(), json.dumps(report)
+
+    at_three = readings()
+    use_substeps(monkeypatch, 2)
+    assert readings() == at_three
 
 
 def test_the_closed_form_error_falls_as_the_fourth_power_of_the_sub_step(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfpmp import TimeGrid, Trajectory
+from mfpmp import TimeGrid, Trajectory, forward
 
 from conftest import dense, pack
 
@@ -19,10 +19,10 @@ PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308]),
 
 @st.composite
 def half_rows(draw):
-    """(grid, rows): 2K + 1 half rows, each with a zero tail of random length, perhaps none."""
+    """(grid, rows): mK + 1 half rows, each with a zero tail of random length, perhaps none."""
     grid = TimeGrid(draw(st.integers(1, 4)) * 0.5, 0.5)
     width = draw(st.integers(3, 9))
-    n_rows = 2 * grid.n_steps + 1
+    n_rows = forward.SUBSTEPS * grid.n_steps + 1
     parts = draw(st.lists(PARTS, min_size=2 * n_rows * width, max_size=2 * n_rows * width))
     rows = np.array(parts).view(complex).reshape(n_rows, width)
     for row in rows:
@@ -81,7 +81,7 @@ class TestConstruction:
 
     def test_a_consistent_index_is_accepted(self):
         coeffs = np.arange(7, dtype=complex)
-        traj = Trajectory(self.grid, 4, coeffs, [[0, 4], [4, 2], [6, 1]])
+        traj = Trajectory(self.grid, 2, 4, coeffs, [[0, 4], [4, 2], [6, 1]])
         assert traj.rows(0, 3).tolist() == [[0, 1, 2, 3], [4, 5, 0, 0], [6, 0, 0, 0]]
         assert traj.column(1).tolist() == [1, 5, 0]
 
@@ -94,11 +94,16 @@ class TestConstruction:
     ], ids=["a-node-short", "empty-row", "wider-than-width", "past-the-end", "negative-offset"])
     def test_an_inconsistent_index_is_rejected(self, index, match):
         with pytest.raises(ValueError, match=match):
-            Trajectory(self.grid, 4, np.zeros(7, dtype=complex), index)
+            Trajectory(self.grid, 2, 4, np.zeros(7, dtype=complex), index)
+
+    @pytest.mark.parametrize("substeps", [0, -1, 2.0, "2", True])
+    def test_substeps_is_a_positive_int(self, substeps):
+        with pytest.raises(ValueError, match="substeps must be a positive int"):
+            Trajectory(self.grid, substeps, 4, np.zeros(7, dtype=complex), [[0, 1]] * 3)
 
     def test_the_buffer_is_one_dimensional_and_rows_are_half_rows(self):
         with pytest.raises(ValueError, match="one buffer"):
-            Trajectory(self.grid, 4, np.zeros((3, 4), dtype=complex), [[0, 1]] * 3)
+            Trajectory(self.grid, 2, 4, np.zeros((3, 4), dtype=complex), [[0, 1]] * 3)
         with pytest.raises(ValueError, match="one buffer"):
             pack(self.grid, np.zeros((3, 2), dtype=complex))
 
