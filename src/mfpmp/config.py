@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import forward
 from .checks import LOCAL_U1, MAX_EXTRA_PAIRS
 from .descent import DescentConfig
 from .errors import ConfigError
@@ -294,10 +295,12 @@ def parse_config_dict(doc: dict) -> RunConfig:
     except (ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError(f"grid: T/tau = {T / tau:.6g} steps of {n_modes} harmonics cannot "
                           f"be allocated ({type(exc).__name__}: {exc})") from exc
-    if command == "validate" and rho0[1] == 0:
-        raise ConfigError("initial_density: validate needs a nonzero harmonic 1: with a_1 = 0 "
-                          "the cost is 1 for every control (a_1 and the coupling stay 0), so "
-                          "the slope oracle has no slope to check")
+    # The march flushes parts below forward._FLUSH to 0 before its first step.
+    if command == "validate" and max(abs(rho0[1].real), abs(rho0[1].imag)) < forward._FLUSH:
+        raise ConfigError("initial_density: validate needs a nonzero harmonic 1 (a part of at "
+                          f"least {forward._FLUSH:.3g}; smaller parts are flushed to 0): with "
+                          "a_1 = 0 the cost is 1 for every control (a_1 and the coupling stay 0), "
+                          "so the slope oracle has no slope to check")
     descent = _parse_descent(doc.get("descent"))
     validate_params = _parse_validate(doc.get("validate"))
 

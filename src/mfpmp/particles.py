@@ -9,8 +9,15 @@ control sampling as the spectral solver.  The pairwise sum includes the
 j = i term (it contributes sin(-alpha), which vanishes in the experiments
 with alpha = 0) and is evaluated through the order parameter
 Z = (1/N) sum_j exp(i x_j) in O(N) per stage, in real arithmetic: with
-W = e^{-i alpha} Z, the sum is Im W cos x_i - Re W sin x_i.  A stage takes
-one cos and one sin of the ensemble plus two sums; W is a Python complex.
+W = e^{-i alpha} Z, the sum is Im W cos x_i - Re W sin x_i; W is a Python
+complex.  A step takes one libm cos and one sin of the ensemble, at its
+start x.  Stages 2-4 evaluate the field at x + d with d a multiple of the
+previous stage's slope, and take cos(x + d) and sin(x + d) by exact angle
+addition from cos x, sin x, cos d and sin d.  The reach tau max_k(|u_1,k| +
+|u_2,k|) bounds every |d|; while it is at most 1/16, cos d and sin d come
+from degree-8 and degree-9 Taylor polynomials within 1 ulp of libm, and
+past it from libm.  Each stage adds two sums, and every array lives in
+buffers made once per march.
 
 Ensembles are initialized deterministically by inverse-CDF sampling of the
 initial density at the midpoint quantiles (i - 1/2)/N, so oracle runs are
@@ -28,6 +35,12 @@ from .spectral import require_normalized
 from .timegrid import ControlSignal, TimeGrid
 
 _PHASE_DRIFT_LIMIT = 1e8
+
+# A march whose every stage shift |d| is at most this takes cos d and sin d
+# from Taylor polynomials in z = d^2, coefficients from z^4 down to z^1.
+_TAYLOR_REACH = 1.0 / 16.0
+_COS_TAYLOR = (1.0 / 40320.0, -1.0 / 720.0, 1.0 / 24.0, -1.0 / 2.0)
+_SIN_TAYLOR = (1.0 / 362880.0, -1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0)
 
 
 @dataclass(frozen=True)
@@ -50,16 +63,41 @@ class ParticleEnsemble:
         return self.phases.size
 
 
-def _phase_rhs(x: np.ndarray, u: np.ndarray, tilt: complex) -> np.ndarray:
-    """u_1 + u_2 Im(e^{-i(x + alpha)} Z) with tilt = e^{-i alpha}."""
-    cos, sin = np.cos(x), np.sin(x)
-    w = tilt * complex(np.mean(cos), np.mean(sin))
-    cos *= w.imag
-    sin *= w.real
-    cos -= sin
-    cos *= u[1]
-    cos += u[0]
-    return cos
+def _phase_rhs(cos: np.ndarray, sin: np.ndarray, u: np.ndarray, tilt: complex,
+               out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """u_1 + u_2 Im(e^{-i(x + alpha)} Z) into `out` from cos x and sin x, tilt = e^{-i alpha}."""
+    n = cos.size
+    w = tilt * complex(np.add.reduce(cos) / n, np.add.reduce(sin) / n)
+    np.multiply(cos, w.imag, out=out)
+    np.multiply(sin, w.real, out=tmp)
+    out -= tmp
+    out *= u[1]
+    out += u[0]
+    return out
+
+
+def _taylor_cos_sin(d: np.ndarray, cos: np.ndarray, sin: np.ndarray, z: np.ndarray) -> None:
+    """cos d and sin d into `cos` and `sin` by their degree-8 and degree-9 Taylor polynomials.
+
+    Within 1 ulp of np.cos and np.sin for |d| <= `_TAYLOR_REACH`; `z` is scratch.
+    """
+    np.multiply(d, d, out=z)
+    np.multiply(z, _COS_TAYLOR[0], out=cos)
+    np.multiply(z, _SIN_TAYLOR[0], out=sin)
+    for c, s in zip(_COS_TAYLOR[1:], _SIN_TAYLOR[1:]):
+        cos += c
+        cos *= z
+        sin += s
+        sin *= z
+    cos += 1.0
+    sin *= d
+    sin += d
+
+
+def _libm_cos_sin(d: np.ndarray, cos: np.ndarray, sin: np.ndarray, z: np.ndarray) -> None:
+    """cos d and sin d into `cos` and `sin` from libm, for any d; `z` is unused."""
+    np.cos(d, out=cos)
+    np.sin(d, out=sin)
 
 
 def simulate_particles(initial: ParticleEnsemble, u: ControlSignal, alpha: float,
@@ -67,24 +105,47 @@ def simulate_particles(initial: ParticleEnsemble, u: ControlSignal, alpha: float
     """March the oscillator ODE with RK4 at the full control step.
 
     Returns the terminal ensemble and {k: phases} at each full-step node k
-    of `record_nodes`, which must lie in 0..K.
+    of `record_nodes`, which must lie in 0..K.  Stages 2-4 sit at x + d with
+    d = (tau/2) k_1, (tau/2) k_2 and tau k_3; since |Z| <= 1, |d| is at
+    most the reach tau max_k(|u_1,k| + |u_2,k|), which picks the kernel
+    for cos d and sin d once per march.
     """
     tau = grid.tau
+    half, sixth = 0.5 * tau, tau / 6.0
     tilt = complex(np.cos(alpha), -np.sin(alpha))
     x = np.array(initial.phases, dtype=float)
     want = set(record_nodes)
     for k in want:
         if k not in range(grid.n_steps + 1):
             raise ValueError(f"record node {k!r} is not a full-step node 0..{grid.n_steps}")
+    reach = tau * float(np.max(np.abs(u.values[:grid.n_steps]).sum(axis=1)))
+    cos_sin = _taylor_cos_sin if reach <= _TAYLOR_REACH else _libm_cos_sin
+    c0, s0, k1, k2, k3, k4, d, z, cd, sd = np.empty((10, x.size))
     snapshots = {0: x.copy()} if 0 in want else {}
     for k in range(grid.n_steps):
         uk = u.values[k]
         t = k * tau
-        k1 = _phase_rhs(x, uk, tilt)
-        k2 = _phase_rhs(x + 0.5 * tau * k1, uk, tilt)
-        k3 = _phase_rhs(x + 0.5 * tau * k2, uk, tilt)
-        k4 = _phase_rhs(x + tau * k3, uk, tilt)
-        x = x + (tau / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        np.cos(x, out=c0)
+        np.sin(x, out=s0)
+        _phase_rhs(c0, s0, uk, tilt, k1, z)
+        for slope, out, h in ((k1, k2, half), (k2, k3, half), (k3, k4, tau)):
+            np.multiply(h, slope, out=d)
+            cos_sin(d, cd, sd, z)
+            # With C, S = c0, s0: cos(x + d) = C cos d - S sin d and
+            # sin(x + d) = S cos d + C sin d, into cd and sd.
+            np.multiply(s0, sd, out=z)
+            sd *= c0
+            np.multiply(s0, cd, out=d)
+            sd += d
+            cd *= c0
+            cd -= z
+            _phase_rhs(cd, sd, uk, tilt, out, z)
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= sixth
+        x += k2
         peak = float(np.max(np.abs(x)))
         if not peak <= _PHASE_DRIFT_LIMIT:
             raise DivergenceError(f"particle phases drifted to {peak:.3e} at t = {t + tau:.6g}")

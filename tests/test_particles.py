@@ -14,6 +14,7 @@ from mfpmp import (
     simulate_particles,
     stratified_ensemble,
 )
+from mfpmp import particles
 from mfpmp.particles import density_cdf_values
 
 from conftest import fig1_row, harmonic, uniform_field
@@ -91,20 +92,60 @@ class TestSimulation:
         assert abs(particle_cost(base, 1.0) - particle_cost(shifted, 1.0 + phi)) < 1e-12
 
     @pytest.mark.parametrize("alpha", [0.0, 0.31, 1.7])
-    def test_real_march_matches_the_literal_two_exponential_march(self, alpha):
+    @pytest.mark.parametrize("n_steps, taylor", [(200, True), (28, True), (27, False)])
+    def test_real_march_matches_the_literal_two_exponential_march(self, alpha, n_steps, taylor,
+                                                                  monkeypatch):
         # The real cos/sin field is the same ODE and the same RK4; only
-        # rounding may differ from the complex-exponential form.
-        grid = TimeGrid(1.0, 5e-3)
+        # rounding may differ from the complex-exponential form.  At 28 steps
+        # the march's reach sits just below 1/16, the Taylor kernel's limit;
+        # at 27 just above it, where cos d and sin d come from libm.
+        grid = TimeGrid(1.0, 1.0 / n_steps)
         t = grid.full_times()
         u = ControlSignal(grid, np.column_stack([0.6 * np.sin(3.0 * t), 0.4 + 0.8 * np.cos(t)]))
+        reach = grid.tau * float(np.max(np.abs(u.values[:-1]).sum(axis=1)))
+        assert (reach <= 1.0 / 16.0) is taylor and (n_steps == 200 or 0.06 < reach < 0.065)
+        calls = []
+        kernel = particles._taylor_cos_sin
+        monkeypatch.setattr(particles, "_taylor_cos_sin", lambda *a: calls.append(1) or kernel(*a))
         phases = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, 300)
-        steps = [0, 80, grid.n_steps]
+        steps = [0, 2 * n_steps // 5, grid.n_steps]
         want_end, want = reference_march(phases, u, alpha, grid, steps)
         got_end, got = simulate_particles(ParticleEnsemble(phases), u, alpha, grid, steps)
+        assert len(calls) == (3 * n_steps if taylor else 0)
         assert np.max(np.abs(got_end.phases - want_end)) < 1e-12
         assert len(got) == len(steps)
         for k in steps:
             assert np.max(np.abs(got[k] - want[k])) < 1e-12
+
+    def test_taylor_kernel_is_within_one_ulp_of_libm(self):
+        d = np.linspace(-1.0 / 16.0, 1.0 / 16.0, 2_000_001)
+        assert d[0] == -1.0 / 16.0 and d[-1] == 1.0 / 16.0 and 0.0 in d
+        cos, sin, z = np.empty((3, d.size))
+        particles._taylor_cos_sin(d, cos, sin, z)
+        for got, want in ((cos, np.cos(d)), (sin, np.sin(d))):
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_snapshots_are_copies_with_the_bits_of_single_node_marches(self):
+        # The march reuses its buffers every step: each snapshot and the
+        # terminal ensemble must own their memory and hold the bits of a
+        # march that records only that node.
+        grid = TimeGrid(1.0, 1e-2)
+        t = grid.full_times()
+        u = ControlSignal(grid, np.column_stack([0.6 * np.sin(3.0 * t), 0.4 + 0.8 * np.cos(t)]))
+        start = ParticleEnsemble(np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 257))
+        nodes = [0, grid.n_steps // 2, grid.n_steps]
+        terminal, snaps = simulate_particles(start, u, 0.2, grid, nodes)
+        held = [terminal.phases, start.phases, *snaps.values()]
+        for i, a in enumerate(held):
+            for b in held[i + 1:]:
+                assert not np.shares_memory(a, b)
+        for k in nodes:
+            alone_end, alone = simulate_particles(start, u, 0.2, grid, [k])
+            assert list(alone) == [k]
+            assert alone[k].tobytes() == snaps[k].tobytes()
+            assert alone_end.phases.tobytes() == terminal.phases.tobytes()
+        assert snaps[0].tobytes() == start.phases.tobytes()
+        assert snaps[grid.n_steps].tobytes() == terminal.phases.tobytes()
 
     def test_divergence_guard(self):
         grid = TimeGrid(1000.0, 1.0)
