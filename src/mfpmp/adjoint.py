@@ -79,10 +79,12 @@ whichever reaches further, so the rows b reads are at least four columns
 narrower than b, or as wide at full width.  The forward band is the
 solve's one band, so b never marches narrower than it: on a trajectory
 whose band narrows again, b marches at the widest forward band
-throughout.  No shipped config or benchmark workload has such a
-trajectory.  In the cold full-scale solve
-each co-density row ends in its 154th to 164th column, and b steps 176 of
-the 1025 columns throughout; the quarter steps run on 160.
+throughout.  The cold desk solve of the fig1 control has such a
+trajectory (see `forward`): its rows keep at most 61 columns, so the
+quarter steps run on 80 and b on 96 of the 129 throughout, while its
+co-density rows end in their 61st to 64th column.  In the cold full-scale
+solve each co-density row ends in its 61st to 63rd column, and b steps 80
+of the 1025 columns throughout; the quarter steps run on 64.
 
 The switching function reads only b_0 and b_1, at the full-step nodes
 where the controls live, and the resolution diagnostics only max_n |b_n|
@@ -94,11 +96,11 @@ the band stops short of N/2.
 The co-density's high harmonics decay geometrically, and at wide
 resolutions a large share of its float parts would fall below the normal
 range; as in the forward march, every backward step flushes the parts
-below 2^-511, the square root of the smallest normal float, to zero
-(`forward._settle`).  The reasons are the forward march's: a product of
-two kept parts is a normal float, and the flushed parts are too small to
-move a reported number.  With the smallest normal float as the bound, a
-cold full-scale co-density row would keep 540 to 566 columns.
+below `forward._FLUSH`, 2^-256, to zero (`forward._settle`).  The reasons
+are the forward march's: a product of two kept parts is a normal float,
+and the flushed parts are too small to move a reported number.  With the
+bound at 2^-511, a cold full-scale co-density row would keep 154 to 164
+columns, and with the smallest normal float as the bound 540 to 566.
 """
 
 from __future__ import annotations
@@ -116,13 +118,14 @@ from .spectral import require_row
 from .timegrid import ControlSignal, TimeGrid, Trajectory
 
 # The most quarter-step rows a block marches as one state.  Blocks sized by
-# the band alone would reach 51 rows at full scale and 512 in a u_2 = 0
-# solve that keeps harmonics 0 .. 2, while the per-row cost of a quarter
-# step levels off and the block's buffers, which it fills on every page,
-# keep growing.  In the full-pass benchmark (one CPU of a shared 2-vCPU
-# host, 3 runs each) 12, 16 and 24 rows gave `wall_ref_s` 1.63, 1.59 and
-# 1.58 s and `peak_rss_mb` 69.07, 69.21 and 69.31 MB; 64 rows measured
-# about 2% faster than 24 but 1.4 MB more.
+# the band alone would reach 128 rows at full scale (a band of 64 columns)
+# and 512 in a u_2 = 0 solve that keeps harmonics 0 .. 2, while the per-row
+# cost of a quarter step levels off and the block's buffers, which it fills
+# on every page, keep growing.  Tuned when the flush bound was 2^-511 and
+# the full-scale band 160 columns: in the full-pass benchmark (one CPU of a
+# shared 2-vCPU host, 3 runs each) 12, 16 and 24 rows gave `wall_ref_s`
+# 1.63, 1.59 and 1.58 s and `peak_rss_mb` 69.07, 69.21 and 69.31 MB; 64
+# rows measured about 2% faster than 24 but 1.4 MB more.
 _BLOCK_ROWS = 16
 
 # The stage row that each RK4 stage of a backward step reads: the stored

@@ -18,19 +18,20 @@ per full step, hence every RK4 stage sees a single control value.  The n = 0
 equation has an explicit factor n, so the mass coefficient is conserved bit-for-bit.
 
 On the initial state and after every step, real and imaginary parts below
-2^-511 (about 1.5e-154, the square root of the smallest normal float
-`np.finfo(float).tiny`) are set to zero (`_settle`).  High harmonics decay
-geometrically, and the bound has two reasons.  The product of two kept parts
-is at least tiny, a normal float, so no RK4 stage does arithmetic on
+`_FLUSH` = 2^-256 (about 8.6e-78) are set to zero (`_settle`).  High
+harmonics decay geometrically, and the bound has two reasons.  The product
+of two kept parts is at least 2^-512, a normal float (the smallest is
+`np.finfo(float).tiny`, 2^-1022), so no RK4 stage does arithmetic on
 subnormal floats, which takes the slow path of the processor.  And the
-flushed parts are too small to move a reported number: they lie about 137
-orders of magnitude below the ulp of the mass coefficient 1/(2*pi), which
-the flush never touches.  The desk descent keeps every artifact byte with
-the bound at 2^-1022, 2^-511, 1e-100 or 1e-70; the smallest bound tried
-that moves it is 1e-60, where its final cost moves by 6.6e-13 relative.
-At 2048 harmonics most of what the smallest normal float would keep is
-dust below 2^-511: a cold solve's density rows keep 146 columns on
-average with this bound and 424 with that one.
+flushed parts are too small to move a reported number: they lie 201 binary
+orders (about 60 decades) below the ulp 2^-55 of the mass coefficient
+1/(2*pi), which the flush never touches.  The desk descent keeps every
+artifact byte with the bound at 2^-1022, 2^-511, 2^-300, 2^-256 or 2^-232;
+its bytes move at 2^-224, 2^-216, 2^-208 and 2^-200, and at 2^-200, after
+the same 17 iterations and step exponents, its final cost moves by 3.3e-13
+relative.  At 2048 harmonics most of what a smaller bound would keep is
+dust: a cold solve's density rows keep 58.3 columns on average with this
+bound, 146 with 2^-511 and 424 with the smallest normal float.
 
 The kernels march a stack of state rows, each under its own control: the
 trial steps of a line search, the adjoint's quarter-step states, or the S
@@ -55,13 +56,16 @@ computes anyway.  What a full-width march adds past the band are sums of
 products with a zero factor: exact zeros, perhaps -0.0, which `_settle`
 stores as +0.0, and every other entry takes the same operations on the same
 values.  So the band keeps every bit.  The flat state is repacked when w
-changes, 9 times in a cold full-scale solve; the `Workspace` is
+changes, 3 times in a cold full-scale solve; the `Workspace` is
 allocated at full width and used through its head.  Records see the rows
 on their band; trajectories, checkpoints and terminal rows are full rows,
-zero-padded.  A march that reaches full width stays there and stops looking:
-a cold desk solve's rows fill their 129 columns after about 230 of 2400
-sub-steps; at 2048 harmonics a cold solve keeps 146 of the 1025 on average
-(154 at most).
+zero-padded.  A march that reaches full width stays there and stops looking.
+A band may also narrow again: a cold desk solve of the fig1 control keeps
+at most 61 of its 129 columns, and its band moves between 64 and 80
+columns, narrowing 4 times in 2400 sub-steps; the line search's marches of
+the later desk iterates fill all 129 columns after 392 to 1148 sub-steps.
+At 2048 harmonics a cold solve keeps 58.3 of the 1025 on average (60 at
+most), and its band only widens.
 
 A march allocates its buffers once (`Workspace`): the four RK4 stages, the
 shift product and the flush's magnitudes and mask.  The one RK4 step of
@@ -81,7 +85,7 @@ solve is the one segment from rho0.  S is the largest divisor of K up to
 
 A stored solve keeps each step's rows as one rectangle of its trajectory's
 buffer, cut after the last harmonic that any of them keeps (`Trajectory`):
-the flushed high harmonics of a cold full-scale solve are 86% of its
+the flushed high harmonics of a cold full-scale solve are 94% of its
 12001 x 1025 coefficients.  The flush mask of `_settle` tells where to
 cut, so the state is not compared again.  The buffer is allocated at the
 dense size and only its used head is written, which is all of it that the
@@ -107,13 +111,15 @@ SUBSTEPS = 2
 # 1/(2*pi) * O(1), so anything near this limit means tau is too large.
 DIVERGENCE_LIMIT = 1e6
 
-# Smaller parts are flushed to zero, in both marches: 2^-511, the square root
-# of the smallest normal float, so that a product of two kept parts is normal.
-_FLUSH = 2.0 ** -511
+# Smaller parts are flushed to zero, in both marches: 2^-256, so that a
+# product of two kept parts is at least 2^-512, a normal float, and a flushed
+# part lies 201 binary orders below the ulp of the mass coefficient.
+_FLUSH = 2.0 ** -256
 
 # Working widths are multiples of this many columns (`band`), so that a
-# cold full-scale solve changes width 9 times in 12000 forward steps and
-# its adjoint's co-density keeps the one width of its first step.
+# cold full-scale solve changes width 3 times in 12000 forward steps (16 to
+# 64 columns) and its adjoint's co-density keeps the one width of its first
+# step (80 columns).
 _BAND_STEP = 16
 
 # Rows marched as one state share the per-call overhead, which dominates
@@ -127,7 +133,8 @@ _BAND_STEP = 16
 # half-row coefficients gives 63 rows at 256 harmonics and 8 at 2048, where
 # the per-row cost levels off.  It bounds the S time segments of a stored
 # solve, the adjoint's quarter-step blocks (one size per solve, counted on
-# the widest band the trajectory keeps and capped at `adjoint._BLOCK_ROWS`),
+# the widest band the trajectory keeps, 64 columns in a cold full-scale
+# solve, and capped at `adjoint._BLOCK_ROWS`),
 # the line search's trials per lean march (with `descent.TRIAL_CHUNK`), and
 # the row blocks of a diagnostic sweep (`density_min`).
 BATCH_COEFFS = 8200
@@ -260,7 +267,7 @@ class Workspace:
 
 
 def _settle(a: np.ndarray, t: float, work: Workspace) -> None:
-    """Flush the parts below 2^-511 of the new flat complex state a to zero, in place; bound it.
+    """Flush the parts below `_FLUSH` of the new flat complex state a to zero, in place; bound it.
 
     One look at the float view serves both: parts with |x| < `_FLUSH` become
     0.0, and the largest |x| must stay within DIVERGENCE_LIMIT (NaN fails);
@@ -273,7 +280,7 @@ def _settle(a: np.ndarray, t: float, work: Workspace) -> None:
     if not peak <= DIVERGENCE_LIMIT:
         raise DivergenceError(f"coefficient part {peak:.3e} at t = {t:.6g} exceeds "
                               f"{DIVERGENCE_LIMIT:.0e}; reduce the time step")
-    parts[np.less(mag, _FLUSH, out=work.mask)] = 0.0
+    np.putmask(parts, np.less(mag, _FLUSH, out=work.mask), 0.0)
 
 
 def band(kept: int, width: int) -> int:

@@ -132,14 +132,15 @@ def banded_rows(full_row):
     """Initial rows and their controls (150 full steps, 300 half steps of 2.5e-3).
 
     Row 0 is the fig1 density under coupling, narrow and spreading.  Row 1
-    carries a harmonic of 1e-140 at n = 700: under coupling its band
-    widens, then a rotation that RK4 damps by about half a step at that
-    harmonic, with no coupling, flushes it, and the band narrows to row 0's.
+    carries a harmonic of 2^46 times the flush bound `forward._FLUSH` at
+    n = 700: under coupling its band widens, then a rotation that RK4 damps
+    by about half a step at that harmonic, with no coupling, flushes it, and
+    the band narrows to row 0's.
     With `full_row`, row 2 reaches N/2 and holds the state at full width.
     """
     rho = fig1_row(N_MODES)
     high = np.zeros(WIDTH, dtype=complex)
-    high[[0, 1, 700]] = 1.0 / (2.0 * np.pi), 0.05, 1e-140
+    high[[0, 1, 700]] = 1.0 / (2.0 * np.pi), 0.05, 2.0 ** 46 * forward._FLUSH
     rows = [rho, high]
     u = np.empty((150, 3 if full_row else 2, 2))
     u[:, 0] = 0.3, 1.0

@@ -661,13 +661,14 @@ class TestValidateCommand:
         report = json.loads((out / "validation_report.json").read_text())
         assert code == 0 and report["passed"] is True, report
 
-    @pytest.mark.parametrize("a1", [None, [1e-200, 0.0], [0.0, -1e-200]])
+    @pytest.mark.parametrize("a1", [None, [1e-200, 0.0], [0.0, -1e-200], [1e-100, 0.0],
+                                    [0.0, -1e-100]])
     def test_a_density_without_harmonic_1_is_2_for_validate_only(self, tmp_path, capsys, a1):
         # With a_1 = 0, a_1 and the coupling stay 0 and the cost is 1 for
         # every control: every predicted slope is 0, and the slope oracle
         # would fail a correct program (exit 5).  optimize stops at once.
         # Parts below forward._FLUSH are flushed to 0 before the first step,
-        # so a harmonic 1 of 1e-200 is a_1 = 0 too.
+        # so a harmonic 1 of 1e-200 or 1e-100 is a_1 = 0 too.
         harmonics = {"0": [1.0 / (2.0 * np.pi), 0.0], "3": [0.01, 0.0]}
         if a1 is not None:
             harmonics["1"] = a1
